@@ -9,9 +9,8 @@ witnesses.
 """
 
 from .core import (
-    AxiomReport,
     EvsInstance,
-    PropertyReport,
+    SuiteReport,
     check_axioms,
     check_partial_order,
     check_properties,

@@ -188,11 +188,13 @@ def _run_builtin(inputs: dict):
 def _run_partial_compare(inputs: dict):
     a, b = _lazy_pair(inputs["first"], inputs["second"])
     depths = inputs["depths"]
-    values = metrics.partial_comparing_function(a, b, depths)
     classification = metrics.classify_lazy_pair(a, b, depths)
+    # the second-relative-first direction is the pair's own bound sequence
+    bounds = classification["directions"]["secondRelativeFirst"]["upperBounds"]
+    values = [parse_rational(v) for v in bounds]
     return {
         "depths": depths,
-        "upperBounds": [fmt(v) for v in values],
+        "upperBounds": bounds,
         "nonincreasing": all(y <= x for x, y in zip(values, values[1:])),
         "classification": classification,
     }, 0
@@ -265,13 +267,7 @@ def _run_order(inputs: dict):
     universe = _universe_from_inline(inputs["universe"])
     inst = universe.instance
     action = inputs["action"]
-    kind = inputs["universe"]["instance"]
-
-    def element(doc):
-        if kind == "metrics":
-            return metrics.MetricMatrix.from_json(doc)
-        return inst.element_from_json(doc)
-
+    element = inst.element_from_json
     if action == "in-l":
         x, y = element(inputs["x"]), element(inputs["y"])
         cert = order.in_l(inst, x, y, universe)
@@ -333,8 +329,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact comparability of metrics and norms over ordered "
                     "semigroup structure.",
     )
-    parser.add_argument("--format", choices=("json",), default="json",
-                        help="report format (json only)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check the metric axioms on a table")

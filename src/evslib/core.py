@@ -19,14 +19,24 @@ ranges over sampled elements that are both order-minimal and satisfy the A5
 characterization p + (-1)p = zero. The verifier refutes; it never certifies a
 carrier-wide claim. Every failure carries a counterexample that re-evaluates
 to a violation when replayed through the instance operations.
+
+Both suites and replay read one table of laws (AXIOMS, PROPERTIES). An entry
+is not-applicable when its laws found nothing to check: A2 with no comparable
+sampled pair, additive-primitive with no pair whose primitive sets are
+witnessed in the sample. A report passes only when every entry passes, so
+not-applicable counts as not passed: `evs axioms --instance metrics --sample 1`
+exits 1 on A2 alone. In the property suite it makes `pass` false, but the
+exit code of `evs axioms --properties` follows the axiom suite only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
-from typing import Any, Callable, Optional, Sequence
+from functools import cached_property
+from itertools import (combinations, combinations_with_replacement, groupby,
+                       product)
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .errors import InputError
 from .rationals import fmt, parse_rational
@@ -63,7 +73,7 @@ class EvsInstance:
 
 
 # ---------------------------------------------------------------------------
-# Law registry: one predicate per checkable law, shared with replay
+# The law table: one record per checkable law, shared by both suites and replay
 # ---------------------------------------------------------------------------
 
 
@@ -73,142 +83,219 @@ def _is_sample_minimal(inst: EvsInstance, z, sample) -> bool:
     )
 
 
-def _sample_primitives(inst: EvsInstance, sample) -> list:
-    """Sampled elements that are order-minimal and additively characterized."""
-    return [
-        p for p in sample
-        if _is_sample_minimal(inst, p, sample)
-        and inst.equal(inst.add(p, inst.scale(MINUS_ONE, p)), inst.zero)
-    ]
+class _Context:
+    """The inputs of one run plus the derived sets its laws share, each
+    computed once, on first use."""
+
+    def __init__(self, inst: EvsInstance, sample: list, scalars: list):
+        self.inst = inst
+        self.sample = sample
+        self.scalars = scalars
+
+    @cached_property
+    def comparable(self) -> list:
+        """Sampled pairs with x < y."""
+        inst = self.inst
+        return [
+            (x, y)
+            for x, y in product(self.sample, repeat=2)
+            if not inst.equal(x, y) and inst.leq(x, y)
+        ]
+
+    @cached_property
+    def primitives(self) -> list:
+        """Sampled elements that are order-minimal and additively characterized."""
+        inst = self.inst
+        return [
+            p for p in self.sample
+            if _is_sample_minimal(inst, p, self.sample)
+            and inst.equal(inst.add(p, inst.scale(MINUS_ONE, p)), inst.zero)
+        ]
+
+    def minimal(self, z) -> bool:
+        return _is_sample_minimal(self.inst, z, self.sample)
+
+    def below(self, x) -> list:
+        return [p for p in self.primitives if self.inst.leq(p, x)]
 
 
-def _law_a1_identity(inst, els, scs, sample):
-    (x,) = els
-    return inst.equal(inst.add(x, inst.zero), x)
+def _a1_identity(c, x):
+    return c.inst.equal(c.inst.add(x, c.inst.zero), x)
 
 
-def _law_a1_commutativity(inst, els, scs, sample):
-    x, y = els
-    return inst.equal(inst.add(x, y), inst.add(y, x))
+def _a1_commutativity(c, x, y):
+    return c.inst.equal(c.inst.add(x, y), c.inst.add(y, x))
 
 
-def _law_a1_associativity(inst, els, scs, sample):
-    x, y, z = els
+def _a1_associativity(c, x, y, z):
+    inst = c.inst
     return inst.equal(inst.add(inst.add(x, y), z), inst.add(x, inst.add(y, z)))
 
 
-def _law_a2_translation(inst, els, scs, sample):
-    x, y, z = els
+def _a2_translation(c, x, y, z):
+    inst = c.inst
     return (not inst.leq(x, y)) or inst.leq(inst.add(x, z), inst.add(y, z))
 
 
-def _law_a2_scaling(inst, els, scs, sample):
-    x, y = els
-    (a,) = scs
+def _a2_scaling(c, x, y, a):
+    inst = c.inst
     return (not inst.leq(x, y)) or inst.leq(inst.scale(a, x), inst.scale(a, y))
 
 
-def _law_a3_i(inst, els, scs, sample):
-    x, y = els
-    (a,) = scs
+def _a3_i(c, x, y, a):
+    inst = c.inst
     return inst.equal(
         inst.scale(a, inst.add(x, y)),
         inst.add(inst.scale(a, x), inst.scale(a, y)),
     )
 
 
-def _law_a3_ii(inst, els, scs, sample):
-    (x,) = els
-    a, b = scs
+def _a3_ii(c, x, a, b):
+    inst = c.inst
     return inst.equal(inst.scale(a, inst.scale(b, x)), inst.scale(a * b, x))
 
 
-def _law_a3_iii(inst, els, scs, sample):
-    (x,) = els
-    a, b = scs
-    return inst.leq(
-        inst.scale(a + b, x),
-        inst.add(inst.scale(a, x), inst.scale(b, x)),
+def _a3_iii(c, x, a, b):
+    inst = c.inst
+    return inst.leq(inst.scale(a + b, x),
+                    inst.add(inst.scale(a, x), inst.scale(b, x)))
+
+
+def _a3_iv(c, x):
+    return c.inst.equal(c.inst.scale(ONE, x), x)
+
+
+def _a4(c, x, a):
+    inst = c.inst
+    vanishes = inst.equal(inst.scale(a, x), inst.zero)
+    return vanishes == ((a == 0) or inst.equal(x, inst.zero))
+
+
+def _a5(c, z):
+    inst = c.inst
+    additive = inst.equal(inst.add(z, inst.scale(MINUS_ONE, z)), inst.zero)
+    return additive == c.minimal(z)
+
+
+def _a6(c, x):
+    return any(c.inst.leq(p, x) for p in c.primitives)
+
+
+def _balanced(c, x, a):
+    return c.inst.leq(c.inst.scale(a, x), x)
+
+
+def _homogeneous(c, x, a):
+    return c.inst.equal(c.inst.scale(a, x), c.inst.scale(abs(a), x))
+
+
+def _convex(c, x, a, b):
+    inst = c.inst
+    return inst.equal(inst.scale(a + b, x),
+                      inst.add(inst.scale(a, x), inst.scale(b, x)))
+
+
+def _zero_primitive(c, x):
+    return not c.minimal(x) or c.inst.equal(x, c.inst.zero)
+
+
+def _single_primitive(c, x):
+    return len(c.below(x)) == 1
+
+
+def _additive_primitive(c, x, y):
+    """Scored only when x, y and x + y have primitives below them and every
+    sum of a primitive below x and one below y is witnessed in the sample;
+    None otherwise."""
+    inst = c.inst
+    px, py = c.below(x), c.below(y)
+    if not px or not py:
+        return None
+    ptotal = c.below(inst.add(x, y))
+    sums = [inst.add(p, q) for p in px for q in py]
+    if not ptotal or not all(
+        any(inst.equal(s, t) for t in c.sample) for s in sums
+    ):
+        return None
+    return all(
+        any(inst.equal(s, t) for t in ptotal) for s in sums
+    ) and all(
+        any(inst.equal(t, s) for s in sums) for t in ptotal
     )
 
 
-def _law_a3_iv(inst, els, scs, sample):
-    (x,) = els
-    return inst.equal(inst.scale(ONE, x), x)
+def _each(c):
+    return (((x,), ()) for x in c.sample)
 
 
-def _law_a4(inst, els, scs, sample):
-    (x,) = els
-    (a,) = scs
-    vanishes = inst.equal(inst.scale(a, x), inst.zero)
-    should = (a == 0) or inst.equal(x, inst.zero)
-    return vanishes == should
+@dataclass(frozen=True)
+class Law:
+    """One checkable law.
+
+    `holds(c, *elements, *scalars)` is True when the tuple satisfies the law,
+    False on a violation, and None when the tuple is outside the law's scope.
+    `tuples(c)` yields (elements, scalars) in checking order. Laws sharing an
+    `entry` (default: their own name) roll into one report entry, which stops
+    at the first violation. An entry none of whose tuples is scored is
+    not-applicable when its first law gives a `reason`, and passes otherwise.
+    `detail(c, *elements)` adds fields to a counterexample.
+    """
+
+    name: str
+    holds: Callable[..., Optional[bool]]
+    tuples: Callable[[_Context], Iterable[tuple]]
+    entry: Optional[str] = None
+    sample_relative: bool = False
+    reason: Optional[str] = None
+    detail: Optional[Callable[..., dict]] = None
 
 
-def _law_a5(inst, els, scs, sample):
-    (z,) = els
-    additive = inst.equal(inst.add(z, inst.scale(MINUS_ONE, z)), inst.zero)
-    return additive == _is_sample_minimal(inst, z, sample)
+_NO_COMPARABLE = "no comparable pairs in sample"
 
+AXIOMS: tuple[Law, ...] = (
+    Law("A1.identity", _a1_identity, _each, entry="A1"),
+    Law("A1.commutativity", _a1_commutativity, lambda c: (
+        (pair, ()) for pair in combinations(c.sample, 2)), entry="A1"),
+    Law("A1.associativity", _a1_associativity, lambda c: (
+        (tri, ()) for tri in combinations(c.sample, 3)), entry="A1"),
+    Law("A2.translation", _a2_translation, lambda c: (
+        ((x, y, z), ()) for x, y in c.comparable for z in c.sample),
+        entry="A2", reason=_NO_COMPARABLE),
+    Law("A2.scaling", _a2_scaling, lambda c: (
+        (pair, (a,)) for pair in c.comparable for a in c.scalars),
+        entry="A2", reason=_NO_COMPARABLE),
+    Law("A3.i", _a3_i, lambda c: (
+        (pair, (a,)) for pair in combinations(c.sample, 2) for a in c.scalars)),
+    Law("A3.ii", _a3_ii, lambda c: (
+        ((x,), ab) for x in c.sample for ab in product(c.scalars, repeat=2))),
+    Law("A3.iii", _a3_iii, lambda c: (
+        ((x,), ab) for x in c.sample
+        for ab in combinations_with_replacement(c.scalars, 2))),
+    Law("A3.iv", _a3_iv, _each),
+    Law("A4", _a4, lambda c: (
+        ((x,), (a,)) for x in c.sample for a in c.scalars)),
+    Law("A5", _a5, _each, sample_relative=True),
+    Law("A6", _a6, _each, sample_relative=True),
+)
 
-def _law_a6(inst, els, scs, sample):
-    (x,) = els
-    return any(inst.leq(p, x) for p in _sample_primitives(inst, sample))
+PROPERTIES: tuple[Law, ...] = (
+    Law("balanced", _balanced, lambda c: (
+        ((x,), (a,)) for x in c.sample for a in c.scalars if abs(a) <= 1)),
+    Law("homogeneous", _homogeneous, lambda c: (
+        ((x,), (a,)) for x in c.sample for a in c.scalars)),
+    Law("convex", _convex, lambda c: (
+        ((x,), ab) for x in c.sample for ab in combinations_with_replacement(
+            [a for a in c.scalars if a >= 0], 2))),
+    Law("zero-primitive", _zero_primitive, _each, sample_relative=True),
+    Law("single-primitive", _single_primitive, _each, sample_relative=True,
+        detail=lambda c, x: {"primitiveCount": len(c.below(x))}),
+    Law("additive-primitive", _additive_primitive, lambda c: (
+        (pair, ()) for pair in combinations_with_replacement(c.sample, 2)),
+        sample_relative=True,
+        reason="no pair with fully witnessed primitive sets"),
+)
 
-
-def _law_balanced(inst, els, scs, sample):
-    (x,) = els
-    (a,) = scs
-    return inst.leq(inst.scale(a, x), x)
-
-
-def _law_homogeneous(inst, els, scs, sample):
-    (x,) = els
-    (a,) = scs
-    return inst.equal(inst.scale(a, x), inst.scale(abs(a), x))
-
-
-LAWS: dict[str, Callable] = {
-    "A1.identity": _law_a1_identity,
-    "A1.commutativity": _law_a1_commutativity,
-    "A1.associativity": _law_a1_associativity,
-    "A2.translation": _law_a2_translation,
-    "A2.scaling": _law_a2_scaling,
-    "A3.i": _law_a3_i,
-    "A3.ii": _law_a3_ii,
-    "A3.iii": _law_a3_iii,
-    "A3.iv": _law_a3_iv,
-    "A4": _law_a4,
-    "A5": _law_a5,
-    "A6": _law_a6,
-    "balanced": _law_balanced,
-    "homogeneous": _law_homogeneous,
-    "convex": _law_a3_iii,  # with the equality check done by the caller
-}
-
-
-def _counterexample(inst: EvsInstance, law: str, els, scs) -> dict:
-    return {
-        "law": law,
-        "elements": [inst.element_to_json(e) for e in els],
-        "scalars": [fmt(a) for a in scs],
-    }
-
-
-def replay_counterexample(inst: EvsInstance, ce: dict,
-                          sample: Optional[Sequence] = None) -> bool:
-    """Re-evaluate a recorded counterexample; True means the violation is
-    reproduced (the law predicate fails again)."""
-    law = ce["law"]
-    els = [inst.element_from_json(e) for e in ce["elements"]]
-    scs = [parse_rational(a) for a in ce["scalars"]]
-    if law == "convex":
-        x = els[0]
-        a, b = scs
-        lhs = inst.scale(a + b, x)
-        rhs = inst.add(inst.scale(a, x), inst.scale(b, x))
-        return not inst.equal(lhs, rhs)
-    return not LAWS[law](inst, els, scs, sample)
+LAWS: dict[str, Law] = {law.name: law for law in AXIOMS + PROPERTIES}
 
 
 # ---------------------------------------------------------------------------
@@ -238,37 +325,14 @@ class CheckEntry:
 
 
 @dataclass
-class AxiomReport:
+class SuiteReport:
+    """The entries of one suite run, listed under the suite's name; `header`
+    holds the run parameters the suite reports next to them."""
+
     instance: str
-    seed: int
-    sample_size: int
-    scalars: list[Fraction]
+    suite: str                       # "axioms" | "properties"
     entries: list[CheckEntry]
-
-    def entry(self, axiom: str) -> CheckEntry:
-        for e in self.entries:
-            if e.axiom == axiom:
-                return e
-        raise KeyError(axiom)
-
-    def passed(self) -> bool:
-        return all(e.status == "pass" for e in self.entries)
-
-    def to_json(self) -> dict:
-        return {
-            "instance": self.instance,
-            "seed": self.seed,
-            "sampleSize": self.sample_size,
-            "scalars": [fmt(a) for a in self.scalars],
-            "axioms": [e.to_json() for e in self.entries],
-            "pass": self.passed(),
-        }
-
-
-@dataclass
-class PropertyReport:
-    instance: str
-    entries: list[CheckEntry]
+    header: dict = field(default_factory=dict)
 
     def entry(self, name: str) -> CheckEntry:
         for e in self.entries:
@@ -276,20 +340,24 @@ class PropertyReport:
                 return e
         raise KeyError(name)
 
+    def passed(self) -> bool:
+        return all(e.status == "pass" for e in self.entries)
+
     def to_json(self) -> dict:
         return {
             "instance": self.instance,
-            "properties": [e.to_json() for e in self.entries],
-            "pass": all(e.status == "pass" for e in self.entries),
+            **self.header,
+            self.suite: [e.to_json() for e in self.entries],
+            "pass": self.passed(),
         }
 
 
 # ---------------------------------------------------------------------------
-# Axiom suite
+# The runner and replay
 # ---------------------------------------------------------------------------
 
 
-def _validate_inputs(inst: EvsInstance, sample, scalars) -> list[Fraction]:
+def _context(inst: EvsInstance, sample, scalars) -> _Context:
     if not sample:
         raise InputError("sample must be nonempty")
     if not any(inst.equal(x, inst.zero) for x in sample):
@@ -298,221 +366,91 @@ def _validate_inputs(inst: EvsInstance, sample, scalars) -> list[Fraction]:
     for needed in (ZERO, ONE, MINUS_ONE):
         if needed not in scalars:
             raise InputError("scalar list must contain 0, 1 and -1")
-    return scalars
+    return _Context(inst, list(sample), scalars)
+
+
+def _counterexample(c: _Context, law: Law, els, scs) -> dict:
+    ce = {
+        "law": law.name,
+        "elements": [c.inst.element_to_json(e) for e in els],
+        "scalars": [fmt(a) for a in scs],
+    }
+    if law.detail is not None:
+        ce.update(law.detail(c, *els))
+    return ce
+
+
+def _check_entry(c: _Context, name: str, laws: list[Law]) -> CheckEntry:
+    head = laws[0]
+    scored = False
+    for law in laws:
+        for els, scs in law.tuples(c):
+            verdict = law.holds(c, *els, *scs)
+            if verdict is None:
+                continue
+            if not verdict:
+                return CheckEntry(name, "fail", head.sample_relative,
+                                  _counterexample(c, law, els, scs))
+            scored = True
+    if scored or head.reason is None:
+        return CheckEntry(name, "pass", head.sample_relative)
+    return CheckEntry(name, "not-applicable", head.sample_relative,
+                      reason=head.reason)
+
+
+def _run(c: _Context, suite: Sequence[Law]) -> list[CheckEntry]:
+    return [
+        _check_entry(c, name, list(laws))
+        for name, laws in groupby(suite, key=lambda law: law.entry or law.name)
+    ]
 
 
 def check_axioms(inst: EvsInstance, sample: Sequence, scalars: Sequence,
-                 seed: int) -> AxiomReport:
+                 seed: int) -> SuiteReport:
     """Run A1-A6 over the sample; all pairs and triples are exhausted.
 
     A5/A6 verdicts are sample-relative by necessity and are flagged so. The
     seed is recorded for report replay; the sample itself is an input and is
     expected to be deterministic in it.
     """
-    scalars = _validate_inputs(inst, sample, scalars)
-    sample = list(sample)
-    entries: list[CheckEntry] = []
-
-    def first_failure(law: str, tuples) -> Optional[dict]:
-        pred = LAWS[law]
-        for els, scs in tuples:
-            if not pred(inst, els, scs, sample):
-                return _counterexample(inst, law, els, scs)
-        return None
-
-    # A1
-    ce = first_failure("A1.identity", (((x,), ()) for x in sample))
-    if ce is None:
-        ce = first_failure(
-            "A1.commutativity", ((pair, ()) for pair in combinations(sample, 2))
-        )
-    if ce is None:
-        ce = first_failure(
-            "A1.associativity", ((tri, ()) for tri in combinations(sample, 3))
-        )
-    entries.append(CheckEntry("A1", "fail" if ce else "pass", counterexample=ce))
-
-    # A2 over comparable sampled pairs
-    comparable = [
-        (x, y)
-        for x, y in product(sample, repeat=2)
-        if not inst.equal(x, y) and inst.leq(x, y)
-    ]
-    if not comparable:
-        entries.append(CheckEntry("A2", "not-applicable",
-                                  reason="no comparable pairs in sample"))
-    else:
-        ce = first_failure(
-            "A2.translation",
-            (((x, y, z), ()) for x, y in comparable for z in sample),
-        )
-        if ce is None:
-            ce = first_failure(
-                "A2.scaling",
-                (((x, y), (a,)) for x, y in comparable for a in scalars),
-            )
-        entries.append(CheckEntry("A2", "fail" if ce else "pass", counterexample=ce))
-
-    # A3
-    for law, tuples in (
-        ("A3.i", ((pair, (a,)) for pair in combinations(sample, 2) for a in scalars)),
-        ("A3.ii", (((x,), ab) for x in sample for ab in product(scalars, repeat=2))),
-        ("A3.iii", (((x,), ab) for x in sample
-                    for ab in combinations_with_replacement(scalars, 2))),
-        ("A3.iv", (((x,), ()) for x in sample)),
-    ):
-        ce = first_failure(law, tuples)
-        entries.append(CheckEntry(law, "fail" if ce else "pass", counterexample=ce))
-
-    # A4
-    ce = first_failure("A4", (((x,), (a,)) for x in sample for a in scalars))
-    entries.append(CheckEntry("A4", "fail" if ce else "pass", counterexample=ce))
-
-    # A5 (sample-relative)
-    ce = first_failure("A5", (((z,), ()) for z in sample))
-    entries.append(CheckEntry("A5", "fail" if ce else "pass",
-                              sample_relative=True, counterexample=ce))
-
-    # A6 (sample-relative); the primitive candidates are computed once
-    primitives = _sample_primitives(inst, sample)
-    ce = None
-    for x in sample:
-        if not any(inst.leq(p, x) for p in primitives):
-            ce = _counterexample(inst, "A6", (x,), ())
-            break
-    entries.append(CheckEntry("A6", "fail" if ce else "pass",
-                              sample_relative=True, counterexample=ce))
-
-    return AxiomReport(inst.name, seed, len(sample), scalars, entries)
-
-
-# ---------------------------------------------------------------------------
-# Named-property suite
-# ---------------------------------------------------------------------------
+    c = _context(inst, sample, scalars)
+    return SuiteReport(inst.name, "axioms", _run(c, AXIOMS), {
+        "seed": seed,
+        "sampleSize": len(c.sample),
+        "scalars": [fmt(a) for a in c.scalars],
+    })
 
 
 def check_properties(inst: EvsInstance, sample: Sequence,
-                     scalars: Sequence) -> PropertyReport:
+                     scalars: Sequence) -> SuiteReport:
     """Balanced / homogeneous / convex and the primitive-structure properties.
 
     Balanced is checked independently over the |a| <= 1 scalars, never
     inferred from homogeneity. The primitive properties use the
     sample-relative minimal set, so their verdicts are sample-relative; the
     additive-primitivity comparison is only scored on pairs whose primitive
-    sets are fully witnessed inside the sample, and comes out inconclusive if
-    no pair is.
+    sets are fully witnessed inside the sample, and comes out not-applicable
+    if no pair is.
     """
-    scalars = _validate_inputs(inst, sample, scalars)
-    sample = list(sample)
-    entries: list[CheckEntry] = []
-
-    small = [a for a in scalars if abs(a) <= 1]
-    ce = None
-    for x in sample:
-        for a in small:
-            if not _law_balanced(inst, (x,), (a,), sample):
-                ce = _counterexample(inst, "balanced", (x,), (a,))
-                break
-        if ce:
-            break
-    entries.append(CheckEntry("balanced", "fail" if ce else "pass",
-                              counterexample=ce))
-
-    ce = None
-    for x in sample:
-        for a in scalars:
-            if not _law_homogeneous(inst, (x,), (a,), sample):
-                ce = _counterexample(inst, "homogeneous", (x,), (a,))
-                break
-        if ce:
-            break
-    entries.append(CheckEntry("homogeneous", "fail" if ce else "pass",
-                              counterexample=ce))
-
-    nonneg = [a for a in scalars if a >= 0]
-    ce = None
-    for x in sample:
-        for a, b in combinations_with_replacement(nonneg, 2):
-            lhs = inst.scale(a + b, x)
-            rhs = inst.add(inst.scale(a, x), inst.scale(b, x))
-            if not inst.equal(lhs, rhs):
-                ce = _counterexample(inst, "convex", (x,), (a, b))
-                break
-        if ce:
-            break
-    entries.append(CheckEntry("convex", "fail" if ce else "pass",
-                              counterexample=ce))
-
-    minimal = minimal_elements(sample, inst)
-    strays = [m for m in minimal if not inst.equal(m, inst.zero)]
-    entries.append(CheckEntry(
-        "zero-primitive",
-        "fail" if strays else "pass",
-        sample_relative=True,
-        counterexample=None if not strays else {
-            "law": "zero-primitive",
-            "elements": [inst.element_to_json(strays[0])],
-            "scalars": [],
-        },
-    ))
-
-    primitives = _sample_primitives(inst, sample)
-    ce = None
-    for x in sample:
-        below = [p for p in primitives if inst.leq(p, x)]
-        if len(below) != 1:
-            ce = {
-                "law": "single-primitive",
-                "elements": [inst.element_to_json(x)],
-                "scalars": [],
-                "primitiveCount": len(below),
-            }
-            break
-    entries.append(CheckEntry("single-primitive", "fail" if ce else "pass",
-                              sample_relative=True, counterexample=ce))
-
-    entries.append(_additive_primitive_entry(inst, sample, primitives))
-    return PropertyReport(inst.name, entries)
+    c = _context(inst, sample, scalars)
+    return SuiteReport(inst.name, "properties", _run(c, PROPERTIES))
 
 
-def _additive_primitive_entry(inst: EvsInstance, sample, primitives) -> CheckEntry:
-    def prims_below(x):
-        return [p for p in primitives if inst.leq(p, x)]
-
-    def witnessed(elements):
-        return all(
-            any(inst.equal(e, s) for s in sample) for e in elements
-        )
-
-    scored = 0
-    for x, y in combinations_with_replacement(sample, 2):
-        px, py = prims_below(x), prims_below(y)
-        if not px or not py:
-            continue
-        total = inst.add(x, y)
-        ptotal = prims_below(total)
-        sums = [inst.add(p, q) for p in px for q in py]
-        if not ptotal or not witnessed(sums):
-            continue
-        scored += 1
-        ok = all(
-            any(inst.equal(s, t) for t in ptotal) for s in sums
-        ) and all(
-            any(inst.equal(t, s) for s in sums) for t in ptotal
-        )
-        if not ok:
-            return CheckEntry("additive-primitive", "fail", sample_relative=True,
-                              counterexample={
-                                  "law": "additive-primitive",
-                                  "elements": [inst.element_to_json(x),
-                                               inst.element_to_json(y)],
-                                  "scalars": [],
-                              })
-    if scored == 0:
-        return CheckEntry("additive-primitive", "not-applicable",
-                          sample_relative=True,
-                          reason="no pair with fully witnessed primitive sets")
-    return CheckEntry("additive-primitive", "pass", sample_relative=True)
+def replay_counterexample(inst: EvsInstance, ce: dict,
+                          sample: Optional[Sequence] = None) -> bool:
+    """Re-evaluate a recorded counterexample; True means the violation is
+    reproduced (the law predicate fails again). Sample-relative laws are
+    judged against the sample they were found in, so it must be given."""
+    law = LAWS.get(ce["law"])
+    if law is None:
+        raise InputError(f"unknown law {ce['law']!r}")
+    if law.sample_relative and sample is None:
+        raise InputError(f"{law.name} is sample-relative: replay needs the sample")
+    c = _Context(inst, list(sample or ()), [])
+    els = [inst.element_from_json(e) for e in ce["elements"]]
+    scs = [parse_rational(a) for a in ce["scalars"]]
+    verdict = law.holds(c, *els, *scs)
+    return verdict is not None and not verdict
 
 
 # ---------------------------------------------------------------------------

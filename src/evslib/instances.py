@@ -17,6 +17,7 @@ algebra.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -75,27 +76,39 @@ def carrier_labels(size: int) -> tuple[str, ...]:
     return tuple(f"x{k}" for k in range(1, size + 1))
 
 
-def metric_packed_instance(labels: Sequence[str]) -> EvsInstance:
-    labels = tuple(labels)
-    width = len(labels) * (len(labels) - 1) // 2
-    zero = (ZERO,) * width
+def rational_tuple_instance(name: str, width: int, mismatch: str,
+                            element_to_json, element_from_json) -> EvsInstance:
+    """Tuples of `width` rationals under pointwise add, |alpha|-scaling and
+    order, with the all-zero tuple as zero; an operand of another width
+    raises InputError(mismatch)."""
 
     def check(t):
         if len(t) != width:
-            raise InputError("element is over a different carrier")
+            raise InputError(mismatch)
         return t
 
     return EvsInstance(
-        name=f"metrics[{len(labels)}-point carrier]",
-        zero=zero,
+        name=name,
+        zero=(ZERO,) * width,
         add=lambda a, b: tuple(x + y for x, y in zip(check(a), check(b))),
         scale=lambda al, a: tuple(abs(al) * x for x in check(a)),
         leq=lambda a, b: all(x <= y for x, y in zip(check(a), check(b))),
         equal=lambda a, b: check(a) == check(b),
-        element_to_json=lambda a: unpack_matrix(labels, a).to_json(),
-        element_from_json=lambda doc: pack_matrix(MetricMatrix.from_json(doc)),
+        element_to_json=element_to_json,
+        element_from_json=element_from_json,
         zero_primitive=True,
         homogeneous=True,
+    )
+
+
+def metric_packed_instance(labels: Sequence[str]) -> EvsInstance:
+    labels = tuple(labels)
+    return rational_tuple_instance(
+        f"metrics[{len(labels)}-point carrier]",
+        len(labels) * (len(labels) - 1) // 2,
+        "element is over a different carrier",
+        element_to_json=lambda a: unpack_matrix(labels, a).to_json(),
+        element_from_json=lambda doc: pack_matrix(MetricMatrix.from_json(doc)),
     )
 
 
@@ -124,31 +137,24 @@ def metric_reversed_order_instance(labels: Sequence[str]) -> EvsInstance:
     """Mutant: the pointwise order is flipped. Zero becomes a maximum, so no
     sampled element has an additively characterized minimal below it."""
     base = metric_packed_instance(labels)
-    return EvsInstance(
+    return replace(
+        base,
         name=f"metrics-reversed-order[{len(labels)}-point carrier]",
-        zero=base.zero,
-        add=base.add,
-        scale=base.scale,
         leq=lambda a, b: base.leq(b, a),
-        equal=base.equal,
-        element_to_json=base.element_to_json,
-        element_from_json=base.element_from_json,
+        zero_primitive=False,
+        homogeneous=False,
     )
 
 
 def metric_no_abs_scale_instance(labels: Sequence[str]) -> EvsInstance:
     """Mutant: scalar action without the absolute value; homogeneity breaks
     at alpha = -1."""
-    base = metric_packed_instance(labels)
-    return EvsInstance(
+    return replace(
+        metric_packed_instance(labels),
         name=f"metrics-no-abs-scale[{len(labels)}-point carrier]",
-        zero=base.zero,
-        add=base.add,
         scale=lambda al, a: tuple(al * x for x in a),
-        leq=base.leq,
-        equal=base.equal,
-        element_to_json=base.element_to_json,
-        element_from_json=base.element_from_json,
+        zero_primitive=False,
+        homogeneous=False,
     )
 
 
@@ -352,7 +358,7 @@ def seeded_hyper_sample(dim: int, seed: int, count: int) -> list:
 def build_instance(name: str, *, carrier: int = 6, depth: int = 12,
                    dim: int = 2, seed: int = 0, sample: int = 50):
     """Return (instance, sample, scalars) for a named instance."""
-    if name in ("metrics", "dx"):
+    if name == "metrics":
         labels = carrier_labels(carrier)
         return (metric_packed_instance(labels),
                 seeded_metric_sample(labels, seed, sample), DEFAULT_SCALARS)
@@ -364,7 +370,7 @@ def build_instance(name: str, *, carrier: int = 6, depth: int = 12,
         labels = carrier_labels(carrier)
         return (metric_no_abs_scale_instance(labels),
                 seeded_metric_sample(labels, seed, sample), DEFAULT_SCALARS)
-    if name in ("norms", "nx"):
+    if name == "norms":
         from .norms import norm_table_instance, seeded_norm_sample
         probes, elements = seeded_norm_sample(depth, seed, sample)
         return norm_table_instance(probes), elements, DEFAULT_SCALARS

@@ -32,6 +32,7 @@ from typing import Callable, Optional, Sequence
 
 from .core import EvsInstance
 from .errors import InputError
+from .instances import rational_tuple_instance
 from .metrics import MetricMatrix
 from .rationals import fmt, parse_rational
 
@@ -547,26 +548,12 @@ def norm_table_instance(probes: Sequence[FSVector]) -> EvsInstance:
     axioms; the order is the pointwise one. The all-zero table is the zero
     element O.
     """
-    probes = tuple(probes)
-    width = len(probes)
-    zero = (ZERO,) * width
-
-    def check(t):
-        if len(t) != width:
-            raise InputError("value table over a different probe set")
-        return t
-
-    return EvsInstance(
-        name=f"norms[{width} probes]",
-        zero=zero,
-        add=lambda a, b: tuple(x + y for x, y in zip(check(a), check(b))),
-        scale=lambda al, a: tuple(abs(al) * x for x in check(a)),
-        leq=lambda a, b: all(x <= y for x, y in zip(check(a), check(b))),
-        equal=lambda a, b: check(a) == check(b),
+    return rational_tuple_instance(
+        f"norms[{len(probes)} probes]",
+        len(probes),
+        "value table over a different probe set",
         element_to_json=lambda a: [fmt(x) for x in a],
         element_from_json=lambda doc: tuple(parse_rational(x) for x in doc),
-        zero_primitive=True,
-        homogeneous=True,
     )
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, JSON reports, determinism, replay."""
 
+import hashlib
 import json
 import re
 
@@ -187,6 +188,44 @@ def test_axioms_with_properties(capsys):
     props = {p["axiom"]: p["status"] for p in doc["report"]["properties"]}
     assert props["zero-primitive"] == "fail"
     assert props["single-primitive"] == "pass"
+
+
+# sha256 of the stdout of `evs axioms --instance NAME --seed SEED --sample 12
+# --properties` and its exit code, recorded from the verifier as it was before
+# its checks were collapsed into one law table. The bytes are the contract.
+AXIOMS_GOLDEN = {
+    ("metrics", 0): (0, "3127b62f4e864390d1c1924be1fa40b09d8ccf9d4f8e7cb38bd3a6df911e2518"),
+    ("metrics", 1): (0, "5d59648fdf20dd21dc0f2e641d91d146b898044ae09f9cec3c9c778b47a6595c"),
+    ("norms", 0): (0, "f18408c7af09378c12e035b461c8d7c1981c00eced27d30c447a00bc2094bc11"),
+    ("norms", 1): (0, "3c811b25a8d595bb21ca10d9fcb1e817e8107afa446cdbfa053950968756ba0f"),
+    ("cone", 0): (0, "aa66499d2f29f03f5298c9b4caa07d204387a53db74f2a8322b6e9b7506493d0"),
+    ("cone", 1): (0, "4ffcead5381e4096abbe212f777f62ea6621e6eaf0ef98e676667440750b2ff3"),
+    ("hyperspace", 0): (0, "d8e1b4cb513774c11cd6c57b26841121b48d7dc63604b6bea63bbdd404849650"),
+    ("hyperspace", 1): (0, "fed15099cba8570816c2ee4ed90c4c58c8cebf92e58aebd5092768779d6310c1"),
+    ("metrics-reversed-order", 0): (1, "b2533be456e61a750c642baa2e9d9f7943e0266fdddeb280645c61a1b0ecf38c"),
+    ("metrics-reversed-order", 1): (1, "52d2489a63034da74ba488647bb85241f4e87a85e1d04a574444421a72457bb2"),
+    ("metrics-no-abs-scale", 0): (1, "2b5bba8e990d16a6f13c876535bf709887cd60b87a67494ebd747ee5f14a3480"),
+    ("metrics-no-abs-scale", 1): (1, "3d6d975c1b571b46bcfb404062c37301d73d32282cd113d0da0d21f61da0e1a8"),
+}
+
+
+@pytest.mark.parametrize(("name", "seed"), sorted(AXIOMS_GOLDEN))
+def test_axioms_stdout_bytes_match_golden(capsys, name, seed):
+    code = main(["axioms", "--instance", name, "--seed", str(seed),
+                 "--sample", "12", "--properties"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == AXIOMS_GOLDEN[(name, seed)]
+
+
+def test_not_applicable_axiom_counts_as_not_passed(capsys):
+    code, doc, _ = run(capsys, "axioms", "--instance", "metrics", "--seed",
+                       "0", "--sample", "1", "--properties")
+    assert code == 1
+    statuses = {e["axiom"]: e["status"] for e in doc["report"]["axioms"]}
+    assert statuses.pop("A2") == "not-applicable"
+    assert set(statuses.values()) == {"pass"}
+    assert doc["report"]["pass"] is False
+    assert {p["status"] for p in doc["report"]["properties"]} == {"pass"}
 
 
 def make_metric_universe(tmp_path, count=4):

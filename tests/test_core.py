@@ -162,6 +162,58 @@ def test_scalars_must_contain_unit_elements():
         check_axioms(inst, sample, (F(0), F(1), F(2)), seed=0)
 
 
+INSTANCE_NAMES = ("metrics", "norms", "cone", "hyperspace",
+                  "metrics-reversed-order", "metrics-no-abs-scale")
+
+
+@pytest.mark.parametrize("name", INSTANCE_NAMES)
+def test_every_counterexample_of_both_suites_replays(name):
+    inst, sample, scalars = build_instance(name, seed=0, sample=12)
+    entries = (check_axioms(inst, sample, scalars, seed=0).entries
+               + check_properties(inst, sample, scalars).entries)
+    for entry in entries:
+        if entry.counterexample is not None:
+            assert replay_counterexample(
+                inst, entry.counterexample, sample) is True, entry.axiom
+
+
+def test_primitive_property_counterexamples_replay():
+    inst, sample, scalars = build_instance("hyperspace", seed=0, sample=12)
+    report = check_properties(inst, sample, scalars)
+    for name in ("zero-primitive", "single-primitive"):
+        entry = report.entry(name)
+        assert entry.status == "fail"
+        assert replay_counterexample(inst, entry.counterexample, sample) is True
+    assert report.entry("single-primitive").counterexample["primitiveCount"] > 1
+
+
+def test_tampered_counterexample_does_not_replay():
+    inst, sample, scalars = build_instance("cone", seed=0, sample=12)
+    entry = check_properties(inst, sample, scalars).entry("zero-primitive")
+    tampered = dict(entry.counterexample,
+                    elements=[inst.element_to_json(inst.zero)])
+    assert replay_counterexample(inst, tampered, sample) is False
+
+
+@pytest.mark.parametrize("law", ("A5", "A6"))
+def test_sample_relative_replay_without_sample_is_input_error(law):
+    inst = metric_reversed_order_instance(carrier_labels(3))
+    ce = {"law": law, "elements": [inst.element_to_json(inst.zero)],
+          "scalars": []}
+    with pytest.raises(InputError):
+        replay_counterexample(inst, ce)
+
+
+def test_not_applicable_property_makes_the_suite_fail():
+    inst, sample, scalars = build_instance("metrics-reversed-order", seed=0,
+                                           sample=12)
+    report = check_properties(inst, sample, scalars)
+    entry = report.entry("additive-primitive")
+    assert entry.status == "not-applicable"
+    assert entry.reason == "no pair with fully witnessed primitive sets"
+    assert not report.passed() and report.to_json()["pass"] is False
+
+
 def test_report_serialization_shape():
     inst, sample, scalars = build_instance("metrics", carrier=4, seed=0, sample=10)
     doc = check_axioms(inst, sample, scalars, seed=0).to_json()
