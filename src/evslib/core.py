@@ -238,7 +238,8 @@ class Law:
     `entry` (default: their own name) roll into one report entry, which stops
     at the first violation. An entry none of whose tuples is scored is
     not-applicable when its first law gives a `reason`, and passes otherwise.
-    `detail(c, *elements)` adds fields to a counterexample.
+    `detail(c, *elements)` adds fields to a counterexample. `scalars` is the
+    number of trailing scalar arguments of `holds`.
     """
 
     name: str
@@ -248,6 +249,12 @@ class Law:
     sample_relative: bool = False
     reason: Optional[str] = None
     detail: Optional[Callable[..., dict]] = None
+    scalars: int = 0
+
+    @property
+    def arity(self) -> tuple[int, int]:
+        """(elements, scalars) that `holds` takes after the context."""
+        return self.holds.__code__.co_argcount - 1 - self.scalars, self.scalars
 
 
 _NO_COMPARABLE = "no comparable pairs in sample"
@@ -263,29 +270,32 @@ AXIOMS: tuple[Law, ...] = (
         entry="A2", reason=_NO_COMPARABLE),
     Law("A2.scaling", _a2_scaling, lambda c: (
         (pair, (a,)) for pair in c.comparable for a in c.scalars),
-        entry="A2", reason=_NO_COMPARABLE),
+        entry="A2", reason=_NO_COMPARABLE, scalars=1),
     Law("A3.i", _a3_i, lambda c: (
-        (pair, (a,)) for pair in combinations(c.sample, 2) for a in c.scalars)),
+        (pair, (a,)) for pair in combinations(c.sample, 2) for a in c.scalars),
+        scalars=1),
     Law("A3.ii", _a3_ii, lambda c: (
-        ((x,), ab) for x in c.sample for ab in product(c.scalars, repeat=2))),
+        ((x,), ab) for x in c.sample for ab in product(c.scalars, repeat=2)),
+        scalars=2),
     Law("A3.iii", _a3_iii, lambda c: (
         ((x,), ab) for x in c.sample
-        for ab in combinations_with_replacement(c.scalars, 2))),
+        for ab in combinations_with_replacement(c.scalars, 2)), scalars=2),
     Law("A3.iv", _a3_iv, _each),
     Law("A4", _a4, lambda c: (
-        ((x,), (a,)) for x in c.sample for a in c.scalars)),
+        ((x,), (a,)) for x in c.sample for a in c.scalars), scalars=1),
     Law("A5", _a5, _each, sample_relative=True),
     Law("A6", _a6, _each, sample_relative=True),
 )
 
 PROPERTIES: tuple[Law, ...] = (
     Law("balanced", _balanced, lambda c: (
-        ((x,), (a,)) for x in c.sample for a in c.scalars if abs(a) <= 1)),
+        ((x,), (a,)) for x in c.sample for a in c.scalars if abs(a) <= 1),
+        scalars=1),
     Law("homogeneous", _homogeneous, lambda c: (
-        ((x,), (a,)) for x in c.sample for a in c.scalars)),
+        ((x,), (a,)) for x in c.sample for a in c.scalars), scalars=1),
     Law("convex", _convex, lambda c: (
         ((x,), ab) for x in c.sample for ab in combinations_with_replacement(
-            [a for a in c.scalars if a >= 0], 2))),
+            [a for a in c.scalars if a >= 0], 2)), scalars=2),
     Law("zero-primitive", _zero_primitive, _each, sample_relative=True),
     Law("single-primitive", _single_primitive, _each, sample_relative=True,
         detail=lambda c, x: {"primitiveCount": len(c.below(x))}),
@@ -440,15 +450,27 @@ def replay_counterexample(inst: EvsInstance, ce: dict,
                           sample: Optional[Sequence] = None) -> bool:
     """Re-evaluate a recorded counterexample; True means the violation is
     reproduced (the law predicate fails again). Sample-relative laws are
-    judged against the sample they were found in, so it must be given."""
-    law = LAWS.get(ce["law"])
+    judged against the sample they were found in, so it must be given.
+    A malformed counterexample (unknown law, missing or non-list elements or
+    scalars, the wrong number of either, an unreadable element) raises
+    InputError."""
+    if not isinstance(ce, dict):
+        raise InputError("a counterexample is a JSON object")
+    name = ce.get("law")
+    law = LAWS.get(name) if isinstance(name, str) else None
     if law is None:
-        raise InputError(f"unknown law {ce['law']!r}")
+        raise InputError(f"unknown law {name!r}")
+    elements, scalars = ce.get("elements"), ce.get("scalars")
+    if not isinstance(elements, list) or not isinstance(scalars, list):
+        raise InputError('a counterexample needs "elements" and "scalars" lists')
+    if (len(elements), len(scalars)) != law.arity:
+        raise InputError("{} takes {} elements and {} scalars".format(
+            law.name, *law.arity))
     if law.sample_relative and sample is None:
         raise InputError(f"{law.name} is sample-relative: replay needs the sample")
     c = _Context(inst, list(sample or ()), [])
-    els = [inst.element_from_json(e) for e in ce["elements"]]
-    scs = [parse_rational(a) for a in ce["scalars"]]
+    els = [inst.element_from_json(e) for e in elements]
+    scs = [parse_rational(a) for a in scalars]
     verdict = law.holds(c, *els, *scs)
     return verdict is not None and not verdict
 

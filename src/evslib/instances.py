@@ -16,9 +16,11 @@ algebra.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .core import EvsInstance
@@ -34,7 +36,8 @@ from .metrics import (
     transform_bounded,
     transform_min,
 )
-from .rationals import fmt, parse_rational
+from .rationals import (fmt, parse_rational, parse_rationals, to_fractions,
+                        to_ints)
 
 ZERO = Fraction(0)
 
@@ -47,24 +50,97 @@ DEFAULT_SCALARS = (
 
 
 # ---------------------------------------------------------------------------
+# Pointwise rational tuples: the exact integer kernel
+# ---------------------------------------------------------------------------
+#
+# An element of a pointwise instance is a rational tuple in canonical integer
+# form (numerators, den), as made by rationals.to_ints: den > 0 and
+# gcd(den, *numerators) == 1. Every rational tuple has exactly one such form,
+# so plain tuple equality is exact equality. The ops never build a Fraction:
+# add and scale work on numerators and reduce their result once with
+# math.gcd, and leq cross-multiplies. Fractions appear only at the
+# boundaries (JSON, the seeded samples, the MetricMatrix form).
+
+
+def _reduced(nums: tuple, den: int) -> tuple:
+    g = gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return tuple([x // g for x in nums]), den // g
+
+
+def _add(a, b):
+    (xs, dx), (ys, dy) = a, b
+    if dx == dy:
+        return _reduced(tuple(map(operator.add, xs, ys)), dx)
+    g = gcd(dx, dy)
+    mx, my = dy // g, dx // g
+    return _reduced(tuple([x * mx + y * my for x, y in zip(xs, ys)]), dx * mx)
+
+
+def _scale(alpha: Fraction, a):
+    """alpha * a, with the sign of alpha kept."""
+    xs, den = a
+    p = alpha.numerator
+    return _reduced(tuple([p * x for x in xs]), den * alpha.denominator)
+
+
+def _leq(a, b):
+    (xs, dx), (ys, dy) = a, b
+    if dx == dy:
+        return all(map(operator.le, xs, ys))
+    return all(x * dy <= y * dx for x, y in zip(xs, ys))
+
+
+def rational_tuple_instance(name: str, width: int, mismatch: str,
+                            element_to_json, element_from_json) -> EvsInstance:
+    """Tuples of `width` rationals under pointwise add, |alpha|-scaling and
+    order, with the all-zero tuple as zero; an operand of another width
+    raises InputError(mismatch).
+
+    Elements are in the canonical integer form described above, so `equal`
+    is tuple equality; the JSON converters are given that form too.
+    """
+
+    def check(a):
+        if len(a[0]) != width:
+            raise InputError(mismatch)
+        return a
+
+    return EvsInstance(
+        name=name,
+        zero=((0,) * width, 1),
+        add=lambda a, b: _add(check(a), check(b)),
+        scale=lambda al, a: _scale(abs(al), check(a)),
+        leq=lambda a, b: _leq(check(a), check(b)),
+        equal=lambda a, b: check(a) == check(b),
+        element_to_json=element_to_json,
+        element_from_json=element_from_json,
+        zero_primitive=True,
+        homogeneous=True,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Metrics on a finite carrier
 # ---------------------------------------------------------------------------
 #
-# For the verifier the elements are packed upper triangles (flat tuples of
-# rationals), which keeps the exhaustive pair/triple loops cheap; reports
-# render them back as full matrices. The order tools use the MetricMatrix
-# form directly, where the exact comparing function lives.
+# For the verifier a metric is its packed upper triangle (the rationals
+# d(x_i, x_j), i < j, row by row) in integer form, which keeps the exhaustive
+# pair/triple loops cheap; reports render it back as a full matrix. The order
+# tools use the MetricMatrix form directly, where the exact comparing
+# function lives.
 
 
 def pack_matrix(m: MetricMatrix) -> tuple:
     n = m.size
-    return tuple(m.rows[i][j] for i in range(n) for j in range(i + 1, n))
+    return to_ints([m.rows[i][j] for i in range(n) for j in range(i + 1, n)])
 
 
-def unpack_matrix(labels: Sequence[str], packed: Sequence[Fraction]) -> MetricMatrix:
+def unpack_matrix(labels: Sequence[str], packed: tuple) -> MetricMatrix:
     n = len(labels)
     rows = [[ZERO] * n for _ in range(n)]
-    it = iter(packed)
+    it = iter(to_fractions(packed))
     for i in range(n):
         for j in range(i + 1, n):
             v = next(it)
@@ -76,39 +152,22 @@ def carrier_labels(size: int) -> tuple[str, ...]:
     return tuple(f"x{k}" for k in range(1, size + 1))
 
 
-def rational_tuple_instance(name: str, width: int, mismatch: str,
-                            element_to_json, element_from_json) -> EvsInstance:
-    """Tuples of `width` rationals under pointwise add, |alpha|-scaling and
-    order, with the all-zero tuple as zero; an operand of another width
-    raises InputError(mismatch)."""
-
-    def check(t):
-        if len(t) != width:
-            raise InputError(mismatch)
-        return t
-
-    return EvsInstance(
-        name=name,
-        zero=(ZERO,) * width,
-        add=lambda a, b: tuple(x + y for x, y in zip(check(a), check(b))),
-        scale=lambda al, a: tuple(abs(al) * x for x in check(a)),
-        leq=lambda a, b: all(x <= y for x, y in zip(check(a), check(b))),
-        equal=lambda a, b: check(a) == check(b),
-        element_to_json=element_to_json,
-        element_from_json=element_from_json,
-        zero_primitive=True,
-        homogeneous=True,
-    )
-
-
 def metric_packed_instance(labels: Sequence[str]) -> EvsInstance:
     labels = tuple(labels)
+    mismatch = "element is over a different carrier"
+
+    def from_json(doc) -> tuple:
+        m = MetricMatrix.from_json(doc)
+        if m.labels != labels:
+            raise InputError(mismatch)
+        return pack_matrix(m)
+
     return rational_tuple_instance(
         f"metrics[{len(labels)}-point carrier]",
         len(labels) * (len(labels) - 1) // 2,
-        "element is over a different carrier",
+        mismatch,
         element_to_json=lambda a: unpack_matrix(labels, a).to_json(),
-        element_from_json=lambda doc: pack_matrix(MetricMatrix.from_json(doc)),
+        element_from_json=from_json,
     )
 
 
@@ -152,7 +211,7 @@ def metric_no_abs_scale_instance(labels: Sequence[str]) -> EvsInstance:
     return replace(
         metric_packed_instance(labels),
         name=f"metrics-no-abs-scale[{len(labels)}-point carrier]",
-        scale=lambda al, a: tuple(al * x for x in a),
+        scale=_scale,
         zero_primitive=False,
         homogeneous=False,
     )
@@ -188,10 +247,16 @@ def seeded_metric_sample(labels: Sequence[str], seed: int, count: int) -> list:
 
 
 def _parse_vec(doc, dim: int) -> tuple:
-    vec = tuple(parse_rational(v) for v in doc)
+    vec = tuple(parse_rationals(doc, "vector"))
     if len(vec) != dim:
         raise InputError(f"vector dimension {len(vec)} != {dim}")
     return vec
+
+
+def _cone_from_json(doc, dim: int) -> tuple:
+    if not isinstance(doc, dict) or "r" not in doc or "v" not in doc:
+        raise InputError('cone element needs "r" and "v"')
+    return parse_rational(doc["r"]), _parse_vec(doc["v"], dim)
 
 
 def cone_instance(dim: int) -> EvsInstance:
@@ -256,10 +321,7 @@ def cone_instance(dim: int) -> EvsInstance:
         leq=leq,
         equal=lambda a, b: check(a) == check(b),
         element_to_json=lambda e: {"r": fmt(e[0]), "v": [fmt(x) for x in e[1]]},
-        element_from_json=lambda doc: (
-            parse_rational(doc["r"]),
-            _parse_vec(doc["v"], dim),
-        ),
+        element_from_json=lambda doc: _cone_from_json(doc, dim),
         lsolve=lsolve,
     )
 
@@ -288,6 +350,12 @@ def seeded_cone_sample(dim: int, seed: int, count: int) -> list:
 # ---------------------------------------------------------------------------
 # Finite point sets under Minkowski sum
 # ---------------------------------------------------------------------------
+
+
+def _point_list(doc) -> list:
+    if not isinstance(doc, list):
+        raise InputError("point set must be a list of points")
+    return doc
 
 
 def hyperspace_instance(dim: int) -> EvsInstance:
@@ -321,7 +389,7 @@ def hyperspace_instance(dim: int) -> EvsInstance:
         equal=lambda a, b: check(a) == check(b),
         element_to_json=lambda a: sorted([fmt(x) for x in p] for p in a),
         element_from_json=lambda doc: frozenset(
-            _parse_vec(p, dim) for p in doc
+            _parse_vec(p, dim) for p in _point_list(doc)
         ),
     )
 
@@ -372,8 +440,9 @@ def build_instance(name: str, *, carrier: int = 6, depth: int = 12,
                 seeded_metric_sample(labels, seed, sample), DEFAULT_SCALARS)
     if name == "norms":
         from .norms import norm_table_instance, seeded_norm_sample
-        probes, elements = seeded_norm_sample(depth, seed, sample)
-        return norm_table_instance(probes), elements, DEFAULT_SCALARS
+        probes, tables = seeded_norm_sample(depth, seed, sample)
+        return (norm_table_instance(probes), [to_ints(t) for t in tables],
+                DEFAULT_SCALARS)
     if name == "cone":
         return (cone_instance(dim), seeded_cone_sample(dim, seed, sample),
                 DEFAULT_SCALARS)

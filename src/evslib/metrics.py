@@ -23,10 +23,11 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import sub
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import InputError, UndefinedRelativeElementError
-from .rationals import fmt, parse_rational
+from .rationals import fmt, parse_rational, parse_rationals, to_ints
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -83,7 +84,14 @@ class MetricMatrix:
     def from_json(cls, doc) -> "MetricMatrix":
         if not isinstance(doc, dict) or "labels" not in doc or "rows" not in doc:
             raise InputError('matrix document needs "labels" and "rows"')
-        return cls.from_rows(doc["labels"], doc["rows"])
+        labels, rows = doc["labels"], doc["rows"]
+        if not isinstance(labels, list) or not all(
+                isinstance(label, str) for label in labels):
+            raise InputError("matrix labels must be a list of strings")
+        if not isinstance(rows, list):
+            raise InputError("matrix rows must be a list of rows")
+        return cls(tuple(labels),
+                   tuple(tuple(parse_rationals(row, "matrix row")) for row in rows))
 
     @classmethod
     def from_csv_text(cls, text: str) -> "MetricMatrix":
@@ -161,6 +169,14 @@ def validate_metric(m: MetricMatrix) -> MetricValidation:
     construction, not axiom failures. The all-zero table fails here (identity
     of indiscernibles) even though it is the legitimate additive identity O of
     the surrounding space.
+
+    The triangle check runs on integers: the table is scaled once to a common
+    denominator (the lcm of its entries' denominators), which preserves every
+    comparison d(i,k) > d(i,j) + d(j,k). It visits the triples (i, j, k) in
+    the same order as a plain triple loop but only with i != j: once the
+    diagonal and sign checks pass, a triple with i == j, k == i or k == j
+    cannot violate, so the first violation found is the same. Its lhs and
+    rhs are rendered from the original rationals.
     """
     n = m.size
     for i in range(n):
@@ -184,19 +200,21 @@ def validate_metric(m: MetricMatrix) -> MetricValidation:
                 "value": "0/1",
             }, n)
     rows = m.rows
-    for i in range(n):
-        ri = rows[i]
-        for j in range(n):
-            rj = rows[j]
+    flat, _ = to_ints([v for row in rows for v in row])
+    ints = [flat[i * n:(i + 1) * n] for i in range(n)]
+    for i, ri in enumerate(ints):
+        for j, rj in enumerate(ints):
             dij = ri[j]
-            for k in range(n):
-                if ri[k] > dij + rj[k]:
-                    return MetricValidation(False, {
-                        "axiom": "triangle",
-                        "indices": [m.labels[i], m.labels[j], m.labels[k]],
-                        "lhs": fmt(ri[k]),
-                        "rhs": fmt(dij + rj[k]),
-                    }, n)
+            # d(i,k) > d(i,j) + d(j,k) for some k iff max_k d(i,k) - d(j,k) > d(i,j)
+            if j == i or max(map(sub, ri, rj)) <= dij:
+                continue
+            k = next(k for k in range(n) if ri[k] - rj[k] > dij)
+            return MetricValidation(False, {
+                "axiom": "triangle",
+                "indices": [m.labels[i], m.labels[j], m.labels[k]],
+                "lhs": fmt(rows[i][k]),
+                "rhs": fmt(rows[i][j] + rows[j][k]),
+            }, n)
     return MetricValidation(True, None, n)
 
 
@@ -627,6 +645,21 @@ def resolve_carrier(a: LazyMetric, b: LazyMetric) -> Carrier:
 # ---------------------------------------------------------------------------
 
 
+def _per_depth(d: LazyMetric, rho: LazyMetric, depths: Sequence[int],
+               fn: Callable[[MetricMatrix, MetricMatrix], object]) -> list:
+    """fn(d, rho) on the tables of the first depths[k] carrier points, for
+    each k. Each table is materialized once, and a depth's tables are dropped
+    before the next depth's are built."""
+    depths = list(depths)
+    if any(n < 2 for n in depths):
+        raise InputError("all depths must be at least 2")
+    if any(b <= a for a, b in zip(depths, depths[1:])):
+        raise InputError("depths must be strictly increasing")
+    carrier = resolve_carrier(d, rho)
+    return [fn(d.materialize(depth, carrier), rho.materialize(depth, carrier))
+            for depth in depths]
+
+
 def partial_comparing_function(d: LazyMetric, rho: LazyMetric,
                                depths: Sequence[int]) -> list[Fraction]:
     """Exact pair minima of rho/d over the first depths[k] carrier points.
@@ -634,18 +667,7 @@ def partial_comparing_function(d: LazyMetric, rho: LazyMetric,
     Each value is an upper bound for the carrier-wide infimum; when the
     truncated carriers are nested the sequence is nonincreasing.
     """
-    depths = list(depths)
-    if any(n < 2 for n in depths):
-        raise InputError("all depths must be at least 2")
-    if any(b <= a for a, b in zip(depths, depths[1:])):
-        raise InputError("depths must be strictly increasing")
-    carrier = resolve_carrier(d, rho)
-    out = []
-    for depth in depths:
-        dm = d.materialize(depth, carrier)
-        rm = rho.materialize(depth, carrier)
-        out.append(comparing_function_metric(dm, rm))
-    return out
+    return _per_depth(d, rho, depths, comparing_function_metric)
 
 
 def _direction_rules(d: LazyMetric, rho: LazyMetric) -> Optional[dict]:
@@ -682,13 +704,14 @@ def classify_lazy_pair(d: LazyMetric, rho: LazyMetric,
     otherwise it is reported as a depth-indexed upper-bound sequence with a
     strictly-decreasing trend flag and counts as undetermined, never as zero.
     """
+    both = _per_depth(d, rho, depths, lambda dm, rm: (
+        comparing_function_metric(dm, rm), comparing_function_metric(rm, dm)))
     directions = {}
-    for key, (x, y) in (
-        ("secondRelativeFirst", (d, rho)),
-        ("firstRelativeSecond", (rho, d)),
+    for key, (x, y), seq in (
+        ("secondRelativeFirst", (d, rho), [b[0] for b in both]),
+        ("firstRelativeSecond", (rho, d), [b[1] for b in both]),
     ):
         rule = _direction_rules(x, y)
-        seq = partial_comparing_function(x, y, depths)
         entry = {
             "depths": list(depths),
             "upperBounds": [fmt(v) for v in seq],

@@ -34,7 +34,8 @@ from .core import EvsInstance
 from .errors import InputError
 from .instances import rational_tuple_instance
 from .metrics import MetricMatrix
-from .rationals import fmt, parse_rational
+from .rationals import (fmt, parse_rational, parse_rationals, to_fractions,
+                        to_ints)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -552,8 +553,9 @@ def norm_table_instance(probes: Sequence[FSVector]) -> EvsInstance:
         f"norms[{len(probes)} probes]",
         len(probes),
         "value table over a different probe set",
-        element_to_json=lambda a: [fmt(x) for x in a],
-        element_from_json=lambda doc: tuple(parse_rational(x) for x in doc),
+        element_to_json=lambda a: [fmt(x) for x in to_fractions(a)],
+        element_from_json=lambda doc: to_ints(
+            parse_rationals(doc, "norm value table")),
     )
 
 

@@ -3,11 +3,18 @@
 Every number that crosses a file or report boundary is a rational written as
 "p/q" in lowest terms. Inputs may also be integers or decimal strings such as
 "0.1" (parsed exactly, never through binary floating point).
+
+Inside the pointwise instances a tuple of rationals is held in integer form
+(numerators, den): the entries are numerators[k] / den over one common
+positive denominator, and gcd(den, *numerators) == 1. That form is canonical,
+so two tuples are equal exactly when their integer forms are.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import InputError
 
@@ -32,7 +39,28 @@ def parse_rational(value) -> Fraction:
     raise InputError(f"not a rational: {value!r}")
 
 
+def parse_rationals(doc, what: str) -> list[Fraction]:
+    """Parse a JSON list of rationals; `what` names it in the InputError
+    raised for anything that is not a list."""
+    if not isinstance(doc, list):
+        raise InputError(f"{what} must be a list of rationals")
+    return [parse_rational(v) for v in doc]
+
+
 def fmt(q: Fraction) -> str:
     """Render as "p/q" in lowest terms; integers keep an explicit /1."""
     q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
+
+
+def to_ints(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """Canonical integer form of a rational tuple over its least common
+    denominator (which leaves no factor common to all numerators)."""
+    den = math.lcm(*(v.denominator for v in values))
+    return tuple([v.numerator * (den // v.denominator) for v in values]), den
+
+
+def to_fractions(form: tuple[tuple[int, ...], int]) -> tuple[Fraction, ...]:
+    """The rational tuple an integer form stands for."""
+    nums, den = form
+    return tuple([Fraction(n, den) for n in nums])

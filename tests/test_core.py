@@ -223,3 +223,51 @@ def test_report_serialization_shape():
                            "A4", "A5", "A6"}
     assert axioms["A5"]["sampleRelative"] is True
     assert axioms["A1"]["sampleRelative"] is False
+
+
+CONE_ZERO = {"r": "0/1", "v": ["0/1", "0/1"]}
+
+
+@pytest.mark.parametrize(("name", "ce"), [
+    # each of these crashed with the shown exception before replay checked
+    # the counterexample's shape
+    ("cone", {"law": "A1.identity", "elements": [], "scalars": []}),  # TypeError
+    ("cone", {"law": "A1.identity", "elements": [{"r": "0/1"}],
+              "scalars": []}),                                         # KeyError
+    ("metrics", {"law": "A1.identity", "scalars": [],
+                 "elements": [{"labels": list(carrier_labels(6)),
+                               "rows": 5}]}),                          # TypeError
+    ("cone", {"law": "A1.identity", "scalars": []}),                   # KeyError
+    ("cone", {"elements": [CONE_ZERO], "scalars": []}),
+    ("cone", {"law": ["A4"], "elements": [CONE_ZERO], "scalars": ["1"]}),
+    ("cone", {"law": "A4", "elements": CONE_ZERO, "scalars": ["1"]}),
+    ("cone", {"law": "A4", "elements": [CONE_ZERO], "scalars": "1"}),
+    ("cone", {"law": "A3.ii", "elements": [CONE_ZERO, CONE_ZERO],
+              "scalars": ["1"]}),
+    ("cone", {"law": "A4", "elements": [CONE_ZERO], "scalars": ["x"]}),
+    ("cone", {"law": "A4", "elements": [{"r": "0", "v": "00"}],
+              "scalars": ["1"]}),
+    ("hyperspace", {"law": "A1.identity", "elements": [5], "scalars": []}),
+    ("norms", {"law": "A1.identity", "elements": [{"h0": "1"}],
+               "scalars": []}),
+    ("metrics", {"law": "A1.identity", "scalars": [],
+                 "elements": [{"labels": list("abcdef"),
+                               "rows": [["0"] * 6] * 6}]}),
+    ("cone", ["A1.identity"]),
+])
+def test_malformed_counterexample_is_input_error(name, ce):
+    inst, sample, _ = build_instance(name, seed=0, sample=4)
+    with pytest.raises(InputError):
+        replay_counterexample(inst, ce, sample)
+
+
+@pytest.mark.parametrize("name", INSTANCE_NAMES)
+def test_law_arity_matches_the_checked_tuples(name):
+    from evslib.core import AXIOMS, PROPERTIES, _context
+
+    inst, sample, scalars = build_instance(name, seed=0, sample=8)
+    c = _context(inst, sample, scalars)
+    for law in AXIOMS + PROPERTIES:
+        for els, scs in law.tuples(c):
+            assert (len(els), len(scs)) == law.arity, law.name
+            break

@@ -1,0 +1,175 @@
+"""The exact integer kernel of the pointwise instances and the integer
+triangle check, against plain Fraction references on random inputs."""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from evslib import InputError, MetricMatrix, validate_metric
+from evslib.instances import (
+    carrier_labels,
+    metric_no_abs_scale_instance,
+    rational_tuple_instance,
+)
+from evslib.metrics import MetricValidation
+from evslib.rationals import fmt, to_fractions, to_ints
+
+WIDTH = 5
+
+rationals = st.builds(Fraction, st.integers(-10**9, 10**9),
+                      st.integers(1, 10**6))
+small_rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+entries = st.one_of(rationals, small_rationals)
+vectors = st.lists(entries, min_size=WIDTH, max_size=WIDTH).map(tuple)
+scalars = st.one_of(rationals, small_rationals, st.just(Fraction(0)))
+
+INST = rational_tuple_instance("tuples", WIDTH, "width mismatch",
+                               element_to_json=None, element_from_json=None)
+# the no-abs-scale mutant on a 4-point carrier works on tuples of width 6
+MUTANT = metric_no_abs_scale_instance(carrier_labels(4))
+mutant_vectors = st.lists(entries, min_size=6, max_size=6).map(tuple)
+
+
+def canonical(form) -> bool:
+    nums, den = form
+    return (type(den) is int and den > 0
+            and all(type(x) is int for x in nums)
+            and gcd(den, *nums) == 1)
+
+
+@given(vectors)
+def test_round_trip_and_canonical_form(v):
+    form = to_ints(v)
+    assert canonical(form)
+    assert to_fractions(form) == v
+
+
+@given(vectors, vectors)
+def test_add_leq_equal_match_fraction_reference(u, v):
+    a, b = to_ints(u), to_ints(v)
+    total = INST.add(a, b)
+    assert canonical(total)
+    assert to_fractions(total) == tuple(x + y for x, y in zip(u, v))
+    assert INST.leq(a, b) == all(x <= y for x, y in zip(u, v))
+    assert INST.equal(a, b) == (u == v)
+    assert INST.equal(a, to_ints(u))
+
+
+@given(vectors, vectors)
+def test_leq_on_shared_denominator(u, v):
+    den = Fraction(1, 7)
+    u, v = tuple(x * den for x in u), tuple(y * den for y in v)
+    assert INST.leq(to_ints(u), to_ints(v)) == all(
+        x <= y for x, y in zip(u, v))
+
+
+@given(scalars, vectors)
+def test_scale_matches_fraction_reference(alpha, v):
+    scaled = INST.scale(alpha, to_ints(v))
+    assert canonical(scaled)
+    assert to_fractions(scaled) == tuple(abs(alpha) * x for x in v)
+
+
+@given(scalars, mutant_vectors)
+def test_no_abs_scale_mutant_keeps_the_sign(alpha, v):
+    scaled = MUTANT.scale(-abs(alpha), to_ints(v))
+    assert canonical(scaled)
+    assert to_fractions(scaled) == tuple(-abs(alpha) * x for x in v)
+
+
+@given(vectors)
+def test_zero_is_the_identity(v):
+    a = to_ints(v)
+    assert INST.add(a, INST.zero) == a
+    assert INST.scale(Fraction(0), a) == INST.zero
+
+
+@pytest.mark.parametrize("op", ("add", "leq", "equal"))
+def test_width_mismatch_is_input_error(op):
+    a, b = to_ints((Fraction(1),) * WIDTH), to_ints((Fraction(1),) * 4)
+    with pytest.raises(InputError, match="width mismatch"):
+        getattr(INST, op)(a, b)
+    with pytest.raises(InputError, match="width mismatch"):
+        getattr(INST, op)(b, a)
+
+
+def test_scale_width_mismatch_is_input_error():
+    with pytest.raises(InputError, match="width mismatch"):
+        INST.scale(Fraction(2), to_ints((Fraction(1),) * 4))
+
+
+# ---------------------------------------------------------------------------
+# The integer triangle check
+# ---------------------------------------------------------------------------
+
+
+def reference_validation(m: MetricMatrix) -> MetricValidation:
+    """The plain Fraction check: every triple (i, j, k), degenerate ones
+    included, in lexicographic order."""
+    n, rows, labels = m.size, m.rows, m.labels
+    for i in range(n):
+        if rows[i][i] != 0:
+            return MetricValidation(False, {
+                "axiom": "zero-diagonal", "indices": [labels[i]],
+                "value": fmt(rows[i][i])}, n)
+    for i, j, v in m.off_diagonal():
+        if v < 0:
+            return MetricValidation(False, {
+                "axiom": "nonnegativity", "indices": [labels[i], labels[j]],
+                "value": fmt(v)}, n)
+        if v == 0:
+            return MetricValidation(False, {
+                "axiom": "identity-of-indiscernibles",
+                "indices": [labels[i], labels[j]], "value": "0/1"}, n)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if rows[i][k] > rows[i][j] + rows[j][k]:
+                    return MetricValidation(False, {
+                        "axiom": "triangle",
+                        "indices": [labels[i], labels[j], labels[k]],
+                        "lhs": fmt(rows[i][k]),
+                        "rhs": fmt(rows[i][j] + rows[j][k])}, n)
+    return MetricValidation(True, None, n)
+
+
+@st.composite
+def tables(draw):
+    """Symmetric tables with a zero diagonal: box tables (every entry within
+    a factor two of every other, so a metric) with a few entries redrawn
+    from a wider range, which breaks the triangle inequality somewhere."""
+    n = draw(st.integers(1, 8))
+    scale = draw(st.builds(Fraction, st.integers(1, 50), st.integers(1, 30)))
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            box = 1 + Fraction(draw(st.integers(0, 12)), draw(st.integers(12, 13)))
+            rows[i][j] = rows[j][i] = scale * box
+    for _ in range(draw(st.integers(0, 3))):
+        if n < 2:
+            break
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i != j:
+            v = draw(st.builds(Fraction, st.integers(1, 400), st.integers(1, 60)))
+            rows[i][j] = rows[j][i] = v
+    return MetricMatrix(carrier_labels(n), tuple(map(tuple, rows)))
+
+
+@settings(max_examples=300)
+@given(tables())
+def test_triangle_check_matches_fraction_reference(m):
+    assert validate_metric(m) == reference_validation(m)
+
+
+def test_triangle_reference_sees_both_outcomes():
+    m = MetricMatrix.from_rows(carrier_labels(3),
+                               [[0, 1, 5], [1, 0, 1], [5, 1, 0]])
+    assert validate_metric(m) == reference_validation(m)
+    assert validate_metric(m).violation["indices"] == ["x1", "x2", "x3"]
+    ok = MetricMatrix.from_rows(carrier_labels(3),
+                                [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    assert validate_metric(ok) == reference_validation(ok)
+    assert validate_metric(ok).passed

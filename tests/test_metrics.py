@@ -394,6 +394,33 @@ def test_classify_lazy_unbounded_rule():
     assert report["directions"]["firstRelativeSecond"]["status"] == "positive"
 
 
+@pytest.mark.parametrize(("first", "second"), [
+    (discrete_metric(), shrinking_metric()),
+    (builtin_lazy("kappa"), usual_metric(symmetric_grid_carrier())),
+])
+def test_classify_lazy_materializes_each_table_once(monkeypatch, first, second):
+    from evslib.metrics import LazyMetric
+
+    depths = [11, 21, 41]
+    made = []
+    materialize = LazyMetric.materialize
+
+    def counting(self, depth, carrier=None):
+        made.append((self.family, depth))
+        return materialize(self, depth, carrier)
+
+    monkeypatch.setattr(LazyMetric, "materialize", counting)
+    report = classify_lazy_pair(first, second, depths)
+    assert sorted(made) == sorted(
+        (m.family, n) for n in depths for m in (first, second))
+    monkeypatch.undo()
+    for key, (x, y) in (("secondRelativeFirst", (first, second)),
+                        ("firstRelativeSecond", (second, first))):
+        assert report["directions"][key]["upperBounds"] == [
+            f"{v.numerator}/{v.denominator}"
+            for v in partial_comparing_function(x, y, depths)]
+
+
 def test_classify_lazy_undetermined_direction():
     # kappa has no carrier-wide infimum metadata, so nothing is decided
     report = classify_lazy_pair(
