@@ -323,3 +323,25 @@ def test_no_floating_point_in_reports(capsys, tmp_path, disc_file):
         out = capsys.readouterr().out
         assert code == 0
         assert not FLOAT_PATTERN.search(out), args
+
+
+@pytest.mark.parametrize("doc", [
+    {"labels": ["a", "b"], "rows": 5},
+    {"labels": "ab", "rows": [["0", "1"], ["1", "0"]]},
+    {"labels": ["a", "b"], "rows": [["0", "1"], "10"]},
+])
+def test_validate_malformed_matrix_is_input_error(capsys, tmp_path, doc):
+    code, _, err = run(capsys, "validate", write_json(tmp_path / "m.json", doc))
+    assert code == 2
+    assert "error" in json.loads(err)
+
+
+def test_order_malformed_cone_element_is_input_error(capsys, tmp_path):
+    write_json(tmp_path / "e.json", {"r": "1"})
+    manifest = write_json(tmp_path / "u.json", {"instance": "cone", "dim": 2,
+                                                "elements": ["e.json"]})
+    x = write_json(tmp_path / "x.json", {"r": "1", "v": ["0", "0"]})
+    code, _, err = run(capsys, "order", "in-l", "--universe", manifest,
+                       "--x", x, "--y", x)
+    assert code == 2
+    assert "error" in json.loads(err)
