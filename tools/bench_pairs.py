@@ -93,7 +93,10 @@ def main() -> int:
     seconds = bench["run_seconds"]
     gated = [m["name"] for m in bench["end_to_end"]]
     doc = {
-        "command": " ".join(["python3", "tools/bench_pairs.py"] + sys.argv[1:]),
+        # the checkouts are named by their commits, not by their paths
+        "command": (f"python3 tools/bench_pairs.py --before BEFORE --after AFTER"
+                    f" --workloads {args.workloads} --traced {args.traced}"
+                    f" --out {args.out}"),
         "commits": {side: _commit(root) for side, root in roots.items()},
         "machine": {"platform": platform.platform(),
                     "python": platform.python_version()},
