@@ -10,7 +10,8 @@ floating point is printed anywhere.
 
 Exit codes: 0 success, 1 domain failure (a failed validation, a refuted or
 failed check -- always with a structured counterexample or refutation in the
-report), 2 input error.
+report), 2 input error, 3 internal fault (any other exception; stderr gets
+{"error": ..., "internal": true, "traceback": ...} and stdout no report).
 """
 
 from __future__ import annotations
@@ -30,25 +31,27 @@ from .rationals import fmt, parse_rational
 # ---------------------------------------------------------------------------
 
 
-def _load_json(path: str):
+def _load_json(path: str, object_hook=None):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_hook=object_hook)
     except FileNotFoundError as exc:
         raise InputError(f"no such file: {path}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _load_matrix_doc(path: str) -> dict:
+def _load_matrix(path: str) -> metrics.MetricMatrix:
+    """Parse a JSON or CSV table once. The parsed matrix is what `inputs`
+    holds: the handler's MetricMatrix.from_json returns it as it is, and
+    _emit prints it through to_json, in the bytes of a replayed report."""
     if path.endswith(".csv"):
         try:
             text = Path(path).read_text(encoding="utf-8")
         except FileNotFoundError as exc:
             raise InputError(f"no such file: {path}") from exc
-        return metrics.MetricMatrix.from_csv_text(text).to_json()
-    doc = _load_json(path)
-    return metrics.MetricMatrix.from_json(doc).to_json()
+        return metrics.MetricMatrix.from_csv_text(text)
+    return metrics.MetricMatrix.from_json(_load_json(path))
 
 
 def _parse_depths(text: str) -> list[int]:
@@ -107,7 +110,7 @@ def _universe_inline(manifest_path: str) -> dict:
     for ref in doc["elements"]:
         path = str(base / ref)
         if doc["instance"] == "metrics":
-            inline["elements"].append(_load_matrix_doc(path))
+            inline["elements"].append(_load_matrix(path))
         else:
             inline["elements"].append(_load_json(path))
     return inline
@@ -433,21 +436,21 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_inputs(args) -> tuple[str, dict]:
     cmd = args.command
     if cmd == "validate":
-        return cmd, {"matrix": _load_matrix_doc(args.matrix)}
+        return cmd, {"matrix": _load_matrix(args.matrix)}
     if cmd == "combine":
-        inputs = {"a": _load_matrix_doc(args.matrix)}
+        inputs = {"a": _load_matrix(args.matrix)}
         if args.add:
-            inputs.update(op="add", b=_load_matrix_doc(args.add), alpha=None)
+            inputs.update(op="add", b=_load_matrix(args.add), alpha=None)
         else:
             inputs.update(op="scale", b=None,
                           alpha=fmt(parse_rational(args.scale)))
         return cmd, inputs
     if cmd == "compare":
-        return cmd, {"first": _load_matrix_doc(args.first),
-                     "second": _load_matrix_doc(args.second)}
+        return cmd, {"first": _load_matrix(args.first),
+                     "second": _load_matrix(args.second)}
     if cmd == "transform":
         return cmd, {"kind": "bounded" if args.bounded else "min",
-                     "matrix": _load_matrix_doc(args.matrix)}
+                     "matrix": _load_matrix(args.matrix)}
     if cmd == "builtin":
         params = {}
         if args.step is not None:
@@ -507,13 +510,13 @@ def _resolve_inputs(args) -> tuple[str, dict]:
         kind = inline["instance"]
         inputs = {"action": args.action, "universe": inline}
         if args.action == "in-l":
-            inputs["x"] = _element_doc(kind, args.x)
-            inputs["y"] = _element_doc(kind, args.y)
+            inputs["x"] = _load_element(kind, args.x)
+            inputs["y"] = _load_element(kind, args.y)
         if args.action == "feasible":
-            inputs["x"] = _element_doc(kind, args.x)
+            inputs["x"] = _load_element(kind, args.x)
         if args.action in ("generates", "basis"):
             inputs["generators"] = [
-                _element_doc(kind, path) for path in args.generator
+                _load_element(kind, path) for path in args.generator
             ]
         if args.action in ("indep", "basis") and args.eps is not None:
             inputs["eps"] = fmt(parse_rational(args.eps))
@@ -521,14 +524,17 @@ def _resolve_inputs(args) -> tuple[str, dict]:
     raise InputError(f"unknown command {cmd!r}")
 
 
-def _element_doc(kind: str, path: str):
+def _load_element(kind: str, path: str):
     if kind == "metrics":
-        return _load_matrix_doc(path)
+        return _load_matrix(path)
     return _load_json(path)
 
 
 def _emit(doc: dict, out_path=None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    # inputs hold parsed matrices; each is serialized here, once, to the same
+    # {"labels", "rows"} document a replayed report holds
+    text = json.dumps(doc, indent=2, sort_keys=True,
+                      default=lambda o: o.to_json())
     print(text)
     if out_path:
         matrix = doc["report"].get("matrix")
@@ -539,13 +545,24 @@ def _emit(doc: dict, out_path=None) -> None:
             )
 
 
+class _ReportObject(dict):
+    """A JSON object of a replayed report: a key a handler reads and the
+    report lacks is an input error, not an internal fault."""
+
+    def __missing__(self, key):
+        raise InputError(f"report object lacks {key!r}")
+
+
 def _replay(path: str) -> int:
-    doc = _load_json(path)
+    doc = _load_json(path, object_hook=_ReportObject)
     if not isinstance(doc, dict) or "command" not in doc or "report" not in doc:
         raise InputError("not a replayable report (missing command/report)")
-    handler = _HANDLERS.get(doc["command"])
+    handler = (_HANDLERS.get(doc["command"])
+               if isinstance(doc["command"], str) else None)
     if handler is None:
         raise InputError(f"unknown command in report: {doc['command']!r}")
+    if not isinstance(doc.get("inputs"), dict):
+        raise InputError('report "inputs" must be an object')
     fresh, code = handler(doc["inputs"])
     match = fresh == doc["report"]
     print(json.dumps({
@@ -573,6 +590,13 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
+    except Exception as exc:  # noqa: BLE001 - an internal fault, reported
+        import traceback  # only a crash needs it; keeps it off every start-up
+        print(json.dumps({"error": f"{type(exc).__name__}: {exc}",
+                          "internal": True,
+                          "traceback": traceback.format_exc()}),
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

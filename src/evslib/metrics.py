@@ -82,6 +82,11 @@ class MetricMatrix:
 
     @classmethod
     def from_json(cls, doc) -> "MetricMatrix":
+        """Parse a {"labels", "rows"} document. A MetricMatrix is returned
+        unchanged, as parse_rational returns a Fraction, so inputs the CLI
+        has already parsed are not parsed again."""
+        if isinstance(doc, MetricMatrix):
+            return doc
         if not isinstance(doc, dict) or "labels" not in doc or "rows" not in doc:
             raise InputError('matrix document needs "labels" and "rows"')
         labels, rows = doc["labels"], doc["rows"]

@@ -384,11 +384,29 @@ class WitnessReport:
 
 
 def _smallest_decay_index(base: Fraction, eps: Fraction) -> tuple[int, Fraction]:
-    i, ratio = 1, base
-    while ratio >= eps:
-        i += 1
-        ratio *= base
-    return i, ratio
+    """The least i >= 1 with base**i < eps, and base**i, for 0 < base < 1.
+
+    base**i < eps is a**i * f < e * b**i for base = a/b and eps = e/f, which
+    holds from some i on. Repeated squaring of a and b brackets that i
+    between two powers of two, and a binary descent over the cached powers
+    finds it, so the cost is logarithmic in i; all comparisons are exact.
+    """
+    a, b = base.numerator, base.denominator
+    e, f = eps.numerator, eps.denominator
+    powers = [(a, b)]                 # powers[k] = (a**2**k, b**2**k)
+    while powers[-1][0] * f >= e * powers[-1][1]:
+        pa, pb = powers[-1]
+        powers.append((pa * pa, pb * pb))
+    # base**i >= eps at i = 2**(k-1) (or i = 0), and base**(2**k) < eps
+    i, ia, ib = 0, 1, 1
+    if len(powers) > 1:
+        i = 1 << (len(powers) - 2)
+        ia, ib = powers[-2]
+    for k in range(len(powers) - 3, -1, -1):
+        ja, jb = ia * powers[k][0], ib * powers[k][1]
+        if ja * f >= e * jb:
+            i, ia, ib = i + (1 << k), ja, jb
+    return i + 1, base ** (i + 1)
 
 
 def independence_witness(p: NormFamilyParams, q: NormFamilyParams,

@@ -4,6 +4,12 @@ Every number that crosses a file or report boundary is a rational written as
 "p/q" in lowest terms. Inputs may also be integers or decimal strings such as
 "0.1" (parsed exactly, never through binary floating point).
 
+The common spelling, a plain ASCII "p/q" or "-p/q" with a nonzero
+denominator, is parsed directly as Fraction(int(p), int(q)): for such a
+string that is the value Fraction(str) gives, without its regular
+expression. Every other input takes the general path, so the fast path
+changes no value and no error.
+
 Inside the pointwise instances a tuple of rationals is held in integer form
 (numerators, den): the entries are numerators[k] / den over one common
 positive denominator, and gcd(den, *numerators) == 1. That form is canonical,
@@ -20,7 +26,22 @@ from .errors import InputError
 
 
 def parse_rational(value) -> Fraction:
-    """Parse an exact rational from "p/q", a decimal string, or an int."""
+    """Parse an exact rational from "p/q", a decimal string, or an int.
+
+    A strict ASCII "-?digits/digits" string with a nonzero denominator
+    skips Fraction's parser. Anything else falls through to it: signs "+",
+    spaces, decimals, exponents, "_" separators, non-ASCII digits, a zero
+    denominator, and numerals over int()'s digit limit, whose ValueError
+    the general path turns into InputError as before.
+    """
+    if type(value) is str and value.isascii():
+        num, slash, den = value.partition("/")
+        if (slash and den.isdigit() and den.strip("0")
+                and (num[1:] if num[:1] == "-" else num).isdigit()):
+            try:
+                return Fraction(int(num), int(den))
+            except ValueError:
+                pass
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -49,7 +70,8 @@ def parse_rationals(doc, what: str) -> list[Fraction]:
 
 def fmt(q: Fraction) -> str:
     """Render as "p/q" in lowest terms; integers keep an explicit /1."""
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
 
 

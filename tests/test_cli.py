@@ -345,3 +345,35 @@ def test_order_malformed_cone_element_is_input_error(capsys, tmp_path):
                        "--x", x, "--y", x)
     assert code == 2
     assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("doc", [
+    {"command": "axioms", "inputs": {}, "report": {}},
+    {"command": "axioms", "inputs": [], "report": {}},
+    {"command": "validate", "report": {}},
+    {"command": ["validate"], "inputs": {}, "report": {}},
+    {"command": "order", "inputs": {"action": "in-l",
+                                    "universe": {"instance": "cone"}},
+     "report": {}},
+])
+def test_replay_malformed_inputs_is_input_error(capsys, tmp_path, doc):
+    code, out, err = run(capsys, "--replay",
+                         write_json(tmp_path / "r.json", doc))
+    assert (code, out) == (2, None)
+    assert "internal" not in json.loads(err)
+
+
+def test_internal_fault_exits_three(capsys, tmp_path):
+    """A report that cannot be printed (its ratio's numerator is longer than
+    Python's int-to-str digit limit) is an internal fault: exit 3 with a
+    JSON error on stderr and no report, not a traceback and exit 1."""
+    p = write_json(tmp_path / "p.json",
+                   {"depth": 12, "subsetC": ["h0"], "gamma": "1001/1000"})
+    q = write_json(tmp_path / "q.json",
+                   {"depth": 12, "subsetC": ["h2"], "gamma": "1001/1000"})
+    code, out, err = run(capsys, "norms", "witness", "--spec", p, "--spec", q,
+                         "--eps", "1e-10")
+    assert (code, out) == (3, None)
+    doc = json.loads(err)
+    assert doc["internal"] is True
+    assert doc["error"].startswith("ValueError")

@@ -24,6 +24,7 @@ from evslib import (
     validate_metric,
     weight_function,
 )
+from evslib.norms import _smallest_decay_index
 
 F = Fraction
 
@@ -415,3 +416,30 @@ def test_basis_certificate_requires_all_unit_coordinates():
     f = WeightMap({n: 1 for n in names})
     with pytest.raises(InputError):
         finite_dim_basis_certificate(f, [f], [FSVector.unit("h0")])
+
+
+def _decay_index_by_loop(base, eps):
+    i, ratio = 1, base
+    while ratio >= eps:
+        i += 1
+        ratio *= base
+    return i, ratio
+
+
+def test_decay_index_search_matches_the_loop():
+    rng = random.Random(7)
+    for _ in range(400):
+        b = rng.randint(2, 40)
+        base = F(rng.randint(1, b - 1), b)
+        f = rng.randint(2, 10 ** rng.randint(1, 6))
+        eps = F(rng.randint(1, f - 1), f)
+        assert _smallest_decay_index(base, eps) == _decay_index_by_loop(base, eps)
+
+
+@pytest.mark.parametrize("exponent, index", [(10, 23038), (30, 69113),
+                                             (60, 138225)])
+def test_decay_index_near_one_at_tiny_epsilon(exponent, index):
+    base, eps = F(1000, 1001), F(1, 10 ** exponent)
+    i, ratio = _smallest_decay_index(base, eps)
+    assert i == index
+    assert ratio == base ** i and ratio < eps <= base ** (i - 1)
