@@ -76,7 +76,10 @@ def _parse_lazy_spec(text: str, points_doc=None) -> dict:
     return {"name": name, "params": params}
 
 
-def _build_lazy(spec: dict) -> metrics.LazyMetric:
+def _build_lazy(spec) -> metrics.LazyMetric:
+    if not (isinstance(spec, dict) and isinstance(spec.get("name"), str)
+            and isinstance(spec.get("params"), dict)):
+        raise InputError('a metric spec needs a string "name" and an object "params"')
     if spec["name"] == "usual":
         # carrier-less alias, resolved against the partner in _lazy_pair
         return None
@@ -104,10 +107,13 @@ def _universe_inline(manifest_path: str) -> dict:
     doc = _load_json(manifest_path)
     if not isinstance(doc, dict) or "instance" not in doc or "elements" not in doc:
         raise InputError('universe manifest needs "instance" and "elements"')
+    refs = doc["elements"]
+    if not isinstance(refs, list) or not all(isinstance(r, str) for r in refs):
+        raise InputError('universe manifest "elements" must list file names')
     base = Path(manifest_path).parent
     inline = {k: v for k, v in doc.items() if k != "elements"}
     inline["elements"] = []
-    for ref in doc["elements"]:
+    for ref in refs:
         path = str(base / ref)
         if doc["instance"] == "metrics":
             inline["elements"].append(_load_matrix(path))
@@ -116,7 +122,11 @@ def _universe_inline(manifest_path: str) -> dict:
     return inline
 
 
-def _universe_from_inline(doc: dict) -> order.Universe:
+def _universe_from_inline(doc) -> order.Universe:
+    if not isinstance(doc, dict):
+        raise InputError("a universe is an object")
+    if not isinstance(doc["elements"], list) or not doc["elements"]:
+        raise InputError('universe "elements" must be a nonempty list')
     kind = doc["instance"]
     if kind == "metrics":
         mats = [metrics.MetricMatrix.from_json(e) for e in doc["elements"]]
@@ -239,6 +249,8 @@ def _run_norms_witness(inputs: dict):
 
 def _run_norms_embed(inputs: dict):
     w = norms.WeightMap.from_json(inputs["weights"])
+    if not isinstance(inputs["points"], list):
+        raise InputError("embed points must be a list of vectors")
     points = [norms.FSVector.from_dict(doc) for doc in inputs["points"]]
     m = norms.embed_norm_to_metric(w, points)
     verdict = metrics.validate_metric(m)

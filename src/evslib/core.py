@@ -51,10 +51,10 @@ class EvsInstance:
     """Operations of one carrier fragment, plus serialization for replay.
 
     The optional hooks extend the instance for the order tools: `comparing`
-    is an exact comparing function (None when the instance cannot provide
-    one), `eps_independence` produces decay witnesses for independence up to
-    epsilon, and `lsolve` handles testing-set membership in instances whose
-    primitive space is larger than {zero}.
+    is an exact comparing function of a zero-primitive homogeneous instance
+    (None otherwise), `eps_independence` produces decay witnesses for
+    independence up to epsilon, and `lsolve` handles testing-set membership
+    in instances whose primitive space is larger than {zero}.
     """
 
     name: str
@@ -65,9 +65,7 @@ class EvsInstance:
     equal: Callable[[Any, Any], bool]
     element_to_json: Callable[[Any], Any]
     element_from_json: Callable[[Any], Any]
-    zero_primitive: bool = False
-    homogeneous: bool = False
-    comparing: Optional[Callable[[Any, Any], Optional[Fraction]]] = None
+    comparing: Optional[Callable[[Any, Any], Fraction]] = None
     eps_independence: Optional[Callable] = None
     lsolve: Optional[Callable] = None
 

@@ -28,6 +28,7 @@ from .errors import InputError
 from .metrics import (
     MetricMatrix,
     add_metrics,
+    carrier_labels,
     comparing_function_metric,
     equal_metrics,
     leq_metrics,
@@ -116,8 +117,6 @@ def rational_tuple_instance(name: str, width: int, mismatch: str,
         equal=lambda a, b: check(a) == check(b),
         element_to_json=element_to_json,
         element_from_json=element_from_json,
-        zero_primitive=True,
-        homogeneous=True,
     )
 
 
@@ -148,10 +147,6 @@ def unpack_matrix(labels: Sequence[str], packed: tuple) -> MetricMatrix:
     return MetricMatrix(tuple(labels), tuple(tuple(r) for r in rows))
 
 
-def carrier_labels(size: int) -> tuple[str, ...]:
-    return tuple(f"x{k}" for k in range(1, size + 1))
-
-
 def metric_packed_instance(labels: Sequence[str]) -> EvsInstance:
     labels = tuple(labels)
     mismatch = "element is over a different carrier"
@@ -173,10 +168,6 @@ def metric_packed_instance(labels: Sequence[str]) -> EvsInstance:
 
 def metric_matrix_instance(labels: Sequence[str]) -> EvsInstance:
     labels = tuple(labels)
-
-    def comparing(x: MetricMatrix, y: MetricMatrix) -> Fraction:
-        return comparing_function_metric(x, y)
-
     return EvsInstance(
         name=f"metrics[{len(labels)}-point carrier]",
         zero=MetricMatrix.zero(labels),
@@ -186,9 +177,7 @@ def metric_matrix_instance(labels: Sequence[str]) -> EvsInstance:
         equal=equal_metrics,
         element_to_json=lambda m: m.to_json(),
         element_from_json=MetricMatrix.from_json,
-        zero_primitive=True,
-        homogeneous=True,
-        comparing=comparing,
+        comparing=comparing_function_metric,
     )
 
 
@@ -200,8 +189,6 @@ def metric_reversed_order_instance(labels: Sequence[str]) -> EvsInstance:
         base,
         name=f"metrics-reversed-order[{len(labels)}-point carrier]",
         leq=lambda a, b: base.leq(b, a),
-        zero_primitive=False,
-        homogeneous=False,
     )
 
 
@@ -212,8 +199,6 @@ def metric_no_abs_scale_instance(labels: Sequence[str]) -> EvsInstance:
         metric_packed_instance(labels),
         name=f"metrics-no-abs-scale[{len(labels)}-point carrier]",
         scale=_scale,
-        zero_primitive=False,
-        homogeneous=False,
     )
 
 
@@ -246,6 +231,11 @@ def seeded_metric_sample(labels: Sequence[str], seed: int, count: int) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _check_dim(dim: int) -> None:
+    if dim < 1:
+        raise InputError(f"dimension must be at least 1, not {dim}")
+
+
 def _parse_vec(doc, dim: int) -> tuple:
     vec = tuple(parse_rationals(doc, "vector"))
     if len(vec) != dim:
@@ -264,6 +254,7 @@ def cone_instance(dim: int) -> EvsInstance:
     (r,a) <= (s,b) iff r <= s and a = b. The minimal elements are the
     slice {0} x V, so this instance is single primitive but not zero
     primitive."""
+    _check_dim(dim)
     zero = (ZERO, (ZERO,) * dim)
 
     def check(e):
@@ -362,6 +353,7 @@ def hyperspace_instance(dim: int) -> EvsInstance:
     """A + B = {a+b}, alpha A = {alpha a} (no absolute value: scaling may
     reflect the set), A <= B iff A is a subset of B. The zero is the origin
     singleton; the minimal elements are exactly the singletons."""
+    _check_dim(dim)
     zero = frozenset({(ZERO,) * dim})
 
     def check(a):

@@ -347,26 +347,39 @@ def classify_pair(d: MetricMatrix, rho: MetricMatrix) -> ComparisonReport:
 # ---------------------------------------------------------------------------
 
 
+def _bounded(v: Fraction) -> Fraction:
+    return v / (1 + v)
+
+
+def _capped(v: Fraction) -> Fraction:
+    return min(ONE, v)
+
+
 def transform_bounded(rho):
     """rho -> rho/(1+rho), entrywise; a bounded metric below the input.
     The zero table is rejected (the companion of O is not a metric)."""
-    if isinstance(rho, MetricMatrix):
-        if rho.is_zero():
-            raise UndefinedRelativeElementError("transform of the zero element")
-        return rho.map_entries(lambda v: v / (1 + v))
-    if isinstance(rho, LazyMetric):
-        return _lazy_bounded(rho)
-    raise InputError(f"cannot transform {type(rho).__name__}")
+    return _transform(rho, _bounded, "bounded-of")
 
 
 def transform_min(rho):
     """rho -> min(1, rho), entrywise; truncation at height one."""
+    return _transform(rho, _capped, "min-of")
+
+
+def _transform(rho, entry_map, family: str):
+    """The entrywise image of a table, or the closed-form family `family`
+    over a LazyMetric, whose bounds are the images of its base's bounds."""
     if isinstance(rho, MetricMatrix):
         if rho.is_zero():
             raise UndefinedRelativeElementError("transform of the zero element")
-        return rho.map_entries(lambda v: min(ONE, v))
+        return rho.map_entries(entry_map)
     if isinstance(rho, LazyMetric):
-        return _lazy_min(rho)
+        unbounded = rho.sup_bound is None or rho.unbounded
+        return LazyMetric(
+            family, rho.carrier, base=rho,
+            sup_bound=ONE if unbounded else entry_map(rho.sup_bound),
+            inf_value=None if rho.inf_value is None else entry_map(rho.inf_value),
+        )
     raise InputError(f"cannot transform {type(rho).__name__}")
 
 
@@ -392,10 +405,16 @@ class Carrier:
     step: Optional[Fraction] = None
     points: Optional[tuple[tuple[Fraction, Fraction], ...]] = None
 
-    def check_depth(self, depth: int) -> None:
+    def at(self, depth: int) -> tuple:
+        """The first `depth` points as (index, coordinate) pairs, index
+        1-based; a depth the carrier cannot hold is an input error."""
         if depth < 2:
             raise InputError("depth must be at least 2")
-        if self.kind == "symgrid":
+        if self.kind == "indexed":
+            coords = range(1, depth + 1)
+        elif self.kind == "grid":
+            coords = [k * self.step for k in range(depth)]
+        elif self.kind == "symgrid":
             if depth < 3 or depth % 2 == 0:
                 raise InputError("symmetric grid depth must be odd and at least 3")
             implied = Fraction(2, depth - 1)
@@ -404,23 +423,21 @@ class Carrier:
                     f"declared step {fmt(self.step)} is inconsistent with depth "
                     f"{depth} (the symmetric grid on [-1,1] implies {fmt(implied)})"
                 )
-        if self.kind == "points2d" and depth > len(self.points):
-            raise InputError(
-                f"depth {depth} exceeds the {len(self.points)} listed points"
-            )
-
-    def coord(self, k: int, depth: int):
-        """Coordinate of the k-th point (1-based) at the given depth."""
-        if self.kind == "indexed":
-            return k
-        if self.kind == "grid":
-            return (k - 1) * self.step
-        if self.kind == "symgrid":
             half = (depth - 1) // 2
-            return Fraction(-1) + Fraction(k - 1, half)
-        if self.kind == "points2d":
-            return self.points[k - 1]
-        raise InputError(f"unknown carrier kind {self.kind!r}")
+            coords = [Fraction(k - half, half) for k in range(depth)]
+        elif self.kind == "points2d":
+            if depth > len(self.points):
+                raise InputError(
+                    f"depth {depth} exceeds the {len(self.points)} listed points"
+                )
+            coords = self.points[:depth]
+        else:
+            raise InputError(f"unknown carrier kind {self.kind!r}")
+        return tuple(enumerate(coords, 1))
+
+
+def carrier_labels(size: int) -> tuple[str, ...]:
+    return tuple(f"x{k}" for k in range(1, size + 1))
 
 
 def indexed_carrier() -> Carrier:
@@ -440,10 +457,18 @@ def symmetric_grid_carrier(step=None) -> Carrier:
     return Carrier("symgrid", step=None if step is None else parse_rational(step))
 
 
+def _plane_points(doc) -> tuple:
+    """Parse a JSON list of [u, v] rational points."""
+    if not isinstance(doc, list):
+        raise InputError("plane points must be a list of [u, v] points")
+    points = tuple(tuple(parse_rationals(p, "plane point")) for p in doc)
+    if any(len(p) != 2 for p in points):
+        raise InputError("a plane point has exactly two coordinates")
+    return points
+
+
 def points_carrier(points: Sequence[Sequence]) -> Carrier:
-    parsed = tuple(
-        (parse_rational(p[0]), parse_rational(p[1])) for p in points
-    )
+    parsed = _plane_points(points)
     if len(set(parsed)) != len(parsed):
         raise InputError("carrier points must be pairwise distinct")
     if len(parsed) < 2:
@@ -471,45 +496,17 @@ class LazyMetric:
     inf_value: Optional[Fraction] = None
     unbounded: bool = False
 
-    # -- evaluation ---------------------------------------------------------
-
-    def eval(self, i: int, j: int, depth: int, carrier: Optional[Carrier] = None) -> Fraction:
-        """Distance between carrier points i and j (1-based) at a depth."""
-        c = carrier or self.carrier
-        if i == j:
-            return ZERO
-        if self.family == "discrete":
-            return ONE
-        if self.family == "shrinking":
-            return abs(Fraction(1, i) - Fraction(1, j))
-        if self.family == "usual":
-            return abs(c.coord(i, depth) - c.coord(j, depth))
-        if self.family == "kappa":
-            a, b = c.coord(i, depth), c.coord(j, depth)
-            if abs(a) <= HALF and abs(b) <= HALF:
-                return abs(a - b)
-            return TWO
-        if self.family == "cauchy":
-            (u, u2), (v, v2) = c.coord(i, depth), c.coord(j, depth)
-            return abs(u - v) + self.weight * abs(u2 - v2)
-        if self.family == "bounded-of":
-            v = self.base.eval(i, j, depth, c)
-            return v / (1 + v)
-        if self.family == "min-of":
-            return min(ONE, self.base.eval(i, j, depth, c))
-        if self.family == "scaled-of":
-            return self.factor * self.base.eval(i, j, depth, c)
-        raise InputError(f"unknown metric family {self.family!r}")
-
     def materialize(self, depth: int, carrier: Optional[Carrier] = None) -> MetricMatrix:
-        c = carrier or self.carrier
-        c.check_depth(depth)
-        labels = tuple(f"x{k}" for k in range(1, depth + 1))
-        rows = tuple(
-            tuple(self.eval(i, j, depth, c) for j in range(1, depth + 1))
-            for i in range(1, depth + 1)
-        )
-        return MetricMatrix(labels, rows)
+        """The table on the first `depth` points of the carrier (by default
+        the metric's own); each unordered pair is evaluated once."""
+        points = (carrier or self.carrier).at(depth)
+        pair = _PAIR_FNS[self.family]
+        rows = [[ZERO] * depth for _ in range(depth)]
+        for i, p in enumerate(points):
+            row = rows[i]
+            for j in range(i + 1, depth):
+                row[j] = rows[j][i] = pair(self, p, points[j])
+        return MetricMatrix(carrier_labels(depth), tuple(map(tuple, rows)))
 
     def describe(self) -> dict:
         doc = {"family": self.family, "carrier": self.carrier.kind}
@@ -524,24 +521,36 @@ class LazyMetric:
         return doc
 
 
-def _lazy_bounded(m: LazyMetric) -> LazyMetric:
-    if m.inf_value is None:
-        inf = None
-    else:
-        inf = m.inf_value / (1 + m.inf_value)
-    if m.sup_bound is not None and not m.unbounded:
-        sup = m.sup_bound / (1 + m.sup_bound)
-    else:
-        sup = ONE
-    return LazyMetric("bounded-of", m.carrier, base=m,
-                      sup_bound=sup, inf_value=inf, unbounded=False)
+# The distance of each family between two distinct carrier points p and q,
+# given as (index, coordinate) pairs: family -> f(metric, p, q).
 
 
-def _lazy_min(m: LazyMetric) -> LazyMetric:
-    inf = None if m.inf_value is None else min(ONE, m.inf_value)
-    sup = ONE if (m.sup_bound is None or m.unbounded) else min(ONE, m.sup_bound)
-    return LazyMetric("min-of", m.carrier, base=m,
-                      sup_bound=sup, inf_value=inf, unbounded=False)
+def _kappa(m: LazyMetric, p, q) -> Fraction:
+    a, b = p[1], q[1]
+    if abs(a) <= HALF and abs(b) <= HALF:
+        return abs(a - b)
+    return TWO
+
+
+def _cauchy(m: LazyMetric, p, q) -> Fraction:
+    (u, u2), (v, v2) = p[1], q[1]
+    return abs(u - v) + m.weight * abs(u2 - v2)
+
+
+_PAIR_FNS = {
+    "discrete": lambda m, p, q: ONE,
+    "shrinking": lambda m, p, q: Fraction(abs(p[0] - q[0]), p[0] * q[0]),
+    "usual": lambda m, p, q: abs(p[1] - q[1]),
+    "kappa": _kappa,
+    "cauchy": _cauchy,
+    "bounded-of": lambda m, p, q: _bounded(_of_base(m, p, q)),
+    "min-of": lambda m, p, q: _capped(_of_base(m, p, q)),
+    "scaled-of": lambda m, p, q: m.factor * _of_base(m, p, q),
+}
+
+
+def _of_base(m: LazyMetric, p, q) -> Fraction:
+    return _PAIR_FNS[m.base.family](m.base, p, q)
 
 
 def scale_lazy(alpha, m: LazyMetric) -> LazyMetric:
@@ -558,16 +567,14 @@ def scale_lazy(alpha, m: LazyMetric) -> LazyMetric:
     )
 
 
-def discrete_metric(carrier: Optional[Carrier] = None) -> LazyMetric:
-    return LazyMetric("discrete", carrier or indexed_carrier(),
-                      sup_bound=ONE, inf_value=ONE)
+def discrete_metric() -> LazyMetric:
+    return LazyMetric("discrete", indexed_carrier(), sup_bound=ONE, inf_value=ONE)
 
 
-def shrinking_metric(carrier: Optional[Carrier] = None) -> LazyMetric:
+def shrinking_metric() -> LazyMetric:
     """All carrier points at mutual distance |1/n - 1/m|: the infimum over
     distinct pairs of the full countable carrier is exactly 0."""
-    return LazyMetric("shrinking", carrier or indexed_carrier(),
-                      sup_bound=ONE, inf_value=ZERO)
+    return LazyMetric("shrinking", indexed_carrier(), sup_bound=ONE, inf_value=ZERO)
 
 
 def usual_metric(carrier: Carrier) -> LazyMetric:
@@ -578,8 +585,8 @@ def usual_metric(carrier: Carrier) -> LazyMetric:
     raise InputError("the usual metric needs a one-dimensional coordinate carrier")
 
 
-def kappa_metric() -> LazyMetric:
-    return LazyMetric("kappa", symmetric_grid_carrier(), sup_bound=TWO)
+def kappa_metric(step=None) -> LazyMetric:
+    return LazyMetric("kappa", symmetric_grid_carrier(step), sup_bound=TWO)
 
 
 def cauchy_dn_metric(n, points: Sequence[Sequence]) -> LazyMetric:
@@ -589,42 +596,33 @@ def cauchy_dn_metric(n, points: Sequence[Sequence]) -> LazyMetric:
     return LazyMetric("cauchy", points_carrier(points), weight=Fraction(1, int(n)))
 
 
-BUILTIN_NAMES = ("discrete", "usual-grid", "shrinking", "kappa", "cauchy-dn")
+# name -> (required params, optional params, the error for a missing required
+# one, constructor over the params in that order)
+_BUILTINS = {
+    "discrete": ((), (), None, discrete_metric),
+    "usual-grid": (("step",), (), "usual-grid needs a positive rational step",
+                   lambda step: usual_metric(grid_carrier(step))),
+    "shrinking": ((), (), None, shrinking_metric),
+    "kappa": ((), ("step",), None, kappa_metric),
+    "cauchy-dn": (("n", "points"), (),
+                  "cauchy-dn needs an index n and a list of plane points",
+                  cauchy_dn_metric),
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def builtin_lazy(name: str, params: Optional[dict] = None) -> LazyMetric:
     """Construct a named closed-form metric on its canonical carrier."""
     params = dict(params or {})
-    if name == "discrete":
-        _no_extra(params, ())
-        return discrete_metric()
-    if name == "shrinking":
-        _no_extra(params, ())
-        return shrinking_metric()
-    if name == "usual-grid":
-        step = params.pop("step", None)
-        if step is None:
-            raise InputError("usual-grid needs a positive rational step")
-        _no_extra(params, ())
-        return usual_metric(grid_carrier(step))
-    if name == "kappa":
-        step = params.pop("step", None)
-        _no_extra(params, ())
-        return LazyMetric("kappa", symmetric_grid_carrier(step), sup_bound=TWO)
-    if name == "cauchy-dn":
-        n = params.pop("n", None)
-        points = params.pop("points", None)
-        if n is None or points is None:
-            raise InputError("cauchy-dn needs an index n and a list of plane points")
-        _no_extra(params, ())
-        return cauchy_dn_metric(n, points)
-    raise InputError(f"unknown builtin metric {name!r}; choose from {BUILTIN_NAMES}")
-
-
-def _no_extra(params: dict, allowed: tuple) -> None:
-    extra = set(params) - set(allowed)
-    if extra:
-        raise InputError(f"unexpected parameters: {sorted(extra)}")
+    if name not in _BUILTINS:
+        raise InputError(f"unknown builtin metric {name!r}; choose from {BUILTIN_NAMES}")
+    required, optional, missing, make = _BUILTINS[name]
+    values = [params.pop(key, None) for key in required + optional]
+    if any(v is None for v in values[:len(required)]):
+        raise InputError(missing)
+    if params:
+        raise InputError(f"unexpected parameters: {sorted(params)}")
+    return make(*values)
 
 
 def builtin_metric(name: str, params: Optional[dict], depth: int) -> MetricMatrix:
@@ -769,12 +767,11 @@ def cauchy_incompleteness_demo(ns: Sequence[int],
     ns = sorted(set(int(n) for n in ns))
     if len(ns) < 2 or ns[0] < 1:
         raise InputError("need at least two indices n >= 1")
-    pairs = []
-    for entry in point_pairs:
-        (x, y) = entry
-        px = (parse_rational(x[0]), parse_rational(x[1]))
-        py = (parse_rational(y[0]), parse_rational(y[1]))
-        pairs.append((px, py))
+    if not isinstance(point_pairs, list):
+        raise InputError("point pairs must be a list of [[u,u'],[v,v']] pairs")
+    pairs = [_plane_points(entry) for entry in point_pairs]
+    if any(len(pair) != 2 for pair in pairs):
+        raise InputError("a point pair holds exactly two plane points")
     if not pairs:
         raise InputError("need at least one sample point pair")
     witnesses = [(x, y) for x, y in pairs if x[0] == y[0] and x[1] != y[1]]

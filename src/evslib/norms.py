@@ -55,6 +55,8 @@ class FSVector:
 
     @classmethod
     def from_dict(cls, mapping) -> "FSVector":
+        if not isinstance(mapping, dict):
+            raise InputError("a vector is an object of coordinates")
         items = []
         for name, value in mapping.items():
             v = parse_rational(value)
@@ -308,7 +310,9 @@ class WeightMap:
 
     @classmethod
     def from_json(cls, doc) -> "WeightMap":
-        return cls(dict(doc))
+        if not isinstance(doc, dict):
+            raise InputError("a weight map is an object of weights")
+        return cls(doc)
 
 
 def weight_function(params: NormFamilyParams) -> WeightMap:
@@ -636,7 +640,5 @@ def norm_family_instance(partition: PartitionSpec) -> EvsInstance:
         equal=lambda a, b: a == b,
         element_to_json=lambda p: p.to_json(),
         element_from_json=NormFamilyParams.from_json,
-        zero_primitive=True,
-        homogeneous=True,
         eps_independence=lambda p, q, eps: independence_witness(p, q, eps),
     )

@@ -81,18 +81,16 @@ def in_l(instance: EvsInstance, x, y,
          universe: Optional[Universe] = None) -> LCertificate:
     """Decide y in L(x).
 
-    Zero-primitive homogeneous instances with an exact comparing function get
-    the maximal certificate alpha = comparing(x, y); zero refutes membership.
-    Instances with a larger primitive space search the universe's minimal
-    elements for an explicit primitive witness and report inconclusive when
-    the universe has none that fits.
+    Instances with an exact comparing function get the maximal certificate
+    alpha = comparing(x, y); zero refutes membership. Every such instance is
+    zero primitive and homogeneous, which is what makes the comparing value
+    decide membership. Instances with a larger primitive space search the
+    universe's minimal elements for an explicit primitive witness and report
+    inconclusive when the universe has none that fits.
     """
     _require_nonzero(instance, x, y)
-    if instance.zero_primitive and instance.homogeneous and instance.comparing:
+    if instance.comparing is not None:
         value = instance.comparing(x, y)
-        if value is None:
-            return LCertificate(INCONCLUSIVE,
-                                reason="comparing function unavailable")
         if value > 0:
             return LCertificate(POSITIVE, alpha=value)
         return LCertificate(REFUTED, alpha=Fraction(0),
@@ -223,10 +221,8 @@ def orderly_independent_set(instance: EvsInstance, S: Sequence,
             any_fail = True
         elif verdict.independent() is None:
             if instance.eps_independence is not None and epsilon is not None:
-                report = instance.eps_independence(x, y, epsilon)
-                verdict.eps_witness = (
-                    report.to_json() if hasattr(report, "to_json") else report
-                )
+                verdict.eps_witness = instance.eps_independence(
+                    x, y, epsilon).to_json()
                 any_eps = True
             else:
                 any_inconclusive = True

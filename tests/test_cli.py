@@ -355,6 +355,13 @@ def test_order_malformed_cone_element_is_input_error(capsys, tmp_path):
     {"command": "order", "inputs": {"action": "in-l",
                                     "universe": {"instance": "cone"}},
      "report": {}},
+    {"command": "order", "inputs": {"action": "in-l", "universe": 5},
+     "report": {}},
+    {"command": "order", "inputs": {"action": "in-l", "universe": {
+        "instance": "metrics", "elements": 5}}, "report": {}},
+    {"command": "partial-compare", "inputs": {
+        "first": "discrete", "second": {"name": "shrinking", "params": {}},
+        "depths": [5]}, "report": {}},
 ])
 def test_replay_malformed_inputs_is_input_error(capsys, tmp_path, doc):
     code, out, err = run(capsys, "--replay",
@@ -377,3 +384,48 @@ def test_internal_fault_exits_three(capsys, tmp_path):
     doc = json.loads(err)
     assert doc["internal"] is True
     assert doc["error"].startswith("ValueError")
+
+
+# file contents (by name) and the argv that reads them; each input is
+# malformed in its JSON shape or out of range
+MALFORMED_INPUTS = {
+    "manifest-elements-int": (
+        {"u.json": {"instance": "metrics", "elements": 5}},
+        ["order", "feasible", "--universe", "u.json", "--x", "u.json"]),
+    "manifest-elements-int-list": (
+        {"u.json": {"instance": "metrics", "elements": [5]}},
+        ["order", "feasible", "--universe", "u.json", "--x", "u.json"]),
+    "eval-weights-list": (
+        {"w.json": [1, 2], "v.json": {"h0": "1"}},
+        ["norms", "eval", "--weights", "w.json", "--vector", "v.json"]),
+    "embed-weights-list": (
+        {"w.json": [1, 2], "p.json": [{"h0": "1"}, {"h1": "1"}]},
+        ["norms", "embed", "--weights", "w.json", "--points", "p.json"]),
+    "eval-vector-list": (
+        {"w.json": {"h0": "1"}, "v.json": [1, 2]},
+        ["norms", "eval", "--weights", "w.json", "--vector", "v.json"]),
+    "builtin-points-list": (
+        {"p.json": [1, 2]},
+        ["builtin", "cauchy-dn", "--n", "2", "--points", "p.json",
+         "--depth", "2"]),
+    "cauchy-demo-pairs-list": (
+        {"p.json": [1, 2]},
+        ["cauchy-demo", "--indices", "10,20", "--pairs", "p.json"]),
+    "axioms-cone-dim-0": (
+        {}, ["axioms", "--instance", "cone", "--seed", "0", "--sample", "4",
+             "--dim", "0"]),
+    "axioms-hyperspace-dim-0": (
+        {}, ["axioms", "--instance", "hyperspace", "--seed", "0",
+             "--sample", "4", "--dim", "0"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
+def test_malformed_input_file_is_input_error(capsys, tmp_path, name):
+    files, argv = MALFORMED_INPUTS[name]
+    for file_name, doc in files.items():
+        write_json(tmp_path / file_name, doc)
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, None)
+    assert "internal" not in json.loads(err)

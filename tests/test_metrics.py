@@ -421,6 +421,29 @@ def test_classify_lazy_materializes_each_table_once(monkeypatch, first, second):
             for v in partial_comparing_function(x, y, depths)]
 
 
+@pytest.mark.parametrize("metric", [
+    shrinking_metric(),
+    transform_bounded(builtin_lazy("kappa")),
+])
+def test_materialize_evaluates_each_pair_once(monkeypatch, metric):
+    from evslib import metrics
+
+    depth = 11
+    pairs = []
+    pair = metrics._PAIR_FNS[metric.family]
+
+    def counting(m, p, q):
+        pairs.append((p[0], q[0]))
+        return pair(m, p, q)
+
+    monkeypatch.setitem(metrics._PAIR_FNS, metric.family, counting)
+    table = metric.materialize(depth)
+    assert sorted(pairs) == [(i, j) for i in range(1, depth + 1)
+                             for j in range(i + 1, depth + 1)]
+    monkeypatch.undo()
+    assert table == metric.materialize(depth)
+
+
 def test_classify_lazy_undetermined_direction():
     # kappa has no carrier-wide infimum metadata, so nothing is decided
     report = classify_lazy_pair(
