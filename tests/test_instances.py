@@ -1,10 +1,14 @@
-"""Cone and hyperspace operations and their sample structure."""
+"""Cone and hyperspace operations, their sample structure, and replay of
+their reports."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from evslib import InputError, minimal_elements
+from evslib.cli import main
 from evslib.instances import (
     cone_instance,
     hyperspace_instance,
@@ -13,6 +17,8 @@ from evslib.instances import (
 )
 
 F = Fraction
+
+DATA = Path(__file__).parent / "data"
 
 
 def pt(*coords):
@@ -117,3 +123,22 @@ def test_hyper_serialization_round_trip():
     hyper = hyperspace_instance(2)
     a = fs(pt(1, 2), pt(-1, F(1, 2)))
     assert hyper.element_from_json(hyper.element_to_json(a)) == a
+
+
+# ---------------------------------------------------------------------------
+# Reports written by the Fraction-form cone and hyperspace (commit c69f914)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("path", (
+    "axioms-cone.json",
+    "axioms-hyperspace.json",
+    "boundary/order-in-l-cone.json",
+))
+def test_recorded_report_replays(capsys, path):
+    """`evs axioms --instance NAME --seed 0 --sample 12 --properties` for
+    cone and hyperspace, and a positive cone `order in-l` (alpha -2/3 with a
+    primitive from the universe), as written before the integer form."""
+    code = main(["--replay", str(DATA / path)])
+    doc = json.loads(capsys.readouterr().out)
+    assert (code, doc["match"]) == (0, True)
