@@ -122,6 +122,14 @@ def _universe_inline(manifest_path: str) -> dict:
     return inline
 
 
+def _int_field(doc: dict, key: str, default: int) -> int:
+    """A universe field that must be a JSON integer, such as "dim"."""
+    value = doc.get(key, default)
+    if type(value) is not int:
+        raise InputError(f'universe "{key}" must be an integer, not {value!r}')
+    return value
+
+
 def _universe_from_inline(doc) -> order.Universe:
     if not isinstance(doc, dict):
         raise InputError("a universe is an object")
@@ -133,7 +141,7 @@ def _universe_from_inline(doc) -> order.Universe:
         inst = instances.metric_matrix_instance(mats[0].labels)
         return order.Universe(inst, mats)
     if kind == "norm-family":
-        depth = int(doc.get("depth", 0))
+        depth = _int_field(doc, "depth", 0)
         part = norms.PartitionSpec(depth)
         inst = norms.norm_family_instance(part)
         elements = [norms.NormFamilyParams.from_json(e) for e in doc["elements"]]
@@ -142,12 +150,12 @@ def _universe_from_inline(doc) -> order.Universe:
                 raise InputError("family element uses a different depth")
         return order.Universe(inst, elements)
     if kind == "cone":
-        inst = instances.cone_instance(int(doc.get("dim", 2)))
+        inst = instances.cone_instance(_int_field(doc, "dim", 2))
         return order.Universe(
             inst, [inst.element_from_json(e) for e in doc["elements"]]
         )
     if kind == "hyperspace":
-        inst = instances.hyperspace_instance(int(doc.get("dim", 2)))
+        inst = instances.hyperspace_instance(_int_field(doc, "dim", 2))
         return order.Universe(
             inst, [inst.element_from_json(e) for e in doc["elements"]]
         )

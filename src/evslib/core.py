@@ -83,12 +83,29 @@ def _is_sample_minimal(inst: EvsInstance, z, sample) -> bool:
 
 class _Context:
     """The inputs of one run plus the derived sets its laws share, each
-    computed once, on first use."""
+    computed once, on first use, and the sums of sampled pairs."""
 
     def __init__(self, inst: EvsInstance, sample: list, scalars: list):
         self.inst = inst
         self.sample = sample
         self.scalars = scalars
+        self._sampled = {id(x) for x in sample}
+        self._sums: dict = {}
+
+    def add(self, x, y):
+        """inst.add(x, y), computed once per ordered pair of sampled elements.
+
+        The table is keyed by identity: the sample keeps its elements alive,
+        so no other object can share their ids. The pair stays ordered, so
+        x + y and y + x are still computed apart. Other operands are added
+        afresh on every call."""
+        key = (id(x), id(y))
+        total = self._sums.get(key)
+        if total is None:
+            total = self.inst.add(x, y)
+            if key[0] in self._sampled and key[1] in self._sampled:
+                self._sums[key] = total
+        return total
 
     @cached_property
     def comparable(self) -> list:
@@ -122,17 +139,17 @@ def _a1_identity(c, x):
 
 
 def _a1_commutativity(c, x, y):
-    return c.inst.equal(c.inst.add(x, y), c.inst.add(y, x))
+    return c.inst.equal(c.add(x, y), c.add(y, x))
 
 
 def _a1_associativity(c, x, y, z):
     inst = c.inst
-    return inst.equal(inst.add(inst.add(x, y), z), inst.add(x, inst.add(y, z)))
+    return inst.equal(inst.add(c.add(x, y), z), inst.add(x, c.add(y, z)))
 
 
 def _a2_translation(c, x, y, z):
     inst = c.inst
-    return (not inst.leq(x, y)) or inst.leq(inst.add(x, z), inst.add(y, z))
+    return (not inst.leq(x, y)) or inst.leq(c.add(x, z), c.add(y, z))
 
 
 def _a2_scaling(c, x, y, a):
@@ -143,7 +160,7 @@ def _a2_scaling(c, x, y, a):
 def _a3_i(c, x, y, a):
     inst = c.inst
     return inst.equal(
-        inst.scale(a, inst.add(x, y)),
+        inst.scale(a, c.add(x, y)),
         inst.add(inst.scale(a, x), inst.scale(a, y)),
     )
 
@@ -209,8 +226,8 @@ def _additive_primitive(c, x, y):
     px, py = c.below(x), c.below(y)
     if not px or not py:
         return None
-    ptotal = c.below(inst.add(x, y))
-    sums = [inst.add(p, q) for p in px for q in py]
+    ptotal = c.below(c.add(x, y))
+    sums = [c.add(p, q) for p in px for q in py]
     if not ptotal or not all(
         any(inst.equal(s, t) for t in c.sample) for s in sums
     ):
@@ -223,7 +240,7 @@ def _additive_primitive(c, x, y):
 
 
 def _each(c):
-    return (((x,), ()) for x in c.sample)
+    return ((x,) for x in c.sample)
 
 
 @dataclass(frozen=True)
@@ -232,10 +249,11 @@ class Law:
 
     `holds(c, *elements, *scalars)` is True when the tuple satisfies the law,
     False on a violation, and None when the tuple is outside the law's scope.
-    `tuples(c)` yields (elements, scalars) in checking order. Laws sharing an
-    `entry` (default: their own name) roll into one report entry, which stops
-    at the first violation. An entry none of whose tuples is scored is
-    not-applicable when its first law gives a `reason`, and passes otherwise.
+    `tuples(c)` yields the arguments after `c` as one flat tuple, elements
+    then scalars, in checking order. Laws sharing an `entry` (default: their
+    own name) roll into one report entry, which stops at the first
+    violation. An entry none of whose tuples is scored is not-applicable
+    when its first law gives a `reason`, and passes otherwise.
     `detail(c, *elements)` adds fields to a counterexample. `scalars` is the
     number of trailing scalar arguments of `holds`.
     """
@@ -259,46 +277,46 @@ _NO_COMPARABLE = "no comparable pairs in sample"
 
 AXIOMS: tuple[Law, ...] = (
     Law("A1.identity", _a1_identity, _each, entry="A1"),
-    Law("A1.commutativity", _a1_commutativity, lambda c: (
-        (pair, ()) for pair in combinations(c.sample, 2)), entry="A1"),
-    Law("A1.associativity", _a1_associativity, lambda c: (
-        (tri, ()) for tri in combinations(c.sample, 3)), entry="A1"),
+    Law("A1.commutativity", _a1_commutativity,
+        lambda c: combinations(c.sample, 2), entry="A1"),
+    Law("A1.associativity", _a1_associativity,
+        lambda c: combinations(c.sample, 3), entry="A1"),
     Law("A2.translation", _a2_translation, lambda c: (
-        ((x, y, z), ()) for x, y in c.comparable for z in c.sample),
+        (x, y, z) for x, y in c.comparable for z in c.sample),
         entry="A2", reason=_NO_COMPARABLE),
     Law("A2.scaling", _a2_scaling, lambda c: (
-        (pair, (a,)) for pair in c.comparable for a in c.scalars),
+        (x, y, a) for x, y in c.comparable for a in c.scalars),
         entry="A2", reason=_NO_COMPARABLE, scalars=1),
     Law("A3.i", _a3_i, lambda c: (
-        (pair, (a,)) for pair in combinations(c.sample, 2) for a in c.scalars),
+        (x, y, a) for x, y in combinations(c.sample, 2) for a in c.scalars),
         scalars=1),
     Law("A3.ii", _a3_ii, lambda c: (
-        ((x,), ab) for x in c.sample for ab in product(c.scalars, repeat=2)),
+        (x, a, b) for x in c.sample for a, b in product(c.scalars, repeat=2)),
         scalars=2),
     Law("A3.iii", _a3_iii, lambda c: (
-        ((x,), ab) for x in c.sample
-        for ab in combinations_with_replacement(c.scalars, 2)), scalars=2),
+        (x, a, b) for x in c.sample
+        for a, b in combinations_with_replacement(c.scalars, 2)), scalars=2),
     Law("A3.iv", _a3_iv, _each),
     Law("A4", _a4, lambda c: (
-        ((x,), (a,)) for x in c.sample for a in c.scalars), scalars=1),
+        (x, a) for x in c.sample for a in c.scalars), scalars=1),
     Law("A5", _a5, _each, sample_relative=True),
     Law("A6", _a6, _each, sample_relative=True),
 )
 
 PROPERTIES: tuple[Law, ...] = (
     Law("balanced", _balanced, lambda c: (
-        ((x,), (a,)) for x in c.sample for a in c.scalars if abs(a) <= 1),
+        (x, a) for x in c.sample for a in c.scalars if abs(a) <= 1),
         scalars=1),
     Law("homogeneous", _homogeneous, lambda c: (
-        ((x,), (a,)) for x in c.sample for a in c.scalars), scalars=1),
+        (x, a) for x in c.sample for a in c.scalars), scalars=1),
     Law("convex", _convex, lambda c: (
-        ((x,), ab) for x in c.sample for ab in combinations_with_replacement(
+        (x, a, b) for x in c.sample for a, b in combinations_with_replacement(
             [a for a in c.scalars if a >= 0], 2)), scalars=2),
     Law("zero-primitive", _zero_primitive, _each, sample_relative=True),
     Law("single-primitive", _single_primitive, _each, sample_relative=True,
         detail=lambda c, x: {"primitiveCount": len(c.below(x))}),
-    Law("additive-primitive", _additive_primitive, lambda c: (
-        (pair, ()) for pair in combinations_with_replacement(c.sample, 2)),
+    Law("additive-primitive", _additive_primitive,
+        lambda c: combinations_with_replacement(c.sample, 2),
         sample_relative=True,
         reason="no pair with fully witnessed primitive sets"),
 )
@@ -377,7 +395,9 @@ def _context(inst: EvsInstance, sample, scalars) -> _Context:
     return _Context(inst, list(sample), scalars)
 
 
-def _counterexample(c: _Context, law: Law, els, scs) -> dict:
+def _counterexample(c: _Context, law: Law, args: tuple) -> dict:
+    n = law.arity[0]
+    els, scs = args[:n], args[n:]
     ce = {
         "law": law.name,
         "elements": [c.inst.element_to_json(e) for e in els],
@@ -392,13 +412,13 @@ def _check_entry(c: _Context, name: str, laws: list[Law]) -> CheckEntry:
     head = laws[0]
     scored = False
     for law in laws:
-        for els, scs in law.tuples(c):
-            verdict = law.holds(c, *els, *scs)
+        for args in law.tuples(c):
+            verdict = law.holds(c, *args)
             if verdict is None:
                 continue
             if not verdict:
                 return CheckEntry(name, "fail", head.sample_relative,
-                                  _counterexample(c, law, els, scs))
+                                  _counterexample(c, law, args))
             scored = True
     if scored or head.reason is None:
         return CheckEntry(name, "pass", head.sample_relative)

@@ -6,6 +6,14 @@ sup norms probed on a finite vector sample (see norms.py), the half-line cone
 Two deliberately broken metric variants (reversed order, scaling without the
 absolute value) exist to exercise the failure paths.
 
+The instances that build_instance returns hold their elements in an exact
+integer form: a rational tuple as (numerators, den) for metrics, norms and
+the cone, and a point set as (frozenset of numerator tuples, den) for the
+hyperspace. Both forms are canonical, so `equal` is tuple equality.
+Fractions appear only at the boundaries (JSON, the seeded samples, cone
+`lsolve`, and metric_matrix_instance, whose MetricMatrix tables the order
+tools use).
+
 Samplers are deterministic in their seed and are built so that the
 sample-relative minimal structure matches the carrier-wide one: the cone
 sampler pairs every (r, v) with its primitive (0, v), and the hyperspace
@@ -20,7 +28,8 @@ import operator
 import random
 from dataclasses import replace
 from fractions import Fraction
-from math import gcd
+from itertools import chain
+from math import gcd, lcm
 from typing import Sequence
 
 from .core import EvsInstance
@@ -54,13 +63,12 @@ DEFAULT_SCALARS = (
 # Pointwise rational tuples: the exact integer kernel
 # ---------------------------------------------------------------------------
 #
-# An element of a pointwise instance is a rational tuple in canonical integer
-# form (numerators, den), as made by rationals.to_ints: den > 0 and
-# gcd(den, *numerators) == 1. Every rational tuple has exactly one such form,
-# so plain tuple equality is exact equality. The ops never build a Fraction:
-# add and scale work on numerators and reduce their result once with
-# math.gcd, and leq cross-multiplies. Fractions appear only at the
-# boundaries (JSON, the seeded samples, the MetricMatrix form).
+# An element of a pointwise instance or of the cone is a rational tuple in
+# canonical integer form (numerators, den), as made by rationals.to_ints:
+# den > 0 and gcd(den, *numerators) == 1. Every rational tuple has exactly
+# one such form, so plain tuple equality is exact equality. The ops never
+# build a Fraction: add and scale work on numerators and reduce their result
+# once with math.gcd, and leq cross-multiplies.
 
 
 def _reduced(nums: tuple, den: int) -> tuple:
@@ -79,11 +87,15 @@ def _add(a, b):
     return _reduced(tuple([x * mx + y * my for x, y in zip(xs, ys)]), dx * mx)
 
 
-def _scale(alpha: Fraction, a):
-    """alpha * a, with the sign of alpha kept."""
+def _scale(p: int, q: int, a):
+    """(p/q) * a for a scalar p/q with q > 0, with the sign of p kept."""
     xs, den = a
-    p = alpha.numerator
-    return _reduced(tuple([p * x for x in xs]), den * alpha.denominator)
+    return _reduced(tuple([p * x for x in xs]), den * q)
+
+
+def _abs_scale(alpha, a):
+    """|alpha| * a, on alpha's numerator and denominator."""
+    return _scale(abs(alpha.numerator), alpha.denominator, a)
 
 
 def _leq(a, b):
@@ -94,10 +106,13 @@ def _leq(a, b):
 
 
 def rational_tuple_instance(name: str, width: int, mismatch: str,
-                            element_to_json, element_from_json) -> EvsInstance:
-    """Tuples of `width` rationals under pointwise add, |alpha|-scaling and
-    order, with the all-zero tuple as zero; an operand of another width
-    raises InputError(mismatch).
+                            element_to_json, element_from_json, *,
+                            scale=_abs_scale, leq=_leq) -> EvsInstance:
+    """Tuples of `width` rationals under pointwise add, with the all-zero
+    tuple as zero; an operand of another width raises InputError(mismatch).
+    By default the scalar action is |alpha|-scaling and the order is the
+    pointwise one; `scale(alpha, a)` and `leq(a, b)` replace them, and are
+    given operands of the right width.
 
     Elements are in the canonical integer form described above, so `equal`
     is tuple equality; the JSON converters are given that form too.
@@ -112,8 +127,8 @@ def rational_tuple_instance(name: str, width: int, mismatch: str,
         name=name,
         zero=((0,) * width, 1),
         add=lambda a, b: _add(check(a), check(b)),
-        scale=lambda al, a: _scale(abs(al), check(a)),
-        leq=lambda a, b: _leq(check(a), check(b)),
+        scale=lambda al, a: scale(al, check(a)),
+        leq=lambda a, b: leq(check(a), check(b)),
         equal=lambda a, b: check(a) == check(b),
         element_to_json=element_to_json,
         element_from_json=element_from_json,
@@ -198,7 +213,7 @@ def metric_no_abs_scale_instance(labels: Sequence[str]) -> EvsInstance:
     return replace(
         metric_packed_instance(labels),
         name=f"metrics-no-abs-scale[{len(labels)}-point carrier]",
-        scale=_scale,
+        scale=lambda al, a: _scale(al.numerator, al.denominator, a),
     )
 
 
@@ -229,6 +244,10 @@ def seeded_metric_sample(labels: Sequence[str], seed: int, count: int) -> list:
 # ---------------------------------------------------------------------------
 # The cone [0, inf) x V
 # ---------------------------------------------------------------------------
+#
+# A cone element (r, v) is the rational tuple (r, *v) of width dim + 1 in the
+# integer form above: it shares add, the width check and equality with the
+# pointwise instances, and brings its own scale and leq.
 
 
 def _check_dim(dim: int) -> None:
@@ -243,10 +262,68 @@ def _parse_vec(doc, dim: int) -> tuple:
     return vec
 
 
+def cone_element(r, v) -> tuple:
+    """The integer form of the cone element (r, v)."""
+    return to_ints((r, *v))
+
+
 def _cone_from_json(doc, dim: int) -> tuple:
     if not isinstance(doc, dict) or "r" not in doc or "v" not in doc:
         raise InputError('cone element needs "r" and "v"')
-    return parse_rational(doc["r"]), _parse_vec(doc["v"], dim)
+    return cone_element(parse_rational(doc["r"]), _parse_vec(doc["v"], dim))
+
+
+def _cone_to_json(e) -> dict:
+    r, *v = to_fractions(e)
+    return {"r": fmt(r), "v": [fmt(x) for x in v]}
+
+
+def _cone_scale(alpha, a):
+    """(|alpha| r, alpha v)."""
+    xs, den = a
+    p = alpha.numerator
+    nums = [p * x for x in xs]
+    if p < 0:
+        nums[0] = -nums[0]
+    return _reduced(tuple(nums), den * alpha.denominator)
+
+
+def _cone_leq(a, b):
+    """r <= s and v == w."""
+    (xs, dx), (ys, dy) = a, b
+    if dx == dy:
+        return xs[0] <= ys[0] and xs[1:] == ys[1:]
+    return xs[0] * dy <= ys[0] * dx and all(
+        x * dy == y * dx for x, y in zip(xs[1:], ys[1:]))
+
+
+def _cone_lsolve(x, z, primitives):
+    """Find alpha != 0 and a primitive p among the candidates with
+    z >= alpha*x + p; cone order pins p = (0, w - alpha*v)."""
+    (r, *v), (s, *w) = to_fractions(x), to_fractions(z)
+    if r == 0:
+        return None
+    for p in primitives:
+        pr, *pv = to_fractions(p)
+        if pr != 0:
+            continue
+        target = tuple(wc - pc for wc, pc in zip(w, pv))
+        alphas = {tc / vc for tc, vc in zip(target, v) if vc != 0}
+        if len(alphas) > 1:
+            continue
+        if alphas:
+            alpha = alphas.pop()
+            if any(vc == 0 and tc != 0 for tc, vc in zip(target, v)):
+                continue
+        else:
+            if any(tc != 0 for tc in target):
+                continue
+            alpha = s / r
+            if alpha == 0:
+                continue
+        if alpha != 0 and abs(alpha) * r <= s:
+            return alpha, p
+    return None
 
 
 def cone_instance(dim: int) -> EvsInstance:
@@ -255,72 +332,19 @@ def cone_instance(dim: int) -> EvsInstance:
     slice {0} x V, so this instance is single primitive but not zero
     primitive."""
     _check_dim(dim)
-    zero = (ZERO, (ZERO,) * dim)
-
-    def check(e):
-        r, v = e
-        if len(v) != dim:
-            raise InputError("cone element of mismatched dimension")
-        return e
-
-    def add(a, b):
-        (r, va), (s, vb) = check(a), check(b)
-        return (r + s, tuple(x + y for x, y in zip(va, vb)))
-
-    def scale(al, a):
-        r, v = check(a)
-        return (abs(al) * r, tuple(al * x for x in v))
-
-    def leq(a, b):
-        (r, va), (s, vb) = check(a), check(b)
-        return r <= s and va == vb
-
-    def lsolve(x, z, primitives):
-        """Find alpha != 0 and a primitive p among the candidates with
-        z >= alpha*x + p; cone order pins p = (0, w - alpha*v)."""
-        (r, v) = x
-        (s, w) = z
-        if r == 0:
-            return None
-        for p in primitives:
-            (pr, pv) = p
-            if pr != 0:
-                continue
-            target = tuple(wc - pc for wc, pc in zip(w, pv))
-            alphas = {tc / vc for tc, vc in zip(target, v) if vc != 0}
-            if len(alphas) > 1:
-                continue
-            if alphas:
-                alpha = alphas.pop()
-                if any(vc == 0 and tc != 0 for tc, vc in zip(target, v)):
-                    continue
-            else:
-                if any(tc != 0 for tc in target):
-                    continue
-                alpha = s / r
-                if alpha == 0:
-                    continue
-            if alpha != 0 and abs(alpha) * r <= s:
-                return alpha, p
-        return None
-
-    return EvsInstance(
-        name=f"cone[dim {dim}]",
-        zero=zero,
-        add=add,
-        scale=scale,
-        leq=leq,
-        equal=lambda a, b: check(a) == check(b),
-        element_to_json=lambda e: {"r": fmt(e[0]), "v": [fmt(x) for x in e[1]]},
-        element_from_json=lambda doc: _cone_from_json(doc, dim),
-        lsolve=lsolve,
+    return replace(
+        rational_tuple_instance(
+            f"cone[dim {dim}]", dim + 1, "cone element of mismatched dimension",
+            element_to_json=_cone_to_json,
+            element_from_json=lambda doc: _cone_from_json(doc, dim),
+            scale=_cone_scale, leq=_cone_leq),
+        lsolve=_cone_lsolve,
     )
 
 
 def seeded_cone_sample(dim: int, seed: int, count: int) -> list:
     rng = random.Random(seed)
-    zero = (ZERO, (ZERO,) * dim)
-    out = [zero]
+    out = [(ZERO, (ZERO,) * dim)]
 
     def rnd_vec():
         return tuple(
@@ -335,12 +359,72 @@ def seeded_cone_sample(dim: int, seed: int, count: int) -> list:
             out.append((r, v))
         if len(out) < count and rng.random() < 0.4:
             out.append((2 * r, v))
-    return out[:count]
+    return [cone_element(r, v) for r, v in out[:count]]
 
 
 # ---------------------------------------------------------------------------
 # Finite point sets under Minkowski sum
 # ---------------------------------------------------------------------------
+#
+# A point set is held as (points, den): a frozenset of integer tuples, the
+# numerators of each point over one common positive denominator, with
+# gcd(den, every coordinate) == 1. Like the tuple form this one is canonical,
+# so `equal` is tuple equality and hashing is over ints.
+
+
+def point_set(points) -> tuple:
+    """The integer form of a collection of rational points."""
+    points = list(points)
+    den = lcm(*(x.denominator for p in points for x in p))
+    return frozenset(
+        tuple([x.numerator * (den // x.denominator) for x in p])
+        for p in points), den
+
+
+def _set_reduced(pts: frozenset, den: int) -> tuple:
+    g = gcd(den, *chain.from_iterable(pts))
+    if g == 1:
+        return pts, den
+    return frozenset(tuple([x // g for x in p]) for p in pts), den // g
+
+
+def _minkowski_sum(a, b):
+    (ps, dp), (qs, dq) = a, b
+    if dp != dq:
+        g = gcd(dp, dq)
+        mp, mq = dq // g, dp // g
+        ps = [tuple([x * mp for x in p]) for p in ps]
+        qs = [tuple([y * mq for y in q]) for q in qs]
+        dp *= mp
+    return _set_reduced(
+        frozenset([tuple(map(operator.add, p, q)) for p in ps for q in qs]),
+        dp)
+
+
+def _point_scale(alpha, a):
+    """alpha * A, with the sign of alpha kept."""
+    ps, den = a
+    p = alpha.numerator
+    return _set_reduced(frozenset([tuple([p * x for x in pt]) for pt in ps]),
+                        den * alpha.denominator)
+
+
+def _subset(a, b):
+    """A is a subset of B. The canonical denominator of a subset divides that
+    of the whole set, so any other pair of denominators answers False."""
+    (ps, dp), (qs, dq) = a, b
+    if dq % dp:
+        return False
+    m = dq // dp
+    if m == 1:
+        return ps <= qs
+    return len(ps) <= len(qs) and all(
+        tuple([x * m for x in p]) in qs for p in ps)
+
+
+def _point_set_to_json(a) -> list:
+    pts, den = a
+    return sorted([fmt(Fraction(x, den)) for x in p] for p in pts)
 
 
 def _point_list(doc) -> list:
@@ -354,42 +438,31 @@ def hyperspace_instance(dim: int) -> EvsInstance:
     reflect the set), A <= B iff A is a subset of B. The zero is the origin
     singleton; the minimal elements are exactly the singletons."""
     _check_dim(dim)
-    zero = frozenset({(ZERO,) * dim})
 
     def check(a):
-        if not a:
+        if not a[0]:
             raise InputError("point sets must be nonempty")
-        for p in a:
+        for p in a[0]:
             if len(p) != dim:
                 raise InputError("point of mismatched dimension")
         return a
 
-    def add(a, b):
-        return frozenset(
-            tuple(x + y for x, y in zip(p, q)) for p in check(a) for q in check(b)
-        )
-
-    def scale(al, a):
-        return frozenset(tuple(al * x for x in p) for p in check(a))
-
     return EvsInstance(
         name=f"hyperspace[dim {dim}]",
-        zero=zero,
-        add=add,
-        scale=scale,
-        leq=lambda a, b: check(a) <= check(b),
+        zero=(frozenset({(0,) * dim}), 1),
+        add=lambda a, b: _minkowski_sum(check(a), check(b)),
+        scale=lambda al, a: _point_scale(al, check(a)),
+        leq=lambda a, b: _subset(check(a), check(b)),
         equal=lambda a, b: check(a) == check(b),
-        element_to_json=lambda a: sorted([fmt(x) for x in p] for p in a),
-        element_from_json=lambda doc: frozenset(
-            _parse_vec(p, dim) for p in _point_list(doc)
-        ),
+        element_to_json=_point_set_to_json,
+        element_from_json=lambda doc: point_set(
+            _parse_vec(p, dim) for p in _point_list(doc)),
     )
 
 
 def seeded_hyper_sample(dim: int, seed: int, count: int) -> list:
     rng = random.Random(seed)
-    zero = frozenset({(ZERO,) * dim})
-    out = [zero]
+    out = [frozenset({(ZERO,) * dim})]
 
     def rnd_point():
         return tuple(
@@ -407,7 +480,7 @@ def seeded_hyper_sample(dim: int, seed: int, count: int) -> list:
         out.append(a)
         if len(a) > 1:
             out.append(frozenset({min(a)}))
-    return out[:count]
+    return [point_set(a) for a in out[:count]]
 
 
 # ---------------------------------------------------------------------------

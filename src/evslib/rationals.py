@@ -10,10 +10,12 @@ string that is the value Fraction(str) gives, without its regular
 expression. Every other input takes the general path, so the fast path
 changes no value and no error.
 
-Inside the pointwise instances a tuple of rationals is held in integer form
-(numerators, den): the entries are numerators[k] / den over one common
-positive denominator, and gcd(den, *numerators) == 1. That form is canonical,
-so two tuples are equal exactly when their integer forms are.
+Inside the pointwise and cone instances a tuple of rationals is held in
+integer form (numerators, den): the entries are numerators[k] / den over one
+common positive denominator, and gcd(den, *numerators) == 1. That form is
+canonical, so two tuples are equal exactly when their integer forms are. A
+hyperspace point set uses the same form with a set of numerator tuples (see
+instances.point_set).
 """
 
 from __future__ import annotations

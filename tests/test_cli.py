@@ -420,6 +420,46 @@ MALFORMED_INPUTS = {
 }
 
 
+# a valid element of each universe kind, the manifest field that must be an
+# integer, and its valid value
+UNIVERSE_KINDS = {
+    "cone": ({"r": "1", "v": ["0", "1"]}, "dim", 2),
+    "hyperspace": ([["0", "1"], ["1/2", "1"]], "dim", 2),
+    "norm-family": ({"depth": 12, "subsetC": ["h0"], "gamma": "2"}, "depth", 12),
+}
+
+
+def write_universe(tmp_path, kind, value):
+    element, field, _ = UNIVERSE_KINDS[kind]
+    x = write_json(tmp_path / "x.json", element)
+    manifest = write_json(tmp_path / "u.json", {
+        "instance": kind, field: value, "elements": ["x.json"]})
+    return manifest, x
+
+
+@pytest.mark.parametrize("kind", sorted(UNIVERSE_KINDS))
+@pytest.mark.parametrize("value", ["abc", "2", 2.5, True, None, [2]])
+def test_non_integer_universe_field_is_input_error(capsys, tmp_path, kind,
+                                                   value):
+    manifest, x = write_universe(tmp_path, kind, value)
+    code, out, err = run(capsys, "order", "in-l", "--universe", manifest,
+                         "--x", x, "--y", x)
+    assert (code, out) == (2, None)
+    field = UNIVERSE_KINDS[kind][1]
+    assert json.loads(err) == {
+        "error": f'universe "{field}" must be an integer, not {value!r}'}
+
+
+@pytest.mark.parametrize("kind", sorted(UNIVERSE_KINDS))
+def test_integer_universe_field_is_read(capsys, tmp_path, kind):
+    manifest, x = write_universe(tmp_path, kind, UNIVERSE_KINDS[kind][2])
+    code, out, _ = run(capsys, "order", "in-l", "--universe", manifest,
+                       "--x", x, "--y", x)
+    assert code in (0, 1)
+    assert out["inputs"]["universe"][UNIVERSE_KINDS[kind][1]] == \
+        UNIVERSE_KINDS[kind][2]
+
+
 @pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
 def test_malformed_input_file_is_input_error(capsys, tmp_path, name):
     files, argv = MALFORMED_INPUTS[name]

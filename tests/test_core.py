@@ -16,6 +16,7 @@ from evslib import (
 from evslib.instances import (
     build_instance,
     carrier_labels,
+    cone_element,
     cone_instance,
     metric_no_abs_scale_instance,
     metric_packed_instance,
@@ -117,8 +118,10 @@ def test_minimal_elements_examples():
 
     cone = cone_instance(2)
     v, w = (F(1), F(0)), (F(2), F(3))
-    universe = [(F(0), v), (F(1), v), (F(2), w)]
-    assert minimal_elements(universe, cone) == [(F(0), v), (F(2), w)]
+    universe = [cone_element(F(0), v), cone_element(F(1), v),
+                cone_element(F(2), w)]
+    assert minimal_elements(universe, cone) == [cone_element(F(0), v),
+                                                cone_element(F(2), w)]
 
     assert minimal_elements([disc], inst) == [disc]
 
@@ -268,6 +271,9 @@ def test_law_arity_matches_the_checked_tuples(name):
     inst, sample, scalars = build_instance(name, seed=0, sample=8)
     c = _context(inst, sample, scalars)
     for law in AXIOMS + PROPERTIES:
-        for els, scs in law.tuples(c):
-            assert (len(els), len(scs)) == law.arity, law.name
+        n_elements, n_scalars = law.arity
+        for args in law.tuples(c):
+            assert len(args) == n_elements + n_scalars, law.name
+            assert not any(isinstance(e, Fraction) for e in args[:n_elements])
+            assert all(isinstance(a, Fraction) for a in args[n_elements:])
             break

@@ -10,11 +10,14 @@ import pytest
 from evslib import InputError, minimal_elements
 from evslib.cli import main
 from evslib.instances import (
+    cone_element,
     cone_instance,
     hyperspace_instance,
+    point_set,
     seeded_cone_sample,
     seeded_hyper_sample,
 )
+from evslib.rationals import to_fractions
 
 F = Fraction
 
@@ -26,7 +29,11 @@ def pt(*coords):
 
 
 def fs(*points):
-    return frozenset(points)
+    return point_set(points)
+
+
+def ce(r, v):
+    return cone_element(F(r), v)
 
 
 # ---------------------------------------------------------------------------
@@ -37,32 +44,32 @@ def fs(*points):
 def test_cone_addition():
     cone = cone_instance(2)
     v, w = pt(1, 2), pt(3, -1)
-    assert cone.add((F(1), v), (F(2), w)) == (F(3), pt(4, 1))
+    assert cone.add(ce(1, v), ce(2, w)) == ce(3, pt(4, 1))
 
 
 def test_cone_scaling_reflects_vector_but_not_radius():
     cone = cone_instance(2)
     v = pt(1, 2)
-    assert cone.scale(F(-2), (F(1), v)) == (F(2), pt(-2, -4))
+    assert cone.scale(F(-2), ce(1, v)) == ce(2, pt(-2, -4))
 
 
 def test_cone_order_needs_equal_vector_part():
     cone = cone_instance(2)
-    assert not cone.leq((F(1), pt(0, 1)), (F(2), pt(1, 1)))
-    assert cone.leq((F(1), pt(0, 1)), (F(2), pt(0, 1)))
+    assert not cone.leq(ce(1, pt(0, 1)), ce(2, pt(1, 1)))
+    assert cone.leq(ce(1, pt(0, 1)), ce(2, pt(0, 1)))
 
 
 def test_cone_dimension_mismatch():
     cone = cone_instance(2)
     with pytest.raises(InputError):
-        cone.add((F(1), pt(0, 1)), (F(1), pt(0, 1, 2)))
+        cone.add(ce(1, pt(0, 1)), ce(1, pt(0, 1, 2)))
 
 
 def test_cone_sample_minimal_elements_sit_on_zero_slice():
     cone = cone_instance(2)
     sample = seeded_cone_sample(2, seed=0, count=30)
     for m in minimal_elements(sample, cone):
-        assert m[0] == 0
+        assert to_fractions(m)[0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +103,7 @@ def test_negative_scaling_reflects():
 def test_empty_set_rejected():
     hyper = hyperspace_instance(1)
     with pytest.raises(InputError):
-        hyper.add(frozenset(), fs(pt(0)))
+        hyper.add(fs(), fs(pt(0)))
 
 
 def test_a3iii_strict_inclusion_witness_found_and_recorded():
@@ -107,16 +114,19 @@ def test_a3iii_strict_inclusion_witness_found_and_recorded():
     lhs = hyper.scale(F(1), a)
     rhs = hyper.add(hyper.scale(F(1, 2), a), hyper.scale(F(1, 2), a))
     assert hyper.leq(lhs, rhs)
-    witness = rhs - lhs
-    assert witness == fs(pt(F(1, 2)))
+    (lhs_points, lhs_den), (rhs_points, rhs_den) = lhs, rhs
+    assert lhs_den == 1
+    witness = {tuple(F(x, rhs_den) for x in p) for p in rhs_points}
+    witness -= {tuple(F(x) for x in p) for p in lhs_points}
+    assert witness == {pt(F(1, 2))}
 
 
 def test_hyper_sample_minimal_elements_are_exactly_sampled_singletons():
     hyper = hyperspace_instance(2)
     sample = seeded_hyper_sample(2, seed=0, count=30)
     minimal = minimal_elements(sample, hyper)
-    singletons = [a for a in sample if len(a) == 1]
-    assert {frozenset(m) for m in minimal} == {frozenset(s) for s in singletons}
+    singletons = [a for a in sample if len(a[0]) == 1]
+    assert set(minimal) == set(singletons)
 
 
 def test_hyper_serialization_round_trip():

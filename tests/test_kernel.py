@@ -1,6 +1,9 @@
-"""The exact integer kernel of the pointwise instances and the integer
-triangle check, against plain Fraction references on random inputs."""
+"""The exact integer kernel of the pointwise, cone and hyperspace instances
+and the integer triangle check, against plain Fraction references on random
+inputs, and the verifier's table of pair sums."""
 
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -8,10 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evslib import InputError, MetricMatrix, validate_metric
+from evslib import InputError, MetricMatrix, check_axioms, validate_metric
 from evslib.instances import (
+    build_instance,
     carrier_labels,
+    cone_element,
+    cone_instance,
+    hyperspace_instance,
     metric_no_abs_scale_instance,
+    point_set,
     rational_tuple_instance,
 )
 from evslib.metrics import MetricValidation
@@ -99,6 +107,139 @@ def test_width_mismatch_is_input_error(op):
 def test_scale_width_mismatch_is_input_error():
     with pytest.raises(InputError, match="width mismatch"):
         INST.scale(Fraction(2), to_ints((Fraction(1),) * 4))
+
+
+# ---------------------------------------------------------------------------
+# The cone and hyperspace integer forms
+# ---------------------------------------------------------------------------
+
+DIM = 2
+CONE = cone_instance(DIM)
+HYPER = hyperspace_instance(DIM)
+
+radii = st.one_of(small_rationals, rationals).map(abs)
+dim_vectors = st.lists(entries, min_size=DIM, max_size=DIM).map(tuple)
+points = st.lists(small_rationals, min_size=DIM, max_size=DIM).map(tuple)
+point_lists = st.lists(points, min_size=1, max_size=4)
+
+
+def reference_cone_scale(alpha, e):
+    r, v = e
+    return abs(alpha) * r, tuple(alpha * x for x in v)
+
+
+@st.composite
+def cone_pairs(draw):
+    """Two cone elements (r, v) in Fraction form; the second shares the
+    vector part of the first half of the time, so the order has pairs to
+    decide either way."""
+    r, v, s = draw(radii), draw(dim_vectors), draw(radii)
+    w = v if draw(st.booleans()) else draw(dim_vectors)
+    return (r, v), (s, w)
+
+
+def canonical_set(form) -> bool:
+    pts, den = form
+    coords = [x for p in pts for x in p]
+    return (type(den) is int and den > 0 and len(pts) > 0
+            and all(type(x) is int and len(p) == DIM for p in pts for x in p)
+            and gcd(den, *coords) == 1)
+
+
+def as_points(form) -> frozenset:
+    pts, den = form
+    return frozenset(tuple(Fraction(x, den) for x in p) for p in pts)
+
+
+@st.composite
+def point_set_pairs(draw):
+    """Two point lists; the first is half of the time a subset of the
+    second, so subset tests go both ways."""
+    a, b = draw(point_lists), draw(point_lists)
+    if draw(st.booleans()):
+        a = a[:draw(st.integers(1, len(a)))]
+        b = b + a
+    return a, b
+
+
+@given(cone_pairs())
+def test_cone_add_leq_equal_match_fraction_reference(pair):
+    (r, v), (s, w) = pair
+    a, b = cone_element(r, v), cone_element(s, w)
+    total = CONE.add(a, b)
+    assert canonical(total)
+    assert total == cone_element(r + s, tuple(x + y for x, y in zip(v, w)))
+    assert CONE.leq(a, b) == (r <= s and v == w)
+    assert CONE.equal(a, b) == ((r, v) == (s, w))
+    assert CONE.equal(a, cone_element(r, v))
+
+
+@given(scalars, radii, dim_vectors)
+def test_cone_scale_matches_fraction_reference(alpha, r, v):
+    for al in (alpha, -alpha, Fraction(0)):
+        scaled = CONE.scale(al, cone_element(r, v))
+        assert canonical(scaled)
+        assert scaled == cone_element(*reference_cone_scale(al, (r, v)))
+
+
+@given(radii, dim_vectors)
+def test_cone_json_round_trip(r, v):
+    e = cone_element(r, v)
+    doc = CONE.element_to_json(e)
+    assert doc == {"r": fmt(r), "v": [fmt(x) for x in v]}
+    assert CONE.element_from_json(doc) == e
+
+
+@given(point_set_pairs())
+def test_hyperspace_add_leq_equal_match_fraction_reference(pair):
+    u, v = pair
+    a, b = point_set(u), point_set(v)
+    assert canonical_set(a) and as_points(a) == frozenset(u)
+    total = HYPER.add(a, b)
+    assert canonical_set(total)
+    assert as_points(total) == frozenset(
+        tuple(x + y for x, y in zip(p, q)) for p in u for q in v)
+    assert HYPER.leq(a, b) == (frozenset(u) <= frozenset(v))
+    assert HYPER.leq(b, a) == (frozenset(v) <= frozenset(u))
+    assert HYPER.equal(a, b) == (frozenset(u) == frozenset(v))
+
+
+@given(scalars, point_lists)
+def test_hyperspace_scale_matches_fraction_reference(alpha, u):
+    for al in (alpha, -alpha, Fraction(0)):
+        scaled = HYPER.scale(al, point_set(u))
+        assert canonical_set(scaled)
+        assert as_points(scaled) == frozenset(
+            tuple(al * x for x in p) for p in u)
+    assert HYPER.scale(Fraction(0), point_set(u)) == HYPER.zero
+
+
+@given(point_lists)
+def test_hyperspace_json_round_trip(u):
+    a = point_set(u)
+    doc = HYPER.element_to_json(a)
+    assert doc == sorted([fmt(x) for x in p] for p in set(u))
+    assert HYPER.element_from_json(doc) == a
+
+
+@pytest.mark.parametrize("name", ("metrics", "norms", "cone", "hyperspace",
+                                  "metrics-reversed-order",
+                                  "metrics-no-abs-scale"))
+def test_no_sampled_pair_is_added_twice(name):
+    """The verifier adds each ordered pair of sampled elements at most once,
+    and still adds some pairs in both orders (A1.commutativity)."""
+    inst, sample, scalars = build_instance(name, seed=0, sample=12)
+    sampled = {id(x) for x in sample}
+    calls = Counter()
+
+    def add(a, b):
+        if id(a) in sampled and id(b) in sampled:
+            calls[id(a), id(b)] += 1
+        return inst.add(a, b)
+
+    check_axioms(replace(inst, add=add), sample, scalars, seed=0)
+    assert calls and max(calls.values()) == 1
+    assert any((b, a) in calls for a, b in calls if a != b)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from evslib import (
 )
 from evslib.instances import (
     carrier_labels,
+    cone_element,
     cone_instance,
     metric_matrix_instance,
 )
@@ -217,17 +218,19 @@ def test_unbounded_profile_feasibility_certificates_shrink_with_depth():
 def test_cone_membership_uses_universe_primitives():
     cone = cone_instance(2)
     v = (F(1), F(0))
-    universe = Universe(cone, [(F(0), v), (F(2), v), (F(3), v)])
-    cert = in_l(cone, (F(2), v), (F(3), v), universe)
+    x, y = cone_element(F(2), v), cone_element(F(3), v)
+    universe = Universe(cone, [cone_element(F(0), v), x, y])
+    cert = in_l(cone, x, y, universe)
     assert cert.status == "positive"
-    assert replay_certificate(cone, (F(2), v), (F(3), v), cert)
+    assert replay_certificate(cone, x, y, cert)
 
 
 def test_cone_membership_inconclusive_without_primitive():
     cone = cone_instance(2)
     v, w = (F(1), F(0)), (F(0), F(1))
-    universe = Universe(cone, [(F(2), v), (F(3), w)])
-    cert = in_l(cone, (F(2), v), (F(3), w), universe)
+    x, y = cone_element(F(2), v), cone_element(F(3), w)
+    universe = Universe(cone, [x, y])
+    cert = in_l(cone, x, y, universe)
     assert cert.status == "inconclusive"
 
 
