@@ -12,7 +12,6 @@ from .core import (
     EvsInstance,
     SuiteReport,
     check_axioms,
-    check_partial_order,
     check_properties,
     minimal_elements,
     replay_counterexample,
@@ -52,9 +51,7 @@ from .norms import (
     build_partition,
     embed_norm_to_metric,
     eval_weighted_norm,
-    finite_dim_basis_certificate,
     independence_witness,
-    sample_comparing_bound,
     weight_function,
 )
 from .order import (

@@ -494,7 +494,7 @@ def replay_counterexample(inst: EvsInstance, ce: dict,
 
 
 # ---------------------------------------------------------------------------
-# Minimal elements and order sanity
+# Minimal elements
 # ---------------------------------------------------------------------------
 
 
@@ -506,28 +506,3 @@ def minimal_elements(universe: Sequence, inst: EvsInstance) -> list:
         raise InputError("universe must be nonempty")
     return [u for u in universe if _is_sample_minimal(inst, u, universe)]
 
-
-def check_partial_order(inst: EvsInstance, sample: Sequence) -> Optional[dict]:
-    """Reflexivity, antisymmetry and transitivity of leq on the sample;
-    returns a counterexample record or None."""
-    sample = list(sample)
-    for x in sample:
-        if not inst.leq(x, x):
-            return {"law": "reflexive", "elements": [inst.element_to_json(x)]}
-    for x, y in combinations(sample, 2):
-        if inst.leq(x, y) and inst.leq(y, x) and not inst.equal(x, y):
-            return {"law": "antisymmetric",
-                    "elements": [inst.element_to_json(x), inst.element_to_json(y)]}
-    below = {
-        i: {j for j, y in enumerate(sample) if inst.leq(sample[i], y)}
-        for i in range(len(sample))
-    }
-    for i in range(len(sample)):
-        for j in below[i]:
-            if not below[j] <= below[i]:
-                k = min(below[j] - below[i])
-                return {"law": "transitive",
-                        "elements": [inst.element_to_json(sample[i]),
-                                     inst.element_to_json(sample[j]),
-                                     inst.element_to_json(sample[k])]}
-    return None

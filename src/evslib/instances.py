@@ -270,7 +270,10 @@ def cone_element(r, v) -> tuple:
 def _cone_from_json(doc, dim: int) -> tuple:
     if not isinstance(doc, dict) or "r" not in doc or "v" not in doc:
         raise InputError('cone element needs "r" and "v"')
-    return cone_element(parse_rational(doc["r"]), _parse_vec(doc["v"], dim))
+    r = parse_rational(doc["r"])
+    if r < 0:
+        raise InputError(f"cone radius r must be nonnegative, not {fmt(r)}")
+    return cone_element(r, _parse_vec(doc["v"], dim))
 
 
 def _cone_to_json(e) -> dict:

@@ -294,7 +294,7 @@ ORDERLY_INDEPENDENT = "orderly-independent"
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Both comparing values for a pair, a four-way classification, and, when
+    """Both comparing values for a pair, their classification, and, when
     the pair is mutually dependent, the sandwich c2*rho <= d <= (1/c1)*rho."""
 
     c_first_second: Fraction   # comparing value of the second relative to the first
@@ -316,10 +316,12 @@ class ComparisonReport:
 def classify_pair(d: MetricMatrix, rho: MetricMatrix) -> ComparisonReport:
     """Classify an exact pair by its two comparing values.
 
-    On a finite carrier both values of a valid metric pair are positive, so
-    valid pairs always come out mutually dependent; the other labels are
-    reachable only through tables that vanish somewhere off-diagonal, which
-    comparing_function_metric rejects for the relative element.
+    The values are the minima of the ratios rho/d and of their reciprocals,
+    so they are both positive or both negative; a zero ratio makes the second
+    call raise. Only two labels can come out: mutually dependent, the case
+    of every valid metric pair on a finite carrier, and orderly independent,
+    reached only by signed tables. The one-sided labels belong to
+    classify_lazy_pair.
     """
     if d.is_zero() or rho.is_zero():
         raise UndefinedRelativeElementError("classification needs two nonzero elements")
@@ -333,10 +335,6 @@ def classify_pair(d: MetricMatrix, rho: MetricMatrix) -> ComparisonReport:
             "lowerHolds": leq_metrics(scale_metric(c2, rho), d),
             "upperHolds": leq_metrics(d, scale_metric(1 / c1, rho)),
         }
-    elif c1 > 0:
-        label, sandwich = ONE_SIDED_SECOND_IN_FIRST, None
-    elif c2 > 0:
-        label, sandwich = ONE_SIDED_FIRST_IN_SECOND, None
     else:
         label, sandwich = ORDERLY_INDEPENDENT, None
     return ComparisonReport(c1, c2, label, sandwich)

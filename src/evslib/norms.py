@@ -302,9 +302,6 @@ class WeightMap:
             return self.rule(name)
         raise InputError(f"no weight assigned to index {name!r}")
 
-    def index_set(self) -> tuple[str, ...]:
-        return tuple(sorted(self.entries))
-
     def to_json(self) -> dict:
         return {name: fmt(w) for name, w in sorted(self.entries.items())}
 
@@ -460,23 +457,6 @@ def independence_witness(p: NormFamilyParams, q: NormFamilyParams,
     return WitnessReport(case, eps, first, second)
 
 
-def sample_comparing_bound(f_params: NormFamilyParams, g_params: NormFamilyParams,
-                           sample: Sequence[FSVector]) -> Fraction:
-    """Exact minimum of g(x)/f(x) over the sample: an upper bound for the
-    comparing value of g relative to f."""
-    if not sample:
-        raise InputError("sample must be nonempty")
-    wf, wg = weight_function(f_params), weight_function(g_params)
-    best = None
-    for x in sample:
-        if x.is_zero():
-            raise InputError("sample must not contain the zero vector")
-        ratio = eval_weighted_norm(wg, x) / eval_weighted_norm(wf, x)
-        if best is None or ratio < best:
-            best = ratio
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Embedding into metrics
 # ---------------------------------------------------------------------------
@@ -499,59 +479,6 @@ def embed_norm_to_metric(w: WeightMap, points: Sequence[FSVector]) -> MetricMatr
         for i in range(len(points))
     )
     return MetricMatrix(labels, rows)
-
-
-# ---------------------------------------------------------------------------
-# Finite-dimensional certificates
-# ---------------------------------------------------------------------------
-
-
-def finite_dim_basis_certificate(f: WeightMap, others: Sequence[WeightMap],
-                                 sample: Sequence[FSVector]) -> dict:
-    """Over a fixed finite index set, certify sample-relative mutual
-    dependence of every g with f: alpha * f <= g <= beta * f on the sample,
-    with alpha/beta the extreme sampled ratios."""
-    index_set = f.index_set()
-    for g in others:
-        if g.index_set() != index_set:
-            raise InputError("weight maps are over different index sets")
-    sample = list(sample)
-    if not sample:
-        raise InputError("sample must be nonempty")
-    covered = {name for x in sample for name in x.support}
-    if not covered <= set(index_set):
-        raise InputError("sample leaves the shared index set")
-    units = {name for x in sample if len(x.coords) == 1 and abs(x.coords[0][1]) == 1
-             for name in x.support}
-    if not set(index_set) <= units:
-        raise InputError("sample must include every unit coordinate vector")
-
-    results = []
-    for g in others:
-        ratios = []
-        for x in sample:
-            if x.is_zero():
-                raise InputError("sample must not contain the zero vector")
-            ratios.append(eval_weighted_norm(g, x) / eval_weighted_norm(f, x))
-        alpha, beta = min(ratios), max(ratios)
-        verified = all(
-            alpha * eval_weighted_norm(f, x) <= eval_weighted_norm(g, x)
-            <= beta * eval_weighted_norm(f, x)
-            for x in sample
-        )
-        results.append({
-            "alpha": fmt(alpha),
-            "beta": fmt(beta),
-            "sandwichVerified": verified,
-            "weights": g.to_json(),
-        })
-    return {
-        "indexSet": list(index_set),
-        "reference": f.to_json(),
-        "sampleSize": len(sample),
-        "certificates": results,
-        "pass": all(r["sandwichVerified"] for r in results),
-    }
 
 
 # ---------------------------------------------------------------------------

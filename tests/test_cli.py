@@ -347,6 +347,28 @@ def test_order_malformed_cone_element_is_input_error(capsys, tmp_path):
     assert "error" in json.loads(err)
 
 
+NEGATIVE_RADIUS = {"r": "-1", "v": ["1", "0"]}
+VALID_CONE_ELEMENT = {"r": "1", "v": ["1", "0"]}
+
+
+@pytest.mark.parametrize("action", ["in-l", "feasible"])
+@pytest.mark.parametrize("where", ["x", "universe"])
+def test_negative_cone_radius_is_input_error(capsys, tmp_path, action, where):
+    """The cone carrier is [0, inf) x V: a negative radius in --x or in a
+    manifest element exits 2 with an error naming the radius."""
+    bad = write_json(tmp_path / "bad.json", NEGATIVE_RADIUS)
+    good = write_json(tmp_path / "good.json", VALID_CONE_ELEMENT)
+    x, element = (bad, good) if where == "x" else (good, bad)
+    manifest = write_json(tmp_path / "u.json", {
+        "instance": "cone", "dim": 2, "elements": [element]})
+    extra = ["--y", x] if action == "in-l" else []
+    code, out, err = run(capsys, "order", action, "--universe", manifest,
+                         "--x", x, *extra)
+    assert (code, out) == (2, None)
+    assert json.loads(err) == {
+        "error": "cone radius r must be nonnegative, not -1/1"}
+
+
 @pytest.mark.parametrize("doc", [
     {"command": "axioms", "inputs": {}, "report": {}},
     {"command": "axioms", "inputs": [], "report": {}},

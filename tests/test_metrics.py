@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from evslib import (
     InputError,
@@ -227,6 +229,44 @@ def test_classify_rejects_zero():
     d = tri(1, 2, 2)
     with pytest.raises(UndefinedRelativeElementError):
         classify_pair(d, MetricMatrix.zero(d.labels))
+
+
+@st.composite
+def table_pairs(draw, entries):
+    """Two symmetric zero-diagonal tables on one 2- to 5-point carrier, with
+    off-diagonal entries drawn from `entries`."""
+    n = draw(st.integers(2, 5))
+    labels = tuple(f"x{k}" for k in range(1, n + 1))
+
+    def table():
+        rows = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = draw(entries)
+        return MetricMatrix.from_rows(labels, rows)
+
+    return table(), table()
+
+
+positive = st.builds(F, st.integers(1, 30), st.integers(1, 12))
+signed_nonzero = st.builds(F, st.integers(-30, 30).filter(bool),
+                           st.integers(1, 12))
+
+
+@given(table_pairs(signed_nonzero))
+def test_classify_signed_tables_takes_two_labels(pair):
+    report = classify_pair(*pair)
+    assert report.classification in ("mutually-dependent",
+                                      "orderly-independent")
+    assert (report.c_first_second > 0) == (report.c_second_first > 0)
+
+
+@given(table_pairs(positive))
+def test_comparing_value_is_a_tight_lower_multiplier(pair):
+    d, rho = pair
+    c = comparing_function_metric(d, rho)
+    assert leq_metrics(scale_metric(c, d), rho)
+    assert any(c * v == rho.rows[i][j] for i, j, v in d.off_diagonal())
 
 
 # ---------------------------------------------------------------------------

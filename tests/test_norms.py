@@ -1,5 +1,5 @@
 """Partition scheme, family weights, weighted sup norms, independence
-witnesses, embeddings, and finite-dimensional certificates."""
+witnesses, embeddings and decay indices."""
 
 import random
 from fractions import Fraction
@@ -16,10 +16,8 @@ from evslib import (
     build_partition,
     embed_norm_to_metric,
     eval_weighted_norm,
-    finite_dim_basis_certificate,
     independence_witness,
     leq_metrics,
-    sample_comparing_bound,
     scale_metric,
     validate_metric,
     weight_function,
@@ -120,6 +118,7 @@ def test_weight_case_table():
     w = weight_function(p)
     assert w.weight("d(h0,3)") == 8
     assert w.weight("e(h0,3)") == F(1, 8)
+    assert w.weight("e(h0,10)") == F(1, 1024)
     assert w.weight("d(h2,5)") == 1
     assert w.weight("e(h2,5)") == 1
     assert w.weight("h0") == 1 and w.weight("h2") == 1
@@ -171,6 +170,9 @@ def test_norm_of_mixed_vector():
     w = weight_function(p)
     x = FSVector.from_dict({"h0": 2, "d(h0,2)": 1})
     assert eval_weighted_norm(w, x) == 9
+    plain = WeightMap({"h0": "1/2", "h1": 4})
+    x = FSVector.from_dict({"h0": 3, "h1": F(-1, 8)})
+    assert eval_weighted_norm(plain, x) == F(3, 2)
 
 
 def test_norm_axioms_on_random_vectors():
@@ -259,41 +261,6 @@ def test_witness_rejects_bad_epsilon_and_mixed_depth():
 
 
 # ---------------------------------------------------------------------------
-# Sampled comparing bounds
-# ---------------------------------------------------------------------------
-
-
-def test_sample_bound_on_backbone_vectors_is_one():
-    p = params(12, ["h0"], 2)
-    q = params(12, ["h2"], 3)
-    sample = [FSVector.unit(t) for t in ("h0", "h2", "h4")]
-    assert sample_comparing_bound(p, q, sample) == 1
-    assert sample_comparing_bound(q, p, sample) == 1
-
-
-def test_sample_bound_sees_fiber_decay():
-    p = params(12, ["h0"], 2)
-    q = params(12, ["h2"], 2)
-    sample = [FSVector.unit("h0"), FSVector.unit("e(h0,10)")]
-    assert sample_comparing_bound(q, p, sample) <= F(1, 1024)
-
-
-def test_sample_bound_self_and_monotone():
-    p = params(12, ["h0"], 2)
-    q = params(12, ["h2"], 2)
-    small = [FSVector.unit("h0")]
-    large = small + [FSVector.unit("e(h0,4)")]
-    assert sample_comparing_bound(p, p, large) == 1
-    assert sample_comparing_bound(q, p, small) >= sample_comparing_bound(q, p, large)
-
-
-def test_sample_bound_rejects_zero_vector():
-    p = params(12, ["h0"], 2)
-    with pytest.raises(InputError):
-        sample_comparing_bound(p, p, [FSVector.zero()])
-
-
-# ---------------------------------------------------------------------------
 # Embedding into metrics
 # ---------------------------------------------------------------------------
 
@@ -373,49 +340,6 @@ def test_embed_translation_invariance():
     shift = FSVector.from_dict({"h0": 5, "h1": -7})
     shifted = [p.add(shift) for p in pts]
     assert embed_norm_to_metric(w, shifted).rows == embed_norm_to_metric(w, pts).rows
-
-
-# ---------------------------------------------------------------------------
-# Finite-dimensional certificates
-# ---------------------------------------------------------------------------
-
-
-def _unit_sample(names):
-    return [FSVector.unit(n) for n in names]
-
-
-def test_basis_certificate_weight_spread():
-    names = ["h0", "h1", "h2", "h3"]
-    f = WeightMap({n: 1 for n in names})
-    g = WeightMap({"h0": F(1, 2), "h1": 4, "h2": 1, "h3": 2})
-    report = finite_dim_basis_certificate(f, [g], _unit_sample(names))
-    cert = report["certificates"][0]
-    assert cert["alpha"] == "1/2" and cert["beta"] == "4/1"
-    assert report["pass"]
-
-
-def test_basis_certificate_constant_multiple_and_self():
-    names = ["h0", "h1"]
-    f = WeightMap({n: F(2, 3) for n in names})
-    g = WeightMap({n: 3 * F(2, 3) for n in names})
-    report = finite_dim_basis_certificate(f, [g, f], _unit_sample(names))
-    assert report["certificates"][0]["alpha"] == "3/1"
-    assert report["certificates"][0]["beta"] == "3/1"
-    assert report["certificates"][1]["alpha"] == "1/1"
-
-
-def test_basis_certificate_requires_matching_index_sets():
-    f = WeightMap({"h0": 1})
-    g = WeightMap({"h0": 1, "h1": 1})
-    with pytest.raises(InputError):
-        finite_dim_basis_certificate(f, [g], [FSVector.unit("h0")])
-
-
-def test_basis_certificate_requires_all_unit_coordinates():
-    names = ["h0", "h1"]
-    f = WeightMap({n: 1 for n in names})
-    with pytest.raises(InputError):
-        finite_dim_basis_certificate(f, [f], [FSVector.unit("h0")])
 
 
 def _decay_index_by_loop(base, eps):
