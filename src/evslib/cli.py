@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import core, instances, metrics, norms, order
@@ -346,109 +347,122 @@ _HANDLERS = {
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_COMMANDS = ("validate", "combine", "compare", "transform", "builtin",
+             "partial-compare", "cauchy-demo", "norms", "axioms", "order")
+
+
+def _build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of every command or, when argv[0] names one, of that
+    command alone. Usage and error text are the same either way, since the
+    command list in the usage line is the subparsers' metavar."""
     parser = argparse.ArgumentParser(
         prog="evs",
         description="Exact comparability of metrics and norms over ordered "
                     "semigroup structure.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if only is None else "{" + ",".join(_COMMANDS) + "}")
 
-    p = sub.add_parser("validate", help="check the metric axioms on a table")
-    p.add_argument("matrix", help="matrix file (JSON or CSV)")
+    def add(name, **kwargs):
+        return sub.add_parser(name, **kwargs) if only in (None, name) else None
 
-    p = sub.add_parser("combine", help="add or scale metric tables")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--add", metavar="B", help="second matrix file")
-    group.add_argument("--scale", metavar="ALPHA", help="scalar p/q")
-    p.add_argument("matrix", help="first matrix file")
-    p.add_argument("--out", help="write the resulting matrix JSON here")
+    if p := add("validate", help="check the metric axioms on a table"):
+        p.add_argument("matrix", help="matrix file (JSON or CSV)")
 
-    p = sub.add_parser("compare", help="classify a pair by comparing values")
-    p.add_argument("first")
-    p.add_argument("second")
+    if p := add("combine", help="add or scale metric tables"):
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--add", metavar="B", help="second matrix file")
+        group.add_argument("--scale", metavar="ALPHA", help="scalar p/q")
+        p.add_argument("matrix", help="first matrix file")
+        p.add_argument("--out", help="write the resulting matrix JSON here")
 
-    p = sub.add_parser("transform", help="bounded or truncated companion metric")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--bounded", action="store_true")
-    group.add_argument("--min", action="store_true")
-    p.add_argument("matrix")
-    p.add_argument("--out")
+    if p := add("compare", help="classify a pair by comparing values"):
+        p.add_argument("first")
+        p.add_argument("second")
 
-    p = sub.add_parser("builtin", help="materialize a named metric")
-    p.add_argument("name", choices=list(metrics.BUILTIN_NAMES))
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--step", help="grid step p/q (usual-grid, kappa)")
-    p.add_argument("--n", help="cauchy-dn index")
-    p.add_argument("--points", help="JSON file with plane points (cauchy-dn)")
-    p.add_argument("--out")
+    if p := add("transform", help="bounded or truncated companion metric"):
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--bounded", action="store_true")
+        group.add_argument("--min", action="store_true")
+        p.add_argument("matrix")
+        p.add_argument("--out")
 
-    p = sub.add_parser("partial-compare",
-                       help="depth-indexed comparing bounds for lazy metrics")
-    p.add_argument("--first", required=True, help='e.g. "discrete", '
-                   '"usual-grid:step=1", "kappa", "usual"')
-    p.add_argument("--second", required=True)
-    p.add_argument("--depths", required=True, help="comma separated, increasing")
-    p.add_argument("--points", help="plane points file for cauchy-dn specs")
+    if p := add("builtin", help="materialize a named metric"):
+        p.add_argument("name", choices=list(metrics.BUILTIN_NAMES))
+        p.add_argument("--depth", type=int, required=True)
+        p.add_argument("--step", help="grid step p/q (usual-grid, kappa)")
+        p.add_argument("--n", help="cauchy-dn index")
+        p.add_argument("--points", help="JSON file with plane points (cauchy-dn)")
+        p.add_argument("--out")
 
-    p = sub.add_parser("cauchy-demo",
-                       help="Cauchy family whose pointwise limit is not a metric")
-    p.add_argument("--indices", required=True, help="comma separated n values")
-    p.add_argument("--pairs", required=True,
-                   help="JSON file: list of [[u,u'],[v,v']] point pairs")
+    if p := add("partial-compare",
+                help="depth-indexed comparing bounds for lazy metrics"):
+        p.add_argument("--first", required=True, help='e.g. "discrete", '
+                       '"usual-grid:step=1", "kappa", "usual"')
+        p.add_argument("--second", required=True)
+        p.add_argument("--depths", required=True, help="comma separated, increasing")
+        p.add_argument("--points", help="plane points file for cauchy-dn specs")
 
-    p = sub.add_parser("norms", help="norm-family tooling")
-    nsub = p.add_subparsers(dest="action", required=True)
+    if p := add("cauchy-demo",
+                help="Cauchy family whose pointwise limit is not a metric"):
+        p.add_argument("--indices", required=True, help="comma separated n values")
+        p.add_argument("--pairs", required=True,
+                       help="JSON file: list of [[u,u'],[v,v']] point pairs")
 
-    q = nsub.add_parser("partition", help="deterministic backbone/fiber split")
-    q.add_argument("--depth", type=int, required=True)
+    if p := add("norms", help="norm-family tooling"):
+        nsub = p.add_subparsers(dest="action", required=True)
 
-    q = nsub.add_parser("weights", help="family weights on the enumerated prefix")
-    q.add_argument("--spec", required=True, help="family spec JSON file")
+        q = nsub.add_parser("partition", help="deterministic backbone/fiber split")
+        q.add_argument("--depth", type=int, required=True)
 
-    q = nsub.add_parser("eval", help="evaluate a weighted sup norm")
-    q.add_argument("--spec", help="family spec JSON file")
-    q.add_argument("--weights", help="explicit weight map JSON file")
-    q.add_argument("--vector", required=True, help="vector JSON file")
+        q = nsub.add_parser("weights", help="family weights on the enumerated prefix")
+        q.add_argument("--spec", required=True, help="family spec JSON file")
 
-    q = nsub.add_parser("witness", help="independence decay witnesses")
-    q.add_argument("--spec", action="append", required=True,
-                   help="family spec file; give exactly twice")
-    q.add_argument("--eps", required=True)
+        q = nsub.add_parser("eval", help="evaluate a weighted sup norm")
+        q.add_argument("--spec", help="family spec JSON file")
+        q.add_argument("--weights", help="explicit weight map JSON file")
+        q.add_argument("--vector", required=True, help="vector JSON file")
 
-    q = nsub.add_parser("embed", help="norm-induced metric on sample points")
-    q.add_argument("--weights", required=True)
-    q.add_argument("--points", required=True, help="JSON list of vector maps")
-    q.add_argument("--out")
+        q = nsub.add_parser("witness", help="independence decay witnesses")
+        q.add_argument("--spec", action="append", required=True,
+                       help="family spec file; give exactly twice")
+        q.add_argument("--eps", required=True)
 
-    p = sub.add_parser("axioms", help="seeded structure-axiom suite")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--sample", type=int, default=50)
-    p.add_argument("--carrier", type=int, default=6,
-                   help="carrier size for metric instances")
-    p.add_argument("--depth", type=int, default=12,
-                   help="enumeration depth for the norms instance")
-    p.add_argument("--dim", type=int, default=2,
-                   help="dimension for cone/hyperspace")
-    p.add_argument("--properties", action="store_true",
-                   help="also run the named-property suite")
+        q = nsub.add_parser("embed", help="norm-induced metric on sample points")
+        q.add_argument("--weights", required=True)
+        q.add_argument("--points", required=True, help="JSON list of vector maps")
+        q.add_argument("--out")
 
-    p = sub.add_parser("order", help="testing-set tools over a universe")
-    osub = p.add_subparsers(dest="action", required=True)
-    for name in ("in-l", "indep", "generates", "basis", "feasible"):
-        q = osub.add_parser(name)
-        q.add_argument("--universe", required=True, help="universe manifest file")
-        if name == "in-l":
-            q.add_argument("--x", required=True)
-            q.add_argument("--y", required=True)
-        if name == "feasible":
-            q.add_argument("--x", required=True)
-        if name in ("generates", "basis"):
-            q.add_argument("--generator", action="append", required=True,
-                           help="generator element file; repeatable")
-        if name in ("indep", "basis"):
-            q.add_argument("--eps")
+    if p := add("axioms", help="seeded structure-axiom suite"):
+        p.add_argument("--instance", required=True)
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--sample", type=int, default=50)
+        p.add_argument("--carrier", type=int, default=6,
+                       help="carrier size for metric instances")
+        p.add_argument("--depth", type=int, default=12,
+                       help="enumeration depth for the norms instance")
+        p.add_argument("--dim", type=int, default=2,
+                       help="dimension for cone/hyperspace")
+        p.add_argument("--properties", action="store_true",
+                       help="also run the named-property suite")
+
+    if p := add("order", help="testing-set tools over a universe"):
+        osub = p.add_subparsers(dest="action", required=True)
+        for name in ("in-l", "indep", "generates", "basis", "feasible"):
+            q = osub.add_parser(name)
+            q.add_argument("--universe", required=True, help="universe manifest file")
+            if name == "in-l":
+                q.add_argument("--x", required=True)
+                q.add_argument("--y", required=True)
+            if name == "feasible":
+                q.add_argument("--x", required=True)
+            if name in ("generates", "basis"):
+                q.add_argument("--generator", action="append", required=True,
+                               help="generator element file; repeatable")
+            if name in ("indep", "basis"):
+                q.add_argument("--eps")
 
     return parser
 
@@ -550,19 +564,43 @@ def _load_element(kind: str, path: str):
     return _load_json(path)
 
 
+def _dumps(obj, indent: str = "\n") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, with an
+    object that has a to_json method written as its to_json(). `indent` is
+    the newline and indentation that precede obj's closing bracket. The
+    standard encoder runs in pure Python whenever it indents; this writer
+    escapes strings in C and joins a list of strings, such as a matrix
+    row, in one step."""
+    if type(obj) is str:
+        return encode_basestring_ascii(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{" + inner + ("," + inner).join([
+            encode_basestring_ascii(k) + ": " + _dumps(v, inner)
+            for k, v in sorted(obj.items())]) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        try:
+            items = list(map(encode_basestring_ascii, obj))
+        except TypeError:
+            items = [_dumps(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if hasattr(obj, "to_json"):
+        return _dumps(obj.to_json(), indent)
+    return json.dumps(obj)   # None, bool, int and float, as the encoder does
+
+
 def _emit(doc: dict, out_path=None) -> None:
     # inputs hold parsed matrices; each is serialized here, once, to the same
     # {"labels", "rows"} document a replayed report holds
-    text = json.dumps(doc, indent=2, sort_keys=True,
-                      default=lambda o: o.to_json())
-    print(text)
+    print(_dumps(doc))
     if out_path:
         matrix = doc["report"].get("matrix")
         if matrix is not None:
-            Path(out_path).write_text(
-                json.dumps(matrix, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
+            Path(out_path).write_text(_dumps(matrix) + "\n", encoding="utf-8")
 
 
 class _ReportObject(dict):
@@ -585,11 +623,7 @@ def _replay(path: str) -> int:
         raise InputError('report "inputs" must be an object')
     fresh, code = handler(doc["inputs"])
     match = fresh == doc["report"]
-    print(json.dumps({
-        "replay": True,
-        "command": doc["command"],
-        "match": match,
-    }, indent=2, sort_keys=True))
+    print(_dumps({"replay": True, "command": doc["command"], "match": match}))
     return 0 if match else 1
 
 
@@ -600,7 +634,7 @@ def main(argv=None) -> int:
             if len(argv) != 2:
                 raise InputError("--replay takes exactly one report file")
             return _replay(argv[1])
-        parser = _build_parser()
+        parser = _build_parser(argv)
         args = parser.parse_args(argv)
         command, inputs = _resolve_inputs(args)
         report, code = _HANDLERS[command](inputs)

@@ -47,7 +47,10 @@ class MetricMatrix:
     The constructor enforces shape only (square, symmetric, distinct labels);
     whether the table actually satisfies the metric axioms is the job of
     validate_metric, so that candidate tables (e.g. pointwise limits) can be
-    represented and then rejected with a structured violation.
+    represented and then rejected with a structured violation. Every table
+    is checked, derived ones included; a table built by mirroring holds the
+    same object on both sides of the diagonal, which the check passes by
+    identity.
     """
 
     labels: tuple[str, ...]
@@ -63,7 +66,8 @@ class MetricMatrix:
             raise InputError("matrix is not square with one row per label")
         for i in range(n):
             for j in range(i):
-                if self.rows[i][j] != self.rows[j][i]:
+                a, b = self.rows[i][j], self.rows[j][i]
+                if a is not b and a != b:
                     raise InputError(
                         f"matrix is not symmetric at ({self.labels[i]}, {self.labels[j]})"
                     )
@@ -72,8 +76,21 @@ class MetricMatrix:
 
     @classmethod
     def from_rows(cls, labels: Sequence[str], rows: Sequence[Sequence]) -> "MetricMatrix":
-        parsed = tuple(tuple(parse_rational(v) for v in row) for row in rows)
-        return cls(tuple(labels), parsed)
+        """Parse the rows in order. An entry below the diagonal reuses the
+        parsed entry above it when the two raw values have the same type
+        and are equal, so a symmetric table parses each unordered pair
+        once; any other entry is parsed, so errors come as a full parse
+        would raise them."""
+        parsed = []
+        for i, row in enumerate(rows):
+            if not isinstance(row, (list, tuple)):
+                raise InputError("matrix row must be a list of rationals")
+            parsed.append(tuple([
+                parsed[j][i] if j < i and i < len(rows[j])
+                and type(rows[j][i]) is type(v) and rows[j][i] == v
+                else parse_rational(v)
+                for j, v in enumerate(row)]))
+        return cls(tuple(labels), tuple(parsed))
 
     @classmethod
     def zero(cls, labels: Sequence[str]) -> "MetricMatrix":
@@ -95,8 +112,7 @@ class MetricMatrix:
             raise InputError("matrix labels must be a list of strings")
         if not isinstance(rows, list):
             raise InputError("matrix rows must be a list of rows")
-        return cls(tuple(labels),
-                   tuple(tuple(parse_rationals(row, "matrix row")) for row in rows))
+        return cls.from_rows(labels, rows)
 
     @classmethod
     def from_csv_text(cls, text: str) -> "MetricMatrix":
@@ -132,18 +148,28 @@ class MetricMatrix:
 
     def map_entries(self, fn: Callable[[Fraction], Fraction]) -> "MetricMatrix":
         """Entrywise image with zero diagonal kept exactly zero."""
-        n = self.size
-        rows = tuple(
-            tuple(ZERO if i == j else fn(self.rows[i][j]) for j in range(n))
-            for i in range(n)
-        )
-        return MetricMatrix(self.labels, rows)
+        return _mirrored(self.labels, [[ZERO] + [fn(v) for v in row[i + 1:]]
+                                       for i, row in enumerate(self.rows)])
 
     def to_json(self) -> dict:
         return {
             "labels": list(self.labels),
-            "rows": [[fmt(v) for v in row] for row in self.rows],
+            "rows": _mirror([[fmt(v) for v in row[i:]]
+                             for i, row in enumerate(self.rows)]),
         }
+
+
+def _mirror(upper: list) -> list:
+    """The rows of a symmetric table from its upper rows, upper[i] holding
+    the entries (i, i), (i, i + 1), ...: row i is column i of the rows
+    above it followed by upper[i]."""
+    return [[upper[j][i - j] for j in range(i)] + upper[i]
+            for i in range(len(upper))]
+
+
+def _mirrored(labels, upper: list) -> MetricMatrix:
+    """The symmetric table with the given upper rows (see _mirror)."""
+    return MetricMatrix(tuple(labels), tuple(map(tuple, _mirror(upper))))
 
 
 def _require_same_labels(a: MetricMatrix, b: MetricMatrix) -> None:
@@ -231,18 +257,16 @@ def validate_metric(m: MetricMatrix) -> MetricValidation:
 def add_metrics(a: MetricMatrix, b: MetricMatrix) -> MetricMatrix:
     """Entrywise sum; the zero table O is an accepted operand (identity)."""
     _require_same_labels(a, b)
-    rows = tuple(
-        tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a.rows, b.rows)
-    )
-    return MetricMatrix(a.labels, rows)
+    return _mirrored(a.labels, [[x + y for x, y in zip(ra[i:], rb[i:])]
+                                for i, (ra, rb) in enumerate(zip(a.rows, b.rows))])
 
 
 def scale_metric(alpha, a: MetricMatrix) -> MetricMatrix:
     """Scalar action (alpha, rho) -> |alpha| * rho; O is accepted, and
     alpha = 0 yields O."""
     mag = abs(parse_rational(alpha))
-    rows = tuple(tuple(mag * v for v in row) for row in a.rows)
-    return MetricMatrix(a.labels, rows)
+    return _mirrored(a.labels, [[mag * v for v in row[i:]]
+                                for i, row in enumerate(a.rows)])
 
 
 def leq_metrics(a: MetricMatrix, b: MetricMatrix) -> bool:
@@ -499,12 +523,9 @@ class LazyMetric:
         the metric's own); each unordered pair is evaluated once."""
         points = (carrier or self.carrier).at(depth)
         pair = _PAIR_FNS[self.family]
-        rows = [[ZERO] * depth for _ in range(depth)]
-        for i, p in enumerate(points):
-            row = rows[i]
-            for j in range(i + 1, depth):
-                row[j] = rows[j][i] = pair(self, p, points[j])
-        return MetricMatrix(carrier_labels(depth), tuple(map(tuple, rows)))
+        return _mirrored(carrier_labels(depth), [
+            [ZERO] + [pair(self, p, q) for q in points[i + 1:]]
+            for i, p in enumerate(points)])
 
     def describe(self) -> dict:
         doc = {"family": self.family, "carrier": self.carrier.kind}
@@ -652,6 +673,8 @@ def _per_depth(d: LazyMetric, rho: LazyMetric, depths: Sequence[int],
     each k. Each table is materialized once, and a depth's tables are dropped
     before the next depth's are built."""
     depths = list(depths)
+    if not depths:
+        raise InputError("need at least one depth")
     if any(n < 2 for n in depths):
         raise InputError("all depths must be at least 2")
     if any(b <= a for a, b in zip(depths, depths[1:])):

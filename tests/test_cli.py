@@ -103,6 +103,24 @@ def test_partial_compare_trend(capsys):
     assert doc["report"]["nonincreasing"] is True
 
 
+def test_partial_compare_without_depths_is_input_error(capsys):
+    code, out, err = run(capsys, "partial-compare", "--first", "discrete",
+                         "--second", "shrinking", "--depths", ",")
+    assert (code, out, json.loads(err)) == (
+        2, None, {"error": "need at least one depth"})
+
+
+def test_replay_without_depths_is_input_error(capsys, tmp_path):
+    report = {"command": "partial-compare", "inputs": {
+        "first": {"name": "discrete", "params": {}},
+        "second": {"name": "shrinking", "params": {}}, "depths": []},
+        "report": {"upperBounds": [], "nonincreasing": True}}
+    code, out, err = run(capsys, "--replay",
+                         write_json(tmp_path / "r.json", report))
+    assert (code, out, json.loads(err)) == (
+        2, None, {"error": "need at least one depth"})
+
+
 def test_partial_compare_usual_alias_on_kappa_grid(capsys):
     code, doc, _ = run(capsys, "partial-compare", "--first", "kappa",
                        "--second", "usual", "--depths", "11,21,41")
