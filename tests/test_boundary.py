@@ -1,7 +1,6 @@
 """The JSON boundary: byte pins on the table commands, replay of reports
 written before the single-parse boundary (commit 211fc81), the exact fast
-path of parse_rational, the number of parses per input entry, the errors
-of malformed tables, and the report writer."""
+path of parse_rational, and the number of parses per input entry."""
 
 import hashlib
 import json
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evslib import metrics, rationals
-from evslib.cli import _dumps, main
+from evslib.cli import main
 from evslib.errors import InputError
 from evslib.rationals import fmt, parse_rational
 
@@ -168,55 +167,6 @@ def test_validate_parses_each_entry_once(capsys, monkeypatch, tmp_path, suffix):
     assert len(calls) == n * (n + 1) // 2
 
 
-def validate_doc(capsys, tmp_path, rows, labels=("a", "b", "c")) -> tuple:
-    path = tmp_path / "m.json"
-    path.write_text(json.dumps({"labels": list(labels), "rows": rows}),
-                    encoding="utf-8")
-    code = main(["validate", str(path)])
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-def test_mirror_spelled_otherwise_gives_the_canonical_report(capsys,
-                                                             tmp_path):
-    canonical = [["0", "1/2", "1"], ["1/2", "0", "1"], ["1", "1", "0"]]
-    spelled = [["0", "1/2", "1"], ["2/4", "0", 1], ["1/1", "1.0", 0]]
-    decimal = [["0", "1/2", "1"], ["0.5", "0", "1"], [1, "1", "0"]]
-    expected = validate_doc(capsys, tmp_path, canonical)
-    assert expected[0] == 0
-    assert validate_doc(capsys, tmp_path, spelled) == expected
-    assert validate_doc(capsys, tmp_path, decimal) == expected
-
-
-# rows -> the error of `evs validate`, as the full parse of commit 976c320
-# raised it: bad entries, non-list rows and ragged tables in their order
-MALFORMED = [
-    ([["0", "1", "2"], ["1", "0", "1"], ["2", "3/2", "0"]],
-     "matrix is not symmetric at (c, b)"),
-    ([["0", "1", "2"], ["1", "0", "1"], ["x", "1", "0"]],
-     "not a rational: 'x'"),
-    ([["0", "1", "y"], ["1", "0", "1"], ["x", "1", "0"]],
-     "not a rational: 'y'"),
-    ([["0", "1", "2"], "row", ["x", "1", "0"]],
-     "matrix row must be a list of rationals"),
-    ([["0", "1", "2"], ["1", "0", "z"], "row"],
-     "not a rational: 'z'"),
-    ([["0", "1", "2"], ["1", "0"], ["2", "1", "0"]],
-     "matrix is not square with one row per label"),
-    ([["0", "1"], ["1", "0", "1"], ["2", "1", "0", "q"]],
-     "not a rational: 'q'"),
-    ([["0", True, "2"], [True, "0", "1"], ["2", "1", "0"]],
-     "not a rational: True"),
-]
-
-
-@pytest.mark.parametrize("rows, error", MALFORMED)
-def test_malformed_table_errors_keep_their_precedence(capsys, tmp_path,
-                                                      rows, error):
-    code, out, err = validate_doc(capsys, tmp_path, rows)
-    assert (code, out, json.loads(err)) == (2, "", {"error": error})
-
-
 # -- the fast path of parse_rational ----------------------------------------
 
 
@@ -283,70 +233,3 @@ def test_matrix_from_json_returns_a_matrix_unchanged():
     m = metrics.MetricMatrix.from_json({"labels": LABELS,
                                         "rows": TABLES["t2"]})
     assert metrics.MetricMatrix.from_json(m) is m
-
-
-# -- the report writer ------------------------------------------------------
-
-
-def reference_dumps(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-json_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
-json_documents = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | json_text
-    | st.integers(-10 ** 40, 10 ** 40)
-    | st.sampled_from(("", '"', "\\", "\n\t\x00\x1f\x7f", "\u00e9\u2603",
-                       "\U0001f600", "0/1", "-3/4")),
-    lambda children: (st.lists(children, max_size=5)
-                      | st.lists(json_text, max_size=5)
-                      | st.dictionaries(json_text, children, max_size=5)),
-    max_leaves=30)
-
-
-@settings(max_examples=400, deadline=None)
-@given(json_documents)
-def test_writer_matches_json_dumps(doc):
-    assert _dumps(doc) == reference_dumps(doc)
-
-
-def test_writer_writes_tuples_and_to_json_objects_as_json_dumps_does():
-    m = metrics.MetricMatrix.from_json({"labels": LABELS,
-                                        "rows": TABLES["t1"]})
-    doc = {"m": m, "t": ("a", 1, (None, [])), "f": 0.5}
-    assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True,
-                                     default=lambda o: o.to_json())
-
-
-STORED_REPORTS = sorted(DATA.parent.glob("*.json")) + sorted(DATA.glob("*.json"))
-
-
-@pytest.mark.parametrize("path", STORED_REPORTS, ids=lambda p: p.name)
-def test_writer_matches_json_dumps_on_stored_reports(path):
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    assert _dumps(doc) == reference_dumps(doc)
-
-
-def test_stored_report_count():
-    assert len(STORED_REPORTS) == 32
-
-
-# sha256 of the file that `evs builtin ... --out FILE` writes, recorded at
-# commit 976c320
-OUT_FILE_GOLDEN = {
-    "kappa": "b7f262b2508b7ee0e15fdf6d34f23d8ed53cf28031a254d3b47bf09d2c10ac8c",
-    "cauchy-dn": "31d516bcbbd886cb2032cce5881befd9e9c658f57d02431e3a57e2bf1c4be381",
-}
-
-
-@pytest.mark.parametrize("name", sorted(OUT_FILE_GOLDEN))
-def test_out_file_bytes_match_golden(capsys, tmp_path, name):
-    points = tmp_path / "points.json"
-    points.write_text('[["0","0"],["1","1/2"],["1","0"]]', encoding="utf-8")
-    out = tmp_path / "out.json"
-    argv = (["builtin", "kappa", "--depth", "5"] if name == "kappa" else
-            ["builtin", "cauchy-dn", "--n", "3", "--depth", "3",
-             "--points", str(points)])
-    assert main(argv + ["--out", str(out)]) == 0
-    capsys.readouterr()
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == OUT_FILE_GOLDEN[name]
