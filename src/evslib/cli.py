@@ -349,24 +349,36 @@ _HANDLERS = {
 
 _COMMANDS = ("validate", "combine", "compare", "transform", "builtin",
              "partial-compare", "cauchy-demo", "norms", "axioms", "order")
+_NORMS_ACTIONS = ("partition", "weights", "eval", "witness", "embed")
+_ORDER_ACTIONS = ("in-l", "indep", "generates", "basis", "feasible")
+
+
+def _subparsers(parser, dest: str, names: tuple, argv):
+    """Add the subparsers `names` to parser under `dest`, and return the
+    function that adds one of them: when argv[0] names one, it adds that one
+    alone and None for the others. Usage and error text are the same either
+    way, since the name list in the usage line is then the metavar."""
+    only = argv[0] if argv and argv[0] in names else None
+    sub = parser.add_subparsers(
+        dest=dest, required=True,
+        metavar=None if only is None else "{" + ",".join(names) + "}")
+
+    def add(name, **kwargs):
+        return sub.add_parser(name, **kwargs) if only in (None, name) else None
+    return add
 
 
 def _build_parser(argv=()) -> argparse.ArgumentParser:
     """The parser of every command or, when argv[0] names one, of that
-    command alone. Usage and error text are the same either way, since the
-    command list in the usage line is the subparsers' metavar."""
+    command alone; for norms and order, of the action argv[1] names alone.
+    Without a command in argv[0], parsing stops at the command, before any
+    action."""
     parser = argparse.ArgumentParser(
         prog="evs",
         description="Exact comparability of metrics and norms over ordered "
                     "semigroup structure.",
     )
-    only = argv[0] if argv and argv[0] in _COMMANDS else None
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar=None if only is None else "{" + ",".join(_COMMANDS) + "}")
-
-    def add(name, **kwargs):
-        return sub.add_parser(name, **kwargs) if only in (None, name) else None
+    add = _subparsers(parser, "command", _COMMANDS, argv)
 
     if p := add("validate", help="check the metric axioms on a table"):
         p.add_argument("matrix", help="matrix file (JSON or CSV)")
@@ -412,28 +424,29 @@ def _build_parser(argv=()) -> argparse.ArgumentParser:
                        help="JSON file: list of [[u,u'],[v,v']] point pairs")
 
     if p := add("norms", help="norm-family tooling"):
-        nsub = p.add_subparsers(dest="action", required=True)
+        action = _subparsers(p, "action", _NORMS_ACTIONS, argv[1:])
 
-        q = nsub.add_parser("partition", help="deterministic backbone/fiber split")
-        q.add_argument("--depth", type=int, required=True)
+        if q := action("partition", help="deterministic backbone/fiber split"):
+            q.add_argument("--depth", type=int, required=True)
 
-        q = nsub.add_parser("weights", help="family weights on the enumerated prefix")
-        q.add_argument("--spec", required=True, help="family spec JSON file")
+        if q := action("weights", help="family weights on the enumerated prefix"):
+            q.add_argument("--spec", required=True, help="family spec JSON file")
 
-        q = nsub.add_parser("eval", help="evaluate a weighted sup norm")
-        q.add_argument("--spec", help="family spec JSON file")
-        q.add_argument("--weights", help="explicit weight map JSON file")
-        q.add_argument("--vector", required=True, help="vector JSON file")
+        if q := action("eval", help="evaluate a weighted sup norm"):
+            q.add_argument("--spec", help="family spec JSON file")
+            q.add_argument("--weights", help="explicit weight map JSON file")
+            q.add_argument("--vector", required=True, help="vector JSON file")
 
-        q = nsub.add_parser("witness", help="independence decay witnesses")
-        q.add_argument("--spec", action="append", required=True,
-                       help="family spec file; give exactly twice")
-        q.add_argument("--eps", required=True)
+        if q := action("witness", help="independence decay witnesses"):
+            q.add_argument("--spec", action="append", required=True,
+                           help="family spec file; give exactly twice")
+            q.add_argument("--eps", required=True)
 
-        q = nsub.add_parser("embed", help="norm-induced metric on sample points")
-        q.add_argument("--weights", required=True)
-        q.add_argument("--points", required=True, help="JSON list of vector maps")
-        q.add_argument("--out")
+        if q := action("embed", help="norm-induced metric on sample points"):
+            q.add_argument("--weights", required=True)
+            q.add_argument("--points", required=True,
+                           help="JSON list of vector maps")
+            q.add_argument("--out")
 
     if p := add("axioms", help="seeded structure-axiom suite"):
         p.add_argument("--instance", required=True)
@@ -449,9 +462,10 @@ def _build_parser(argv=()) -> argparse.ArgumentParser:
                        help="also run the named-property suite")
 
     if p := add("order", help="testing-set tools over a universe"):
-        osub = p.add_subparsers(dest="action", required=True)
-        for name in ("in-l", "indep", "generates", "basis", "feasible"):
-            q = osub.add_parser(name)
+        action = _subparsers(p, "action", _ORDER_ACTIONS, argv[1:])
+        for name in _ORDER_ACTIONS:
+            if not (q := action(name)):
+                continue
             q.add_argument("--universe", required=True, help="universe manifest file")
             if name == "in-l":
                 q.add_argument("--x", required=True)

@@ -667,11 +667,23 @@ def resolve_carrier(a: LazyMetric, b: LazyMetric) -> Carrier:
 # ---------------------------------------------------------------------------
 
 
-def _per_depth(d: LazyMetric, rho: LazyMetric, depths: Sequence[int],
-               fn: Callable[[MetricMatrix, MetricMatrix], object]) -> list:
-    """fn(d, rho) on the tables of the first depths[k] carrier points, for
-    each k. Each table is materialized once, and a depth's tables are dropped
-    before the next depth's are built."""
+def _depth_minima(d: LazyMetric, rho: LazyMetric,
+                  depths: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
+    """(min rho/d, min d/rho) over the distinct pairs of the first depths[k]
+    carrier points, for each k, with no table built.
+
+    Each pair is evaluated once per metric, straight from _PAIR_FNS. With
+    r = rho(p, q) and e = d(p, q), the ratio r/e is P/Q for the integers
+    P = r.n * e.d and Q = r.d * e.n, and d/rho is Q/P, so both minima are
+    kept as integer pairs compared by cross-multiplication, starting from
+    1/0 (above every ratio); one Fraction per direction is built per depth.
+    The points of an indexed, grid or points2d carrier at one depth are a
+    prefix of those at the next, so a depth only adds the pairs with a new
+    point. A symgrid carrier moves its points with the depth, and so does a
+    point's index, which index-reading families ride; each of its depths is
+    evaluated afresh. Carrier.at runs for every depth in order, so its
+    errors name the same depth as a table built per depth would.
+    """
     depths = list(depths)
     if not depths:
         raise InputError("need at least one depth")
@@ -680,8 +692,32 @@ def _per_depth(d: LazyMetric, rho: LazyMetric, depths: Sequence[int],
     if any(b <= a for a, b in zip(depths, depths[1:])):
         raise InputError("depths must be strictly increasing")
     carrier = resolve_carrier(d, rho)
-    return [fn(d.materialize(depth, carrier), rho.materialize(depth, carrier))
-            for depth in depths]
+    pair_d, pair_rho = _PAIR_FNS[d.family], _PAIR_FNS[rho.family]
+    a1, b1, a2, b2 = 1, 0, 1, 0          # min rho/d = a1/b1, min d/rho = a2/b2
+    seen = 0                              # points whose pairs are folded in
+    out = []
+    for depth in depths:
+        points = carrier.at(depth)
+        if carrier.kind == "symgrid":
+            a1, b1, a2, b2, seen = 1, 0, 1, 0, 0
+        for j in range(seen, depth):
+            q = points[j]
+            for p in points[:j]:
+                e, r = pair_d(d, p, q), pair_rho(rho, p, q)
+                en, ed = e.as_integer_ratio()
+                rn, rd = r.as_integer_ratio()
+                num, den = rn * ed, rd * en
+                if den <= 0 or num <= 0:
+                    raise InputError(
+                        f"distance {fmt(e if den <= 0 else r)} on the distinct "
+                        f"pair (x{p[0]}, x{q[0]}) is not positive; not a metric")
+                if num * b1 < a1 * den:
+                    a1, b1 = num, den
+                if den * b2 < a2 * num:
+                    a2, b2 = den, num
+        seen = depth
+        out.append((Fraction(a1, b1), Fraction(a2, b2)))
+    return out
 
 
 def partial_comparing_function(d: LazyMetric, rho: LazyMetric,
@@ -691,7 +727,7 @@ def partial_comparing_function(d: LazyMetric, rho: LazyMetric,
     Each value is an upper bound for the carrier-wide infimum; when the
     truncated carriers are nested the sequence is nonincreasing.
     """
-    return _per_depth(d, rho, depths, comparing_function_metric)
+    return [c for c, _ in _depth_minima(d, rho, depths)]
 
 
 def _direction_rules(d: LazyMetric, rho: LazyMetric) -> Optional[dict]:
@@ -728,8 +764,7 @@ def classify_lazy_pair(d: LazyMetric, rho: LazyMetric,
     otherwise it is reported as a depth-indexed upper-bound sequence with a
     strictly-decreasing trend flag and counts as undetermined, never as zero.
     """
-    both = _per_depth(d, rho, depths, lambda dm, rm: (
-        comparing_function_metric(dm, rm), comparing_function_metric(rm, dm)))
+    both = _depth_minima(d, rho, depths)
     directions = {}
     for key, (x, y), seq in (
         ("secondRelativeFirst", (d, rho), [b[0] for b in both]),

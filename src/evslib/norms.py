@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence
 from .core import EvsInstance
 from .errors import InputError
 from .instances import rational_tuple_instance
-from .metrics import MetricMatrix
+from .metrics import MetricMatrix, _mirrored
 from .rationals import (fmt, parse_rational, parse_rationals, to_fractions,
                         to_ints)
 
@@ -384,30 +384,70 @@ class WitnessReport:
         }
 
 
+def _log_ratio(big: int, small: int) -> float:
+    """log(big / small) for integers big > small >= 1, through log1p when
+    the ratio is near one, where log(big) - log(small) would cancel."""
+    if big > 2 * small:
+        return math.log(big) - math.log(small)
+    return math.log1p((big - small) / small)
+
+
+def _decay_index_estimate(a: int, b: int, e: int, f: int) -> int:
+    """ceil(log(eps) / log(base)) in floats for base = a/b and eps = e/f;
+    1 when log(base) rounds to zero. Only a starting point for the exact
+    search."""
+    log_base = _log_ratio(b, a)
+    if log_base <= 0:
+        return 1
+    return max(1, math.ceil(_log_ratio(f, e) / log_base))
+
+
 def _smallest_decay_index(base: Fraction, eps: Fraction) -> tuple[int, Fraction]:
-    """The least i >= 1 with base**i < eps, and base**i, for 0 < base < 1.
+    """The least i >= 1 with base**i < eps, and base**i, for 0 < base < 1
+    and 0 < eps < 1.
 
     base**i < eps is a**i * f < e * b**i for base = a/b and eps = e/f, which
-    holds from some i on. Repeated squaring of a and b brackets that i
-    between two powers of two, and a binary descent over the cached powers
-    finds it, so the cost is logarithmic in i; all comparisons are exact.
+    holds from some i on and then for every larger i. The search starts at
+    the float estimate of that i, gallops away from it with doubling steps
+    until the exact test brackets the answer, and bisects the bracket; a bad
+    estimate costs steps logarithmic in its error. The powers at the
+    estimate are computed once: a test above it multiplies them, a test
+    just below it divides them exactly, and when the estimate is the answer,
+    as it is unless floats mislead it, they are the returned ratio.
     """
     a, b = base.numerator, base.denominator
     e, f = eps.numerator, eps.denominator
-    powers = [(a, b)]                 # powers[k] = (a**2**k, b**2**k)
-    while powers[-1][0] * f >= e * powers[-1][1]:
-        pa, pb = powers[-1]
-        powers.append((pa * pa, pb * pb))
-    # base**i >= eps at i = 2**(k-1) (or i = 0), and base**(2**k) < eps
-    i, ia, ib = 0, 1, 1
-    if len(powers) > 1:
-        i = 1 << (len(powers) - 2)
-        ia, ib = powers[-2]
-    for k in range(len(powers) - 3, -1, -1):
-        ja, jb = ia * powers[k][0], ib * powers[k][1]
-        if ja * f >= e * jb:
-            i, ia, ib = i + (1 << k), ja, jb
-    return i + 1, base ** (i + 1)
+    i = _decay_index_estimate(a, b, e, f)
+    guess = base ** i
+    ga, gb = guess.numerator, guess.denominator
+
+    def below(j: int) -> bool:
+        k = j - i
+        if k >= 0:
+            pa, pb = ga * a ** k, gb * b ** k
+        elif k >= -64:
+            pa, pb = ga // a ** -k, gb // b ** -k
+        else:
+            pa, pb = a ** j, b ** j
+        return pa * f < e * pb
+
+    step = 1
+    if below(i):                      # the answer is i or smaller
+        hi, lo = i, i - 1
+        while lo > 0 and below(lo):
+            hi, lo, step = lo, lo - 2 * step, 2 * step
+        lo = max(lo, 0)               # base**0 = 1 > eps
+    else:                             # the answer is above i
+        lo, hi = i, i + 1
+        while not below(hi):
+            lo, hi, step = hi, hi + 2 * step, 2 * step
+    while hi - lo > 1:                # below(hi), and not below(lo)
+        mid = (lo + hi) // 2
+        if below(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi, guess if hi == i else base ** hi
 
 
 def independence_witness(p: NormFamilyParams, q: NormFamilyParams,
@@ -464,7 +504,8 @@ def independence_witness(p: NormFamilyParams, q: NormFamilyParams,
 
 def embed_norm_to_metric(w: WeightMap, points: Sequence[FSVector]) -> MetricMatrix:
     """Distance table m[i][j] = |points[i] - points[j]|_w; the translation-
-    invariant metric induced by the norm."""
+    invariant metric induced by the norm. The norm is symmetric, so each
+    unordered pair is evaluated once and mirrored."""
     points = list(points)
     if len(points) < 2:
         raise InputError("need at least two points")
@@ -473,12 +514,9 @@ def embed_norm_to_metric(w: WeightMap, points: Sequence[FSVector]) -> MetricMatr
             if points[i].coords == points[j].coords:
                 raise InputError("points must be pairwise distinct")
     labels = tuple(f"p{k}" for k in range(1, len(points) + 1))
-    rows = tuple(
-        tuple(eval_weighted_norm(w, points[i].sub(points[j]))
-              for j in range(len(points)))
-        for i in range(len(points))
-    )
-    return MetricMatrix(labels, rows)
+    return _mirrored(labels, [
+        [ZERO] + [eval_weighted_norm(w, p.sub(q)) for q in points[i + 1:]]
+        for i, p in enumerate(points)])
 
 
 # ---------------------------------------------------------------------------

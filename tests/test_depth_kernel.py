@@ -1,0 +1,167 @@
+"""The depth-indexed comparing bounds of closed-form metrics, streamed from
+the family table without building tables: agreement with comparing values
+on materialized tables, and the order of their input errors."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from evslib import metrics
+from evslib.errors import InputError
+from evslib.metrics import (
+    builtin_lazy,
+    classify_lazy_pair,
+    comparing_function_metric,
+    discrete_metric,
+    grid_carrier,
+    partial_comparing_function,
+    resolve_carrier,
+    scale_lazy,
+    shrinking_metric,
+    symmetric_grid_carrier,
+    transform_bounded,
+    transform_min,
+    usual_metric,
+)
+from test_closed_form import POINTS, composite_cases
+
+KAPPA = builtin_lazy("kappa")
+USUAL_SYM = usual_metric(symmetric_grid_carrier())
+CAUCHY = builtin_lazy("cauchy-dn", {"n": 4, "points": POINTS})
+
+BASES = [discrete_metric(), shrinking_metric(),
+         usual_metric(grid_carrier("1/2")), USUAL_SYM, KAPPA, CAUCHY,
+         *(m for first, second, _ in composite_cases().values()
+           for m in (first, second))]
+WRAPS = [transform_bounded, transform_min,
+         lambda m: scale_lazy("-3/2", m), lambda m: scale_lazy(7, m)]
+
+
+def oracle(d, rho, depths) -> list:
+    """(c(rho | d), c(d | rho)) per depth, from the comparing values of the
+    two tables materialized at that depth."""
+    carrier = resolve_carrier(d, rho)
+    out = []
+    for n in depths:
+        dm, rm = d.materialize(n, carrier), rho.materialize(n, carrier)
+        out.append((comparing_function_metric(dm, rm),
+                    comparing_function_metric(rm, dm)))
+    return out
+
+
+def streamed(d, rho, depths) -> list:
+    """The same pairs as classify_lazy_pair and partial_comparing_function
+    report them."""
+    report = classify_lazy_pair(d, rho, depths)["directions"]
+    first = [Fraction(v) for v in report["secondRelativeFirst"]["upperBounds"]]
+    second = [Fraction(v) for v in report["firstRelativeSecond"]["upperBounds"]]
+    assert partial_comparing_function(d, rho, depths) == first
+    assert partial_comparing_function(rho, d, depths) == second
+    return list(zip(first, second))
+
+
+@st.composite
+def lazy_metrics(draw):
+    m = draw(st.sampled_from(BASES))
+    for wrap in draw(st.lists(st.sampled_from(WRAPS), max_size=2)):
+        m = wrap(m)
+    return m
+
+
+@st.composite
+def depth_lists(draw, kind):
+    if kind == "symgrid":
+        pool = st.integers(1, 12).map(lambda k: 2 * k + 1)
+    elif kind == "points2d":
+        pool = st.integers(2, len(POINTS))
+    else:
+        pool = st.integers(2, 24)
+    return sorted(draw(st.sets(pool, min_size=1, max_size=4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_streamed_bounds_equal_materialized_comparing_values(data):
+    d, rho = data.draw(lazy_metrics()), data.draw(lazy_metrics())
+    try:
+        carrier = resolve_carrier(d, rho)
+    except InputError:
+        assume(False)
+    depths = data.draw(depth_lists(carrier.kind))
+    assert streamed(d, rho, depths) == oracle(d, rho, depths)
+
+
+@pytest.mark.parametrize("depths", [[5, 9, 17], [5, 7, 11]],
+                         ids=["nested", "not-nested"])
+@pytest.mark.parametrize(("d", "rho"), [
+    (KAPPA, USUAL_SYM),
+    (discrete_metric(), KAPPA),
+    (USUAL_SYM, shrinking_metric()),
+    (scale_lazy("1/3", transform_bounded(shrinking_metric())),
+     transform_min(KAPPA)),
+], ids=["kappa-usual", "discrete-kappa", "usual-shrinking", "composite"])
+def test_symmetric_grid_depths_are_evaluated_afresh(d, rho, depths):
+    assert streamed(d, rho, depths) == oracle(d, rho, depths)
+
+
+# -- input errors, in the order a table built per depth raised them ----------
+
+
+def counting_pairs(monkeypatch, *families) -> list:
+    seen = []
+    for family in families:
+        pair = metrics._PAIR_FNS[family]
+
+        def count(m, p, q, pair=pair, family=family):
+            seen.append((family, p[0], q[0]))
+            return pair(m, p, q)
+        monkeypatch.setitem(metrics._PAIR_FNS, family, count)
+    return seen
+
+
+@pytest.mark.parametrize(("d", "rho", "depths", "message", "evaluated"), [
+    (CAUCHY, discrete_metric(), [3, 7, 9],
+     "depth 7 exceeds the 5 listed points", 3),
+    (KAPPA, USUAL_SYM, [5, 6],
+     "symmetric grid depth must be odd and at least 3", 10),
+    (builtin_lazy("kappa", {"step": "1/2"}), USUAL_SYM, [5, 7, 9],
+     "declared step 1/2 is inconsistent with depth 7 (the symmetric grid "
+     "on [-1,1] implies 1/3)", 10),
+], ids=["points2d-over", "symgrid-even", "symgrid-step"])
+def test_carrier_errors_name_the_first_failing_depth(
+        monkeypatch, d, rho, depths, message, evaluated):
+    seen = counting_pairs(monkeypatch, d.family, rho.family)
+    with pytest.raises(InputError) as err:
+        classify_lazy_pair(d, rho, depths)
+    assert str(err.value) == message
+    # every pair of the depths before the failing one was evaluated
+    assert len(seen) == 2 * evaluated
+
+
+@pytest.mark.parametrize(("depths", "message"), [
+    ([], "need at least one depth"),
+    ([1, 3], "all depths must be at least 2"),
+    ([3, 3], "depths must be strictly increasing"),
+    ([5, 4], "depths must be strictly increasing"),
+])
+def test_depth_list_errors_come_before_carrier_errors(depths, message):
+    with pytest.raises(InputError, match=message):
+        classify_lazy_pair(usual_metric(grid_carrier(1)), KAPPA, depths)
+
+
+@pytest.mark.parametrize("value", [Fraction(0), Fraction(-1, 3)])
+@pytest.mark.parametrize("side", ["first", "second"])
+def test_a_non_positive_distance_raises(monkeypatch, value, side):
+    pair = metrics._PAIR_FNS["shrinking"]
+
+    def broken(m, p, q):
+        return value if (p[0], q[0]) == (2, 3) else pair(m, p, q)
+    monkeypatch.setitem(metrics._PAIR_FNS, "shrinking", broken)
+    d, rho = shrinking_metric(), discrete_metric()
+    if side == "second":
+        d, rho = rho, d
+    assert len(partial_comparing_function(d, rho, [2])) == 1
+    with pytest.raises(InputError, match=r"\(x2, x3\) is not positive"):
+        partial_comparing_function(d, rho, [2, 4])

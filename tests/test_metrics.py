@@ -438,22 +438,39 @@ def test_classify_lazy_unbounded_rule():
     (discrete_metric(), shrinking_metric()),
     (builtin_lazy("kappa"), usual_metric(symmetric_grid_carrier())),
 ])
-def test_classify_lazy_materializes_each_table_once(monkeypatch, first, second):
+def test_classify_lazy_evaluates_each_pair_once(monkeypatch, first, second):
+    """No table is materialized. On the nested indexed carrier each unordered
+    pair of the deepest truncation is evaluated once per metric; the
+    symmetric grid moves its points with the depth, so each depth's pairs
+    are evaluated once per metric."""
+    from evslib import metrics
     from evslib.metrics import LazyMetric
 
     depths = [11, 21, 41]
-    made = []
-    materialize = LazyMetric.materialize
+    made, pairs = [], {first.family: [], second.family: []}
 
-    def counting(self, depth, carrier=None):
+    def materialize(self, depth, carrier=None):
         made.append((self.family, depth))
-        return materialize(self, depth, carrier)
 
-    monkeypatch.setattr(LazyMetric, "materialize", counting)
+    def counting(family):
+        pair = metrics._PAIR_FNS[family]
+
+        def count(m, p, q):
+            pairs[family].append((p[0], q[0]))
+            return pair(m, p, q)
+        return count
+
+    monkeypatch.setattr(LazyMetric, "materialize", materialize)
+    for family in pairs:
+        monkeypatch.setitem(metrics._PAIR_FNS, family, counting(family))
     report = classify_lazy_pair(first, second, depths)
-    assert sorted(made) == sorted(
-        (m.family, n) for n in depths for m in (first, second))
     monkeypatch.undo()
+    assert made == []
+    nested = first.carrier.kind != "symgrid"
+    expected = sorted((i, j) for n in (depths[-1:] if nested else depths)
+                      for i in range(1, n + 1) for j in range(i + 1, n + 1))
+    for family, seen in pairs.items():
+        assert sorted(seen) == expected, family
     for key, (x, y) in (("secondRelativeFirst", (first, second)),
                         ("firstRelativeSecond", (second, first))):
         assert report["directions"][key]["upperBounds"] == [

@@ -22,6 +22,7 @@ from evslib import (
     validate_metric,
     weight_function,
 )
+from evslib import norms
 from evslib.norms import _smallest_decay_index
 
 F = Fraction
@@ -276,6 +277,24 @@ def test_embed_distance_table():
     assert validate_metric(m).passed
 
 
+def test_embed_evaluates_each_unordered_pair_once(monkeypatch):
+    w = WeightMap({"h0": 1, "h1": 3, "h2": "1/2"})
+    pts = [FSVector.zero(), FSVector.unit("h0"), FSVector.unit("h1"),
+           FSVector.from_dict({"h0": 2, "h2": -1}),
+           FSVector.from_dict({"h1": "1/3"}), FSVector.from_dict({"h2": 5})]
+    calls = []
+
+    def counting(weights, x):
+        calls.append(x)
+        return eval_weighted_norm(weights, x)
+    monkeypatch.setattr(norms, "eval_weighted_norm", counting)
+    m = embed_norm_to_metric(w, pts)
+    n = len(pts)
+    assert len(calls) == n * (n - 1) // 2
+    assert m.rows == tuple(
+        tuple(eval_weighted_norm(w, p.sub(q)) for q in pts) for p in pts)
+
+
 def test_embed_rejects_duplicate_points():
     w = WeightMap({"h0": 1})
     with pytest.raises(InputError):
@@ -367,3 +386,40 @@ def test_decay_index_near_one_at_tiny_epsilon(exponent, index):
     i, ratio = _smallest_decay_index(base, eps)
     assert i == index
     assert ratio == base ** i and ratio < eps <= base ** (i - 1)
+
+
+@pytest.mark.parametrize("exponent, index", [(10, 23038), (30, 69113),
+                                             (60, 138225)])
+def test_decay_index_estimate_is_the_answer_near_one(exponent, index):
+    assert norms._decay_index_estimate(1000, 1001, 1, 10 ** exponent) == index
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda i: 1, lambda i: i + 1, lambda i: max(1, i - 1),
+    lambda i: max(1, i - 100), lambda i: 3 * i + 7,
+], ids=["one", "one-above", "one-below", "far-below", "far-above"])
+def test_decay_index_search_survives_a_bad_estimate(monkeypatch, estimate):
+    true_estimate = norms._decay_index_estimate
+    monkeypatch.setattr(norms, "_decay_index_estimate",
+                        lambda a, b, e, f: estimate(true_estimate(a, b, e, f)))
+    rng = random.Random(13)
+    for _ in range(200):
+        b = rng.randint(2, 10 ** rng.randint(1, 6))
+        base = F(rng.randint(1, b - 1), b)
+        f = rng.randint(2, 10 ** rng.randint(1, 9))
+        eps = F(rng.randint(1, f - 1), f)
+        if base <= F(99, 100):
+            assert _smallest_decay_index(base, eps) == \
+                _decay_index_by_loop(base, eps)
+    base = F(1000, 1001)
+    assert _smallest_decay_index(base, F(1, 10 ** 10)) == \
+        (23038, base ** 23038)
+
+
+@pytest.mark.parametrize("n", [10 ** 40, 10 ** 400])
+def test_decay_index_with_base_next_to_one(n):
+    # log(base) cancels to zero in floats at 10**400, so the search starts
+    # at 1 and gallops
+    base = F(n, n + 1)
+    for k in (1, 2, 7, 30):
+        assert _smallest_decay_index(base, base ** k) == (k + 1, base ** (k + 1))
