@@ -142,13 +142,16 @@ def rational_tuple_instance(name: str, width: int, mismatch: str,
 # For the verifier a metric is its packed upper triangle (the rationals
 # d(x_i, x_j), i < j, row by row) in integer form, which keeps the exhaustive
 # pair/triple loops cheap; reports render it back as a full matrix. The order
-# tools use the MetricMatrix form directly, where the exact comparing
-# function lives.
+# tools take the MetricMatrix, whose cached integer form (MetricMatrix.ints)
+# decides order, comparing values and the sandwich check; the packed triangle
+# is cut from that form, so tables have one builder of integer forms.
 
 
 def pack_matrix(m: MetricMatrix) -> tuple:
-    n = m.size
-    return to_ints([m.rows[i][j] for i in range(n) for j in range(i + 1, n)])
+    rows, den = m.ints
+    # without the diagonal, den and the entries may share a factor
+    upper = [v for i, row in enumerate(rows) for v in row[i + 1:]]
+    return _reduced(tuple(upper), den)
 
 
 def unpack_matrix(labels: Sequence[str], packed: tuple) -> MetricMatrix:

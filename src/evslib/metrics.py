@@ -22,8 +22,9 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from operator import sub
+from functools import cached_property
+from itertools import chain, combinations, islice, repeat
+from operator import le, mul, sub
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import InputError, UndefinedRelativeElementError
@@ -51,6 +52,10 @@ class MetricMatrix:
     is checked, derived ones included; a table built by mirroring holds the
     same object on both sides of the diagonal, which the check passes by
     identity.
+
+    Order, comparing values, the sandwich check and the triangle check run
+    on `ints`, the table's canonical integer form, built on first use and
+    cached: a table that is only parsed and printed never builds it.
     """
 
     labels: tuple[str, ...]
@@ -146,6 +151,19 @@ class MetricMatrix:
     def off_diag_max(self) -> Fraction:
         return max(v for _, _, v in self.off_diagonal())
 
+    @cached_property
+    def ints(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(rows, den): the entries as integer rows over one common positive
+        denominator, the form rationals.to_ints gives, so that no factor is
+        common to den and every entry. The upper triangle is converted and
+        mirrored."""
+        flat, den = to_ints([v for i, row in enumerate(self.rows)
+                             for v in row[i:]])
+        it = iter(flat)
+        upper = [list(islice(it, len(row) - i))
+                 for i, row in enumerate(self.rows)]
+        return tuple(map(tuple, _mirror(upper))), den
+
     def map_entries(self, fn: Callable[[Fraction], Fraction]) -> "MetricMatrix":
         """Entrywise image with zero diagonal kept exactly zero."""
         return _mirrored(self.labels, [[ZERO] + [fn(v) for v in row[i + 1:]]
@@ -201,9 +219,9 @@ def validate_metric(m: MetricMatrix) -> MetricValidation:
     of indiscernibles) even though it is the legitimate additive identity O of
     the surrounding space.
 
-    The triangle check runs on integers: the table is scaled once to a common
-    denominator (the lcm of its entries' denominators), which preserves every
-    comparison d(i,k) > d(i,j) + d(j,k). It visits the triples (i, j, k) in
+    The triangle check runs on the table's integer form (MetricMatrix.ints),
+    whose common denominator preserves every comparison
+    d(i,k) > d(i,j) + d(j,k). It visits the triples (i, j, k) in
     the same order as a plain triple loop but only with i != j: once the
     diagonal and sign checks pass, a triple with i == j, k == i or k == j
     cannot violate, so the first violation found is the same. Its lhs and
@@ -231,8 +249,7 @@ def validate_metric(m: MetricMatrix) -> MetricValidation:
                 "value": "0/1",
             }, n)
     rows = m.rows
-    flat, _ = to_ints([v for row in rows for v in row])
-    ints = [flat[i * n:(i + 1) * n] for i in range(n)]
+    ints, _ = m.ints
     for i, ri in enumerate(ints):
         for j, rj in enumerate(ints):
             dij = ri[j]
@@ -270,9 +287,21 @@ def scale_metric(alpha, a: MetricMatrix) -> MetricMatrix:
 
 
 def leq_metrics(a: MetricMatrix, b: MetricMatrix) -> bool:
-    """Entrywise order; comparisons with O are meaningful (O is the minimum)."""
+    """Entrywise order, the diagonal included; comparisons with O are
+    meaningful (O is the minimum)."""
     _require_same_labels(a, b)
-    return all(x <= y for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb))
+    return _scaled_leq(1, a, 1, b)
+
+
+def _scaled_leq(s: int, a: MetricMatrix, t: int, b: MetricMatrix) -> bool:
+    """s*a <= t*b entrywise, the diagonal included, for integers s, t > 0,
+    on the integer forms of a and b."""
+    (xs, dx), (ys, dy) = a.ints, b.ints
+    s, t = s * dy, t * dx
+    if s == t:
+        return all(map(le, chain(*xs), chain(*ys)))
+    return all(map(le, map(mul, chain(*xs), repeat(s)),
+                   map(mul, chain(*ys), repeat(t))))
 
 
 def equal_metrics(a: MetricMatrix, b: MetricMatrix) -> bool:
@@ -288,7 +317,8 @@ def equal_metrics(a: MetricMatrix, b: MetricMatrix) -> bool:
 def comparing_function_metric(d: MetricMatrix, rho: MetricMatrix) -> Fraction:
     """Exact comparing value of rho relative to d: min over distinct pairs of
     rho(x,y)/d(x,y). The returned value c satisfies c*d <= rho with at least
-    one tight pair."""
+    one tight pair. The ratios are compared by cross-multiplying the two
+    tables' integer forms, and one Fraction is built at the end."""
     _require_same_labels(d, rho)
     if d.size < 2:
         raise InputError("comparing values need at least two carrier points")
@@ -296,18 +326,23 @@ def comparing_function_metric(d: MetricMatrix, rho: MetricMatrix) -> Fraction:
         raise UndefinedRelativeElementError(
             "comparing function is undefined relative to the zero element O"
         )
-    best: Optional[Fraction] = None
-    for i, j, dv in d.off_diagonal():
-        if dv == 0:
-            raise InputError(
-                f"relative element vanishes on the distinct pair "
-                f"({d.labels[i]}, {d.labels[j]}); not a metric"
-            )
-        ratio = rho.rows[i][j] / dv
-        if best is None or ratio < best:
-            best = ratio
-    assert best is not None
-    return best
+    # min over i < j of (r/rd) / (v/dd) = (r/v) * (dd/rd) on the integer
+    # forms: keep the least r/v as p/q with q > 0, starting from 1/0
+    (dn, dd), (rn, rd) = d.ints, rho.ints
+    p, q = 1, 0
+    for i, (drow, rrow) in enumerate(zip(dn, rn)):
+        for j in range(i + 1, len(drow)):
+            v, r = drow[j], rrow[j]
+            if v <= 0:
+                if v == 0:
+                    raise InputError(
+                        f"relative element vanishes on the distinct pair "
+                        f"({d.labels[i]}, {d.labels[j]}); not a metric"
+                    )
+                v, r = -v, -r
+            if r * q < p * v:
+                p, q = r, v
+    return Fraction(p * dd, q * rd)
 
 
 MUTUALLY_DEPENDENT = "mutually-dependent"
@@ -353,11 +388,12 @@ def classify_pair(d: MetricMatrix, rho: MetricMatrix) -> ComparisonReport:
     c2 = comparing_function_metric(rho, d)
     if c1 > 0 and c2 > 0:
         label = MUTUALLY_DEPENDENT
+        # c2*rho <= d and d <= (1/c1)*rho, the latter as c1*d <= rho
         sandwich = {
             "lower": fmt(c2),
             "upper": fmt(1 / c1),
-            "lowerHolds": leq_metrics(scale_metric(c2, rho), d),
-            "upperHolds": leq_metrics(d, scale_metric(1 / c1, rho)),
+            "lowerHolds": _scaled_leq(c2.numerator, rho, c2.denominator, d),
+            "upperHolds": _scaled_leq(c1.numerator, d, c1.denominator, rho),
         }
     else:
         label, sandwich = ORDERLY_INDEPENDENT, None

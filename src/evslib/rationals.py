@@ -26,6 +26,10 @@ from typing import Sequence
 
 from .errors import InputError
 
+#: Python's default int-to-str limit: the most digits a numerator or
+#: denominator parsed from a decimal may have, so that fmt can print it.
+MAX_DIGITS = 4300
+
 
 def parse_rational(value) -> Fraction:
     """Parse an exact rational from "p/q", a decimal string, or an int.
@@ -55,11 +59,29 @@ def parse_rational(value) -> Fraction:
         # exact for values like 0.5 that users write literally.
         value = repr(value)
     if isinstance(value, str):
+        _check_digits(value)
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"not a rational: {value!r}") from exc
     raise InputError(f"not a rational: {value!r}")
+
+
+def _check_digits(text: str) -> None:
+    """Reject a decimal with an exponent whose value would need more than
+    MAX_DIGITS digits to write out: its mantissa's digits plus the
+    exponent's magnitude. Fraction(text) would build that integer, and fmt
+    could not print it."""
+    mantissa, e, exponent = text.lower().partition("e")
+    if not e:
+        return
+    try:
+        magnitude = abs(int(exponent))
+    except ValueError:
+        return   # not a number; Fraction(text) says so
+    if sum(map(str.isdigit, mantissa)) + magnitude > MAX_DIGITS:
+        raise InputError(f"not a rational: {text!r} exceeds the "
+                         f"{MAX_DIGITS}-digit limit")
 
 
 def parse_rationals(doc, what: str) -> list[Fraction]:
@@ -80,8 +102,9 @@ def fmt(q: Fraction) -> str:
 def to_ints(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     """Canonical integer form of a rational tuple over its least common
     denominator (which leaves no factor common to all numerators)."""
-    den = math.lcm(*(v.denominator for v in values))
-    return tuple([v.numerator * (den // v.denominator) for v in values]), den
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*[q for _, q in ratios])
+    return tuple([p * (den // q) for p, q in ratios]), den
 
 
 def to_fractions(form: tuple[tuple[int, ...], int]) -> tuple[Fraction, ...]:

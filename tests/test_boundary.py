@@ -4,6 +4,7 @@ path of parse_rational, and the number of parses per input entry."""
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -170,9 +171,24 @@ def test_validate_parses_each_entry_once(capsys, monkeypatch, tmp_path, suffix):
 # -- the fast path of parse_rational ----------------------------------------
 
 
+# a decimal with an exponent, in the grammar Fraction(str) accepts
+EXPONENT_DECIMAL = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)(\d*(?:_\d+)*)(?:\.(\d*(?:_\d+)*))?"
+    r"e([-+]?\d+(?:_\d+)*)\s*", re.IGNORECASE)
+
+
 def reference_parse(text: str):
     """What parse_rational gave for a string before its fast path: the
-    value of Fraction(text.strip()), or None where that raises."""
+    value of Fraction(text.strip()), or None where that raises. A decimal
+    whose mantissa digits plus exponent magnitude pass the 4300-digit
+    limit gives None without being built."""
+    match = EXPONENT_DECIMAL.fullmatch(text)
+    if match:
+        whole, part, exponent = match.groups()
+        mantissa = whole + (part or "")
+        if (sum(c.isdigit() for c in mantissa) + abs(int(exponent))
+                > rationals.MAX_DIGITS):
+            return None
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
@@ -221,6 +237,19 @@ def test_parse_rational_agrees_with_fraction(text):
 ])
 def test_parse_rational_examples(text):
     check_parse(text)
+
+
+@pytest.mark.parametrize("text", ["1e5000", "1e-5000", "1e100000",
+                                  "-2.5E+4300", "1e99999999999999999999"])
+def test_huge_decimal_exponent_is_rejected(text):
+    with pytest.raises(InputError, match="exceeds the 4300-digit limit"):
+        parse_rational(text)
+
+
+@pytest.mark.parametrize("text", ["1e400", "-1e-400", "1e4299", "0.5e4298"])
+def test_decimal_exponent_within_the_limit_is_exact(text):
+    assert parse_rational(text) == Fraction(text)
+    fmt(parse_rational(text))
 
 
 @given(st.one_of(st.integers(), st.fractions()))

@@ -58,3 +58,21 @@ def test_malformed_table_errors_keep_their_precedence(capsys, tmp_path,
                                                       rows, error):
     code, out, err = validate_doc(capsys, tmp_path, rows)
     assert (code, out, json.loads(err)) == (2, "", {"error": error})
+
+
+@pytest.mark.parametrize("entry", ["1e5000", "1e-5000", "1e100000"])
+def test_huge_decimal_exponent_exits_two(capsys, tmp_path, entry):
+    rows = [["0", entry, "1"], [entry, "0", "1"], ["1", "1", "0"]]
+    code, out, err = validate_doc(capsys, tmp_path, rows)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": f"not a rational: {entry!r} "
+                                        "exceeds the 4300-digit limit"}
+
+
+def test_decimal_exponent_within_the_limit_is_printed(capsys, tmp_path):
+    rows = [["0", "1e400", "1e400"], ["1e400", "0", "1e400"],
+            ["1e400", "1e400", "0"]]
+    code, out, _ = validate_doc(capsys, tmp_path, rows)
+    assert code == 0
+    assert json.loads(out)["inputs"]["matrix"]["rows"][0][1] == \
+        f"{10 ** 400}/1"
