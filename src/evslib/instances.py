@@ -7,12 +7,12 @@ Two deliberately broken metric variants (reversed order, scaling without the
 absolute value) exist to exercise the failure paths.
 
 The instances that build_instance returns hold their elements in an exact
-integer form: a rational tuple as (numerators, den) for metrics, norms and
-the cone, and a point set as (frozenset of numerator tuples, den) for the
-hyperspace. Both forms are canonical, so `equal` is tuple equality.
-Fractions appear only at the boundaries (JSON, the seeded samples, cone
-`lsolve`, and metric_matrix_instance, whose MetricMatrix tables the order
-tools use).
+integer form: a rational tuple as (numerators, den) for metrics (a table's
+MetricMatrix.form), norms and the cone, and a point set as (frozenset of
+numerator tuples, den) for the hyperspace. Both forms are canonical, so
+`equal` is tuple equality. Fractions appear only at the boundaries (JSON,
+the seeded samples and cone `lsolve`). metric_matrix_instance, which the
+order tools use, holds MetricMatrix tables, whose ops run on the same form.
 
 Samplers are deterministic in their seed and are built so that the
 sample-relative minimal structure matches the carrier-wide one: the cone
@@ -46,8 +46,8 @@ from .metrics import (
     transform_bounded,
     transform_min,
 )
-from .rationals import (fmt, parse_rational, parse_rationals, to_fractions,
-                        to_ints)
+from .rationals import (_add, _leq, _reduced, _scale, fmt, fmt_ratio,
+                        parse_rational, parse_rationals, to_fractions, to_ints)
 
 ZERO = Fraction(0)
 
@@ -60,49 +60,12 @@ DEFAULT_SCALARS = (
 
 
 # ---------------------------------------------------------------------------
-# Pointwise rational tuples: the exact integer kernel
+# Pointwise rational tuples
 # ---------------------------------------------------------------------------
-#
-# An element of a pointwise instance or of the cone is a rational tuple in
-# canonical integer form (numerators, den), as made by rationals.to_ints:
-# den > 0 and gcd(den, *numerators) == 1. Every rational tuple has exactly
-# one such form, so plain tuple equality is exact equality. The ops never
-# build a Fraction: add and scale work on numerators and reduce their result
-# once with math.gcd, and leq cross-multiplies.
-
-
-def _reduced(nums: tuple, den: int) -> tuple:
-    g = gcd(den, *nums)
-    if g == 1:
-        return nums, den
-    return tuple([x // g for x in nums]), den // g
-
-
-def _add(a, b):
-    (xs, dx), (ys, dy) = a, b
-    if dx == dy:
-        return _reduced(tuple(map(operator.add, xs, ys)), dx)
-    g = gcd(dx, dy)
-    mx, my = dy // g, dx // g
-    return _reduced(tuple([x * mx + y * my for x, y in zip(xs, ys)]), dx * mx)
-
-
-def _scale(p: int, q: int, a):
-    """(p/q) * a for a scalar p/q with q > 0, with the sign of p kept."""
-    xs, den = a
-    return _reduced(tuple([p * x for x in xs]), den * q)
 
 
 def _abs_scale(alpha, a):
-    """|alpha| * a, on alpha's numerator and denominator."""
     return _scale(abs(alpha.numerator), alpha.denominator, a)
-
-
-def _leq(a, b):
-    (xs, dx), (ys, dy) = a, b
-    if dx == dy:
-        return all(map(operator.le, xs, ys))
-    return all(x * dy <= y * dx for x, y in zip(xs, ys))
 
 
 def rational_tuple_instance(name: str, width: int, mismatch: str,
@@ -114,8 +77,9 @@ def rational_tuple_instance(name: str, width: int, mismatch: str,
     pointwise one; `scale(alpha, a)` and `leq(a, b)` replace them, and are
     given operands of the right width.
 
-    Elements are in the canonical integer form described above, so `equal`
-    is tuple equality; the JSON converters are given that form too.
+    Elements are in the canonical integer form of rationals.to_ints and the
+    ops are the integer kernel of rationals.py; `equal` is tuple equality,
+    and the JSON converters are given that form too.
     """
 
     def check(a):
@@ -139,30 +103,9 @@ def rational_tuple_instance(name: str, width: int, mismatch: str,
 # Metrics on a finite carrier
 # ---------------------------------------------------------------------------
 #
-# For the verifier a metric is its packed upper triangle (the rationals
-# d(x_i, x_j), i < j, row by row) in integer form, which keeps the exhaustive
-# pair/triple loops cheap; reports render it back as a full matrix. The order
-# tools take the MetricMatrix, whose cached integer form (MetricMatrix.ints)
-# decides order, comparing values and the sandwich check; the packed triangle
-# is cut from that form, so tables have one builder of integer forms.
-
-
-def pack_matrix(m: MetricMatrix) -> tuple:
-    rows, den = m.ints
-    # without the diagonal, den and the entries may share a factor
-    upper = [v for i, row in enumerate(rows) for v in row[i + 1:]]
-    return _reduced(tuple(upper), den)
-
-
-def unpack_matrix(labels: Sequence[str], packed: tuple) -> MetricMatrix:
-    n = len(labels)
-    rows = [[ZERO] * n for _ in range(n)]
-    it = iter(to_fractions(packed))
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = next(it)
-            rows[i][j] = rows[j][i] = v
-    return MetricMatrix(tuple(labels), tuple(tuple(r) for r in rows))
+# For the verifier a metric is the plain tuple MetricMatrix.form, which keeps
+# the exhaustive pair/triple loops cheap; reports render it back as a full
+# matrix. The order tools take the MetricMatrix, whose ops run on that form.
 
 
 def metric_packed_instance(labels: Sequence[str]) -> EvsInstance:
@@ -173,13 +116,13 @@ def metric_packed_instance(labels: Sequence[str]) -> EvsInstance:
         m = MetricMatrix.from_json(doc)
         if m.labels != labels:
             raise InputError(mismatch)
-        return pack_matrix(m)
+        return m.form
 
     return rational_tuple_instance(
         f"metrics[{len(labels)}-point carrier]",
-        len(labels) * (len(labels) - 1) // 2,
+        len(MetricMatrix.zero(labels).form[0]),
         mismatch,
-        element_to_json=lambda a: unpack_matrix(labels, a).to_json(),
+        element_to_json=lambda a: MetricMatrix.from_form(labels, a).to_json(),
         element_from_json=from_json,
     )
 
@@ -241,7 +184,7 @@ def seeded_metric_matrices(labels: Sequence[str], seed: int,
 
 
 def seeded_metric_sample(labels: Sequence[str], seed: int, count: int) -> list:
-    return [pack_matrix(m) for m in seeded_metric_matrices(labels, seed, count)]
+    return [m.form for m in seeded_metric_matrices(labels, seed, count)]
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +373,7 @@ def _subset(a, b):
 
 def _point_set_to_json(a) -> list:
     pts, den = a
-    return sorted([fmt(Fraction(x, den)) for x in p] for p in pts)
+    return sorted([fmt_ratio(x, den) for x in p] for p in pts)
 
 
 def _point_list(doc) -> list:
@@ -494,20 +437,32 @@ def seeded_hyper_sample(dim: int, seed: int, count: int) -> list:
 # ---------------------------------------------------------------------------
 
 
+#: The largest sample and metric carrier build_instance takes: the verifier's
+#: time grows with the cube of the sample and the square of the carrier.
+MAX_SAMPLE = 100
+MAX_CARRIER = 24
+
+_METRIC_INSTANCES = {
+    "metrics": metric_packed_instance,
+    "metrics-reversed-order": metric_reversed_order_instance,
+    "metrics-no-abs-scale": metric_no_abs_scale_instance,
+}
+
+
 def build_instance(name: str, *, carrier: int = 6, depth: int = 12,
                    dim: int = 2, seed: int = 0, sample: int = 50):
     """Return (instance, sample, scalars) for a named instance."""
-    if name == "metrics":
+    if sample > MAX_SAMPLE:
+        raise InputError(f"sample size {sample} exceeds the limit of "
+                         f"{MAX_SAMPLE}")
+    if name in _METRIC_INSTANCES:
+        if carrier < 2:
+            raise InputError(f"a carrier needs two points, not {carrier}")
+        if carrier > MAX_CARRIER:
+            raise InputError(f"carrier size {carrier} exceeds the limit of "
+                             f"{MAX_CARRIER}")
         labels = carrier_labels(carrier)
-        return (metric_packed_instance(labels),
-                seeded_metric_sample(labels, seed, sample), DEFAULT_SCALARS)
-    if name == "metrics-reversed-order":
-        labels = carrier_labels(carrier)
-        return (metric_reversed_order_instance(labels),
-                seeded_metric_sample(labels, seed, sample), DEFAULT_SCALARS)
-    if name == "metrics-no-abs-scale":
-        labels = carrier_labels(carrier)
-        return (metric_no_abs_scale_instance(labels),
+        return (_METRIC_INSTANCES[name](labels),
                 seeded_metric_sample(labels, seed, sample), DEFAULT_SCALARS)
     if name == "norms":
         from .norms import norm_table_instance, seeded_norm_sample

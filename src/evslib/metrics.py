@@ -5,7 +5,8 @@ constant zero table O, ordered pointwise, with pointwise addition and the
 scalar action (alpha, rho) -> |alpha| * rho. On a finite carrier every
 comparability question is decided exactly: the comparing value of rho relative
 to d is the minimum of rho(x,y)/d(x,y) over distinct pairs, a plain minimum of
-rationals.
+rationals. Every operation on tables runs on one stored integer form per
+table (MetricMatrix.form) with the integer kernel of rationals.py.
 
 Countable carriers are handled through LazyMetric: a named closed-form metric
 that can be materialized on the first N canonical carrier points at any depth.
@@ -23,12 +24,13 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, islice, repeat
-from operator import le, mul, sub
-from typing import Callable, Iterator, Optional, Sequence
+from itertools import chain, combinations, islice
+from operator import sub
+from typing import Iterator, Optional, Sequence
 
 from .errors import InputError, UndefinedRelativeElementError
-from .rationals import fmt, parse_rational, parse_rationals, to_ints
+from .rationals import (_add, _leq, _scale, fmt, fmt_ratio, parse_rational,
+                        parse_rationals, to_ints)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -41,43 +43,51 @@ HALF = Fraction(1, 2)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MetricMatrix:
-    """Symmetric rational distance table over a finite labeled carrier.
+    """Symmetric rational distance table over a finite labeled carrier,
+    stored as `form`: the canonical integer form (rationals.to_ints) of its
+    upper triangle, diagonal included, row by row. Every operation on
+    tables runs on it, and to_json prints from it; the Fraction `rows` are
+    built on first use and cached.
 
-    The constructor enforces shape only (square, symmetric, distinct labels);
-    whether the table actually satisfies the metric axioms is the job of
-    validate_metric, so that candidate tables (e.g. pointwise limits) can be
-    represented and then rejected with a structured violation. Every table
-    is checked, derived ones included; a table built by mirroring holds the
-    same object on both sides of the diagonal, which the check passes by
-    identity.
-
-    Order, comparing values, the sandwich check and the triangle check run
-    on `ints`, the table's canonical integer form, built on first use and
-    cached: a table that is only parsed and printed never builds it.
+    MetricMatrix(labels, rows) checks the shape of raw rows (square,
+    symmetric, distinct labels) but not the metric axioms, which are
+    validate_metric's job, so that candidate tables (e.g. pointwise limits)
+    can be rejected with a structured violation. Derived tables come from
+    from_form and are symmetric by construction.
     """
 
     labels: tuple[str, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
+    form: tuple[tuple[int, ...], int]
 
-    def __post_init__(self):
-        n = len(self.labels)
+    def __init__(self, labels: Sequence[str], rows: Sequence[Sequence[Fraction]]):
+        labels = tuple(labels)
+        n = len(labels)
         if n == 0:
             raise InputError("empty carrier")
-        if len(set(self.labels)) != n:
+        if len(set(labels)) != n:
             raise InputError("carrier labels must be distinct")
-        if len(self.rows) != n or any(len(r) != n for r in self.rows):
+        if len(rows) != n or any(len(r) != n for r in rows):
             raise InputError("matrix is not square with one row per label")
         for i in range(n):
-            for j in range(i):
-                a, b = self.rows[i][j], self.rows[j][i]
-                if a is not b and a != b:
-                    raise InputError(
-                        f"matrix is not symmetric at ({self.labels[i]}, {self.labels[j]})"
-                    )
+            if list(rows[i][:i]) != [row[i] for row in rows[:i]]:
+                j = next(j for j in range(i) if rows[i][j] != rows[j][i])
+                raise InputError(
+                    f"matrix is not symmetric at ({labels[i]}, {labels[j]})")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "form", to_ints(
+            [v for i, row in enumerate(rows) for v in row[i:]]))
 
     # -- construction -------------------------------------------------------
+
+    @classmethod
+    def from_form(cls, labels: tuple, form: tuple) -> "MetricMatrix":
+        """The table over a tuple of labels with the given form."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "labels", labels)
+        object.__setattr__(m, "form", form)
+        return m
 
     @classmethod
     def from_rows(cls, labels: Sequence[str], rows: Sequence[Sequence]) -> "MetricMatrix":
@@ -90,17 +100,17 @@ class MetricMatrix:
         for i, row in enumerate(rows):
             if not isinstance(row, (list, tuple)):
                 raise InputError("matrix row must be a list of rationals")
-            parsed.append(tuple([
+            parsed.append([
                 parsed[j][i] if j < i and i < len(rows[j])
                 and type(rows[j][i]) is type(v) and rows[j][i] == v
                 else parse_rational(v)
-                for j, v in enumerate(row)]))
-        return cls(tuple(labels), tuple(parsed))
+                for j, v in enumerate(row)])
+        return cls(labels, parsed)
 
     @classmethod
     def zero(cls, labels: Sequence[str]) -> "MetricMatrix":
         n = len(labels)
-        return cls(tuple(labels), tuple(tuple(ZERO for _ in range(n)) for _ in range(n)))
+        return cls.from_form(tuple(labels), ((0,) * (n * (n + 1) // 2), 1))
 
     @classmethod
     def from_json(cls, doc) -> "MetricMatrix":
@@ -134,11 +144,17 @@ class MetricMatrix:
     def size(self) -> int:
         return len(self.labels)
 
+    @cached_property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        nums, den = self.form
+        return tuple(map(tuple, _mirror(
+            _upper([Fraction(v, den) for v in nums], self.size))))
+
     def entry(self, i: int, j: int) -> Fraction:
         return self.rows[i][j]
 
     def is_zero(self) -> bool:
-        return all(v == 0 for row in self.rows for v in row)
+        return not any(self.form[0])
 
     def off_diagonal(self) -> Iterator[tuple[int, int, Fraction]]:
         """Yield (i, j, value) over unordered distinct pairs, i < j."""
@@ -151,43 +167,30 @@ class MetricMatrix:
     def off_diag_max(self) -> Fraction:
         return max(v for _, _, v in self.off_diagonal())
 
-    @cached_property
-    def ints(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(rows, den): the entries as integer rows over one common positive
-        denominator, the form rationals.to_ints gives, so that no factor is
-        common to den and every entry. The upper triangle is converted and
-        mirrored."""
-        flat, den = to_ints([v for i, row in enumerate(self.rows)
-                             for v in row[i:]])
-        it = iter(flat)
-        upper = [list(islice(it, len(row) - i))
-                 for i, row in enumerate(self.rows)]
-        return tuple(map(tuple, _mirror(upper))), den
-
-    def map_entries(self, fn: Callable[[Fraction], Fraction]) -> "MetricMatrix":
-        """Entrywise image with zero diagonal kept exactly zero."""
-        return _mirrored(self.labels, [[ZERO] + [fn(v) for v in row[i + 1:]]
-                                       for i, row in enumerate(self.rows)])
-
     def to_json(self) -> dict:
+        nums, den = self.form
         return {
             "labels": list(self.labels),
-            "rows": _mirror([[fmt(v) for v in row[i:]]
-                             for i, row in enumerate(self.rows)]),
+            "rows": _mirror(_upper([fmt_ratio(v, den) for v in nums],
+                                   self.size)),
         }
 
 
+def _upper(flat: list, n: int) -> list:
+    """Cut an n-point upper triangle into rows (i, i), (i, i + 1), ..."""
+    it = iter(flat)
+    return [list(islice(it, n - i)) for i in range(n)]
+
+
 def _mirror(upper: list) -> list:
-    """The rows of a symmetric table from its upper rows, upper[i] holding
-    the entries (i, i), (i, i + 1), ...: row i is column i of the rows
-    above it followed by upper[i]."""
+    """The full rows of a symmetric table from its upper rows (see _upper)."""
     return [[upper[j][i - j] for j in range(i)] + upper[i]
             for i in range(len(upper))]
 
 
-def _mirrored(labels, upper: list) -> MetricMatrix:
-    """The symmetric table with the given upper rows (see _mirror)."""
-    return MetricMatrix(tuple(labels), tuple(map(tuple, _mirror(upper))))
+def _from_upper(labels, upper: list) -> MetricMatrix:
+    """The symmetric table with the given upper rows of rationals."""
+    return MetricMatrix.from_form(tuple(labels), to_ints(list(chain(*upper))))
 
 
 def _require_same_labels(a: MetricMatrix, b: MetricMatrix) -> None:
@@ -219,39 +222,39 @@ def validate_metric(m: MetricMatrix) -> MetricValidation:
     of indiscernibles) even though it is the legitimate additive identity O of
     the surrounding space.
 
-    The triangle check runs on the table's integer form (MetricMatrix.ints),
-    whose common denominator preserves every comparison
-    d(i,k) > d(i,j) + d(j,k). It visits the triples (i, j, k) in
-    the same order as a plain triple loop but only with i != j: once the
-    diagonal and sign checks pass, a triple with i == j, k == i or k == j
-    cannot violate, so the first violation found is the same. Its lhs and
-    rhs are rendered from the original rationals.
+    Every check runs on the table's integer form, whose common positive
+    denominator keeps every sign and comparison. The triangle check visits
+    the triples (i, j, k) in the order of a plain triple loop but only with
+    i != j: once the diagonal and sign checks pass, no triple with i == j,
+    k == i or k == j violates, so the first violation found is the same.
     """
-    n = m.size
-    for i in range(n):
-        if m.rows[i][i] != 0:
+    n, labels = m.size, m.labels
+    nums, den = m.form
+    upper = _upper(nums, n)
+    for i, row in enumerate(upper):
+        if row[0] != 0:
             return MetricValidation(False, {
                 "axiom": "zero-diagonal",
-                "indices": [m.labels[i]],
-                "value": fmt(m.rows[i][i]),
+                "indices": [labels[i]],
+                "value": fmt_ratio(row[0], den),
             }, n)
-    for i, j, v in m.off_diagonal():
-        if v < 0:
-            return MetricValidation(False, {
-                "axiom": "nonnegativity",
-                "indices": [m.labels[i], m.labels[j]],
-                "value": fmt(v),
-            }, n)
-        if v == 0:
-            return MetricValidation(False, {
-                "axiom": "identity-of-indiscernibles",
-                "indices": [m.labels[i], m.labels[j]],
-                "value": "0/1",
-            }, n)
-    rows = m.rows
-    ints, _ = m.ints
-    for i, ri in enumerate(ints):
-        for j, rj in enumerate(ints):
+    for i, row in enumerate(upper):
+        for j, v in enumerate(row[1:], i + 1):
+            if v < 0:
+                return MetricValidation(False, {
+                    "axiom": "nonnegativity",
+                    "indices": [labels[i], labels[j]],
+                    "value": fmt_ratio(v, den),
+                }, n)
+            if v == 0:
+                return MetricValidation(False, {
+                    "axiom": "identity-of-indiscernibles",
+                    "indices": [labels[i], labels[j]],
+                    "value": "0/1",
+                }, n)
+    rows = _mirror(upper)
+    for i, ri in enumerate(rows):
+        for j, rj in enumerate(rows):
             dij = ri[j]
             # d(i,k) > d(i,j) + d(j,k) for some k iff max_k d(i,k) - d(j,k) > d(i,j)
             if j == i or max(map(sub, ri, rj)) <= dij:
@@ -259,9 +262,9 @@ def validate_metric(m: MetricMatrix) -> MetricValidation:
             k = next(k for k in range(n) if ri[k] - rj[k] > dij)
             return MetricValidation(False, {
                 "axiom": "triangle",
-                "indices": [m.labels[i], m.labels[j], m.labels[k]],
-                "lhs": fmt(rows[i][k]),
-                "rhs": fmt(rows[i][j] + rows[j][k]),
+                "indices": [labels[i], labels[j], labels[k]],
+                "lhs": fmt_ratio(ri[k], den),
+                "rhs": fmt_ratio(dij + rj[k], den),
             }, n)
     return MetricValidation(True, None, n)
 
@@ -274,39 +277,27 @@ def validate_metric(m: MetricMatrix) -> MetricValidation:
 def add_metrics(a: MetricMatrix, b: MetricMatrix) -> MetricMatrix:
     """Entrywise sum; the zero table O is an accepted operand (identity)."""
     _require_same_labels(a, b)
-    return _mirrored(a.labels, [[x + y for x, y in zip(ra[i:], rb[i:])]
-                                for i, (ra, rb) in enumerate(zip(a.rows, b.rows))])
+    return MetricMatrix.from_form(a.labels, _add(a.form, b.form))
 
 
 def scale_metric(alpha, a: MetricMatrix) -> MetricMatrix:
     """Scalar action (alpha, rho) -> |alpha| * rho; O is accepted, and
     alpha = 0 yields O."""
     mag = abs(parse_rational(alpha))
-    return _mirrored(a.labels, [[mag * v for v in row[i:]]
-                                for i, row in enumerate(a.rows)])
+    return MetricMatrix.from_form(
+        a.labels, _scale(mag.numerator, mag.denominator, a.form))
 
 
 def leq_metrics(a: MetricMatrix, b: MetricMatrix) -> bool:
     """Entrywise order, the diagonal included; comparisons with O are
     meaningful (O is the minimum)."""
     _require_same_labels(a, b)
-    return _scaled_leq(1, a, 1, b)
-
-
-def _scaled_leq(s: int, a: MetricMatrix, t: int, b: MetricMatrix) -> bool:
-    """s*a <= t*b entrywise, the diagonal included, for integers s, t > 0,
-    on the integer forms of a and b."""
-    (xs, dx), (ys, dy) = a.ints, b.ints
-    s, t = s * dy, t * dx
-    if s == t:
-        return all(map(le, chain(*xs), chain(*ys)))
-    return all(map(le, map(mul, chain(*xs), repeat(s)),
-                   map(mul, chain(*ys), repeat(t))))
+    return _leq(a.form, b.form)
 
 
 def equal_metrics(a: MetricMatrix, b: MetricMatrix) -> bool:
     _require_same_labels(a, b)
-    return a.rows == b.rows
+    return a.form == b.form
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +319,10 @@ def comparing_function_metric(d: MetricMatrix, rho: MetricMatrix) -> Fraction:
         )
     # min over i < j of (r/rd) / (v/dd) = (r/v) * (dd/rd) on the integer
     # forms: keep the least r/v as p/q with q > 0, starting from 1/0
-    (dn, dd), (rn, rd) = d.ints, rho.ints
+    (dn, dd), (rn, rd), n = d.form, rho.form, d.size
     p, q = 1, 0
-    for i, (drow, rrow) in enumerate(zip(dn, rn)):
-        for j in range(i + 1, len(drow)):
-            v, r = drow[j], rrow[j]
+    for i, (drow, rrow) in enumerate(zip(_upper(dn, n), _upper(rn, n))):
+        for j, v, r in zip(range(i + 1, n), drow[1:], rrow[1:]):
             if v <= 0:
                 if v == 0:
                     raise InputError(
@@ -392,8 +382,10 @@ def classify_pair(d: MetricMatrix, rho: MetricMatrix) -> ComparisonReport:
         sandwich = {
             "lower": fmt(c2),
             "upper": fmt(1 / c1),
-            "lowerHolds": _scaled_leq(c2.numerator, rho, c2.denominator, d),
-            "upperHolds": _scaled_leq(c1.numerator, d, c1.denominator, rho),
+            "lowerHolds": _leq(_scale(c2.numerator, c2.denominator,
+                                               rho.form), d.form),
+            "upperHolds": _leq(_scale(c1.numerator, c1.denominator,
+                                               d.form), rho.form),
         }
     else:
         label, sandwich = ORDERLY_INDEPENDENT, None
@@ -430,7 +422,16 @@ def _transform(rho, entry_map, family: str):
     if isinstance(rho, MetricMatrix):
         if rho.is_zero():
             raise UndefinedRelativeElementError("transform of the zero element")
-        return rho.map_entries(entry_map)
+        labels = rho.labels
+        upper = [[ZERO] for _ in labels]
+        for i, j, v in rho.off_diagonal():
+            try:
+                upper[i].append(entry_map(v))
+            except ZeroDivisionError:
+                raise InputError(
+                    f"transform {family} is undefined on the entry {fmt(v)} "
+                    f"at ({labels[i]}, {labels[j]})") from None
+        return _from_upper(labels, upper)
     if isinstance(rho, LazyMetric):
         unbounded = rho.sup_bound is None or rho.unbounded
         return LazyMetric(
@@ -559,7 +560,7 @@ class LazyMetric:
         the metric's own); each unordered pair is evaluated once."""
         points = (carrier or self.carrier).at(depth)
         pair = _PAIR_FNS[self.family]
-        return _mirrored(carrier_labels(depth), [
+        return _from_upper(carrier_labels(depth), [
             [ZERO] + [pair(self, p, q) for q in points[i + 1:]]
             for i, p in enumerate(points)])
 
@@ -933,7 +934,7 @@ def random_metric(rng, labels: Sequence[str]) -> MetricMatrix:
         return 1 + Fraction(rng.randint(0, 12), 12)
 
     weights = [Fraction(rng.randint(1, 6), 2) for _ in range(n)]
-    rows = [[ZERO] * n for _ in range(n)]
+    upper = [[ZERO] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             if style == "box":
@@ -942,5 +943,5 @@ def random_metric(rng, labels: Sequence[str]) -> MetricMatrix:
                 v = weights[i] + weights[j]
             else:
                 v = box_entry() + weights[i] + weights[j]
-            rows[i][j] = rows[j][i] = scale * v
-    return MetricMatrix(tuple(labels), tuple(tuple(r) for r in rows))
+            upper[i].append(scale * v)
+    return _from_upper(labels, upper)

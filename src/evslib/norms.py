@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence
 from .core import EvsInstance
 from .errors import InputError
 from .instances import rational_tuple_instance
-from .metrics import MetricMatrix, _mirrored
+from .metrics import MetricMatrix, _from_upper
 from .rationals import (fmt, parse_rational, parse_rationals, to_fractions,
                         to_ints)
 
@@ -509,12 +509,10 @@ def embed_norm_to_metric(w: WeightMap, points: Sequence[FSVector]) -> MetricMatr
     points = list(points)
     if len(points) < 2:
         raise InputError("need at least two points")
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if points[i].coords == points[j].coords:
-                raise InputError("points must be pairwise distinct")
+    if len({p.coords for p in points}) != len(points):
+        raise InputError("points must be pairwise distinct")
     labels = tuple(f"p{k}" for k in range(1, len(points) + 1))
-    return _mirrored(labels, [
+    return _from_upper(labels, [
         [ZERO] + [eval_weighted_norm(w, p.sub(q)) for q in points[i + 1:]]
         for i, p in enumerate(points)])
 

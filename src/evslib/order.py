@@ -82,7 +82,8 @@ def in_l(instance: EvsInstance, x, y,
     """Decide y in L(x).
 
     Instances with an exact comparing function get the maximal certificate
-    alpha = comparing(x, y); zero refutes membership. Every such instance is
+    alpha = comparing(x, y); zero, or a negative value on signed tables,
+    refutes membership and is reported as it is. Every such instance is
     zero primitive and homogeneous, which is what makes the comparing value
     decide membership. Instances with a larger primitive space search the
     universe's minimal elements for an explicit primitive witness and report
@@ -93,8 +94,9 @@ def in_l(instance: EvsInstance, x, y,
         value = instance.comparing(x, y)
         if value > 0:
             return LCertificate(POSITIVE, alpha=value)
-        return LCertificate(REFUTED, alpha=Fraction(0),
-                            reason="comparing value is exactly zero")
+        return LCertificate(REFUTED, alpha=value,
+                            reason="comparing value is exactly zero"
+                            if value == 0 else "comparing value is negative")
     if instance.lsolve is not None:
         if universe is None:
             return LCertificate(

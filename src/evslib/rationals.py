@@ -10,18 +10,21 @@ string that is the value Fraction(str) gives, without its regular
 expression. Every other input takes the general path, so the fast path
 changes no value and no error.
 
-Inside the pointwise and cone instances a tuple of rationals is held in
-integer form (numerators, den): the entries are numerators[k] / den over one
-common positive denominator, and gcd(den, *numerators) == 1. That form is
-canonical, so two tuples are equal exactly when their integer forms are. A
-hyperspace point set uses the same form with a set of numerator tuples (see
-instances.point_set).
+A tuple of rationals is held in integer form (numerators, den): entries
+numerators[k] / den over one common positive denominator, with
+gcd(den, *numerators) == 1. The form is canonical, so two tuples are equal
+exactly when their forms are. It is the element of the pointwise and cone
+instances and what a metric table stores (MetricMatrix.form). The kernel on
+it (_reduced, _add, _scale, _leq) builds no Fraction: add and scale reduce
+once with gcd, and leq cross-multiplies. A hyperspace point set uses the
+form with a set of numerator tuples (instances.point_set).
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, le
 from typing import Sequence
 
 from .errors import InputError
@@ -99,15 +102,54 @@ def fmt(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def fmt_ratio(num: int, den: int) -> str:
+    """fmt(Fraction(num, den)) for den > 0, without building the Fraction."""
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"
+
+
 def to_ints(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     """Canonical integer form of a rational tuple over its least common
     denominator (which leaves no factor common to all numerators)."""
-    ratios = [v.as_integer_ratio() for v in values]
-    den = math.lcm(*[q for _, q in ratios])
-    return tuple([p * (den // q) for p, q in ratios]), den
+    dens = [v.denominator for v in values]
+    den = lcm(*dens)
+    return tuple([v.numerator * (den // d) for v, d in zip(values, dens)]), den
 
 
 def to_fractions(form: tuple[tuple[int, ...], int]) -> tuple[Fraction, ...]:
     """The rational tuple an integer form stands for."""
     nums, den = form
     return tuple([Fraction(n, den) for n in nums])
+
+
+def _reduced(nums: tuple, den: int) -> tuple:
+    """The canonical form of nums / den, for den > 0."""
+    g = gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return tuple([x // g for x in nums]), den // g
+
+
+def _add(a, b):
+    """The entrywise sum of two forms of one width."""
+    (xs, dx), (ys, dy) = a, b
+    if dx == dy:
+        return _reduced(tuple(map(add, xs, ys)), dx)
+    g = gcd(dx, dy)
+    mx, my = dy // g, dx // g
+    return _reduced(tuple([x * mx + y * my for x, y in zip(xs, ys)]),
+                       dx * mx)
+
+
+def _scale(p: int, q: int, a):
+    """(p/q) * a for a scalar p/q with q > 0, with the sign of p kept."""
+    xs, den = a
+    return _reduced(tuple([p * x for x in xs]), den * q)
+
+
+def _leq(a, b) -> bool:
+    """a <= b entrywise, for two forms of one width."""
+    (xs, dx), (ys, dy) = a, b
+    if dx == dy:
+        return all(map(le, xs, ys))
+    return all(x * dy <= y * dx for x, y in zip(xs, ys))

@@ -7,6 +7,7 @@ import re
 import pytest
 
 from evslib.cli import main
+from evslib.instances import MAX_CARRIER, MAX_SAMPLE, build_instance
 from evslib.metrics import MetricMatrix, builtin_metric, transform_bounded
 
 FLOAT_PATTERN = re.compile(r"\d+\.\d")
@@ -81,6 +82,15 @@ def test_compare_bounded_companion(capsys, tmp_path):
     assert code == 0
     assert doc["report"]["classification"] == "mutually-dependent"
     assert doc["report"]["sandwich"]["lowerHolds"] is True
+
+
+def test_bounded_transform_of_minus_one_names_the_pair(capsys, tmp_path):
+    path = write_json(tmp_path / "m.json", {
+        "labels": ["a", "b"], "rows": [["0", "-1"], ["-1", "0"]]})
+    code, out, err = run(capsys, "transform", "--bounded", path)
+    assert (code, out) == (2, None)
+    assert json.loads(err) == {"error": "transform bounded-of is undefined "
+                                        "on the entry -1/1 at (a, b)"}
 
 
 def test_builtin_emits_matrix(capsys):
@@ -206,6 +216,31 @@ def test_axioms_with_properties(capsys):
     props = {p["axiom"]: p["status"] for p in doc["report"]["properties"]}
     assert props["zero-primitive"] == "fail"
     assert props["single-primitive"] == "pass"
+
+
+@pytest.mark.parametrize("flag, value, error", [
+    ("--sample", MAX_SAMPLE + 1,
+     f"sample size {MAX_SAMPLE + 1} exceeds the limit of {MAX_SAMPLE}"),
+    ("--carrier", MAX_CARRIER + 1,
+     f"carrier size {MAX_CARRIER + 1} exceeds the limit of {MAX_CARRIER}"),
+    ("--carrier", 1, "a carrier needs two points, not 1"),
+    ("--carrier", 0, "a carrier needs two points, not 0"),
+])
+def test_axioms_inputs_past_a_limit_exit_two(capsys, flag, value, error):
+    code, out, err = run(capsys, "axioms", "--instance", "metrics",
+                         "--seed", "0", flag, str(value))
+    assert (code, out, json.loads(err)) == (2, None, {"error": error})
+
+
+def test_axioms_limits_admit_the_values_in_use():
+    # the limits themselves are accepted; the suite is not run on them
+    assert MAX_SAMPLE >= 50 and MAX_CARRIER >= 6
+    inst, sample, _ = build_instance("metrics", carrier=MAX_CARRIER,
+                                     sample=MAX_SAMPLE)
+    assert len(sample) == MAX_SAMPLE
+    assert len(sample[0][0]) == MAX_CARRIER * (MAX_CARRIER + 1) // 2
+    inst, sample, _ = build_instance("metrics-no-abs-scale", carrier=2)
+    assert len(sample[1][0]) == 3
 
 
 # sha256 of the stdout of `evs axioms --instance NAME --seed SEED --sample 12

@@ -21,7 +21,7 @@ from evslib.instances import (
     metric_no_abs_scale_instance,
     metric_packed_instance,
     metric_reversed_order_instance,
-    pack_matrix,
+    seeded_metric_matrices,
     seeded_metric_sample,
 )
 from evslib.metrics import builtin_metric, scale_metric
@@ -112,8 +112,8 @@ def test_a3iii_holds_with_equality_for_convex_nonnegative_scalars():
 def test_minimal_elements_examples():
     labels = carrier_labels(4)
     inst = metric_packed_instance(labels)
-    disc = pack_matrix(builtin_metric("discrete", {}, 4))
-    double = pack_matrix(scale_metric(2, builtin_metric("discrete", {}, 4)))
+    disc = builtin_metric("discrete", {}, 4).form
+    double = scale_metric(2, builtin_metric("discrete", {}, 4)).form
     assert minimal_elements([inst.zero, disc, double], inst) == [inst.zero]
 
     cone = cone_instance(2)
@@ -124,6 +124,18 @@ def test_minimal_elements_examples():
                                                 cone_element(F(2), w)]
 
     assert minimal_elements([disc], inst) == [disc]
+
+
+def test_metric_element_round_trips_a_nonzero_diagonal():
+    inst = metric_packed_instance(carrier_labels(2))
+    doc = {"labels": ["x1", "x2"], "rows": [["1/1", "2/1"], ["2/1", "0/1"]]}
+    assert inst.element_to_json(inst.element_from_json(doc)) == doc
+
+
+def test_metric_sample_is_the_forms_of_the_seeded_tables():
+    labels = carrier_labels(5)
+    assert seeded_metric_sample(labels, seed=3, count=20) == [
+        m.form for m in seeded_metric_matrices(labels, seed=3, count=20)]
 
 
 def test_minimal_elements_empty_universe_rejected():

@@ -36,9 +36,10 @@ scalars = st.one_of(rationals, small_rationals, st.just(Fraction(0)))
 
 INST = rational_tuple_instance("tuples", WIDTH, "width mismatch",
                                element_to_json=None, element_from_json=None)
-# the no-abs-scale mutant on a 4-point carrier works on tuples of width 6
+# the no-abs-scale mutant on a 4-point carrier works on tuples of width 10,
+# the upper triangle of a table with its diagonal
 MUTANT = metric_no_abs_scale_instance(carrier_labels(4))
-mutant_vectors = st.lists(entries, min_size=6, max_size=6).map(tuple)
+mutant_vectors = st.lists(entries, min_size=10, max_size=10).map(tuple)
 
 
 def canonical(form) -> bool:

@@ -86,6 +86,17 @@ def test_in_l_certificate_is_maximal():
     assert not INST.leq(scale_metric(bumped, RHO), BIG)
 
 
+def test_in_l_reports_a_negative_comparing_value_as_it_is():
+    signed = tri4(1, -2, 3, 1, 1, 2)    # min of BIG/signed is 3/-2
+    cert = in_l(INST, signed, BIG)
+    assert cert.to_json() == {"status": "refuted", "alpha": "-3/2",
+                              "reason": "comparing value is negative"}
+    touching = tri4(0, 2, 2, 2, 1, 2)  # vanishes where RHO does not
+    assert in_l(INST, RHO, touching).to_json() == {
+        "status": "refuted", "alpha": "0/1",
+        "reason": "comparing value is exactly zero"}
+
+
 # ---------------------------------------------------------------------------
 # Up and down sets
 # ---------------------------------------------------------------------------
