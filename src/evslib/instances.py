@@ -437,10 +437,12 @@ def seeded_hyper_sample(dim: int, seed: int, count: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-#: The largest sample and metric carrier build_instance takes: the verifier's
-#: time grows with the cube of the sample and the square of the carrier.
+#: The largest sample, metric carrier and norms depth build_instance takes:
+#: the verifier's time grows with the cube of the sample, the square of the
+#: carrier and the depth (the width of every norm value table).
 MAX_SAMPLE = 100
 MAX_CARRIER = 24
+MAX_DEPTH = 128
 
 _METRIC_INSTANCES = {
     "metrics": metric_packed_instance,
@@ -465,6 +467,8 @@ def build_instance(name: str, *, carrier: int = 6, depth: int = 12,
         return (_METRIC_INSTANCES[name](labels),
                 seeded_metric_sample(labels, seed, sample), DEFAULT_SCALARS)
     if name == "norms":
+        if depth > MAX_DEPTH:
+            raise InputError(f"depth {depth} exceeds the limit of {MAX_DEPTH}")
         from .norms import norm_table_instance, seeded_norm_sample
         probes, tables = seeded_norm_sample(depth, seed, sample)
         return (norm_table_instance(probes), [to_ints(t) for t in tables],

@@ -25,12 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, islice
-from operator import sub
+from operator import itemgetter, sub
 from typing import Iterator, Optional, Sequence
 
 from .errors import InputError, UndefinedRelativeElementError
-from .rationals import (_add, _leq, _scale, fmt, fmt_ratio, parse_rational,
-                        parse_rationals, to_ints)
+from .rationals import (_add, _leq, _scale, fmt, fmt_ratio,
+                        parse_plain_ratios, parse_rational, parse_rationals,
+                        ratios_to_ints, to_ints)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -49,28 +50,24 @@ class MetricMatrix:
     stored as `form`: the canonical integer form (rationals.to_ints) of its
     upper triangle, diagonal included, row by row. Every operation on
     tables runs on it, and to_json prints from it; the Fraction `rows` are
-    built on first use and cached.
+    built on first use and cached. A table read from JSON or CSV
+    (from_rows) whose entries are all plain "p/q" strings gets its form
+    straight from integers, with no Fraction; any other spelling in it
+    sends the table through parse_rational, one Fraction per parsed entry.
 
-    MetricMatrix(labels, rows) checks the shape of raw rows (square,
-    symmetric, distinct labels) but not the metric axioms, which are
-    validate_metric's job, so that candidate tables (e.g. pointwise limits)
-    can be rejected with a structured violation. Derived tables come from
-    from_form and are symmetric by construction.
+    MetricMatrix(labels, rows) checks the shape of rows of rationals
+    (square, symmetric, distinct labels) but not the metric axioms, which
+    are validate_metric's job, so that candidate tables (e.g. pointwise
+    limits) can be rejected with a structured violation. Derived tables
+    come from from_form and are symmetric by construction.
     """
 
     labels: tuple[str, ...]
     form: tuple[tuple[int, ...], int]
 
     def __init__(self, labels: Sequence[str], rows: Sequence[Sequence[Fraction]]):
-        labels = tuple(labels)
-        n = len(labels)
-        if n == 0:
-            raise InputError("empty carrier")
-        if len(set(labels)) != n:
-            raise InputError("carrier labels must be distinct")
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise InputError("matrix is not square with one row per label")
-        for i in range(n):
+        labels = _carrier(labels, rows)
+        for i in range(len(labels)):
             if list(rows[i][:i]) != [row[i] for row in rows[:i]]:
                 j = next(j for j in range(i) if rows[i][j] != rows[j][i])
                 raise InputError(
@@ -91,11 +88,18 @@ class MetricMatrix:
 
     @classmethod
     def from_rows(cls, labels: Sequence[str], rows: Sequence[Sequence]) -> "MetricMatrix":
-        """Parse the rows in order. An entry below the diagonal reuses the
-        parsed entry above it when the two raw values have the same type
-        and are equal, so a symmetric table parses each unordered pair
-        once; any other entry is parsed, so errors come as a full parse
-        would raise them."""
+        """Parse raw rows. A table of plain "p/q" strings whose rows are
+        lists repeating left of the diagonal the raw strings above it is
+        read in bulk (_plain_form), straight to its form. Any other table
+        is parsed entry by entry, rows in order: an entry below the
+        diagonal reuses the parsed entry above it when the two raw values
+        have the same type and are equal, and any other entry goes through
+        parse_rational. Either way a symmetric table parses each unordered
+        pair once, and errors come as a full parse of every entry would
+        raise them, before the shape checks of MetricMatrix(labels, rows)."""
+        form = _plain_form(rows)
+        if form is not None:
+            return cls.from_form(_carrier(labels, rows), form)
         parsed = []
         for i, row in enumerate(rows):
             if not isinstance(row, (list, tuple)):
@@ -174,6 +178,43 @@ class MetricMatrix:
             "rows": _mirror(_upper([fmt_ratio(v, den) for v in nums],
                                    self.size)),
         }
+
+
+def _carrier(labels: Sequence[str], rows: Sequence[Sequence]) -> tuple:
+    """The labels as a tuple, once they are distinct and there is one row
+    of one entry per label."""
+    labels = tuple(labels)
+    n = len(labels)
+    if n == 0:
+        raise InputError("empty carrier")
+    if len(set(labels)) != n:
+        raise InputError("carrier labels must be distinct")
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise InputError("matrix is not square with one row per label")
+    return labels
+
+
+def _plain_form(rows: Sequence) -> Optional[tuple]:
+    """The form of raw rows read one at a time with no Fraction, or None
+    as soon as a row is not a list that repeats left of the diagonal the
+    raw strings above it and holds from the diagonal on what
+    rationals.parse_plain_ratios reads. The upper entries, as written, go
+    to one common denominator and are reduced once."""
+    nums, dens = [], []
+    for i, row in enumerate(rows):
+        if type(row) is not list:
+            return None
+        try:
+            if row[:i] != list(map(itemgetter(i), rows[:i])):
+                return None
+        except IndexError:
+            return None
+        ratios = parse_plain_ratios(row[i:])
+        if ratios is None:
+            return None
+        nums += ratios[0]
+        dens += ratios[1]
+    return ratios_to_ints(nums, dens)
 
 
 def _upper(flat: list, n: int) -> list:

@@ -4,11 +4,17 @@ Every number that crosses a file or report boundary is a rational written as
 "p/q" in lowest terms. Inputs may also be integers or decimal strings such as
 "0.1" (parsed exactly, never through binary floating point).
 
-The common spelling, a plain ASCII "p/q" or "-p/q" with a nonzero
-denominator, is parsed directly as Fraction(int(p), int(q)): for such a
-string that is the value Fraction(str) gives, without its regular
-expression. Every other input takes the general path, so the fast path
-changes no value and no error.
+The common spelling is a plain ASCII "p/q" or "-p/q" with a nonzero
+denominator. parse_rational reads one such string as Fraction(int(p),
+int(q)), the value Fraction(str) gives, without its regular expression. A
+metric table whose entries are all in this spelling is read with no Fraction
+at all: parse_plain_ratios reads a row to integer numerators and
+denominators with one match and a C-level int() per part, and
+ratios_to_ints puts the whole table over one denominator and reduces it
+once. Every other spelling takes the general path of parse_rational: a
+sign "+", spaces, decimals, exponents, "_" separators, non-ASCII digits, a
+zero denominator, a numeral past int()'s digit limit, and values that are
+not strings. So neither fast path changes a value or an error.
 
 A tuple of rationals is held in integer form (numerators, den): entries
 numerators[k] / den over one common positive denominator, with
@@ -22,10 +28,12 @@ form with a set of numerator tuples (instances.point_set).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
-from operator import add, le
-from typing import Sequence
+from operator import add, floordiv, le, mul
+from typing import Optional, Sequence
 
 from .errors import InputError
 
@@ -70,6 +78,37 @@ def parse_rational(value) -> Fraction:
     raise InputError(f"not a rational: {value!r}")
 
 
+#: Plain ASCII ratios "-?digits/digits", joined by ",".
+_PLAIN_RATIOS = r"-?[0-9]+/[0-9]+(?:,-?[0-9]+/[0-9]+)*"
+
+
+def parse_plain_ratios(values: Sequence
+                       ) -> Optional[tuple[list[int], list[int]]]:
+    """The numerators and denominators, as written, of a non-empty list of
+    plain ASCII "-?digits/digits" strings with nonzero denominators; None
+    when any entry is anything else, which parse_rational then decides,
+    value or error. One match over the entries joined by "," checks them,
+    and int() is mapped over the parts; a "," inside an entry shows as more
+    parts than two per entry."""
+    try:
+        text = ",".join(values)
+    except TypeError:
+        return None
+    if not re.fullmatch(_PLAIN_RATIOS, text):
+        return None
+    parts = text.replace("/", ",").split(",")
+    if len(parts) != 2 * len(values):
+        return None
+    try:
+        ints = list(map(int, parts))
+    except ValueError:
+        return None   # a numeral past int()'s digit limit
+    dens = ints[1::2]
+    if not all(dens):
+        return None
+    return ints[::2], dens
+
+
 def _check_digits(text: str) -> None:
     """Reject a decimal with an exponent whose value would need more than
     MAX_DIGITS digits to write out: its mantissa's digits plus the
@@ -111,9 +150,17 @@ def fmt_ratio(num: int, den: int) -> str:
 def to_ints(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     """Canonical integer form of a rational tuple over its least common
     denominator (which leaves no factor common to all numerators)."""
-    dens = [v.denominator for v in values]
+    return ratios_to_ints([v.numerator for v in values],
+                          [v.denominator for v in values])
+
+
+def ratios_to_ints(nums: Sequence[int], dens: Sequence[int]
+                   ) -> tuple[tuple[int, ...], int]:
+    """to_ints of the ratios nums[k] / dens[k], for dens[k] > 0, in lowest
+    terms or not: over the least common denominator, then reduced once."""
     den = lcm(*dens)
-    return tuple([v.numerator * (den // d) for v, d in zip(values, dens)]), den
+    return _reduced(tuple(map(mul, nums, map(floordiv, repeat(den), dens))),
+                    den)
 
 
 def to_fractions(form: tuple[tuple[int, ...], int]) -> tuple[Fraction, ...]:

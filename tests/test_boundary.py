@@ -142,30 +142,45 @@ def test_recorded_report_replays(capsys, name):
 
 @pytest.mark.parametrize("suffix", (".json", ".csv"))
 def test_validate_parses_each_entry_once(capsys, monkeypatch, tmp_path, suffix):
+    """A diagonal spelled "0" sends the table through parse_rational, one
+    spelled "0/1" through the bulk parser; either way each unordered pair,
+    the diagonal included, is parsed once. For the bulk parser the work
+    counted is the entries handed to a call that parsed them."""
     n = 6
-    # entries between 1 and 7/4, so the triangle inequality holds
-    rows = [[f"{4 + (3 * min(i, j) + 5 * max(i, j)) % 4}/4" if i != j else "0"
-             for j in range(n)] for i in range(n)]
     labels = [f"x{k}" for k in range(n)]
-    path = tmp_path / f"m{suffix}"
-    if suffix == ".json":
-        path.write_text(json.dumps({"labels": labels, "rows": rows}),
-                        encoding="utf-8")
-    else:
-        path.write_text("\n".join(",".join(r) for r in [labels] + rows),
-                        encoding="utf-8")
-    calls = []
+    calls, bulk = [], []
 
     def counting(value):
         calls.append(value)
         return parse_rational(value)
 
+    def counting_bulk(values):
+        ratios = rationals.parse_plain_ratios(values)
+        if ratios is not None:
+            bulk.extend(values)
+        return ratios
+
     for module in (rationals, metrics):
         monkeypatch.setattr(module, "parse_rational", counting)
-    assert main(["validate", str(path)]) == 0
-    capsys.readouterr()
-    # one parse per unordered pair, the diagonal included
-    assert len(calls) == n * (n + 1) // 2
+    monkeypatch.setattr(metrics, "parse_plain_ratios", counting_bulk)
+    for diagonal in ("0", "0/1"):
+        # entries between 1 and 7/4, so the triangle inequality holds
+        rows = [[f"{4 + (3 * min(i, j) + 5 * max(i, j)) % 4}/4" if i != j
+                 else diagonal for j in range(n)] for i in range(n)]
+        path = tmp_path / f"m{suffix}"
+        if suffix == ".json":
+            path.write_text(json.dumps({"labels": labels, "rows": rows}),
+                            encoding="utf-8")
+        else:
+            path.write_text("\n".join(",".join(r) for r in [labels] + rows),
+                            encoding="utf-8")
+        calls.clear()
+        bulk.clear()
+        assert main(["validate", str(path)]) == 0
+        capsys.readouterr()
+        # one parse per unordered pair, the diagonal included
+        assert len(calls) + len(bulk) == n * (n + 1) // 2
+        assert len(bulk if diagonal == "0" else calls) == 0
 
 
 # -- the fast path of parse_rational ----------------------------------------

@@ -7,7 +7,8 @@ import re
 import pytest
 
 from evslib.cli import main
-from evslib.instances import MAX_CARRIER, MAX_SAMPLE, build_instance
+from evslib.instances import (MAX_CARRIER, MAX_DEPTH, MAX_SAMPLE,
+                              build_instance)
 from evslib.metrics import MetricMatrix, builtin_metric, transform_bounded
 
 FLOAT_PATTERN = re.compile(r"\d+\.\d")
@@ -241,6 +242,31 @@ def test_axioms_limits_admit_the_values_in_use():
     assert len(sample[0][0]) == MAX_CARRIER * (MAX_CARRIER + 1) // 2
     inst, sample, _ = build_instance("metrics-no-abs-scale", carrier=2)
     assert len(sample[1][0]) == 3
+
+
+def test_axioms_norms_depth_past_the_limit_exits_two(capsys, tmp_path):
+    error = {"error": f"depth {MAX_DEPTH + 1} exceeds the limit of "
+                      f"{MAX_DEPTH}"}
+    code, out, err = run(capsys, "axioms", "--instance", "norms", "--seed",
+                         "0", "--sample", "4", "--depth", str(MAX_DEPTH + 1))
+    assert (code, out, json.loads(err)) == (2, None, error)
+    report = {"command": "axioms", "inputs": {
+        "instance": "norms", "seed": 0, "sample": 4, "carrier": 6,
+        "depth": MAX_DEPTH + 1, "dim": 2, "properties": False},
+        "report": {}}
+    code, out, err = run(capsys, "--replay",
+                         write_json(tmp_path / "r.json", report))
+    assert (code, out, json.loads(err)) == (2, None, error)
+
+
+def test_axioms_norms_depth_limit_admits_the_depths_in_use():
+    # the default, the depths of tests/ and perfbench/ (which runs the
+    # default) and the limit itself build; the suite is not run on them
+    for depth in (6, 8, 12, MAX_DEPTH):
+        _, sample, _ = build_instance("norms", depth=depth, sample=4)
+        assert len(sample[0][0]) == depth + 6
+    _, sample, _ = build_instance("norms", sample=4)
+    assert len(sample[0][0]) == 12 + 6
 
 
 # sha256 of the stdout of `evs axioms --instance NAME --seed SEED --sample 12

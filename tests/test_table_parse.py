@@ -1,12 +1,19 @@
 """Tables parse each unordered pair once: a mirrored entry spelled
 otherwise still gives the canonical report, and malformed tables fail with
-the errors, in the order, that a full parse of every entry gave."""
+the errors, in the order, that a full parse of every entry gave. A table of
+plain "p/q" strings is read in bulk, straight to its integer form; it gives
+the form, or the error, of a parse_rational call on every entry."""
 
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from evslib import metrics
 from evslib.cli import main
+from evslib.errors import InputError
+from evslib.metrics import MetricMatrix
+from evslib.rationals import parse_rational
 
 
 def validate_doc(capsys, tmp_path, rows) -> tuple:
@@ -76,3 +83,106 @@ def test_decimal_exponent_within_the_limit_is_printed(capsys, tmp_path):
     assert code == 0
     assert json.loads(out)["inputs"]["matrix"]["rows"][0][1] == \
         f"{10 ** 400}/1"
+
+
+# -- the bulk parse against a parse of every entry --------------------------
+
+LONG = "1" * 4301 + "/1"   # one digit past int()'s limit
+# spellings the bulk parser reads, unreduced and signed zeros included
+PLAIN = ["1/2", "-1/2", "4/6", "-4/6", "0/1", "-0/3", "7/1", "007/010",
+         "12/8", "3/4", "2/4"]
+# spellings that take parse_rational: values, errors and padded strings
+GENERAL = ["0", "1", " 1/2", "1/2 ", "+1/2", "1 / 2", "0.25", "1e-3", 2, 0.5,
+           True, "1/0", "\u0661/\u0662", LONG, "1,2/3", "1_0/3", None, [1]]
+
+plain = st.one_of(
+    st.sampled_from(PLAIN),
+    st.builds(lambda sign, p, q: f"{sign}{p}/{q}", st.sampled_from(("", "-")),
+              st.integers(0, 60), st.integers(1, 24)))
+entries = st.one_of(plain, st.sampled_from(GENERAL))
+
+
+@st.composite
+def raw_tables(draw):
+    """Labels and raw rows: plain or mixed upper triangles, lower triangles
+    that mirror them or spell entries otherwise ("2/4" or "3/4" below
+    "1/2"), now and then a repeated label or a short row."""
+    n = draw(st.integers(1, 4))
+    upper_entry = draw(st.sampled_from((plain, entries)))
+    lower_entry = draw(st.sampled_from((None, plain, entries)))
+    upper = {(i, j): draw(upper_entry) for i in range(n) for j in range(i, n)}
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if j >= i:
+                rows[i][j] = upper[i, j]
+            elif lower_entry is None or draw(st.booleans()):
+                rows[i][j] = upper[j, i]
+            else:
+                rows[i][j] = draw(lower_entry)
+    labels = ["a", "b", "c", "d"][:n]
+    if n > 1 and draw(st.integers(0, 9)) == 0:
+        labels[-1] = labels[0]
+    if draw(st.integers(0, 9)) == 0:
+        rows[draw(st.integers(0, n - 1))].pop()
+    return labels, rows
+
+
+def outcome(build):
+    """The form a table builds to, or the text of its InputError."""
+    try:
+        return build().form
+    except InputError as exc:
+        return str(exc)
+
+
+def reference(labels, rows):
+    """parse_rational on every entry in row order, then the constructor."""
+    return MetricMatrix(labels, [[parse_rational(v) for v in row]
+                                 for row in rows])
+
+
+def csv_text(labels, rows):
+    """The table as CSV text, or None where CSV cannot carry it as is."""
+    cells = [*labels, *(v for row in rows for v in row)]
+    if not all(type(c) is str and c and c == c.strip()
+               and not set(c) & set(',"\r\n') for c in cells):
+        return None
+    return "\n".join(",".join(r) for r in [labels, *rows])
+
+
+@settings(max_examples=500, deadline=None)
+@given(raw_tables())
+@example((["a", "b"], [["0/2", "4/6"], ["4/6", "-0/3"]]))
+@example((["a", "b"], [["0/1", "1/0"], ["1/0", "0/1"]]))
+@example((["a", "b"], [["0/1", "1/2"], ["3/4", "0/1"]]))
+@example((["a", "b"], [["0/1", "1/2"], ["2/4", "0/1"]]))
+def test_bulk_parse_matches_a_parse_of_every_entry(table):
+    labels, rows = table
+    expected = outcome(lambda: reference(labels, rows))
+    assert outcome(lambda: MetricMatrix.from_json(
+        {"labels": labels, "rows": rows})) == expected
+    text = csv_text(labels, rows)
+    if text is not None:
+        assert outcome(lambda: MetricMatrix.from_csv_text(text)) == expected
+
+
+@pytest.mark.parametrize("rows, bulk", [
+    *(([["0/1", v], [v, "0/1"]], True) for v in PLAIN),
+    *(([["0/1", v], [v, "0/1"]], False) for v in GENERAL),
+    ([["0/1", "1/2"], ["2/4", "0/1"]], False),
+    ([["0/1", "1/2"], ["3/4", "0/1"]], False),
+    ([["0/1", "1/2"], ("1/2", "0/1")], False),
+])
+def test_only_plain_mirrored_tables_skip_parse_rational(monkeypatch, rows,
+                                                        bulk):
+    calls = []
+
+    def counting(value):
+        calls.append(value)
+        return parse_rational(value)
+
+    monkeypatch.setattr(metrics, "parse_rational", counting)
+    outcome(lambda: MetricMatrix.from_json({"labels": ["a", "b"],
+                                            "rows": rows}))
+    assert (not calls) == bulk
