@@ -88,15 +88,13 @@ class MetricMatrix:
 
     @classmethod
     def from_rows(cls, labels: Sequence[str], rows: Sequence[Sequence]) -> "MetricMatrix":
-        """Parse raw rows. A table of plain "p/q" strings whose rows are
-        lists repeating left of the diagonal the raw strings above it is
-        read in bulk (_plain_form), straight to its form. Any other table
-        is parsed entry by entry, rows in order: an entry below the
-        diagonal reuses the parsed entry above it when the two raw values
-        have the same type and are equal, and any other entry goes through
-        parse_rational. Either way a symmetric table parses each unordered
-        pair once, and errors come as a full parse of every entry would
-        raise them, before the shape checks of MetricMatrix(labels, rows)."""
+        """Parse raw rows. A table of plain "p/q" strings, mirrored raw
+        below the diagonal, goes straight to its form (_plain_form). Any
+        other table is parsed row by row: an entry below the diagonal
+        reuses the parsed entry above it when the two raw values have the
+        same type and are equal, and any other entry goes through
+        parse_rational. So each unordered pair is parsed once, and errors
+        come as a full parse of every entry would raise them."""
         form = _plain_form(rows)
         if form is not None:
             return cls.from_form(_carrier(labels, rows), form)
@@ -195,11 +193,11 @@ def _carrier(labels: Sequence[str], rows: Sequence[Sequence]) -> tuple:
 
 
 def _plain_form(rows: Sequence) -> Optional[tuple]:
-    """The form of raw rows read one at a time with no Fraction, or None
-    as soon as a row is not a list that repeats left of the diagonal the
-    raw strings above it and holds from the diagonal on what
-    rationals.parse_plain_ratios reads. The upper entries, as written, go
-    to one common denominator and are reduced once."""
+    """The form of raw rows, read one at a time with no Fraction: each row
+    a list that repeats left of the diagonal the raw entries above it and
+    holds from the diagonal on what rationals.parse_plain_ratios reads.
+    None at the first row that is not. The entries go over one common
+    denominator and are reduced once, for the whole table."""
     nums, dens = [], []
     for i, row in enumerate(rows):
         if type(row) is not list:

@@ -5,16 +5,13 @@ Every number that crosses a file or report boundary is a rational written as
 "0.1" (parsed exactly, never through binary floating point).
 
 The common spelling is a plain ASCII "p/q" or "-p/q" with a nonzero
-denominator. parse_rational reads one such string as Fraction(int(p),
-int(q)), the value Fraction(str) gives, without its regular expression. A
-metric table whose entries are all in this spelling is read with no Fraction
-at all: parse_plain_ratios reads a row to integer numerators and
-denominators with one match and a C-level int() per part, and
-ratios_to_ints puts the whole table over one denominator and reduces it
-once. Every other spelling takes the general path of parse_rational: a
-sign "+", spaces, decimals, exponents, "_" separators, non-ASCII digits, a
-zero denominator, a numeral past int()'s digit limit, and values that are
-not strings. So neither fast path changes a value or an error.
+denominator. parse_rational reads one as Fraction(int(p), int(q)), the value
+Fraction(str) gives, and parse_plain_ratios reads a row of a metric table in
+that spelling to integers with no Fraction (see MetricMatrix.from_rows).
+Anything else takes the general path of parse_rational: a sign "+", spaces,
+decimals, exponents, "_" separators, non-ASCII digits, a zero denominator, a
+numeral past int()'s digit limit, a value that is not a string. So the fast
+paths change no value and no error.
 
 A tuple of rationals is held in integer form (numerators, den): entries
 numerators[k] / den over one common positive denominator, with
@@ -85,11 +82,11 @@ _PLAIN_RATIOS = r"-?[0-9]+/[0-9]+(?:,-?[0-9]+/[0-9]+)*"
 def parse_plain_ratios(values: Sequence
                        ) -> Optional[tuple[list[int], list[int]]]:
     """The numerators and denominators, as written, of a non-empty list of
-    plain ASCII "-?digits/digits" strings with nonzero denominators; None
-    when any entry is anything else, which parse_rational then decides,
-    value or error. One match over the entries joined by "," checks them,
-    and int() is mapped over the parts; a "," inside an entry shows as more
-    parts than two per entry."""
+    plain ASCII "-?digits/digits" strings with nonzero denominators, read by
+    one match over the entries joined by "," and int() mapped over the
+    parts; None when any entry is spelled otherwise (a "," inside an entry
+    shows as more than two parts per entry).
+    """
     try:
         text = ",".join(values)
     except TypeError:
