@@ -136,31 +136,27 @@ def _universe_from_inline(doc) -> order.Universe:
         raise InputError("a universe is an object")
     if not isinstance(doc["elements"], list) or not doc["elements"]:
         raise InputError('universe "elements" must be a nonempty list')
-    kind = doc["instance"]
-    if kind == "metrics":
-        mats = [metrics.MetricMatrix.from_json(e) for e in doc["elements"]]
-        inst = instances.metric_matrix_instance(mats[0].labels)
-        return order.Universe(inst, mats)
+    kind, elements = doc["instance"], doc["elements"]
     if kind == "norm-family":
         depth = _int_field(doc, "depth", 0)
         part = norms.PartitionSpec(depth)
         inst = norms.norm_family_instance(part)
-        elements = [norms.NormFamilyParams.from_json(e) for e in doc["elements"]]
+        elements = [norms.NormFamilyParams.from_json(e) for e in elements]
         for e in elements:
             if e.partition.depth != depth:
                 raise InputError("family element uses a different depth")
         return order.Universe(inst, elements)
-    if kind == "cone":
+    if kind == "metrics":
+        # the first table fixes the carrier; it is parsed once
+        elements = [metrics.MetricMatrix.from_json(elements[0]), *elements[1:]]
+        inst = instances.metric_packed_instance(elements[0].labels)
+    elif kind == "cone":
         inst = instances.cone_instance(_int_field(doc, "dim", 2))
-        return order.Universe(
-            inst, [inst.element_from_json(e) for e in doc["elements"]]
-        )
-    if kind == "hyperspace":
+    elif kind == "hyperspace":
         inst = instances.hyperspace_instance(_int_field(doc, "dim", 2))
-        return order.Universe(
-            inst, [inst.element_from_json(e) for e in doc["elements"]]
-        )
-    raise InputError(f"unknown universe instance {kind!r}")
+    else:
+        raise InputError(f"unknown universe instance {kind!r}")
+    return order.Universe(inst, [inst.element_from_json(e) for e in elements])
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ integer form: a rational tuple as (numerators, den) for metrics (a table's
 MetricMatrix.form), norms and the cone, and a point set as (frozenset of
 numerator tuples, den) for the hyperspace. Both forms are canonical, so
 `equal` is tuple equality. Fractions appear only at the boundaries (JSON,
-the seeded samples and cone `lsolve`). metric_matrix_instance, which the
-order tools use, holds MetricMatrix tables, whose ops run on the same form.
+the seeded samples and cone `lsolve`). The verifier and the order tools
+share each instance; the metric one adds the comparing function of
+metrics.py, which reads its two forms as MetricMatrix tables.
 
 Samplers are deterministic in their seed and are built so that the
 sample-relative minimal structure matches the carrier-wide one: the cone
@@ -36,11 +37,8 @@ from .core import EvsInstance
 from .errors import InputError
 from .metrics import (
     MetricMatrix,
-    add_metrics,
     carrier_labels,
     comparing_function_metric,
-    equal_metrics,
-    leq_metrics,
     random_metric,
     scale_metric,
     transform_bounded,
@@ -103,9 +101,9 @@ def rational_tuple_instance(name: str, width: int, mismatch: str,
 # Metrics on a finite carrier
 # ---------------------------------------------------------------------------
 #
-# For the verifier a metric is the plain tuple MetricMatrix.form, which keeps
-# the exhaustive pair/triple loops cheap; reports render it back as a full
-# matrix. The order tools take the MetricMatrix, whose ops run on that form.
+# A metric is the plain tuple MetricMatrix.form, which keeps the verifier's
+# exhaustive pair/triple loops cheap; reports render it back as a full
+# matrix, and the order tools' comparing value reads it as a MetricMatrix.
 
 
 def metric_packed_instance(labels: Sequence[str]) -> EvsInstance:
@@ -118,27 +116,18 @@ def metric_packed_instance(labels: Sequence[str]) -> EvsInstance:
             raise InputError(mismatch)
         return m.form
 
-    return rational_tuple_instance(
-        f"metrics[{len(labels)}-point carrier]",
-        len(MetricMatrix.zero(labels).form[0]),
-        mismatch,
-        element_to_json=lambda a: MetricMatrix.from_form(labels, a).to_json(),
-        element_from_json=from_json,
-    )
-
-
-def metric_matrix_instance(labels: Sequence[str]) -> EvsInstance:
-    labels = tuple(labels)
-    return EvsInstance(
-        name=f"metrics[{len(labels)}-point carrier]",
-        zero=MetricMatrix.zero(labels),
-        add=add_metrics,
-        scale=scale_metric,
-        leq=leq_metrics,
-        equal=equal_metrics,
-        element_to_json=lambda m: m.to_json(),
-        element_from_json=MetricMatrix.from_json,
-        comparing=comparing_function_metric,
+    return replace(
+        rational_tuple_instance(
+            f"metrics[{len(labels)}-point carrier]",
+            len(MetricMatrix.zero(labels).form[0]),
+            mismatch,
+            element_to_json=lambda a: MetricMatrix.from_form(
+                labels, a).to_json(),
+            element_from_json=from_json,
+        ),
+        comparing=lambda x, y: comparing_function_metric(
+            MetricMatrix.from_form(labels, x),
+            MetricMatrix.from_form(labels, y)),
     )
 
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, islice
 from operator import itemgetter, sub
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import InputError, UndefinedRelativeElementError
 from .rationals import (_add, _leq, _scale, fmt, fmt_ratio,
@@ -49,11 +49,14 @@ class MetricMatrix:
     """Symmetric rational distance table over a finite labeled carrier,
     stored as `form`: the canonical integer form (rationals.to_ints) of its
     upper triangle, diagonal included, row by row. Every operation on
-    tables runs on it, and to_json prints from it; the Fraction `rows` are
-    built on first use and cached. A table read from JSON or CSV
-    (from_rows) whose entries are all plain "p/q" strings gets its form
-    straight from integers, with no Fraction; any other spelling in it
-    sends the table through parse_rational, one Fraction per parsed entry.
+    tables runs on it, and to_json prints from it. The form is also the
+    element of the one metric instance, instances.metric_packed_instance,
+    that serves both the axiom verifier and the order tools. `rows`, the
+    one Fraction view, is built on first use and cached. A table read from
+    JSON or CSV (from_rows) whose entries are all plain "p/q" strings gets
+    its form straight from integers, with no Fraction; any other spelling
+    in it sends the table through parse_rational, one Fraction per parsed
+    entry.
 
     MetricMatrix(labels, rows) checks the shape of rows of rationals
     (square, symmetric, distinct labels) but not the metric axioms, which
@@ -152,22 +155,8 @@ class MetricMatrix:
         return tuple(map(tuple, _mirror(
             _upper([Fraction(v, den) for v in nums], self.size))))
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
-
     def is_zero(self) -> bool:
         return not any(self.form[0])
-
-    def off_diagonal(self) -> Iterator[tuple[int, int, Fraction]]:
-        """Yield (i, j, value) over unordered distinct pairs, i < j."""
-        for i, j in combinations(range(self.size), 2):
-            yield i, j, self.rows[i][j]
-
-    def off_diag_min(self) -> Fraction:
-        return min(v for _, _, v in self.off_diagonal())
-
-    def off_diag_max(self) -> Fraction:
-        return max(v for _, _, v in self.off_diagonal())
 
     def to_json(self) -> dict:
         nums, den = self.form
@@ -334,11 +323,6 @@ def leq_metrics(a: MetricMatrix, b: MetricMatrix) -> bool:
     return _leq(a.form, b.form)
 
 
-def equal_metrics(a: MetricMatrix, b: MetricMatrix) -> bool:
-    _require_same_labels(a, b)
-    return a.form == b.form
-
-
 # ---------------------------------------------------------------------------
 # Comparing function and pair classification
 # ---------------------------------------------------------------------------
@@ -461,15 +445,18 @@ def _transform(rho, entry_map, family: str):
     if isinstance(rho, MetricMatrix):
         if rho.is_zero():
             raise UndefinedRelativeElementError("transform of the zero element")
-        labels = rho.labels
-        upper = [[ZERO] for _ in labels]
-        for i, j, v in rho.off_diagonal():
-            try:
-                upper[i].append(entry_map(v))
-            except ZeroDivisionError:
-                raise InputError(
-                    f"transform {family} is undefined on the entry {fmt(v)} "
-                    f"at ({labels[i]}, {labels[j]})") from None
+        labels, (nums, den) = rho.labels, rho.form
+        upper = []
+        for i, row in enumerate(_upper(nums, rho.size)):
+            upper.append([ZERO])
+            for j, x in enumerate(row[1:], i + 1):
+                v = Fraction(x, den)
+                try:
+                    upper[i].append(entry_map(v))
+                except ZeroDivisionError:
+                    raise InputError(
+                        f"transform {family} is undefined on the entry "
+                        f"{fmt(v)} at ({labels[i]}, {labels[j]})") from None
         return _from_upper(labels, upper)
     if isinstance(rho, LazyMetric):
         unbounded = rho.sup_bound is None or rho.unbounded
@@ -720,9 +707,18 @@ def builtin_lazy(name: str, params: Optional[dict] = None) -> LazyMetric:
     return make(*values)
 
 
+#: The deepest table builtin_metric materializes: its time, memory and
+#: printed size grow with the square of the depth.
+MAX_BUILTIN_DEPTH = 1000
+
+
 def builtin_metric(name: str, params: Optional[dict], depth: int) -> MetricMatrix:
     """Materialize a named metric on the first `depth` canonical carrier points."""
-    return builtin_lazy(name, params).materialize(depth)
+    lazy = builtin_lazy(name, params)
+    if depth > MAX_BUILTIN_DEPTH:
+        raise InputError(f"depth {depth} exceeds the limit of "
+                         f"{MAX_BUILTIN_DEPTH}")
+    return lazy.materialize(depth)
 
 
 def resolve_carrier(a: LazyMetric, b: LazyMetric) -> Carrier:

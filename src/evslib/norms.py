@@ -110,10 +110,6 @@ class FSVector:
 # ---------------------------------------------------------------------------
 
 
-def _cantor_pair(a: int, r: int) -> int:
-    return (a + r) * (a + r + 1) // 2 + r
-
-
 def _cantor_unpair(j: int) -> tuple[int, int]:
     w = (math.isqrt(8 * j + 1) - 1) // 2
     r = j - w * (w + 1) // 2
@@ -124,6 +120,10 @@ _TAG_RE = re.compile(r"^([de])\((h\d+),(\d+)\)$")
 _POS_RE = re.compile(r"^h(\d+)$")
 
 Tag = tuple  # ("B", t) | ("D", t, i) | ("E", t, i)
+
+#: The deepest partition: its cost, and that of every report that lists its
+#: assignment, grows with the depth.
+MAX_PARTITION_DEPTH = 100_000
 
 
 @dataclass(frozen=True)
@@ -145,6 +145,9 @@ class PartitionSpec:
                 "partition depth must be at least 4 to make the backbone and "
                 "both fiber kinds available"
             )
+        if self.depth > MAX_PARTITION_DEPTH:
+            raise InputError(f"partition depth {self.depth} exceeds the "
+                             f"limit of {MAX_PARTITION_DEPTH}")
 
     # -- scheme, total over all positions ------------------------------------
 
@@ -159,19 +162,6 @@ class PartitionSpec:
         if r % 2 == 0:
             return ("D", t, r // 2 + 1)
         return ("E", t, (r + 1) // 2)
-
-    @staticmethod
-    def position_of_tag(tag: Tag) -> int:
-        kind = tag[0]
-        if kind == "B":
-            k = _backbone_position(tag[1])
-            return k
-        _, t, i = tag
-        if i < 1:
-            raise InputError("fiber indices start at 1")
-        a = _backbone_position(t) // 2
-        r = 2 * (i - 1) if kind == "D" else 2 * i - 1
-        return 2 * _cantor_pair(a, r) + 1
 
     @staticmethod
     def name_of_tag(tag: Tag) -> str:

@@ -10,6 +10,7 @@ delegated to validate_metric alone.
 import random
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import combinations
 
 from evslib import (
     FSVector,
@@ -51,7 +52,7 @@ from evslib.instances import (
     DEFAULT_SCALARS,
     build_instance,
     carrier_labels,
-    metric_matrix_instance,
+    metric_packed_instance,
     metric_reversed_order_instance,
     seeded_metric_sample,
 )
@@ -69,6 +70,11 @@ def criterion(number, description):
         print(f"[criterion {number:02d}] FAIL - {description}")
         raise
     print(f"[criterion {number:02d}] PASS - {description}")
+
+
+def distinct_pairs(m: MetricMatrix) -> list:
+    """(i, j, value) over the distinct pairs i < j, read from the rows."""
+    return [(i, j, m.rows[i][j]) for i, j in combinations(range(m.size), 2)]
 
 
 def pair_minimum_oracle(d: MetricMatrix, rho: MetricMatrix) -> Fraction:
@@ -89,7 +95,7 @@ def spectrum_oracle(d: MetricMatrix, rho: MetricMatrix) -> Fraction:
     """Largest candidate multiplier lam with lam*d <= rho, decided purely
     through the order relation."""
     candidates = {F(0)}
-    for i, j, dv in d.off_diagonal():
+    for i, j, dv in distinct_pairs(d):
         candidates.add(rho.rows[i][j] / dv)
     return max(l for l in candidates if leq_metrics(scale_metric(l, d), rho))
 
@@ -159,7 +165,8 @@ def test_criterion_04_closed_form_comparing_values():
         labels = carrier_labels(6)
         for _ in range(50):
             rho = random_metric(rng, labels)
-            lo, hi = rho.off_diag_min(), rho.off_diag_max()
+            values = [v for _, _, v in distinct_pairs(rho)]
+            lo, hi = min(values), max(values)
             rmin, rb = transform_min(rho), transform_bounded(rho)
 
             assert comparing_function_metric(rmin, rho) == max(F(1), lo)
@@ -341,17 +348,20 @@ def test_criterion_11_discrete_basis_over_finite_carrier():
                        "no basis"):
         rng = random.Random(11)
         labels = carrier_labels(6)
-        inst = metric_matrix_instance(labels)
+        inst = metric_packed_instance(labels)
         disc = builtin_metric("discrete", {}, 6)
-        universe = Universe(inst, [random_metric(rng, labels) for _ in range(100)])
-        report = generates(inst, [disc], universe)
+        tables = [random_metric(rng, labels) for _ in range(100)]
+        universe = Universe(inst, [m.form for m in tables])
+        report = generates(inst, [disc.form], universe)
         assert report.status == "pass"
-        for element, entry in zip(universe.elements, report.coverage):
-            lo = element.off_diag_min()
+        for m, entry in zip(tables, report.coverage):
+            assert entry["element"] == m.to_json()
+            lo = min(v for _, _, v in distinct_pairs(m))
             assert entry["certificate"]["alpha"] == f"{lo.numerator}/{lo.denominator}"
 
-        rho = universe.elements[0]
-        verdict = is_basis(inst, [rho, transform_bounded(rho)], universe)
+        rho = tables[0]
+        verdict = is_basis(inst, [rho.form, transform_bounded(rho).form],
+                           universe)
         assert verdict["orderlyIndependent"]["status"] == "fail"
         assert verdict["status"] == "fail"
 
@@ -361,11 +371,11 @@ def test_criterion_12_certificate_algebra():
                        "and transitivity on 200 random triples"):
         rng = random.Random(12)
         labels = carrier_labels(5)
-        inst = metric_matrix_instance(labels)
+        inst = metric_packed_instance(labels)
         for _ in range(200):
-            a = random_metric(rng, labels)
-            b = random_metric(rng, labels)
-            c = random_metric(rng, labels)
+            a = random_metric(rng, labels).form
+            b = random_metric(rng, labels).form
+            c = random_metric(rng, labels).form
             alpha = F(rng.randint(1, 9), rng.randint(1, 9))
 
             cert_ab = in_l(inst, a, b)
@@ -379,7 +389,7 @@ def test_criterion_12_certificate_algebra():
                 assert cert_ab.status == "positive"
                 assert cert_ab.alpha >= cert_bigger.alpha
 
-            assert in_l(inst, scale_metric(alpha, a), b).alpha == \
+            assert in_l(inst, inst.scale(alpha, a), b).alpha == \
                 cert_ab.alpha / alpha
 
             cert_bc = in_l(inst, b, c)

@@ -9,7 +9,9 @@ import pytest
 from evslib.cli import main
 from evslib.instances import (MAX_CARRIER, MAX_DEPTH, MAX_SAMPLE,
                               build_instance)
-from evslib.metrics import MetricMatrix, builtin_metric, transform_bounded
+from evslib.metrics import (MAX_BUILTIN_DEPTH, LazyMetric, MetricMatrix,
+                            builtin_metric, transform_bounded)
+from evslib.norms import MAX_PARTITION_DEPTH, PartitionSpec
 
 FLOAT_PATTERN = re.compile(r"\d+\.\d")
 
@@ -106,6 +108,34 @@ def test_builtin_bad_params_exit_two(capsys):
     assert code == 2 and "odd" in err
 
 
+def test_builtin_depth_past_the_limit_exits_two(capsys, tmp_path,
+                                                monkeypatch):
+    def materialize(self, depth, carrier=None):
+        raise AssertionError(f"materialized at depth {depth}")
+    monkeypatch.setattr(LazyMetric, "materialize", materialize)
+    depth = MAX_BUILTIN_DEPTH + 1
+    error = {"error": f"depth {depth} exceeds the limit of "
+                      f"{MAX_BUILTIN_DEPTH}"}
+    code, out, err = run(capsys, "builtin", "kappa", "--depth", str(depth))
+    assert (code, out, json.loads(err)) == (2, None, error)
+    report = {"command": "builtin", "inputs": {
+        "name": "discrete", "params": {}, "depth": depth}, "report": {}}
+    code, out, err = run(capsys, "--replay",
+                         write_json(tmp_path / "r.json", report))
+    assert (code, out, json.loads(err)) == (2, None, error)
+
+
+def test_builtin_depth_limit_admits_the_limit(monkeypatch):
+    # the deepest table of perfbench/ is 121 points; the limit itself is
+    # admitted but not materialized here
+    assert MAX_BUILTIN_DEPTH >= 121
+    seen = []
+    monkeypatch.setattr(LazyMetric, "materialize",
+                        lambda self, depth, carrier=None: seen.append(depth))
+    builtin_metric("discrete", {}, MAX_BUILTIN_DEPTH)
+    assert seen == [MAX_BUILTIN_DEPTH]
+
+
 def test_partial_compare_trend(capsys):
     code, doc, _ = run(capsys, "partial-compare", "--first", "discrete",
                        "--second", "shrinking", "--depths", "10,25,50")
@@ -158,6 +188,25 @@ def test_norms_partition_and_weights(capsys, tmp_path):
     code, doc, _ = run(capsys, "norms", "weights", "--spec", spec)
     assert code == 0
     assert doc["report"]["weights"]["h1"] == "2/1"
+
+
+def test_partition_depth_past_the_limit_exits_two(capsys, tmp_path):
+    depth = MAX_PARTITION_DEPTH + 1
+    error = {"error": f"partition depth {depth} exceeds the limit of "
+                      f"{MAX_PARTITION_DEPTH}"}
+    spec = write_json(tmp_path / "p.json",
+                      {"depth": depth, "subsetC": ["h0"], "gamma": "2"})
+    manifest = write_json(tmp_path / "u.json", {
+        "instance": "norm-family", "depth": depth, "elements": ["p.json"]})
+    for argv in (["norms", "partition", "--depth", str(depth)],
+                 ["norms", "weights", "--spec", spec],
+                 ["order", "indep", "--universe", manifest]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, json.loads(err)) == (2, None, error), argv
+
+
+def test_partition_depth_limit_admits_the_limit():
+    assert PartitionSpec(MAX_PARTITION_DEPTH).depth == MAX_PARTITION_DEPTH
 
 
 def test_norms_eval(capsys, tmp_path):
@@ -357,6 +406,53 @@ def test_order_basis_and_feasible(capsys, tmp_path):
     code, doc, _ = run(capsys, "order", "feasible", "--universe", manifest,
                        "--x", str(tmp_path / "u0.json"))
     assert code == 0 and doc["report"]["status"] == "pass"
+
+
+def other_carrier_table(tmp_path):
+    """A valid 4-point table over labels no universe here uses."""
+    m = builtin_metric("discrete", {}, 4).to_json()
+    return write_json(tmp_path / "other.json",
+                      {"labels": ["a", "b", "c", "d"], "rows": m["rows"]})
+
+
+def assert_carrier_mismatch(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, None)
+    assert err.count("\n") == 1
+    doc = json.loads(err)
+    assert list(doc) == ["error"]
+    assert "different carrier" in doc["error"]
+
+
+@pytest.mark.parametrize("action", ["in-l", "indep", "generates", "basis",
+                                    "feasible"])
+def test_order_manifest_element_over_other_labels_exits_two(capsys, tmp_path,
+                                                            action):
+    manifest, _ = make_metric_universe(tmp_path, count=2)
+    other_carrier_table(tmp_path)
+    write_json(tmp_path / "universe.json", {
+        "instance": "metrics", "elements": ["u0.json", "other.json"]})
+    u0 = str(tmp_path / "u0.json")
+    extra = {"in-l": ["--x", u0, "--y", u0], "feasible": ["--x", u0],
+             "generates": ["--generator", u0], "basis": ["--generator", u0]}
+    assert_carrier_mismatch(capsys, "order", action, "--universe", manifest,
+                            *extra.get(action, []))
+
+
+@pytest.mark.parametrize("argv", [
+    ["in-l", "--x", "OTHER", "--y", "U0"],
+    ["in-l", "--x", "U0", "--y", "OTHER"],
+    ["feasible", "--x", "OTHER"],
+    ["generates", "--generator", "OTHER"],
+    ["basis", "--generator", "OTHER"],
+])
+def test_order_element_over_other_labels_exits_two(capsys, tmp_path, argv):
+    manifest, _ = make_metric_universe(tmp_path, count=2)
+    files = {"OTHER": other_carrier_table(tmp_path),
+             "U0": str(tmp_path / "u0.json")}
+    action, *rest = argv
+    assert_carrier_mismatch(capsys, "order", action, "--universe", manifest,
+                            *[files.get(a, a) for a in rest])
 
 
 def test_order_norm_family_indep_with_eps(capsys, tmp_path):

@@ -3,6 +3,7 @@ builtin families, depth-indexed comparison, and the incompleteness demo."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -37,12 +38,17 @@ from evslib.metrics import random_metric
 F = Fraction
 
 
+def distinct_pairs(m: MetricMatrix) -> list:
+    """(i, j, value) over the distinct pairs i < j, read from the rows."""
+    return [(i, j, m.rows[i][j]) for i, j in combinations(range(m.size), 2)]
+
+
 def comparing_oracle(d: MetricMatrix, rho: MetricMatrix) -> Fraction:
     """Independent route through the spectrum definition: enumerate candidate
     multipliers (all pairwise ratios and zero) and take the largest lambda,
     checked via the order relation, with lambda*d <= rho."""
     candidates = {F(0)}
-    for i, j, dv in d.off_diagonal():
+    for i, j, dv in distinct_pairs(d):
         candidates.add(rho.rows[i][j] / dv)
     feasible = [
         lam for lam in candidates if leq_metrics(scale_metric(lam, d), rho)
@@ -193,7 +199,8 @@ def test_comparing_certificate_is_tight():
     c = comparing_function_metric(d, rho)
     assert leq_metrics(scale_metric(c, d), rho)
     scaled = scale_metric(c, d)
-    assert any(scaled.rows[i][j] == rho.rows[i][j] for i, j, _ in d.off_diagonal())
+    assert any(scaled.rows[i][j] == rho.rows[i][j]
+               for i, j, _ in distinct_pairs(d))
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +273,7 @@ def test_comparing_value_is_a_tight_lower_multiplier(pair):
     d, rho = pair
     c = comparing_function_metric(d, rho)
     assert leq_metrics(scale_metric(c, d), rho)
-    assert any(c * v == rho.rows[i][j] for i, j, v in d.off_diagonal())
+    assert any(c * v == rho.rows[i][j] for i, j, v in distinct_pairs(d))
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +283,16 @@ def test_comparing_value_is_a_tight_lower_multiplier(pair):
 
 def test_bounded_transform_entries():
     rho = tri(3, 3, 3)
-    assert transform_bounded(rho).entry(0, 1) == F(3, 4)
+    assert transform_bounded(rho).rows[0][1] == F(3, 4)
     disc = builtin_metric("discrete", {}, 4)
-    assert set(v for _, _, v in transform_bounded(disc).off_diagonal()) == {F(1, 2)}
+    assert {v for _, _, v in distinct_pairs(transform_bounded(disc))} == \
+        {F(1, 2)}
 
 
 def test_min_transform_entries():
     rho = tri(F(1, 2), 3, 3)
     out = transform_min(rho)
-    assert out.entry(0, 1) == F(1, 2) and out.entry(0, 2) == 1
+    assert out.rows[0][1] == F(1, 2) and out.rows[0][2] == 1
 
 
 def test_min_transform_fixed_point_below_one():
@@ -308,8 +316,9 @@ def test_transform_closed_forms_match_oracle():
     for _ in range(15):
         rho = random_metric(rng, labels)
         rb = transform_bounded(rho)
-        assert comparing_function_metric(rb, rho) == 1 + rho.off_diag_min()
-        assert comparing_function_metric(rho, rb) == 1 / (1 + rho.off_diag_max())
+        values = [v for _, _, v in distinct_pairs(rho)]
+        assert comparing_function_metric(rb, rho) == 1 + min(values)
+        assert comparing_function_metric(rho, rb) == 1 / (1 + max(values))
         assert comparing_function_metric(rb, rho) == comparing_oracle(rb, rho)
 
 
@@ -325,16 +334,16 @@ def test_transform_of_zero_rejected():
 
 def test_builtin_shrinking_values():
     m = builtin_metric("shrinking", {}, 4)
-    assert m.entry(0, 1) == F(1, 2)
-    assert m.entry(1, 2) == F(1, 6)
-    assert m.entry(0, 3) == F(3, 4)
+    assert m.rows[0][1] == F(1, 2)
+    assert m.rows[1][2] == F(1, 6)
+    assert m.rows[0][3] == F(3, 4)
 
 
 def test_builtin_kappa_case_table():
     m = builtin_metric("kappa", {"step": "1/10"}, 21)
     # x_j = -1 + (j-1)/10: 0.7 is x18, 0.9 is x20, 0.1 is x12, 0.3 is x14
-    assert m.entry(17, 19) == 2
-    assert m.entry(11, 13) == F(1, 5)
+    assert m.rows[17][19] == 2
+    assert m.rows[11][13] == F(1, 5)
 
 
 def test_builtin_kappa_step_consistency():
@@ -346,7 +355,7 @@ def test_builtin_kappa_step_consistency():
 
 def test_builtin_cauchy_values():
     m = builtin_metric("cauchy-dn", {"n": 10, "points": [[0, 0], [0, 1]]}, 2)
-    assert m.entry(0, 1) == F(1, 10)
+    assert m.rows[0][1] == F(1, 10)
 
 
 def test_builtin_errors():

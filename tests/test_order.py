@@ -3,6 +3,7 @@ over explicit finite universes."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -32,7 +33,7 @@ from evslib.instances import (
     carrier_labels,
     cone_element,
     cone_instance,
-    metric_matrix_instance,
+    metric_packed_instance,
 )
 from evslib.metrics import random_metric
 from evslib.norms import norm_family_instance
@@ -40,7 +41,7 @@ from evslib.norms import norm_family_instance
 F = Fraction
 
 LABELS = carrier_labels(4)
-INST = metric_matrix_instance(LABELS)
+INST = metric_packed_instance(LABELS)
 
 
 def tri4(a, b, c, d, e, f):
@@ -49,8 +50,14 @@ def tri4(a, b, c, d, e, f):
     ])
 
 
+def off_diag_min(m: MetricMatrix) -> Fraction:
+    return min(m.rows[i][j] for i, j in combinations(range(m.size), 2))
+
+
+# the tables, and their integer forms: the elements of INST
 RHO = tri4(1, 2, 2, 2, 1, 2)          # bounded, min 1, max 2
 BIG = tri4(2, 3, 4, 3, 2, 3)          # min 2, max 4
+rho, big = RHO.form, BIG.form
 
 
 # ---------------------------------------------------------------------------
@@ -59,40 +66,40 @@ BIG = tri4(2, 3, 4, 3, 2, 3)          # min 2, max 4
 
 
 def test_in_l_of_truncation_certificate_at_least_one():
-    cert = in_l(INST, transform_min(BIG), BIG)
+    cert = in_l(INST, transform_min(BIG).form, big)
     assert cert.status == "positive"
     assert cert.alpha >= 1
-    assert replay_certificate(INST, transform_min(BIG), BIG, cert)
+    assert replay_certificate(INST, transform_min(BIG).form, big, cert)
 
 
 def test_in_l_bounded_companion_closed_form():
-    cert = in_l(INST, BIG, transform_bounded(BIG))
+    cert = in_l(INST, big, transform_bounded(BIG).form)
     assert cert.alpha == F(1, 5)  # 1/(1+M), M = 4
-    assert replay_certificate(INST, BIG, transform_bounded(BIG), cert)
+    assert replay_certificate(INST, big, transform_bounded(BIG).form, cert)
 
 
 def test_in_l_self():
-    assert in_l(INST, RHO, RHO).alpha == 1
+    assert in_l(INST, rho, rho).alpha == 1
 
 
 def test_in_l_rejects_zero_arguments():
     with pytest.raises(InputError):
-        in_l(INST, INST.zero, RHO)
+        in_l(INST, INST.zero, rho)
 
 
 def test_in_l_certificate_is_maximal():
-    cert = in_l(INST, RHO, BIG)
+    cert = in_l(INST, rho, big)
     bumped = cert.alpha + F(1, 1000)
-    assert not INST.leq(scale_metric(bumped, RHO), BIG)
+    assert not INST.leq(scale_metric(bumped, RHO).form, big)
 
 
 def test_in_l_reports_a_negative_comparing_value_as_it_is():
-    signed = tri4(1, -2, 3, 1, 1, 2)    # min of BIG/signed is 3/-2
-    cert = in_l(INST, signed, BIG)
+    signed = tri4(1, -2, 3, 1, 1, 2).form    # min of BIG/signed is 3/-2
+    cert = in_l(INST, signed, big)
     assert cert.to_json() == {"status": "refuted", "alpha": "-3/2",
                               "reason": "comparing value is negative"}
-    touching = tri4(0, 2, 2, 2, 1, 2)  # vanishes where RHO does not
-    assert in_l(INST, RHO, touching).to_json() == {
+    touching = tri4(0, 2, 2, 2, 1, 2).form  # vanishes where RHO does not
+    assert in_l(INST, rho, touching).to_json() == {
         "status": "refuted", "alpha": "0/1",
         "reason": "comparing value is exactly zero"}
 
@@ -104,25 +111,27 @@ def test_in_l_reports_a_negative_comparing_value_as_it_is():
 
 def test_down_set_of_bounded_metric():
     small = scale_metric(F(1, 2), RHO)  # everything at most 1 pointwise
-    universe = Universe(INST, [small, transform_bounded(small),
-                               transform_min(small), scale_metric(2, small)])
-    down = down_set(small, universe)
-    assert any(INST.equal(e, transform_bounded(small)) for e in down)
-    assert any(INST.equal(e, transform_min(small)) for e in down)
-    assert any(INST.equal(e, small) for e in down)
-    assert not any(INST.equal(e, scale_metric(2, small)) for e in down)
+    bounded, capped, double = (transform_bounded(small).form,
+                               transform_min(small).form,
+                               scale_metric(2, small).form)
+    universe = Universe(INST, [small.form, bounded, capped, double])
+    down = down_set(small.form, universe)
+    assert any(INST.equal(e, bounded) for e in down)
+    assert any(INST.equal(e, capped) for e in down)
+    assert any(INST.equal(e, small.form) for e in down)
+    assert not any(INST.equal(e, double) for e in down)
 
 
 def test_up_set_of_zero_is_everything_plus_zero():
-    universe = Universe(INST, [RHO, BIG])
+    universe = Universe(INST, [rho, big])
     up = up_set(INST.zero, universe)
     assert len(up) == 3
     assert any(INST.equal(e, INST.zero) for e in up)
 
 
 def test_down_set_of_singleton_universe():
-    universe = Universe(INST, [RHO])
-    assert down_set(RHO, universe) == [RHO]
+    universe = Universe(INST, [rho])
+    assert down_set(rho, universe) == [rho]
 
 
 # ---------------------------------------------------------------------------
@@ -131,14 +140,14 @@ def test_down_set_of_singleton_universe():
 
 
 def test_dependent_pair_fails_with_certificate():
-    report = orderly_independent_set(INST, [RHO, transform_bounded(RHO)])
+    report = orderly_independent_set(INST, [rho, transform_bounded(RHO).form])
     assert report.status == "fail"
     verdict = report.pairs[0]
     assert verdict.forward.status == "positive" or verdict.backward.status == "positive"
 
 
 def test_singleton_is_independent():
-    assert orderly_independent_set(INST, [RHO]).status == "pass"
+    assert orderly_independent_set(INST, [rho]).status == "pass"
 
 
 def test_norm_family_independent_at_epsilon():
@@ -171,24 +180,26 @@ def test_norm_family_without_eps_is_inconclusive():
 def test_discrete_generates_random_universe_with_min_offdiag_certificates():
     rng = random.Random(41)
     labels = carrier_labels(6)
-    inst = metric_matrix_instance(labels)
+    inst = metric_packed_instance(labels)
     disc = builtin_metric("discrete", {}, 6)
-    universe = Universe(inst, [random_metric(rng, labels) for _ in range(30)])
-    report = generates(inst, [disc], universe)
+    tables = [random_metric(rng, labels) for _ in range(30)]
+    universe = Universe(inst, [m.form for m in tables])
+    report = generates(inst, [disc.form], universe)
     assert report.status == "pass"
-    for element, entry in zip(universe.elements, report.coverage):
+    for m, entry in zip(tables, report.coverage):
+        assert entry["element"] == m.to_json()
         assert entry["certificate"]["alpha"] == \
-            f"{element.off_diag_min().numerator}/{element.off_diag_min().denominator}"
+            f"{off_diag_min(m).numerator}/{off_diag_min(m).denominator}"
 
 
 def test_empty_generator_set_fails():
-    universe = Universe(INST, [RHO])
+    universe = Universe(INST, [rho])
     assert generates(INST, [], universe).status == "fail"
 
 
 def test_dependent_pair_generates_but_is_no_basis():
-    universe = Universe(INST, [RHO])
-    B = [RHO, transform_bounded(RHO)]
+    universe = Universe(INST, [rho])
+    B = [rho, transform_bounded(RHO).form]
     assert generates(INST, B, universe).status == "pass"
     report = is_basis(INST, B, universe)
     assert report["status"] == "fail"
@@ -202,16 +213,17 @@ def test_dependent_pair_generates_but_is_no_basis():
 
 
 def test_feasible_on_bounded_metric_with_companions():
-    universe = Universe(INST, [BIG, transform_bounded(BIG), transform_min(BIG)])
-    report = feasible_in_universe(INST, BIG, universe)
+    universe = Universe(INST, [big, transform_bounded(BIG).form,
+                               transform_min(BIG).form])
+    report = feasible_in_universe(INST, big, universe)
     assert report["status"] == "pass"
     alphas = [m["certificate"]["alpha"] for m in report["memberships"]]
     assert "1/5" in alphas  # the bounded companion needs 1/(1+M)
 
 
 def test_feasible_singleton_universe():
-    universe = Universe(INST, [RHO])
-    assert feasible_in_universe(INST, RHO, universe)["status"] == "pass"
+    universe = Universe(INST, [rho])
+    assert feasible_in_universe(INST, rho, universe)["status"] == "pass"
 
 
 def test_unbounded_profile_feasibility_certificates_shrink_with_depth():
@@ -253,11 +265,11 @@ def test_cone_membership_inconclusive_without_primitive():
 def test_certificate_algebra_invariants():
     rng = random.Random(59)
     labels = carrier_labels(5)
-    inst = metric_matrix_instance(labels)
+    inst = metric_packed_instance(labels)
     for _ in range(40):
-        a = random_metric(rng, labels)
-        b = random_metric(rng, labels)
-        c = random_metric(rng, labels)
+        a = random_metric(rng, labels).form
+        b = random_metric(rng, labels).form
+        c = random_metric(rng, labels).form
         alpha = F(rng.randint(1, 7), rng.randint(1, 7))
 
         # replay
@@ -273,7 +285,7 @@ def test_certificate_algebra_invariants():
             assert cert_xc.status == "positive"
 
         # scaling: certificates divide out the factor exactly
-        assert in_l(inst, scale_metric(alpha, a), c).alpha == cert_xc.alpha / alpha
+        assert in_l(inst, inst.scale(alpha, a), c).alpha == cert_xc.alpha / alpha
 
         # transitivity: chained certificates compose multiplicatively
         cert_bc = in_l(inst, b, c)
