@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import core, instances, metrics, norms, order
 from .errors import InputError
-from .rationals import fmt, parse_rational
+from .rationals import fmt, parse_rational, require_int
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +53,20 @@ def _load_matrix(path: str) -> metrics.MetricMatrix:
             raise InputError(f"no such file: {path}") from exc
         return metrics.MetricMatrix.from_csv_text(text)
     return metrics.MetricMatrix.from_json(_load_json(path))
+
+
+def _load_element(kind: str, path: str):
+    """An element file of a universe of the given instance kind."""
+    if kind == "metrics":
+        return _load_matrix(path)
+    return _load_json(path)
+
+
+def _int_list(value, what: str) -> list[int]:
+    """A JSON list of integers, such as the "depths" of partial-compare."""
+    if type(value) is not list:
+        raise InputError(f"{what} must be a list of integers, not {value!r}")
+    return [require_int(v, f"{what} entry") for v in value]
 
 
 def _parse_depths(text: str) -> list[int]:
@@ -113,22 +127,9 @@ def _universe_inline(manifest_path: str) -> dict:
         raise InputError('universe manifest "elements" must list file names')
     base = Path(manifest_path).parent
     inline = {k: v for k, v in doc.items() if k != "elements"}
-    inline["elements"] = []
-    for ref in refs:
-        path = str(base / ref)
-        if doc["instance"] == "metrics":
-            inline["elements"].append(_load_matrix(path))
-        else:
-            inline["elements"].append(_load_json(path))
+    inline["elements"] = [_load_element(doc["instance"], str(base / ref))
+                          for ref in refs]
     return inline
-
-
-def _int_field(doc: dict, key: str, default: int) -> int:
-    """A universe field that must be a JSON integer, such as "dim"."""
-    value = doc.get(key, default)
-    if type(value) is not int:
-        raise InputError(f'universe "{key}" must be an integer, not {value!r}')
-    return value
 
 
 def _universe_from_inline(doc) -> order.Universe:
@@ -138,7 +139,7 @@ def _universe_from_inline(doc) -> order.Universe:
         raise InputError('universe "elements" must be a nonempty list')
     kind, elements = doc["instance"], doc["elements"]
     if kind == "norm-family":
-        depth = _int_field(doc, "depth", 0)
+        depth = require_int(doc.get("depth", 0), 'universe "depth"')
         part = norms.PartitionSpec(depth)
         inst = norms.norm_family_instance(part)
         elements = [norms.NormFamilyParams.from_json(e) for e in elements]
@@ -151,9 +152,11 @@ def _universe_from_inline(doc) -> order.Universe:
         elements = [metrics.MetricMatrix.from_json(elements[0]), *elements[1:]]
         inst = instances.metric_packed_instance(elements[0].labels)
     elif kind == "cone":
-        inst = instances.cone_instance(_int_field(doc, "dim", 2))
+        inst = instances.cone_instance(
+            require_int(doc.get("dim", 2), 'universe "dim"'))
     elif kind == "hyperspace":
-        inst = instances.hyperspace_instance(_int_field(doc, "dim", 2))
+        inst = instances.hyperspace_instance(
+            require_int(doc.get("dim", 2), 'universe "dim"'))
     else:
         raise InputError(f"unknown universe instance {kind!r}")
     return order.Universe(inst, [inst.element_from_json(e) for e in elements])
@@ -199,13 +202,14 @@ def _run_transform(inputs: dict):
 
 
 def _run_builtin(inputs: dict):
-    m = metrics.builtin_metric(inputs["name"], inputs["params"], inputs["depth"])
+    m = metrics.builtin_metric(inputs["name"], inputs["params"],
+                               require_int(inputs["depth"], '"depth"'))
     return {"matrix": m.to_json()}, 0
 
 
 def _run_partial_compare(inputs: dict):
     a, b = _lazy_pair(inputs["first"], inputs["second"])
-    depths = inputs["depths"]
+    depths = _int_list(inputs["depths"], '"depths"')
     classification = metrics.classify_lazy_pair(a, b, depths)
     # the second-relative-first direction is the pair's own bound sequence
     bounds = classification["directions"]["secondRelativeFirst"]["upperBounds"]
@@ -219,12 +223,14 @@ def _run_partial_compare(inputs: dict):
 
 
 def _run_cauchy_demo(inputs: dict):
-    report = metrics.cauchy_incompleteness_demo(inputs["indices"], inputs["pairs"])
+    report = metrics.cauchy_incompleteness_demo(
+        _int_list(inputs["indices"], '"indices"'), inputs["pairs"])
     return report, 0 if report["demonstratesIncompleteness"] else 1
 
 
 def _run_norms_partition(inputs: dict):
-    return norms.build_partition(inputs["depth"]).to_json(), 0
+    return norms.build_partition(
+        require_int(inputs["depth"], '"depth"')).to_json(), 0
 
 
 def _run_norms_weights(inputs: dict):
@@ -266,15 +272,11 @@ def _run_norms_embed(inputs: dict):
 
 
 def _run_axioms(inputs: dict):
-    inst, sample, scalars = instances.build_instance(
-        inputs["instance"],
-        carrier=inputs["carrier"],
-        depth=inputs["depth"],
-        dim=inputs["dim"],
-        seed=inputs["seed"],
-        sample=inputs["sample"],
-    )
-    report = core.check_axioms(inst, sample, scalars, inputs["seed"])
+    ints = {key: require_int(inputs[key], f'"{key}"')
+            for key in ("carrier", "depth", "dim", "seed", "sample")}
+    inst, sample, scalars = instances.build_instance(inputs["instance"],
+                                                     **ints)
+    report = core.check_axioms(inst, sample, scalars, ints["seed"])
     doc = report.to_json()
     ok = report.passed()
     if inputs.get("properties"):
@@ -566,12 +568,6 @@ def _resolve_inputs(args) -> tuple[str, dict]:
             inputs["eps"] = fmt(parse_rational(args.eps))
         return cmd, inputs
     raise InputError(f"unknown command {cmd!r}")
-
-
-def _load_element(kind: str, path: str):
-    if kind == "metrics":
-        return _load_matrix(path)
-    return _load_json(path)
 
 
 def _dumps(obj, indent: str = "\n") -> str:

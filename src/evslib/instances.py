@@ -121,13 +121,11 @@ def metric_packed_instance(labels: Sequence[str]) -> EvsInstance:
             f"metrics[{len(labels)}-point carrier]",
             len(MetricMatrix.zero(labels).form[0]),
             mismatch,
-            element_to_json=lambda a: MetricMatrix.from_form(
-                labels, a).to_json(),
+            element_to_json=lambda a: MetricMatrix(labels, a).to_json(),
             element_from_json=from_json,
         ),
         comparing=lambda x, y: comparing_function_metric(
-            MetricMatrix.from_form(labels, x),
-            MetricMatrix.from_form(labels, y)),
+            MetricMatrix(labels, x), MetricMatrix(labels, y)),
     )
 
 

@@ -44,7 +44,7 @@ HALF = Fraction(1, 2)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class MetricMatrix:
     """Symmetric rational distance table over a finite labeled carrier,
     stored as `form`: the canonical integer form (rationals.to_ints) of its
@@ -52,70 +52,72 @@ class MetricMatrix:
     tables runs on it, and to_json prints from it. The form is also the
     element of the one metric instance, instances.metric_packed_instance,
     that serves both the axiom verifier and the order tools. `rows`, the
-    one Fraction view, is built on first use and cached. A table read from
-    JSON or CSV (from_rows) whose entries are all plain "p/q" strings gets
-    its form straight from integers, with no Fraction; any other spelling
-    in it sends the table through parse_rational, one Fraction per parsed
-    entry.
+    one Fraction view, is built on first use and cached.
 
-    MetricMatrix(labels, rows) checks the shape of rows of rationals
-    (square, symmetric, distinct labels) but not the metric axioms, which
-    are validate_metric's job, so that candidate tables (e.g. pointwise
-    limits) can be rejected with a structured violation. Derived tables
-    come from from_form and are symmetric by construction.
+    MetricMatrix(labels, form) takes a tuple of labels and a form as they
+    are: derived tables are symmetric by construction. A raw table, read
+    from JSON or CSV or written out as rows, goes through from_rows, which
+    checks its entries and shape (square, symmetric, distinct labels) but
+    not the metric axioms. Those are validate_metric's job, so that
+    candidate tables (e.g. pointwise limits) can be rejected with a
+    structured violation.
     """
 
     labels: tuple[str, ...]
     form: tuple[tuple[int, ...], int]
 
-    def __init__(self, labels: Sequence[str], rows: Sequence[Sequence[Fraction]]):
-        labels = _carrier(labels, rows)
-        for i in range(len(labels)):
-            if list(rows[i][:i]) != [row[i] for row in rows[:i]]:
-                j = next(j for j in range(i) if rows[i][j] != rows[j][i])
-                raise InputError(
-                    f"matrix is not symmetric at ({labels[i]}, {labels[j]})")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "form", to_ints(
-            [v for i, row in enumerate(rows) for v in row[i:]]))
-
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def from_form(cls, labels: tuple, form: tuple) -> "MetricMatrix":
-        """The table over a tuple of labels with the given form."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "labels", labels)
-        object.__setattr__(m, "form", form)
-        return m
-
-    @classmethod
     def from_rows(cls, labels: Sequence[str], rows: Sequence[Sequence]) -> "MetricMatrix":
-        """Parse raw rows. A table of plain "p/q" strings, mirrored raw
-        below the diagonal, goes straight to its form (_plain_form). Any
-        other table is parsed row by row: an entry below the diagonal
-        reuses the parsed entry above it when the two raw values have the
-        same type and are equal, and any other entry goes through
-        parse_rational. So each unordered pair is parsed once, and errors
-        come as a full parse of every entry would raise them."""
-        form = _plain_form(rows)
-        if form is not None:
-            return cls.from_form(_carrier(labels, rows), form)
-        parsed = []
+        """Parse raw rows, one row at a time. Left of the diagonal, the
+        entries that repeat the raw entry above them in type and value are
+        not parsed again (one list comparison of values and one of types,
+        entry by entry only when either differs); any other entry goes
+        through parse_rational and is kept for the symmetry check. From
+        the diagonal on, a row of plain "p/q" strings is read straight to
+        integers (rationals.parse_plain_ratios), and any other row goes
+        through parse_rational entry by entry. So each unordered pair is
+        parsed once, a row spelled otherwise costs only that row, and
+        errors come as a parse_rational call on every entry in row order,
+        then the shape check, then the symmetry check would raise them.
+        The upper triangle goes over one common denominator and is
+        reduced once."""
+        nums, dens, lower = [], [], []
         for i, row in enumerate(rows):
             if not isinstance(row, (list, tuple)):
                 raise InputError("matrix row must be a list of rationals")
-            parsed.append([
-                parsed[j][i] if j < i and i < len(rows[j])
-                and type(rows[j][i]) is type(v) and rows[j][i] == v
-                else parse_rational(v)
-                for j, v in enumerate(row)])
-        return cls(labels, parsed)
+            left = row[:i]
+            try:
+                above = list(map(itemgetter(i), rows[:i]))
+            except IndexError:   # a short row above
+                above = None
+            if left != above or list(map(type, left)) != list(map(type, above)):
+                for j, v in enumerate(left):
+                    up = rows[j]
+                    if not (i < len(up) and type(up[i]) is type(v)
+                            and up[i] == v):
+                        lower.append((i, j, parse_rational(v)))
+            ratios = parse_plain_ratios(row[i:])
+            if ratios is None:
+                parsed = [parse_rational(v) for v in row[i:]]
+                ratios = ([q.numerator for q in parsed],
+                          [q.denominator for q in parsed])
+            nums += ratios[0]
+            dens += ratios[1]
+        labels = _carrier(labels, rows)
+        n = len(labels)
+        for i, j, q in lower:
+            k = j * n - j * (j - 1) // 2 + i - j   # (j, i) in the triangle
+            if q.numerator * dens[k] != nums[k] * q.denominator:
+                raise InputError(
+                    f"matrix is not symmetric at ({labels[i]}, {labels[j]})")
+        return cls(labels, ratios_to_ints(nums, dens))
 
     @classmethod
     def zero(cls, labels: Sequence[str]) -> "MetricMatrix":
         n = len(labels)
-        return cls.from_form(tuple(labels), ((0,) * (n * (n + 1) // 2), 1))
+        return cls(tuple(labels), ((0,) * (n * (n + 1) // 2), 1))
 
     @classmethod
     def from_json(cls, doc) -> "MetricMatrix":
@@ -181,29 +183,6 @@ def _carrier(labels: Sequence[str], rows: Sequence[Sequence]) -> tuple:
     return labels
 
 
-def _plain_form(rows: Sequence) -> Optional[tuple]:
-    """The form of raw rows, read one at a time with no Fraction: each row
-    a list that repeats left of the diagonal the raw entries above it and
-    holds from the diagonal on what rationals.parse_plain_ratios reads.
-    None at the first row that is not. The entries go over one common
-    denominator and are reduced once, for the whole table."""
-    nums, dens = [], []
-    for i, row in enumerate(rows):
-        if type(row) is not list:
-            return None
-        try:
-            if row[:i] != list(map(itemgetter(i), rows[:i])):
-                return None
-        except IndexError:
-            return None
-        ratios = parse_plain_ratios(row[i:])
-        if ratios is None:
-            return None
-        nums += ratios[0]
-        dens += ratios[1]
-    return ratios_to_ints(nums, dens)
-
-
 def _upper(flat: list, n: int) -> list:
     """Cut an n-point upper triangle into rows (i, i), (i, i + 1), ..."""
     it = iter(flat)
@@ -218,7 +197,7 @@ def _mirror(upper: list) -> list:
 
 def _from_upper(labels, upper: list) -> MetricMatrix:
     """The symmetric table with the given upper rows of rationals."""
-    return MetricMatrix.from_form(tuple(labels), to_ints(list(chain(*upper))))
+    return MetricMatrix(tuple(labels), to_ints(list(chain(*upper))))
 
 
 def _require_same_labels(a: MetricMatrix, b: MetricMatrix) -> None:
@@ -305,15 +284,15 @@ def validate_metric(m: MetricMatrix) -> MetricValidation:
 def add_metrics(a: MetricMatrix, b: MetricMatrix) -> MetricMatrix:
     """Entrywise sum; the zero table O is an accepted operand (identity)."""
     _require_same_labels(a, b)
-    return MetricMatrix.from_form(a.labels, _add(a.form, b.form))
+    return MetricMatrix(a.labels, _add(a.form, b.form))
 
 
 def scale_metric(alpha, a: MetricMatrix) -> MetricMatrix:
     """Scalar action (alpha, rho) -> |alpha| * rho; O is accepted, and
     alpha = 0 yields O."""
     mag = abs(parse_rational(alpha))
-    return MetricMatrix.from_form(
-        a.labels, _scale(mag.numerator, mag.denominator, a.form))
+    return MetricMatrix(a.labels,
+                        _scale(mag.numerator, mag.denominator, a.form))
 
 
 def leq_metrics(a: MetricMatrix, b: MetricMatrix) -> bool:
@@ -892,7 +871,7 @@ def cauchy_incompleteness_demo(ns: Sequence[int],
     coordinate spread, and the pointwise limit |u-v| vanishes on any pair with
     equal first coordinates, which validate_metric rejects.
     """
-    ns = sorted(set(int(n) for n in ns))
+    ns = sorted(set(ns))
     if len(ns) < 2 or ns[0] < 1:
         raise InputError("need at least two indices n >= 1")
     if not isinstance(point_pairs, list):
@@ -937,7 +916,7 @@ def cauchy_incompleteness_demo(ns: Sequence[int],
     limit_rows = tuple(
         tuple(abs(p[0] - q[0]) for q in points) for p in points
     )
-    limit = MetricMatrix(labels, limit_rows)
+    limit = MetricMatrix.from_rows(labels, limit_rows)
     verdict = validate_metric(limit)
 
     return {

@@ -34,8 +34,8 @@ from .core import EvsInstance
 from .errors import InputError
 from .instances import rational_tuple_instance
 from .metrics import MetricMatrix, _from_upper
-from .rationals import (fmt, parse_rational, parse_rationals, to_fractions,
-                        to_ints)
+from .rationals import (fmt, parse_rational, parse_rationals, require_int,
+                        to_fractions, to_ints)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -242,7 +242,7 @@ class NormFamilyParams:
     @classmethod
     def from_json(cls, doc) -> "NormFamilyParams":
         try:
-            depth = int(doc["depth"])
+            depth = require_int(doc["depth"], 'family spec "depth"')
             subset = tuple(str(t) for t in doc["subsetC"])
             gamma = parse_rational(doc["gamma"])
         except (KeyError, TypeError) as exc:

@@ -5,9 +5,10 @@ Every number that crosses a file or report boundary is a rational written as
 "0.1" (parsed exactly, never through binary floating point).
 
 The common spelling is a plain ASCII "p/q" or "-p/q" with a nonzero
-denominator. parse_rational reads one as Fraction(int(p), int(q)), the value
-Fraction(str) gives, and parse_plain_ratios reads a row of a metric table in
-that spelling to integers with no Fraction (see MetricMatrix.from_rows).
+denominator. parse_rational reads one entry as Fraction(int(p), int(q)), the
+value Fraction(str) gives, and parse_plain_ratios reads a row of a metric
+table, from its diagonal on, to integers with no Fraction: from_rows of
+MetricMatrix takes it for each row so spelled, parse_rational for the rest.
 Anything else takes the general path of parse_rational: a sign "+", spaces,
 decimals, exponents, "_" separators, non-ASCII digits, a zero denominator, a
 numeral past int()'s digit limit, a value that is not a string. So the fast
@@ -121,6 +122,14 @@ def _check_digits(text: str) -> None:
     if sum(map(str.isdigit, mantissa)) + magnitude > MAX_DIGITS:
         raise InputError(f"not a rational: {text!r} exceeds the "
                          f"{MAX_DIGITS}-digit limit")
+
+
+def require_int(value, what: str) -> int:
+    """value, when it is a JSON integer (a bool is not one); otherwise an
+    InputError that names it as `what`, such as 'universe "dim"'."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be an integer, not {value!r}")
+    return value
 
 
 def parse_rationals(doc, what: str) -> list[Fraction]:

@@ -567,6 +567,68 @@ def test_replay_malformed_inputs_is_input_error(capsys, tmp_path, doc):
     assert "internal" not in json.loads(err)
 
 
+AXIOMS_INPUTS = {"instance": "cone", "seed": 0, "sample": 4, "carrier": 6,
+                 "depth": 12, "dim": 2, "properties": False}
+DISCRETE = {"name": "discrete", "params": {}}
+
+# command, inputs with one integer input spelled otherwise, and the error
+NON_INTEGER_INPUTS = {
+    "builtin-depth-string": (
+        "builtin", {**DISCRETE, "depth": "5"},
+        """"depth" must be an integer, not '5'"""),
+    "builtin-depth-float": (
+        "builtin", {**DISCRETE, "depth": 2.5},
+        '"depth" must be an integer, not 2.5'),
+    "norms-partition-depth-string": (
+        "norms-partition", {"depth": "12"},
+        """"depth" must be an integer, not '12'"""),
+    "axioms-sample-string": (
+        "axioms", {**AXIOMS_INPUTS, "sample": "5"},
+        """"sample" must be an integer, not '5'"""),
+    "axioms-dim-string": (
+        "axioms", {**AXIOMS_INPUTS, "dim": "2"},
+        """"dim" must be an integer, not '2'"""),
+    "partial-compare-depths-strings": (
+        "partial-compare",
+        {"first": DISCRETE, "second": DISCRETE, "depths": ["5", "9"]},
+        """"depths" entry must be an integer, not '5'"""),
+    "partial-compare-depths-int": (
+        "partial-compare",
+        {"first": DISCRETE, "second": DISCRETE, "depths": 5},
+        '"depths" must be a list of integers, not 5'),
+    "cauchy-demo-indices": (
+        "cauchy-demo",
+        {"indices": ["x", 2], "pairs": [[["0", "0"], ["0", "1"]]]},
+        """"indices" entry must be an integer, not 'x'"""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_INPUTS))
+def test_replayed_non_integer_input_is_input_error(capsys, tmp_path, name):
+    command, inputs, error = NON_INTEGER_INPUTS[name]
+    report = write_json(tmp_path / "r.json", {
+        "command": command, "inputs": inputs, "report": {}})
+    code, out, err = run(capsys, "--replay", report)
+    assert (code, out, err.count("\n"), json.loads(err)) == (
+        2, None, 1, {"error": error})
+
+
+@pytest.mark.parametrize("depth, shown", [
+    ('"abc"', "'abc'"), ("1e400", "inf"), ("12.5", "12.5"), ('"12"', "'12'")])
+def test_non_integer_family_spec_depth_is_input_error(capsys, tmp_path,
+                                                      depth, shown):
+    (tmp_path / "p.json").write_text(
+        '{"depth": %s, "subsetC": ["h0"], "gamma": "2"}' % depth,
+        encoding="utf-8")
+    manifest = write_json(tmp_path / "u.json", {
+        "instance": "norm-family", "depth": 12, "elements": ["p.json"]})
+    error = {"error": f'family spec "depth" must be an integer, not {shown}'}
+    for argv in (["norms", "weights", "--spec", str(tmp_path / "p.json")],
+                 ["order", "indep", "--universe", manifest]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, json.loads(err)) == (2, None, error), argv
+
+
 def test_internal_fault_exits_three(capsys, tmp_path):
     """A report that cannot be printed (its ratio's numerator is longer than
     Python's int-to-str digit limit) is an internal fault: exit 3 with a

@@ -299,7 +299,7 @@ def tables(draw):
         if i != j:
             v = draw(st.builds(Fraction, st.integers(1, 400), st.integers(1, 60)))
             rows[i][j] = rows[j][i] = v
-    return MetricMatrix(carrier_labels(n), tuple(map(tuple, rows)))
+    return MetricMatrix.from_rows(carrier_labels(n), tuple(map(tuple, rows)))
 
 
 @settings(max_examples=300)

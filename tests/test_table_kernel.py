@@ -37,8 +37,8 @@ def tables(draw, n: int, off=entries(True), diagonal=entries(True)):
         rows[i][i] = draw(diagonal)
         for j in range(i + 1, n):
             rows[i][j] = rows[j][i] = draw(off)
-    return MetricMatrix(tuple(f"x{k}" for k in range(n)),
-                        tuple(map(tuple, rows)))
+    return MetricMatrix.from_rows(tuple(f"x{k}" for k in range(n)),
+                                  tuple(map(tuple, rows)))
 
 
 @st.composite
@@ -82,7 +82,7 @@ def test_comparing_value_is_tight(pair):
 def test_leq_is_the_entrywise_order(pair):
     a, b = pair
     # a's entries off the diagonal and b's on it, so the diagonal decides
-    c = MetricMatrix(a.labels, tuple(
+    c = MetricMatrix.from_rows(a.labels, tuple(
         tuple(b.rows[i][i] if j == i else v for j, v in enumerate(row))
         for i, row in enumerate(a.rows)))
     assert leq_metrics(a, b) == all_leq(a, b)

@@ -1,8 +1,8 @@
 """Tables parse each unordered pair once: a mirrored entry spelled
 otherwise still gives the canonical report, and malformed tables fail with
-the errors, in the order, that a full parse of every entry gave. A table of
-plain "p/q" strings is read in bulk, straight to its integer form; it gives
-the form, or the error, of a parse_rational call on every entry."""
+the errors, in the order, that a full parse of every entry gave. A row of
+plain "p/q" strings is read in bulk, straight to integers; every table
+gives the form, or the error, of a parse_rational call on every entry."""
 
 import json
 
@@ -13,7 +13,7 @@ from evslib import metrics
 from evslib.cli import main
 from evslib.errors import InputError
 from evslib.metrics import MetricMatrix
-from evslib.rationals import parse_rational
+from evslib.rationals import parse_rational, to_ints
 
 
 def validate_doc(capsys, tmp_path, rows) -> tuple:
@@ -129,17 +129,30 @@ def raw_tables(draw):
 
 
 def outcome(build):
-    """The form a table builds to, or the text of its InputError."""
+    """The form build() returns, or the text of its InputError."""
     try:
-        return build().form
+        return build()
     except InputError as exc:
         return str(exc)
 
 
 def reference(labels, rows):
-    """parse_rational on every entry in row order, then the constructor."""
-    return MetricMatrix(labels, [[parse_rational(v) for v in row]
-                                 for row in rows])
+    """parse_rational on every entry in row order, then the shape and
+    symmetry checks, then the integer form of the upper triangle."""
+    parsed = [[parse_rational(v) for v in row] for row in rows]
+    n = len(labels)
+    if n == 0:
+        raise InputError("empty carrier")
+    if len(set(labels)) != n:
+        raise InputError("carrier labels must be distinct")
+    if len(parsed) != n or any(len(row) != n for row in parsed):
+        raise InputError("matrix is not square with one row per label")
+    for i in range(n):
+        for j in range(i):
+            if parsed[i][j] != parsed[j][i]:
+                raise InputError(
+                    f"matrix is not symmetric at ({labels[i]}, {labels[j]})")
+    return to_ints([v for i, row in enumerate(parsed) for v in row[i:]])
 
 
 def csv_text(labels, rows):
@@ -161,21 +174,15 @@ def test_bulk_parse_matches_a_parse_of_every_entry(table):
     labels, rows = table
     expected = outcome(lambda: reference(labels, rows))
     assert outcome(lambda: MetricMatrix.from_json(
-        {"labels": labels, "rows": rows})) == expected
+        {"labels": labels, "rows": rows}).form) == expected
     text = csv_text(labels, rows)
     if text is not None:
-        assert outcome(lambda: MetricMatrix.from_csv_text(text)) == expected
+        assert outcome(lambda: MetricMatrix.from_csv_text(text).form) == \
+            expected
 
 
-@pytest.mark.parametrize("rows, bulk", [
-    *(([["0/1", v], [v, "0/1"]], True) for v in PLAIN),
-    *(([["0/1", v], [v, "0/1"]], False) for v in GENERAL),
-    ([["0/1", "1/2"], ["2/4", "0/1"]], False),
-    ([["0/1", "1/2"], ["3/4", "0/1"]], False),
-    ([["0/1", "1/2"], ("1/2", "0/1")], False),
-])
-def test_only_plain_mirrored_tables_skip_parse_rational(monkeypatch, rows,
-                                                        bulk):
+def parse_rational_calls(monkeypatch) -> list:
+    """The values metrics.parse_rational is called on from now on."""
     calls = []
 
     def counting(value):
@@ -183,6 +190,39 @@ def test_only_plain_mirrored_tables_skip_parse_rational(monkeypatch, rows,
         return parse_rational(value)
 
     monkeypatch.setattr(metrics, "parse_rational", counting)
+    return calls
+
+
+@pytest.mark.parametrize("rows, bulk", [
+    *(([["0/1", v], [v, "0/1"]], True) for v in PLAIN),
+    *(([["0/1", v], [v, "0/1"]], False) for v in GENERAL),
+    ([["0/1", "1/2"], ["2/4", "0/1"]], False),
+    ([["0/1", "1/2"], ["3/4", "0/1"]], False),
+    ([["0/1", "1/2"], ("1/2", "0/1")], True),
+])
+def test_only_plain_mirrored_tables_skip_parse_rational(monkeypatch, rows,
+                                                        bulk):
+    calls = parse_rational_calls(monkeypatch)
     outcome(lambda: MetricMatrix.from_json({"labels": ["a", "b"],
                                             "rows": rows}))
     assert (not calls) == bulk
+
+
+@pytest.mark.parametrize("rows, parsed", [
+    # one row spelled otherwise from its diagonal on
+    ([["0/1", "1/2", "1/1", "3/2"],
+      ["1/2", "0/1", "1/2", "1/1"],
+      ["1/1", "1/2", "0", "0.5"],
+      ["3/2", "1/1", "0.5", "0/1"]], ["0", "0.5"]),
+    # one mirror spelled otherwise
+    ([["0/1", "1/2", "1/1", "3/2"],
+      ["2/4", "0/1", "1/2", "1/1"],
+      ["1/1", "1/2", "0/1", "1/2"],
+      ["3/2", "1/1", "1/2", "0/1"]], ["2/4"]),
+])
+def test_only_the_entries_spelled_otherwise_reach_parse_rational(
+        monkeypatch, rows, parsed):
+    calls = parse_rational_calls(monkeypatch)
+    m = MetricMatrix.from_json({"labels": list("abcd"), "rows": rows})
+    assert calls == parsed
+    assert m.form == reference(list("abcd"), rows)
