@@ -38,7 +38,7 @@ def _load_json(path: str, object_hook=None):
             return json.load(fh, object_hook=object_hook)
     except FileNotFoundError as exc:
         raise InputError(f"no such file: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # a JSONDecodeError, or an over-long integer
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
 
@@ -202,9 +202,12 @@ def _run_transform(inputs: dict):
 
 
 def _run_builtin(inputs: dict):
-    m = metrics.builtin_metric(inputs["name"], inputs["params"],
-                               require_int(inputs["depth"], '"depth"'))
-    return {"matrix": m.to_json()}, 0
+    depth = require_int(inputs["depth"], '"depth"')
+    params = inputs["params"]
+    if not isinstance(params, dict):
+        raise InputError(f'"params" must be an object, not {params!r}')
+    return {"matrix": metrics.builtin_metric(inputs["name"], params,
+                                             depth).to_json()}, 0
 
 
 def _run_partial_compare(inputs: dict):
@@ -290,36 +293,31 @@ def _run_order(inputs: dict):
     inst = universe.instance
     action = inputs["action"]
     element = inst.element_from_json
+    if action in ("generates", "basis"):
+        generators = inputs["generators"]
+        if type(generators) is not list:
+            raise InputError(
+                f'"generators" must be a list, not {generators!r}')
+        B = [element(doc) for doc in generators]
+    if action in ("indep", "basis"):
+        eps = inputs.get("eps")
+        eps = None if eps is None else parse_rational(eps)
     if action == "in-l":
         x, y = element(inputs["x"]), element(inputs["y"])
-        cert = order.in_l(inst, x, y, universe)
-        return cert.to_json(inst), 0 if cert.status == order.POSITIVE else 1
-    if action == "indep":
-        eps = inputs.get("eps")
-        report = order.orderly_independent_set(
-            inst, list(universe.elements),
-            eps=None if eps is None else parse_rational(eps),
-            universe=universe,
-        )
-        doc = report.to_json(inst)
-        return doc, 0 if report.status.startswith("pass") else 1
-    if action == "generates":
-        B = [element(doc) for doc in inputs["generators"]]
-        report = order.generates(inst, B, universe)
-        return report.to_json(inst), 0 if report.status == "pass" else 1
-    if action == "basis":
-        B = [element(doc) for doc in inputs["generators"]]
-        eps = inputs.get("eps")
-        doc = order.is_basis(
-            inst, B, universe,
-            eps=None if eps is None else parse_rational(eps),
-        )
-        return doc, 0 if doc["status"].startswith("pass") else 1
-    if action == "feasible":
-        x = element(inputs["x"])
-        doc = order.feasible_in_universe(inst, x, universe)
-        return doc, 0 if doc["status"] == "pass" else 1
-    raise InputError(f"unknown order action {action!r}")
+        doc = order.in_l(inst, x, y, universe).to_json(inst)
+    elif action == "indep":
+        doc = order.orderly_independent_set(inst, universe.elements, eps=eps,
+                                            universe=universe)
+    elif action == "generates":
+        doc = order.generates(inst, B, universe)
+    elif action == "basis":
+        doc = order.is_basis(inst, B, universe, eps=eps)
+    elif action == "feasible":
+        doc = order.feasible_in_universe(inst, element(inputs["x"]), universe)
+    else:
+        raise InputError(f"unknown order action {action!r}")
+    passed = doc["status"] in (order.POSITIVE, "pass", "pass-with-eps")
+    return doc, 0 if passed else 1
 
 
 _HANDLERS = {

@@ -121,8 +121,9 @@ _POS_RE = re.compile(r"^h(\d+)$")
 
 Tag = tuple  # ("B", t) | ("D", t, i) | ("E", t, i)
 
-#: The deepest partition: its cost, and that of every report that lists its
-#: assignment, grows with the depth.
+#: The deepest partition, and the largest fiber index a name resolves to:
+#: the cost of a partition, and of every report that lists its assignment,
+#: grows with the depth, and the cost of a fiber weight with its index.
 MAX_PARTITION_DEPTH = 100_000
 
 
@@ -171,17 +172,22 @@ class PartitionSpec:
 
     def resolve(self, name: str) -> Tag:
         """Accept a positional name "h7" or a fiber name "d(h0,2)" / "e(h0,5)"
-        and return its tag; fiber names may point beyond the enumerated depth."""
+        and return its tag; fiber names may point beyond the enumerated depth,
+        but no name of either form to a fiber index past MAX_PARTITION_DEPTH."""
         m = _POS_RE.match(name)
         if m:
-            return self.tag_of_position(int(m.group(1)))
-        m = _TAG_RE.match(name)
-        if m:
+            tag = self.tag_of_position(int(m.group(1)))
+        elif m := _TAG_RE.match(name):
             kind, t, i = m.group(1), m.group(2), int(m.group(3))
             if _backbone_position(t) % 2 != 0:
                 raise InputError(f"{t} is not a backbone member")
-            return ("D" if kind == "d" else "E", t, i)
-        raise InputError(f"unrecognized index name {name!r}")
+            tag = ("D" if kind == "d" else "E", t, i)
+        else:
+            raise InputError(f"unrecognized index name {name!r}")
+        if tag[0] != "B" and tag[2] > MAX_PARTITION_DEPTH:
+            raise InputError(f"fiber index {tag[2]} of {name} exceeds the "
+                             f"limit of {MAX_PARTITION_DEPTH}")
+        return tag
 
     # -- enumerated prefix ----------------------------------------------------
 

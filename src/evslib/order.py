@@ -10,7 +10,11 @@ epsilon-qualified independence by decay witnesses; nothing is ever guessed.
 
 Every verdict here is universe-relative: carrier-wide set claims are not
 executable over infinite carriers, so reports quantify only over the supplied
-element lists and say so.
+element lists and say so. The set-level tools (independence, generation,
+bases, feasibility) return the JSON document they report, and fold their
+parts into one status in one order: fail, then inconclusive, then
+pass-with-eps or pass. A membership query returns an LCertificate, whose
+alpha and primitive stay in element form so the certificate can replay.
 """
 
 from __future__ import annotations
@@ -149,60 +153,24 @@ def down_set(a, universe: Universe) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Set-level reports
+# Set-level reports: each tool returns the JSON document it reports
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PairVerdict:
-    x: Any
-    y: Any
-    forward: Optional[LCertificate]      # y in L(x)?
-    backward: Optional[LCertificate]     # x in L(y)?
-    eps_witness: Optional[dict] = None   # decay certificate, both directions
-
-    def independent(self) -> Optional[bool]:
-        if self.eps_witness is not None:
-            return True
-        if self.forward is None or self.backward is None:
-            return None
-        statuses = {self.forward.status, self.backward.status}
-        if POSITIVE in statuses:
-            return False
-        if statuses == {REFUTED}:
-            return True
-        return None
-
-
-@dataclass
-class IndependenceReport:
-    status: str       # pass | pass-with-eps | fail | inconclusive
-    pairs: list[PairVerdict]
-    epsilon: Optional[Fraction]
-
-    def to_json(self, instance: EvsInstance) -> dict:
-        items = []
-        for p in self.pairs:
-            entry = {
-                "x": instance.element_to_json(p.x),
-                "y": instance.element_to_json(p.y),
-            }
-            if p.forward is not None:
-                entry["yInLx"] = p.forward.to_json(instance)
-            if p.backward is not None:
-                entry["xInLy"] = p.backward.to_json(instance)
-            if p.eps_witness is not None:
-                entry["epsWitness"] = p.eps_witness
-            items.append(entry)
-        doc = {"status": self.status, "universeRelative": True, "pairs": items}
-        if self.epsilon is not None:
-            doc["epsilon"] = fmt(self.epsilon)
-        return doc
+def _fold(fail: bool, inconclusive: bool, eps: bool = False) -> str:
+    """The status of a set-level check: one failure fails it, then one
+    undecided part leaves it inconclusive; otherwise it passes, qualified
+    by epsilon when a decay witness settled some part."""
+    if fail:
+        return "fail"
+    if inconclusive:
+        return INCONCLUSIVE
+    return "pass-with-eps" if eps else "pass"
 
 
 def orderly_independent_set(instance: EvsInstance, S: Sequence,
                             eps=None,
-                            universe: Optional[Universe] = None) -> IndependenceReport:
+                            universe: Optional[Universe] = None) -> dict:
     """Pairwise independence of a set: passes when every pair is refuted in
     both directions; a single positive certificate fails the set. Pairs the
     instance cannot decide exactly are settled by epsilon decay witnesses when
@@ -210,55 +178,36 @@ def orderly_independent_set(instance: EvsInstance, S: Sequence,
     S = list(S)
     _require_nonzero(instance, *S)
     epsilon = None if eps is None else Fraction(eps)
-    pairs: list[PairVerdict] = []
+    pairs = []
     any_fail = any_eps = any_inconclusive = False
     for x, y in combinations(S, 2):
+        entry = {"x": instance.element_to_json(x),
+                 "y": instance.element_to_json(y)}
+        statuses = set()
         if instance.comparing is not None or instance.eps_independence is None:
-            fwd = in_l(instance, x, y, universe)
-            bwd = in_l(instance, y, x, universe)
-        else:
-            fwd = bwd = None
-        verdict = PairVerdict(x, y, fwd, bwd)
-        if verdict.independent() is False:
+            fwd = in_l(instance, x, y, universe)    # y in L(x)?
+            bwd = in_l(instance, y, x, universe)    # x in L(y)?
+            entry["yInLx"] = fwd.to_json(instance)
+            entry["xInLy"] = bwd.to_json(instance)
+            statuses = {fwd.status, bwd.status}
+        if POSITIVE in statuses:
             any_fail = True
-        elif verdict.independent() is None:
+        elif statuses != {REFUTED}:
             if instance.eps_independence is not None and epsilon is not None:
-                verdict.eps_witness = instance.eps_independence(
+                entry["epsWitness"] = instance.eps_independence(
                     x, y, epsilon).to_json()
                 any_eps = True
             else:
                 any_inconclusive = True
-        pairs.append(verdict)
-    if any_fail:
-        status = "fail"
-    elif any_inconclusive:
-        status = INCONCLUSIVE
-    elif any_eps:
-        status = "pass-with-eps"
-    else:
-        status = "pass"
-    return IndependenceReport(status, pairs, epsilon)
+        pairs.append(entry)
+    doc = {"status": _fold(any_fail, any_inconclusive, any_eps),
+           "universeRelative": True, "pairs": pairs}
+    if epsilon is not None:
+        doc["epsilon"] = fmt(epsilon)
+    return doc
 
 
-@dataclass
-class GeneratesReport:
-    status: str                       # pass | fail | inconclusive
-    coverage: list[dict]              # per universe element
-    failure_witness: Optional[Any]
-
-    def to_json(self, instance: EvsInstance) -> dict:
-        doc = {
-            "status": self.status,
-            "universeRelative": True,
-            "coverage": self.coverage,
-        }
-        if self.failure_witness is not None:
-            doc["failureWitness"] = instance.element_to_json(self.failure_witness)
-        return doc
-
-
-def generates(instance: EvsInstance, B: Sequence,
-              universe: Universe) -> GeneratesReport:
+def generates(instance: EvsInstance, B: Sequence, universe: Universe) -> dict:
     """Does every universe element carry a positive membership certificate
     from some element of B?"""
     B = list(B)
@@ -267,39 +216,28 @@ def generates(instance: EvsInstance, B: Sequence,
     witness = None
     any_inconclusive = False
     for u in universe.elements:
-        found = None
+        entry = {"element": instance.element_to_json(u), "generator": None}
         saw_inconclusive = False
         for b in B:
             cert = in_l(instance, b, u, universe)
             if cert.status == POSITIVE:
-                found = (b, cert)
+                entry["generator"] = instance.element_to_json(b)
+                entry["certificate"] = cert.to_json(instance)
                 break
             if cert.status == INCONCLUSIVE:
                 saw_inconclusive = True
-        if found is not None:
-            b, cert = found
-            coverage.append({
-                "element": instance.element_to_json(u),
-                "generator": instance.element_to_json(b),
-                "certificate": cert.to_json(instance),
-            })
         else:
-            coverage.append({
-                "element": instance.element_to_json(u),
-                "generator": None,
-                "inconclusive": saw_inconclusive,
-            })
+            entry["inconclusive"] = saw_inconclusive
             if saw_inconclusive:
                 any_inconclusive = True
             elif witness is None:
                 witness = u
+        coverage.append(entry)
+    doc = {"status": _fold(witness is not None, any_inconclusive),
+           "universeRelative": True, "coverage": coverage}
     if witness is not None:
-        status = "fail"
-    elif any_inconclusive:
-        status = INCONCLUSIVE
-    else:
-        status = "pass"
-    return GeneratesReport(status, coverage, witness)
+        doc["failureWitness"] = instance.element_to_json(witness)
+    return doc
 
 
 def is_basis(instance: EvsInstance, B: Sequence, universe: Universe,
@@ -307,17 +245,13 @@ def is_basis(instance: EvsInstance, B: Sequence, universe: Universe,
     """Generator and orderly independent at once, both universe-relative."""
     gen = generates(instance, B, universe)
     indep = orderly_independent_set(instance, B, eps=eps, universe=universe)
-    if gen.status == "pass" and indep.status in ("pass", "pass-with-eps"):
-        status = "pass" if indep.status == "pass" else "pass-with-eps"
-    elif gen.status == "fail" or indep.status == "fail":
-        status = "fail"
-    else:
-        status = INCONCLUSIVE
+    statuses = {gen["status"], indep["status"]}
     return {
-        "status": status,
+        "status": _fold("fail" in statuses, INCONCLUSIVE in statuses,
+                        "pass-with-eps" in statuses),
         "universeRelative": True,
-        "generates": gen.to_json(instance),
-        "orderlyIndependent": indep.to_json(instance),
+        "generates": gen,
+        "orderlyIndependent": indep,
     }
 
 
@@ -339,14 +273,8 @@ def feasible_in_universe(instance: EvsInstance, x,
             witness = y
         elif cert.status == INCONCLUSIVE:
             any_inconclusive = True
-    if witness is not None:
-        status = "fail"
-    elif any_inconclusive:
-        status = INCONCLUSIVE
-    else:
-        status = "pass"
     doc = {
-        "status": status,
+        "status": _fold(witness is not None, any_inconclusive),
         "universeRelative": True,
         "downSetSize": len(below),
         "memberships": entries,

@@ -209,6 +209,38 @@ def test_partition_depth_limit_admits_the_limit():
     assert PartitionSpec(MAX_PARTITION_DEPTH).depth == MAX_PARTITION_DEPTH
 
 
+def fiber_position(i: int) -> int:
+    """The position whose tag is ("D", "h0", i): pair rank r = 2(i - 1) of
+    backbone member a = 0, so its Cantor index is r(r + 1)/2 + r."""
+    r = 2 * (i - 1)
+    return 2 * (r * (r + 1) // 2 + r) + 1
+
+
+@pytest.mark.parametrize("form", ["fiber", "positional"])
+def test_fiber_index_past_the_limit_exits_two(capsys, tmp_path, form):
+    index = MAX_PARTITION_DEPTH + 1
+    name = (f"d(h0,{index})" if form == "fiber"
+            else f"h{fiber_position(index)}")
+    assert PartitionSpec(12).tag_of_position(fiber_position(index)) == \
+        ("D", "h0", index)
+    spec = write_json(tmp_path / "p.json",
+                      {"depth": 12, "subsetC": ["h0"], "gamma": "2"})
+    vec = write_json(tmp_path / "v.json", {name: "1"})
+    code, out, err = run(capsys, "norms", "eval", "--spec", spec,
+                         "--vector", vec)
+    assert (code, out, json.loads(err)) == (2, None, {
+        "error": f"fiber index {index} of {name} exceeds the limit of "
+                 f"{MAX_PARTITION_DEPTH}"})
+
+
+def test_fiber_index_limit_admits_the_limit():
+    # resolved only: the weight 2**100000 of this index is not printable
+    part = PartitionSpec(12)
+    for name in (f"e(h0,{MAX_PARTITION_DEPTH})",
+                 f"h{fiber_position(MAX_PARTITION_DEPTH)}"):
+        assert part.resolve(name)[2] == MAX_PARTITION_DEPTH
+
+
 def test_norms_eval(capsys, tmp_path):
     spec = write_json(tmp_path / "p.json",
                       {"depth": 12, "subsetC": ["h0"], "gamma": "2"})
@@ -571,7 +603,8 @@ AXIOMS_INPUTS = {"instance": "cone", "seed": 0, "sample": 4, "carrier": 6,
                  "depth": 12, "dim": 2, "properties": False}
 DISCRETE = {"name": "discrete", "params": {}}
 
-# command, inputs with one integer input spelled otherwise, and the error
+# command, inputs with one integer, list or object input spelled otherwise,
+# and the error
 NON_INTEGER_INPUTS = {
     "builtin-depth-string": (
         "builtin", {**DISCRETE, "depth": "5"},
@@ -600,6 +633,18 @@ NON_INTEGER_INPUTS = {
         "cauchy-demo",
         {"indices": ["x", 2], "pairs": [[["0", "0"], ["0", "1"]]]},
         """"indices" entry must be an integer, not 'x'"""),
+    "order-generators-int": (
+        "order", {"action": "generates", "generators": 5, "universe": {
+            "instance": "cone", "dim": 2,
+            "elements": [{"r": "1", "v": ["1", "0"]}]}},
+        '"generators" must be a list, not 5'),
+    "builtin-params-int": (
+        "builtin", {"name": "discrete", "params": 5, "depth": 3},
+        '"params" must be an object, not 5'),
+    "builtin-params-pairs": (
+        "builtin", {"name": "usual-grid", "params": [["step", "1"]],
+                    "depth": 3},
+        """"params" must be an object, not [['step', '1']]"""),
 }
 
 
@@ -627,6 +672,36 @@ def test_non_integer_family_spec_depth_is_input_error(capsys, tmp_path,
                  ["order", "indep", "--universe", manifest]):
         code, out, err = run(capsys, *argv)
         assert (code, out, json.loads(err)) == (2, None, error), argv
+
+
+LONG_INT = "1" + "0" * 4999   # past Python's 4300-digit int-from-str limit
+
+# name -> argv reading the file m.json, and that file's text
+LONG_INT_INPUTS = {
+    "validate-entry": (
+        ["validate", "m.json"],
+        '{"labels": ["a", "b"], "rows": [["0", %s], [%s, "0"]]}'
+        % (LONG_INT, LONG_INT)),
+    "norms-weights-depth": (
+        ["norms", "weights", "--spec", "m.json"],
+        '{"depth": %s, "subsetC": ["h0"], "gamma": "2"}' % LONG_INT),
+    "replay-builtin-depth": (
+        ["--replay", "m.json"],
+        '{"command": "builtin", "inputs": {"name": "discrete", "params": {}, '
+        '"depth": %s}, "report": {}}' % LONG_INT),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_INT_INPUTS))
+def test_over_long_json_integer_is_input_error(capsys, tmp_path, name):
+    argv, text = LONG_INT_INPUTS[name]
+    path = tmp_path / "m.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, *[str(path) if a == "m.json" else a
+                                   for a in argv])
+    assert (code, out, err.count("\n")) == (2, None, 1)
+    assert json.loads(err)["error"].startswith(
+        f"malformed JSON in {path}: Exceeds the limit (4300 digits)")
 
 
 def test_internal_fault_exits_three(capsys, tmp_path):
