@@ -10,7 +10,6 @@ witnesses.
 
 from .core import (
     EvsInstance,
-    SuiteReport,
     check_axioms,
     check_properties,
     minimal_elements,

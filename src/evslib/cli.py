@@ -32,12 +32,18 @@ from .rationals import fmt, parse_rational, require_int
 # ---------------------------------------------------------------------------
 
 
+def _unreadable(path: str, exc: OSError) -> InputError:
+    if isinstance(exc, FileNotFoundError):
+        return InputError(f"no such file: {path}")
+    return InputError(f"cannot read {path}: {exc.strerror or exc}")
+
+
 def _load_json(path: str, object_hook=None):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, object_hook=object_hook)
-    except FileNotFoundError as exc:
-        raise InputError(f"no such file: {path}") from exc
+    except OSError as exc:
+        raise _unreadable(path, exc) from exc
     except ValueError as exc:   # a JSONDecodeError, or an over-long integer
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
@@ -49,8 +55,10 @@ def _load_matrix(path: str) -> metrics.MetricMatrix:
     if path.endswith(".csv"):
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except FileNotFoundError as exc:
-            raise InputError(f"no such file: {path}") from exc
+        except OSError as exc:
+            raise _unreadable(path, exc) from exc
+        except UnicodeDecodeError as exc:
+            raise InputError(f"malformed CSV in {path}: {exc}") from exc
         return metrics.MetricMatrix.from_csv_text(text)
     return metrics.MetricMatrix.from_json(_load_json(path))
 
@@ -170,7 +178,7 @@ def _universe_from_inline(doc) -> order.Universe:
 def _run_validate(inputs: dict):
     m = metrics.MetricMatrix.from_json(inputs["matrix"])
     verdict = metrics.validate_metric(m)
-    return verdict.to_json(), 0 if verdict.passed else 1
+    return verdict, 0 if verdict["pass"] else 1
 
 
 def _run_combine(inputs: dict):
@@ -186,7 +194,7 @@ def _run_combine(inputs: dict):
 def _run_compare(inputs: dict):
     d = metrics.MetricMatrix.from_json(inputs["first"])
     rho = metrics.MetricMatrix.from_json(inputs["second"])
-    return metrics.classify_pair(d, rho).to_json(), 0
+    return metrics.classify_pair(d, rho), 0
 
 
 def _run_transform(inputs: dict):
@@ -196,9 +204,9 @@ def _run_transform(inputs: dict):
     verdict = metrics.validate_metric(out)
     return {
         "matrix": out.to_json(),
-        "validation": verdict.to_json(),
+        "validation": verdict,
         "belowInput": metrics.leq_metrics(out, m),
-    }, 0 if verdict.passed else 1
+    }, 0 if verdict["pass"] else 1
 
 
 def _run_builtin(inputs: dict):
@@ -270,8 +278,8 @@ def _run_norms_embed(inputs: dict):
     verdict = metrics.validate_metric(m)
     return {
         "matrix": m.to_json(),
-        "validation": verdict.to_json(),
-    }, 0 if verdict.passed else 1
+        "validation": verdict,
+    }, 0 if verdict["pass"] else 1
 
 
 def _run_axioms(inputs: dict):
@@ -279,13 +287,11 @@ def _run_axioms(inputs: dict):
             for key in ("carrier", "depth", "dim", "seed", "sample")}
     inst, sample, scalars = instances.build_instance(inputs["instance"],
                                                      **ints)
-    report = core.check_axioms(inst, sample, scalars, ints["seed"])
-    doc = report.to_json()
-    ok = report.passed()
+    doc = core.check_axioms(inst, sample, scalars, ints["seed"])
     if inputs.get("properties"):
-        props = core.check_properties(inst, sample, scalars)
-        doc["properties"] = props.to_json()["properties"]
-    return doc, 0 if ok else 1
+        doc["properties"] = core.check_properties(
+            inst, sample, scalars)["properties"]
+    return doc, 0 if doc["pass"] else 1
 
 
 def _run_order(inputs: dict):

@@ -31,7 +31,7 @@ exit code of `evs axioms --properties` follows the axiom suite only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import (combinations, combinations_with_replacement, groupby,
@@ -55,6 +55,9 @@ class EvsInstance:
     (None otherwise), `eps_independence` produces decay witnesses for
     independence up to epsilon, and `lsolve` handles testing-set membership
     in instances whose primitive space is larger than {zero}.
+
+    The one dataclass of the package: the tracer of perfbench/ and the
+    kernel tests swap its operations with dataclasses.replace.
     """
 
     name: str
@@ -243,7 +246,6 @@ def _each(c):
     return ((x,) for x in c.sample)
 
 
-@dataclass(frozen=True)
 class Law:
     """One checkable law.
 
@@ -258,14 +260,19 @@ class Law:
     number of trailing scalar arguments of `holds`.
     """
 
-    name: str
-    holds: Callable[..., Optional[bool]]
-    tuples: Callable[[_Context], Iterable[tuple]]
-    entry: Optional[str] = None
-    sample_relative: bool = False
-    reason: Optional[str] = None
-    detail: Optional[Callable[..., dict]] = None
-    scalars: int = 0
+    __slots__ = ("name", "holds", "tuples", "entry", "sample_relative",
+                 "reason", "detail", "scalars")
+
+    def __init__(self, name: str, holds: Callable[..., Optional[bool]],
+                 tuples: Callable[[_Context], Iterable[tuple]],
+                 entry: Optional[str] = None, sample_relative: bool = False,
+                 reason: Optional[str] = None,
+                 detail: Optional[Callable[..., dict]] = None,
+                 scalars: int = 0):
+        self.name, self.holds, self.tuples = name, holds, tuples
+        self.entry = entry or name
+        self.sample_relative, self.reason = sample_relative, reason
+        self.detail, self.scalars = detail, scalars
 
     @property
     def arity(self) -> tuple[int, int]:
@@ -325,60 +332,6 @@ LAWS: dict[str, Law] = {law.name: law for law in AXIOMS + PROPERTIES}
 
 
 # ---------------------------------------------------------------------------
-# Reports
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CheckEntry:
-    axiom: str
-    status: str                      # "pass" | "fail" | "not-applicable"
-    sample_relative: bool = False
-    counterexample: Optional[dict] = None
-    reason: Optional[str] = None
-
-    def to_json(self) -> dict:
-        doc = {
-            "axiom": self.axiom,
-            "status": self.status,
-            "sampleRelative": self.sample_relative,
-        }
-        if self.counterexample is not None:
-            doc["counterexample"] = self.counterexample
-        if self.reason is not None:
-            doc["reason"] = self.reason
-        return doc
-
-
-@dataclass
-class SuiteReport:
-    """The entries of one suite run, listed under the suite's name; `header`
-    holds the run parameters the suite reports next to them."""
-
-    instance: str
-    suite: str                       # "axioms" | "properties"
-    entries: list[CheckEntry]
-    header: dict = field(default_factory=dict)
-
-    def entry(self, name: str) -> CheckEntry:
-        for e in self.entries:
-            if e.axiom == name:
-                return e
-        raise KeyError(name)
-
-    def passed(self) -> bool:
-        return all(e.status == "pass" for e in self.entries)
-
-    def to_json(self) -> dict:
-        return {
-            "instance": self.instance,
-            **self.header,
-            self.suite: [e.to_json() for e in self.entries],
-            "pass": self.passed(),
-        }
-
-
-# ---------------------------------------------------------------------------
 # The runner and replay
 # ---------------------------------------------------------------------------
 
@@ -408,8 +361,11 @@ def _counterexample(c: _Context, law: Law, args: tuple) -> dict:
     return ce
 
 
-def _check_entry(c: _Context, name: str, laws: list[Law]) -> CheckEntry:
+def _check_entry(c: _Context, name: str, laws: list[Law]) -> dict:
+    """The report entry of the laws sharing the entry `name`."""
     head = laws[0]
+    entry = {"axiom": name, "status": "pass",
+             "sampleRelative": head.sample_relative}
     scored = False
     for law in laws:
         for args in law.tuples(c):
@@ -417,24 +373,27 @@ def _check_entry(c: _Context, name: str, laws: list[Law]) -> CheckEntry:
             if verdict is None:
                 continue
             if not verdict:
-                return CheckEntry(name, "fail", head.sample_relative,
-                                  _counterexample(c, law, args))
+                entry.update(status="fail",
+                             counterexample=_counterexample(c, law, args))
+                return entry
             scored = True
-    if scored or head.reason is None:
-        return CheckEntry(name, "pass", head.sample_relative)
-    return CheckEntry(name, "not-applicable", head.sample_relative,
-                      reason=head.reason)
+    if not scored and head.reason is not None:
+        entry.update(status="not-applicable", reason=head.reason)
+    return entry
 
 
-def _run(c: _Context, suite: Sequence[Law]) -> list[CheckEntry]:
-    return [
-        _check_entry(c, name, list(laws))
-        for name, laws in groupby(suite, key=lambda law: law.entry or law.name)
-    ]
+def _report(c: _Context, suite: str, laws: Sequence[Law], **header) -> dict:
+    """The report of one suite: its entries, listed under the suite's name
+    next to the run parameters in `header`, and `pass`, true when every
+    entry passed."""
+    entries = [_check_entry(c, name, list(group))
+               for name, group in groupby(laws, key=lambda law: law.entry)]
+    return {"instance": c.inst.name, **header, suite: entries,
+            "pass": all(e["status"] == "pass" for e in entries)}
 
 
 def check_axioms(inst: EvsInstance, sample: Sequence, scalars: Sequence,
-                 seed: int) -> SuiteReport:
+                 seed: int) -> dict:
     """Run A1-A6 over the sample; all pairs and triples are exhausted.
 
     A5/A6 verdicts are sample-relative by necessity and are flagged so. The
@@ -442,15 +401,12 @@ def check_axioms(inst: EvsInstance, sample: Sequence, scalars: Sequence,
     expected to be deterministic in it.
     """
     c = _context(inst, sample, scalars)
-    return SuiteReport(inst.name, "axioms", _run(c, AXIOMS), {
-        "seed": seed,
-        "sampleSize": len(c.sample),
-        "scalars": [fmt(a) for a in c.scalars],
-    })
+    return _report(c, "axioms", AXIOMS, seed=seed, sampleSize=len(c.sample),
+                   scalars=[fmt(a) for a in c.scalars])
 
 
 def check_properties(inst: EvsInstance, sample: Sequence,
-                     scalars: Sequence) -> SuiteReport:
+                     scalars: Sequence) -> dict:
     """Balanced / homogeneous / convex and the primitive-structure properties.
 
     Balanced is checked independently over the |a| <= 1 scalars, never
@@ -460,8 +416,7 @@ def check_properties(inst: EvsInstance, sample: Sequence,
     sets are fully witnessed inside the sample, and comes out not-applicable
     if no pair is.
     """
-    c = _context(inst, sample, scalars)
-    return SuiteReport(inst.name, "properties", _run(c, PROPERTIES))
+    return _report(_context(inst, sample, scalars), "properties", PROPERTIES)
 
 
 def replay_counterexample(inst: EvsInstance, ce: dict,

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -68,12 +67,14 @@ def _abs_scale(alpha, a):
 
 def rational_tuple_instance(name: str, width: int, mismatch: str,
                             element_to_json, element_from_json, *,
-                            scale=_abs_scale, leq=_leq) -> EvsInstance:
+                            scale=_abs_scale, leq=_leq,
+                            **hooks) -> EvsInstance:
     """Tuples of `width` rationals under pointwise add, with the all-zero
     tuple as zero; an operand of another width raises InputError(mismatch).
     By default the scalar action is |alpha|-scaling and the order is the
     pointwise one; `scale(alpha, a)` and `leq(a, b)` replace them, and are
-    given operands of the right width.
+    given operands of the right width. `hooks` are the instance's optional
+    `comparing`, `eps_independence` and `lsolve`.
 
     Elements are in the canonical integer form of rationals.to_ints and the
     ops are the integer kernel of rationals.py; `equal` is tuple equality,
@@ -94,6 +95,7 @@ def rational_tuple_instance(name: str, width: int, mismatch: str,
         equal=lambda a, b: check(a) == check(b),
         element_to_json=element_to_json,
         element_from_json=element_from_json,
+        **hooks,
     )
 
 
@@ -106,7 +108,11 @@ def rational_tuple_instance(name: str, width: int, mismatch: str,
 # matrix, and the order tools' comparing value reads it as a MetricMatrix.
 
 
-def metric_packed_instance(labels: Sequence[str]) -> EvsInstance:
+def metric_packed_instance(labels: Sequence[str], kind: str = "metrics",
+                           **ops) -> EvsInstance:
+    """The metric instance on `labels`. A mutant names its `kind` and gives
+    the `scale` or `leq` that replaces the metric one (see
+    rational_tuple_instance)."""
     labels = tuple(labels)
     mismatch = "element is over a different carrier"
 
@@ -116,38 +122,31 @@ def metric_packed_instance(labels: Sequence[str]) -> EvsInstance:
             raise InputError(mismatch)
         return m.form
 
-    return replace(
-        rational_tuple_instance(
-            f"metrics[{len(labels)}-point carrier]",
-            len(MetricMatrix.zero(labels).form[0]),
-            mismatch,
-            element_to_json=lambda a: MetricMatrix(labels, a).to_json(),
-            element_from_json=from_json,
-        ),
+    return rational_tuple_instance(
+        f"{kind}[{len(labels)}-point carrier]",
+        len(MetricMatrix.zero(labels).form[0]),
+        mismatch,
+        element_to_json=lambda a: MetricMatrix(labels, a).to_json(),
+        element_from_json=from_json,
         comparing=lambda x, y: comparing_function_metric(
             MetricMatrix(labels, x), MetricMatrix(labels, y)),
+        **ops,
     )
 
 
 def metric_reversed_order_instance(labels: Sequence[str]) -> EvsInstance:
     """Mutant: the pointwise order is flipped. Zero becomes a maximum, so no
     sampled element has an additively characterized minimal below it."""
-    base = metric_packed_instance(labels)
-    return replace(
-        base,
-        name=f"metrics-reversed-order[{len(labels)}-point carrier]",
-        leq=lambda a, b: base.leq(b, a),
-    )
+    return metric_packed_instance(labels, "metrics-reversed-order",
+                                  leq=lambda a, b: _leq(b, a))
 
 
 def metric_no_abs_scale_instance(labels: Sequence[str]) -> EvsInstance:
     """Mutant: scalar action without the absolute value; homogeneity breaks
     at alpha = -1."""
-    return replace(
-        metric_packed_instance(labels),
-        name=f"metrics-no-abs-scale[{len(labels)}-point carrier]",
-        scale=lambda al, a: _scale(al.numerator, al.denominator, a),
-    )
+    return metric_packed_instance(
+        labels, "metrics-no-abs-scale",
+        scale=lambda al, a: _scale(al.numerator, al.denominator, a))
 
 
 def seeded_metric_matrices(labels: Sequence[str], seed: int,
@@ -186,6 +185,8 @@ def seeded_metric_sample(labels: Sequence[str], seed: int, count: int) -> list:
 def _check_dim(dim: int) -> None:
     if dim < 1:
         raise InputError(f"dimension must be at least 1, not {dim}")
+    if dim > MAX_DIM:
+        raise InputError(f"dimension {dim} exceeds the limit of {MAX_DIM}")
 
 
 def _parse_vec(doc, dim: int) -> tuple:
@@ -268,14 +269,11 @@ def cone_instance(dim: int) -> EvsInstance:
     slice {0} x V, so this instance is single primitive but not zero
     primitive."""
     _check_dim(dim)
-    return replace(
-        rational_tuple_instance(
-            f"cone[dim {dim}]", dim + 1, "cone element of mismatched dimension",
-            element_to_json=_cone_to_json,
-            element_from_json=lambda doc: _cone_from_json(doc, dim),
-            scale=_cone_scale, leq=_cone_leq),
-        lsolve=_cone_lsolve,
-    )
+    return rational_tuple_instance(
+        f"cone[dim {dim}]", dim + 1, "cone element of mismatched dimension",
+        element_to_json=_cone_to_json,
+        element_from_json=lambda doc: _cone_from_json(doc, dim),
+        scale=_cone_scale, leq=_cone_leq, lsolve=_cone_lsolve)
 
 
 def seeded_cone_sample(dim: int, seed: int, count: int) -> list:
@@ -424,12 +422,14 @@ def seeded_hyper_sample(dim: int, seed: int, count: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-#: The largest sample, metric carrier and norms depth build_instance takes:
-#: the verifier's time grows with the cube of the sample, the square of the
-#: carrier and the depth (the width of every norm value table).
+#: The largest sample, metric carrier and norms depth build_instance takes,
+#: and the largest dimension of a cone or hyperspace instance: the
+#: verifier's time grows with the cube of the sample, the square of the
+#: carrier, and the depth and the dimension (the width of every element).
 MAX_SAMPLE = 100
 MAX_CARRIER = 24
 MAX_DEPTH = 128
+MAX_DIM = 64
 
 _METRIC_INSTANCES = {
     "metrics": metric_packed_instance,

@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, combinations, islice
 from operator import itemgetter, sub
 from typing import Optional, Sequence
@@ -44,7 +42,6 @@ HALF = Fraction(1, 2)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class MetricMatrix:
     """Symmetric rational distance table over a finite labeled carrier,
     stored as `form`: the canonical integer form (rationals.to_ints) of its
@@ -52,7 +49,8 @@ class MetricMatrix:
     tables runs on it, and to_json prints from it. The form is also the
     element of the one metric instance, instances.metric_packed_instance,
     that serves both the axiom verifier and the order tools. `rows`, the
-    one Fraction view, is built on first use and cached.
+    one Fraction view, is built on first use and cached. Two tables are
+    equal when their labels and forms are.
 
     MetricMatrix(labels, form) takes a tuple of labels and a form as they
     are: derived tables are symmetric by construction. A raw table, read
@@ -63,8 +61,16 @@ class MetricMatrix:
     structured violation.
     """
 
-    labels: tuple[str, ...]
-    form: tuple[tuple[int, ...], int]
+    __slots__ = ("labels", "form", "_rows")
+
+    def __init__(self, labels: tuple[str, ...],
+                 form: tuple[tuple[int, ...], int]):
+        self.labels, self.form, self._rows = labels, form, None
+
+    def __eq__(self, other):
+        if not isinstance(other, MetricMatrix):
+            return NotImplemented
+        return self.labels == other.labels and self.form == other.form
 
     # -- construction -------------------------------------------------------
 
@@ -151,11 +157,13 @@ class MetricMatrix:
     def size(self) -> int:
         return len(self.labels)
 
-    @cached_property
+    @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        nums, den = self.form
-        return tuple(map(tuple, _mirror(
-            _upper([Fraction(v, den) for v in nums], self.size))))
+        if self._rows is None:
+            nums, den = self.form
+            self._rows = tuple(map(tuple, _mirror(
+                _upper([Fraction(v, den) for v in nums], self.size))))
+        return self._rows
 
     def is_zero(self) -> bool:
         return not any(self.form[0])
@@ -210,20 +218,11 @@ def _require_same_labels(a: MetricMatrix, b: MetricMatrix) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MetricValidation:
-    passed: bool
-    violation: Optional[dict]
-    size: int
-
-    def to_json(self) -> dict:
-        return {"pass": self.passed, "violation": self.violation, "size": self.size}
-
-
-def validate_metric(m: MetricMatrix) -> MetricValidation:
+def validate_metric(m: MetricMatrix) -> dict:
     """Check the metric axioms on a candidate table.
 
-    Reports the first violated axiom with its witnessing pair or triple.
+    Reports {"pass", "violation", "size"}: the first violated axiom with its
+    witnessing pair or triple, or a null violation.
     Shape problems (non-square, non-symmetric) are input errors raised at
     construction, not axiom failures. The all-zero table fails here (identity
     of indiscernibles) even though it is the legitimate additive identity O of
@@ -235,30 +234,36 @@ def validate_metric(m: MetricMatrix) -> MetricValidation:
     i != j: once the diagonal and sign checks pass, no triple with i == j,
     k == i or k == j violates, so the first violation found is the same.
     """
+    violation = _violation(m)
+    return {"pass": violation is None, "violation": violation, "size": m.size}
+
+
+def _violation(m: MetricMatrix) -> Optional[dict]:
+    """The first violated metric axiom of a table (see validate_metric)."""
     n, labels = m.size, m.labels
     nums, den = m.form
     upper = _upper(nums, n)
     for i, row in enumerate(upper):
         if row[0] != 0:
-            return MetricValidation(False, {
+            return {
                 "axiom": "zero-diagonal",
                 "indices": [labels[i]],
                 "value": fmt_ratio(row[0], den),
-            }, n)
+            }
     for i, row in enumerate(upper):
         for j, v in enumerate(row[1:], i + 1):
             if v < 0:
-                return MetricValidation(False, {
+                return {
                     "axiom": "nonnegativity",
                     "indices": [labels[i], labels[j]],
                     "value": fmt_ratio(v, den),
-                }, n)
+                }
             if v == 0:
-                return MetricValidation(False, {
+                return {
                     "axiom": "identity-of-indiscernibles",
                     "indices": [labels[i], labels[j]],
                     "value": "0/1",
-                }, n)
+                }
     rows = _mirror(upper)
     for i, ri in enumerate(rows):
         for j, rj in enumerate(rows):
@@ -267,13 +272,13 @@ def validate_metric(m: MetricMatrix) -> MetricValidation:
             if j == i or max(map(sub, ri, rj)) <= dij:
                 continue
             k = next(k for k in range(n) if ri[k] - rj[k] > dij)
-            return MetricValidation(False, {
+            return {
                 "axiom": "triangle",
                 "indices": [labels[i], labels[j], labels[k]],
                 "lhs": fmt_ratio(ri[k], den),
                 "rhs": fmt_ratio(dij + rj[k], den),
-            }, n)
-    return MetricValidation(True, None, n)
+            }
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -343,29 +348,10 @@ ONE_SIDED_FIRST_IN_SECOND = "one-sided-first-in-L(second)"
 ORDERLY_INDEPENDENT = "orderly-independent"
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Both comparing values for a pair, their classification, and, when
-    the pair is mutually dependent, the sandwich c2*rho <= d <= (1/c1)*rho."""
-
-    c_first_second: Fraction   # comparing value of the second relative to the first
-    c_second_first: Fraction
-    classification: str
-    sandwich: Optional[dict]
-
-    def to_json(self) -> dict:
-        return {
-            "comparingSecondRelativeFirst": fmt(self.c_first_second),
-            "comparingFirstRelativeSecond": fmt(self.c_second_first),
-            "classification": self.classification,
-            "secondInTestingSetOfFirst": self.c_first_second > 0,
-            "firstInTestingSetOfSecond": self.c_second_first > 0,
-            "sandwich": self.sandwich,
-        }
-
-
-def classify_pair(d: MetricMatrix, rho: MetricMatrix) -> ComparisonReport:
-    """Classify an exact pair by its two comparing values.
+def classify_pair(d: MetricMatrix, rho: MetricMatrix) -> dict:
+    """Classify an exact pair by its two comparing values: the report gives
+    both, the label, and, when the pair is mutually dependent, the sandwich
+    c2*rho <= d <= (1/c1)*rho.
 
     The values are the minima of the ratios rho/d and of their reciprocals,
     so they are both positive or both negative; a zero ratio makes the second
@@ -391,7 +377,14 @@ def classify_pair(d: MetricMatrix, rho: MetricMatrix) -> ComparisonReport:
         }
     else:
         label, sandwich = ORDERLY_INDEPENDENT, None
-    return ComparisonReport(c1, c2, label, sandwich)
+    return {
+        "comparingSecondRelativeFirst": fmt(c1),
+        "comparingFirstRelativeSecond": fmt(c2),
+        "classification": label,
+        "secondInTestingSetOfFirst": c1 > 0,
+        "firstInTestingSetOfSecond": c2 > 0,
+        "sandwich": sandwich,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +445,6 @@ def _transform(rho, entry_map, family: str):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Carrier:
     """Canonical countable carrier: points are indexed x_1, x_2, ...
 
@@ -463,11 +455,21 @@ class Carrier:
                         grid always contains -1, 0, 1 and straddles |x| = 1/2
                         with exact classification of every point.
     kind "points2d"  -- an explicit finite list of rational plane points.
+
+    Two carriers are equal when their kinds, steps and points are.
     """
 
-    kind: str
-    step: Optional[Fraction] = None
-    points: Optional[tuple[tuple[Fraction, Fraction], ...]] = None
+    __slots__ = ("kind", "step", "points")
+
+    def __init__(self, kind: str, step: Optional[Fraction] = None,
+                 points: Optional[tuple] = None):
+        self.kind, self.step, self.points = kind, step, points
+
+    def __eq__(self, other):
+        if not isinstance(other, Carrier):
+            return NotImplemented
+        return (self.kind, self.step, self.points) == \
+            (other.kind, other.step, other.points)
 
     def at(self, depth: int) -> tuple:
         """The first `depth` points as (index, coordinate) pairs, index
@@ -540,7 +542,6 @@ def points_carrier(points: Sequence[Sequence]) -> Carrier:
     return Carrier("points2d", points=parsed)
 
 
-@dataclass(frozen=True)
 class LazyMetric:
     """Closed-form metric over a countable carrier, materializable at any depth.
 
@@ -549,16 +550,25 @@ class LazyMetric:
     full carrier (None when depth-dependent or unknown), and unbounded marks
     families whose values provably exceed every bound. These three feed the
     carrier-wide comparison rules; truncations alone never decide a limit.
+    A cauchy metric's `weight` is its second-coordinate weight 1/n, a
+    transform's `base` is its source, and a scaled-of metric's `factor` is
+    its |alpha| multiplier.
     """
 
-    family: str
-    carrier: Carrier
-    weight: Optional[Fraction] = None        # cauchy: second-coordinate weight 1/n
-    base: Optional["LazyMetric"] = None      # transforms wrap their source
-    factor: Optional[Fraction] = None        # scaled-of: the |alpha| multiplier
-    sup_bound: Optional[Fraction] = None
-    inf_value: Optional[Fraction] = None
-    unbounded: bool = False
+    __slots__ = ("family", "carrier", "weight", "base", "factor",
+                 "sup_bound", "inf_value", "unbounded")
+
+    def __init__(self, family: str, carrier: Carrier,
+                 weight: Optional[Fraction] = None,
+                 base: Optional[LazyMetric] = None,
+                 factor: Optional[Fraction] = None,
+                 sup_bound: Optional[Fraction] = None,
+                 inf_value: Optional[Fraction] = None,
+                 unbounded: bool = False):
+        self.family, self.carrier = family, carrier
+        self.weight, self.base, self.factor = weight, base, factor
+        self.sup_bound, self.inf_value = sup_bound, inf_value
+        self.unbounded = unbounded
 
     def materialize(self, depth: int, carrier: Optional[Carrier] = None) -> MetricMatrix:
         """The table on the first `depth` points of the carrier (by default
@@ -925,9 +935,9 @@ def cauchy_incompleteness_demo(ns: Sequence[int],
         "cauchyChecks": checks,
         "cauchyBoundHolds": bound_ok,
         "limitMatrix": limit.to_json(),
-        "limitValidation": verdict.to_json(),
-        "limitIsMetric": verdict.passed,
-        "demonstratesIncompleteness": bound_ok and not verdict.passed,
+        "limitValidation": verdict,
+        "limitIsMetric": verdict["pass"],
+        "demonstratesIncompleteness": bound_ok and not verdict["pass"],
     }
 
 

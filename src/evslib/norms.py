@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -46,12 +45,14 @@ ONE = Fraction(1)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FSVector:
     """Finitely supported rational coordinate map; zero coordinates are never
     stored, and the empty map is the zero vector."""
 
-    coords: tuple[tuple[str, Fraction], ...]
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple[tuple[str, Fraction], ...]):
+        self.coords = coords
 
     @classmethod
     def from_dict(cls, mapping) -> "FSVector":
@@ -116,7 +117,7 @@ def _cantor_unpair(j: int) -> tuple[int, int]:
     return w - r, r
 
 
-_TAG_RE = re.compile(r"^([de])\((h\d+),(\d+)\)$")
+_TAG_RE = re.compile(r"^([de])\((h(\d+)),(\d+)\)$")
 _POS_RE = re.compile(r"^h(\d+)$")
 
 Tag = tuple  # ("B", t) | ("D", t, i) | ("E", t, i)
@@ -126,8 +127,21 @@ Tag = tuple  # ("B", t) | ("D", t, i) | ("E", t, i)
 #: grows with the depth, and the cost of a fiber weight with its index.
 MAX_PARTITION_DEPTH = 100_000
 
+#: The most significant digits of a number in an index name: int() reads
+#: no longer decimal string by default.
+MAX_INDEX_DIGITS = 4300
 
-@dataclass(frozen=True)
+
+def _read_number(digits: str) -> int:
+    """The number a run of decimal digits in an index name spells, read only
+    once it has at most MAX_INDEX_DIGITS significant digits."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > MAX_INDEX_DIGITS:
+        raise InputError(f"a number of {len(digits)} digits in an index name "
+                         f"exceeds the limit of {MAX_INDEX_DIGITS} digits")
+    return int(digits)
+
+
 class PartitionSpec:
     """Backbone/fiber assignment of the enumerated indices h0 .. h(depth-1).
 
@@ -138,17 +152,18 @@ class PartitionSpec:
     independent of depth, so deepening only extends the enumerated prefix.
     """
 
-    depth: int
+    __slots__ = ("depth",)
 
-    def __post_init__(self):
-        if self.depth < 4:
+    def __init__(self, depth: int):
+        if depth < 4:
             raise InputError(
                 "partition depth must be at least 4 to make the backbone and "
                 "both fiber kinds available"
             )
-        if self.depth > MAX_PARTITION_DEPTH:
-            raise InputError(f"partition depth {self.depth} exceeds the "
+        if depth > MAX_PARTITION_DEPTH:
+            raise InputError(f"partition depth {depth} exceeds the "
                              f"limit of {MAX_PARTITION_DEPTH}")
+        self.depth = depth
 
     # -- scheme, total over all positions ------------------------------------
 
@@ -176,10 +191,10 @@ class PartitionSpec:
         but no name of either form to a fiber index past MAX_PARTITION_DEPTH."""
         m = _POS_RE.match(name)
         if m:
-            tag = self.tag_of_position(int(m.group(1)))
+            tag = self.tag_of_position(_read_number(m.group(1)))
         elif m := _TAG_RE.match(name):
-            kind, t, i = m.group(1), m.group(2), int(m.group(3))
-            if _backbone_position(t) % 2 != 0:
+            kind, t, i = m.group(1), m.group(2), _read_number(m.group(4))
+            if _read_number(m.group(3)) % 2 != 0:
                 raise InputError(f"{t} is not a backbone member")
             tag = ("D" if kind == "d" else "E", t, i)
         else:
@@ -209,13 +224,6 @@ class PartitionSpec:
         }
 
 
-def _backbone_position(name: str) -> int:
-    m = _POS_RE.match(name)
-    if not m:
-        raise InputError(f"not a positional index name: {name!r}")
-    return int(m.group(1))
-
-
 def build_partition(depth: int) -> PartitionSpec:
     return PartitionSpec(depth)
 
@@ -225,25 +233,32 @@ def build_partition(depth: int) -> PartitionSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class NormFamilyParams:
-    partition: PartitionSpec
-    subset_c: tuple[str, ...]
-    gamma: Fraction
+    """The parameters of one family norm: a partition, a proper nonempty
+    subset C of its backbone, kept sorted, and gamma > 1. Two parameter
+    sets are equal when their depths, subsets and gammas are."""
 
-    def __post_init__(self):
-        members = self.partition.b_members()
-        c = sorted(set(self.subset_c))
-        object.__setattr__(self, "subset_c", tuple(c))
-        object.__setattr__(self, "gamma", parse_rational(self.gamma))
+    __slots__ = ("partition", "subset_c", "gamma")
+
+    def __init__(self, partition: PartitionSpec, subset_c, gamma):
+        members = partition.b_members()
+        c = sorted(set(subset_c))
+        self.partition, self.subset_c = partition, tuple(c)
+        self.gamma = gamma = parse_rational(gamma)
         if not c:
             raise InputError("the subset C must be nonempty")
         if any(t not in members for t in c):
             raise InputError("C must consist of backbone members")
         if len(c) >= len(members):
             raise InputError("C must be a proper subset of the backbone")
-        if self.gamma <= 1:
+        if gamma <= 1:
             raise InputError("gamma must exceed 1")
+
+    def __eq__(self, other):
+        if not isinstance(other, NormFamilyParams):
+            return NotImplemented
+        return (self.partition.depth, self.subset_c, self.gamma) == \
+            (other.partition.depth, other.subset_c, other.gamma)
 
     @classmethod
     def from_json(cls, doc) -> "NormFamilyParams":
@@ -338,16 +353,17 @@ def eval_weighted_norm(w: WeightMap, x: FSVector) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class WitnessDirection:
-    """One decaying direction: the named fiber vectors witness that the
-    comparing value of `of` relative to `relative_to` is below epsilon."""
+    """One decaying direction: the fiber vectors of `family` ("d" or "e")
+    under backbone member t witness, at `index`, that a comparing value is
+    below epsilon: it is at most `ratio`, ratio_base to the index."""
 
-    family: str          # "d" or "e"
-    t: str
-    ratio_base: Fraction
-    index: int
-    ratio: Fraction
+    __slots__ = ("family", "t", "ratio_base", "index", "ratio")
+
+    def __init__(self, family: str, t: str, ratio_base: Fraction, index: int,
+                 ratio: Fraction):
+        self.family, self.t, self.ratio_base = family, t, ratio_base
+        self.index, self.ratio = index, ratio
 
     def witness_name(self, i: Optional[int] = None) -> str:
         return f"{self.family}({self.t},{self.index if i is None else i})"
@@ -363,12 +379,20 @@ class WitnessDirection:
         }
 
 
-@dataclass(frozen=True)
 class WitnessReport:
-    case: int
-    epsilon: Fraction
-    first_relative_to_second: WitnessDirection
-    second_relative_to_first: WitnessDirection
+    """Both decaying directions of a pair of family norms (see
+    independence_witness). It stays an object, not its JSON document,
+    because perfbench's tracer reads first_relative_to_second.index."""
+
+    __slots__ = ("case", "epsilon", "first_relative_to_second",
+                 "second_relative_to_first")
+
+    def __init__(self, case: int, epsilon: Fraction,
+                 first_relative_to_second: WitnessDirection,
+                 second_relative_to_first: WitnessDirection):
+        self.case, self.epsilon = case, epsilon
+        self.first_relative_to_second = first_relative_to_second
+        self.second_relative_to_first = second_relative_to_first
 
     def to_json(self) -> dict:
         return {

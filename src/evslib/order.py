@@ -19,7 +19,6 @@ alpha and primitive stay in element form so the certificate can replay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Any, Optional, Sequence
@@ -33,13 +32,11 @@ REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
 class Universe:
     """Finite list of nonzero elements of one instance; the zero element is
     held by the instance itself and is excluded from the list."""
 
-    instance: EvsInstance
-    elements: tuple
+    __slots__ = ("instance", "elements")
 
     def __init__(self, instance: EvsInstance, elements: Sequence):
         elements = tuple(elements)
@@ -48,19 +45,22 @@ class Universe:
         if instance.zero is not None:
             if any(instance.equal(e, instance.zero) for e in elements):
                 raise InputError("universe elements must be nonzero")
-        object.__setattr__(self, "instance", instance)
-        object.__setattr__(self, "elements", elements)
+        self.instance, self.elements = instance, elements
 
 
-@dataclass(frozen=True)
 class LCertificate:
     """Outcome of a testing-set membership query for (x, y): does y dominate a
-    nonzero multiple of x (plus a primitive)?"""
+    nonzero multiple of x (plus a primitive)? The status is positive,
+    refuted or inconclusive; only the explicit-primitive route gives a
+    primitive."""
 
-    status: str                       # positive | refuted | inconclusive
-    alpha: Optional[Fraction] = None
-    primitive: Optional[Any] = None   # only on the explicit-primitive route
-    reason: Optional[str] = None
+    __slots__ = ("status", "alpha", "primitive", "reason")
+
+    def __init__(self, status: str, alpha: Optional[Fraction] = None,
+                 primitive: Optional[Any] = None,
+                 reason: Optional[str] = None):
+        self.status, self.alpha = status, alpha
+        self.primitive, self.reason = primitive, reason
 
     def to_json(self, instance: Optional[EvsInstance] = None) -> dict:
         doc = {"status": self.status}

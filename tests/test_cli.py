@@ -7,11 +7,11 @@ import re
 import pytest
 
 from evslib.cli import main
-from evslib.instances import (MAX_CARRIER, MAX_DEPTH, MAX_SAMPLE,
+from evslib.instances import (MAX_CARRIER, MAX_DEPTH, MAX_DIM, MAX_SAMPLE,
                               build_instance)
 from evslib.metrics import (MAX_BUILTIN_DEPTH, LazyMetric, MetricMatrix,
                             builtin_metric, transform_bounded)
-from evslib.norms import MAX_PARTITION_DEPTH, PartitionSpec
+from evslib.norms import MAX_INDEX_DIGITS, MAX_PARTITION_DEPTH, PartitionSpec
 
 FLOAT_PATTERN = re.compile(r"\d+\.\d")
 
@@ -803,3 +803,88 @@ def test_malformed_input_file_is_input_error(capsys, tmp_path, name):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, None)
     assert "internal" not in json.loads(err)
+
+
+# ---------------------------------------------------------------------------
+# Unreadable files, over-long index names and over-large dimensions exit 2
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["d.json", "d.csv"])
+def test_directory_input_is_input_error(capsys, tmp_path, name):
+    path = tmp_path / name
+    path.mkdir()
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, None)
+    assert json.loads(err)["error"].startswith(f"cannot read {path}: ")
+
+
+def test_empty_manifest_element_is_input_error(capsys, tmp_path):
+    # "" names the manifest's own directory
+    x = write_json(tmp_path / "x.json", {"r": "1", "v": ["0", "1"]})
+    manifest = write_json(tmp_path / "u.json",
+                          {"instance": "cone", "elements": [""]})
+    code, out, err = run(capsys, "order", "feasible", "--universe", manifest,
+                         "--x", x)
+    assert (code, out) == (2, None)
+    assert json.loads(err)["error"].startswith(f"cannot read {tmp_path}: ")
+
+
+def test_non_utf8_csv_is_input_error(capsys, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, None)
+    assert json.loads(err)["error"].startswith(
+        f"malformed CSV in {path}: 'utf-8' codec can't decode")
+
+
+@pytest.mark.parametrize("name", [
+    "h" + "2" * 5000,
+    "d(h0," + "1" * 5000 + ")",
+    "e(h" + "2" * 5000 + ",1)",
+], ids=["position", "fiber-index", "backbone-member"])
+def test_index_name_past_the_digit_limit_exits_two(capsys, tmp_path, name):
+    spec = write_json(tmp_path / "p.json",
+                      {"depth": 12, "subsetC": ["h0"], "gamma": "2"})
+    vec = write_json(tmp_path / "v.json", {name: "1"})
+    code, out, err = run(capsys, "norms", "eval", "--spec", spec,
+                         "--vector", vec)
+    assert (code, out, json.loads(err)) == (2, None, {
+        "error": f"a number of 5000 digits in an index name exceeds the "
+                 f"limit of {MAX_INDEX_DIGITS} digits"})
+
+
+def test_index_digit_limit_admits_the_limit_and_leading_zeros():
+    part = PartitionSpec(12)
+    assert part.resolve("h" + "0" * 5000 + "7") == part.resolve("h7")
+    assert part.resolve("d(h0," + "0" * 5000 + "2)") == ("D", "h0", 2)
+    position = "2" * MAX_INDEX_DIGITS
+    assert part.resolve("h" + position) == ("B", "h" + position)
+
+
+@pytest.mark.parametrize("instance", ["cone", "hyperspace"])
+@pytest.mark.parametrize("dim", [MAX_DIM + 1, 2 ** 70])
+def test_axioms_dimension_past_the_limit_exits_two(capsys, instance, dim):
+    code, out, err = run(capsys, "axioms", "--instance", instance,
+                         "--seed", "0", "--sample", "2", "--dim", str(dim))
+    assert (code, out, json.loads(err)) == (2, None, {
+        "error": f"dimension {dim} exceeds the limit of {MAX_DIM}"})
+
+
+@pytest.mark.parametrize("kind", ["cone", "hyperspace"])
+@pytest.mark.parametrize("dim", [MAX_DIM + 1, 2 ** 70])
+def test_universe_dimension_past_the_limit_exits_two(capsys, tmp_path, kind,
+                                                     dim):
+    manifest, x = write_universe(tmp_path, kind, dim)
+    code, out, err = run(capsys, "order", "in-l", "--universe", manifest,
+                         "--x", x, "--y", x)
+    assert (code, out, json.loads(err)) == (2, None, {
+        "error": f"dimension {dim} exceeds the limit of {MAX_DIM}"})
+
+
+@pytest.mark.parametrize("instance", ["cone", "hyperspace"])
+def test_dimension_limit_admits_the_limit(instance):
+    # the instance and a two-element sample are built; no suite is run
+    inst, sample, _ = build_instance(instance, dim=MAX_DIM, sample=2)
+    assert inst.name == f"{instance}[dim {MAX_DIM}]" and len(sample) == 2

@@ -23,7 +23,6 @@ from evslib.instances import (
     point_set,
     rational_tuple_instance,
 )
-from evslib.metrics import MetricValidation
 from evslib.rationals import fmt, to_fractions, to_ints
 
 WIDTH = 5
@@ -249,35 +248,39 @@ def test_no_sampled_pair_is_added_twice(name):
 # ---------------------------------------------------------------------------
 
 
-def reference_validation(m: MetricMatrix) -> MetricValidation:
+def reference_validation(m: MetricMatrix) -> dict:
     """The plain Fraction check: every triple (i, j, k), degenerate ones
-    included, in lexicographic order."""
+    included, in lexicographic order, reported as validate_metric does."""
     n, rows, labels = m.size, m.rows, m.labels
+
+    def failed(violation: dict) -> dict:
+        return {"pass": False, "violation": violation, "size": n}
+
     for i in range(n):
         if rows[i][i] != 0:
-            return MetricValidation(False, {
+            return failed({
                 "axiom": "zero-diagonal", "indices": [labels[i]],
-                "value": fmt(rows[i][i])}, n)
+                "value": fmt(rows[i][i])})
     for i, j in combinations(range(n), 2):
         v = rows[i][j]
         if v < 0:
-            return MetricValidation(False, {
+            return failed({
                 "axiom": "nonnegativity", "indices": [labels[i], labels[j]],
-                "value": fmt(v)}, n)
+                "value": fmt(v)})
         if v == 0:
-            return MetricValidation(False, {
+            return failed({
                 "axiom": "identity-of-indiscernibles",
-                "indices": [labels[i], labels[j]], "value": "0/1"}, n)
+                "indices": [labels[i], labels[j]], "value": "0/1"})
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 if rows[i][k] > rows[i][j] + rows[j][k]:
-                    return MetricValidation(False, {
+                    return failed({
                         "axiom": "triangle",
                         "indices": [labels[i], labels[j], labels[k]],
                         "lhs": fmt(rows[i][k]),
-                        "rhs": fmt(rows[i][j] + rows[j][k])}, n)
-    return MetricValidation(True, None, n)
+                        "rhs": fmt(rows[i][j] + rows[j][k])})
+    return {"pass": True, "violation": None, "size": n}
 
 
 @st.composite
@@ -312,8 +315,8 @@ def test_triangle_reference_sees_both_outcomes():
     m = MetricMatrix.from_rows(carrier_labels(3),
                                [[0, 1, 5], [1, 0, 1], [5, 1, 0]])
     assert validate_metric(m) == reference_validation(m)
-    assert validate_metric(m).violation["indices"] == ["x1", "x2", "x3"]
+    assert validate_metric(m)["violation"]["indices"] == ["x1", "x2", "x3"]
     ok = MetricMatrix.from_rows(carrier_labels(3),
                                 [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
     assert validate_metric(ok) == reference_validation(ok)
-    assert validate_metric(ok).passed
+    assert validate_metric(ok)["pass"] is True

@@ -84,30 +84,30 @@ def test_duplicate_labels_rejected():
 def test_validate_flags_indiscernibles():
     m = MetricMatrix.from_rows(["a", "b"], [[0, 0], [0, 0]])
     verdict = validate_metric(m)
-    assert not verdict.passed
-    assert verdict.violation["axiom"] == "identity-of-indiscernibles"
+    assert verdict["pass"] is False
+    assert verdict["violation"]["axiom"] == "identity-of-indiscernibles"
 
 
 def test_validate_flags_triangle():
     m = tri(1, 1, 3)
     verdict = validate_metric(m)
-    assert not verdict.passed
-    assert verdict.violation["axiom"] == "triangle"
+    assert verdict["pass"] is False
+    assert verdict["violation"]["axiom"] == "triangle"
 
 
 def test_validate_flags_negative_entry():
     m = MetricMatrix.from_rows(["a", "b"], [[0, -1], [-1, 0]])
-    assert validate_metric(m).violation["axiom"] == "nonnegativity"
+    assert validate_metric(m)["violation"]["axiom"] == "nonnegativity"
 
 
 def test_validate_flags_nonzero_diagonal():
     m = MetricMatrix.from_rows(["a", "b"], [[1, 2], [2, 0]])
-    assert validate_metric(m).violation["axiom"] == "zero-diagonal"
+    assert validate_metric(m)["violation"]["axiom"] == "zero-diagonal"
 
 
 def test_kappa_grid_validates_exhaustively():
     kappa = builtin_metric("kappa", {}, 11)
-    assert validate_metric(kappa).passed
+    assert validate_metric(kappa)["pass"]
 
 
 def test_csv_round_trip():
@@ -207,20 +207,24 @@ def test_comparing_certificate_is_tight():
 # Classification
 # ---------------------------------------------------------------------------
 
+# the keys of the two comparing values in a classify_pair report
+C12, C21 = "comparingSecondRelativeFirst", "comparingFirstRelativeSecond"
+
 
 def test_classify_bounded_companion_is_mutually_dependent():
     rho = tri(1, 2, 2)
     report = classify_pair(rho, transform_bounded(rho))
-    assert report.classification == "mutually-dependent"
-    assert report.c_first_second == F(1, 3)   # 1/(1+M), M = 2
-    assert report.c_second_first == 2         # 1 + min
-    assert report.sandwich["lowerHolds"] and report.sandwich["upperHolds"]
+    assert report["classification"] == "mutually-dependent"
+    assert F(report[C12]) == F(1, 3)   # 1/(1+M), M = 2
+    assert F(report[C21]) == 2         # 1 + min
+    sandwich = report["sandwich"]
+    assert sandwich["lowerHolds"] and sandwich["upperHolds"]
 
 
 def test_classify_self_pair():
     d = tri(1, 2, 2)
     report = classify_pair(d, d)
-    assert report.c_first_second == 1 and report.c_second_first == 1
+    assert F(report[C12]) == 1 and F(report[C21]) == 1
 
 
 def test_classify_swaps_consistently():
@@ -228,8 +232,8 @@ def test_classify_swaps_consistently():
     labels = tuple(f"x{k}" for k in range(1, 6))
     d, rho = random_metric(rng, labels), random_metric(rng, labels)
     ab, ba = classify_pair(d, rho), classify_pair(rho, d)
-    assert ab.c_first_second == ba.c_second_first
-    assert ab.classification == ba.classification == "mutually-dependent"
+    assert F(ab[C12]) == F(ba[C21])
+    assert ab["classification"] == ba["classification"] == "mutually-dependent"
 
 
 def test_classify_rejects_zero():
@@ -263,9 +267,9 @@ signed_nonzero = st.builds(F, st.integers(-30, 30).filter(bool),
 @given(table_pairs(signed_nonzero))
 def test_classify_signed_tables_takes_two_labels(pair):
     report = classify_pair(*pair)
-    assert report.classification in ("mutually-dependent",
-                                      "orderly-independent")
-    assert (report.c_first_second > 0) == (report.c_second_first > 0)
+    assert report["classification"] in ("mutually-dependent",
+                                         "orderly-independent")
+    assert (F(report[C12]) > 0) == (F(report[C21]) > 0)
 
 
 @given(table_pairs(positive))
@@ -306,7 +310,7 @@ def test_transforms_validate_and_sit_below_input():
     for _ in range(15):
         rho = random_metric(rng, labels)
         for out in (transform_bounded(rho), transform_min(rho)):
-            assert validate_metric(out).passed
+            assert validate_metric(out)["pass"]
             assert leq_metrics(out, rho)
 
 
@@ -377,7 +381,7 @@ def test_lazy_materializations_validate():
         (builtin_lazy("kappa"), 9),
         (builtin_lazy("cauchy-dn", {"n": 3, "points": [[0, 0], [1, 0], [0, 2]]}), 3),
     ):
-        assert validate_metric(m.materialize(depth)).passed
+        assert validate_metric(m.materialize(depth))["pass"]
 
 
 # ---------------------------------------------------------------------------

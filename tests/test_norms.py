@@ -267,7 +267,7 @@ def test_embed_distance_table():
     assert m.rows[0][1] == 1
     assert m.rows[0][2] == 6
     assert m.rows[1][2] == 6
-    assert validate_metric(m).passed
+    assert validate_metric(m)["pass"]
 
 
 def test_embed_evaluates_each_unordered_pair_once(monkeypatch):

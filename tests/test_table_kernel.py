@@ -96,7 +96,8 @@ def test_leq_is_the_entrywise_order(pair):
 def test_sandwich_flags_are_the_entrywise_order(pair):
     d, rho = pair
     report = classify_pair(d, rho)
-    assert report.classification == MUTUALLY_DEPENDENT
-    c1, c2 = report.c_first_second, report.c_second_first
-    assert report.sandwich["lowerHolds"] == all_leq(rho, d, s=c2)
-    assert report.sandwich["upperHolds"] == all_leq(d, rho, t=1 / c1)
+    assert report["classification"] == MUTUALLY_DEPENDENT
+    c1 = Fraction(report["comparingSecondRelativeFirst"])
+    c2 = Fraction(report["comparingFirstRelativeSecond"])
+    assert report["sandwich"]["lowerHolds"] == all_leq(rho, d, s=c2)
+    assert report["sandwich"]["upperHolds"] == all_leq(d, rho, t=1 / c1)
