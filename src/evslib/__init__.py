@@ -47,7 +47,6 @@ from .norms import (
     NormFamilyParams,
     PartitionSpec,
     WeightMap,
-    build_partition,
     embed_norm_to_metric,
     eval_weighted_norm,
     independence_witness,

@@ -240,7 +240,7 @@ def _run_cauchy_demo(inputs: dict):
 
 
 def _run_norms_partition(inputs: dict):
-    return norms.build_partition(
+    return norms.PartitionSpec(
         require_int(inputs["depth"], '"depth"')).to_json(), 0
 
 

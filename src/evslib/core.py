@@ -56,6 +56,11 @@ class EvsInstance:
     independence up to epsilon, and `lsolve` handles testing-set membership
     in instances whose primitive space is larger than {zero}.
 
+    Elements are checked once, where they enter: `element_from_json`
+    rejects any element not in the instance's shape, and the seeded samplers
+    build elements in shape. The operations check nothing; given operands
+    of the wrong shape, their result is undefined.
+
     The one dataclass of the package: the tracer of perfbench/ and the
     kernel tests swap its operations with dataclasses.replace.
     """

@@ -15,6 +15,12 @@ the seeded samples and cone `lsolve`). The verifier and the order tools
 share each instance; the metric one adds the comparing function of
 metrics.py, which reads its two forms as MetricMatrix tables.
 
+Each element is checked once, where it enters: `element_from_json` rejects
+a table over another carrier, a vector or value table of another width and
+an empty point set, and the samplers build elements in shape. The ops are
+the bare integer kernel and check nothing; given operands of the wrong
+shape, their result is undefined.
+
 Samplers are deterministic in their seed and are built so that the
 sample-relative minimal structure matches the carrier-wide one: the cone
 sampler pairs every (r, v) with its primitive (0, v), and the hyperspace
@@ -65,34 +71,27 @@ def _abs_scale(alpha, a):
     return _scale(abs(alpha.numerator), alpha.denominator, a)
 
 
-def rational_tuple_instance(name: str, width: int, mismatch: str,
-                            element_to_json, element_from_json, *,
-                            scale=_abs_scale, leq=_leq,
+def rational_tuple_instance(name: str, width: int, element_to_json,
+                            element_from_json, *, scale=_abs_scale, leq=_leq,
                             **hooks) -> EvsInstance:
     """Tuples of `width` rationals under pointwise add, with the all-zero
-    tuple as zero; an operand of another width raises InputError(mismatch).
-    By default the scalar action is |alpha|-scaling and the order is the
-    pointwise one; `scale(alpha, a)` and `leq(a, b)` replace them, and are
-    given operands of the right width. `hooks` are the instance's optional
-    `comparing`, `eps_independence` and `lsolve`.
+    tuple as zero. By default the scalar action is |alpha|-scaling and the
+    order is the pointwise one; `scale(alpha, a)` and `leq(a, b)` replace
+    them. `hooks` are the instance's optional `comparing`, `eps_independence`
+    and `lsolve`.
 
     Elements are in the canonical integer form of rationals.to_ints and the
     ops are the integer kernel of rationals.py; `equal` is tuple equality,
-    and the JSON converters are given that form too.
+    and the JSON converters are given that form too. `element_from_json`
+    must reject a tuple of another width.
     """
-
-    def check(a):
-        if len(a[0]) != width:
-            raise InputError(mismatch)
-        return a
-
     return EvsInstance(
         name=name,
         zero=((0,) * width, 1),
-        add=lambda a, b: _add(check(a), check(b)),
-        scale=lambda al, a: scale(al, check(a)),
-        leq=lambda a, b: leq(check(a), check(b)),
-        equal=lambda a, b: check(a) == check(b),
+        add=_add,
+        scale=scale,
+        leq=leq,
+        equal=operator.eq,
         element_to_json=element_to_json,
         element_from_json=element_from_json,
         **hooks,
@@ -114,18 +113,16 @@ def metric_packed_instance(labels: Sequence[str], kind: str = "metrics",
     the `scale` or `leq` that replaces the metric one (see
     rational_tuple_instance)."""
     labels = tuple(labels)
-    mismatch = "element is over a different carrier"
 
     def from_json(doc) -> tuple:
         m = MetricMatrix.from_json(doc)
         if m.labels != labels:
-            raise InputError(mismatch)
+            raise InputError("element is over a different carrier")
         return m.form
 
     return rational_tuple_instance(
         f"{kind}[{len(labels)}-point carrier]",
         len(MetricMatrix.zero(labels).form[0]),
-        mismatch,
         element_to_json=lambda a: MetricMatrix(labels, a).to_json(),
         element_from_json=from_json,
         comparing=lambda x, y: comparing_function_metric(
@@ -178,8 +175,8 @@ def seeded_metric_sample(labels: Sequence[str], seed: int, count: int) -> list:
 # ---------------------------------------------------------------------------
 #
 # A cone element (r, v) is the rational tuple (r, *v) of width dim + 1 in the
-# integer form above: it shares add, the width check and equality with the
-# pointwise instances, and brings its own scale and leq.
+# integer form above: it shares add and equality with the pointwise
+# instances, and brings its own scale and leq.
 
 
 def _check_dim(dim: int) -> None:
@@ -270,7 +267,7 @@ def cone_instance(dim: int) -> EvsInstance:
     primitive."""
     _check_dim(dim)
     return rational_tuple_instance(
-        f"cone[dim {dim}]", dim + 1, "cone element of mismatched dimension",
+        f"cone[dim {dim}]", dim + 1,
         element_to_json=_cone_to_json,
         element_from_json=lambda doc: _cone_from_json(doc, dim),
         scale=_cone_scale, leq=_cone_leq, lsolve=_cone_lsolve)
@@ -364,6 +361,8 @@ def _point_set_to_json(a) -> list:
 def _point_list(doc) -> list:
     if not isinstance(doc, list):
         raise InputError("point set must be a list of points")
+    if not doc:
+        raise InputError("point sets must be nonempty")
     return doc
 
 
@@ -372,22 +371,13 @@ def hyperspace_instance(dim: int) -> EvsInstance:
     reflect the set), A <= B iff A is a subset of B. The zero is the origin
     singleton; the minimal elements are exactly the singletons."""
     _check_dim(dim)
-
-    def check(a):
-        if not a[0]:
-            raise InputError("point sets must be nonempty")
-        for p in a[0]:
-            if len(p) != dim:
-                raise InputError("point of mismatched dimension")
-        return a
-
     return EvsInstance(
         name=f"hyperspace[dim {dim}]",
         zero=(frozenset({(0,) * dim}), 1),
-        add=lambda a, b: _minkowski_sum(check(a), check(b)),
-        scale=lambda al, a: _point_scale(al, check(a)),
-        leq=lambda a, b: _subset(check(a), check(b)),
-        equal=lambda a, b: check(a) == check(b),
+        add=_minkowski_sum,
+        scale=_point_scale,
+        leq=_subset,
+        equal=operator.eq,
         element_to_json=_point_set_to_json,
         element_from_json=lambda doc: point_set(
             _parse_vec(p, dim) for p in _point_list(doc)),

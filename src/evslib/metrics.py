@@ -696,8 +696,8 @@ def builtin_lazy(name: str, params: Optional[dict] = None) -> LazyMetric:
     return make(*values)
 
 
-#: The deepest table builtin_metric materializes: its time, memory and
-#: printed size grow with the square of the depth.
+#: The deepest carrier prefix of builtin_metric and the depth-indexed bounds:
+#: time, memory and printed size grow with the square of the depth.
 MAX_BUILTIN_DEPTH = 1000
 
 
@@ -752,6 +752,9 @@ def _depth_minima(d: LazyMetric, rho: LazyMetric,
         raise InputError("all depths must be at least 2")
     if any(b <= a for a, b in zip(depths, depths[1:])):
         raise InputError("depths must be strictly increasing")
+    if depths[-1] > MAX_BUILTIN_DEPTH:
+        raise InputError(f"depth {depths[-1]} exceeds the limit of "
+                         f"{MAX_BUILTIN_DEPTH}")
     carrier = resolve_carrier(d, rho)
     pair_d, pair_rho = _PAIR_FNS[d.family], _PAIR_FNS[rho.family]
     a1, b1, a2, b2 = 1, 0, 1, 0          # min rho/d = a1/b1, min d/rho = a2/b2

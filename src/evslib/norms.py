@@ -25,6 +25,7 @@ still legitimate indices with well-defined weights.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -222,10 +223,6 @@ class PartitionSpec:
             "B": self.b_members(),
             "assignment": self.assignment(),
         }
-
-
-def build_partition(depth: int) -> PartitionSpec:
-    return PartitionSpec(depth)
 
 
 # ---------------------------------------------------------------------------
@@ -554,13 +551,17 @@ def norm_table_instance(probes: Sequence[FSVector]) -> EvsInstance:
     axioms; the order is the pointwise one. The all-zero table is the zero
     element O.
     """
+    def from_json(doc) -> tuple:
+        table = parse_rationals(doc, "norm value table")
+        if len(table) != len(probes):
+            raise InputError("value table over a different probe set")
+        return to_ints(table)
+
     return rational_tuple_instance(
         f"norms[{len(probes)} probes]",
         len(probes),
-        "value table over a different probe set",
         element_to_json=lambda a: [fmt(x) for x in to_fractions(a)],
-        element_from_json=lambda doc: to_ints(
-            parse_rationals(doc, "norm value table")),
+        element_from_json=from_json,
     )
 
 
@@ -620,8 +621,8 @@ def norm_family_instance(partition: PartitionSpec) -> EvsInstance:
         add=unsupported,
         scale=unsupported,
         leq=unsupported,
-        equal=lambda a, b: a == b,
-        element_to_json=lambda p: p.to_json(),
+        equal=operator.eq,
+        element_to_json=NormFamilyParams.to_json,
         element_from_json=NormFamilyParams.from_json,
-        eps_independence=lambda p, q, eps: independence_witness(p, q, eps),
+        eps_independence=independence_witness,
     )

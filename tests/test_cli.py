@@ -9,8 +9,8 @@ import pytest
 from evslib.cli import main
 from evslib.instances import (MAX_CARRIER, MAX_DEPTH, MAX_DIM, MAX_SAMPLE,
                               build_instance)
-from evslib.metrics import (MAX_BUILTIN_DEPTH, LazyMetric, MetricMatrix,
-                            builtin_metric, transform_bounded)
+from evslib.metrics import (MAX_BUILTIN_DEPTH, Carrier, LazyMetric,
+                            MetricMatrix, builtin_metric, transform_bounded)
 from evslib.norms import MAX_INDEX_DIGITS, MAX_PARTITION_DEPTH, PartitionSpec
 
 FLOAT_PATTERN = re.compile(r"\d+\.\d")
@@ -160,6 +160,26 @@ def test_replay_without_depths_is_input_error(capsys, tmp_path):
                          write_json(tmp_path / "r.json", report))
     assert (code, out, json.loads(err)) == (
         2, None, {"error": "need at least one depth"})
+
+
+@pytest.mark.parametrize("depth", [MAX_BUILTIN_DEPTH + 1, 10 ** 12])
+def test_partial_compare_depth_past_the_limit_exits_two(capsys, tmp_path,
+                                                        monkeypatch, depth):
+    def at(self, depth):
+        raise AssertionError(f"carrier built at depth {depth}")
+    monkeypatch.setattr(Carrier, "at", at)
+    error = {"error": f"depth {depth} exceeds the limit of "
+                      f"{MAX_BUILTIN_DEPTH}"}
+    code, out, err = run(capsys, "partial-compare", "--first", "discrete",
+                         "--second", "shrinking", "--depths", f"10,{depth}")
+    assert (code, out, json.loads(err)) == (2, None, error)
+    report = {"command": "partial-compare", "inputs": {
+        "first": {"name": "discrete", "params": {}},
+        "second": {"name": "shrinking", "params": {}}, "depths": [depth]},
+        "report": {"upperBounds": [], "nonincreasing": True}}
+    code, out, err = run(capsys, "--replay",
+                         write_json(tmp_path / "r.json", report))
+    assert (code, out, json.loads(err)) == (2, None, error)
 
 
 def test_partial_compare_usual_alias_on_kappa_grid(capsys):
@@ -782,6 +802,20 @@ def test_non_integer_universe_field_is_input_error(capsys, tmp_path, kind,
     field = UNIVERSE_KINDS[kind][1]
     assert json.loads(err) == {
         "error": f'universe "{field}" must be an integer, not {value!r}'}
+
+
+def test_empty_point_set_in_a_universe_exits_two(capsys, tmp_path):
+    """The loader rejects it; the Minkowski sum of an empty set would be
+    empty, and the independence check would fail it with exit 1."""
+    element, _, dim = UNIVERSE_KINDS["hyperspace"]
+    write_json(tmp_path / "x.json", element)
+    write_json(tmp_path / "e.json", [])
+    manifest = write_json(tmp_path / "u.json", {
+        "instance": "hyperspace", "dim": dim,
+        "elements": ["x.json", "e.json"]})
+    code, out, err = run(capsys, "order", "indep", "--universe", manifest)
+    assert (code, out, json.loads(err)) == (
+        2, None, {"error": "point sets must be nonempty"})
 
 
 @pytest.mark.parametrize("kind", sorted(UNIVERSE_KINDS))

@@ -145,6 +145,8 @@ def test_carrier_errors_name_the_first_failing_depth(
     ([1, 3], "all depths must be at least 2"),
     ([3, 3], "depths must be strictly increasing"),
     ([5, 4], "depths must be strictly increasing"),
+    ([10, 1001], "depth 1001 exceeds the limit of 1000"),
+    ([10 ** 12], "depth 1000000000000 exceeds the limit of 1000"),
 ])
 def test_depth_list_errors_come_before_carrier_errors(depths, message):
     with pytest.raises(InputError, match=message):

@@ -61,8 +61,8 @@ def test_cone_order_needs_equal_vector_part():
 
 def test_cone_dimension_mismatch():
     cone = cone_instance(2)
-    with pytest.raises(InputError):
-        cone.add(ce(1, pt(0, 1)), ce(1, pt(0, 1, 2)))
+    with pytest.raises(InputError, match="vector dimension 3 != 2"):
+        cone.element_from_json({"r": "1", "v": ["0", "1", "2"]})
 
 
 def test_cone_sample_minimal_elements_sit_on_zero_slice():
@@ -102,8 +102,8 @@ def test_negative_scaling_reflects():
 
 def test_empty_set_rejected():
     hyper = hyperspace_instance(1)
-    with pytest.raises(InputError):
-        hyper.add(fs(), fs(pt(0)))
+    with pytest.raises(InputError, match="point sets must be nonempty"):
+        hyper.element_from_json([])
 
 
 def test_a3iii_strict_inclusion_witness_found_and_recorded():

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evslib import InputError, MetricMatrix, check_axioms, validate_metric
+from evslib import (InputError, MetricMatrix, check_axioms,
+                    replay_counterexample, validate_metric)
 from evslib.instances import (
     build_instance,
     carrier_labels,
@@ -34,8 +35,8 @@ entries = st.one_of(rationals, small_rationals)
 vectors = st.lists(entries, min_size=WIDTH, max_size=WIDTH).map(tuple)
 scalars = st.one_of(rationals, small_rationals, st.just(Fraction(0)))
 
-INST = rational_tuple_instance("tuples", WIDTH, "width mismatch",
-                               element_to_json=None, element_from_json=None)
+INST = rational_tuple_instance("tuples", WIDTH, element_to_json=None,
+                               element_from_json=None)
 # the no-abs-scale mutant on a 4-point carrier works on tuples of width 10,
 # the upper triangle of a table with its diagonal
 MUTANT = metric_no_abs_scale_instance(carrier_labels(4))
@@ -96,18 +97,68 @@ def test_zero_is_the_identity(v):
     assert INST.scale(Fraction(0), a) == INST.zero
 
 
-@pytest.mark.parametrize("op", ("add", "leq", "equal"))
-def test_width_mismatch_is_input_error(op):
-    a, b = to_ints((Fraction(1),) * WIDTH), to_ints((Fraction(1),) * 4)
-    with pytest.raises(InputError, match="width mismatch"):
-        getattr(INST, op)(a, b)
-    with pytest.raises(InputError, match="width mismatch"):
-        getattr(INST, op)(b, a)
+# Elements are checked where they enter, by the loader; the ops check
+# nothing. Each loader takes a narrower and a wider element to InputError.
+WRONG_WIDTH = {
+    "metrics": ([MetricMatrix.zero(carrier_labels(k)).to_json()
+                 for k in (5, 7)], "element is over a different carrier"),
+    "norms": ([["1"] * k for k in (17, 19)],
+              "value table over a different probe set"),
+    "cone": ([{"r": "1", "v": ["1"] * k} for k in (1, 3)],
+             r"vector dimension \d != 2"),
+    "hyperspace": ([[["1"] * k] for k in (1, 3)],
+                   r"vector dimension \d != 2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_WIDTH))
+def test_width_mismatch_is_input_error(name):
+    # a 6-point carrier (21 wide), 18 norm probes, dimension 2
+    inst, sample, _ = build_instance(name, carrier=6, depth=12, dim=2,
+                                     sample=2)
+    assert inst.element_from_json(inst.element_to_json(sample[1])) == \
+        sample[1]
+    docs, message = WRONG_WIDTH[name]
+    for doc in docs:
+        with pytest.raises(InputError, match=message):
+            inst.element_from_json(doc)
 
 
 def test_scale_width_mismatch_is_input_error():
-    with pytest.raises(InputError, match="width mismatch"):
-        INST.scale(Fraction(2), to_ints((Fraction(1),) * 4))
+    """A4 scales its element: replaying it with an element of another width
+    stops at the loader, on every pointwise instance."""
+    for name in ("metrics", "norms", "cone"):
+        inst, _, _ = build_instance(name, carrier=6, depth=12, dim=2,
+                                    sample=2)
+        docs, message = WRONG_WIDTH[name]
+        for doc in docs:
+            with pytest.raises(InputError, match=message):
+                replay_counterexample(inst, {
+                    "law": "A4", "elements": [doc], "scalars": ["2"]})
+
+
+@pytest.mark.parametrize("width", (17, 19))
+def test_norms_replay_of_another_width_is_input_error(width):
+    """Without the loader's check, A1.identity on a table of 17 values
+    adds it to the 18-wide zero, the sum stops at the shorter operand, and
+    the replay answers False."""
+    inst, _, _ = build_instance("norms", depth=12, sample=2)
+    with pytest.raises(InputError,
+                       match="value table over a different probe set"):
+        replay_counterexample(inst, {
+            "law": "A1.identity", "elements": [["1"] * width],
+            "scalars": []})
+
+
+def test_no_op_is_a_wrapper():
+    """The ops are the kernel functions themselves; only the two mutants
+    bring a lambda, which is their mutation."""
+    for name in ("metrics", "norms", "cone", "hyperspace"):
+        inst, _, _ = build_instance(name, sample=2)
+        for op in ("add", "scale", "leq", "equal"):
+            qualname = getattr(inst, op).__qualname__
+            assert "<lambda>" not in qualname, (name, op)
+            assert "<locals>" not in qualname, (name, op)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from evslib import (
     PartitionSpec,
     WeightMap,
     add_metrics,
-    build_partition,
     embed_norm_to_metric,
     eval_weighted_norm,
     independence_witness,
@@ -56,7 +55,7 @@ def test_vector_arithmetic():
 
 
 def test_partition_depth_four():
-    part = build_partition(4)
+    part = PartitionSpec(4)
     assert part.b_members() == ["h0", "h2"]
     assignment = part.assignment()
     assert assignment["h1"] == "d(h0,1)"
@@ -64,7 +63,7 @@ def test_partition_depth_four():
 
 
 def test_partition_depth_twelve_has_all_tag_kinds():
-    part = build_partition(12)
+    part = PartitionSpec(12)
     assert len(part.b_members()) == 6
     values = set(part.assignment().values())
     assert any(v.startswith("d(") for v in values)
@@ -73,13 +72,13 @@ def test_partition_depth_twelve_has_all_tag_kinds():
 
 
 def test_partition_is_prefix_stable():
-    big = build_partition(14).assignment()
-    small = build_partition(12).assignment()
+    big = PartitionSpec(14).assignment()
+    small = PartitionSpec(12).assignment()
     assert all(big[name] == tag for name, tag in small.items())
 
 
 def test_partition_fiber_indices_are_injective():
-    part = build_partition(6)
+    part = PartitionSpec(6)
     seen = set()
     for k in range(1, 400, 2):
         tag = part.tag_of_position(k)
@@ -88,7 +87,7 @@ def test_partition_fiber_indices_are_injective():
 
 
 def test_partition_resolve_names():
-    part = build_partition(6)
+    part = PartitionSpec(6)
     assert part.resolve("h5") == part.tag_of_position(5)
     assert part.resolve("d(h0,2)") == ("D", "h0", 2)
     with pytest.raises(InputError):
@@ -99,7 +98,7 @@ def test_partition_resolve_names():
 
 def test_partition_rejects_shallow_depth():
     with pytest.raises(InputError):
-        build_partition(3)
+        PartitionSpec(3)
 
 
 # ---------------------------------------------------------------------------
