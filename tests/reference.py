@@ -1,0 +1,85 @@
+"""A reference model of the closed-form metrics and the table transforms,
+written from the paper's definitions in plain Fraction arithmetic.
+
+It reads only the data fields of the library's objects: a metric's family,
+weight, base and factor, and a carrier's kind, step and points. It places
+the carrier points itself and never calls the library's carrier prefix,
+family table or table builder, so a fault in any of those shows as a
+disagreement with it.
+"""
+
+from fractions import Fraction
+
+ONE = Fraction(1)
+HALF = Fraction(1, 2)
+
+
+def bounded(v: Fraction) -> Fraction:
+    """The bounded companion v/(1+v)."""
+    return v / (1 + v)
+
+
+def capped(v: Fraction) -> Fraction:
+    """The truncation min(1, v)."""
+    return min(ONE, v)
+
+
+def points(carrier, depth: int) -> list:
+    """The first `depth` points of a carrier as (k, x_k), k = 1, 2, ...:
+    x_k = k on the indexed carrier, (k-1)*step on a grid, -1 +
+    (k-1)*2/(depth-1) on the symmetric grid on [-1, 1], and the k-th listed
+    plane point."""
+    ks = range(1, depth + 1)
+    if carrier.kind == "indexed":
+        return [(k, k) for k in ks]
+    if carrier.kind == "grid":
+        return [(k, (k - 1) * carrier.step) for k in ks]
+    if carrier.kind == "symgrid":
+        return [(k, -1 + Fraction(2 * (k - 1), depth - 1)) for k in ks]
+    return [(k, carrier.points[k - 1]) for k in ks]
+
+
+def distance(m, p, q) -> Fraction:
+    """The distance of the metric m between two distinct carrier points."""
+    family = m.family
+    if family == "discrete":
+        return ONE
+    if family == "shrinking":
+        return abs(Fraction(1, p[0]) - Fraction(1, q[0]))
+    if family == "usual":
+        return abs(p[1] - q[1])
+    if family == "kappa":
+        a, b = p[1], q[1]
+        return abs(a - b) if abs(a) <= HALF and abs(b) <= HALF else 2 * ONE
+    if family == "cauchy":
+        (u, u2), (v, v2) = p[1], q[1]
+        return abs(u - v) + m.weight * abs(u2 - v2)   # weight = 1/n
+    v = distance(m.base, p, q)
+    if family == "bounded-of":
+        return bounded(v)
+    if family == "min-of":
+        return capped(v)
+    if family == "scaled-of":
+        return m.factor * v                           # factor = |alpha|
+    raise ValueError(f"no reference for the family {family!r}")
+
+
+def table(m, depth: int, carrier=None) -> tuple:
+    """The full distance table of m on the first `depth` points of a
+    carrier, by default m's own."""
+    pts = points(carrier or m.carrier, depth)
+    return tuple(tuple(Fraction(0) if p[0] == q[0] else distance(m, p, q)
+                       for q in pts) for p in pts)
+
+
+def comparing(d: tuple, rho: tuple) -> Fraction:
+    """The comparing value of rho relative to d, two full tables of one
+    size: the minimum of rho/d over the distinct pairs."""
+    n = len(d)
+    return min(rho[i][j] / d[i][j] for i in range(n) for j in range(i + 1, n))
+
+
+def rows(m) -> tuple:
+    """The full rows of a MetricMatrix as Fractions, read from the document
+    it prints."""
+    return tuple(tuple(map(Fraction, row)) for row in m.to_json()["rows"])

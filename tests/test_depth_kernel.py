@@ -1,6 +1,7 @@
-"""The depth-indexed comparing bounds of closed-form metrics, streamed from
-the family table without building tables: agreement with comparing values
-on materialized tables, and the order of their input errors."""
+"""The closed-form metrics against the reference model of tests/reference.py:
+their materialized tables entry by entry, and the depth-indexed comparing
+bounds, streamed from the family table without building tables, per depth;
+then the order of their input errors."""
 
 from fractions import Fraction
 
@@ -8,12 +9,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import reference
 from evslib import metrics
 from evslib.errors import InputError
 from evslib.metrics import (
     builtin_lazy,
     classify_lazy_pair,
-    comparing_function_metric,
     discrete_metric,
     grid_carrier,
     partial_comparing_function,
@@ -25,6 +26,7 @@ from evslib.metrics import (
     transform_min,
     usual_metric,
 )
+from reference import rows
 from test_closed_form import POINTS, composite_cases
 
 KAPPA = builtin_lazy("kappa")
@@ -40,14 +42,14 @@ WRAPS = [transform_bounded, transform_min,
 
 
 def oracle(d, rho, depths) -> list:
-    """(c(rho | d), c(d | rho)) per depth, from the comparing values of the
-    two tables materialized at that depth."""
+    """(c(rho | d), c(d | rho)) per depth, from the reference tables of the
+    two metrics at that depth."""
     carrier = resolve_carrier(d, rho)
     out = []
     for n in depths:
-        dm, rm = d.materialize(n, carrier), rho.materialize(n, carrier)
-        out.append((comparing_function_metric(dm, rm),
-                    comparing_function_metric(rm, dm)))
+        dt = reference.table(d, n, carrier)
+        rt = reference.table(rho, n, carrier)
+        out.append((reference.comparing(dt, rt), reference.comparing(rt, dt)))
     return out
 
 
@@ -81,9 +83,33 @@ def depth_lists(draw, kind):
     return sorted(draw(st.sets(pool, min_size=1, max_size=4)))
 
 
+# the deepest depth each carrier kind is checked at
+DEEPEST = {"indexed": 9, "grid": 9, "symgrid": 11, "points2d": len(POINTS)}
+
+
+@pytest.mark.parametrize("m", [wrap(base) for base in BASES
+                               for wrap in [lambda m: m, *WRAPS]],
+                         ids=lambda m: str(m.describe()))
+def test_each_family_and_composite_materializes_the_reference(m):
+    n = DEEPEST[m.carrier.kind]
+    assert rows(m.materialize(n)) == reference.table(m, n)
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_streamed_bounds_equal_materialized_comparing_values(data):
+def test_materialize_equals_the_reference_entry_by_entry(data):
+    m, other = data.draw(lazy_metrics()), data.draw(lazy_metrics())
+    try:
+        carrier = resolve_carrier(m, other)
+    except InputError:
+        assume(False)
+    n = data.draw(depth_lists(carrier.kind))[-1]
+    assert rows(m.materialize(n, carrier)) == reference.table(m, n, carrier)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_streamed_bounds_equal_the_reference(data):
     d, rho = data.draw(lazy_metrics()), data.draw(lazy_metrics())
     try:
         carrier = resolve_carrier(d, rho)

@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from evslib import (
@@ -34,6 +34,8 @@ from evslib import (
     validate_metric,
 )
 from evslib.metrics import random_metric
+import reference
+from reference import rows
 
 F = Fraction
 
@@ -324,6 +326,31 @@ def test_transform_closed_forms_match_oracle():
         assert comparing_function_metric(rb, rho) == 1 + min(values)
         assert comparing_function_metric(rho, rb) == 1 / (1 + max(values))
         assert comparing_function_metric(rb, rho) == comparing_oracle(rb, rho)
+
+
+@given(st.integers(2, 5).flatmap(lambda n: st.lists(
+    st.fractions(-3, 3, max_denominator=4),
+    min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)))
+def test_table_transforms_equal_the_reference_on_signed_tables(values):
+    """Entry by entry on signed tables: an entry below -1 (where 1 + v < 0)
+    and one in (-1, 0) have their images, and an entry of -1 has none."""
+    n = next(n for n in range(2, 6) if n * (n - 1) // 2 == len(values))
+    assume(any(values))
+    upper = iter(values)
+    table = [[F(0)] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        table[i][j] = table[j][i] = next(upper)
+    rho = MetricMatrix.from_rows(tuple(f"x{k}" for k in range(n)), table)
+    for transform, image in ((transform_bounded, reference.bounded),
+                             (transform_min, reference.capped)):
+        if transform is transform_bounded and -1 in values:
+            with pytest.raises(InputError, match="is undefined on the entry "
+                                                 "-1/1 at"):
+                transform(rho)
+            continue
+        assert rows(transform(rho)) == tuple(
+            tuple(F(0) if i == j else image(v) for j, v in enumerate(row))
+            for i, row in enumerate(table))
 
 
 def test_transform_of_zero_rejected():
