@@ -10,11 +10,12 @@ table (MetricMatrix.form) with the integer kernel of rationals.py.
 
 Countable carriers are handled through LazyMetric: a named closed-form metric
 that can be materialized on the first N canonical carrier points at any depth.
-Truncations only ever yield upper bounds for carrier-wide infima, so
-depth-indexed results are reported as bound sequences with trend flags, never
-as the limiting value. Carrier-wide certificates and refutations are produced
-only where exact family bounds license them (bounded-vs-unbounded, positive
-infimum vs vanishing infimum).
+Its distances are integer pairs (x, y) standing for x/y with y > 0, from the
+carrier's integer coordinates to the table's integer form, with no Fraction
+per pair. Truncations only ever yield upper bounds for carrier-wide infima, so
+depth-indexed results are bound sequences with trend flags, never the limiting
+value. Carrier-wide certificates and refutations come only where exact family
+bounds license them (bounded-vs-unbounded, positive vs vanishing infimum).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .rationals import (_add, _leq, _scale, fmt, fmt_ratio,
 ZERO = Fraction(0)
 ONE = Fraction(1)
 TWO = Fraction(2)
-HALF = Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -48,8 +48,7 @@ class MetricMatrix:
     upper triangle, diagonal included, row by row. Every operation on
     tables runs on it, and to_json prints from it. The form is also the
     element of the one metric instance, instances.metric_packed_instance,
-    that serves both the axiom verifier and the order tools. `rows`, the
-    one Fraction view, is built on first use and cached. Two tables are
+    that serves both the axiom verifier and the order tools. Two tables are
     equal when their labels and forms are.
 
     MetricMatrix(labels, form) takes a tuple of labels and a form as they
@@ -61,11 +60,11 @@ class MetricMatrix:
     structured violation.
     """
 
-    __slots__ = ("labels", "form", "_rows")
+    __slots__ = ("labels", "form")
 
     def __init__(self, labels: tuple[str, ...],
                  form: tuple[tuple[int, ...], int]):
-        self.labels, self.form, self._rows = labels, form, None
+        self.labels, self.form = labels, form
 
     def __eq__(self, other):
         if not isinstance(other, MetricMatrix):
@@ -156,14 +155,6 @@ class MetricMatrix:
     @property
     def size(self) -> int:
         return len(self.labels)
-
-    @property
-    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        if self._rows is None:
-            nums, den = self.form
-            self._rows = tuple(map(tuple, _mirror(
-                _upper([Fraction(v, den) for v in nums], self.size))))
-        return self._rows
 
     def is_zero(self) -> bool:
         return not any(self.form[0])
@@ -392,12 +383,16 @@ def classify_pair(d: MetricMatrix, rho: MetricMatrix) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _bounded(v: Fraction) -> Fraction:
-    return v / (1 + v)
+def _bounded(x: int, y: int) -> tuple[int, int]:
+    """v/(1+v) = x/(x+y), its sign on x; ZeroDivisionError at v = -1."""
+    if x + y == 0:
+        raise ZeroDivisionError("v/(1+v) at v = -1")
+    return (x, x + y) if x + y > 0 else (-x, -x - y)
 
 
-def _capped(v: Fraction) -> Fraction:
-    return min(ONE, v)
+def _capped(x: int, y: int) -> tuple[int, int]:
+    """min(1, v)."""
+    return (x, y) if x <= y else (1, 1)
 
 
 def transform_bounded(rho):
@@ -413,30 +408,32 @@ def transform_min(rho):
 
 def _transform(rho, entry_map, family: str):
     """The entrywise image of a table, or the closed-form family `family`
-    over a LazyMetric, whose bounds are the images of its base's bounds."""
+    over a LazyMetric, whose bounds are the images of its base's bounds.
+    entry_map takes v = x/y as an integer pair with y > 0 and returns one."""
     if isinstance(rho, MetricMatrix):
         if rho.is_zero():
             raise UndefinedRelativeElementError("transform of the zero element")
         labels, (nums, den) = rho.labels, rho.form
-        upper = []
+        pairs = []
         for i, row in enumerate(_upper(nums, rho.size)):
-            upper.append([ZERO])
+            pairs.append((0, 1))
             for j, x in enumerate(row[1:], i + 1):
-                v = Fraction(x, den)
                 try:
-                    upper[i].append(entry_map(v))
+                    pairs.append(entry_map(x, den))
                 except ZeroDivisionError:
                     raise InputError(
                         f"transform {family} is undefined on the entry "
-                        f"{fmt(v)} at ({labels[i]}, {labels[j]})") from None
-        return _from_upper(labels, upper)
+                        f"{fmt_ratio(x, den)} at ({labels[i]}, {labels[j]})"
+                    ) from None
+        return MetricMatrix(labels, ratios_to_ints(*zip(*pairs)))
     if isinstance(rho, LazyMetric):
+        def image(v):
+            return None if v is None else Fraction(
+                *entry_map(v.numerator, v.denominator))
         unbounded = rho.sup_bound is None or rho.unbounded
-        return LazyMetric(
-            family, rho.carrier, base=rho,
-            sup_bound=ONE if unbounded else entry_map(rho.sup_bound),
-            inf_value=None if rho.inf_value is None else entry_map(rho.inf_value),
-        )
+        return LazyMetric(family, rho.carrier, base=rho,
+                          sup_bound=ONE if unbounded else image(rho.sup_bound),
+                          inf_value=image(rho.inf_value))
     raise InputError(f"cannot transform {type(rho).__name__}")
 
 
@@ -472,34 +469,39 @@ class Carrier:
             (other.kind, other.step, other.points)
 
     def at(self, depth: int) -> tuple:
-        """The first `depth` points as (index, coordinate) pairs, index
-        1-based; a depth the carrier cannot hold is an input error."""
+        """(den, points): the first `depth` points as (index, coordinate)
+        pairs, index 1-based, with integer coordinates over one den > 0
+        (indices over 1, grid points over the step's denominator, -h..h
+        over h = (depth-1)/2, plane points in their to_ints form). A depth
+        the carrier cannot hold is an input error."""
         if depth < 2:
             raise InputError("depth must be at least 2")
         if self.kind == "indexed":
-            coords = range(1, depth + 1)
+            den, coords = 1, range(1, depth + 1)
         elif self.kind == "grid":
-            coords = [k * self.step for k in range(depth)]
+            den, step = self.step.denominator, self.step.numerator
+            coords = [k * step for k in range(depth)]
         elif self.kind == "symgrid":
             if depth < 3 or depth % 2 == 0:
                 raise InputError("symmetric grid depth must be odd and at least 3")
-            implied = Fraction(2, depth - 1)
-            if self.step is not None and self.step != implied:
+            den = (depth - 1) // 2   # the implied step 2/(depth-1) is 1/den
+            if self.step is not None and (self.step.numerator != 1
+                                          or self.step.denominator != den):
                 raise InputError(
                     f"declared step {fmt(self.step)} is inconsistent with depth "
-                    f"{depth} (the symmetric grid on [-1,1] implies {fmt(implied)})"
+                    f"{depth} (the symmetric grid on [-1,1] implies 1/{den})"
                 )
-            half = (depth - 1) // 2
-            coords = [Fraction(k - half, half) for k in range(depth)]
+            coords = range(-den, den + 1)
         elif self.kind == "points2d":
             if depth > len(self.points):
                 raise InputError(
                     f"depth {depth} exceeds the {len(self.points)} listed points"
                 )
-            coords = self.points[:depth]
+            nums, den = to_ints(list(chain(*self.points[:depth])))
+            coords = zip(nums[::2], nums[1::2])
         else:
             raise InputError(f"unknown carrier kind {self.kind!r}")
-        return tuple(enumerate(coords, 1))
+        return den, tuple(enumerate(coords, 1))
 
 
 def carrier_labels(size: int) -> tuple[str, ...]:
@@ -572,12 +574,12 @@ class LazyMetric:
 
     def materialize(self, depth: int, carrier: Optional[Carrier] = None) -> MetricMatrix:
         """The table on the first `depth` points of the carrier (by default
-        the metric's own); each unordered pair is evaluated once."""
-        points = (carrier or self.carrier).at(depth)
+        the metric's own), each unordered pair evaluated once to its pair."""
+        den, points = (carrier or self.carrier).at(depth)
         pair = _PAIR_FNS[self.family]
-        return _from_upper(carrier_labels(depth), [
-            [ZERO] + [pair(self, p, q) for q in points[i + 1:]]
-            for i, p in enumerate(points)])
+        pairs = [pair(self, den, p, q) if q is not p else (0, 1)
+                 for i, p in enumerate(points) for q in points[i:]]
+        return MetricMatrix(carrier_labels(depth), ratios_to_ints(*zip(*pairs)))
 
     def describe(self) -> dict:
         doc = {"family": self.family, "carrier": self.carrier.kind}
@@ -592,36 +594,43 @@ class LazyMetric:
         return doc
 
 
-# The distance of each family between two distinct carrier points p and q,
-# given as (index, coordinate) pairs: family -> f(metric, p, q).
+# The distance of each family between two distinct points p and q of one
+# Carrier.at prefix, (index, coordinate) pairs with integer coordinates over
+# den: family -> f(metric, den, p, q), the pair (x, y) of x/y with y > 0.
 
 
-def _kappa(m: LazyMetric, p, q) -> Fraction:
+def _kappa(m: LazyMetric, den: int, p, q) -> tuple[int, int]:
     a, b = p[1], q[1]
-    if abs(a) <= HALF and abs(b) <= HALF:
-        return abs(a - b)
-    return TWO
+    if 2 * abs(a) <= den and 2 * abs(b) <= den:   # |a|, |b| <= 1/2
+        return abs(a - b), den
+    return 2, 1
 
 
-def _cauchy(m: LazyMetric, p, q) -> Fraction:
+def _cauchy(m: LazyMetric, den: int, p, q) -> tuple[int, int]:
     (u, u2), (v, v2) = p[1], q[1]
-    return abs(u - v) + m.weight * abs(u2 - v2)
+    n = m.weight.denominator   # the weight is 1/n
+    return n * abs(u - v) + abs(u2 - v2), n * den
+
+
+def _scaled(m: LazyMetric, den: int, p, q) -> tuple[int, int]:
+    x, y = _of_base(m, den, p, q)
+    return m.factor.numerator * x, m.factor.denominator * y
 
 
 _PAIR_FNS = {
-    "discrete": lambda m, p, q: ONE,
-    "shrinking": lambda m, p, q: Fraction(abs(p[0] - q[0]), p[0] * q[0]),
-    "usual": lambda m, p, q: abs(p[1] - q[1]),
+    "discrete": lambda m, den, p, q: (1, 1),
+    "shrinking": lambda m, den, p, q: (abs(p[0] - q[0]), p[0] * q[0]),
+    "usual": lambda m, den, p, q: (abs(p[1] - q[1]), den),
     "kappa": _kappa,
     "cauchy": _cauchy,
-    "bounded-of": lambda m, p, q: _bounded(_of_base(m, p, q)),
-    "min-of": lambda m, p, q: _capped(_of_base(m, p, q)),
-    "scaled-of": lambda m, p, q: m.factor * _of_base(m, p, q),
+    "bounded-of": lambda m, den, p, q: _bounded(*_of_base(m, den, p, q)),
+    "min-of": lambda m, den, p, q: _capped(*_of_base(m, den, p, q)),
+    "scaled-of": _scaled,
 }
 
 
-def _of_base(m: LazyMetric, p, q) -> Fraction:
-    return _PAIR_FNS[m.base.family](m.base, p, q)
+def _of_base(m: LazyMetric, den: int, p, q) -> tuple[int, int]:
+    return _PAIR_FNS[m.base.family](m.base, den, p, q)
 
 
 def scale_lazy(alpha, m: LazyMetric) -> LazyMetric:
@@ -729,21 +738,22 @@ def resolve_carrier(a: LazyMetric, b: LazyMetric) -> Carrier:
 
 
 def _depth_minima(d: LazyMetric, rho: LazyMetric,
-                  depths: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
+                  depths: Sequence[int]) -> list[tuple[tuple, tuple]]:
     """(min rho/d, min d/rho) over the distinct pairs of the first depths[k]
     carrier points, for each k, with no table built.
 
     Each pair is evaluated once per metric, straight from _PAIR_FNS. With
-    r = rho(p, q) and e = d(p, q), the ratio r/e is P/Q for the integers
-    P = r.n * e.d and Q = r.d * e.n, and d/rho is Q/P, so both minima are
-    kept as integer pairs compared by cross-multiplication, starting from
-    1/0 (above every ratio); one Fraction per direction is built per depth.
+    r = rho(p, q) = rn/rd and e = d(p, q) = en/ed, r/e is P/Q for P = rn*ed
+    and Q = rd*en, and d/rho is Q/P: both minima are integer pairs, compared
+    by cross-multiplication from 1/0 (above every ratio) and returned as is.
     The points of an indexed, grid or points2d carrier at one depth are a
     prefix of those at the next, so a depth only adds the pairs with a new
     point. A symgrid carrier moves its points with the depth, and so does a
     point's index, which index-reading families ride; each of its depths is
-    evaluated afresh. Carrier.at runs for every depth in order, so its
-    errors name the same depth as a table built per depth would.
+    evaluated afresh. More pairs per metric than one table at
+    MAX_BUILTIN_DEPTH holds is an input error before any pair is evaluated.
+    Carrier.at runs for every depth in order, so its errors name the same
+    depth as a table built per depth would.
     """
     depths = list(depths)
     if not depths:
@@ -756,31 +766,37 @@ def _depth_minima(d: LazyMetric, rho: LazyMetric,
         raise InputError(f"depth {depths[-1]} exceeds the limit of "
                          f"{MAX_BUILTIN_DEPTH}")
     carrier = resolve_carrier(d, rho)
+    nested = carrier.kind != "symgrid"
+    pairs = sum(n * (n - 1) // 2 for n in (depths[-1:] if nested else depths))
+    limit = MAX_BUILTIN_DEPTH * (MAX_BUILTIN_DEPTH - 1) // 2
+    if pairs > limit:
+        raise InputError(f"the depths need {pairs} pairs per metric, past the "
+                         f"limit of {limit} (one depth-{MAX_BUILTIN_DEPTH} table)")
     pair_d, pair_rho = _PAIR_FNS[d.family], _PAIR_FNS[rho.family]
     a1, b1, a2, b2 = 1, 0, 1, 0          # min rho/d = a1/b1, min d/rho = a2/b2
     seen = 0                              # points whose pairs are folded in
     out = []
     for depth in depths:
-        points = carrier.at(depth)
-        if carrier.kind == "symgrid":
+        den, points = carrier.at(depth)
+        if not nested:
             a1, b1, a2, b2, seen = 1, 0, 1, 0, 0
         for j in range(seen, depth):
             q = points[j]
             for p in points[:j]:
-                e, r = pair_d(d, p, q), pair_rho(rho, p, q)
-                en, ed = e.as_integer_ratio()
-                rn, rd = r.as_integer_ratio()
-                num, den = rn * ed, rd * en
-                if den <= 0 or num <= 0:
+                en, ed = pair_d(d, den, p, q)
+                rn, rd = pair_rho(rho, den, p, q)
+                top, bot = rn * ed, rd * en
+                if bot <= 0 or top <= 0:
+                    bad = (en, ed) if bot <= 0 else (rn, rd)
                     raise InputError(
-                        f"distance {fmt(e if den <= 0 else r)} on the distinct "
-                        f"pair (x{p[0]}, x{q[0]}) is not positive; not a metric")
-                if num * b1 < a1 * den:
-                    a1, b1 = num, den
-                if den * b2 < a2 * num:
-                    a2, b2 = den, num
+                        f"distance {fmt_ratio(*bad)} on the distinct pair "
+                        f"(x{p[0]}, x{q[0]}) is not positive; not a metric")
+                if top * b1 < a1 * bot:
+                    a1, b1 = top, bot
+                if bot * b2 < a2 * top:
+                    a2, b2 = bot, top
         seen = depth
-        out.append((Fraction(a1, b1), Fraction(a2, b2)))
+        out.append(((a1, b1), (a2, b2)))
     return out
 
 
@@ -791,12 +807,14 @@ def partial_comparing_function(d: LazyMetric, rho: LazyMetric,
     Each value is an upper bound for the carrier-wide infimum; when the
     truncated carriers are nested the sequence is nonincreasing.
     """
-    return [c for c, _ in _depth_minima(d, rho, depths)]
+    return [Fraction(*c) for c, _ in _depth_minima(d, rho, depths)]
 
 
-def _direction_rules(d: LazyMetric, rho: LazyMetric) -> Optional[dict]:
-    """Carrier-wide verdict for the comparing value of rho relative to d, when
-    the exact family bounds decide it; None otherwise.
+def _direction_rules(d: LazyMetric, rho: LazyMetric) -> dict:
+    """Carrier-wide verdict for the comparing value of rho relative to d, as
+    the fields of its report entry: a status with its reason (and a positive
+    one's certificate) when the exact family bounds decide it, and status
+    "undetermined" otherwise.
 
     positive: inf rho > 0 and d bounded above  => (inf rho / sup d) * d <= rho.
     zero:     inf rho = 0 and inf d > 0        => ratios along rho's vanishing
@@ -805,19 +823,19 @@ def _direction_rules(d: LazyMetric, rho: LazyMetric) -> Optional[dict]:
     """
     if rho.inf_value is not None and rho.inf_value > 0 and \
             d.sup_bound is not None and not d.unbounded:
-        cert = rho.inf_value / d.sup_bound
-        return {"status": "positive", "certificate": cert,
+        return {"status": "positive",
                 "reason": "relative element bounded above while the argument's "
-                          "distances are bounded away from zero"}
+                          "distances are bounded away from zero",
+                "certificate": fmt(rho.inf_value / d.sup_bound)}
     if rho.inf_value == 0 and d.inf_value is not None and d.inf_value > 0:
-        return {"status": "refuted", "value": ZERO,
+        return {"status": "refuted",
                 "reason": "the argument has vanishing infimum over distinct "
                           "pairs while the relative element does not"}
     if rho.sup_bound is not None and not rho.unbounded and d.unbounded:
-        return {"status": "refuted", "value": ZERO,
+        return {"status": "refuted",
                 "reason": "the relative element is unbounded while the "
                           "argument is bounded"}
-    return None
+    return {"status": "undetermined"}
 
 
 def classify_lazy_pair(d: LazyMetric, rho: LazyMetric,
@@ -831,35 +849,22 @@ def classify_lazy_pair(d: LazyMetric, rho: LazyMetric,
     both = _depth_minima(d, rho, depths)
     directions = {}
     for key, (x, y), seq in (
-        ("secondRelativeFirst", (d, rho), [b[0] for b in both]),
-        ("firstRelativeSecond", (rho, d), [b[1] for b in both]),
+        ("secondRelativeFirst", (d, rho), [Fraction(*b[0]) for b in both]),
+        ("firstRelativeSecond", (rho, d), [Fraction(*b[1]) for b in both]),
     ):
-        rule = _direction_rules(x, y)
-        entry = {
+        directions[key] = {
             "depths": list(depths),
             "upperBounds": [fmt(v) for v in seq],
             "strictlyDecreasing": all(b < a for a, b in zip(seq, seq[1:])),
+            **_direction_rules(x, y),
         }
-        if rule is None:
-            entry["status"] = "undetermined"
-        else:
-            entry["status"] = rule["status"]
-            entry["reason"] = rule["reason"]
-            if rule["status"] == "positive":
-                entry["certificate"] = fmt(rule["certificate"])
-        directions[key] = entry
     s1 = directions["secondRelativeFirst"]["status"]
     s2 = directions["firstRelativeSecond"]["status"]
-    if s1 == "positive" and s2 == "positive":
-        label = MUTUALLY_DEPENDENT
-    elif s1 == "positive" and s2 == "refuted":
-        label = ONE_SIDED_SECOND_IN_FIRST
-    elif s1 == "refuted" and s2 == "positive":
-        label = ONE_SIDED_FIRST_IN_SECOND
-    elif s1 == "refuted" and s2 == "refuted":
-        label = ORDERLY_INDEPENDENT
-    else:
-        label = "undetermined-at-depth"
+    label = {("positive", "positive"): MUTUALLY_DEPENDENT,
+             ("positive", "refuted"): ONE_SIDED_SECOND_IN_FIRST,
+             ("refuted", "positive"): ONE_SIDED_FIRST_IN_SECOND,
+             ("refuted", "refuted"): ORDERLY_INDEPENDENT,
+             }.get((s1, s2), "undetermined-at-depth")
     return {
         "classification": label,
         "directions": directions,
@@ -907,24 +912,18 @@ def cauchy_incompleteness_demo(ns: Sequence[int],
         return abs(x[0] - y[0]) + Fraction(1, n) * abs(x[1] - y[1])
 
     checks = []
-    bound_ok = True
     for n, m in combinations(ns, 2):
         budget = spread * abs(Fraction(1, n) - Fraction(1, m))
         worst = max(abs(dn(n, x, y) - dn(m, x, y)) for x, y in pairs)
-        ok = worst <= budget
-        bound_ok = bound_ok and ok
         checks.append({
             "n": n, "m": m,
             "maxGap": fmt(worst),
             "budget": fmt(budget),
-            "holds": ok,
+            "holds": worst <= budget,
         })
+    bound_ok = all(check["holds"] for check in checks)
 
-    points = []
-    for x, y in pairs:
-        for p in (x, y):
-            if p not in points:
-                points.append(p)
+    points = list(dict.fromkeys(chain(*pairs)))   # in order of appearance
     labels = tuple(f"({fmt(p[0])},{fmt(p[1])})" for p in points)
     limit_rows = tuple(
         tuple(abs(p[0] - q[0]) for q in points) for p in points

@@ -58,6 +58,7 @@ from evslib.instances import (
 )
 from evslib.metrics import random_metric
 from evslib.norms import norm_family_instance
+from reference import rows
 
 F = Fraction
 
@@ -74,18 +75,19 @@ def criterion(number, description):
 
 def distinct_pairs(m: MetricMatrix) -> list:
     """(i, j, value) over the distinct pairs i < j, read from the rows."""
-    return [(i, j, m.rows[i][j]) for i, j in combinations(range(m.size), 2)]
+    full = rows(m)
+    return [(i, j, full[i][j]) for i, j in combinations(range(m.size), 2)]
 
 
 def pair_minimum_oracle(d: MetricMatrix, rho: MetricMatrix) -> Fraction:
     """Brute-force minimum of rho/d over every off-diagonal pair."""
     best = None
-    n = d.size
+    n, dr, rr = d.size, rows(d), rows(rho)
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            ratio = rho.rows[i][j] / d.rows[i][j]
+            ratio = rr[i][j] / dr[i][j]
             if best is None or ratio < best:
                 best = ratio
     return best
@@ -94,9 +96,9 @@ def pair_minimum_oracle(d: MetricMatrix, rho: MetricMatrix) -> Fraction:
 def spectrum_oracle(d: MetricMatrix, rho: MetricMatrix) -> Fraction:
     """Largest candidate multiplier lam with lam*d <= rho, decided purely
     through the order relation."""
-    candidates = {F(0)}
+    candidates, rr = {F(0)}, rows(rho)
     for i, j, dv in distinct_pairs(d):
-        candidates.add(rho.rows[i][j] / dv)
+        candidates.add(rr[i][j] / dv)
     return max(l for l in candidates if leq_metrics(scale_metric(l, d), rho))
 
 
@@ -207,10 +209,11 @@ def test_criterion_06_kappa_validation_and_feasibility_trend():
         verdict = validate_metric(kappa)
         assert verdict["pass"]
         # independent exhaustive enumeration of every ordered triple
+        kr = rows(kappa)
         for i in range(21):
             for j in range(21):
                 for k in range(21):
-                    assert kappa.rows[i][k] <= kappa.rows[i][j] + kappa.rows[j][k]
+                    assert kr[i][k] <= kr[i][j] + kr[j][k]
 
         lazy_kappa = builtin_lazy("kappa")
         usual = usual_metric(symmetric_grid_carrier())
@@ -329,13 +332,13 @@ def test_criterion_10_embedding_is_order_morphism():
                       + eval_weighted_norm(w2, a.sub(b)) for b in pts)
                 for a in pts
             )
-            assert add_metrics(m1, m2).rows == summed
+            assert rows(add_metrics(m1, m2)) == summed
 
             # homogeneous: |alpha| passes through the embedding
             alpha = F(rng.randint(-9, 9) or 1, rng.choice((1, 2, 3)))
             scaled = WeightMap({n: abs(alpha) * w1.weight(n) for n in names})
-            assert embed_norm_to_metric(scaled, pts).rows == \
-                scale_metric(alpha, m1).rows
+            assert rows(embed_norm_to_metric(scaled, pts)) == \
+                rows(scale_metric(alpha, m1))
 
             # order: pointwise dominance on differences iff matrix order
             diffs = [a.sub(b) for a in pts for b in pts]

@@ -182,6 +182,18 @@ def test_partial_compare_depth_past_the_limit_exits_two(capsys, tmp_path,
     assert (code, out, json.loads(err)) == (2, None, error)
 
 
+def test_partial_compare_past_one_table_of_pairs_exits_two(capsys,
+                                                          monkeypatch):
+    def at(self, depth):
+        raise AssertionError(f"carrier built at depth {depth}")
+    monkeypatch.setattr(Carrier, "at", at)
+    code, out, err = run(capsys, "partial-compare", "--first", "kappa",
+                         "--second", "usual", "--depths", "961,999")
+    assert (code, out, json.loads(err)) == (2, None, {
+        "error": "the depths need 959781 pairs per metric, past the limit "
+                 "of 499500 (one depth-1000 table)"})
+
+
 def test_partial_compare_usual_alias_on_kappa_grid(capsys):
     code, doc, _ = run(capsys, "partial-compare", "--first", "kappa",
                        "--second", "usual", "--depths", "11,21,41")

@@ -83,8 +83,9 @@ def depth_lists(draw, kind):
     return sorted(draw(st.sets(pool, min_size=1, max_size=4)))
 
 
-# the deepest depth each carrier kind is checked at
-DEEPEST = {"indexed": 9, "grid": 9, "symgrid": 11, "points2d": len(POINTS)}
+# the depth each carrier kind is checked at; the symmetric grid at 13 holds
+# the points -1/2 and 1/2, where kappa changes zone
+DEEPEST = {"indexed": 9, "grid": 9, "symgrid": 13, "points2d": len(POINTS)}
 
 
 @pytest.mark.parametrize("m", [wrap(base) for base in BASES
@@ -140,9 +141,9 @@ def counting_pairs(monkeypatch, *families) -> list:
     for family in families:
         pair = metrics._PAIR_FNS[family]
 
-        def count(m, p, q, pair=pair, family=family):
+        def count(m, den, p, q, pair=pair, family=family):
             seen.append((family, p[0], q[0]))
-            return pair(m, p, q)
+            return pair(m, den, p, q)
         monkeypatch.setitem(metrics._PAIR_FNS, family, count)
     return seen
 
@@ -179,17 +180,49 @@ def test_depth_list_errors_come_before_carrier_errors(depths, message):
         classify_lazy_pair(usual_metric(grid_carrier(1)), KAPPA, depths)
 
 
-@pytest.mark.parametrize("value", [Fraction(0), Fraction(-1, 3)])
+@pytest.mark.parametrize(("d", "rho", "depths", "error"), [
+    (KAPPA, USUAL_SYM, [9], None),
+    (KAPPA, USUAL_SYM, [3, 9], "the depths need 39 pairs per metric, past "
+                               "the limit of 36 (one depth-9 table)"),
+    (discrete_metric(), shrinking_metric(), [3, 5, 7, 9], None),
+], ids=["symgrid-at-the-limit", "symgrid-past-it", "nested-at-the-limit"])
+def test_the_pairs_of_a_depth_list_are_capped_before_any_is_evaluated(
+        monkeypatch, d, rho, depths, error):
+    """A symmetric grid evaluates every depth afresh, so its depths' pairs
+    add up; a nested carrier evaluates the deepest depth's pairs once."""
+    monkeypatch.setattr(metrics, "MAX_BUILTIN_DEPTH", 9)
+    seen = counting_pairs(monkeypatch, d.family, rho.family)
+    if error is None:
+        classify_lazy_pair(d, rho, depths)
+        assert len(seen) == 2 * 36
+        return
+    with pytest.raises(InputError) as err:
+        classify_lazy_pair(d, rho, depths)
+    assert (str(err.value), seen) == (error, [])
+
+
+def test_kappa_at_two_deep_depths_is_refused_before_any_pair(monkeypatch):
+    seen = counting_pairs(monkeypatch, "kappa", "usual")
+    with pytest.raises(InputError) as err:
+        classify_lazy_pair(KAPPA, USUAL_SYM, [961, 999])
+    assert str(err.value) == ("the depths need 959781 pairs per metric, past "
+                              "the limit of 499500 (one depth-1000 table)")
+    assert seen == []
+
+
+@pytest.mark.parametrize("value", [(0, 1), (-1, 3)])
 @pytest.mark.parametrize("side", ["first", "second"])
 def test_a_non_positive_distance_raises(monkeypatch, value, side):
     pair = metrics._PAIR_FNS["shrinking"]
 
-    def broken(m, p, q):
-        return value if (p[0], q[0]) == (2, 3) else pair(m, p, q)
+    def broken(m, den, p, q):
+        return value if (p[0], q[0]) == (2, 3) else pair(m, den, p, q)
     monkeypatch.setitem(metrics._PAIR_FNS, "shrinking", broken)
     d, rho = shrinking_metric(), discrete_metric()
     if side == "second":
         d, rho = rho, d
     assert len(partial_comparing_function(d, rho, [2])) == 1
-    with pytest.raises(InputError, match=r"\(x2, x3\) is not positive"):
+    with pytest.raises(InputError) as err:
         partial_comparing_function(d, rho, [2, 4])
+    assert str(err.value) == (f"distance {value[0]}/{value[1]} on the distinct "
+                              f"pair (x2, x3) is not positive; not a metric")

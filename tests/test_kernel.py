@@ -25,6 +25,7 @@ from evslib.instances import (
     rational_tuple_instance,
 )
 from evslib.rationals import fmt, to_fractions, to_ints
+import reference
 
 WIDTH = 5
 
@@ -302,7 +303,7 @@ def test_no_sampled_pair_is_added_twice(name):
 def reference_validation(m: MetricMatrix) -> dict:
     """The plain Fraction check: every triple (i, j, k), degenerate ones
     included, in lexicographic order, reported as validate_metric does."""
-    n, rows, labels = m.size, m.rows, m.labels
+    n, rows, labels = m.size, reference.rows(m), m.labels
 
     def failed(violation: dict) -> dict:
         return {"pass": False, "violation": violation, "size": n}

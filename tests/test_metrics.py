@@ -42,16 +42,17 @@ F = Fraction
 
 def distinct_pairs(m: MetricMatrix) -> list:
     """(i, j, value) over the distinct pairs i < j, read from the rows."""
-    return [(i, j, m.rows[i][j]) for i, j in combinations(range(m.size), 2)]
+    full = rows(m)
+    return [(i, j, full[i][j]) for i, j in combinations(range(m.size), 2)]
 
 
 def comparing_oracle(d: MetricMatrix, rho: MetricMatrix) -> Fraction:
     """Independent route through the spectrum definition: enumerate candidate
     multipliers (all pairwise ratios and zero) and take the largest lambda,
     checked via the order relation, with lambda*d <= rho."""
-    candidates = {F(0)}
+    candidates, rr = {F(0)}, rows(rho)
     for i, j, dv in distinct_pairs(d):
-        candidates.add(rho.rows[i][j] / dv)
+        candidates.add(rr[i][j] / dv)
     feasible = [
         lam for lam in candidates if leq_metrics(scale_metric(lam, d), rho)
     ]
@@ -115,7 +116,7 @@ def test_kappa_grid_validates_exhaustively():
 def test_csv_round_trip():
     m = tri(1, 2, F(5, 2))
     text = "x1,x2,x3\n0,1,2\n1,0,5/2\n2,5/2,0\n"
-    assert MetricMatrix.from_csv_text(text).rows == m.rows
+    assert rows(MetricMatrix.from_csv_text(text)) == rows(m)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +126,7 @@ def test_csv_round_trip():
 
 def test_scale_uses_absolute_value():
     d = tri(1, 2, 2)
-    assert scale_metric(F(-1, 2), d).rows == scale_metric(F(1, 2), d).rows
+    assert rows(scale_metric(F(-1, 2), d)) == rows(scale_metric(F(1, 2), d))
 
 
 def test_scale_by_zero_gives_zero_table():
@@ -135,7 +136,7 @@ def test_scale_by_zero_gives_zero_table():
 
 def test_zero_is_additive_identity():
     d = tri(1, 2, 2)
-    assert add_metrics(d, MetricMatrix.zero(d.labels)).rows == d.rows
+    assert rows(add_metrics(d, MetricMatrix.zero(d.labels))) == rows(d)
 
 
 def test_label_mismatch_is_input_error():
@@ -201,7 +202,7 @@ def test_comparing_certificate_is_tight():
     c = comparing_function_metric(d, rho)
     assert leq_metrics(scale_metric(c, d), rho)
     scaled = scale_metric(c, d)
-    assert any(scaled.rows[i][j] == rho.rows[i][j]
+    assert any(rows(scaled)[i][j] == rows(rho)[i][j]
                for i, j, _ in distinct_pairs(d))
 
 
@@ -279,7 +280,8 @@ def test_comparing_value_is_a_tight_lower_multiplier(pair):
     d, rho = pair
     c = comparing_function_metric(d, rho)
     assert leq_metrics(scale_metric(c, d), rho)
-    assert any(c * v == rho.rows[i][j] for i, j, v in distinct_pairs(d))
+    rr = rows(rho)
+    assert any(c * v == rr[i][j] for i, j, v in distinct_pairs(d))
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +291,7 @@ def test_comparing_value_is_a_tight_lower_multiplier(pair):
 
 def test_bounded_transform_entries():
     rho = tri(3, 3, 3)
-    assert transform_bounded(rho).rows[0][1] == F(3, 4)
+    assert rows(transform_bounded(rho))[0][1] == F(3, 4)
     disc = builtin_metric("discrete", {}, 4)
     assert {v for _, _, v in distinct_pairs(transform_bounded(disc))} == \
         {F(1, 2)}
@@ -298,12 +300,12 @@ def test_bounded_transform_entries():
 def test_min_transform_entries():
     rho = tri(F(1, 2), 3, 3)
     out = transform_min(rho)
-    assert out.rows[0][1] == F(1, 2) and out.rows[0][2] == 1
+    assert rows(out)[0][1] == F(1, 2) and rows(out)[0][2] == 1
 
 
 def test_min_transform_fixed_point_below_one():
     rho = tri(F(1, 2), F(3, 4), F(3, 4))
-    assert transform_min(rho).rows == rho.rows
+    assert rows(transform_min(rho)) == rows(rho)
 
 
 def test_transforms_validate_and_sit_below_input():
@@ -365,16 +367,16 @@ def test_transform_of_zero_rejected():
 
 def test_builtin_shrinking_values():
     m = builtin_metric("shrinking", {}, 4)
-    assert m.rows[0][1] == F(1, 2)
-    assert m.rows[1][2] == F(1, 6)
-    assert m.rows[0][3] == F(3, 4)
+    assert rows(m)[0][1] == F(1, 2)
+    assert rows(m)[1][2] == F(1, 6)
+    assert rows(m)[0][3] == F(3, 4)
 
 
 def test_builtin_kappa_case_table():
     m = builtin_metric("kappa", {"step": "1/10"}, 21)
     # x_j = -1 + (j-1)/10: 0.7 is x18, 0.9 is x20, 0.1 is x12, 0.3 is x14
-    assert m.rows[17][19] == 2
-    assert m.rows[11][13] == F(1, 5)
+    assert rows(m)[17][19] == 2
+    assert rows(m)[11][13] == F(1, 5)
 
 
 def test_builtin_kappa_step_consistency():
@@ -386,7 +388,7 @@ def test_builtin_kappa_step_consistency():
 
 def test_builtin_cauchy_values():
     m = builtin_metric("cauchy-dn", {"n": 10, "points": [[0, 0], [0, 1]]}, 2)
-    assert m.rows[0][1] == F(1, 10)
+    assert rows(m)[0][1] == F(1, 10)
 
 
 def test_builtin_errors():
@@ -495,9 +497,9 @@ def test_classify_lazy_evaluates_each_pair_once(monkeypatch, first, second):
     def counting(family):
         pair = metrics._PAIR_FNS[family]
 
-        def count(m, p, q):
+        def count(m, den, p, q):
             pairs[family].append((p[0], q[0]))
-            return pair(m, p, q)
+            return pair(m, den, p, q)
         return count
 
     monkeypatch.setattr(LazyMetric, "materialize", materialize)
@@ -529,9 +531,9 @@ def test_materialize_evaluates_each_pair_once(monkeypatch, metric):
     pairs = []
     pair = metrics._PAIR_FNS[metric.family]
 
-    def counting(m, p, q):
+    def counting(m, den, p, q):
         pairs.append((p[0], q[0]))
-        return pair(m, p, q)
+        return pair(m, den, p, q)
 
     monkeypatch.setitem(metrics._PAIR_FNS, metric.family, counting)
     table = metric.materialize(depth)

@@ -23,6 +23,7 @@ from evslib import (
 )
 from evslib import norms
 from evslib.norms import _smallest_decay_index
+from reference import rows
 
 F = Fraction
 
@@ -263,9 +264,9 @@ def test_embed_distance_table():
     pts = [FSVector.zero(), FSVector.from_dict({"h0": 1}),
            FSVector.from_dict({"h1": 2})]
     m = embed_norm_to_metric(w, pts)
-    assert m.rows[0][1] == 1
-    assert m.rows[0][2] == 6
-    assert m.rows[1][2] == 6
+    assert rows(m)[0][1] == 1
+    assert rows(m)[0][2] == 6
+    assert rows(m)[1][2] == 6
     assert validate_metric(m)["pass"]
 
 
@@ -283,7 +284,7 @@ def test_embed_evaluates_each_unordered_pair_once(monkeypatch):
     m = embed_norm_to_metric(w, pts)
     n = len(pts)
     assert len(calls) == n * (n - 1) // 2
-    assert m.rows == tuple(
+    assert rows(m) == tuple(
         tuple(eval_weighted_norm(w, p.sub(q)) for q in pts) for p in pts)
 
 
@@ -323,12 +324,12 @@ def test_embed_is_additive_and_homogeneous():
             )
             for a in pts
         )
-        assert add_metrics(m1, m2).rows == sum_norm
+        assert rows(add_metrics(m1, m2)) == sum_norm
         # image of |alpha| f is the |alpha| multiple of the image
         alpha = F(-3, 2)
         scaled = WeightMap({n: abs(alpha) * w1.weight(n) for n in names})
-        assert embed_norm_to_metric(scaled, pts).rows == \
-            scale_metric(alpha, m1).rows
+        assert rows(embed_norm_to_metric(scaled, pts)) == \
+            rows(scale_metric(alpha, m1))
 
 
 def test_embed_preserves_order_both_ways():
@@ -350,7 +351,7 @@ def test_embed_translation_invariance():
     pts = [FSVector.zero(), FSVector.unit("h0"), FSVector.from_dict({"h1": 2})]
     shift = FSVector.from_dict({"h0": 5, "h1": -7})
     shifted = [p.add(shift) for p in pts]
-    assert embed_norm_to_metric(w, shifted).rows == embed_norm_to_metric(w, pts).rows
+    assert rows(embed_norm_to_metric(w, shifted)) == rows(embed_norm_to_metric(w, pts))
 
 
 def _decay_index_by_loop(base, eps):

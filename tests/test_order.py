@@ -37,6 +37,7 @@ from evslib.instances import (
 )
 from evslib.metrics import random_metric
 from evslib.norms import norm_family_instance
+from reference import rows
 
 F = Fraction
 
@@ -51,7 +52,8 @@ def tri4(a, b, c, d, e, f):
 
 
 def off_diag_min(m: MetricMatrix) -> Fraction:
-    return min(m.rows[i][j] for i, j in combinations(range(m.size), 2))
+    full = rows(m)
+    return min(full[i][j] for i, j in combinations(range(m.size), 2))
 
 
 # the tables, and their integer forms: the elements of INST
