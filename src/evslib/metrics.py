@@ -384,10 +384,8 @@ def classify_pair(d: MetricMatrix, rho: MetricMatrix) -> dict:
 
 
 def _bounded(x: int, y: int) -> tuple[int, int]:
-    """v/(1+v) = x/(x+y), its sign on x; ZeroDivisionError at v = -1."""
-    if x + y == 0:
-        raise ZeroDivisionError("v/(1+v) at v = -1")
-    return (x, x + y) if x + y > 0 else (-x, -x - y)
+    """v/(1+v) = x/(x+y), its sign on x; at v = -1, (x, 0): undefined."""
+    return (x, x + y) if x + y >= 0 else (-x, -x - y)
 
 
 def _capped(x: int, y: int) -> tuple[int, int]:
@@ -409,23 +407,23 @@ def transform_min(rho):
 def _transform(rho, entry_map, family: str):
     """The entrywise image of a table, or the closed-form family `family`
     over a LazyMetric, whose bounds are the images of its base's bounds.
-    entry_map takes v = x/y as an integer pair with y > 0 and returns one."""
+    entry_map takes v = x/y as an integer pair with y > 0 and returns such a
+    pair, or one with y = 0 where the map is undefined."""
     if isinstance(rho, MetricMatrix):
         if rho.is_zero():
             raise UndefinedRelativeElementError("transform of the zero element")
-        labels, (nums, den) = rho.labels, rho.form
-        pairs = []
-        for i, row in enumerate(_upper(nums, rho.size)):
-            pairs.append((0, 1))
-            for j, x in enumerate(row[1:], i + 1):
-                try:
-                    pairs.append(entry_map(x, den))
-                except ZeroDivisionError:
+        labels, (form, den) = rho.labels, rho.form
+        nums, dens = [], []
+        for i, row in enumerate(_upper(form, rho.size)):
+            for j, v in enumerate(row, i):
+                x, y = entry_map(v, den) if j > i else (0, 1)
+                if y == 0:
                     raise InputError(
                         f"transform {family} is undefined on the entry "
-                        f"{fmt_ratio(x, den)} at ({labels[i]}, {labels[j]})"
-                    ) from None
-        return MetricMatrix(labels, ratios_to_ints(*zip(*pairs)))
+                        f"{fmt_ratio(v, den)} at ({labels[i]}, {labels[j]})")
+                nums.append(x)
+                dens.append(y)
+        return MetricMatrix(labels, ratios_to_ints(nums, dens))
     if isinstance(rho, LazyMetric):
         def image(v):
             return None if v is None else Fraction(
@@ -492,15 +490,13 @@ class Carrier:
                     f"{depth} (the symmetric grid on [-1,1] implies 1/{den})"
                 )
             coords = range(-den, den + 1)
-        elif self.kind == "points2d":
+        else:   # points2d
             if depth > len(self.points):
                 raise InputError(
                     f"depth {depth} exceeds the {len(self.points)} listed points"
                 )
             nums, den = to_ints(list(chain(*self.points[:depth])))
             coords = zip(nums[::2], nums[1::2])
-        else:
-            raise InputError(f"unknown carrier kind {self.kind!r}")
         return den, tuple(enumerate(coords, 1))
 
 
@@ -577,9 +573,13 @@ class LazyMetric:
         the metric's own), each unordered pair evaluated once to its pair."""
         den, points = (carrier or self.carrier).at(depth)
         pair = _PAIR_FNS[self.family]
-        pairs = [pair(self, den, p, q) if q is not p else (0, 1)
-                 for i, p in enumerate(points) for q in points[i:]]
-        return MetricMatrix(carrier_labels(depth), ratios_to_ints(*zip(*pairs)))
+        nums, dens = [], []
+        for i, p in enumerate(points):
+            for q in points[i:]:
+                x, y = pair(self, den, p, q) if q is not p else (0, 1)
+                nums.append(x)
+                dens.append(y)
+        return MetricMatrix(carrier_labels(depth), ratios_to_ints(nums, dens))
 
     def describe(self) -> dict:
         doc = {"family": self.family, "carrier": self.carrier.kind}
