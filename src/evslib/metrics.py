@@ -573,12 +573,13 @@ class LazyMetric:
         the metric's own), each unordered pair evaluated once to its pair."""
         den, points = (carrier or self.carrier).at(depth)
         pair = _PAIR_FNS[self.family]
-        nums, dens = [], []
+        size = depth * (depth + 1) // 2   # lists grown by append fragment the heap
+        nums, dens, k = [0] * size, [1] * size, 0
         for i, p in enumerate(points):
-            for q in points[i:]:
-                x, y = pair(self, den, p, q) if q is not p else (0, 1)
-                nums.append(x)
-                dens.append(y)
+            for q in points[i + 1:]:
+                k += 1
+                nums[k], dens[k] = pair(self, den, p, q)
+            k += 1   # the diagonal entry of the next row stays 0/1
         return MetricMatrix(carrier_labels(depth), ratios_to_ints(nums, dens))
 
     def describe(self) -> dict:
@@ -858,13 +859,12 @@ def classify_lazy_pair(d: LazyMetric, rho: LazyMetric,
             "strictlyDecreasing": all(b < a for a, b in zip(seq, seq[1:])),
             **_direction_rules(x, y),
         }
-    s1 = directions["secondRelativeFirst"]["status"]
-    s2 = directions["firstRelativeSecond"]["status"]
+    statuses = tuple(entry["status"] for entry in directions.values())
     label = {("positive", "positive"): MUTUALLY_DEPENDENT,
              ("positive", "refuted"): ONE_SIDED_SECOND_IN_FIRST,
              ("refuted", "positive"): ONE_SIDED_FIRST_IN_SECOND,
              ("refuted", "refuted"): ORDERLY_INDEPENDENT,
-             }.get((s1, s2), "undetermined-at-depth")
+             }.get(statuses, "undetermined-at-depth")
     return {
         "classification": label,
         "directions": directions,
