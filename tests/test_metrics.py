@@ -33,6 +33,7 @@ from evslib import (
     usual_metric,
     validate_metric,
 )
+from evslib import metrics
 from evslib.metrics import random_metric
 import reference
 from reference import rows
@@ -330,22 +331,16 @@ def test_transform_closed_forms_match_oracle():
         assert comparing_function_metric(rb, rho) == comparing_oracle(rb, rho)
 
 
-@given(st.integers(2, 5).flatmap(lambda n: st.lists(
-    st.fractions(-3, 3, max_denominator=4),
-    min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)))
-def test_table_transforms_equal_the_reference_on_signed_tables(values):
+@given(table_pairs(st.fractions(-3, 3, max_denominator=4)))
+def test_table_transforms_equal_the_reference_on_signed_tables(pair):
     """Entry by entry on signed tables: an entry below -1 (where 1 + v < 0)
     and one in (-1, 0) have their images, and an entry of -1 has none."""
-    n = next(n for n in range(2, 6) if n * (n - 1) // 2 == len(values))
-    assume(any(values))
-    upper = iter(values)
-    table = [[F(0)] * n for _ in range(n)]
-    for i, j in combinations(range(n), 2):
-        table[i][j] = table[j][i] = next(upper)
-    rho = MetricMatrix.from_rows(tuple(f"x{k}" for k in range(n)), table)
+    rho = pair[0]
+    assume(not rho.is_zero())
+    table = rows(rho)
     for transform, image in ((transform_bounded, reference.bounded),
                              (transform_min, reference.capped)):
-        if transform is transform_bounded and -1 in values:
+        if transform is transform_bounded and any(-1 in row for row in table):
             with pytest.raises(InputError, match="is undefined on the entry "
                                                  "-1/1 at"):
                 transform(rho)
@@ -353,6 +348,17 @@ def test_table_transforms_equal_the_reference_on_signed_tables(values):
         assert rows(transform(rho)) == tuple(
             tuple(F(0) if i == j else image(v) for j, v in enumerate(row))
             for i, row in enumerate(table))
+
+
+@given(st.integers(-40, 40), st.integers(1, 12))
+def test_pair_maps_keep_the_denominator_positive(x, y):
+    """The composites feed one pair map's output to the next, which reads
+    its sign from the numerator alone."""
+    assume(x != -y)
+    for entry_map, image in ((metrics._bounded, reference.bounded),
+                             (metrics._capped, reference.capped)):
+        out = entry_map(x, y)
+        assert out[1] > 0 and F(*out) == image(F(x, y))
 
 
 def test_transform_of_zero_rejected():
