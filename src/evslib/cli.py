@@ -17,6 +17,7 @@ report), 2 input error, 3 internal fault (any other exception; stderr gets
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from json.encoder import encode_basestring_ascii
@@ -44,7 +45,8 @@ def _load_json(path: str, object_hook=None):
             return json.load(fh, object_hook=object_hook)
     except OSError as exc:
         raise _unreadable(path, exc) from exc
-    except ValueError as exc:   # a JSONDecodeError, or an over-long integer
+    # a JSONDecodeError, an over-long integer, or nesting past the stack
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
 
@@ -54,12 +56,13 @@ def _load_matrix(path: str) -> metrics.MetricMatrix:
     _emit prints it through to_json, in the bytes of a replayed report."""
     if path.endswith(".csv"):
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            return metrics.MetricMatrix.from_csv_text(
+                Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise _unreadable(path, exc) from exc
-        except UnicodeDecodeError as exc:
+        # not UTF-8, or a field past the csv module's size limit
+        except (UnicodeDecodeError, csv.Error) as exc:
             raise InputError(f"malformed CSV in {path}: {exc}") from exc
-        return metrics.MetricMatrix.from_csv_text(text)
     return metrics.MetricMatrix.from_json(_load_json(path))
 
 

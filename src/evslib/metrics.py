@@ -24,13 +24,13 @@ import csv
 import io
 from fractions import Fraction
 from itertools import chain, combinations, islice
-from operator import itemgetter, sub
+from operator import sub
 from typing import Optional, Sequence
 
 from .errors import InputError, UndefinedRelativeElementError
-from .rationals import (_add, _leq, _scale, fmt, fmt_ratio,
-                        parse_plain_ratios, parse_rational, parse_rationals,
-                        ratios_to_ints, to_ints)
+from .rationals import (_add, _leq, _ratio, _scale, fmt, fmt_ratio,
+                        parse_rational, parse_rationals, ratios_to_ints,
+                        to_ints)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -75,16 +75,11 @@ class MetricMatrix:
 
     @classmethod
     def from_rows(cls, labels: Sequence[str], rows: Sequence[Sequence]) -> "MetricMatrix":
-        """Parse raw rows, one row at a time. Left of the diagonal, the
-        entries that repeat the raw entry above them in type and value are
-        not parsed again (one list comparison of values and one of types,
-        entry by entry only when either differs); any other entry goes
-        through parse_rational and is kept for the symmetry check. From
-        the diagonal on, a row of plain "p/q" strings is read straight to
-        integers (rationals.parse_plain_ratios), and any other row goes
-        through parse_rational entry by entry. So each unordered pair is
-        parsed once, a row spelled otherwise costs only that row, and
-        errors come as a parse_rational call on every entry in row order,
+        """Parse raw rows in row order with rationals._ratio: every entry
+        from the diagonal on, and each entry left of it unless it repeats
+        the raw entry above it in type and value; such a mirror spelled
+        otherwise is kept for the symmetry check. So each unordered pair is
+        read once, and errors come as a parse of every entry in row order,
         then the shape check, then the symmetry check would raise them.
         The upper triangle goes over one common denominator and is
         reduced once."""
@@ -92,29 +87,20 @@ class MetricMatrix:
         for i, row in enumerate(rows):
             if not isinstance(row, (list, tuple)):
                 raise InputError("matrix row must be a list of rationals")
-            left = row[:i]
-            try:
-                above = list(map(itemgetter(i), rows[:i]))
-            except IndexError:   # a short row above
-                above = None
-            if left != above or list(map(type, left)) != list(map(type, above)):
-                for j, v in enumerate(left):
-                    up = rows[j]
-                    if not (i < len(up) and type(up[i]) is type(v)
-                            and up[i] == v):
-                        lower.append((i, j, parse_rational(v)))
-            ratios = parse_plain_ratios(row[i:])
-            if ratios is None:
-                parsed = [parse_rational(v) for v in row[i:]]
-                ratios = ([q.numerator for q in parsed],
-                          [q.denominator for q in parsed])
-            nums += ratios[0]
-            dens += ratios[1]
+            for j, v in enumerate(row[:i]):
+                up = rows[j]
+                if not (i < len(up) and type(up[i]) is type(v)
+                        and up[i] == v):
+                    lower.append((i, j, *_ratio(v)))
+            for v in row[i:]:
+                p, q = _ratio(v)
+                nums.append(p)
+                dens.append(q)
         labels = _carrier(labels, rows)
         n = len(labels)
-        for i, j, q in lower:
+        for i, j, p, q in lower:
             k = j * n - j * (j - 1) // 2 + i - j   # (j, i) in the triangle
-            if q.numerator * dens[k] != nums[k] * q.denominator:
+            if p * dens[k] != nums[k] * q:
                 raise InputError(
                     f"matrix is not symmetric at ({labels[i]}, {labels[j]})")
         return cls(labels, ratios_to_ints(nums, dens))

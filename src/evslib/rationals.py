@@ -4,15 +4,11 @@ Every number that crosses a file or report boundary is a rational written as
 "p/q" in lowest terms. Inputs may also be integers or decimal strings such as
 "0.1" (parsed exactly, never through binary floating point).
 
-The common spelling is a plain ASCII "p/q" or "-p/q" with a nonzero
-denominator. parse_rational reads one entry as Fraction(int(p), int(q)), the
-value Fraction(str) gives, and parse_plain_ratios reads a row of a metric
-table, from its diagonal on, to integers with no Fraction: from_rows of
-MetricMatrix takes it for each row so spelled, parse_rational for the rest.
-Anything else takes the general path of parse_rational: a sign "+", spaces,
-decimals, exponents, "_" separators, non-ASCII digits, a zero denominator, a
-numeral past int()'s digit limit, a value that is not a string. So the fast
-paths change no value and no error.
+Every input rational goes through one reader, _ratio, which gives an
+integer pair (p, q) with q > 0: plain ASCII "p/q", "-p/q" and "p" strings
+and ints by int() alone, anything else by Fraction's parser, with the value
+Fraction(str) gives and the same errors. parse_rational is Fraction(*_ratio)
+and MetricMatrix.from_rows reads table entries with it straight to integers.
 
 A tuple of rationals is held in integer form (numerators, den): entries
 numerators[k] / den over one common positive denominator, with
@@ -26,12 +22,11 @@ form with a set of numerator tuples (instances.point_set).
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
 from operator import add, floordiv, le, mul
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import InputError
 
@@ -41,70 +36,11 @@ MAX_DIGITS = 4300
 
 
 def parse_rational(value) -> Fraction:
-    """Parse an exact rational from "p/q", a decimal string, or an int.
-
-    A strict ASCII "-?digits/digits" string with a nonzero denominator
-    skips Fraction's parser. Anything else falls through to it: signs "+",
-    spaces, decimals, exponents, "_" separators, non-ASCII digits, a zero
-    denominator, and numerals over int()'s digit limit, whose ValueError
-    the general path turns into InputError as before.
-    """
-    if type(value) is str and value.isascii():
-        num, slash, den = value.partition("/")
-        if (slash and den.isdigit() and den.strip("0")
-                and (num[1:] if num[:1] == "-" else num).isdigit()):
-            try:
-                return Fraction(int(num), int(den))
-            except ValueError:
-                pass
+    """Parse an exact rational from "p/q", a decimal string, or an int: a
+    Fraction as it is, anything else as Fraction(*_ratio(value))."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool):
-        raise InputError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        # JSON floats are tolerated via their shortest decimal repr, which is
-        # exact for values like 0.5 that users write literally.
-        value = repr(value)
-    if isinstance(value, str):
-        _check_digits(value)
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"not a rational: {value!r}") from exc
-    raise InputError(f"not a rational: {value!r}")
-
-
-#: Plain ASCII ratios "-?digits/digits", joined by ",".
-_PLAIN_RATIOS = r"-?[0-9]+/[0-9]+(?:,-?[0-9]+/[0-9]+)*"
-
-
-def parse_plain_ratios(values: Sequence
-                       ) -> Optional[tuple[list[int], list[int]]]:
-    """The numerators and denominators, as written, of a non-empty list of
-    plain ASCII "-?digits/digits" strings with nonzero denominators, read by
-    one match over the entries joined by "," and int() mapped over the
-    parts; None when any entry is spelled otherwise (a "," inside an entry
-    shows as more than two parts per entry).
-    """
-    try:
-        text = ",".join(values)
-    except TypeError:
-        return None
-    if not re.fullmatch(_PLAIN_RATIOS, text):
-        return None
-    parts = text.replace("/", ",").split(",")
-    if len(parts) != 2 * len(values):
-        return None
-    try:
-        ints = list(map(int, parts))
-    except ValueError:
-        return None   # a numeral past int()'s digit limit
-    dens = ints[1::2]
-    if not all(dens):
-        return None
-    return ints[::2], dens
+    return Fraction(*_ratio(value))
 
 
 def _check_digits(text: str) -> None:
@@ -206,3 +142,40 @@ def _leq(a, b) -> bool:
     if dx == dy:
         return all(map(le, xs, ys))
     return all(x * dy <= y * dx for x, y in zip(xs, ys))
+
+
+def _ratio(value) -> tuple[int, int]:
+    """(p, q) with q > 0 and p/q the rational value stands for, not
+    necessarily in lowest terms: the one reader of input rationals. A plain
+    ASCII "-?digits/digits" string with a nonzero denominator, a plain
+    "-?digits" string and an int are read with int() alone. Anything else
+    goes through Fraction's parser: signs "+", spaces, decimals, exponents,
+    "_" separators, non-ASCII digits, a zero denominator, a numeral past
+    int()'s digit limit, a float (by its shortest repr), a Fraction."""
+    if type(value) is str:
+        if value.isascii():
+            num, slash, den = value.partition("/")
+            if ((num[1:] if num[:1] == "-" else num).isdigit()
+                    and (not slash or den.isdigit() and den.strip("0"))):
+                try:
+                    return int(num), (int(den) if slash else 1)
+                except ValueError:
+                    pass   # past int()'s digit limit; Fraction says so
+    elif type(value) is int:
+        return value, 1
+    if isinstance(value, bool):
+        raise InputError(f"not a rational: {value!r}")
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator
+    if isinstance(value, float):
+        # JSON floats are tolerated via their shortest decimal repr, which is
+        # exact for values like 0.5 that users write literally.
+        value = repr(value)
+    if isinstance(value, str):
+        _check_digits(value)
+        try:
+            q = Fraction(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"not a rational: {value!r}") from exc
+        return q.numerator, q.denominator
+    raise InputError(f"not a rational: {value!r}")

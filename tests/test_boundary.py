@@ -1,6 +1,7 @@
 """The JSON boundary: byte pins on the table commands, replay of reports
-written before the single-parse boundary (commit 211fc81), the exact fast
-path of parse_rational, and the number of parses per input entry."""
+written before the single-parse boundary (commit 211fc81), the one reader
+of input rationals behind parse_rational, and the number of reads per input
+entry."""
 
 import hashlib
 import json
@@ -142,28 +143,20 @@ def test_recorded_report_replays(capsys, name):
 
 @pytest.mark.parametrize("suffix", (".json", ".csv"))
 def test_validate_parses_each_entry_once(capsys, monkeypatch, tmp_path, suffix):
-    """A diagonal spelled "0" sends the table through parse_rational, one
-    spelled "0/1" through the bulk parser; either way each unordered pair,
-    the diagonal included, is parsed once. For the bulk parser the work
-    counted is the entries handed to a call that parsed them."""
+    """Whatever the diagonal's spelling ("0", "0/1" or a JSON 0, which CSV
+    writes as "0"), the reader runs once per unordered pair, the diagonal
+    included, on the upper triangle in row order."""
     n = 6
     labels = [f"x{k}" for k in range(n)]
-    calls, bulk = [], []
+    calls, read = [], rationals._ratio
 
     def counting(value):
         calls.append(value)
-        return parse_rational(value)
-
-    def counting_bulk(values):
-        ratios = rationals.parse_plain_ratios(values)
-        if ratios is not None:
-            bulk.extend(values)
-        return ratios
+        return read(value)
 
     for module in (rationals, metrics):
-        monkeypatch.setattr(module, "parse_rational", counting)
-    monkeypatch.setattr(metrics, "parse_plain_ratios", counting_bulk)
-    for diagonal in ("0", "0/1"):
+        monkeypatch.setattr(module, "_ratio", counting)
+    for diagonal in ("0", "0/1", 0):
         # entries between 1 and 7/4, so the triangle inequality holds
         rows = [[f"{4 + (3 * min(i, j) + 5 * max(i, j)) % 4}/4" if i != j
                  else diagonal for j in range(n)] for i in range(n)]
@@ -172,18 +165,17 @@ def test_validate_parses_each_entry_once(capsys, monkeypatch, tmp_path, suffix):
             path.write_text(json.dumps({"labels": labels, "rows": rows}),
                             encoding="utf-8")
         else:
+            rows = [[str(v) for v in row] for row in rows]
             path.write_text("\n".join(",".join(r) for r in [labels] + rows),
                             encoding="utf-8")
         calls.clear()
-        bulk.clear()
         assert main(["validate", str(path)]) == 0
         capsys.readouterr()
-        # one parse per unordered pair, the diagonal included
-        assert len(calls) + len(bulk) == n * (n + 1) // 2
-        assert len(bulk if diagonal == "0" else calls) == 0
+        assert len(calls) == n * (n + 1) // 2
+        assert calls == [v for i, row in enumerate(rows) for v in row[i:]]
 
 
-# -- the fast path of parse_rational ----------------------------------------
+# -- the reader of parse_rational -------------------------------------------
 
 
 # a decimal with an exponent, in the grammar Fraction(str) accepts
@@ -193,7 +185,7 @@ EXPONENT_DECIMAL = re.compile(
 
 
 def reference_parse(text: str):
-    """What parse_rational gave for a string before its fast path: the
+    """What parse_rational gave for a string before its reader: the
     value of Fraction(text.strip()), or None where that raises. A decimal
     whose mantissa digits plus exponent magnitude pass the 4300-digit
     limit gives None without being built."""
@@ -222,8 +214,8 @@ def check_parse(text: str) -> None:
 
 digits = st.text("0123456789", min_size=1, max_size=12)
 rational_strings = st.one_of(
-    # anything over an alphabet that holds every spelling the fast path
-    # must leave to the general parser
+    # anything over an alphabet that holds every spelling the reader must
+    # leave to Fraction's parser
     st.text("0123456789-+/.e_ \u0663\u00b2", max_size=16),
     # "-?digits/digits", zero and zero-padded denominators included
     st.builds(lambda sign, num, den: f"{sign}{num}/{den}",
@@ -248,10 +240,30 @@ def test_parse_rational_agrees_with_fraction(text):
     " 1/2", "1/2 ", "1 / 2", "1/-2", "-/2", "1/", "/2", "--1/2", "1/2/3",
     "1_0/3", "1/3_0", "\u0663/4", "3/\u0663", "\u00b2/3", "0.5", "1e3",
     "1E-3", "-7", "", " ", "1" * 4301 + "/3", "3/" + "1" * 4301,
-    "1" * 4300 + "/3",
+    "1" * 4300 + "/3", "0", "-0", "007", "-12", "1" * 4301,
 ])
 def test_parse_rational_examples(text):
     check_parse(text)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(rational_strings, st.integers(), st.booleans(), st.floats(),
+                 st.none(), st.lists(st.integers(), max_size=2)))
+def test_the_reader_gives_the_value_of_parse_rational(value):
+    """The reader gives (p, q) with q > 0 and p/q the value parse_rational
+    gives, or raises the InputError parse_rational raises."""
+    try:
+        expected = parse_rational(value)
+    except InputError as exc:
+        with pytest.raises(InputError) as raised:
+            rationals._ratio(value)
+        assert str(raised.value) == str(exc)
+        return
+    p, q = rationals._ratio(value)
+    assert type(p) is int and type(q) is int and q > 0
+    assert Fraction(p, q) == expected
+    if type(value) is str:
+        assert expected == reference_parse(value)
 
 
 @pytest.mark.parametrize("text", ["1e5000", "1e-5000", "1e100000",

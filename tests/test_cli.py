@@ -885,6 +885,26 @@ def test_non_utf8_csv_is_input_error(capsys, tmp_path):
         f"malformed CSV in {path}: 'utf-8' codec can't decode")
 
 
+def test_csv_field_past_the_csv_size_limit_is_input_error(capsys, tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("a,b\n0," + "1" * 200_000 + "\n1,0\n", encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, None)
+    assert json.loads(err) == {"error": f"malformed CSV in {path}: field "
+                                        "larger than field limit (131072)"}
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["--replay"]])
+def test_json_nested_past_the_recursion_limit_is_input_error(capsys, tmp_path,
+                                                             argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (2, None)
+    assert json.loads(err)["error"].startswith(
+        f"malformed JSON in {path}: maximum recursion depth exceeded")
+
+
 @pytest.mark.parametrize("name", [
     "h" + "2" * 5000,
     "d(h0," + "1" * 5000 + ")",

@@ -1,8 +1,9 @@
 """Tables parse each unordered pair once: a mirrored entry spelled
 otherwise still gives the canonical report, and malformed tables fail with
-the errors, in the order, that a full parse of every entry gave. A row of
-plain "p/q" strings is read in bulk, straight to integers; every table
-gives the form, or the error, of a parse_rational call on every entry."""
+the errors, in the order, that a full parse of every entry gave. Entries
+are read straight to integers by the one reader, rationals._ratio; every
+table gives the form, or the error, of a parse_rational call on every
+entry."""
 
 import json
 
@@ -85,13 +86,13 @@ def test_decimal_exponent_within_the_limit_is_printed(capsys, tmp_path):
         f"{10 ** 400}/1"
 
 
-# -- the bulk parse against a parse of every entry --------------------------
+# -- the reader against a parse of every entry ------------------------------
 
 LONG = "1" * 4301 + "/1"   # one digit past int()'s limit
-# spellings the bulk parser reads, unreduced and signed zeros included
+# "-?digits/digits" spellings, unreduced and signed zeros included
 PLAIN = ["1/2", "-1/2", "4/6", "-4/6", "0/1", "-0/3", "7/1", "007/010",
          "12/8", "3/4", "2/4"]
-# spellings that take parse_rational: values, errors and padded strings
+# other spellings: integers, values, errors and padded strings
 GENERAL = ["0", "1", " 1/2", "1/2 ", "+1/2", "1 / 2", "0.25", "1e-3", 2, 0.5,
            True, "1/0", "\u0661/\u0662", LONG, "1,2/3", "1_0/3", None, [1]]
 
@@ -170,6 +171,9 @@ def csv_text(labels, rows):
 @example((["a", "b"], [["0/1", "1/0"], ["1/0", "0/1"]]))
 @example((["a", "b"], [["0/1", "1/2"], ["3/4", "0/1"]]))
 @example((["a", "b"], [["0/1", "1/2"], ["2/4", "0/1"]]))
+@example((["a", "b"], [["0", "007"], ["007", "-0"]]))
+@example((["a", "b"], [[0, "1/2"], ["1/2", 0]]))
+@example((["a", "b"], [["0", "1" * 4301], ["1" * 4301, "0"]]))
 def test_bulk_parse_matches_a_parse_of_every_entry(table):
     labels, rows = table
     expected = outcome(lambda: reference(labels, rows))
@@ -181,48 +185,23 @@ def test_bulk_parse_matches_a_parse_of_every_entry(table):
             expected
 
 
-def parse_rational_calls(monkeypatch) -> list:
-    """The values metrics.parse_rational is called on from now on."""
-    calls = []
+@pytest.mark.parametrize("v", PLAIN + GENERAL)
+def test_the_reader_runs_once_per_upper_entry_and_mirror_spelled_otherwise(
+        monkeypatch, v):
+    """In row order: every entry from the diagonal on, and the mirrors
+    spelled otherwise ("2/4" under "1/2", 1 under "1"), up to the first
+    entry the reader refuses; a mirror that repeats its raw entry above
+    (v under v) is not read."""
+    calls, read = [], metrics._ratio
 
     def counting(value):
         calls.append(value)
-        return parse_rational(value)
+        return read(value)
 
-    monkeypatch.setattr(metrics, "parse_rational", counting)
-    return calls
-
-
-@pytest.mark.parametrize("rows, bulk", [
-    *(([["0/1", v], [v, "0/1"]], True) for v in PLAIN),
-    *(([["0/1", v], [v, "0/1"]], False) for v in GENERAL),
-    ([["0/1", "1/2"], ["2/4", "0/1"]], False),
-    ([["0/1", "1/2"], ["3/4", "0/1"]], False),
-    ([["0/1", "1/2"], ("1/2", "0/1")], True),
-])
-def test_only_plain_mirrored_tables_skip_parse_rational(monkeypatch, rows,
-                                                        bulk):
-    calls = parse_rational_calls(monkeypatch)
-    outcome(lambda: MetricMatrix.from_json({"labels": ["a", "b"],
-                                            "rows": rows}))
-    assert (not calls) == bulk
-
-
-@pytest.mark.parametrize("rows, parsed", [
-    # one row spelled otherwise from its diagonal on
-    ([["0/1", "1/2", "1/1", "3/2"],
-      ["1/2", "0/1", "1/2", "1/1"],
-      ["1/1", "1/2", "0", "0.5"],
-      ["3/2", "1/1", "0.5", "0/1"]], ["0", "0.5"]),
-    # one mirror spelled otherwise
-    ([["0/1", "1/2", "1/1", "3/2"],
-      ["2/4", "0/1", "1/2", "1/1"],
-      ["1/1", "1/2", "0/1", "1/2"],
-      ["3/2", "1/1", "1/2", "0/1"]], ["2/4"]),
-])
-def test_only_the_entries_spelled_otherwise_reach_parse_rational(
-        monkeypatch, rows, parsed):
-    calls = parse_rational_calls(monkeypatch)
-    m = MetricMatrix.from_json({"labels": list("abcd"), "rows": rows})
-    assert calls == parsed
-    assert m.form == reference(list("abcd"), rows)
+    monkeypatch.setattr(metrics, "_ratio", counting)
+    rows = [["0/1", v, "1/2"], (v, "0", "1"), ["2/4", 1, 0]]
+    order = ["0/1", v, "1/2", "0", "1", "2/4", 1, 0]
+    got = outcome(lambda: MetricMatrix.from_json(
+        {"labels": list("abc"), "rows": rows}).form)
+    assert got == outcome(lambda: reference(list("abc"), rows))
+    assert calls == (order[:2] if isinstance(got, str) else order)
