@@ -45,7 +45,8 @@ def _load_json(path: str, object_hook=None):
             return json.load(fh, object_hook=object_hook)
     except OSError as exc:
         raise _unreadable(path, exc) from exc
-    # a JSONDecodeError, an over-long integer, or nesting past the stack
+    # a JSONDecodeError, an over-long integer, or nesting past the
+    # recursion limit
     except (ValueError, RecursionError) as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
 

@@ -152,15 +152,17 @@ def _ratio(value) -> tuple[int, int]:
     goes through Fraction's parser: signs "+", spaces, decimals, exponents,
     "_" separators, non-ASCII digits, a zero denominator, a numeral past
     int()'s digit limit, a float (by its shortest repr), a Fraction."""
-    if type(value) is str:
-        if value.isascii():
-            num, slash, den = value.partition("/")
-            if ((num[1:] if num[:1] == "-" else num).isdigit()
-                    and (not slash or den.isdigit() and den.strip("0"))):
-                try:
-                    return int(num), (int(den) if slash else 1)
-                except ValueError:
-                    pass   # past int()'s digit limit; Fraction says so
+    if type(value) is str and value.isascii():
+        num, slash, den = value.partition("/")
+        if ((num.isdigit() or num[:1] == "-" and num[1:].isdigit())
+                and (den.isdigit() or not slash)):
+            try:
+                p, q = int(num), (int(den) if slash else 1)
+            except ValueError:
+                pass   # past int()'s digit limit; Fraction says so
+            else:
+                if q:
+                    return p, q
     elif type(value) is int:
         return value, 1
     if isinstance(value, bool):
