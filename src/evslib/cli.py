@@ -151,15 +151,9 @@ def _universe_from_inline(doc) -> order.Universe:
         raise InputError('universe "elements" must be a nonempty list')
     kind, elements = doc["instance"], doc["elements"]
     if kind == "norm-family":
-        depth = require_int(doc.get("depth", 0), 'universe "depth"')
-        part = norms.PartitionSpec(depth)
-        inst = norms.norm_family_instance(part)
-        elements = [norms.NormFamilyParams.from_json(e) for e in elements]
-        for e in elements:
-            if e.partition.depth != depth:
-                raise InputError("family element uses a different depth")
-        return order.Universe(inst, elements)
-    if kind == "metrics":
+        inst = norms.norm_family_instance(norms.PartitionSpec(
+            require_int(doc.get("depth", 0), 'universe "depth"')))
+    elif kind == "metrics":
         # the first table fixes the carrier; it is parsed once
         elements = [metrics.MetricMatrix.from_json(elements[0]), *elements[1:]]
         inst = instances.metric_packed_instance(elements[0].labels)

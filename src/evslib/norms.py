@@ -615,6 +615,12 @@ def norm_family_instance(partition: PartitionSpec) -> EvsInstance:
             "family norms support only epsilon-witness comparisons"
         )
 
+    def from_json(doc) -> NormFamilyParams:
+        params = NormFamilyParams.from_json(doc)
+        if params.partition.depth != partition.depth:
+            raise InputError("family element uses a different depth")
+        return params
+
     return EvsInstance(
         name=f"norm-family[depth {partition.depth}]",
         zero=None,
@@ -623,6 +629,6 @@ def norm_family_instance(partition: PartitionSpec) -> EvsInstance:
         leq=unsupported,
         equal=operator.eq,
         element_to_json=NormFamilyParams.to_json,
-        element_from_json=NormFamilyParams.from_json,
+        element_from_json=from_json,
         eps_independence=independence_witness,
     )

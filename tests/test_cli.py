@@ -954,3 +954,34 @@ def test_dimension_limit_admits_the_limit(instance):
     # the instance and a two-element sample are built; no suite is run
     inst, sample, _ = build_instance(instance, dim=MAX_DIM, sample=2)
     assert inst.name == f"{instance}[dim {MAX_DIM}]" and len(sample) == 2
+
+
+def write_family_universe(tmp_path, element_depths):
+    """A depth-12 family universe whose elements have the given depths."""
+    names = []
+    for k, depth in enumerate(element_depths):
+        write_json(tmp_path / f"e{k}.json",
+                   {"depth": depth, "subsetC": ["h0"], "gamma": str(k + 2)})
+        names.append(f"e{k}.json")
+    return write_json(tmp_path / "u.json", {
+        "instance": "norm-family", "depth": 12, "elements": names})
+
+
+def test_family_universe_element_of_another_depth_exits_two(capsys,
+                                                            tmp_path):
+    manifest = write_family_universe(tmp_path, [12, 14])
+    code, out, err = run(capsys, "order", "indep", "--universe", manifest)
+    assert (code, out, json.loads(err)) == (
+        2, None, {"error": "family element uses a different depth"})
+
+
+@pytest.mark.parametrize("action", ["generates", "basis"])
+def test_family_generator_of_another_depth_exits_two(capsys, tmp_path,
+                                                     action):
+    manifest = write_family_universe(tmp_path, [12, 12])
+    generator = write_json(tmp_path / "g.json",
+                           {"depth": 14, "subsetC": ["h0"], "gamma": "2"})
+    code, out, err = run(capsys, "order", action, "--universe", manifest,
+                         "--generator", generator)
+    assert (code, out, json.loads(err)) == (
+        2, None, {"error": "family element uses a different depth"})
