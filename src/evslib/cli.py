@@ -603,8 +603,13 @@ def _dumps(obj, indent: str = "\n") -> str:
 
 def _emit(doc: dict, out_path=None) -> None:
     # inputs hold parsed matrices; each is serialized here, once, to the same
-    # {"labels", "rows"} document a replayed report holds
-    print(_dumps(doc))
+    # {"labels", "rows"} document a replayed report holds. The whole report
+    # is rendered before any of it prints.
+    try:
+        print(_dumps(doc))
+    except RecursionError as exc:
+        raise InputError(
+            "an input is nested too deep to echo in the report") from exc
     if out_path:
         matrix = doc["report"].get("matrix")
         if matrix is not None:

@@ -956,6 +956,41 @@ def test_dimension_limit_admits_the_limit(instance):
     assert inst.name == f"{instance}[dim {MAX_DIM}]" and len(sample) == 2
 
 
+def nested(depth: int):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+# an unread key, nested 500 deep, that the report echoes: each loads, since
+# the JSON reader stops well past that depth, and only printing recurses
+DEEP = nested(500)
+DEEP_ECHO_INPUTS = {
+    "order-indep-manifest-note": lambda tmp: [
+        "order", "indep", "--universe", write_json(tmp / "u.json", {
+            "instance": "metrics", "note": DEEP,
+            "elements": [write_json(tmp / "d.json", builtin_metric(
+                "discrete", {}, 3).to_json())]})],
+    "norms-weights-spec-field": lambda tmp: [
+        "norms", "weights", "--spec", write_json(tmp / "p.json", {
+            "depth": 12, "subsetC": ["h0"], "gamma": "2", "extra": DEEP})],
+    "order-in-l-cone-element-field": lambda tmp: [
+        "order", "in-l", "--universe", write_json(tmp / "u.json", {
+            "instance": "cone", "dim": 2, "elements": ["x.json"]}),
+        "--x", write_json(tmp / "x.json", {"r": "1", "v": ["1", "0"],
+                                           "extra": DEEP}),
+        "--y", str(tmp / "x.json")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_ECHO_INPUTS))
+def test_echoed_input_nested_too_deep_exits_two(capsys, tmp_path, name):
+    code, out, err = run(capsys, *DEEP_ECHO_INPUTS[name](tmp_path))
+    assert (code, out, json.loads(err)) == (2, None, {
+        "error": "an input is nested too deep to echo in the report"})
+
+
 def write_family_universe(tmp_path, element_depths):
     """A depth-12 family universe whose elements have the given depths."""
     names = []
