@@ -53,7 +53,6 @@ from .norms import (
     weight_function,
 )
 from .order import (
-    LCertificate,
     Universe,
     down_set,
     feasible_in_universe,

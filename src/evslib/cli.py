@@ -308,7 +308,7 @@ def _run_order(inputs: dict):
         eps = None if eps is None else parse_rational(eps)
     if action == "in-l":
         x, y = element(inputs["x"]), element(inputs["y"])
-        doc = order.in_l(inst, x, y, universe).to_json(inst)
+        doc = order.in_l(inst, x, y, universe)
     elif action == "indep":
         doc = order.orderly_independent_set(inst, universe.elements, eps=eps,
                                             universe=universe)

@@ -13,19 +13,20 @@ executable over infinite carriers, so reports quantify only over the supplied
 element lists and say so. The set-level tools (independence, generation,
 bases, feasibility) return the JSON document they report, and fold their
 parts into one status in one order: fail, then inconclusive, then
-pass-with-eps or pass. A membership query returns an LCertificate, whose
-alpha and primitive stay in element form so the certificate can replay.
+pass-with-eps or pass. A membership query returns its report document too;
+the set-level reports embed it as it is and print each element once per
+call, and replay_certificate replays it from any emitted report.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import EvsInstance, minimal_elements
 from .errors import InputError
-from .rationals import fmt
+from .rationals import fmt, parse_rational
 
 POSITIVE = "positive"
 REFUTED = "refuted"
@@ -48,31 +49,6 @@ class Universe:
         self.instance, self.elements = instance, elements
 
 
-class LCertificate:
-    """Outcome of a testing-set membership query for (x, y): does y dominate a
-    nonzero multiple of x (plus a primitive)? The status is positive,
-    refuted or inconclusive; only the explicit-primitive route gives a
-    primitive."""
-
-    __slots__ = ("status", "alpha", "primitive", "reason")
-
-    def __init__(self, status: str, alpha: Optional[Fraction] = None,
-                 primitive: Optional[Any] = None,
-                 reason: Optional[str] = None):
-        self.status, self.alpha = status, alpha
-        self.primitive, self.reason = primitive, reason
-
-    def to_json(self, instance: Optional[EvsInstance] = None) -> dict:
-        doc = {"status": self.status}
-        if self.alpha is not None:
-            doc["alpha"] = fmt(self.alpha)
-        if self.primitive is not None and instance is not None:
-            doc["primitive"] = instance.element_to_json(self.primitive)
-        if self.reason is not None:
-            doc["reason"] = self.reason
-        return doc
-
-
 def _require_nonzero(instance: EvsInstance, *elements) -> None:
     if instance.zero is None:
         return
@@ -82,8 +58,10 @@ def _require_nonzero(instance: EvsInstance, *elements) -> None:
 
 
 def in_l(instance: EvsInstance, x, y,
-         universe: Optional[Universe] = None) -> LCertificate:
-    """Decide y in L(x).
+         universe: Optional[Universe] = None) -> dict:
+    """Decide y in L(x), as the document `evs order in-l` reports: a
+    positive, refuted or inconclusive "status", plus "alpha", "primitive" or
+    "reason".
 
     Instances with an exact comparing function get the maximal certificate
     alpha = comparing(x, y); zero, or a negative value on signed tables,
@@ -97,38 +75,37 @@ def in_l(instance: EvsInstance, x, y,
     if instance.comparing is not None:
         value = instance.comparing(x, y)
         if value > 0:
-            return LCertificate(POSITIVE, alpha=value)
-        return LCertificate(REFUTED, alpha=value,
-                            reason="comparing value is exactly zero"
-                            if value == 0 else "comparing value is negative")
+            return {"status": POSITIVE, "alpha": fmt(value)}
+        return {"status": REFUTED, "alpha": fmt(value),
+                "reason": "comparing value is exactly zero"
+                if value == 0 else "comparing value is negative"}
     if instance.lsolve is not None:
         if universe is None:
-            return LCertificate(
-                INCONCLUSIVE,
-                reason="primitive search needs a universe of candidates",
-            )
+            return {"status": INCONCLUSIVE, "reason":
+                    "primitive search needs a universe of candidates"}
         candidates = minimal_elements(
             list(universe.elements) + [instance.zero], instance
         )
         found = instance.lsolve(x, y, candidates)
         if found is not None:
             alpha, prim = found
-            return LCertificate(POSITIVE, alpha=alpha, primitive=prim)
-        return LCertificate(
-            INCONCLUSIVE,
-            reason="universe lacks a primitive witness for this pair",
-        )
-    return LCertificate(INCONCLUSIVE,
-                        reason="instance exposes no exact comparing function")
+            return {"status": POSITIVE, "alpha": fmt(alpha),
+                    "primitive": instance.element_to_json(prim)}
+        return {"status": INCONCLUSIVE, "reason":
+                "universe lacks a primitive witness for this pair"}
+    return {"status": INCONCLUSIVE,
+            "reason": "instance exposes no exact comparing function"}
 
 
-def replay_certificate(instance: EvsInstance, x, y, cert: LCertificate) -> bool:
-    """A positive certificate must replay as a concrete order inequality."""
-    if cert.status != POSITIVE:
+def replay_certificate(instance: EvsInstance, x, y, cert: dict) -> bool:
+    """A positive membership document must replay as the order inequality
+    alpha*x (+ primitive) <= y, read back as a report's inputs are."""
+    if cert.get("status") != POSITIVE:
         return False
-    scaled = instance.scale(cert.alpha, x)
-    if cert.primitive is not None:
-        scaled = instance.add(scaled, cert.primitive)
+    scaled = instance.scale(parse_rational(cert["alpha"]), x)
+    if "primitive" in cert:
+        scaled = instance.add(scaled,
+                              instance.element_from_json(cert["primitive"]))
     return instance.leq(scaled, y)
 
 
@@ -180,16 +157,14 @@ def orderly_independent_set(instance: EvsInstance, S: Sequence,
     epsilon = None if eps is None else Fraction(eps)
     pairs = []
     any_fail = any_eps = any_inconclusive = False
-    for x, y in combinations(S, 2):
-        entry = {"x": instance.element_to_json(x),
-                 "y": instance.element_to_json(y)}
+    named = zip(S, map(instance.element_to_json, S))
+    for (x, x_doc), (y, y_doc) in combinations(named, 2):
+        entry = {"x": x_doc, "y": y_doc}
         statuses = set()
         if instance.comparing is not None or instance.eps_independence is None:
-            fwd = in_l(instance, x, y, universe)    # y in L(x)?
-            bwd = in_l(instance, y, x, universe)    # x in L(y)?
-            entry["yInLx"] = fwd.to_json(instance)
-            entry["xInLy"] = bwd.to_json(instance)
-            statuses = {fwd.status, bwd.status}
+            entry["yInLx"] = fwd = in_l(instance, x, y, universe)  # y in L(x)?
+            entry["xInLy"] = bwd = in_l(instance, y, x, universe)  # x in L(y)?
+            statuses = {fwd["status"], bwd["status"]}
         if POSITIVE in statuses:
             any_fail = True
         elif statuses != {REFUTED}:
@@ -212,31 +187,31 @@ def generates(instance: EvsInstance, B: Sequence, universe: Universe) -> dict:
     from some element of B?"""
     B = list(B)
     _require_nonzero(instance, *B)
+    named = list(zip(B, map(instance.element_to_json, B)))
     coverage = []
     witness = None
     any_inconclusive = False
     for u in universe.elements:
         entry = {"element": instance.element_to_json(u), "generator": None}
         saw_inconclusive = False
-        for b in B:
+        for b, b_doc in named:
             cert = in_l(instance, b, u, universe)
-            if cert.status == POSITIVE:
-                entry["generator"] = instance.element_to_json(b)
-                entry["certificate"] = cert.to_json(instance)
+            if cert["status"] == POSITIVE:
+                entry["generator"], entry["certificate"] = b_doc, cert
                 break
-            if cert.status == INCONCLUSIVE:
+            if cert["status"] == INCONCLUSIVE:
                 saw_inconclusive = True
         else:
             entry["inconclusive"] = saw_inconclusive
             if saw_inconclusive:
                 any_inconclusive = True
             elif witness is None:
-                witness = u
+                witness = entry["element"]
         coverage.append(entry)
     doc = {"status": _fold(witness is not None, any_inconclusive),
            "universeRelative": True, "coverage": coverage}
     if witness is not None:
-        doc["failureWitness"] = instance.element_to_json(witness)
+        doc["failureWitness"] = witness
     return doc
 
 
@@ -265,13 +240,11 @@ def feasible_in_universe(instance: EvsInstance, x,
     any_inconclusive = False
     for y in below:
         cert = in_l(instance, x, y, universe)
-        entries.append({
-            "element": instance.element_to_json(y),
-            "certificate": cert.to_json(instance),
-        })
-        if cert.status == REFUTED and witness is None:
-            witness = y
-        elif cert.status == INCONCLUSIVE:
+        entries.append({"element": instance.element_to_json(y),
+                        "certificate": cert})
+        if cert["status"] == REFUTED and witness is None:
+            witness = entries[-1]["element"]
+        elif cert["status"] == INCONCLUSIVE:
             any_inconclusive = True
     doc = {
         "status": _fold(witness is not None, any_inconclusive),
@@ -280,5 +253,5 @@ def feasible_in_universe(instance: EvsInstance, x,
         "memberships": entries,
     }
     if witness is not None:
-        doc["failureWitness"] = instance.element_to_json(witness)
+        doc["failureWitness"] = witness
     return doc

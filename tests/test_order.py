@@ -1,7 +1,9 @@
 """Testing-set membership, independence, generators, bases, and feasibility
 over explicit finite universes."""
 
+import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -29,6 +31,7 @@ from evslib import (
     usual_metric,
     grid_carrier,
 )
+from evslib.cli import _universe_from_inline, main
 from evslib.instances import (
     carrier_labels,
     cone_element,
@@ -38,6 +41,7 @@ from evslib.instances import (
 from evslib.metrics import random_metric
 from evslib.norms import norm_family_instance
 from reference import rows
+from test_order_pins import run_job, write_inputs
 
 F = Fraction
 
@@ -69,19 +73,19 @@ rho, big = RHO.form, BIG.form
 
 def test_in_l_of_truncation_certificate_at_least_one():
     cert = in_l(INST, transform_min(BIG).form, big)
-    assert cert.status == "positive"
-    assert cert.alpha >= 1
+    assert cert["status"] == "positive"
+    assert F(cert["alpha"]) >= 1
     assert replay_certificate(INST, transform_min(BIG).form, big, cert)
 
 
 def test_in_l_bounded_companion_closed_form():
     cert = in_l(INST, big, transform_bounded(BIG).form)
-    assert cert.alpha == F(1, 5)  # 1/(1+M), M = 4
+    assert F(cert["alpha"]) == F(1, 5)  # 1/(1+M), M = 4
     assert replay_certificate(INST, big, transform_bounded(BIG).form, cert)
 
 
 def test_in_l_self():
-    assert in_l(INST, rho, rho).alpha == 1
+    assert F(in_l(INST, rho, rho)["alpha"]) == 1
 
 
 def test_in_l_rejects_zero_arguments():
@@ -91,19 +95,72 @@ def test_in_l_rejects_zero_arguments():
 
 def test_in_l_certificate_is_maximal():
     cert = in_l(INST, rho, big)
-    bumped = cert.alpha + F(1, 1000)
+    bumped = F(cert["alpha"]) + F(1, 1000)
     assert not INST.leq(scale_metric(bumped, RHO).form, big)
 
 
 def test_in_l_reports_a_negative_comparing_value_as_it_is():
     signed = tri4(1, -2, 3, 1, 1, 2).form    # min of BIG/signed is 3/-2
     cert = in_l(INST, signed, big)
-    assert cert.to_json() == {"status": "refuted", "alpha": "-3/2",
-                              "reason": "comparing value is negative"}
+    assert cert == {"status": "refuted", "alpha": "-3/2",
+                    "reason": "comparing value is negative"}
     touching = tri4(0, 2, 2, 2, 1, 2).form  # vanishes where RHO does not
-    assert in_l(INST, rho, touching).to_json() == {
+    assert in_l(INST, rho, touching) == {
         "status": "refuted", "alpha": "0/1",
         "reason": "comparing value is exactly zero"}
+
+
+@pytest.mark.parametrize("job", ["in-l-positive", "in-l-cone-lsolve"])
+def test_certificate_replays_from_the_printed_report(capsys, tmp_path, job):
+    write_inputs(tmp_path)
+    assert run_job(tmp_path, job) == 0
+    doc = json.loads(capsys.readouterr().out)
+    inputs, cert = doc["inputs"], doc["report"]
+    inst = _universe_from_inline(inputs["universe"]).instance
+    x, y = inst.element_from_json(inputs["x"]), inst.element_from_json(
+        inputs["y"])
+    assert cert["status"] == "positive"
+    assert ("primitive" in cert) == (job == "in-l-cone-lsolve")
+    assert replay_certificate(inst, x, y, cert)
+    if job == "in-l-positive":
+        bumped = {**cert, "alpha": str(F(cert["alpha"]) + F(1, 1000))}
+        assert not replay_certificate(inst, x, y, bumped)
+
+
+def test_refuted_certificate_does_not_replay():
+    touching = tri4(0, 2, 2, 2, 1, 2).form
+    assert not replay_certificate(INST, rho, touching,
+                                  in_l(INST, rho, touching))
+
+
+def counting_instance(inst):
+    """inst with an element_to_json that records each element it prints."""
+    printed = []
+
+    def element_to_json(e):
+        printed.append(e)
+        return inst.element_to_json(e)
+    return replace(inst, element_to_json=element_to_json), printed
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_independence_prints_each_element_once(n):
+    rng = random.Random(n)
+    inst, printed = counting_instance(INST)
+    S = [random_metric(rng, LABELS).form for _ in range(n)]
+    report = orderly_independent_set(inst, S)
+    assert printed == S
+    assert len(report["pairs"]) == n * (n - 1) // 2
+
+
+def test_generation_prints_each_generator_and_element_once():
+    inst, printed = counting_instance(INST)
+    touching = tri4(0, 2, 2, 2, 1, 2)
+    universe = Universe(inst, [rho, big, touching.form])
+    report = generates(inst, [big, rho], universe)
+    assert report["status"] == "fail"
+    assert report["failureWitness"] == touching.to_json()
+    assert printed == [big, rho, rho, big, touching.form]
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +303,7 @@ def test_cone_membership_uses_universe_primitives():
     x, y = cone_element(F(2), v), cone_element(F(3), v)
     universe = Universe(cone, [cone_element(F(0), v), x, y])
     cert = in_l(cone, x, y, universe)
-    assert cert.status == "positive"
+    assert cert["status"] == "positive"
     assert replay_certificate(cone, x, y, cert)
 
 
@@ -256,7 +313,7 @@ def test_cone_membership_inconclusive_without_primitive():
     x, y = cone_element(F(2), v), cone_element(F(3), w)
     universe = Universe(cone, [x, y])
     cert = in_l(cone, x, y, universe)
-    assert cert.status == "inconclusive"
+    assert cert["status"] == "inconclusive"
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +340,14 @@ def test_certificate_algebra_invariants():
         assert inst.leq(x, y)
         cert_yc = in_l(inst, y, c)
         cert_xc = in_l(inst, x, c)
-        if cert_yc.status == "positive":
-            assert cert_xc.status == "positive"
+        if cert_yc["status"] == "positive":
+            assert cert_xc["status"] == "positive"
 
         # scaling: certificates divide out the factor exactly
-        assert in_l(inst, inst.scale(alpha, a), c).alpha == cert_xc.alpha / alpha
+        assert F(in_l(inst, inst.scale(alpha, a), c)["alpha"]) == \
+            F(cert_xc["alpha"]) / alpha
 
         # transitivity: chained certificates compose multiplicatively
         cert_bc = in_l(inst, b, c)
-        assert in_l(inst, a, c).alpha >= cert_ab.alpha * cert_bc.alpha
+        assert F(in_l(inst, a, c)["alpha"]) >= \
+            F(cert_ab["alpha"]) * F(cert_bc["alpha"])
