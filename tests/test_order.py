@@ -31,7 +31,7 @@ from evslib import (
     usual_metric,
     grid_carrier,
 )
-from evslib.cli import _universe_from_inline, main
+from evslib.cli import _universe_from_inline
 from evslib.instances import (
     carrier_labels,
     cone_element,
