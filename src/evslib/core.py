@@ -83,46 +83,66 @@ class EvsInstance:
 # ---------------------------------------------------------------------------
 
 
-def _is_sample_minimal(inst: EvsInstance, z, sample) -> bool:
-    return not any(
-        inst.leq(y, z) and not inst.equal(y, z) for y in sample
-    )
-
-
 class _Context:
-    """The inputs of one run plus the derived sets its laws share, each
-    computed once, on first use, and the sums of sampled pairs."""
+    """The inputs of one run, the derived sets its laws share, and three
+    tables over the sample, each filled on first use.
+
+    `add`, `leq` and `scale` read a table when their element operands are
+    sampled: the sum and the order `inst.leq(x, y)` of each ordered pair,
+    in slot i*n + j, and `scale(a, x)` for each listed scalar a, in slot i of
+    a's row. Operands are told apart by identity, through the position index
+    `{id(x): i}` of the sample and the rows `{id(a): row}` of the scalars:
+    the sample and the scalar list keep their objects alive, so no other
+    object can share their ids. Any other operand, such as a sum, a
+    replayed element or the scalar a*b, goes to the instance operation
+    afresh."""
 
     def __init__(self, inst: EvsInstance, sample: list, scalars: list):
         self.inst = inst
         self.sample = sample
         self.scalars = scalars
-        self._sampled = {id(x) for x in sample}
-        self._sums: dict = {}
+        n = len(sample)
+        self._pos = {id(x): i for i, x in enumerate(sample)}
+        self._sums = [None] * (n * n)
+        self._order = [None] * (n * n)
+        self._scaled = {id(a): [None] * n for a in scalars}
 
     def add(self, x, y):
-        """inst.add(x, y), computed once per ordered pair of sampled elements.
-
-        The table is keyed by identity: the sample keeps its elements alive,
-        so no other object can share their ids. The pair stays ordered, so
-        x + y and y + x are still computed apart. Other operands are added
-        afresh on every call."""
-        key = (id(x), id(y))
-        total = self._sums.get(key)
+        i, j = self._pos.get(id(x)), self._pos.get(id(y))
+        if i is None or j is None:
+            return self.inst.add(x, y)
+        k = i * len(self.sample) + j
+        total = self._sums[k]
         if total is None:
-            total = self.inst.add(x, y)
-            if key[0] in self._sampled and key[1] in self._sampled:
-                self._sums[key] = total
+            total = self._sums[k] = self.inst.add(x, y)
         return total
+
+    def leq(self, x, y):
+        i, j = self._pos.get(id(x)), self._pos.get(id(y))
+        if i is None or j is None:
+            return self.inst.leq(x, y)
+        k = i * len(self.sample) + j
+        below = self._order[k]
+        if below is None:
+            below = self._order[k] = self.inst.leq(x, y)
+        return below
+
+    def scale(self, a, x):
+        row, i = self._scaled.get(id(a)), self._pos.get(id(x))
+        if row is None or i is None:
+            return self.inst.scale(a, x)
+        scaled = row[i]
+        if scaled is None:
+            scaled = row[i] = self.inst.scale(a, x)
+        return scaled
 
     @cached_property
     def comparable(self) -> list:
         """Sampled pairs with x < y."""
-        inst = self.inst
         return [
             (x, y)
             for x, y in product(self.sample, repeat=2)
-            if not inst.equal(x, y) and inst.leq(x, y)
+            if self.leq(x, y) and not self.inst.equal(x, y)
         ]
 
     @cached_property
@@ -131,15 +151,17 @@ class _Context:
         inst = self.inst
         return [
             p for p in self.sample
-            if _is_sample_minimal(inst, p, self.sample)
-            and inst.equal(inst.add(p, inst.scale(MINUS_ONE, p)), inst.zero)
+            if self.minimal(p)
+            and inst.equal(self.add(p, self.scale(MINUS_ONE, p)), inst.zero)
         ]
 
     def minimal(self, z) -> bool:
-        return _is_sample_minimal(self.inst, z, self.sample)
+        """No sampled element lies strictly below z."""
+        return not any(self.leq(y, z) and not self.inst.equal(y, z)
+                       for y in self.sample)
 
     def below(self, x) -> list:
-        return [p for p in self.primitives if self.inst.leq(p, x)]
+        return [p for p in self.primitives if self.leq(p, x)]
 
 
 def _a1_identity(c, x):
@@ -156,66 +178,56 @@ def _a1_associativity(c, x, y, z):
 
 
 def _a2_translation(c, x, y, z):
-    inst = c.inst
-    return (not inst.leq(x, y)) or inst.leq(c.add(x, z), c.add(y, z))
+    return (not c.leq(x, y)) or c.leq(c.add(x, z), c.add(y, z))
 
 
 def _a2_scaling(c, x, y, a):
-    inst = c.inst
-    return (not inst.leq(x, y)) or inst.leq(inst.scale(a, x), inst.scale(a, y))
+    return (not c.leq(x, y)) or c.leq(c.scale(a, x), c.scale(a, y))
 
 
 def _a3_i(c, x, y, a):
-    inst = c.inst
-    return inst.equal(
-        inst.scale(a, c.add(x, y)),
-        inst.add(inst.scale(a, x), inst.scale(a, y)),
-    )
+    return c.inst.equal(c.scale(a, c.add(x, y)),
+                        c.add(c.scale(a, x), c.scale(a, y)))
 
 
 def _a3_ii(c, x, a, b):
-    inst = c.inst
-    return inst.equal(inst.scale(a, inst.scale(b, x)), inst.scale(a * b, x))
+    return c.inst.equal(c.scale(a, c.scale(b, x)), c.scale(a * b, x))
 
 
 def _a3_iii(c, x, a, b):
-    inst = c.inst
-    return inst.leq(inst.scale(a + b, x),
-                    inst.add(inst.scale(a, x), inst.scale(b, x)))
+    return c.leq(c.scale(a + b, x), c.add(c.scale(a, x), c.scale(b, x)))
 
 
 def _a3_iv(c, x):
-    return c.inst.equal(c.inst.scale(ONE, x), x)
+    return c.inst.equal(c.scale(ONE, x), x)
 
 
 def _a4(c, x, a):
     inst = c.inst
-    vanishes = inst.equal(inst.scale(a, x), inst.zero)
+    vanishes = inst.equal(c.scale(a, x), inst.zero)
     return vanishes == ((a == 0) or inst.equal(x, inst.zero))
 
 
 def _a5(c, z):
-    inst = c.inst
-    additive = inst.equal(inst.add(z, inst.scale(MINUS_ONE, z)), inst.zero)
+    additive = c.inst.equal(c.add(z, c.scale(MINUS_ONE, z)), c.inst.zero)
     return additive == c.minimal(z)
 
 
 def _a6(c, x):
-    return any(c.inst.leq(p, x) for p in c.primitives)
+    return any(c.leq(p, x) for p in c.primitives)
 
 
 def _balanced(c, x, a):
-    return c.inst.leq(c.inst.scale(a, x), x)
+    return c.leq(c.scale(a, x), x)
 
 
 def _homogeneous(c, x, a):
-    return c.inst.equal(c.inst.scale(a, x), c.inst.scale(abs(a), x))
+    return c.inst.equal(c.scale(a, x), c.scale(abs(a), x))
 
 
 def _convex(c, x, a, b):
-    inst = c.inst
-    return inst.equal(inst.scale(a + b, x),
-                      inst.add(inst.scale(a, x), inst.scale(b, x)))
+    return c.inst.equal(c.scale(a + b, x),
+                        c.add(c.scale(a, x), c.scale(b, x)))
 
 
 def _zero_primitive(c, x):
@@ -464,5 +476,6 @@ def minimal_elements(universe: Sequence, inst: EvsInstance) -> list:
     universe = list(universe)
     if not universe:
         raise InputError("universe must be nonempty")
-    return [u for u in universe if _is_sample_minimal(inst, u, universe)]
+    minimal = _Context(inst, universe, []).minimal
+    return [u for u in universe if minimal(u)]
 

@@ -431,6 +431,8 @@ _METRIC_INSTANCES = {
 def build_instance(name: str, *, carrier: int = 6, depth: int = 12,
                    dim: int = 2, seed: int = 0, sample: int = 50):
     """Return (instance, sample, scalars) for a named instance."""
+    if not isinstance(name, str):
+        raise InputError("an instance name must be a string")
     if sample > MAX_SAMPLE:
         raise InputError(f"sample size {sample} exceeds the limit of "
                          f"{MAX_SAMPLE}")

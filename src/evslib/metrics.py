@@ -681,6 +681,8 @@ BUILTIN_NAMES = tuple(_BUILTINS)
 def builtin_lazy(name: str, params: Optional[dict] = None) -> LazyMetric:
     """Construct a named closed-form metric on its canonical carrier."""
     params = dict(params or {})
+    if not isinstance(name, str):
+        raise InputError("a builtin metric name must be a string")
     if name not in _BUILTINS:
         raise InputError(f"unknown builtin metric {name!r}; choose from {BUILTIN_NAMES}")
     required, optional, missing, make = _BUILTINS[name]

@@ -690,6 +690,26 @@ def test_replayed_non_integer_input_is_input_error(capsys, tmp_path, name):
         2, None, 1, {"error": error})
 
 
+AXIOM_INPUTS = {"seed": 0, "sample": 4, "carrier": 6, "depth": 12, "dim": 2,
+                "properties": False}
+
+
+@pytest.mark.parametrize("command, inputs, error", [
+    ("axioms", dict(AXIOM_INPUTS, instance=instance),
+     "an instance name must be a string")
+    for instance in (["x"], {"name": "metrics"})] + [
+    ("builtin", {"name": name, "params": {}, "depth": 3},
+     "a builtin metric name must be a string")
+    for name in (["discrete"], {})])
+def test_replayed_non_string_name_is_input_error(capsys, tmp_path, command,
+                                                 inputs, error):
+    report = write_json(tmp_path / "r.json", {
+        "command": command, "inputs": inputs, "report": {}})
+    code, out, err = run(capsys, "--replay", report)
+    assert (code, out, err.count("\n"), json.loads(err)) == (
+        2, None, 1, {"error": error})
+
+
 @pytest.mark.parametrize("depth, shown", [
     ('"abc"', "'abc'"), ("1e400", "inf"), ("12.5", "12.5"), ('"12"', "'12'")])
 def test_non_integer_family_spec_depth_is_input_error(capsys, tmp_path,

@@ -1,6 +1,7 @@
 """The exact integer kernel of the pointwise, cone and hyperspace instances
 and the integer triangle check, against plain Fraction references on random
-inputs, and the verifier's table of pair sums."""
+inputs, and the verifier's tables of sums, orders and scalings of sampled
+elements."""
 
 from collections import Counter
 from dataclasses import replace
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evslib import (InputError, MetricMatrix, check_axioms,
+from evslib import (InputError, MetricMatrix, check_axioms, check_properties,
                     replay_counterexample, validate_metric)
 from evslib.instances import (
     build_instance,
@@ -293,6 +294,54 @@ def test_no_sampled_pair_is_added_twice(name):
     check_axioms(replace(inst, add=add), sample, scalars, seed=0)
     assert calls and max(calls.values()) == 1
     assert any((b, a) in calls for a, b in calls if a != b)
+
+
+def sampled_pair(sampled, listed, x, y):
+    return (id(x), id(y)) if id(x) in sampled and id(y) in sampled else None
+
+
+def listed_scaling(sampled, listed, a, x):
+    return (id(a), id(x)) if id(a) in listed and id(x) in sampled else None
+
+
+@pytest.mark.parametrize("op, tabled", (("leq", sampled_pair),
+                                        ("scale", listed_scaling)))
+@pytest.mark.parametrize("name", ("metrics", "norms", "cone", "hyperspace",
+                                  "metrics-reversed-order",
+                                  "metrics-no-abs-scale"))
+def test_no_tabled_operation_is_computed_twice(name, op, tabled):
+    """Each suite tests the order of each ordered pair of sampled elements
+    once at most, and scales each sampled element by each listed scalar
+    once at most."""
+    inst, sample, scalars = build_instance(name, seed=0, sample=12)
+    sampled = {id(x) for x in sample}
+    listed = {id(a) for a in scalars}
+    for suite in (lambda i: check_axioms(i, sample, scalars, seed=0),
+                  lambda i: check_properties(i, sample, scalars)):
+        calls = Counter()
+
+        def counted(*operands):
+            key = tabled(sampled, listed, *operands)
+            if key is not None:
+                calls[key] += 1
+            return getattr(inst, op)(*operands)
+
+        suite(replace(inst, **{op: counted}))
+        assert calls and max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("name, law", (("metrics-no-abs-scale", "A2.scaling"),
+                                       ("metrics-reversed-order", "A3.iii")))
+def test_counterexample_read_back_from_json_replays(name, law):
+    """Replayed elements are parsed afresh, so none is a sample object: the
+    laws reach the instance operations directly, with the sample given to
+    replay or without it."""
+    inst, sample, scalars = build_instance(name, seed=0, sample=12)
+    ce = next(entry["counterexample"]
+              for entry in check_axioms(inst, sample, scalars, seed=0)["axioms"]
+              if entry.get("counterexample", {}).get("law") == law)
+    for known in (sample, None):
+        assert replay_counterexample(inst, ce, known) is True
 
 
 # ---------------------------------------------------------------------------
