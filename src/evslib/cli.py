@@ -285,10 +285,8 @@ def _run_axioms(inputs: dict):
             for key in ("carrier", "depth", "dim", "seed", "sample")}
     inst, sample, scalars = instances.build_instance(inputs["instance"],
                                                      **ints)
-    doc = core.check_axioms(inst, sample, scalars, ints["seed"])
-    if inputs.get("properties"):
-        doc["properties"] = core.check_properties(
-            inst, sample, scalars)["properties"]
+    doc = core.check_axioms(inst, sample, scalars, ints["seed"],
+                            properties=bool(inputs.get("properties")))
     return doc, 0 if doc["pass"] else 1
 
 

@@ -20,7 +20,12 @@ characterization p + (-1)p = zero. The verifier refutes; it never certifies a
 carrier-wide claim. Every failure carries a counterexample that re-evaluates
 to a violation when replayed through the instance operations.
 
-Both suites and replay read one table of laws (AXIOMS, PROPERTIES). An entry
+Both suites and replay read one table of laws (AXIOMS, PROPERTIES). A law
+takes positions in a context's sample and scalars, and reads by index the
+sums and orders of ordered sampled pairs and the scalings of sampled
+elements by listed scalars, each table built whole on first use; `evs
+axioms --properties` runs both suites on one context. Replay runs the law
+on the given sample followed by the counterexample's elements. An entry
 is not-applicable when its laws found nothing to check: A2 with no comparable
 sampled pair, additive-primitive with no pair whose primitive sets are
 witnessed in the sample. A report passes only when every entry passes, so
@@ -84,197 +89,220 @@ class EvsInstance:
 
 
 class _Context:
-    """The inputs of one run, the derived sets its laws share, and three
-    tables over the sample, each filled on first use.
+    """The inputs of one run, by position, and the tables its laws read.
 
-    `add`, `leq` and `scale` read a table when their element operands are
-    sampled: the sum and the order `inst.leq(x, y)` of each ordered pair,
-    in slot i*n + j, and `scale(a, x)` for each listed scalar a, in slot i of
-    a's row. Operands are told apart by identity, through the position index
-    `{id(x): i}` of the sample and the rows `{id(a): row}` of the scalars:
-    the sample and the scalar list keep their objects alive, so no other
-    object can share their ids. Any other operand, such as a sum, a
-    replayed element or the scalar a*b, goes to the instance operation
-    afresh."""
+    A law reaches elements and scalars through their positions: `sample[i]`
+    and `scalars[a]`. Three tables over the sample are built whole when a
+    law first needs them, and are read by index: the sums
+    `sums[i*n + j] = sample[i] + sample[j]` and the orders
+    `order[i*n + j] = leq(sample[i], sample[j])`, flat lists of n*n slots,
+    and `scaled[a][i] = scalars[a] * sample[i]`, one row per listed scalar.
+    The products and sums of each pair of listed scalars are tables too.
+    Every other operand, such as a sum, the product (a*b)x, the scaling
+    |a|x or (a+b)x, goes to the instance operation afresh.
 
-    def __init__(self, inst: EvsInstance, sample: list, scalars: list):
-        self.inst = inst
-        self.sample = sample
-        self.scalars = scalars
-        n = len(sample)
-        self._pos = {id(x): i for i, x in enumerate(sample)}
-        self._sums = [None] * (n * n)
-        self._order = [None] * (n * n)
-        self._scaled = {id(a): [None] * n for a in scalars}
+    One context serves both suites of a run. Replay builds one for a single
+    counterexample: its sample is the given sample followed by the
+    counterexample's elements, and its scalars are the counterexample's.
+    The sample-relative predicates (`minimal`, `primitives`, `below`) range
+    over the first `m` positions only, the given sample; in a run, m = n."""
 
-    def add(self, x, y):
-        i, j = self._pos.get(id(x)), self._pos.get(id(y))
-        if i is None or j is None:
-            return self.inst.add(x, y)
-        k = i * len(self.sample) + j
-        total = self._sums[k]
-        if total is None:
-            total = self._sums[k] = self.inst.add(x, y)
-        return total
+    def __init__(self, inst: EvsInstance, sample: list, scalars: list,
+                 m: Optional[int] = None):
+        self.inst, self.sample, self.scalars = inst, sample, scalars
+        self.n = len(sample)
+        self.m = self.n if m is None else m
 
-    def leq(self, x, y):
-        i, j = self._pos.get(id(x)), self._pos.get(id(y))
-        if i is None or j is None:
-            return self.inst.leq(x, y)
-        k = i * len(self.sample) + j
-        below = self._order[k]
-        if below is None:
-            below = self._order[k] = self.inst.leq(x, y)
-        return below
+    @cached_property
+    def sums(self) -> list:
+        add, s = self.inst.add, self.sample
+        return [add(x, y) for x in s for y in s]
 
-    def scale(self, a, x):
-        row, i = self._scaled.get(id(a)), self._pos.get(id(x))
-        if row is None or i is None:
-            return self.inst.scale(a, x)
-        scaled = row[i]
-        if scaled is None:
-            scaled = row[i] = self.inst.scale(a, x)
-        return scaled
+    @cached_property
+    def order(self) -> list:
+        leq, s = self.inst.leq, self.sample
+        return [leq(x, y) for x in s for y in s]
+
+    @cached_property
+    def scaled(self) -> list:
+        scale, s = self.inst.scale, self.sample
+        return [[scale(a, x) for x in s] for a in self.scalars]
+
+    @cached_property
+    def products(self) -> list:
+        """products[a][b] = scalars[a] * scalars[b]."""
+        return [[a * b for b in self.scalars] for a in self.scalars]
+
+    @cached_property
+    def scalar_sums(self) -> list:
+        """scalar_sums[a][b] = scalars[a] + scalars[b]."""
+        return [[a + b for b in self.scalars] for a in self.scalars]
 
     @cached_property
     def comparable(self) -> list:
-        """Sampled pairs with x < y."""
-        return [
-            (x, y)
-            for x, y in product(self.sample, repeat=2)
-            if self.leq(x, y) and not self.inst.equal(x, y)
-        ]
+        """Positions (i, j) of sampled pairs with sample[i] < sample[j]."""
+        order, s, equal, n = self.order, self.sample, self.inst.equal, self.n
+        return [(i, j) for i in range(n) for j in range(n)
+                if order[i * n + j] and not equal(s[i], s[j])]
 
     @cached_property
     def primitives(self) -> list:
-        """Sampled elements that are order-minimal and additively characterized."""
-        inst = self.inst
-        return [
-            p for p in self.sample
-            if self.minimal(p)
-            and inst.equal(self.add(p, self.scale(MINUS_ONE, p)), inst.zero)
-        ]
+        """Positions of the sampled elements that are order-minimal and
+        additively characterized."""
+        return [p for p in range(self.m)
+                if self.minimal(p) and _characterized(self.inst,
+                                                      self.sample[p])]
 
-    def minimal(self, z) -> bool:
-        """No sampled element lies strictly below z."""
-        return not any(self.leq(y, z) and not self.inst.equal(y, z)
-                       for y in self.sample)
+    def minimal(self, i: int) -> bool:
+        """No sampled element lies strictly below sample[i]."""
+        order, s, equal, n = self.order, self.sample, self.inst.equal, self.n
+        z = s[i]
+        return not any(order[k * n + i] and not equal(s[k], z)
+                       for k in range(self.m))
 
-    def below(self, x) -> list:
-        return [p for p in self.primitives if self.leq(p, x)]
+    def below(self, i: int) -> list:
+        order, n = self.order, self.n
+        return [p for p in self.primitives if order[p * n + i]]
 
 
-def _a1_identity(c, x):
+def _characterized(inst: EvsInstance, x) -> bool:
+    """x + (-1)x = zero."""
+    return inst.equal(inst.add(x, inst.scale(MINUS_ONE, x)), inst.zero)
+
+
+def _a1_identity(c, i):
+    x = c.sample[i]
     return c.inst.equal(c.inst.add(x, c.inst.zero), x)
 
 
-def _a1_commutativity(c, x, y):
-    return c.inst.equal(c.add(x, y), c.add(y, x))
+def _a1_commutativity(c, i, j):
+    S, n = c.sums, c.n
+    return c.inst.equal(S[i * n + j], S[j * n + i])
 
 
-def _a1_associativity(c, x, y, z):
+def _a1_associativity(c, i, j, k):
+    inst, S, s, n = c.inst, c.sums, c.sample, c.n
+    return inst.equal(inst.add(S[i * n + j], s[k]),
+                      inst.add(s[i], S[j * n + k]))
+
+
+def _a2_translation(c, i, j, k):
+    S, n = c.sums, c.n
+    return (not c.order[i * n + j]) or c.inst.leq(S[i * n + k], S[j * n + k])
+
+
+def _a2_scaling(c, i, j, a):
+    row = c.scaled[a]
+    return (not c.order[i * c.n + j]) or c.inst.leq(row[i], row[j])
+
+
+def _a3_i(c, i, j, a):
+    inst, row = c.inst, c.scaled[a]
+    return inst.equal(inst.scale(c.scalars[a], c.sums[i * c.n + j]),
+                      inst.add(row[i], row[j]))
+
+
+def _a3_ii(c, i, a, b):
     inst = c.inst
-    return inst.equal(inst.add(c.add(x, y), z), inst.add(x, c.add(y, z)))
+    return inst.equal(inst.scale(c.scalars[a], c.scaled[b][i]),
+                      inst.scale(c.products[a][b], c.sample[i]))
 
 
-def _a2_translation(c, x, y, z):
-    return (not c.leq(x, y)) or c.leq(c.add(x, z), c.add(y, z))
+def _a3_iii(c, i, a, b):
+    inst, SC = c.inst, c.scaled
+    return inst.leq(inst.scale(c.scalar_sums[a][b], c.sample[i]),
+                    inst.add(SC[a][i], SC[b][i]))
 
 
-def _a2_scaling(c, x, y, a):
-    return (not c.leq(x, y)) or c.leq(c.scale(a, x), c.scale(a, y))
+def _a3_iv(c, i):
+    x = c.sample[i]
+    return c.inst.equal(c.inst.scale(ONE, x), x)
 
 
-def _a3_i(c, x, y, a):
-    return c.inst.equal(c.scale(a, c.add(x, y)),
-                        c.add(c.scale(a, x), c.scale(a, y)))
-
-
-def _a3_ii(c, x, a, b):
-    return c.inst.equal(c.scale(a, c.scale(b, x)), c.scale(a * b, x))
-
-
-def _a3_iii(c, x, a, b):
-    return c.leq(c.scale(a + b, x), c.add(c.scale(a, x), c.scale(b, x)))
-
-
-def _a3_iv(c, x):
-    return c.inst.equal(c.scale(ONE, x), x)
-
-
-def _a4(c, x, a):
+def _a4(c, i, a):
     inst = c.inst
-    vanishes = inst.equal(c.scale(a, x), inst.zero)
-    return vanishes == ((a == 0) or inst.equal(x, inst.zero))
+    vanishes = inst.equal(c.scaled[a][i], inst.zero)
+    return vanishes == ((c.scalars[a] == 0)
+                        or inst.equal(c.sample[i], inst.zero))
 
 
-def _a5(c, z):
-    additive = c.inst.equal(c.add(z, c.scale(MINUS_ONE, z)), c.inst.zero)
-    return additive == c.minimal(z)
+def _a5(c, i):
+    return _characterized(c.inst, c.sample[i]) == c.minimal(i)
 
 
-def _a6(c, x):
-    return any(c.leq(p, x) for p in c.primitives)
+def _a6(c, i):
+    order, n = c.order, c.n
+    return any(order[p * n + i] for p in c.primitives)
 
 
-def _balanced(c, x, a):
-    return c.leq(c.scale(a, x), x)
+def _balanced(c, i, a):
+    return c.inst.leq(c.scaled[a][i], c.sample[i])
 
 
-def _homogeneous(c, x, a):
-    return c.inst.equal(c.scale(a, x), c.scale(abs(a), x))
+def _homogeneous(c, i, a):
+    inst = c.inst
+    return inst.equal(c.scaled[a][i],
+                      inst.scale(abs(c.scalars[a]), c.sample[i]))
 
 
-def _convex(c, x, a, b):
-    return c.inst.equal(c.scale(a + b, x),
-                        c.add(c.scale(a, x), c.scale(b, x)))
+def _convex(c, i, a, b):
+    inst, SC = c.inst, c.scaled
+    return inst.equal(inst.scale(c.scalar_sums[a][b], c.sample[i]),
+                      inst.add(SC[a][i], SC[b][i]))
 
 
-def _zero_primitive(c, x):
-    return not c.minimal(x) or c.inst.equal(x, c.inst.zero)
+def _zero_primitive(c, i):
+    return not c.minimal(i) or c.inst.equal(c.sample[i], c.inst.zero)
 
 
-def _single_primitive(c, x):
-    return len(c.below(x)) == 1
+def _single_primitive(c, i):
+    return len(c.below(i)) == 1
 
 
-def _additive_primitive(c, x, y):
+def _additive_primitive(c, i, j):
     """Scored only when x, y and x + y have primitives below them and every
     sum of a primitive below x and one below y is witnessed in the sample;
     None otherwise."""
-    inst = c.inst
-    px, py = c.below(x), c.below(y)
+    inst, S, s, n = c.inst, c.sums, c.sample, c.n
+    px, py = c.below(i), c.below(j)
     if not px or not py:
         return None
-    ptotal = c.below(c.add(x, y))
-    sums = [c.add(p, q) for p in px for q in py]
+    total = S[i * n + j]
+    ptotal = [s[p] for p in c.primitives if inst.leq(s[p], total)]
+    sums = [S[p * n + q] for p in px for q in py]
+    witnessed = s[:c.m]
     if not ptotal or not all(
-        any(inst.equal(s, t) for t in c.sample) for s in sums
+        any(inst.equal(x, t) for t in witnessed) for x in sums
     ):
         return None
     return all(
-        any(inst.equal(s, t) for t in ptotal) for s in sums
+        any(inst.equal(x, t) for t in ptotal) for x in sums
     ) and all(
-        any(inst.equal(t, s) for s in sums) for t in ptotal
+        any(inst.equal(t, x) for x in sums) for t in ptotal
     )
 
 
 def _each(c):
-    return ((x,) for x in c.sample)
+    return ((i,) for i in range(c.n))
+
+
+def _listed(c):
+    return range(len(c.scalars))
 
 
 class Law:
     """One checkable law.
 
     `holds(c, *elements, *scalars)` is True when the tuple satisfies the law,
-    False on a violation, and None when the tuple is outside the law's scope.
-    `tuples(c)` yields the arguments after `c` as one flat tuple, elements
-    then scalars, in checking order. Laws sharing an `entry` (default: their
-    own name) roll into one report entry, which stops at the first
-    violation. An entry none of whose tuples is scored is not-applicable
-    when its first law gives a `reason`, and passes otherwise.
-    `detail(c, *elements)` adds fields to a counterexample. `scalars` is the
-    number of trailing scalar arguments of `holds`.
+    False on a violation, and None when the tuple is outside the law's scope;
+    its arguments are positions in `c.sample` and then in `c.scalars`.
+    `tuples(c)` yields the arguments after `c` as one flat tuple of
+    positions, elements then scalars, in checking order. Laws sharing an
+    `entry` (default: their own name) roll into one report entry, which
+    stops at the first violation. An entry none of whose tuples is scored is
+    not-applicable when its first law gives a `reason`, and passes
+    otherwise. `detail(c, *elements)` adds fields to a counterexample.
+    `scalars` is the number of trailing scalar arguments of `holds`.
     """
 
     __slots__ = ("name", "holds", "tuples", "entry", "sample_relative",
@@ -302,45 +330,45 @@ _NO_COMPARABLE = "no comparable pairs in sample"
 AXIOMS: tuple[Law, ...] = (
     Law("A1.identity", _a1_identity, _each, entry="A1"),
     Law("A1.commutativity", _a1_commutativity,
-        lambda c: combinations(c.sample, 2), entry="A1"),
+        lambda c: combinations(range(c.n), 2), entry="A1"),
     Law("A1.associativity", _a1_associativity,
-        lambda c: combinations(c.sample, 3), entry="A1"),
+        lambda c: combinations(range(c.n), 3), entry="A1"),
     Law("A2.translation", _a2_translation, lambda c: (
-        (x, y, z) for x, y in c.comparable for z in c.sample),
+        (i, j, k) for i, j in c.comparable for k in range(c.n)),
         entry="A2", reason=_NO_COMPARABLE),
     Law("A2.scaling", _a2_scaling, lambda c: (
-        (x, y, a) for x, y in c.comparable for a in c.scalars),
+        (i, j, a) for i, j in c.comparable for a in _listed(c)),
         entry="A2", reason=_NO_COMPARABLE, scalars=1),
     Law("A3.i", _a3_i, lambda c: (
-        (x, y, a) for x, y in combinations(c.sample, 2) for a in c.scalars),
-        scalars=1),
+        (i, j, a) for i, j in combinations(range(c.n), 2)
+        for a in _listed(c)), scalars=1),
     Law("A3.ii", _a3_ii, lambda c: (
-        (x, a, b) for x in c.sample for a, b in product(c.scalars, repeat=2)),
-        scalars=2),
+        (i, a, b) for i in range(c.n)
+        for a, b in product(_listed(c), repeat=2)), scalars=2),
     Law("A3.iii", _a3_iii, lambda c: (
-        (x, a, b) for x in c.sample
-        for a, b in combinations_with_replacement(c.scalars, 2)), scalars=2),
+        (i, a, b) for i in range(c.n)
+        for a, b in combinations_with_replacement(_listed(c), 2)), scalars=2),
     Law("A3.iv", _a3_iv, _each),
     Law("A4", _a4, lambda c: (
-        (x, a) for x in c.sample for a in c.scalars), scalars=1),
+        (i, a) for i in range(c.n) for a in _listed(c)), scalars=1),
     Law("A5", _a5, _each, sample_relative=True),
     Law("A6", _a6, _each, sample_relative=True),
 )
 
 PROPERTIES: tuple[Law, ...] = (
     Law("balanced", _balanced, lambda c: (
-        (x, a) for x in c.sample for a in c.scalars if abs(a) <= 1),
-        scalars=1),
+        (i, a) for i in range(c.n) for a in _listed(c)
+        if abs(c.scalars[a]) <= 1), scalars=1),
     Law("homogeneous", _homogeneous, lambda c: (
-        (x, a) for x in c.sample for a in c.scalars), scalars=1),
+        (i, a) for i in range(c.n) for a in _listed(c)), scalars=1),
     Law("convex", _convex, lambda c: (
-        (x, a, b) for x in c.sample for a, b in combinations_with_replacement(
-            [a for a in c.scalars if a >= 0], 2)), scalars=2),
+        (i, a, b) for i in range(c.n) for a, b in combinations_with_replacement(
+            [a for a in _listed(c) if c.scalars[a] >= 0], 2)), scalars=2),
     Law("zero-primitive", _zero_primitive, _each, sample_relative=True),
     Law("single-primitive", _single_primitive, _each, sample_relative=True,
-        detail=lambda c, x: {"primitiveCount": len(c.below(x))}),
+        detail=lambda c, i: {"primitiveCount": len(c.below(i))}),
     Law("additive-primitive", _additive_primitive,
-        lambda c: combinations_with_replacement(c.sample, 2),
+        lambda c: combinations_with_replacement(range(c.n), 2),
         sample_relative=True,
         reason="no pair with fully witnessed primitive sets"),
 )
@@ -370,8 +398,8 @@ def _counterexample(c: _Context, law: Law, args: tuple) -> dict:
     els, scs = args[:n], args[n:]
     ce = {
         "law": law.name,
-        "elements": [c.inst.element_to_json(e) for e in els],
-        "scalars": [fmt(a) for a in scs],
+        "elements": [c.inst.element_to_json(c.sample[i]) for i in els],
+        "scalars": [fmt(c.scalars[a]) for a in scs],
     }
     if law.detail is not None:
         ce.update(law.detail(c, *els))
@@ -385,8 +413,9 @@ def _check_entry(c: _Context, name: str, laws: list[Law]) -> dict:
              "sampleRelative": head.sample_relative}
     scored = False
     for law in laws:
+        holds = law.holds
         for args in law.tuples(c):
-            verdict = law.holds(c, *args)
+            verdict = holds(c, *args)
             if verdict is None:
                 continue
             if not verdict:
@@ -410,16 +439,21 @@ def _report(c: _Context, suite: str, laws: Sequence[Law], **header) -> dict:
 
 
 def check_axioms(inst: EvsInstance, sample: Sequence, scalars: Sequence,
-                 seed: int) -> dict:
+                 seed: int, properties: bool = False) -> dict:
     """Run A1-A6 over the sample; all pairs and triples are exhausted.
 
     A5/A6 verdicts are sample-relative by necessity and are flagged so. The
     seed is recorded for report replay; the sample itself is an input and is
-    expected to be deterministic in it.
+    expected to be deterministic in it. With `properties`, the entries of
+    the property suite, run on the same context, follow under "properties";
+    "pass" still follows the axioms alone.
     """
     c = _context(inst, sample, scalars)
-    return _report(c, "axioms", AXIOMS, seed=seed, sampleSize=len(c.sample),
-                   scalars=[fmt(a) for a in c.scalars])
+    doc = _report(c, "axioms", AXIOMS, seed=seed, sampleSize=c.n,
+                  scalars=[fmt(a) for a in c.scalars])
+    if properties:
+        doc["properties"] = _report(c, "properties", PROPERTIES)["properties"]
+    return doc
 
 
 def check_properties(inst: EvsInstance, sample: Sequence,
@@ -441,6 +475,8 @@ def replay_counterexample(inst: EvsInstance, ce: dict,
     """Re-evaluate a recorded counterexample; True means the violation is
     reproduced (the law predicate fails again). Sample-relative laws are
     judged against the sample they were found in, so it must be given.
+    The law runs on a context of the sample followed by the
+    counterexample's elements, with the counterexample's scalars.
     A malformed counterexample (unknown law, missing or non-list elements or
     scalars, the wrong number of either, an unreadable element) raises
     InputError."""
@@ -458,10 +494,10 @@ def replay_counterexample(inst: EvsInstance, ce: dict,
             law.name, *law.arity))
     if law.sample_relative and sample is None:
         raise InputError(f"{law.name} is sample-relative: replay needs the sample")
-    c = _Context(inst, list(sample or ()), [])
-    els = [inst.element_from_json(e) for e in elements]
-    scs = [parse_rational(a) for a in scalars]
-    verdict = law.holds(c, *els, *scs)
+    given = list(sample or ())
+    m, els = len(given), [inst.element_from_json(e) for e in elements]
+    c = _Context(inst, given + els, [parse_rational(a) for a in scalars], m)
+    verdict = law.holds(c, *range(m, m + len(els)), *range(len(scalars)))
     return verdict is not None and not verdict
 
 
@@ -472,10 +508,11 @@ def replay_counterexample(inst: EvsInstance, ce: dict,
 
 def minimal_elements(universe: Sequence, inst: EvsInstance) -> list:
     """All universe elements with no distinct universe element below them;
-    this is the sample-relative minimal set, not a carrier-wide claim."""
+    this is the sample-relative minimal set, not a carrier-wide claim. Each
+    scan stops at the first element found below."""
     universe = list(universe)
     if not universe:
         raise InputError("universe must be nonempty")
-    minimal = _Context(inst, universe, []).minimal
-    return [u for u in universe if minimal(u)]
-
+    leq, equal = inst.leq, inst.equal
+    return [z for z in universe
+            if not any(leq(y, z) and not equal(y, z) for y in universe)]

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import sys
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -409,19 +410,31 @@ def _log_ratio(big: int, small: int) -> float:
     return math.log1p((big - small) / small)
 
 
+def _log_log_ratio(big: int, small: int) -> float:
+    """log(log(big / small)) for integers big > small >= 1, finite even where
+    log(big / small) underflows: there it is log((big - small) / small)."""
+    log = _log_ratio(big, small)
+    if log >= sys.float_info.min:
+        return math.log(log)
+    return math.log(big - small) - math.log(small)
+
+
 def _decay_index_estimate(a: int, b: int, e: int, f: int) -> int:
-    """ceil(log(eps) / log(base)) in floats for base = a/b and eps = e/f;
-    1 when log(base) rounds to zero. Only a starting point for the exact
-    search."""
-    log_base = _log_ratio(b, a)
-    if log_base <= 0:
-        return 1
-    return max(1, math.ceil(_log_ratio(f, e) / log_base))
+    """ceil(log(eps) / log(base)) in floats for base = a/b and eps = e/f,
+    taken as the difference of the logs of the two logs when either log
+    underflows. Only a starting point for the exact search."""
+    log_base, log_eps = _log_ratio(b, a), _log_ratio(f, e)
+    if log_base >= sys.float_info.min and log_eps >= sys.float_info.min:
+        return max(1, math.ceil(log_eps / log_base))
+    log_index = _log_log_ratio(f, e) - _log_log_ratio(b, a)
+    return max(1, math.ceil(math.exp(min(log_index, 700.0))))  # exp(710) overflows
 
 
-def _smallest_decay_index(base: Fraction, eps: Fraction) -> tuple[int, Fraction]:
+def _smallest_decay_index(base: Fraction, eps: Fraction,
+                          limit: Optional[int] = None
+                          ) -> tuple[int, Fraction]:
     """The least i >= 1 with base**i < eps, and base**i, for 0 < base < 1
-    and 0 < eps < 1.
+    and 0 < eps < 1; InputError when that i is past `limit`.
 
     base**i < eps is a**i * f < e * b**i for base = a/b and eps = e/f, which
     holds from some i on and then for every larger i. The search starts at
@@ -431,10 +444,18 @@ def _smallest_decay_index(base: Fraction, eps: Fraction) -> tuple[int, Fraction]
     estimate are computed once: a test above it multiplies them, a test
     just below it divides them exactly, and when the estimate is the answer,
     as it is unless floats mislead it, they are the returned ratio.
+
+    With a limit, an estimate past twice the limit is refused at once, the
+    search starts no higher than the limit and never tests past it, so no
+    power past base**limit is built.
     """
     a, b = base.numerator, base.denominator
     e, f = eps.numerator, eps.denominator
+    cap = math.inf if limit is None else limit
     i = _decay_index_estimate(a, b, e, f)
+    if i > 2 * cap:
+        raise _past_limit(limit)
+    i = min(i, cap)
     guess = base ** i
     ga, gb = guess.numerator, guess.denominator
 
@@ -456,8 +477,10 @@ def _smallest_decay_index(base: Fraction, eps: Fraction) -> tuple[int, Fraction]
         lo = max(lo, 0)               # base**0 = 1 > eps
     else:                             # the answer is above i
         lo, hi = i, i + 1
-        while not below(hi):
-            lo, hi, step = hi, hi + 2 * step, 2 * step
+        while hi > cap or not below(hi):
+            if lo >= cap:             # not below(cap)
+                raise _past_limit(limit)
+            lo, hi, step = hi, min(hi + 2 * step, cap), 2 * step
     while hi - lo > 1:                # below(hi), and not below(lo)
         mid = (lo + hi) // 2
         if below(mid):
@@ -465,6 +488,11 @@ def _smallest_decay_index(base: Fraction, eps: Fraction) -> tuple[int, Fraction]
         else:
             lo = mid
     return hi, guess if hi == i else base ** hi
+
+
+def _past_limit(limit: int) -> InputError:
+    return InputError(f"the decay index exceeds the fiber-index limit of "
+                      f"{limit}")
 
 
 def independence_witness(p: NormFamilyParams, q: NormFamilyParams,
@@ -508,7 +536,7 @@ def independence_witness(p: NormFamilyParams, q: NormFamilyParams,
         else:
             fam_first, fam_second = "d", "e"
 
-    i, ratio = _smallest_decay_index(base, eps)
+    i, ratio = _smallest_decay_index(base, eps, MAX_PARTITION_DEPTH)
     first = WitnessDirection(fam_first, t, base, i, ratio)
     second = WitnessDirection(fam_second, t, base, i, ratio)
     return WitnessReport(case, eps, first, second)

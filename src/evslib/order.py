@@ -37,7 +37,7 @@ class Universe:
     """Finite list of nonzero elements of one instance; the zero element is
     held by the instance itself and is excluded from the list."""
 
-    __slots__ = ("instance", "elements")
+    __slots__ = ("instance", "elements", "_candidates")
 
     def __init__(self, instance: EvsInstance, elements: Sequence):
         elements = tuple(elements)
@@ -47,6 +47,15 @@ class Universe:
             if any(instance.equal(e, instance.zero) for e in elements):
                 raise InputError("universe elements must be nonzero")
         self.instance, self.elements = instance, elements
+        self._candidates = None
+
+    def candidates(self) -> list:
+        """The minimal elements of the universe and zero: the primitive
+        witnesses a membership search may use, computed on first use."""
+        if self._candidates is None:
+            self._candidates = minimal_elements(
+                list(self.elements) + [self.instance.zero], self.instance)
+        return self._candidates
 
 
 def _require_nonzero(instance: EvsInstance, *elements) -> None:
@@ -83,10 +92,7 @@ def in_l(instance: EvsInstance, x, y,
         if universe is None:
             return {"status": INCONCLUSIVE, "reason":
                     "primitive search needs a universe of candidates"}
-        candidates = minimal_elements(
-            list(universe.elements) + [instance.zero], instance
-        )
-        found = instance.lsolve(x, y, candidates)
+        found = instance.lsolve(x, y, universe.candidates())
         if found is not None:
             alpha, prim = found
             return {"status": POSITIVE, "alpha": fmt(alpha),

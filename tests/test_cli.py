@@ -772,6 +772,24 @@ def test_internal_fault_exits_three(capsys, tmp_path):
     assert doc["error"].startswith("ValueError")
 
 
+@pytest.mark.parametrize("gamma, eps", [("11/10", "1e-4299"),
+                                        ("1000001/1000000", "1e-30")])
+def test_decay_index_past_the_fiber_cap_is_input_error(capsys, tmp_path,
+                                                       gamma, eps):
+    """A witness whose index would pass the fiber-index cap of `norms eval`
+    (103,859 for gamma 11/10, about 69 million for 1000001/1000000) exits 2
+    with a JSON error."""
+    p = write_json(tmp_path / "p.json",
+                   {"depth": 12, "subsetC": ["h0"], "gamma": gamma})
+    q = write_json(tmp_path / "q.json",
+                   {"depth": 12, "subsetC": ["h2"], "gamma": gamma})
+    code, out, err = run(capsys, "norms", "witness", "--spec", p, "--spec", q,
+                         "--eps", eps)
+    assert (code, out) == (2, None)
+    assert json.loads(err)["error"] == (
+        "the decay index exceeds the fiber-index limit of 100000")
+
+
 # file contents (by name) and the argv that reads them; each input is
 # malformed in its JSON shape or out of range
 MALFORMED_INPUTS = {

@@ -1,8 +1,9 @@
 """Axiom and property verification across the shipped instances and the
 deliberately broken variants."""
 
+import json
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -25,6 +26,7 @@ from evslib.instances import (
     seeded_metric_sample,
 )
 from evslib.metrics import builtin_metric, scale_metric
+from evslib.rationals import fmt
 
 F = Fraction
 
@@ -314,10 +316,36 @@ def test_law_arity_matches_the_checked_tuples(name):
 
     inst, sample, scalars = build_instance(name, seed=0, sample=8)
     c = _context(inst, sample, scalars)
+    positions, listed = range(len(sample)), range(len(scalars))
     for law in AXIOMS + PROPERTIES:
         n_elements, n_scalars = law.arity
         for args in law.tuples(c):
             assert len(args) == n_elements + n_scalars, law.name
-            assert not any(isinstance(e, Fraction) for e in args[:n_elements])
-            assert all(isinstance(a, Fraction) for a in args[n_elements:])
-            break
+            assert all(type(i) is int and i in positions
+                       for i in args[:n_elements]), law.name
+            assert all(type(a) is int and a in listed
+                       for a in args[n_elements:]), law.name
+
+
+@pytest.mark.parametrize("name", INSTANCE_NAMES)
+def test_run_and_replay_give_every_checked_tuple_one_verdict(name):
+    """The first 50 tuples of each law, replayed from JSON with the sample
+    given: the replay sits the elements after the sample and the scalars
+    in a list of their own, and reproduces a violation exactly when the
+    run's verdict on the tuple is False."""
+    from evslib.core import AXIOMS, PROPERTIES, _context
+
+    inst, sample, scalars = build_instance(name, seed=0, sample=12)
+    c = _context(inst, sample, scalars)
+    for law in AXIOMS + PROPERTIES:
+        n_elements = law.arity[0]
+        for args in islice(law.tuples(c), 50):
+            verdict = law.holds(c, *args)
+            ce = json.loads(json.dumps({
+                "law": law.name,
+                "elements": [inst.element_to_json(sample[i])
+                             for i in args[:n_elements]],
+                "scalars": [fmt(c.scalars[a]) for a in args[n_elements:]],
+            }))
+            assert replay_counterexample(inst, ce, sample) is (
+                verdict is False), (law.name, args, verdict)

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evslib import (InputError, MetricMatrix, check_axioms, check_properties,
-                    replay_counterexample, validate_metric)
+                    instances, replay_counterexample, validate_metric)
+from evslib.cli import main
 from evslib.instances import (
     build_instance,
     carrier_labels,
@@ -328,6 +329,43 @@ def test_no_tabled_operation_is_computed_twice(name, op, tabled):
 
         suite(replace(inst, **{op: counted}))
         assert calls and max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("name", ("metrics", "norms", "cone", "hyperspace",
+                                  "metrics-reversed-order",
+                                  "metrics-no-abs-scale"))
+def test_one_context_serves_both_suites_of_a_run(monkeypatch, capsys, name):
+    """`evs axioms --properties` runs both suites on one context: across
+    the two, each ordered pair of sampled elements is added and ordered
+    once at most, and each sampled element is scaled by each listed scalar
+    once at most."""
+    calls = Counter()
+    build = instances.build_instance
+
+    def counted_build(*args, **kwargs):
+        inst, sample, scalars = build(*args, **kwargs)
+        sampled = {id(x) for x in sample}
+        listed = {id(a) for a in scalars}
+
+        def counted(op, tabled):
+            def run(*operands):
+                key = tabled(sampled, listed, *operands)
+                if key is not None:
+                    calls[op, key] += 1
+                return getattr(inst, op)(*operands)
+            return run
+
+        return replace(inst, add=counted("add", sampled_pair),
+                       leq=counted("leq", sampled_pair),
+                       scale=counted("scale", listed_scaling)), sample, scalars
+
+    monkeypatch.setattr(instances, "build_instance", counted_build)
+    code = main(["axioms", "--instance", name, "--seed", "0", "--sample",
+                 "12", "--properties"])
+    assert code == (1 if name.startswith("metrics-") else 0)
+    assert '"properties": [' in capsys.readouterr().out
+    assert {op for op, _ in calls} == {"add", "leq", "scale"}
+    assert max(calls.values()) == 1
 
 
 @pytest.mark.parametrize("name, law", (("metrics-no-abs-scale", "A2.scaling"),

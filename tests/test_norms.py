@@ -409,6 +409,49 @@ def test_decay_index_search_survives_a_bad_estimate(monkeypatch, estimate):
         (23038, base ** 23038)
 
 
+@pytest.mark.parametrize("exponent, index", [(10, 23038), (60, 138225)])
+def test_decay_index_limit_admits_the_answer_and_nothing_past_it(exponent,
+                                                                 index):
+    base, eps = F(1000, 1001), F(1, 10 ** exponent)
+    assert _smallest_decay_index(base, eps, index) == (index, base ** index)
+    with pytest.raises(InputError, match="fiber-index limit of"):
+        _smallest_decay_index(base, eps, index - 1)
+
+
+@pytest.mark.parametrize("base, eps", [
+    (F(1000000, 1000001), F(1, 10 ** 30)),          # about 69 million
+    (F(10 ** 400, 10 ** 400 + 1), F(1, 2)),         # about 0.69 * 10**400
+    (F(10 ** 310, 10 ** 310 + 1), F(1, 2)),         # log(base) is subnormal
+    (F(10 ** 40, 10 ** 40 + 1), F(10 ** 40 - 10 ** 36, 10 ** 40)),
+])
+def test_decay_index_far_past_the_limit_builds_no_power(monkeypatch, base,
+                                                        eps):
+    monkeypatch.setattr(Fraction, "__pow__", None)
+    with pytest.raises(InputError, match="fiber-index limit of 100000"):
+        _smallest_decay_index(base, eps, 100_000)
+
+
+def test_decay_index_limit_bounds_a_search_from_one(monkeypatch):
+    monkeypatch.setattr(norms, "_decay_index_estimate", lambda a, b, e, f: 1)
+    base = F(1000, 1001)
+    with pytest.raises(InputError, match="fiber-index limit of 100000"):
+        _smallest_decay_index(base, F(1, 10 ** 60), 100_000)
+    assert _smallest_decay_index(base, F(1, 10 ** 30), 100_000) == (
+        69113, base ** 69113)
+
+
+def test_decay_index_estimate_through_the_logs_of_the_logs():
+    # log(base) underflows to zero in floats: the estimate is still the
+    # answer k + 1 or next to it, not 1
+    n = 10 ** 400
+    base = F(n, n + 1)
+    for k in (7, 1000):
+        eps = base ** k
+        estimate = norms._decay_index_estimate(n, n + 1, eps.numerator,
+                                               eps.denominator)
+        assert abs(estimate - (k + 1)) <= 1
+
+
 @pytest.mark.parametrize("n", [10 ** 40, 10 ** 400])
 def test_decay_index_with_base_next_to_one(n):
     # log(base) cancels to zero in floats at 10**400, so the search starts

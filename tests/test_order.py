@@ -1,6 +1,7 @@
 """Testing-set membership, independence, generators, bases, and feasibility
 over explicit finite universes."""
 
+import hashlib
 import json
 import random
 from dataclasses import replace
@@ -33,6 +34,7 @@ from evslib import (
 )
 from evslib.cli import _universe_from_inline
 from evslib.instances import (
+    build_instance,
     carrier_labels,
     cone_element,
     cone_instance,
@@ -314,6 +316,28 @@ def test_cone_membership_inconclusive_without_primitive():
     universe = Universe(cone, [x, y])
     cert = in_l(cone, x, y, universe)
     assert cert["status"] == "inconclusive"
+
+
+def test_cone_independence_scans_the_universe_once():
+    """Every membership query of one universe reads the same minimal
+    candidates, so the (n + 1)**2 comparisons of one scan over the universe
+    and zero bound the whole check, for the 39 nonzero elements of a
+    40-element cone sample."""
+    cone, sample, _ = build_instance("cone", sample=40)
+    calls = []
+
+    def leq(a, b):
+        calls.append(None)
+        return cone.leq(a, b)
+
+    counted = replace(cone, leq=leq)
+    elements = [e for e in sample if not cone.equal(e, cone.zero)]
+    n = len(elements)
+    doc = orderly_independent_set(counted, elements,
+                                  universe=Universe(counted, elements))
+    assert n == 39 and len(calls) <= (n + 1) ** 2
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == (
+        "fec215bb170f747e08164934cbbaae77a5bf2f93c97495c3b34675c6d768c32a")
 
 
 # ---------------------------------------------------------------------------
