@@ -11,7 +11,6 @@ witnesses.
 from .core import (
     EvsInstance,
     check_axioms,
-    check_properties,
     minimal_elements,
     replay_counterexample,
 )
@@ -32,7 +31,6 @@ from .metrics import (
     indexed_carrier,
     kappa_metric,
     leq_metrics,
-    partial_comparing_function,
     scale_lazy,
     scale_metric,
     shrinking_metric,

@@ -446,7 +446,10 @@ def check_axioms(inst: EvsInstance, sample: Sequence, scalars: Sequence,
     seed is recorded for report replay; the sample itself is an input and is
     expected to be deterministic in it. With `properties`, the entries of
     the property suite, run on the same context, follow under "properties";
-    "pass" still follows the axioms alone.
+    "pass" still follows the axioms alone. That suite checks balanced over
+    the |a| <= 1 scalars, never inferred from homogeneity, then homogeneous,
+    convex and the primitive-structure properties, whose verdicts are
+    sample-relative.
     """
     c = _context(inst, sample, scalars)
     doc = _report(c, "axioms", AXIOMS, seed=seed, sampleSize=c.n,
@@ -454,20 +457,6 @@ def check_axioms(inst: EvsInstance, sample: Sequence, scalars: Sequence,
     if properties:
         doc["properties"] = _report(c, "properties", PROPERTIES)["properties"]
     return doc
-
-
-def check_properties(inst: EvsInstance, sample: Sequence,
-                     scalars: Sequence) -> dict:
-    """Balanced / homogeneous / convex and the primitive-structure properties.
-
-    Balanced is checked independently over the |a| <= 1 scalars, never
-    inferred from homogeneity. The primitive properties use the
-    sample-relative minimal set, so their verdicts are sample-relative; the
-    additive-primitivity comparison is only scored on pairs whose primitive
-    sets are fully witnessed inside the sample, and comes out not-applicable
-    if no pair is.
-    """
-    return _report(_context(inst, sample, scalars), "properties", PROPERTIES)
 
 
 def replay_counterexample(inst: EvsInstance, ce: dict,

@@ -789,16 +789,6 @@ def _depth_minima(d: LazyMetric, rho: LazyMetric,
     return out
 
 
-def partial_comparing_function(d: LazyMetric, rho: LazyMetric,
-                               depths: Sequence[int]) -> list[Fraction]:
-    """Exact pair minima of rho/d over the first depths[k] carrier points.
-
-    Each value is an upper bound for the carrier-wide infimum; when the
-    truncated carriers are nested the sequence is nonincreasing.
-    """
-    return [Fraction(*c) for c, _ in _depth_minima(d, rho, depths)]
-
-
 def _direction_rules(d: LazyMetric, rho: LazyMetric) -> dict:
     """Carrier-wide verdict for the comparing value of rho relative to d, as
     the fields of its report entry: a status with its reason (and a positive

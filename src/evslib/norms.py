@@ -35,8 +35,8 @@ from .core import EvsInstance
 from .errors import InputError
 from .instances import rational_tuple_instance
 from .metrics import MetricMatrix, _from_upper
-from .rationals import (fmt, parse_rational, parse_rationals, require_int,
-                        to_fractions, to_ints)
+from .rationals import (MAX_DIGITS, fmt, parse_rational, parse_rationals,
+                        require_int, to_fractions, to_ints)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -129,18 +129,20 @@ Tag = tuple  # ("B", t) | ("D", t, i) | ("E", t, i)
 #: grows with the depth, and the cost of a fiber weight with its index.
 MAX_PARTITION_DEPTH = 100_000
 
-#: The most significant digits of a number in an index name: int() reads
-#: no longer decimal string by default.
-MAX_INDEX_DIGITS = 4300
+#: The most bits in the denominator of a power of the ratio base that the
+#: decay-index search builds: its cost grows with their number, which is
+#: at most the index times the bits of the base's denominator.
+MAX_DECAY_BITS = 1 << 20
 
 
 def _read_number(digits: str) -> int:
     """The number a run of decimal digits in an index name spells, read only
-    once it has at most MAX_INDEX_DIGITS significant digits."""
+    once it has at most MAX_DIGITS significant digits, the most int()
+    reads by default."""
     digits = digits.lstrip("0") or "0"
-    if len(digits) > MAX_INDEX_DIGITS:
+    if len(digits) > MAX_DIGITS:
         raise InputError(f"a number of {len(digits)} digits in an index name "
-                         f"exceeds the limit of {MAX_INDEX_DIGITS} digits")
+                         f"exceeds the limit of {MAX_DIGITS} digits")
     return int(digits)
 
 
@@ -363,8 +365,8 @@ class WitnessDirection:
         self.family, self.t, self.ratio_base = family, t, ratio_base
         self.index, self.ratio = index, ratio
 
-    def witness_name(self, i: Optional[int] = None) -> str:
-        return f"{self.family}({self.t},{self.index if i is None else i})"
+    def witness_name(self) -> str:
+        return f"{self.family}({self.t},{self.index})"
 
     def to_json(self) -> dict:
         return {
@@ -431,10 +433,12 @@ def _decay_index_estimate(a: int, b: int, e: int, f: int) -> int:
 
 
 def _smallest_decay_index(base: Fraction, eps: Fraction,
-                          limit: Optional[int] = None
+                          limit: Optional[int] = None,
+                          max_bits: Optional[int] = None
                           ) -> tuple[int, Fraction]:
     """The least i >= 1 with base**i < eps, and base**i, for 0 < base < 1
-    and 0 < eps < 1; InputError when that i is past `limit`.
+    and 0 < eps < 1; InputError when that i is past `limit`, or when the
+    denominator b**i of base**i could pass `max_bits` bits.
 
     base**i < eps is a**i * f < e * b**i for base = a/b and eps = e/f, which
     holds from some i on and then for every larger i. The search starts at
@@ -447,7 +451,9 @@ def _smallest_decay_index(base: Fraction, eps: Fraction,
 
     With a limit, an estimate past twice the limit is refused at once, the
     search starts no higher than the limit and never tests past it, so no
-    power past base**limit is built.
+    power past base**limit is built. With max_bits, the same holds for
+    the index max_bits // b.bit_length(), past which b**i could pass
+    max_bits bits; the search stops there with an error of its own.
     """
     a, b = base.numerator, base.denominator
     e, f = eps.numerator, eps.denominator
@@ -455,6 +461,8 @@ def _smallest_decay_index(base: Fraction, eps: Fraction,
     i = _decay_index_estimate(a, b, e, f)
     if i > 2 * cap:
         raise _past_limit(limit)
+    if max_bits is not None:
+        cap = min(cap, max_bits // b.bit_length())
     i = min(i, cap)
     guess = base ** i
     ga, gb = guess.numerator, guess.denominator
@@ -479,7 +487,8 @@ def _smallest_decay_index(base: Fraction, eps: Fraction,
         lo, hi = i, i + 1
         while hi > cap or not below(hi):
             if lo >= cap:             # not below(cap)
-                raise _past_limit(limit)
+                raise (_past_limit(limit) if cap == limit
+                       else _past_budget(b.bit_length(), cap, max_bits))
             lo, hi, step = hi, min(hi + 2 * step, cap), 2 * step
     while hi - lo > 1:                # below(hi), and not below(lo)
         mid = (lo + hi) // 2
@@ -493,6 +502,12 @@ def _smallest_decay_index(base: Fraction, eps: Fraction,
 def _past_limit(limit: int) -> InputError:
     return InputError(f"the decay index exceeds the fiber-index limit of "
                       f"{limit}")
+
+
+def _past_budget(bits: int, cap: int, max_bits: int) -> InputError:
+    return InputError(f"the decay index exceeds {cap}, past which a power of "
+                      f"the {bits}-bit ratio denominator could pass the "
+                      f"budget of {max_bits} bits")
 
 
 def independence_witness(p: NormFamilyParams, q: NormFamilyParams,
@@ -536,7 +551,8 @@ def independence_witness(p: NormFamilyParams, q: NormFamilyParams,
         else:
             fam_first, fam_second = "d", "e"
 
-    i, ratio = _smallest_decay_index(base, eps, MAX_PARTITION_DEPTH)
+    i, ratio = _smallest_decay_index(base, eps, MAX_PARTITION_DEPTH,
+                                     MAX_DECAY_BITS)
     first = WitnessDirection(fam_first, t, base, i, ratio)
     second = WitnessDirection(fam_second, t, base, i, ratio)
     return WitnessReport(case, eps, first, second)

@@ -31,7 +31,8 @@ from typing import Sequence
 from .errors import InputError
 
 #: Python's default int-to-str limit: the most digits a numerator or
-#: denominator parsed from a decimal may have, so that fmt can print it.
+#: denominator parsed from a decimal may have, so that fmt can print it,
+#: and the most significant digits of a number in a norms index name.
 MAX_DIGITS = 4300
 
 

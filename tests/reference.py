@@ -1,14 +1,16 @@
-"""A reference model of the closed-form metrics and the table transforms,
-written from the paper's definitions in plain Fraction arithmetic.
+"""A reference model of the closed-form metrics, the table transforms, the
+comparing value and the metric axioms, written from the paper's
+definitions in plain Fraction arithmetic.
 
 It reads only the data fields of the library's objects: a metric's family,
-weight, base and factor, and a carrier's kind, step and points. It places
-the carrier points itself and never calls the library's carrier prefix,
-family table or table builder, so a fault in any of those shows as a
-disagreement with it.
+weight, base and factor, a carrier's kind, step and points, and a table's
+labels and printed rows. It places the carrier points itself and never
+calls the library's carrier prefix, family table, table builder, order or
+triangle check, so a fault in any of those shows as a disagreement with it.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -77,6 +79,63 @@ def comparing(d: tuple, rho: tuple) -> Fraction:
     size: the minimum of rho/d over the distinct pairs."""
     n = len(d)
     return min(rho[i][j] / d[i][j] for i in range(n) for j in range(i + 1, n))
+
+
+def below(lam: Fraction, d: tuple, rho: tuple) -> bool:
+    """lam*d <= rho in the pointwise order: entry by entry on the full
+    tables, the diagonal included."""
+    return all(lam * x <= y for dr, rr in zip(d, rho) for x, y in zip(dr, rr))
+
+
+def spectrum(d: tuple, rho: tuple) -> Fraction:
+    """The comparing value of rho relative to d by its definition: the
+    largest lam, among 0 and the ratios rho/d of the distinct pairs, with
+    lam*d <= rho."""
+    candidates = {Fraction(0)} | {rho[i][j] / d[i][j]
+                                  for i, j in combinations(range(len(d)), 2)}
+    return max(lam for lam in candidates if below(lam, d, rho))
+
+
+def text(v: Fraction) -> str:
+    """A rational as the library prints it: "p/q" in lowest terms."""
+    return f"{v.numerator}/{v.denominator}"
+
+
+def validation(m) -> dict:
+    """The metric axioms of a table, reported as the library's
+    validate_metric reports them: the first failure of zero diagonal, then
+    nonnegativity and identity of indiscernibles on the distinct pairs in
+    row order, then the triangle inequality on every triple (i, j, k),
+    degenerate ones included, in lexicographic order."""
+    full, labels = rows(m), m.labels
+    n = len(full)
+
+    def failed(violation: dict) -> dict:
+        return {"pass": False, "violation": violation, "size": n}
+
+    for i in range(n):
+        if full[i][i] != 0:
+            return failed({"axiom": "zero-diagonal", "indices": [labels[i]],
+                           "value": text(full[i][i])})
+    for i, j in combinations(range(n), 2):
+        v = full[i][j]
+        if v < 0:
+            return failed({"axiom": "nonnegativity",
+                           "indices": [labels[i], labels[j]],
+                           "value": text(v)})
+        if v == 0:
+            return failed({"axiom": "identity-of-indiscernibles",
+                           "indices": [labels[i], labels[j]], "value": "0/1"})
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if full[i][k] > full[i][j] + full[j][k]:
+                    return failed({
+                        "axiom": "triangle",
+                        "indices": [labels[i], labels[j], labels[k]],
+                        "lhs": text(full[i][k]),
+                        "rhs": text(full[i][j] + full[j][k])})
+    return {"pass": True, "violation": None, "size": n}
 
 
 def rows(m) -> tuple:

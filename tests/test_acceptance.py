@@ -1,10 +1,13 @@
 """Acceptance suite: one test per criterion, exact arithmetic throughout.
 
 Each test prints a single pass/fail line so the suite run doubles as a
-checklist. Oracles are independent of the code paths they check: comparing
-values are re-derived from the order relation over candidate multipliers, and
-triangle checking for the kappa grid is re-enumerated here rather than
-delegated to validate_metric alone.
+checklist. The oracles come from the reference model of tests/reference.py,
+written from the paper's definitions in plain Fraction arithmetic and
+independent of the code paths it checks: comparing values are re-derived
+both as the minimum of rho/d over distinct pairs and as the largest
+candidate multiplier lam with lam*d <= rho entry by entry, and every
+triangle triple of the kappa grid is re-enumerated by the model's metric
+check rather than delegated to validate_metric alone.
 """
 
 import random
@@ -14,7 +17,6 @@ from itertools import combinations
 
 from evslib import (
     FSVector,
-    MetricMatrix,
     NormFamilyParams,
     PartitionSpec,
     Universe,
@@ -24,7 +26,6 @@ from evslib import (
     builtin_metric,
     cauchy_incompleteness_demo,
     check_axioms,
-    check_properties,
     classify_lazy_pair,
     comparing_function_metric,
     discrete_metric,
@@ -36,7 +37,6 @@ from evslib import (
     is_basis,
     leq_metrics,
     orderly_independent_set,
-    partial_comparing_function,
     replay_certificate,
     replay_counterexample,
     scale_metric,
@@ -58,6 +58,7 @@ from evslib.instances import (
 )
 from evslib.metrics import random_metric
 from evslib.norms import norm_family_instance
+import reference
 from reference import rows
 
 F = Fraction
@@ -71,35 +72,6 @@ def criterion(number, description):
         print(f"[criterion {number:02d}] FAIL - {description}")
         raise
     print(f"[criterion {number:02d}] PASS - {description}")
-
-
-def distinct_pairs(m: MetricMatrix) -> list:
-    """(i, j, value) over the distinct pairs i < j, read from the rows."""
-    full = rows(m)
-    return [(i, j, full[i][j]) for i, j in combinations(range(m.size), 2)]
-
-
-def pair_minimum_oracle(d: MetricMatrix, rho: MetricMatrix) -> Fraction:
-    """Brute-force minimum of rho/d over every off-diagonal pair."""
-    best = None
-    n, dr, rr = d.size, rows(d), rows(rho)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            ratio = rr[i][j] / dr[i][j]
-            if best is None or ratio < best:
-                best = ratio
-    return best
-
-
-def spectrum_oracle(d: MetricMatrix, rho: MetricMatrix) -> Fraction:
-    """Largest candidate multiplier lam with lam*d <= rho, decided purely
-    through the order relation."""
-    candidates, rr = {F(0)}, rows(rho)
-    for i, j, dv in distinct_pairs(d):
-        candidates.add(rr[i][j] / dv)
-    return max(l for l in candidates if leq_metrics(scale_metric(l, d), rho))
 
 
 def test_criterion_01_axiom_suite():
@@ -139,14 +111,14 @@ def test_criterion_02_property_suite():
                       "cone fails zero-primitivity"):
         inst, sample, scalars = build_instance("metrics", carrier=6, seed=0,
                                                sample=50)
-        statuses = {e["axiom"]: e["status"] for e in
-                    check_properties(inst, sample, scalars)["properties"]}
+        statuses = {e["axiom"]: e["status"] for e in check_axioms(
+            inst, sample, scalars, seed=0, properties=True)["properties"]}
         for name in ("balanced", "homogeneous", "convex", "zero-primitive"):
             assert statuses[name] == "pass", name
 
         inst, sample, scalars = build_instance("cone", dim=2, seed=0, sample=50)
-        statuses = {e["axiom"]: e["status"] for e in
-                    check_properties(inst, sample, scalars)["properties"]}
+        statuses = {e["axiom"]: e["status"] for e in check_axioms(
+            inst, sample, scalars, seed=0, properties=True)["properties"]}
         assert statuses["zero-primitive"] == "fail"
 
 
@@ -160,8 +132,8 @@ def test_criterion_03_comparing_function_oracle():
             d = random_metric(rng, labels)
             rho = random_metric(rng, labels)
             value = comparing_function_metric(d, rho)
-            assert value == pair_minimum_oracle(d, rho)
-            assert value == spectrum_oracle(d, rho)
+            assert value == reference.comparing(rows(d), rows(rho))
+            assert value == reference.spectrum(rows(d), rows(rho))
 
 
 def test_criterion_04_closed_form_comparing_values():
@@ -171,7 +143,8 @@ def test_criterion_04_closed_form_comparing_values():
         labels = carrier_labels(6)
         for _ in range(50):
             rho = random_metric(rng, labels)
-            values = [v for _, _, v in distinct_pairs(rho)]
+            full = rows(rho)
+            values = [full[i][j] for i, j in combinations(range(rho.size), 2)]
             lo, hi = min(values), max(values)
             rmin, rb = transform_min(rho), transform_bounded(rho)
 
@@ -181,9 +154,9 @@ def test_criterion_04_closed_form_comparing_values():
             assert comparing_function_metric(rho, rb) == 1 / (1 + hi)
 
             assert comparing_function_metric(rmin, rho) == \
-                pair_minimum_oracle(rmin, rho)
+                reference.comparing(rows(rmin), full)
             assert comparing_function_metric(rho, rb) == \
-                pair_minimum_oracle(rho, rb)
+                reference.comparing(full, rows(rb))
 
 
 def test_criterion_05_scaling_law():
@@ -208,19 +181,17 @@ def test_criterion_06_kappa_validation_and_feasibility_trend():
         assert kappa.size ** 3 == 9261
         verdict = validate_metric(kappa)
         assert verdict["pass"]
-        # independent exhaustive enumeration of every ordered triple
-        kr = rows(kappa)
-        for i in range(21):
-            for j in range(21):
-                for k in range(21):
-                    assert kr[i][k] <= kr[i][j] + kr[j][k]
+        # the model enumerates every ordered triple afresh
+        assert reference.validation(kappa) == verdict
 
         lazy_kappa = builtin_lazy("kappa")
         usual = usual_metric(symmetric_grid_carrier())
         for depth in (11, 21, 41):
             assert leq_metrics(usual.materialize(depth),
                                lazy_kappa.materialize(depth))
-        seq = partial_comparing_function(lazy_kappa, usual, [11, 21, 41])
+        report = classify_lazy_pair(lazy_kappa, usual, [11, 21, 41])
+        seq = [F(v) for v in
+               report["directions"]["secondRelativeFirst"]["upperBounds"]]
         assert seq == [F(1, 10), F(1, 20), F(1, 40)]
         assert seq[0] > seq[1] > seq[2] > 0
 
@@ -229,9 +200,10 @@ def test_criterion_07_shrinking_independence_trend():
     with criterion(7, "discrete-vs-shrinking refuting direction strictly "
                       "decreases and stays positive; converse membership "
                       "certified with multiplier 1"):
-        seq = partial_comparing_function(
-            discrete_metric(), shrinking_metric(), [10, 25, 50]
-        )
+        report = classify_lazy_pair(discrete_metric(), shrinking_metric(),
+                                    [10, 25, 50])
+        seq = [F(v) for v in
+               report["directions"]["secondRelativeFirst"]["upperBounds"]]
         assert seq == [F(1, 90), F(1, 600), F(1, 2450)]
         assert seq[0] > seq[1] > seq[2] > 0
 
@@ -363,7 +335,7 @@ def test_criterion_11_discrete_basis_over_finite_carrier():
         assert report["status"] == "pass"
         for m, entry in zip(tables, report["coverage"]):
             assert entry["element"] == m.to_json()
-            lo = min(v for _, _, v in distinct_pairs(m))
+            lo = reference.comparing(rows(disc), rows(m))
             assert entry["certificate"]["alpha"] == f"{lo.numerator}/{lo.denominator}"
 
         rho = tables[0]

@@ -3,15 +3,25 @@
 import hashlib
 import json
 import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from io import StringIO
+from itertools import combinations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from evslib.cli import main
 from evslib.instances import (MAX_CARRIER, MAX_DEPTH, MAX_DIM, MAX_SAMPLE,
                               build_instance)
 from evslib.metrics import (MAX_BUILTIN_DEPTH, Carrier, LazyMetric,
                             MetricMatrix, builtin_metric, transform_bounded)
-from evslib.norms import MAX_INDEX_DIGITS, MAX_PARTITION_DEPTH, PartitionSpec
+from evslib.norms import MAX_PARTITION_DEPTH, PartitionSpec
+from evslib.rationals import MAX_DIGITS
 
 FLOAT_PATTERN = re.compile(r"\d+\.\d")
 
@@ -85,6 +95,87 @@ def test_compare_bounded_companion(capsys, tmp_path):
     assert code == 0
     assert doc["report"]["classification"] == "mutually-dependent"
     assert doc["report"]["sandwich"]["lowerHolds"] is True
+
+
+@st.composite
+def signed_tables(draw, n):
+    """A symmetric table on n points: signed entries over mixed
+    denominators, a nonzero diagonal, and now and then a zero off the
+    diagonal, as Fractions and as the rows of a table document, which spell
+    an entry as an integer or as "p/q"."""
+    def entry(nonzero):
+        num = draw(st.integers(-30, 30).filter(bool) if nonzero
+                   else st.integers(-30, 30))
+        return Fraction(num, draw(st.integers(1, 12)))
+
+    full = [[None] * n for _ in range(n)]
+    for i in range(n):
+        full[i][i] = entry(nonzero=True)
+        for j in range(i + 1, n):
+            full[i][j] = full[j][i] = entry(nonzero=False)
+    spelled = [[v.numerator if v.denominator == 1 and draw(st.booleans())
+                else f"{v.numerator}/{v.denominator}" for v in row]
+               for row in full]
+    return tuple(map(tuple, full)), spelled
+
+
+def cli(*argv):
+    """main(argv) in-process: its exit code, stdout and stderr."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+LABELS = {(True, True): "mutually-dependent",
+          (True, False): "one-sided-second-in-L(first)",
+          (False, True): "one-sided-first-in-L(second)",
+          (False, False): "orderly-independent"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_compare_agrees_with_the_reference_model(data):
+    """`evs compare` on two random signed tables gives the model's comparing
+    values, label, testing-set memberships and sandwich flags, and its report
+    replays; a zero off the diagonal exits 2 naming the first zero pair of
+    the first table that has one."""
+    n = data.draw(st.integers(2, 6))
+    (d, first), (rho, second) = (data.draw(signed_tables(n)),
+                                 data.draw(signed_tables(n)))
+    labels = [f"p{k}" for k in range(n)]
+    with tempfile.TemporaryDirectory() as tmp:
+        files = [str(Path(tmp) / f"{name}.json") for name in "dr"]
+        for path, table in zip(files, (first, second)):
+            write_json(Path(path), {"labels": labels, "rows": table})
+        code, out, err = cli("compare", *files)
+        zeros = [(i, j) for table in (d, rho)
+                 for i, j in combinations(range(n), 2) if table[i][j] == 0]
+        if zeros:
+            i, j = zeros[0]
+            assert (code, out, json.loads(err)) == (2, "", {
+                "error": f"relative element vanishes on the distinct pair "
+                         f"({labels[i]}, {labels[j]}); not a metric"})
+            return
+        assert (code, err) == (0, "")
+        report = json.loads(out)["report"]
+        c1, c2 = reference.comparing(d, rho), reference.comparing(rho, d)
+        assert report["comparingSecondRelativeFirst"] == reference.text(c1)
+        assert report["comparingFirstRelativeSecond"] == reference.text(c2)
+        assert report["classification"] == LABELS[c1 > 0, c2 > 0]
+        assert report["secondInTestingSetOfFirst"] == (c1 > 0)
+        assert report["firstInTestingSetOfSecond"] == (c2 > 0)
+        if c1 > 0 and c2 > 0:
+            assert report["sandwich"] == {
+                "lower": reference.text(c2), "upper": reference.text(1 / c1),
+                "lowerHolds": reference.below(c2, rho, d),
+                "upperHolds": reference.below(c1, d, rho)}
+        else:
+            assert report["sandwich"] is None
+        saved = Path(tmp) / "report.json"
+        saved.write_text(out, encoding="utf-8")
+        code, out, _ = cli("--replay", str(saved))
+        assert (code, json.loads(out)["match"]) == (0, True)
 
 
 def test_bounded_transform_of_minus_one_names_the_pair(capsys, tmp_path):
@@ -772,13 +863,25 @@ def test_internal_fault_exits_three(capsys, tmp_path):
     assert doc["error"].startswith("ValueError")
 
 
-@pytest.mark.parametrize("gamma, eps", [("11/10", "1e-4299"),
-                                        ("1000001/1000000", "1e-30")])
-def test_decay_index_past_the_fiber_cap_is_input_error(capsys, tmp_path,
-                                                       gamma, eps):
+FIBER_CAP_ERROR = "the decay index exceeds the fiber-index limit of 100000"
+
+
+@pytest.mark.parametrize("gamma, eps, error", [
+    ("11/10", "1e-4299", FIBER_CAP_ERROR),
+    ("1000001/1000000", "1e-30", FIBER_CAP_ERROR),
+    ("1001/1000", "1e-60", FIBER_CAP_ERROR),
+    (f"{10 ** 400 + 1}/{10 ** 400}", "0." + "9" * 395,
+     "the decay index exceeds 788, past which a power of the 1329-bit ratio "
+     "denominator could pass the budget of 1048576 bits"),
+], ids=["11/10", "1000001/1000000", "1001/1000", "400-digit"])
+def test_decay_index_past_a_cap_is_input_error(capsys, tmp_path, gamma, eps,
+                                               error):
     """A witness whose index would pass the fiber-index cap of `norms eval`
-    (103,859 for gamma 11/10, about 69 million for 1000001/1000000) exits 2
-    with a JSON error."""
+    (103,859 for gamma 11/10, about 69 million for 1000001/1000000, and
+    138,225 for 1001/1000, whose 10-bit powers meet the cap inside the bit
+    budget), or whose power of the ratio base would pass the bit budget (an index near
+    100,000 on a 1,329-bit denominator), exits 2 with a JSON error before
+    it builds that power."""
     p = write_json(tmp_path / "p.json",
                    {"depth": 12, "subsetC": ["h0"], "gamma": gamma})
     q = write_json(tmp_path / "q.json",
@@ -786,8 +889,7 @@ def test_decay_index_past_the_fiber_cap_is_input_error(capsys, tmp_path,
     code, out, err = run(capsys, "norms", "witness", "--spec", p, "--spec", q,
                          "--eps", eps)
     assert (code, out) == (2, None)
-    assert json.loads(err)["error"] == (
-        "the decay index exceeds the fiber-index limit of 100000")
+    assert json.loads(err)["error"] == error
 
 
 # file contents (by name) and the argv that reads them; each input is
@@ -956,14 +1058,14 @@ def test_index_name_past_the_digit_limit_exits_two(capsys, tmp_path, name):
                          "--vector", vec)
     assert (code, out, json.loads(err)) == (2, None, {
         "error": f"a number of 5000 digits in an index name exceeds the "
-                 f"limit of {MAX_INDEX_DIGITS} digits"})
+                 f"limit of {MAX_DIGITS} digits"})
 
 
 def test_index_digit_limit_admits_the_limit_and_leading_zeros():
     part = PartitionSpec(12)
     assert part.resolve("h" + "0" * 5000 + "7") == part.resolve("h7")
     assert part.resolve("d(h0," + "0" * 5000 + "2)") == ("D", "h0", 2)
-    position = "2" * MAX_INDEX_DIGITS
+    position = "2" * MAX_DIGITS
     assert part.resolve("h" + position) == ("B", "h" + position)
 
 

@@ -17,7 +17,6 @@ from evslib.metrics import (
     builtin_lazy,
     discrete_metric,
     grid_carrier,
-    partial_comparing_function,
     scale_lazy,
     shrinking_metric,
     symmetric_grid_carrier,
@@ -25,7 +24,6 @@ from evslib.metrics import (
     transform_min,
     usual_metric,
 )
-from evslib.rationals import fmt
 
 DATA = Path(__file__).parent / "data" / "boundary"
 
@@ -273,8 +271,8 @@ def composite_digest(first, second, depths) -> str:
         "second": second.describe(),
         "tables": [[m.materialize(n, carrier).to_json()
                     for m in (first, second)] for n in depths],
-        "bounds": [fmt(v) for v in
-                   partial_comparing_function(first, second, depths)],
+        "bounds": metrics.classify_lazy_pair(first, second, depths)[
+            "directions"]["secondRelativeFirst"]["upperBounds"],
     }
     return hashlib.sha256(
         json.dumps(doc, sort_keys=True).encode()).hexdigest()

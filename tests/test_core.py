@@ -10,7 +10,6 @@ import pytest
 from evslib import (
     InputError,
     check_axioms,
-    check_properties,
     minimal_elements,
     replay_counterexample,
 )
@@ -36,6 +35,15 @@ SMALL_SCALARS = (F(0), F(1), F(-1), F(1, 2), F(-1, 2), F(2))
 def suite(report) -> list:
     """The entries of a suite report, listed under the suite's name."""
     return report["axioms"] if "axioms" in report else report["properties"]
+
+
+def property_suite(inst, sample, scalars) -> dict:
+    """The property suite's entries, from a run of both suites on one
+    context, and its own `pass`, computed from them."""
+    entries = check_axioms(inst, sample, scalars, seed=0,
+                           properties=True)["properties"]
+    return {"properties": entries,
+            "pass": all(e["status"] == "pass" for e in entries)}
 
 
 def entry_of(report, name: str) -> dict:
@@ -76,7 +84,7 @@ def test_counterexamples_self_certify_via_round_trip():
     labels = carrier_labels(4)
     inst = metric_no_abs_scale_instance(labels)
     sample = seeded_metric_sample(labels, seed=1, count=20)
-    report = check_properties(inst, sample, SMALL_SCALARS)
+    report = property_suite(inst, sample, SMALL_SCALARS)
     entry = entry_of(report, "homogeneous")
     assert entry["status"] == "fail"
     assert entry["counterexample"]["scalars"] == ["-1/1"]
@@ -87,14 +95,14 @@ def test_metric_properties_all_pass():
     labels = carrier_labels(4)
     inst = metric_packed_instance(labels)
     sample = seeded_metric_sample(labels, seed=0, count=30)
-    report = check_properties(inst, sample, SMALL_SCALARS)
+    report = property_suite(inst, sample, SMALL_SCALARS)
     for name in ("balanced", "homogeneous", "convex", "zero-primitive"):
         assert entry_of(report, name)["status"] == "pass", name
 
 
 def test_cone_single_primitive_passes_zero_primitive_fails():
     inst, sample, scalars = build_instance("cone", dim=2, seed=0, sample=30)
-    report = check_properties(inst, sample, scalars)
+    report = property_suite(inst, sample, scalars)
     assert entry_of(report, "single-primitive")["status"] == "pass"
     entry = entry_of(report, "zero-primitive")
     assert entry["status"] == "fail"
@@ -216,9 +224,8 @@ INSTANCE_NAMES = ("metrics", "norms", "cone", "hyperspace",
 @pytest.mark.parametrize("name", INSTANCE_NAMES)
 def test_every_counterexample_of_both_suites_replays(name):
     inst, sample, scalars = build_instance(name, seed=0, sample=12)
-    entries = (check_axioms(inst, sample, scalars, seed=0)["axioms"]
-               + check_properties(inst, sample, scalars)["properties"])
-    for entry in entries:
+    doc = check_axioms(inst, sample, scalars, seed=0, properties=True)
+    for entry in doc["axioms"] + doc["properties"]:
         if entry.get("counterexample") is not None:
             assert replay_counterexample(
                 inst, entry["counterexample"], sample) is True, entry["axiom"]
@@ -226,7 +233,7 @@ def test_every_counterexample_of_both_suites_replays(name):
 
 def test_primitive_property_counterexamples_replay():
     inst, sample, scalars = build_instance("hyperspace", seed=0, sample=12)
-    report = check_properties(inst, sample, scalars)
+    report = property_suite(inst, sample, scalars)
     for name in ("zero-primitive", "single-primitive"):
         entry = entry_of(report, name)
         assert entry["status"] == "fail"
@@ -238,7 +245,7 @@ def test_primitive_property_counterexamples_replay():
 
 def test_tampered_counterexample_does_not_replay():
     inst, sample, scalars = build_instance("cone", seed=0, sample=12)
-    entry = entry_of(check_properties(inst, sample, scalars), "zero-primitive")
+    entry = entry_of(property_suite(inst, sample, scalars), "zero-primitive")
     tampered = dict(entry["counterexample"],
                     elements=[inst.element_to_json(inst.zero)])
     assert replay_counterexample(inst, tampered, sample) is False
@@ -256,7 +263,7 @@ def test_sample_relative_replay_without_sample_is_input_error(law):
 def test_not_applicable_property_makes_the_suite_fail():
     inst, sample, scalars = build_instance("metrics-reversed-order", seed=0,
                                            sample=12)
-    report = check_properties(inst, sample, scalars)
+    report = property_suite(inst, sample, scalars)
     entry = entry_of(report, "additive-primitive")
     assert entry["status"] == "not-applicable"
     assert entry["reason"] == "no pair with fully witnessed primitive sets"

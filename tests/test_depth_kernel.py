@@ -17,7 +17,6 @@ from evslib.metrics import (
     classify_lazy_pair,
     discrete_metric,
     grid_carrier,
-    partial_comparing_function,
     resolve_carrier,
     scale_lazy,
     shrinking_metric,
@@ -54,13 +53,10 @@ def oracle(d, rho, depths) -> list:
 
 
 def streamed(d, rho, depths) -> list:
-    """The same pairs as classify_lazy_pair and partial_comparing_function
-    report them."""
+    """The same pairs as classify_lazy_pair reports them."""
     report = classify_lazy_pair(d, rho, depths)["directions"]
     first = [Fraction(v) for v in report["secondRelativeFirst"]["upperBounds"]]
     second = [Fraction(v) for v in report["firstRelativeSecond"]["upperBounds"]]
-    assert partial_comparing_function(d, rho, depths) == first
-    assert partial_comparing_function(rho, d, depths) == second
     return list(zip(first, second))
 
 
@@ -221,8 +217,8 @@ def test_a_non_positive_distance_raises(monkeypatch, value, side):
     d, rho = shrinking_metric(), discrete_metric()
     if side == "second":
         d, rho = rho, d
-    assert len(partial_comparing_function(d, rho, [2])) == 1
+    assert len(streamed(d, rho, [2])) == 1
     with pytest.raises(InputError) as err:
-        partial_comparing_function(d, rho, [2, 4])
+        classify_lazy_pair(d, rho, [2, 4])
     assert str(err.value) == (f"distance {value[0]}/{value[1]} on the distinct "
                               f"pair (x2, x3) is not positive; not a metric")

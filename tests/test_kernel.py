@@ -6,15 +6,14 @@ elements."""
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evslib import (InputError, MetricMatrix, check_axioms, check_properties,
-                    instances, replay_counterexample, validate_metric)
+from evslib import (InputError, MetricMatrix, check_axioms, instances,
+                    replay_counterexample, validate_metric)
 from evslib.cli import main
 from evslib.instances import (
     build_instance,
@@ -311,14 +310,13 @@ def listed_scaling(sampled, listed, a, x):
                                   "metrics-reversed-order",
                                   "metrics-no-abs-scale"))
 def test_no_tabled_operation_is_computed_twice(name, op, tabled):
-    """Each suite tests the order of each ordered pair of sampled elements
-    once at most, and scales each sampled element by each listed scalar
-    once at most."""
+    """The axiom suite, and the run of both suites on one context, test the
+    order of each ordered pair of sampled elements once at most, and scale
+    each sampled element by each listed scalar once at most."""
     inst, sample, scalars = build_instance(name, seed=0, sample=12)
     sampled = {id(x) for x in sample}
     listed = {id(a) for a in scalars}
-    for suite in (lambda i: check_axioms(i, sample, scalars, seed=0),
-                  lambda i: check_properties(i, sample, scalars)):
+    for properties in (False, True):
         calls = Counter()
 
         def counted(*operands):
@@ -327,7 +325,8 @@ def test_no_tabled_operation_is_computed_twice(name, op, tabled):
                 calls[key] += 1
             return getattr(inst, op)(*operands)
 
-        suite(replace(inst, **{op: counted}))
+        check_axioms(replace(inst, **{op: counted}), sample, scalars, seed=0,
+                     properties=properties)
         assert calls and max(calls.values()) == 1
 
 
@@ -387,41 +386,6 @@ def test_counterexample_read_back_from_json_replays(name, law):
 # ---------------------------------------------------------------------------
 
 
-def reference_validation(m: MetricMatrix) -> dict:
-    """The plain Fraction check: every triple (i, j, k), degenerate ones
-    included, in lexicographic order, reported as validate_metric does."""
-    n, rows, labels = m.size, reference.rows(m), m.labels
-
-    def failed(violation: dict) -> dict:
-        return {"pass": False, "violation": violation, "size": n}
-
-    for i in range(n):
-        if rows[i][i] != 0:
-            return failed({
-                "axiom": "zero-diagonal", "indices": [labels[i]],
-                "value": fmt(rows[i][i])})
-    for i, j in combinations(range(n), 2):
-        v = rows[i][j]
-        if v < 0:
-            return failed({
-                "axiom": "nonnegativity", "indices": [labels[i], labels[j]],
-                "value": fmt(v)})
-        if v == 0:
-            return failed({
-                "axiom": "identity-of-indiscernibles",
-                "indices": [labels[i], labels[j]], "value": "0/1"})
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if rows[i][k] > rows[i][j] + rows[j][k]:
-                    return failed({
-                        "axiom": "triangle",
-                        "indices": [labels[i], labels[j], labels[k]],
-                        "lhs": fmt(rows[i][k]),
-                        "rhs": fmt(rows[i][j] + rows[j][k])})
-    return {"pass": True, "violation": None, "size": n}
-
-
 @st.composite
 def tables(draw):
     """Symmetric tables with a zero diagonal: box tables (every entry within
@@ -447,15 +411,15 @@ def tables(draw):
 @settings(max_examples=300)
 @given(tables())
 def test_triangle_check_matches_fraction_reference(m):
-    assert validate_metric(m) == reference_validation(m)
+    assert validate_metric(m) == reference.validation(m)
 
 
 def test_triangle_reference_sees_both_outcomes():
     m = MetricMatrix.from_rows(carrier_labels(3),
                                [[0, 1, 5], [1, 0, 1], [5, 1, 0]])
-    assert validate_metric(m) == reference_validation(m)
+    assert validate_metric(m) == reference.validation(m)
     assert validate_metric(m)["violation"]["indices"] == ["x1", "x2", "x3"]
     ok = MetricMatrix.from_rows(carrier_labels(3),
                                 [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-    assert validate_metric(ok) == reference_validation(ok)
+    assert validate_metric(ok) == reference.validation(ok)
     assert validate_metric(ok)["pass"] is True

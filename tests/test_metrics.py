@@ -23,7 +23,6 @@ from evslib import (
     discrete_metric,
     grid_carrier,
     leq_metrics,
-    partial_comparing_function,
     scale_lazy,
     scale_metric,
     shrinking_metric,
@@ -41,23 +40,11 @@ from reference import rows
 F = Fraction
 
 
-def distinct_pairs(m: MetricMatrix) -> list:
-    """(i, j, value) over the distinct pairs i < j, read from the rows."""
-    full = rows(m)
-    return [(i, j, full[i][j]) for i, j in combinations(range(m.size), 2)]
-
-
-def comparing_oracle(d: MetricMatrix, rho: MetricMatrix) -> Fraction:
-    """Independent route through the spectrum definition: enumerate candidate
-    multipliers (all pairwise ratios and zero) and take the largest lambda,
-    checked via the order relation, with lambda*d <= rho."""
-    candidates, rr = {F(0)}, rows(rho)
-    for i, j, dv in distinct_pairs(d):
-        candidates.add(rr[i][j] / dv)
-    feasible = [
-        lam for lam in candidates if leq_metrics(scale_metric(lam, d), rho)
-    ]
-    return max(feasible)
+def upper_bounds(d, rho, depths) -> list:
+    """The depth-indexed bounds of rho relative to d that classify_lazy_pair
+    reports."""
+    directions = classify_lazy_pair(d, rho, depths)["directions"]
+    return [F(v) for v in directions["secondRelativeFirst"]["upperBounds"]]
 
 
 def tri(a, b, c, labels=("x1", "x2", "x3")) -> MetricMatrix:
@@ -181,7 +168,8 @@ def test_comparing_matches_spectrum_oracle_on_randoms():
     for _ in range(40):
         d = random_metric(rng, labels)
         rho = random_metric(rng, labels)
-        assert comparing_function_metric(d, rho) == comparing_oracle(d, rho)
+        assert comparing_function_metric(d, rho) == \
+            reference.spectrum(rows(d), rows(rho))
 
 
 def test_comparing_scaling_law_and_self():
@@ -204,7 +192,7 @@ def test_comparing_certificate_is_tight():
     assert leq_metrics(scale_metric(c, d), rho)
     scaled = scale_metric(c, d)
     assert any(rows(scaled)[i][j] == rows(rho)[i][j]
-               for i, j, _ in distinct_pairs(d))
+               for i, j in combinations(range(d.size), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +269,9 @@ def test_comparing_value_is_a_tight_lower_multiplier(pair):
     d, rho = pair
     c = comparing_function_metric(d, rho)
     assert leq_metrics(scale_metric(c, d), rho)
-    rr = rows(rho)
-    assert any(c * v == rr[i][j] for i, j, v in distinct_pairs(d))
+    dr, rr = rows(d), rows(rho)
+    assert any(c * dr[i][j] == rr[i][j]
+               for i, j in combinations(range(d.size), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +283,8 @@ def test_bounded_transform_entries():
     rho = tri(3, 3, 3)
     assert rows(transform_bounded(rho))[0][1] == F(3, 4)
     disc = builtin_metric("discrete", {}, 4)
-    assert {v for _, _, v in distinct_pairs(transform_bounded(disc))} == \
-        {F(1, 2)}
+    full = rows(transform_bounded(disc))
+    assert {full[i][j] for i, j in combinations(range(4), 2)} == {F(1, 2)}
 
 
 def test_min_transform_entries():
@@ -325,10 +314,12 @@ def test_transform_closed_forms_match_oracle():
     for _ in range(15):
         rho = random_metric(rng, labels)
         rb = transform_bounded(rho)
-        values = [v for _, _, v in distinct_pairs(rho)]
+        full = rows(rho)
+        values = [full[i][j] for i, j in combinations(range(rho.size), 2)]
         assert comparing_function_metric(rb, rho) == 1 + min(values)
         assert comparing_function_metric(rho, rb) == 1 / (1 + max(values))
-        assert comparing_function_metric(rb, rho) == comparing_oracle(rb, rho)
+        assert comparing_function_metric(rb, rho) == \
+            reference.spectrum(rows(rb), full)
 
 
 @given(table_pairs(st.fractions(-3, 3, max_denominator=4)))
@@ -426,18 +417,16 @@ def test_lazy_materializations_validate():
 
 def test_partial_self_is_constant_one():
     d = shrinking_metric()
-    assert partial_comparing_function(d, d, [5, 10]) == [1, 1]
+    assert upper_bounds(d, d, [5, 10]) == [1, 1]
 
 
 def test_partial_constant_scaling():
     u = usual_metric(grid_carrier(1))
-    assert partial_comparing_function(u, scale_lazy(3, u), [5, 10, 20]) == [3, 3, 3]
+    assert upper_bounds(u, scale_lazy(3, u), [5, 10, 20]) == [3, 3, 3]
 
 
 def test_partial_discrete_vs_shrinking_trend():
-    seq = partial_comparing_function(
-        discrete_metric(), shrinking_metric(), [10, 25, 50]
-    )
+    seq = upper_bounds(discrete_metric(), shrinking_metric(), [10, 25, 50])
     assert seq == [F(1, 90), F(1, 600), F(1, 2450)]
     assert all(v > 0 for v in seq)
     assert seq[0] > seq[1] > seq[2]
@@ -445,19 +434,18 @@ def test_partial_discrete_vs_shrinking_trend():
 
 def test_partial_requires_increasing_depths():
     with pytest.raises(InputError):
-        partial_comparing_function(discrete_metric(), shrinking_metric(), [10, 10])
+        classify_lazy_pair(discrete_metric(), shrinking_metric(), [10, 10])
 
 
 def test_partial_nonincreasing_on_nested_carriers():
-    seq = partial_comparing_function(
-        builtin_lazy("kappa"), usual_metric(symmetric_grid_carrier()), [11, 21, 41]
-    )
+    seq = upper_bounds(builtin_lazy("kappa"),
+                       usual_metric(symmetric_grid_carrier()), [11, 21, 41])
     assert seq == [F(1, 10), F(1, 20), F(1, 40)]
 
 
 def test_carrier_conflict_rejected():
     with pytest.raises(InputError):
-        partial_comparing_function(
+        classify_lazy_pair(
             usual_metric(grid_carrier(1)), builtin_lazy("kappa"), [5, 9]
         )
 
@@ -519,11 +507,13 @@ def test_classify_lazy_evaluates_each_pair_once(monkeypatch, first, second):
                       for i in range(1, n + 1) for j in range(i + 1, n + 1))
     for family, seen in pairs.items():
         assert sorted(seen) == expected, family
+    carrier = metrics.resolve_carrier(first, second)
     for key, (x, y) in (("secondRelativeFirst", (first, second)),
                         ("firstRelativeSecond", (second, first))):
         assert report["directions"][key]["upperBounds"] == [
-            f"{v.numerator}/{v.denominator}"
-            for v in partial_comparing_function(x, y, depths)]
+            reference.text(reference.comparing(reference.table(x, n, carrier),
+                                               reference.table(y, n, carrier)))
+            for n in depths]
 
 
 @pytest.mark.parametrize("metric", [

@@ -17,13 +17,13 @@ from evslib import (
     PartitionSpec,
     Universe,
     builtin_metric,
+    classify_lazy_pair,
     down_set,
     feasible_in_universe,
     generates,
     in_l,
     is_basis,
     orderly_independent_set,
-    partial_comparing_function,
     replay_certificate,
     scale_metric,
     transform_bounded,
@@ -289,9 +289,10 @@ def test_feasible_singleton_universe():
 
 def test_unbounded_profile_feasibility_certificates_shrink_with_depth():
     usual = usual_metric(grid_carrier(1))
-    seq = partial_comparing_function(usual, transform_bounded(usual), [5, 10, 20])
-    assert seq == [F(1, 5), F(1, 10), F(1, 20)]
-    assert seq[0] > seq[1] > seq[2] > 0
+    report = classify_lazy_pair(usual, transform_bounded(usual), [5, 10, 20])
+    direction = report["directions"]["secondRelativeFirst"]
+    assert direction["upperBounds"] == ["1/5", "1/10", "1/20"]
+    assert direction["strictlyDecreasing"]
 
 
 # ---------------------------------------------------------------------------
