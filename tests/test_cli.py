@@ -127,10 +127,11 @@ def cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-LABELS = {(True, True): "mutually-dependent",
-          (True, False): "one-sided-second-in-L(first)",
-          (False, True): "one-sided-first-in-L(second)",
-          (False, False): "orderly-independent"}
+# the label of a pair by its two testing-set memberships
+CLASSIFICATIONS = {(True, True): "mutually-dependent",
+                   (True, False): "one-sided-second-in-L(first)",
+                   (False, True): "one-sided-first-in-L(second)",
+                   (False, False): "orderly-independent"}
 
 
 @settings(max_examples=200, deadline=None)
@@ -141,13 +142,13 @@ def test_compare_agrees_with_the_reference_model(data):
     replays; a zero off the diagonal exits 2 naming the first zero pair of
     the first table that has one."""
     n = data.draw(st.integers(2, 6))
-    (d, first), (rho, second) = (data.draw(signed_tables(n)),
-                                 data.draw(signed_tables(n)))
+    d, first = data.draw(signed_tables(n))
+    rho, second = data.draw(signed_tables(n))
     labels = [f"p{k}" for k in range(n)]
     with tempfile.TemporaryDirectory() as tmp:
-        files = [str(Path(tmp) / f"{name}.json") for name in "dr"]
-        for path, table in zip(files, (first, second)):
-            write_json(Path(path), {"labels": labels, "rows": table})
+        files = [write_json(Path(tmp) / f"{name}.json",
+                            {"labels": labels, "rows": table})
+                 for name, table in (("d", first), ("rho", second))]
         code, out, err = cli("compare", *files)
         zeros = [(i, j) for table in (d, rho)
                  for i, j in combinations(range(n), 2) if table[i][j] == 0]
@@ -162,7 +163,7 @@ def test_compare_agrees_with_the_reference_model(data):
         c1, c2 = reference.comparing(d, rho), reference.comparing(rho, d)
         assert report["comparingSecondRelativeFirst"] == reference.text(c1)
         assert report["comparingFirstRelativeSecond"] == reference.text(c2)
-        assert report["classification"] == LABELS[c1 > 0, c2 > 0]
+        assert report["classification"] == CLASSIFICATIONS[c1 > 0, c2 > 0]
         assert report["secondInTestingSetOfFirst"] == (c1 > 0)
         assert report["firstInTestingSetOfSecond"] == (c2 > 0)
         if c1 > 0 and c2 > 0:
@@ -863,25 +864,15 @@ def test_internal_fault_exits_three(capsys, tmp_path):
     assert doc["error"].startswith("ValueError")
 
 
-FIBER_CAP_ERROR = "the decay index exceeds the fiber-index limit of 100000"
-
-
-@pytest.mark.parametrize("gamma, eps, error", [
-    ("11/10", "1e-4299", FIBER_CAP_ERROR),
-    ("1000001/1000000", "1e-30", FIBER_CAP_ERROR),
-    ("1001/1000", "1e-60", FIBER_CAP_ERROR),
-    (f"{10 ** 400 + 1}/{10 ** 400}", "0." + "9" * 395,
-     "the decay index exceeds 788, past which a power of the 1329-bit ratio "
-     "denominator could pass the budget of 1048576 bits"),
-], ids=["11/10", "1000001/1000000", "1001/1000", "400-digit"])
-def test_decay_index_past_a_cap_is_input_error(capsys, tmp_path, gamma, eps,
-                                               error):
+@pytest.mark.parametrize("gamma, eps", [("11/10", "1e-4299"),
+                                        ("1000001/1000000", "1e-30"),
+                                        ("1001/1000", "1e-60")])
+def test_decay_index_past_the_fiber_cap_is_input_error(capsys, tmp_path,
+                                                       gamma, eps):
     """A witness whose index would pass the fiber-index cap of `norms eval`
-    (103,859 for gamma 11/10, about 69 million for 1000001/1000000, and
-    138,225 for 1001/1000, whose 10-bit powers meet the cap inside the bit
-    budget), or whose power of the ratio base would pass the bit budget (an index near
-    100,000 on a 1,329-bit denominator), exits 2 with a JSON error before
-    it builds that power."""
+    (103,859 for gamma 11/10, about 69 million for 1000001/1000000, 138,225
+    for 1001/1000, whose 10-bit powers reach the cap inside the bit budget)
+    exits 2 with a JSON error."""
     p = write_json(tmp_path / "p.json",
                    {"depth": 12, "subsetC": ["h0"], "gamma": gamma})
     q = write_json(tmp_path / "q.json",
@@ -889,7 +880,26 @@ def test_decay_index_past_a_cap_is_input_error(capsys, tmp_path, gamma, eps,
     code, out, err = run(capsys, "norms", "witness", "--spec", p, "--spec", q,
                          "--eps", eps)
     assert (code, out) == (2, None)
-    assert json.loads(err)["error"] == error
+    assert json.loads(err)["error"] == (
+        "the decay index exceeds the fiber-index limit of 100000")
+
+
+def test_decay_power_past_the_bit_budget_is_input_error(capsys, tmp_path):
+    """A 400-digit gamma needs an index near 100,000 at this epsilon, where
+    a power of its 1,329-bit ratio denominator has about 133 million bits:
+    the witness exits 2 with a JSON error before it builds a power past
+    2^20 bits."""
+    gamma = f"{10 ** 400 + 1}/{10 ** 400}"
+    p = write_json(tmp_path / "p.json",
+                   {"depth": 12, "subsetC": ["h0"], "gamma": gamma})
+    q = write_json(tmp_path / "q.json",
+                   {"depth": 12, "subsetC": ["h2"], "gamma": gamma})
+    code, out, err = run(capsys, "norms", "witness", "--spec", p, "--spec", q,
+                         "--eps", "0." + "9" * 395)
+    assert (code, out) == (2, None)
+    assert json.loads(err)["error"] == (
+        "the decay index exceeds 788, past which a power of the 1329-bit "
+        "ratio denominator could pass the budget of 1048576 bits")
 
 
 # file contents (by name) and the argv that reads them; each input is
