@@ -162,7 +162,7 @@ def test_comparing_rejects_zero_relative_element():
         comparing_function_metric(MetricMatrix.zero(d.labels), d)
 
 
-def test_comparing_matches_spectrum_oracle_on_randoms():
+def test_comparing_matches_the_reference_spectrum_on_randoms():
     rng = random.Random(7)
     labels = tuple(f"x{k}" for k in range(1, 7))
     for _ in range(40):
