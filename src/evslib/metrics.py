@@ -206,10 +206,15 @@ def validate_metric(m: MetricMatrix) -> dict:
     the surrounding space.
 
     Every check runs on the table's integer form, whose common positive
-    denominator keeps every sign and comparison. The triangle check visits
-    the triples (i, j, k) in the order of a plain triple loop but only with
-    i != j: once the diagonal and sign checks pass, no triple with i == j,
-    k == i or k == j violates, so the first violation found is the same.
+    denominator keeps every sign and comparison. The triangle check reports
+    the first violating triple (i, j, k) in the order of a plain triple loop
+    but visits only i != j: once the diagonal and sign checks pass, no
+    triple with i == j, k == i or k == j violates. For each ordered pair it
+    decides every k at once: on rows packed into one int each, one
+    subtraction sets a guard bit in field k exactly where d(i,k) > d(i,j) +
+    d(j,k) (_packed_triangle). Tables whose fields would be wider than
+    PACKED_FIELD_BITS are scanned pair by pair instead, where max_k
+    d(i,k) - d(j,k) > d(i,j) finds the violating pairs (_scanned_triangle).
     """
     violation = _violation(m)
     return {"pass": violation is None, "violation": violation, "size": m.size}
@@ -242,19 +247,68 @@ def _violation(m: MetricMatrix) -> Optional[dict]:
                     "value": "0/1",
                 }
     rows = _mirror(upper)
+    # every entry is now a nonnegative integer; 2^s >= 2 * max + 2, and a
+    # field of s + 1 bits is rounded up to whole bytes
+    s = max(nums).bit_length() + 1
+    size = (s + 8) // 8
+    if 8 * size <= PACKED_FIELD_BITS:
+        triple = _packed_triangle(rows, s, size)
+    else:
+        triple = _scanned_triangle(rows)
+    if triple is None:
+        return None
+    i, j, k = triple
+    return {
+        "axiom": "triangle",
+        "indices": [labels[i], labels[j], labels[k]],
+        "lhs": fmt_ratio(rows[i][k], den),
+        "rhs": fmt_ratio(rows[i][j] + rows[j][k], den),
+    }
+
+
+# The widest field, in bits, that the packed triangle check takes; tables
+# with wider fields take the scan. On valid tables of 16, 40, 121 and 300
+# points with the widest entries each field holds (CPython 3.11, one core
+# of a Xeon KVM guest), the packed check ran 1.05-1.22x faster than the
+# scan at 192-bit fields and 0.71-0.97x as fast at 224-bit fields.
+PACKED_FIELD_BITS = 192
+
+
+def _packed_triangle(rows: list, s: int, size: int) -> Optional[tuple]:
+    """The first (i, j, k) in row order, i != j, with d(i,k) > d(i,j) +
+    d(j,k) on rows of nonnegative integers below 2^(s-1), or None.
+
+    Row i is packed into one int P_i whose field k, `size` bytes at byte
+    k * size, holds d(i,k). R has a one in every field and `top` the bit s
+    of every field. Field k of P_i + (2^s - 1 - d(i,j)) * R - P_j holds
+    d(i,k) - d(j,k) - d(i,j) - 1 + 2^s, which lies in [0, 2^(s+1)), so no
+    carry or borrow crosses a field, and its bit s is set exactly when
+    (i, j, k) violates. The lowest set bit of the masked value gives the
+    least such k."""
+    ones = int.from_bytes((1).to_bytes(size, "little") * len(rows), "little")
+    top = ones << s
+    lift = (1 << s) - 1
+    packed = [int.from_bytes(b"".join([v.to_bytes(size, "little")
+                                       for v in row]), "little")
+              for row in rows]
+    for i, (ri, pi) in enumerate(zip(rows, packed)):
+        for j, pj in enumerate(packed):
+            if j != i:
+                hit = (pi + (lift - ri[j]) * ones - pj) & top
+                if hit:
+                    return i, j, ((hit & -hit).bit_length() - 1) // (8 * size)
+    return None
+
+
+def _scanned_triangle(rows: list) -> Optional[tuple]:
+    """The triple of _packed_triangle on any rows, pair by pair: d(i,k) >
+    d(i,j) + d(j,k) for some k iff max_k d(i,k) - d(j,k) > d(i,j)."""
     for i, ri in enumerate(rows):
         for j, rj in enumerate(rows):
             dij = ri[j]
-            # d(i,k) > d(i,j) + d(j,k) for some k iff max_k d(i,k) - d(j,k) > d(i,j)
-            if j == i or max(map(sub, ri, rj)) <= dij:
-                continue
-            k = next(k for k in range(n) if ri[k] - rj[k] > dij)
-            return {
-                "axiom": "triangle",
-                "indices": [labels[i], labels[j], labels[k]],
-                "lhs": fmt_ratio(ri[k], den),
-                "rhs": fmt_ratio(dij + rj[k], den),
-            }
+            if j != i and max(map(sub, ri, rj)) > dij:
+                return i, j, next(k for k, (a, b) in enumerate(zip(ri, rj))
+                                  if a - b > dij)
     return None
 
 

@@ -102,12 +102,16 @@ def text(v: Fraction) -> str:
 
 
 def validation(m) -> dict:
-    """The metric axioms of a table, reported as the library's
-    validate_metric reports them: the first failure of zero diagonal, then
-    nonnegativity and identity of indiscernibles on the distinct pairs in
-    row order, then the triangle inequality on every triple (i, j, k),
-    degenerate ones included, in lexicographic order."""
-    full, labels = rows(m), m.labels
+    """The metric axioms of a MetricMatrix (see axioms)."""
+    return axioms(m.labels, rows(m))
+
+
+def axioms(labels, full: tuple) -> dict:
+    """The metric axioms of a full table of Fractions, reported as the
+    library's validate_metric reports them: the first failure of zero
+    diagonal, then nonnegativity and identity of indiscernibles on the
+    distinct pairs in row order, then the triangle inequality on every
+    triple (i, j, k), degenerate ones included, in lexicographic order."""
     n = len(full)
 
     def failed(violation: dict) -> dict:

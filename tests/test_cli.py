@@ -179,6 +179,77 @@ def test_compare_agrees_with_the_reference_model(data):
         assert (code, json.loads(out)["match"]) == (0, True)
 
 
+# A field of the packed triangle check holds bit_length(max) + 2 bits,
+# rounded up to whole bytes: 2^k - 1 and 2^k fall in fields of different
+# widths at k = 6, 14, ..., 62 (a 64-bit field), ..., and 2^190 - 1 and
+# 2^190 on the two sides of PACKED_FIELD_BITS = 192.
+EDGE_BITS = (1, 6, 7, 14, 30, 62, 63, 64, 126, 190, 191, 254)
+
+
+@st.composite
+def axiom_tables(draw):
+    """A table on 1 to 12 points as Fractions and as spelled rows: entries
+    n/r over one denominator r, so that they print with mixed
+    denominators, and numerators in [top/2, top] (a metric), with top
+    small or next to 2^k for k in EDGE_BITS. Then up to three pairs are
+    redrawn, mostly positive and up to 3 * top, and now and then a diagonal
+    entry."""
+    n = draw(st.integers(1, 12))
+    top = draw(st.one_of(
+        st.integers(1, 40),
+        st.builds(lambda k, e: 2**k + e, st.sampled_from(EDGE_BITS),
+                  st.integers(-1, 1))))
+    box = st.integers((top + 1) // 2, top)
+    nums = [[0] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        nums[i][j] = nums[j][i] = draw(box)
+    if n > 1:                         # top is the widest entry
+        nums[0][1] = nums[1][0] = top
+    def rarely():                     # about one time in eight
+        return all(draw(st.booleans()) for _ in range(3))
+
+    for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+        i, j = draw(st.sampled_from(list(combinations(range(n), 2))))
+        nums[i][j] = nums[j][i] = draw(st.integers(1, 3 * top)) * (
+            draw(st.sampled_from((0, -1))) if rarely() else 1)
+    if rarely():
+        k = draw(st.integers(0, n - 1))
+        nums[k][k] = draw(st.integers(-top, 3 * top))
+    r = draw(st.integers(1, 12))
+    full = tuple(tuple(Fraction(v, r) for v in row) for row in nums)
+    spelled = [[v.numerator if v.denominator == 1 and draw(st.booleans())
+                else f"{v.numerator}/{v.denominator}" for v in row]
+               for row in full]
+    return full, spelled
+
+
+@settings(max_examples=200, deadline=None)
+@given(axiom_tables(), st.booleans())
+def test_validate_agrees_with_the_reference_model(table, as_csv):
+    """`evs validate` of a JSON or CSV table reports the model's first
+    violated axiom, or a pass, with exit code 1 or 0, and its report
+    replays."""
+    full, spelled = table
+    labels = [f"p{k}" for k in range(len(full))]
+    with tempfile.TemporaryDirectory() as tmp:
+        if as_csv:
+            path = Path(tmp) / "table.csv"
+            path.write_text("".join(",".join(map(str, row)) + "\n"
+                                    for row in [labels, *spelled]),
+                            encoding="utf-8")
+        else:
+            path = write_json(Path(tmp) / "table.json",
+                              {"labels": labels, "rows": spelled})
+        code, out, err = cli("validate", str(path))
+        expected = reference.axioms(labels, full)
+        assert (code, err) == (0 if expected["pass"] else 1, "")
+        assert json.loads(out)["report"] == expected
+        saved = Path(tmp) / "report.json"
+        saved.write_text(out, encoding="utf-8")
+        code, out, _ = cli("--replay", str(saved))
+        assert (code, json.loads(out)["match"]) == (0, True)
+
+
 def test_bounded_transform_of_minus_one_names_the_pair(capsys, tmp_path):
     path = write_json(tmp_path / "m.json", {
         "labels": ["a", "b"], "rows": [["0", "-1"], ["-1", "0"]]})

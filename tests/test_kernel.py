@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evslib import (InputError, MetricMatrix, check_axioms, instances,
-                    replay_counterexample, validate_metric)
+                    metrics, replay_counterexample, validate_metric)
 from evslib.cli import main
 from evslib.instances import (
     build_instance,
@@ -382,17 +382,24 @@ def test_counterexample_read_back_from_json_replays(name, law):
 
 
 # ---------------------------------------------------------------------------
-# The integer triangle check
+# The integer triangle check: rows packed into one int each, with a guard
+# bit per field, while the fields fit PACKED_FIELD_BITS, and a scan pair by
+# pair past it. Both report the first violating triple of a plain triple
+# loop, which the reference model finds in Fractions.
 # ---------------------------------------------------------------------------
 
 
 @st.composite
 def tables(draw):
-    """Symmetric tables with a zero diagonal: box tables (every entry within
-    a factor two of every other, so a metric) with a few entries redrawn
-    from a wider range, which breaks the triangle inequality somewhere."""
-    n = draw(st.integers(1, 8))
-    scale = draw(st.builds(Fraction, st.integers(1, 50), st.integers(1, 30)))
+    """Symmetric tables with a zero diagonal on 1 to 20 points: box tables
+    (every entry within a factor two of every other, so a metric) with a
+    few entries redrawn from a wider range, which breaks the triangle
+    inequality somewhere. Scale numerators of 1 to 256 bits put the
+    fields of the integer form on both sides of PACKED_FIELD_BITS."""
+    n = draw(st.integers(1, 20))
+    bits = draw(st.integers(1, 256))
+    scale = Fraction(draw(st.integers(1 << bits - 1, (1 << bits) - 1)),
+                     draw(st.integers(1, 30)))
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -404,11 +411,11 @@ def tables(draw):
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         if i != j:
             v = draw(st.builds(Fraction, st.integers(1, 400), st.integers(1, 60)))
-            rows[i][j] = rows[j][i] = v
+            rows[i][j] = rows[j][i] = v * draw(st.sampled_from((1, scale)))
     return MetricMatrix.from_rows(carrier_labels(n), tuple(map(tuple, rows)))
 
 
-@settings(max_examples=300)
+@settings(max_examples=300, deadline=None)
 @given(tables())
 def test_triangle_check_matches_fraction_reference(m):
     assert validate_metric(m) == reference.validation(m)
@@ -423,3 +430,36 @@ def test_triangle_reference_sees_both_outcomes():
                                 [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
     assert validate_metric(ok) == reference.validation(ok)
     assert validate_metric(ok)["pass"] is True
+
+
+def test_triangle_check_reports_the_least_k():
+    """(x1, x2) fails the triangle inequality through x3 and through x4;
+    the report names x3, on both routes."""
+    for unit in (1, 2**200):
+        m = MetricMatrix.from_rows(carrier_labels(4), [
+            [0, unit, 5 * unit, 5 * unit + 1], [unit, 0, unit, unit],
+            [5 * unit, unit, 0, unit], [5 * unit + 1, unit, unit, 0]])
+        assert validate_metric(m) == reference.validation(m)
+        assert validate_metric(m)["violation"]["indices"] == [
+            "x1", "x2", "x3"]
+
+
+def test_the_widest_entry_picks_the_route(monkeypatch):
+    """A field holds bit_length(max) + 2 bits rounded up to whole bytes, so
+    a largest entry of 2^190 - 1 fills a 192-bit field, the widest that
+    the packed check takes, and 2^190 needs 200 bits and the scan."""
+    routes = []
+    for name in ("_packed_triangle", "_scanned_triangle"):
+        monkeypatch.setattr(metrics, name, lambda *args, name=name,
+                            route=getattr(metrics, name):
+                            routes.append(name) or route(*args))
+    assert metrics.PACKED_FIELD_BITS == 192
+    for top, route in ((2**190 - 1, "_packed_triangle"),
+                       (2**190, "_scanned_triangle")):
+        for mid, ok in ((top - 1, True), (top - 2, False)):
+            m = MetricMatrix.from_rows(carrier_labels(3), [
+                [0, top, 1], [top, 0, mid], [1, mid, 0]])
+            assert validate_metric(m) == reference.validation(m)
+            assert validate_metric(m)["pass"] is ok
+            assert routes == [route] * 2
+            routes.clear()
