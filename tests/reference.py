@@ -102,11 +102,11 @@ def text(v: Fraction) -> str:
 
 
 def validation(m) -> dict:
-    """The metric axioms of a MetricMatrix (see axioms)."""
-    return axioms(m.labels, rows(m))
+    """The metric axioms of a MetricMatrix (see metric_axioms)."""
+    return metric_axioms(m.labels, rows(m))
 
 
-def axioms(labels, full: tuple) -> dict:
+def metric_axioms(labels, full: tuple) -> dict:
     """The metric axioms of a full table of Fractions, reported as the
     library's validate_metric reports them: the first failure of zero
     diagonal, then nonnegativity and identity of indiscernibles on the

@@ -189,7 +189,7 @@ EDGE_BITS = (1, 6, 7, 14, 30, 62, 63, 64, 126, 190, 191, 254)
 @st.composite
 def axiom_tables(draw):
     """A table on 1 to 12 points as Fractions and as spelled rows: entries
-    n/r over one denominator r, so that they print with mixed
+    p/r over one denominator r, so that they print with mixed
     denominators, and numerators in [top/2, top] (a metric), with top
     small or next to 2^k for k in EDGE_BITS. Then up to three pairs are
     redrawn, mostly positive and up to 3 * top, and now and then a diagonal
@@ -205,6 +205,7 @@ def axiom_tables(draw):
         nums[i][j] = nums[j][i] = draw(box)
     if n > 1:                         # top is the widest entry
         nums[0][1] = nums[1][0] = top
+
     def rarely():                     # about one time in eight
         return all(draw(st.booleans()) for _ in range(3))
 
@@ -241,7 +242,7 @@ def test_validate_agrees_with_the_reference_model(table, as_csv):
             path = write_json(Path(tmp) / "table.json",
                               {"labels": labels, "rows": spelled})
         code, out, err = cli("validate", str(path))
-        expected = reference.axioms(labels, full)
+        expected = reference.metric_axioms(labels, full)
         assert (code, err) == (0 if expected["pass"] else 1, "")
         assert json.loads(out)["report"] == expected
         saved = Path(tmp) / "report.json"

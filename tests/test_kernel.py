@@ -415,7 +415,7 @@ def tables(draw):
     return MetricMatrix.from_rows(carrier_labels(n), tuple(map(tuple, rows)))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(tables())
 def test_triangle_check_matches_fraction_reference(m):
     assert validate_metric(m) == reference.validation(m)
@@ -435,7 +435,7 @@ def test_triangle_reference_sees_both_outcomes():
 def test_triangle_check_reports_the_least_k():
     """(x1, x2) fails the triangle inequality through x3 and through x4;
     the report names x3, on both routes."""
-    for unit in (1, 2**200):
+    for unit in (1, 2**metrics.PACKED_FIELD_BITS):
         m = MetricMatrix.from_rows(carrier_labels(4), [
             [0, unit, 5 * unit, 5 * unit + 1], [unit, 0, unit, unit],
             [5 * unit, unit, 0, unit], [5 * unit + 1, unit, unit, 0]])
@@ -446,16 +446,17 @@ def test_triangle_check_reports_the_least_k():
 
 def test_the_widest_entry_picks_the_route(monkeypatch):
     """A field holds bit_length(max) + 2 bits rounded up to whole bytes, so
-    a largest entry of 2^190 - 1 fills a 192-bit field, the widest that
-    the packed check takes, and 2^190 needs 200 bits and the scan."""
+    with B = PACKED_FIELD_BITS, a multiple of 8, a largest entry of
+    2^(B-2) - 1 fills a B-bit field, the widest that the packed check
+    takes, and 2^(B-2) needs B + 8 bits and the scan."""
     routes = []
     for name in ("_packed_triangle", "_scanned_triangle"):
         monkeypatch.setattr(metrics, name, lambda *args, name=name,
                             route=getattr(metrics, name):
                             routes.append(name) or route(*args))
-    assert metrics.PACKED_FIELD_BITS == 192
-    for top, route in ((2**190 - 1, "_packed_triangle"),
-                       (2**190, "_scanned_triangle")):
+    edge = 2**(metrics.PACKED_FIELD_BITS - 2)
+    for top, route in ((edge - 1, "_packed_triangle"),
+                       (edge, "_scanned_triangle")):
         for mid, ok in ((top - 1, True), (top - 2, False)):
             m = MetricMatrix.from_rows(carrier_labels(3), [
                 [0, top, 1], [top, 0, mid], [1, mid, 0]])
