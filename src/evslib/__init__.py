@@ -52,14 +52,12 @@ from .norms import (
 )
 from .order import (
     Universe,
-    down_set,
     feasible_in_universe,
     generates,
     in_l,
     is_basis,
     orderly_independent_set,
     replay_certificate,
-    up_set,
 )
 
 __version__ = "0.1.0"

@@ -76,19 +76,6 @@ class FSVector:
     def zero(cls) -> "FSVector":
         return cls(())
 
-    def get(self, name: str) -> Fraction:
-        for n, v in self.coords:
-            if n == name:
-                return v
-        return ZERO
-
-    @property
-    def support(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.coords)
-
-    def is_zero(self) -> bool:
-        return not self.coords
-
     def add(self, other: "FSVector") -> "FSVector":
         acc = dict(self.coords)
         for n, v in other.coords:
@@ -103,9 +90,6 @@ class FSVector:
         if factor == 0:
             return FSVector.zero()
         return FSVector(tuple((n, factor * v) for n, v in self.coords))
-
-    def to_json(self) -> dict:
-        return {n: fmt(v) for n, v in self.coords}
 
 
 # ---------------------------------------------------------------------------

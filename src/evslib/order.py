@@ -115,26 +115,6 @@ def replay_certificate(instance: EvsInstance, x, y, cert: dict) -> bool:
     return instance.leq(scaled, y)
 
 
-def _scan_domain(a, universe: Universe) -> list:
-    """Universe elements plus the query element itself, so asking about the
-    zero element includes it in its own up-set."""
-    inst = universe.instance
-    domain = list(universe.elements)
-    if not any(inst.equal(a, e) for e in domain):
-        domain.append(a)
-    return domain
-
-
-def up_set(a, universe: Universe) -> list:
-    inst = universe.instance
-    return [e for e in _scan_domain(a, universe) if inst.leq(a, e)]
-
-
-def down_set(a, universe: Universe) -> list:
-    inst = universe.instance
-    return [e for e in _scan_domain(a, universe) if inst.leq(e, a)]
-
-
 # ---------------------------------------------------------------------------
 # Set-level reports: each tool returns the JSON document it reports
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from evslib import (
     Universe,
     builtin_metric,
     classify_lazy_pair,
-    down_set,
     feasible_in_universe,
     generates,
     in_l,
@@ -28,7 +27,6 @@ from evslib import (
     scale_metric,
     transform_bounded,
     transform_min,
-    up_set,
     usual_metric,
     grid_carrier,
 )
@@ -163,36 +161,6 @@ def test_generation_prints_each_generator_and_element_once():
     assert report["status"] == "fail"
     assert report["failureWitness"] == touching.to_json()
     assert printed == [big, rho, rho, big, touching.form]
-
-
-# ---------------------------------------------------------------------------
-# Up and down sets
-# ---------------------------------------------------------------------------
-
-
-def test_down_set_of_bounded_metric():
-    small = scale_metric(F(1, 2), RHO)  # everything at most 1 pointwise
-    bounded, capped, double = (transform_bounded(small).form,
-                               transform_min(small).form,
-                               scale_metric(2, small).form)
-    universe = Universe(INST, [small.form, bounded, capped, double])
-    down = down_set(small.form, universe)
-    assert any(INST.equal(e, bounded) for e in down)
-    assert any(INST.equal(e, capped) for e in down)
-    assert any(INST.equal(e, small.form) for e in down)
-    assert not any(INST.equal(e, double) for e in down)
-
-
-def test_up_set_of_zero_is_everything_plus_zero():
-    universe = Universe(INST, [rho, big])
-    up = up_set(INST.zero, universe)
-    assert len(up) == 3
-    assert any(INST.equal(e, INST.zero) for e in up)
-
-
-def test_down_set_of_singleton_universe():
-    universe = Universe(INST, [rho])
-    assert down_set(rho, universe) == [rho]
 
 
 # ---------------------------------------------------------------------------

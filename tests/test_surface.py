@@ -16,8 +16,6 @@ ROOT = Path(__file__).resolve().parents[1]
 # public names that nothing in the package, the README or the acceptance
 # suite reaches, each kept for the reason given
 KEPT = {
-    "up_set": "the README lists up/down sets among the order tools",
-    "down_set": "the README lists up/down sets among the order tools",
     "scale_lazy": "builds the composite families pinned in test_closed_form",
 }
 
