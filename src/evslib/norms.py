@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence
 from .core import EvsInstance
 from .errors import InputError
 from .instances import rational_tuple_instance
-from .metrics import MetricMatrix, _from_upper
+from .metrics import MAX_BUILTIN_DEPTH, MetricMatrix, _from_upper
 from .rationals import (MAX_DIGITS, fmt, parse_rational, parse_rationals,
                         require_int, to_fractions, to_ints)
 
@@ -248,7 +248,11 @@ class NormFamilyParams:
     def from_json(cls, doc) -> "NormFamilyParams":
         try:
             depth = require_int(doc["depth"], 'family spec "depth"')
-            subset = tuple(str(t) for t in doc["subsetC"])
+            subset = doc["subsetC"]
+            if type(subset) is not list:
+                raise InputError('family spec "subsetC" must be a list of '
+                                 'backbone members')
+            subset = tuple(map(str, subset))
             gamma = parse_rational(doc["gamma"])
         except (KeyError, TypeError) as exc:
             raise InputError(
@@ -550,10 +554,15 @@ def independence_witness(p: NormFamilyParams, q: NormFamilyParams,
 def embed_norm_to_metric(w: WeightMap, points: Sequence[FSVector]) -> MetricMatrix:
     """Distance table m[i][j] = |points[i] - points[j]|_w; the translation-
     invariant metric induced by the norm. The norm is symmetric, so each
-    unordered pair is evaluated once and mirrored."""
+    unordered pair is evaluated once and mirrored. More than
+    MAX_BUILTIN_DEPTH points is an input error before any norm is
+    evaluated."""
     points = list(points)
     if len(points) < 2:
         raise InputError("need at least two points")
+    if len(points) > MAX_BUILTIN_DEPTH:
+        raise InputError(f"{len(points)} embed points exceed the limit of "
+                         f"{MAX_BUILTIN_DEPTH}")
     if len({p.coords for p in points}) != len(points):
         raise InputError("points must be pairwise distinct")
     labels = tuple(f"p{k}" for k in range(1, len(points) + 1))

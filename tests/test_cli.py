@@ -18,9 +18,12 @@ import reference
 from evslib.cli import main
 from evslib.instances import (MAX_CARRIER, MAX_DEPTH, MAX_DIM, MAX_SAMPLE,
                               build_instance)
-from evslib.metrics import (MAX_BUILTIN_DEPTH, Carrier, LazyMetric,
-                            MetricMatrix, builtin_metric, transform_bounded)
-from evslib.norms import MAX_PARTITION_DEPTH, PartitionSpec
+from evslib import metrics, norms
+from evslib.metrics import (MAX_BUILTIN_DEPTH, MAX_TABLE_PAIRS, Carrier,
+                            LazyMetric, MetricMatrix, builtin_metric,
+                            cauchy_incompleteness_demo, transform_bounded)
+from evslib.norms import (MAX_PARTITION_DEPTH, FSVector, PartitionSpec,
+                          WeightMap)
 from evslib.rationals import MAX_DIGITS
 
 FLOAT_PATTERN = re.compile(r"\d+\.\d")
@@ -372,6 +375,92 @@ def test_cauchy_demo(capsys, tmp_path):
                        "--pairs", pairs)
     assert code == 0
     assert doc["report"]["demonstratesIncompleteness"] is True
+
+
+def trip(what):
+    def tripwire(*args, **kwargs):
+        raise AssertionError(f"{what} started")
+    return tripwire
+
+
+def plane_pairs(count):
+    """`count` point pairs [[k, 0], [k, 1]], each a witness: 2 * count
+    distinct points."""
+    return [[[k, 0], [k, 1]] for k in range(count)]
+
+
+@pytest.mark.parametrize("indices, pairs, error", [
+    (2, MAX_BUILTIN_DEPTH // 2 + 1,
+     f"{MAX_BUILTIN_DEPTH + 2} distinct points exceed the limit of "
+     f"{MAX_BUILTIN_DEPTH}"),
+    (MAX_BUILTIN_DEPTH + 1, 1,
+     f"the indices and pairs need {MAX_TABLE_PAIRS + MAX_BUILTIN_DEPTH} "
+     f"checks, past the limit of {MAX_TABLE_PAIRS} (the pairs of one "
+     f"depth-{MAX_BUILTIN_DEPTH} table)"),
+    (MAX_BUILTIN_DEPTH, 2,
+     f"the indices and pairs need {2 * MAX_TABLE_PAIRS} checks, past the "
+     f"limit of {MAX_TABLE_PAIRS} (the pairs of one "
+     f"depth-{MAX_BUILTIN_DEPTH} table)"),
+])
+def test_cauchy_demo_past_a_limit_exits_two(capsys, tmp_path, monkeypatch,
+                                            indices, pairs, error):
+    monkeypatch.setattr(metrics, "combinations", trip("the Cauchy checks"))
+    ns = list(range(1, indices + 1))
+    path = write_json(tmp_path / "pairs.json", plane_pairs(pairs))
+    code, out, err = run(capsys, "cauchy-demo", "--indices",
+                         ",".join(map(str, ns)), "--pairs", path)
+    assert (code, out, json.loads(err)) == (2, None, {"error": error})
+    report = {"command": "cauchy-demo", "inputs": {
+        "indices": ns, "pairs": plane_pairs(pairs)}, "report": {}}
+    code, out, err = run(capsys, "--replay",
+                         write_json(tmp_path / "r.json", report))
+    assert (code, out, json.loads(err)) == (2, None, {"error": error})
+
+
+@pytest.mark.parametrize("indices, pairs", [
+    (2, MAX_BUILTIN_DEPTH // 2), (MAX_BUILTIN_DEPTH, 1)])
+def test_cauchy_demo_limits_admit_the_limits(monkeypatch, indices, pairs):
+    # the limits themselves are admitted but not computed here
+    monkeypatch.setattr(metrics, "combinations", trip("the Cauchy checks"))
+    with pytest.raises(AssertionError, match="the Cauchy checks started"):
+        cauchy_incompleteness_demo(range(1, indices + 1), plane_pairs(pairs))
+
+
+def test_norms_embed_past_the_limit_exits_two(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(norms, "eval_weighted_norm", trip("a norm"))
+    w = write_json(tmp_path / "w.json", {"h0": "1"})
+    points = [{"h0": k} for k in range(MAX_BUILTIN_DEPTH + 1)]
+    pts = write_json(tmp_path / "pts.json", points)
+    error = {"error": f"{MAX_BUILTIN_DEPTH + 1} embed points exceed the "
+                      f"limit of {MAX_BUILTIN_DEPTH}"}
+    code, out, err = run(capsys, "norms", "embed", "--weights", w,
+                         "--points", pts)
+    assert (code, out, json.loads(err)) == (2, None, error)
+    report = {"command": "norms-embed", "inputs": {
+        "weights": {"h0": "1"}, "points": points}, "report": {}}
+    code, out, err = run(capsys, "--replay",
+                         write_json(tmp_path / "r.json", report))
+    assert (code, out, json.loads(err)) == (2, None, error)
+
+
+def test_norms_embed_limit_admits_the_limit(monkeypatch):
+    monkeypatch.setattr(norms, "eval_weighted_norm", trip("a norm"))
+    points = [FSVector.from_dict({"h0": k}) for k in range(MAX_BUILTIN_DEPTH)]
+    with pytest.raises(AssertionError, match="a norm started"):
+        norms.embed_norm_to_metric(WeightMap({"h0": 1}), points)
+
+
+@pytest.mark.parametrize("subset", [{"h0": 1}, "h0", "h0h2", None, 0])
+def test_family_subset_that_is_not_a_list_exits_two(capsys, tmp_path,
+                                                    subset):
+    p = write_json(tmp_path / "p.json",
+                   {"depth": 12, "subsetC": subset, "gamma": "2"})
+    q = write_json(tmp_path / "q.json",
+                   {"depth": 12, "subsetC": ["h2"], "gamma": "2"})
+    code, out, err = run(capsys, "norms", "witness", "--spec", p, "--spec", q,
+                         "--eps", "1/1000")
+    assert (code, out, json.loads(err)) == (2, None, {
+        "error": 'family spec "subsetC" must be a list of backbone members'})
 
 
 def test_norms_partition_and_weights(capsys, tmp_path):
