@@ -1,6 +1,6 @@
-"""A reference model of the closed-form metrics, the table transforms, the
-comparing value and the metric axioms, written from the paper's
-definitions in plain Fraction arithmetic.
+"""A reference model of the closed-form metrics, the table sum, scalar
+action and transforms, the comparing value and the metric axioms, written
+from the paper's definitions in plain Fraction arithmetic.
 
 It reads only the data fields of the library's objects: a metric's family,
 weight, base and factor, a carrier's kind, step and points, and a table's
@@ -24,6 +24,24 @@ def bounded(v: Fraction) -> Fraction:
 def capped(v: Fraction) -> Fraction:
     """The truncation min(1, v)."""
     return min(ONE, v)
+
+
+def scaled(alpha: Fraction, full: tuple) -> tuple:
+    """The scalar action on a full table: every entry times |alpha|."""
+    return tuple(tuple(abs(alpha) * v for v in row) for row in full)
+
+
+def added(a: tuple, b: tuple) -> tuple:
+    """The sum of two full tables of one size, entry by entry."""
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def transformed(image, full: tuple) -> tuple:
+    """A table transform: `image` (bounded or capped) of every entry off
+    the diagonal, and zero on it."""
+    return tuple(tuple(Fraction(0) if i == j else image(v)
+                       for j, v in enumerate(row))
+                 for i, row in enumerate(full))
 
 
 def points(carrier, depth: int) -> list:
@@ -99,6 +117,12 @@ def spectrum(d: tuple, rho: tuple) -> Fraction:
 def text(v: Fraction) -> str:
     """A rational as the library prints it: "p/q" in lowest terms."""
     return f"{v.numerator}/{v.denominator}"
+
+
+def matrix(labels, full: tuple) -> dict:
+    """The document the library prints for a full table of Fractions."""
+    return {"labels": list(labels),
+            "rows": [[text(v) for v in row] for row in full]}
 
 
 def validation(m) -> dict:

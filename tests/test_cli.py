@@ -130,6 +130,27 @@ def cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def write_table(directory, name, labels, spelled, as_csv):
+    """A table file of spelled rows: CSV with a header row of labels, or a
+    JSON table document."""
+    if as_csv:
+        path = Path(directory) / f"{name}.csv"
+        path.write_text("".join(",".join(map(str, row)) + "\n"
+                                for row in [labels, *spelled]),
+                        encoding="utf-8")
+        return str(path)
+    return write_json(Path(directory) / f"{name}.json",
+                      {"labels": labels, "rows": spelled})
+
+
+def assert_replays(directory, out):
+    """The printed report `out`, saved and replayed, says match: true."""
+    saved = Path(directory) / "report.json"
+    saved.write_text(out, encoding="utf-8")
+    code, out, _ = cli("--replay", str(saved))
+    assert (code, json.loads(out)["match"]) == (0, True)
+
+
 # the label of a pair by its two testing-set memberships
 CLASSIFICATIONS = {(True, True): "mutually-dependent",
                    (True, False): "one-sided-second-in-L(first)",
@@ -176,10 +197,76 @@ def test_compare_agrees_with_the_reference_model(data):
                 "upperHolds": reference.below(c1, d, rho)}
         else:
             assert report["sandwich"] is None
-        saved = Path(tmp) / "report.json"
-        saved.write_text(out, encoding="utf-8")
-        code, out, _ = cli("--replay", str(saved))
-        assert (code, json.loads(out)["match"]) == (0, True)
+        assert_replays(tmp, out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_combine_agrees_with_the_reference_model(data):
+    """`evs combine --add` and `--scale` on random signed tables, JSON or
+    CSV, print the model's sum or |alpha| multiple and whether it is the
+    zero table, and the report replays. Now and then the second table is
+    the negation of the first, whose sum is zero."""
+    n = data.draw(st.integers(1, 6))
+    a, spelled = data.draw(signed_tables(n))
+    labels = [f"p{k}" for k in range(n)]
+    with tempfile.TemporaryDirectory() as tmp:
+        first = write_table(tmp, "a", labels, spelled, data.draw(st.booleans()))
+        if data.draw(st.booleans()):
+            if data.draw(st.booleans()) and data.draw(st.booleans()):
+                b = tuple(tuple(-v for v in row) for row in a)
+                spelled = [[reference.text(v) for v in row] for row in b]
+            else:
+                b, spelled = data.draw(signed_tables(n))
+            second = write_table(tmp, "b", labels, spelled,
+                                 data.draw(st.booleans()))
+            code, out, err = cli("combine", "--add", second, first)
+            expected = reference.added(a, b)
+        else:
+            num, den = data.draw(st.integers(-30, 30)), data.draw(
+                st.integers(1, 12))
+            code, out, err = cli("combine", f"--scale={num}/{den}", first)
+            expected = reference.scaled(Fraction(num, den), a)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["report"] == {
+            "matrix": reference.matrix(labels, expected),
+            "isZero": not any(map(any, expected))}
+        assert_replays(tmp, out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_transform_agrees_with_the_reference_model(data):
+    """`evs transform --bounded` and `--min` on a random signed table, JSON
+    or CSV, print the model's image, its metric-axiom check and whether it
+    lies below the input, with exit code 0 or 1, and the report replays;
+    under --bounded an entry of -1 off the diagonal exits 2 naming the
+    first such pair in row order."""
+    n = data.draw(st.integers(1, 6))
+    full, spelled = data.draw(signed_tables(n))
+    kind = data.draw(st.sampled_from(["bounded", "min"]))
+    labels = [f"p{k}" for k in range(n)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_table(tmp, "m", labels, spelled, data.draw(st.booleans()))
+        code, out, err = cli("transform", f"--{kind}", path)
+        undefined = [(i, j) for i, j in combinations(range(n), 2)
+                     if full[i][j] == -1]
+        if kind == "bounded" and undefined:
+            i, j = undefined[0]
+            assert (code, out, json.loads(err)) == (2, "", {
+                "error": f"transform bounded-of is undefined on the entry "
+                         f"-1/1 at ({labels[i]}, {labels[j]})"})
+            return
+        image = reference.transformed(
+            reference.bounded if kind == "bounded" else reference.capped,
+            full)
+        validation = reference.metric_axioms(labels, image)
+        assert (code, err) == (0 if validation["pass"] else 1, "")
+        assert json.loads(out)["report"] == {
+            "matrix": reference.matrix(labels, image),
+            "validation": validation,
+            "belowInput": reference.below(reference.ONE, image, full)}
+        assert_replays(tmp, out)
 
 
 # A field of the packed triangle check holds bit_length(max) + 2 bits,
@@ -236,22 +323,12 @@ def test_validate_agrees_with_the_reference_model(table, as_csv):
     full, spelled = table
     labels = [f"p{k}" for k in range(len(full))]
     with tempfile.TemporaryDirectory() as tmp:
-        if as_csv:
-            path = Path(tmp) / "table.csv"
-            path.write_text("".join(",".join(map(str, row)) + "\n"
-                                    for row in [labels, *spelled]),
-                            encoding="utf-8")
-        else:
-            path = write_json(Path(tmp) / "table.json",
-                              {"labels": labels, "rows": spelled})
-        code, out, err = cli("validate", str(path))
+        path = write_table(tmp, "table", labels, spelled, as_csv)
+        code, out, err = cli("validate", path)
         expected = reference.metric_axioms(labels, full)
         assert (code, err) == (0 if expected["pass"] else 1, "")
         assert json.loads(out)["report"] == expected
-        saved = Path(tmp) / "report.json"
-        saved.write_text(out, encoding="utf-8")
-        code, out, _ = cli("--replay", str(saved))
-        assert (code, json.loads(out)["match"]) == (0, True)
+        assert_replays(tmp, out)
 
 
 def test_bounded_transform_of_minus_one_names_the_pair(capsys, tmp_path):
