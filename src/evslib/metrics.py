@@ -753,9 +753,6 @@ def builtin_lazy(name: str, params: Optional[dict] = None) -> LazyMetric:
 #: demonstration's limit table, norms embed): time, memory and printed size
 #: grow with the square of the depth.
 MAX_BUILTIN_DEPTH = 1000
-#: The pairs of one table at MAX_BUILTIN_DEPTH: the most pairs per metric of
-#: the depth-indexed bounds and the most checks of a Cauchy demonstration.
-MAX_TABLE_PAIRS = MAX_BUILTIN_DEPTH * (MAX_BUILTIN_DEPTH - 1) // 2
 
 
 def builtin_metric(name: str, params: Optional[dict], depth: int) -> MetricMatrix:
@@ -816,10 +813,10 @@ def _depth_minima(d: LazyMetric, rho: LazyMetric,
     carrier = resolve_carrier(d, rho)
     nested = carrier.kind != "symgrid"
     pairs = sum(n * (n - 1) // 2 for n in (depths[-1:] if nested else depths))
-    if pairs > MAX_TABLE_PAIRS:
+    limit = MAX_BUILTIN_DEPTH * (MAX_BUILTIN_DEPTH - 1) // 2
+    if pairs > limit:
         raise InputError(f"the depths need {pairs} pairs per metric, past the "
-                         f"limit of {MAX_TABLE_PAIRS} (one "
-                         f"depth-{MAX_BUILTIN_DEPTH} table)")
+                         f"limit of {limit} (one depth-{MAX_BUILTIN_DEPTH} table)")
     pair_d, pair_rho = _PAIR_FNS[d.family], _PAIR_FNS[rho.family]
     a1, b1, a2, b2 = 1, 0, 1, 0          # min rho/d = a1/b1, min d/rho = a2/b2
     seen = 0                              # points whose pairs are folded in
@@ -927,9 +924,9 @@ def cauchy_incompleteness_demo(ns: Sequence[int],
     equal first coordinates, which validate_metric rejects.
 
     The limit table may hold MAX_BUILTIN_DEPTH distinct points, and the
-    checks, one per index pair and point pair, may number MAX_TABLE_PAIRS;
-    past either limit the demonstration is an input error before any
-    distance is computed.
+    checks, one per index pair and point pair, may number the pairs of one
+    such table; past either limit the demonstration is an input error before
+    any distance is computed.
     """
     ns = sorted(set(ns))
     if len(ns) < 2 or ns[0] < 1:
@@ -952,9 +949,10 @@ def cauchy_incompleteness_demo(ns: Sequence[int],
         raise InputError(f"{len(points)} distinct points exceed the limit of "
                          f"{MAX_BUILTIN_DEPTH}")
     needed = len(ns) * (len(ns) - 1) // 2 * len(pairs)
-    if needed > MAX_TABLE_PAIRS:
+    most = MAX_BUILTIN_DEPTH * (MAX_BUILTIN_DEPTH - 1) // 2
+    if needed > most:
         raise InputError(f"the indices and pairs need {needed} checks, past "
-                         f"the limit of {MAX_TABLE_PAIRS} (the pairs of one "
+                         f"the limit of {most} (the pairs of one "
                          f"depth-{MAX_BUILTIN_DEPTH} table)")
 
     spread = max(abs(x[1] - y[1]) for x, y in pairs)

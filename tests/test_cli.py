@@ -19,8 +19,8 @@ from evslib.cli import main
 from evslib.instances import (MAX_CARRIER, MAX_DEPTH, MAX_DIM, MAX_SAMPLE,
                               build_instance)
 from evslib import metrics, norms
-from evslib.metrics import (MAX_BUILTIN_DEPTH, MAX_TABLE_PAIRS, Carrier,
-                            LazyMetric, MetricMatrix, builtin_metric,
+from evslib.metrics import (MAX_BUILTIN_DEPTH, Carrier, LazyMetric,
+                            MetricMatrix, builtin_metric,
                             cauchy_incompleteness_demo, transform_bounded)
 from evslib.norms import (MAX_PARTITION_DEPTH, FSVector, PartitionSpec,
                           WeightMap)
@@ -460,6 +460,10 @@ def trip(what):
     return tripwire
 
 
+# the pairs of one table at the depth limit
+TABLE_PAIRS = MAX_BUILTIN_DEPTH * (MAX_BUILTIN_DEPTH - 1) // 2
+
+
 def plane_pairs(count):
     """`count` point pairs [[k, 0], [k, 1]], each a witness: 2 * count
     distinct points."""
@@ -471,12 +475,12 @@ def plane_pairs(count):
      f"{MAX_BUILTIN_DEPTH + 2} distinct points exceed the limit of "
      f"{MAX_BUILTIN_DEPTH}"),
     (MAX_BUILTIN_DEPTH + 1, 1,
-     f"the indices and pairs need {MAX_TABLE_PAIRS + MAX_BUILTIN_DEPTH} "
-     f"checks, past the limit of {MAX_TABLE_PAIRS} (the pairs of one "
+     f"the indices and pairs need {TABLE_PAIRS + MAX_BUILTIN_DEPTH} "
+     f"checks, past the limit of {TABLE_PAIRS} (the pairs of one "
      f"depth-{MAX_BUILTIN_DEPTH} table)"),
     (MAX_BUILTIN_DEPTH, 2,
-     f"the indices and pairs need {2 * MAX_TABLE_PAIRS} checks, past the "
-     f"limit of {MAX_TABLE_PAIRS} (the pairs of one "
+     f"the indices and pairs need {2 * TABLE_PAIRS} checks, past the "
+     f"limit of {TABLE_PAIRS} (the pairs of one "
      f"depth-{MAX_BUILTIN_DEPTH} table)"),
 ])
 def test_cauchy_demo_past_a_limit_exits_two(capsys, tmp_path, monkeypatch,
