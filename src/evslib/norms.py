@@ -252,13 +252,12 @@ class NormFamilyParams:
             if type(subset) is not list:
                 raise InputError('family spec "subsetC" must be a list of '
                                  'backbone members')
-            subset = tuple(map(str, subset))
             gamma = parse_rational(doc["gamma"])
         except (KeyError, TypeError) as exc:
             raise InputError(
                 'family spec needs "depth", "subsetC" and "gamma"'
             ) from exc
-        return cls(PartitionSpec(depth), subset, gamma)
+        return cls(PartitionSpec(depth), tuple(map(str, subset)), gamma)
 
     def to_json(self) -> dict:
         return {
