@@ -59,7 +59,12 @@ class EvsInstance:
     is an exact comparing function of a zero-primitive homogeneous instance
     (None otherwise), `eps_independence` produces decay witnesses for
     independence up to epsilon, and `lsolve` handles testing-set membership
-    in instances whose primitive space is larger than {zero}.
+    in instances whose primitive space is larger than {zero}. The verifier
+    hook `pack(sample, scalars)` returns (instance, packed sample): the same
+    carrier fragment in a representation fitted to that sample and those
+    listed scalars, whose operations need hold only on the values the laws
+    compute from them. Its `element_to_json` prints a packed element as
+    this instance prints the element it packs, and it reads no JSON.
 
     Elements are checked once, where they enter: `element_from_json`
     rejects any element not in the instance's shape, and the seeded samplers
@@ -81,6 +86,7 @@ class EvsInstance:
     comparing: Optional[Callable[[Any, Any], Fraction]] = None
     eps_independence: Optional[Callable] = None
     lsolve: Optional[Callable] = None
+    pack: Optional[Callable[[list, list], tuple]] = None
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +111,20 @@ class _Context:
     counterexample: its sample is the given sample followed by the
     counterexample's elements, and its scalars are the counterexample's.
     The sample-relative predicates (`minimal`, `primitives`, `below`) range
-    over the first `m` positions only, the given sample; in a run, m = n."""
+    over the first `m` positions only, the given sample; in a run, m = n.
+
+    When the instance has a `pack` hook, the context holds the instance and
+    the sample it returns, for runs and replay alike: the built-in
+    instances write every element over one common denominator for the
+    sample and scalars, as packed integers (rationals.packed_layout), so
+    add is +, equal is ==, and leq and scale are a few integer operations.
+    The elements go back to their integer forms only when a counterexample
+    prints them."""
 
     def __init__(self, inst: EvsInstance, sample: list, scalars: list,
                  m: Optional[int] = None):
+        if inst.pack is not None:
+            inst, sample = inst.pack(sample, scalars)
         self.inst, self.sample, self.scalars = inst, sample, scalars
         self.n = len(sample)
         self.m = self.n if m is None else m

@@ -11,9 +11,19 @@ integer form: a rational tuple as (numerators, den) for metrics (a table's
 MetricMatrix.form), norms and the cone, and a point set as (frozenset of
 numerator tuples, den) for the hyperspace. Both forms are canonical, so
 `equal` is tuple equality. Fractions appear only at the boundaries (JSON,
-the seeded samples and cone `lsolve`). The verifier and the order tools
-share each instance; the metric one adds the comparing function of
-metrics.py, which reads its two forms as MetricMatrix tables.
+the seeded samples and cone `lsolve`). The samplers, the loaders, the
+order tools and replay's input keep these forms; the metric instance adds
+the comparing function of metrics.py, which reads its two forms as
+MetricMatrix tables.
+
+The verifier packs them instead (the `pack` hook, see core._Context): over
+the common denominator of its sample and scalars, a rational tuple is one
+signed int with a w-bit field per entry (rationals.pack_fields), and a
+point set a frozenset of such ints, one per point. Add is + (a Minkowski
+sum adds every pair of points), equal is ==, a scaling by p/q is
+(p * x) // q, which the cone follows by negating its field 0 when p < 0,
+and the orders are one masked subtraction, one range test (the cone) or
+frozenset <= (the hyperspace).
 
 Each element is checked once, where it enters: `element_from_json` rejects
 a table over another carrier, a vector or value table of another width and
@@ -50,7 +60,8 @@ from .metrics import (
     transform_min,
 )
 from .rationals import (_add, _leq, _reduced, _scale, fmt, fmt_ratio,
-                        parse_rational, parse_rationals, to_fractions, to_ints)
+                        pack_fields, packed_layout, parse_rational,
+                        parse_rationals, to_fractions, to_ints, unpack_fields)
 
 ZERO = Fraction(0)
 
@@ -67,24 +78,83 @@ DEFAULT_SCALARS = (
 # ---------------------------------------------------------------------------
 
 
+# A scalar action or an order of a pointwise instance is a pair: the op on
+# integer forms, and the maker of the op on packed ints, which takes the
+# field width w and `top`, the bit w - 1 of every field.
+
+
 def _abs_scale(alpha, a):
     return _scale(abs(alpha.numerator), alpha.denominator, a)
 
 
+def _signed_scale(alpha, a):
+    return _scale(alpha.numerator, alpha.denominator, a)
+
+
+def _reversed_leq(a, b):
+    return _leq(b, a)
+
+
+def _packed_abs_scale(w, top):
+    return lambda alpha, x: abs(alpha.numerator) * x // alpha.denominator
+
+
+def _packed_signed_scale(w, top):
+    return lambda alpha, x: alpha.numerator * x // alpha.denominator
+
+
+def _packed_leq(w, top):
+    """b - a has every field in (-2^(w-1), 2^(w-1)); adding `top` lifts
+    each to [0, 2^w) without a carry, and bit w - 1 of a field is then set
+    exactly when the field of b - a is nonnegative."""
+    return lambda a, b: (b - a + top) & top == top
+
+
+def _packed_reversed_leq(w, top):
+    return lambda a, b: (a - b + top) & top == top
+
+
+ABS_SCALE = (_abs_scale, _packed_abs_scale)
+SIGNED_SCALE = (_signed_scale, _packed_signed_scale)
+POINTWISE_ORDER = (_leq, _packed_leq)
+REVERSED_ORDER = (_reversed_leq, _packed_reversed_leq)
+
+
 def rational_tuple_instance(name: str, width: int, element_to_json,
-                            element_from_json, *, scale=_abs_scale, leq=_leq,
-                            **hooks) -> EvsInstance:
+                            element_from_json, *, scale=ABS_SCALE,
+                            leq=POINTWISE_ORDER, **hooks) -> EvsInstance:
     """Tuples of `width` rationals under pointwise add, with the all-zero
     tuple as zero. By default the scalar action is |alpha|-scaling and the
-    order is the pointwise one; `scale(alpha, a)` and `leq(a, b)` replace
-    them. `hooks` are the instance's optional `comparing`, `eps_independence`
-    and `lsolve`.
+    order is the pointwise one; `scale` and `leq`, each an (op, packed op
+    maker) pair as above, replace them. `hooks` are the instance's optional
+    `comparing`, `eps_independence` and `lsolve`.
 
     Elements are in the canonical integer form of rationals.to_ints and the
     ops are the integer kernel of rationals.py; `equal` is tuple equality,
     and the JSON converters are given that form too. `element_from_json`
-    must reject a tuple of another width.
+    must reject a tuple of another width. The `pack` hook gives the
+    verifier the same instance on packed ints (rationals.pack_fields): add
+    is +, equal is ==, and zero is 0.
     """
+    (scale, packed_scale), (leq, packed_leq) = scale, leq
+
+    def pack(sample: list, scalars: list) -> tuple:
+        den, w = packed_layout([d for _, d in sample],
+                               [max(map(abs, xs)) for xs, _ in sample],
+                               scalars)
+        top = pack_fields([1 << (w - 1)] * width, w)
+
+        def to_json(x):
+            return element_to_json(_reduced(
+                tuple(unpack_fields(x, width, w)), den))
+
+        return EvsInstance(
+            name=name, zero=0, add=operator.add,
+            scale=packed_scale(w, top), leq=packed_leq(w, top),
+            equal=operator.eq, element_to_json=to_json,
+            element_from_json=None,
+        ), [pack_fields(xs, w) * (den // d) for xs, d in sample]
+
     return EvsInstance(
         name=name,
         zero=((0,) * width, 1),
@@ -94,6 +164,7 @@ def rational_tuple_instance(name: str, width: int, element_to_json,
         equal=operator.eq,
         element_to_json=element_to_json,
         element_from_json=element_from_json,
+        pack=pack,
         **hooks,
     )
 
@@ -135,15 +206,14 @@ def metric_reversed_order_instance(labels: Sequence[str]) -> EvsInstance:
     """Mutant: the pointwise order is flipped. Zero becomes a maximum, so no
     sampled element has an additively characterized minimal below it."""
     return metric_packed_instance(labels, "metrics-reversed-order",
-                                  leq=lambda a, b: _leq(b, a))
+                                  leq=REVERSED_ORDER)
 
 
 def metric_no_abs_scale_instance(labels: Sequence[str]) -> EvsInstance:
     """Mutant: scalar action without the absolute value; homogeneity breaks
     at alpha = -1."""
-    return metric_packed_instance(
-        labels, "metrics-no-abs-scale",
-        scale=lambda al, a: _scale(al.numerator, al.denominator, a))
+    return metric_packed_instance(labels, "metrics-no-abs-scale",
+                                  scale=SIGNED_SCALE)
 
 
 def seeded_metric_matrices(labels: Sequence[str], seed: int,
@@ -231,6 +301,26 @@ def _cone_leq(a, b):
         x * dy == y * dx for x, y in zip(xs[1:], ys[1:]))
 
 
+def _packed_cone_scale(w, top):
+    """x - 2r has field 0 negated, so p * (x - 2r) holds |p| r there; r,
+    never negative, is x mod 2^w."""
+    mask = (1 << w) - 1
+
+    def scale(alpha, x):
+        p = alpha.numerator
+        if p < 0:
+            x -= 2 * (x & mask)
+        return p * x // alpha.denominator
+    return scale
+
+
+def _packed_cone_leq(w, top):
+    """b - a is its field 0 alone when the vector fields agree, and at
+    least 2^w - 2^(w-1) = 2^(w-1) in magnitude otherwise."""
+    half = 1 << (w - 1)
+    return lambda a, b: 0 <= b - a < half
+
+
 def _cone_lsolve(x, z, primitives):
     """Find alpha != 0 and a primitive p among the candidates with
     z >= alpha*x + p; cone order pins p = (0, w - alpha*v)."""
@@ -270,7 +360,8 @@ def cone_instance(dim: int) -> EvsInstance:
         f"cone[dim {dim}]", dim + 1,
         element_to_json=_cone_to_json,
         element_from_json=lambda doc: _cone_from_json(doc, dim),
-        scale=_cone_scale, leq=_cone_leq, lsolve=_cone_lsolve)
+        scale=(_cone_scale, _packed_cone_scale),
+        leq=(_cone_leq, _packed_cone_leq), lsolve=_cone_lsolve)
 
 
 def seeded_cone_sample(dim: int, seed: int, count: int) -> list:
@@ -366,13 +457,43 @@ def _point_list(doc) -> list:
     return doc
 
 
+def _packed_minkowski_sum(a, b):
+    return frozenset([p + q for p in a for q in b])
+
+
+def _packed_point_scale(alpha, a):
+    p, q = alpha.numerator, alpha.denominator
+    return frozenset([p * x // q for x in a])
+
+
 def hyperspace_instance(dim: int) -> EvsInstance:
     """A + B = {a+b}, alpha A = {alpha a} (no absolute value: scaling may
     reflect the set), A <= B iff A is a subset of B. The zero is the origin
-    singleton; the minimal elements are exactly the singletons."""
+    singleton; the minimal elements are exactly the singletons. The `pack`
+    hook gives the verifier a point set as a frozenset of packed points
+    (rationals.pack_fields): Minkowski sum adds every pair of them, and
+    the order is <=."""
     _check_dim(dim)
+    name = f"hyperspace[dim {dim}]"
+
+    def pack(sample: list, scalars: list) -> tuple:
+        den, w = packed_layout(
+            [d for _, d in sample],
+            [max(abs(x) for p in ps for x in p) for ps, _ in sample], scalars)
+
+        def to_json(a):
+            return _point_set_to_json(_set_reduced(frozenset(
+                tuple(unpack_fields(p, dim, w)) for p in a), den))
+
+        return EvsInstance(
+            name=name, zero=frozenset({0}), add=_packed_minkowski_sum,
+            scale=_packed_point_scale, leq=operator.le, equal=operator.eq,
+            element_to_json=to_json, element_from_json=None,
+        ), [frozenset([pack_fields(p, w) * (den // d) for p in ps])
+            for ps, d in sample]
+
     return EvsInstance(
-        name=f"hyperspace[dim {dim}]",
+        name=name,
         zero=(frozenset({(0,) * dim}), 1),
         add=_minkowski_sum,
         scale=_point_scale,
@@ -381,6 +502,7 @@ def hyperspace_instance(dim: int) -> EvsInstance:
         element_to_json=_point_set_to_json,
         element_from_json=lambda doc: point_set(
             _parse_vec(p, dim) for p in _point_list(doc)),
+        pack=pack,
     )
 
 

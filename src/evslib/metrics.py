@@ -284,19 +284,35 @@ def _packed_triangle(rows: list, s: int, size: int) -> Optional[tuple]:
     d(i,k) - d(j,k) - d(i,j) - 1 + 2^s, which lies in [0, 2^(s+1)), so no
     carry or borrow crosses a field, and its bit s is set exactly when
     (i, j, k) violates. The lowest set bit of the masked value gives the
-    least such k."""
-    ones = int.from_bytes((1).to_bytes(size, "little") * len(rows), "little")
+    least such k. Row 0 meets every other row first, and each row is
+    packed when it does, so a table that fails there packs no row past
+    the failing one."""
+    n = len(rows)
+    ones = int.from_bytes((1).to_bytes(size, "little") * n, "little")
     top = ones << s
     lift = (1 << s) - 1
-    packed = [int.from_bytes(b"".join([v.to_bytes(size, "little")
-                                       for v in row]), "little")
-              for row in rows]
-    for i, (ri, pi) in enumerate(zip(rows, packed)):
+
+    def pack(row):
+        return int.from_bytes(b"".join([v.to_bytes(size, "little")
+                                        for v in row]), "little")
+
+    def triple(i, j, hit):
+        return i, j, ((hit & -hit).bit_length() - 1) // (8 * size)
+
+    r0 = rows[0]
+    packed = [p0 := pack(r0)]
+    for j in range(1, n):
+        packed.append(pj := pack(rows[j]))
+        hit = (p0 + (lift - r0[j]) * ones - pj) & top
+        if hit:
+            return triple(0, j, hit)
+    for i in range(1, n):
+        ri, pi = rows[i], packed[i]
         for j, pj in enumerate(packed):
             if j != i:
                 hit = (pi + (lift - ri[j]) * ones - pj) & top
                 if hit:
-                    return i, j, ((hit & -hit).bit_length() - 1) // (8 * size)
+                    return triple(i, j, hit)
     return None
 
 
@@ -924,15 +940,24 @@ def cauchy_incompleteness_demo(ns: Sequence[int],
     equal first coordinates, which validate_metric rejects.
 
     The limit table may hold MAX_BUILTIN_DEPTH distinct points, and the
-    checks, one per index pair and point pair, may number the pairs of one
-    such table; past either limit the demonstration is an input error before
-    any distance is computed.
+    checks, one per index pair and point pair, may number a sixth of the
+    entries of one such table: the report prints an object per index pair,
+    about six times the bytes of a table entry, so at the limit it prints
+    about what one depth-MAX_BUILTIN_DEPTH table does. Past either limit
+    the demonstration is an input error before any distance is computed,
+    and past the check limit before any pair is read.
     """
     ns = sorted(set(ns))
     if len(ns) < 2 or ns[0] < 1:
         raise InputError("need at least two indices n >= 1")
     if not isinstance(point_pairs, list):
         raise InputError("point pairs must be a list of [[u,u'],[v,v']] pairs")
+    needed = len(ns) * (len(ns) - 1) // 2 * len(point_pairs)
+    most = MAX_BUILTIN_DEPTH ** 2 // 6
+    if needed > most:
+        raise InputError(f"the indices and pairs need {needed} checks, past "
+                         f"the limit of {most} (a sixth of the entries of "
+                         f"one depth-{MAX_BUILTIN_DEPTH} table)")
     pairs = [_plane_points(entry) for entry in point_pairs]
     if any(len(pair) != 2 for pair in pairs):
         raise InputError("a point pair holds exactly two plane points")
@@ -948,12 +973,6 @@ def cauchy_incompleteness_demo(ns: Sequence[int],
     if len(points) > MAX_BUILTIN_DEPTH:
         raise InputError(f"{len(points)} distinct points exceed the limit of "
                          f"{MAX_BUILTIN_DEPTH}")
-    needed = len(ns) * (len(ns) - 1) // 2 * len(pairs)
-    most = MAX_BUILTIN_DEPTH * (MAX_BUILTIN_DEPTH - 1) // 2
-    if needed > most:
-        raise InputError(f"the indices and pairs need {needed} checks, past "
-                         f"the limit of {most} (the pairs of one "
-                         f"depth-{MAX_BUILTIN_DEPTH} table)")
 
     spread = max(abs(x[1] - y[1]) for x, y in pairs)
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import reference
 from evslib.cli import main
+from evslib.errors import InputError
 from evslib.instances import (MAX_CARRIER, MAX_DEPTH, MAX_DIM, MAX_SAMPLE,
                               build_instance)
 from evslib import metrics, norms
@@ -460,8 +461,10 @@ def trip(what):
     return tripwire
 
 
-# the pairs of one table at the depth limit
+# the pairs of one table at the depth limit, and the cauchy-demo check
+# limit, a sixth of its entries
 TABLE_PAIRS = MAX_BUILTIN_DEPTH * (MAX_BUILTIN_DEPTH - 1) // 2
+CHECKS = MAX_BUILTIN_DEPTH ** 2 // 6
 
 
 def plane_pairs(count):
@@ -476,11 +479,11 @@ def plane_pairs(count):
      f"{MAX_BUILTIN_DEPTH}"),
     (MAX_BUILTIN_DEPTH + 1, 1,
      f"the indices and pairs need {TABLE_PAIRS + MAX_BUILTIN_DEPTH} "
-     f"checks, past the limit of {TABLE_PAIRS} (the pairs of one "
+     f"checks, past the limit of {CHECKS} (a sixth of the entries of one "
      f"depth-{MAX_BUILTIN_DEPTH} table)"),
-    (MAX_BUILTIN_DEPTH, 2,
-     f"the indices and pairs need {2 * TABLE_PAIRS} checks, past the "
-     f"limit of {TABLE_PAIRS} (the pairs of one "
+    (578, 1,
+     f"the indices and pairs need 166753 checks, past the limit of "
+     f"{CHECKS} (a sixth of the entries of one "
      f"depth-{MAX_BUILTIN_DEPTH} table)"),
 ])
 def test_cauchy_demo_past_a_limit_exits_two(capsys, tmp_path, monkeypatch,
@@ -498,10 +501,35 @@ def test_cauchy_demo_past_a_limit_exits_two(capsys, tmp_path, monkeypatch,
     assert (code, out, json.loads(err)) == (2, None, {"error": error})
 
 
+# one witness pair, repeated: the checks count every copy
+WITNESS = [[0, 0], [0, 1]]
+
+
+def test_cauchy_demo_one_check_past_the_limit_exits_two(capsys, tmp_path,
+                                                        monkeypatch):
+    """Two indices and CHECKS + 1 point pairs: the limit is read at the
+    call, from MAX_BUILTIN_DEPTH, and no pair is read."""
+    monkeypatch.setattr(metrics, "combinations", trip("the Cauchy checks"))
+    monkeypatch.setattr(metrics, "_plane_points", trip("reading a pair"))
+    path = write_json(tmp_path / "pairs.json", [WITNESS] * (CHECKS + 1))
+    code, out, err = run(capsys, "cauchy-demo", "--indices", "1,2",
+                         "--pairs", path)
+    assert (code, out) == (2, None)
+    assert json.loads(err) == {"error": (
+        f"the indices and pairs need {CHECKS + 1} checks, past the limit of "
+        f"{CHECKS} (a sixth of the entries of one "
+        f"depth-{MAX_BUILTIN_DEPTH} table)")}
+    monkeypatch.setattr(metrics, "MAX_BUILTIN_DEPTH", 12)
+    with pytest.raises(InputError, match="need 25 checks, past the limit "
+                       "of 24 .* depth-12 table"):
+        cauchy_incompleteness_demo([1, 2], [WITNESS] * 25)
+
+
 @pytest.mark.parametrize("indices, pairs", [
-    (2, MAX_BUILTIN_DEPTH // 2), (MAX_BUILTIN_DEPTH, 1)])
+    (2, MAX_BUILTIN_DEPTH // 2), (577, 1)])
 def test_cauchy_demo_limits_admit_the_limits(monkeypatch, indices, pairs):
-    # the limits themselves are admitted but not computed here
+    # the limits themselves are admitted but not computed here; 577
+    # indices make 166,176 checks, the most one pair admits
     monkeypatch.setattr(metrics, "combinations", trip("the Cauchy checks"))
     with pytest.raises(AssertionError, match="the Cauchy checks started"):
         cauchy_incompleteness_demo(range(1, indices + 1), plane_pairs(pairs))

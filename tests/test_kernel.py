@@ -276,24 +276,10 @@ def test_hyperspace_json_round_trip(u):
     assert HYPER.element_from_json(doc) == a
 
 
-@pytest.mark.parametrize("name", ("metrics", "norms", "cone", "hyperspace",
-                                  "metrics-reversed-order",
-                                  "metrics-no-abs-scale"))
-def test_no_sampled_pair_is_added_twice(name):
-    """The verifier adds each ordered pair of sampled elements at most once,
-    and still adds some pairs in both orders (A1.commutativity)."""
-    inst, sample, scalars = build_instance(name, seed=0, sample=12)
-    sampled = {id(x) for x in sample}
-    calls = Counter()
-
-    def add(a, b):
-        if id(a) in sampled and id(b) in sampled:
-            calls[id(a), id(b)] += 1
-        return inst.add(a, b)
-
-    check_axioms(replace(inst, add=add), sample, scalars, seed=0)
-    assert calls and max(calls.values()) == 1
-    assert any((b, a) in calls for a, b in calls if a != b)
+class Tagged(int):
+    """A packed element with an object of its own: CPython shares one
+    object per small int, so the packed zero 0 and every computed zero
+    would otherwise be the same object."""
 
 
 def sampled_pair(sampled, listed, x, y):
@@ -302,6 +288,46 @@ def sampled_pair(sampled, listed, x, y):
 
 def listed_scaling(sampled, listed, a, x):
     return (id(a), id(x)) if id(a) in listed and id(x) in sampled else None
+
+
+def counted(inst, calls, tabled):
+    """`inst` whose verifier context counts the calls its packed ops make
+    on tabled operands: for each op in `tabled`, calls[op, key] for every
+    key = tabled[op](sampled, listed, *operands) that is not None, where
+    `sampled` and `listed` hold the ids of the packed sample's elements
+    and of the listed scalars."""
+    def pack(sample, scalars):
+        packed_inst, packed = inst.pack(sample, scalars)
+        packed = [Tagged(x) if isinstance(x, int) else x for x in packed]
+        sampled, listed = {id(x) for x in packed}, {id(a) for a in scalars}
+
+        def wrap(op):
+            run, key_of = getattr(packed_inst, op), tabled[op]
+
+            def run_counted(*operands):
+                key = key_of(sampled, listed, *operands)
+                if key is not None:
+                    calls[op, key] += 1
+                return run(*operands)
+            return run_counted
+
+        return replace(packed_inst, **{op: wrap(op) for op in tabled}), packed
+    return replace(inst, pack=pack)
+
+
+@pytest.mark.parametrize("name", ("metrics", "norms", "cone", "hyperspace",
+                                  "metrics-reversed-order",
+                                  "metrics-no-abs-scale"))
+def test_no_sampled_pair_is_added_twice(name):
+    """The verifier adds each ordered pair of sampled elements at most once,
+    and still adds some pairs in both orders (A1.commutativity)."""
+    inst, sample, scalars = build_instance(name, seed=0, sample=12)
+    calls = Counter()
+    check_axioms(counted(inst, calls, {"add": sampled_pair}), sample,
+                 scalars, seed=0)
+    assert calls and max(calls.values()) == 1
+    pairs = {key for _, key in calls}
+    assert any((b, a) in pairs for a, b in pairs if a != b)
 
 
 @pytest.mark.parametrize("op, tabled", (("leq", sampled_pair),
@@ -314,19 +340,10 @@ def test_no_tabled_operation_is_computed_twice(name, op, tabled):
     order of each ordered pair of sampled elements once at most, and scale
     each sampled element by each listed scalar once at most."""
     inst, sample, scalars = build_instance(name, seed=0, sample=12)
-    sampled = {id(x) for x in sample}
-    listed = {id(a) for a in scalars}
     for properties in (False, True):
         calls = Counter()
-
-        def counted(*operands):
-            key = tabled(sampled, listed, *operands)
-            if key is not None:
-                calls[key] += 1
-            return getattr(inst, op)(*operands)
-
-        check_axioms(replace(inst, **{op: counted}), sample, scalars, seed=0,
-                     properties=properties)
+        check_axioms(counted(inst, calls, {op: tabled}), sample, scalars,
+                     seed=0, properties=properties)
         assert calls and max(calls.values()) == 1
 
 
@@ -343,20 +360,9 @@ def test_one_context_serves_both_suites_of_a_run(monkeypatch, capsys, name):
 
     def counted_build(*args, **kwargs):
         inst, sample, scalars = build(*args, **kwargs)
-        sampled = {id(x) for x in sample}
-        listed = {id(a) for a in scalars}
-
-        def counted(op, tabled):
-            def run(*operands):
-                key = tabled(sampled, listed, *operands)
-                if key is not None:
-                    calls[op, key] += 1
-                return getattr(inst, op)(*operands)
-            return run
-
-        return replace(inst, add=counted("add", sampled_pair),
-                       leq=counted("leq", sampled_pair),
-                       scale=counted("scale", listed_scaling)), sample, scalars
+        return counted(inst, calls, {
+            "add": sampled_pair, "leq": sampled_pair,
+            "scale": listed_scaling}), sample, scalars
 
     monkeypatch.setattr(instances, "build_instance", counted_build)
     code = main(["axioms", "--instance", name, "--seed", "0", "--sample",
