@@ -116,7 +116,7 @@ class _Context:
     When the instance has a `pack` hook, the context holds the instance and
     the sample it returns, for runs and replay alike: the built-in
     instances write every element over one common denominator for the
-    sample and scalars, as packed integers (rationals.packed_layout), so
+    sample and scalars, as packed integers (packed.py), so
     add is +, equal is ==, and leq and scale are a few integer operations.
     The elements go back to their integer forms only when a counterexample
     prints them."""

@@ -18,12 +18,8 @@ MetricMatrix tables.
 
 The verifier packs them instead (the `pack` hook, see core._Context): over
 the common denominator of its sample and scalars, a rational tuple is one
-signed int with a w-bit field per entry (rationals.pack_fields), and a
-point set a frozenset of such ints, one per point. Add is + (a Minkowski
-sum adds every pair of points), equal is ==, a scaling by p/q is
-(p * x) // q, which the cone follows by negating its field 0 when p < 0,
-and the orders are one masked subtraction, one range test (the cone) or
-frozenset <= (the hyperspace).
+signed int with a w-bit field per entry, and a point set a frozenset of
+such ints, one per point (packed.py).
 
 Each element is checked once, where it enters: `element_from_json` rejects
 a table over another carrier, a vector or value table of another width and
@@ -60,8 +56,7 @@ from .metrics import (
     transform_min,
 )
 from .rationals import (_add, _leq, _reduced, _scale, fmt, fmt_ratio,
-                        pack_fields, packed_layout, parse_rational,
-                        parse_rationals, to_fractions, to_ints, unpack_fields)
+                        parse_rational, parse_rationals, to_fractions, to_ints)
 
 ZERO = Fraction(0)
 
@@ -79,8 +74,7 @@ DEFAULT_SCALARS = (
 
 
 # A scalar action or an order of a pointwise instance is a pair: the op on
-# integer forms, and the maker of the op on packed ints, which takes the
-# field width w and `top`, the bit w - 1 of every field.
+# integer forms, and the name of the op on packed ints in packed.py.
 
 
 def _abs_scale(alpha, a):
@@ -95,29 +89,10 @@ def _reversed_leq(a, b):
     return _leq(b, a)
 
 
-def _packed_abs_scale(w, top):
-    return lambda alpha, x: abs(alpha.numerator) * x // alpha.denominator
-
-
-def _packed_signed_scale(w, top):
-    return lambda alpha, x: alpha.numerator * x // alpha.denominator
-
-
-def _packed_leq(w, top):
-    """b - a has every field in (-2^(w-1), 2^(w-1)); adding `top` lifts
-    each to [0, 2^w) without a carry, and bit w - 1 of a field is then set
-    exactly when the field of b - a is nonnegative."""
-    return lambda a, b: (b - a + top) & top == top
-
-
-def _packed_reversed_leq(w, top):
-    return lambda a, b: (a - b + top) & top == top
-
-
-ABS_SCALE = (_abs_scale, _packed_abs_scale)
-SIGNED_SCALE = (_signed_scale, _packed_signed_scale)
-POINTWISE_ORDER = (_leq, _packed_leq)
-REVERSED_ORDER = (_reversed_leq, _packed_reversed_leq)
+ABS_SCALE = (_abs_scale, "abs")
+SIGNED_SCALE = (_signed_scale, "signed")
+POINTWISE_ORDER = (_leq, "pointwise")
+REVERSED_ORDER = (_reversed_leq, "reversed")
 
 
 def rational_tuple_instance(name: str, width: int, element_to_json,
@@ -126,34 +101,23 @@ def rational_tuple_instance(name: str, width: int, element_to_json,
     """Tuples of `width` rationals under pointwise add, with the all-zero
     tuple as zero. By default the scalar action is |alpha|-scaling and the
     order is the pointwise one; `scale` and `leq`, each an (op, packed op
-    maker) pair as above, replace them. `hooks` are the instance's optional
+    name) pair as above, replace them. `hooks` are the instance's optional
     `comparing`, `eps_independence` and `lsolve`.
 
     Elements are in the canonical integer form of rationals.to_ints and the
     ops are the integer kernel of rationals.py; `equal` is tuple equality,
     and the JSON converters are given that form too. `element_from_json`
     must reject a tuple of another width. The `pack` hook gives the
-    verifier the same instance on packed ints (rationals.pack_fields): add
-    is +, equal is ==, and zero is 0.
+    verifier the same instance on packed ints (packed.pack_tuples).
     """
     (scale, packed_scale), (leq, packed_leq) = scale, leq
 
     def pack(sample: list, scalars: list) -> tuple:
-        den, w = packed_layout([d for _, d in sample],
-                               [max(map(abs, xs)) for xs, _ in sample],
-                               scalars)
-        top = pack_fields([1 << (w - 1)] * width, w)
-
-        def to_json(x):
-            return element_to_json(_reduced(
-                tuple(unpack_fields(x, width, w)), den))
-
-        return EvsInstance(
-            name=name, zero=0, add=operator.add,
-            scale=packed_scale(w, top), leq=packed_leq(w, top),
-            equal=operator.eq, element_to_json=to_json,
-            element_from_json=None,
-        ), [pack_fields(xs, w) * (den // d) for xs, d in sample]
+        from .packed import pack_tuples
+        return pack_tuples(
+            name, width, lambda nums, den: element_to_json(
+                _reduced(tuple(nums), den)),
+            packed_scale, packed_leq, sample, scalars)
 
     return EvsInstance(
         name=name,
@@ -301,26 +265,6 @@ def _cone_leq(a, b):
         x * dy == y * dx for x, y in zip(xs[1:], ys[1:]))
 
 
-def _packed_cone_scale(w, top):
-    """x - 2r has field 0 negated, so p * (x - 2r) holds |p| r there; r,
-    never negative, is x mod 2^w."""
-    mask = (1 << w) - 1
-
-    def scale(alpha, x):
-        p = alpha.numerator
-        if p < 0:
-            x -= 2 * (x & mask)
-        return p * x // alpha.denominator
-    return scale
-
-
-def _packed_cone_leq(w, top):
-    """b - a is its field 0 alone when the vector fields agree, and at
-    least 2^w - 2^(w-1) = 2^(w-1) in magnitude otherwise."""
-    half = 1 << (w - 1)
-    return lambda a, b: 0 <= b - a < half
-
-
 def _cone_lsolve(x, z, primitives):
     """Find alpha != 0 and a primitive p among the candidates with
     z >= alpha*x + p; cone order pins p = (0, w - alpha*v)."""
@@ -360,8 +304,8 @@ def cone_instance(dim: int) -> EvsInstance:
         f"cone[dim {dim}]", dim + 1,
         element_to_json=_cone_to_json,
         element_from_json=lambda doc: _cone_from_json(doc, dim),
-        scale=(_cone_scale, _packed_cone_scale),
-        leq=(_cone_leq, _packed_cone_leq), lsolve=_cone_lsolve)
+        scale=(_cone_scale, "cone"), leq=(_cone_leq, "cone"),
+        lsolve=_cone_lsolve)
 
 
 def seeded_cone_sample(dim: int, seed: int, count: int) -> list:
@@ -457,40 +401,20 @@ def _point_list(doc) -> list:
     return doc
 
 
-def _packed_minkowski_sum(a, b):
-    return frozenset([p + q for p in a for q in b])
-
-
-def _packed_point_scale(alpha, a):
-    p, q = alpha.numerator, alpha.denominator
-    return frozenset([p * x // q for x in a])
-
-
 def hyperspace_instance(dim: int) -> EvsInstance:
     """A + B = {a+b}, alpha A = {alpha a} (no absolute value: scaling may
     reflect the set), A <= B iff A is a subset of B. The zero is the origin
     singleton; the minimal elements are exactly the singletons. The `pack`
     hook gives the verifier a point set as a frozenset of packed points
-    (rationals.pack_fields): Minkowski sum adds every pair of them, and
-    the order is <=."""
+    (packed.pack_point_sets)."""
     _check_dim(dim)
     name = f"hyperspace[dim {dim}]"
 
     def pack(sample: list, scalars: list) -> tuple:
-        den, w = packed_layout(
-            [d for _, d in sample],
-            [max(abs(x) for p in ps for x in p) for ps, _ in sample], scalars)
-
-        def to_json(a):
-            return _point_set_to_json(_set_reduced(frozenset(
-                tuple(unpack_fields(p, dim, w)) for p in a), den))
-
-        return EvsInstance(
-            name=name, zero=frozenset({0}), add=_packed_minkowski_sum,
-            scale=_packed_point_scale, leq=operator.le, equal=operator.eq,
-            element_to_json=to_json, element_from_json=None,
-        ), [frozenset([pack_fields(p, w) * (den // d) for p in ps])
-            for ps, d in sample]
+        from .packed import pack_point_sets
+        return pack_point_sets(
+            name, dim, lambda pts, den: _point_set_to_json(
+                _set_reduced(pts, den)), sample, scalars)
 
     return EvsInstance(
         name=name,

@@ -17,17 +17,9 @@ exactly when their forms are. It is the element of the pointwise and cone
 instances and what a metric table stores (MetricMatrix.form). The kernel on
 it (_reduced, _add, _scale, _leq) builds no Fraction: add and scale reduce
 once with gcd, and leq cross-multiplies. A hyperspace point set uses the
-form with a set of numerator tuples (instances.point_set).
-
-The axiom verifier runs on a third form, packed integers (core._Context).
-Inside one verifier context every element is written over one common
-denominator L, and a tuple of numerators over L is one signed int
-sum(x[k] * 2^(k*w)) with fields of w bits (pack_fields, unpack_fields).
-packed_layout picks L and w for a sample and its listed scalars so that
-every scaling a law makes divides exactly and no field of any value a law
-computes leaves (-2^(w-1), 2^(w-1)). Two such ints are then equal exactly
-when their tuples are, a sum of tuples is the sum of their ints, and a
-scaling by p/q is (p * x) // q.
+form with a set of numerator tuples (instances.point_set). The axiom
+verifier packs these forms once more, within one run or replay: over one
+common denominator, each tuple becomes a single int (packed.py).
 """
 
 from __future__ import annotations
@@ -153,50 +145,6 @@ def _leq(a, b) -> bool:
     if dx == dy:
         return all(map(le, xs, ys))
     return all(x * dy <= y * dx for x, y in zip(xs, ys))
-
-
-def packed_layout(dens: Sequence[int], peaks: Sequence[int],
-                  scalars: Sequence[Fraction]) -> tuple[int, int]:
-    """(L, w) for packing a verifier context: elements over the
-    denominators `dens` whose numerators are at most `peaks` in absolute
-    value, and the listed `scalars`.
-
-    L = D * Q^2, for D the lcm of the denominators and Q that of the
-    scalars'. Over L every element's numerators are multiples of Q^2, so a
-    law's scalings divide exactly: it scales at most twice by listed
-    scalars, or once by a product of two of them (denominator dividing
-    Q^2) or by a sum of two (dividing Q), and otherwise only by 1 and -1.
-    With B the largest numerator over L and P the largest scalar numerator,
-    at least 1, a scaling multiplies a field by
-    at most P, a product by P^2 and a sum by 2P; a value a law computes has
-    at most three summands of at most two scalings, so its fields are at
-    most 3 * P^2 * B, and the one difference a leq takes at most twice
-    that. w leaves a sign's room above 6 * P^2 * B."""
-    q = lcm(*(a.denominator for a in scalars))
-    den = lcm(*dens) * q * q
-    bound = max(peak * (den // d) for peak, d in zip(peaks, dens))
-    p = max([1] + [abs(a.numerator) for a in scalars])
-    return den, (6 * p * p * bound).bit_length() + 1
-
-
-def pack_fields(nums: Sequence[int], w: int) -> int:
-    """sum(nums[k] * 2^(k*w)): signed fields of w bits, the first lowest."""
-    packed = 0
-    for x in reversed(nums):
-        packed = (packed << w) + x
-    return packed
-
-
-def unpack_fields(packed: int, width: int, w: int) -> list[int]:
-    """The `width` fields of a pack_fields int, each in (-2^(w-1),
-    2^(w-1))."""
-    half, mask = 1 << (w - 1), (1 << w) - 1
-    nums = []
-    for _ in range(width):
-        x = ((packed + half) & mask) - half
-        nums.append(x)
-        packed = (packed - x) >> w
-    return nums
 
 
 def _ratio(value) -> tuple[int, int]:

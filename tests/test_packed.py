@@ -22,7 +22,8 @@ from evslib.instances import (
     point_set,
 )
 from evslib.norms import FSVector, norm_table_instance
-from evslib.rationals import fmt, packed_layout, to_ints
+from evslib.packed import packed_layout
+from evslib.rationals import fmt, to_ints
 
 DIM = 2
 LABELS = carrier_labels(3)
