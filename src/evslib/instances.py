@@ -73,36 +73,20 @@ DEFAULT_SCALARS = (
 # ---------------------------------------------------------------------------
 
 
-# A scalar action or an order of a pointwise instance is a pair: the op on
-# integer forms, and the name of the op on packed ints in packed.py.
-
-
 def _abs_scale(alpha, a):
     return _scale(abs(alpha.numerator), alpha.denominator, a)
 
 
-def _signed_scale(alpha, a):
-    return _scale(alpha.numerator, alpha.denominator, a)
-
-
-def _reversed_leq(a, b):
-    return _leq(b, a)
-
-
-ABS_SCALE = (_abs_scale, "abs")
-SIGNED_SCALE = (_signed_scale, "signed")
-POINTWISE_ORDER = (_leq, "pointwise")
-REVERSED_ORDER = (_reversed_leq, "reversed")
-
-
 def rational_tuple_instance(name: str, width: int, element_to_json,
-                            element_from_json, *, scale=ABS_SCALE,
-                            leq=POINTWISE_ORDER, **hooks) -> EvsInstance:
+                            element_from_json, *,
+                            scale=(_abs_scale, "abs"),
+                            leq=(_leq, "pointwise"), **hooks) -> EvsInstance:
     """Tuples of `width` rationals under pointwise add, with the all-zero
     tuple as zero. By default the scalar action is |alpha|-scaling and the
-    order is the pointwise one; `scale` and `leq`, each an (op, packed op
-    name) pair as above, replace them. `hooks` are the instance's optional
-    `comparing`, `eps_independence` and `lsolve`.
+    order is the pointwise one; `scale` and `leq` replace them, each a pair
+    of the op on integer forms and the name of the op on packed ints in
+    packed.py. `hooks` are the instance's optional `comparing`,
+    `eps_independence` and `lsolve`.
 
     Elements are in the canonical integer form of rationals.to_ints and the
     ops are the integer kernel of rationals.py; `equal` is tuple equality,
@@ -169,15 +153,18 @@ def metric_packed_instance(labels: Sequence[str], kind: str = "metrics",
 def metric_reversed_order_instance(labels: Sequence[str]) -> EvsInstance:
     """Mutant: the pointwise order is flipped. Zero becomes a maximum, so no
     sampled element has an additively characterized minimal below it."""
-    return metric_packed_instance(labels, "metrics-reversed-order",
-                                  leq=REVERSED_ORDER)
+    return metric_packed_instance(
+        labels, "metrics-reversed-order",
+        leq=(lambda a, b: _leq(b, a), "reversed"))
 
 
 def metric_no_abs_scale_instance(labels: Sequence[str]) -> EvsInstance:
     """Mutant: scalar action without the absolute value; homogeneity breaks
     at alpha = -1."""
-    return metric_packed_instance(labels, "metrics-no-abs-scale",
-                                  scale=SIGNED_SCALE)
+    return metric_packed_instance(
+        labels, "metrics-no-abs-scale",
+        scale=(lambda al, a: _scale(al.numerator, al.denominator, a),
+               "signed"))
 
 
 def seeded_metric_matrices(labels: Sequence[str], seed: int,
