@@ -130,7 +130,7 @@ def _lazy_pair(first: dict, second: dict) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _universe_inline(manifest_path: str) -> dict:
+def _universe_inline(manifest_path: str, load_element) -> dict:
     doc = _load_json(manifest_path)
     if not isinstance(doc, dict) or "instance" not in doc or "elements" not in doc:
         raise InputError('universe manifest needs "instance" and "elements"')
@@ -139,7 +139,7 @@ def _universe_inline(manifest_path: str) -> dict:
         raise InputError('universe manifest "elements" must list file names')
     base = Path(manifest_path).parent
     inline = {k: v for k, v in doc.items() if k != "elements"}
-    inline["elements"] = [_load_element(doc["instance"], str(base / ref))
+    inline["elements"] = [load_element(doc["instance"], str(base / ref))
                           for ref in refs]
     return inline
 
@@ -552,18 +552,24 @@ def _resolve_inputs(args) -> tuple[str, dict]:
             "properties": bool(args.properties),
         }
     if cmd == "order":
-        inline = _universe_inline(args.universe)
+        loaded = {}   # path -> element, for this invocation only
+
+        def load(kind, path):
+            if path not in loaded:
+                loaded[path] = _load_element(kind, path)
+            return loaded[path]
+
+        inline = _universe_inline(args.universe, load)
         kind = inline["instance"]
         inputs = {"action": args.action, "universe": inline}
         if args.action == "in-l":
-            inputs["x"] = _load_element(kind, args.x)
-            inputs["y"] = _load_element(kind, args.y)
+            inputs["x"] = load(kind, args.x)
+            inputs["y"] = load(kind, args.y)
         if args.action == "feasible":
-            inputs["x"] = _load_element(kind, args.x)
+            inputs["x"] = load(kind, args.x)
         if args.action in ("generates", "basis"):
-            inputs["generators"] = [
-                _load_element(kind, path) for path in args.generator
-            ]
+            inputs["generators"] = [load(kind, path)
+                                    for path in args.generator]
         if args.action in ("indep", "basis") and args.eps is not None:
             inputs["eps"] = fmt(parse_rational(args.eps))
         return cmd, inputs

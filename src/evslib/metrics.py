@@ -23,7 +23,8 @@ from __future__ import annotations
 import csv
 import io
 from fractions import Fraction
-from itertools import chain, combinations, islice
+from functools import partial
+from itertools import chain, combinations, count, islice, repeat
 from operator import sub
 from typing import Optional, Sequence
 
@@ -75,14 +76,25 @@ class MetricMatrix:
 
     @classmethod
     def from_rows(cls, labels: Sequence[str], rows: Sequence[Sequence]) -> "MetricMatrix":
-        """Parse raw rows in row order with rationals._ratio: every entry
-        from the diagonal on, and each entry left of it unless it repeats
-        the raw entry above it in type and value; such a mirror spelled
-        otherwise is kept for the symmetry check. So each unordered pair is
-        read once, and errors come as a parse of every entry in row order,
-        then the shape check, then the symmetry check would raise them.
-        The upper triangle goes over one common denominator and is
-        reduced once."""
+        """Parse raw rows with rationals._ratio; the upper triangle goes
+        over one common denominator and is reduced once.
+
+        A nonempty square list of lists that equals its transpose, with
+        every entry a str or an int, reads only its upper triangle,
+        diagonal included (_upper_form): each distinct entry once, in
+        order of first occurrence in row order, when at most half of the
+        entries are distinct, and every entry in row order otherwise.
+        Any other table is parsed by the loop below, in row order: every
+        entry from the diagonal on, and each entry left of it unless it
+        repeats the raw entry above it in type and value; such a mirror
+        spelled otherwise is kept for the symmetry check, and only this
+        loop names non-list rows and asymmetry. Either way errors come as
+        a parse of every entry in row order, then the shape check, then
+        the symmetry check would raise them."""
+        upper = _mirrored_upper(rows)
+        if upper is not None:
+            form = _upper_form(upper)
+            return cls(_carrier(labels, rows), form)
         nums, dens, lower = [], [], []
         for i, row in enumerate(rows):
             if not isinstance(row, (list, tuple)):
@@ -146,12 +158,12 @@ class MetricMatrix:
         return not any(self.form[0])
 
     def to_json(self) -> dict:
+        """{"labels", "rows"}, every entry printed by fmt_ratio, once per
+        distinct value where the form repeats its values (_per_value)."""
         nums, den = self.form
-        return {
-            "labels": list(self.labels),
-            "rows": _mirror(_upper([fmt_ratio(v, den) for v in nums],
-                                   self.size)),
-        }
+        text = list(_per_value(fmt_ratio, nums, den)(nums))
+        return {"labels": list(self.labels),
+                "rows": _mirror(_upper(text, self.size))}
 
 
 def _carrier(labels: Sequence[str], rows: Sequence[Sequence]) -> tuple:
@@ -168,6 +180,64 @@ def _carrier(labels: Sequence[str], rows: Sequence[Sequence]) -> tuple:
     return labels
 
 
+def _mirrored_upper(rows: Sequence) -> Optional[list]:
+    """The upper triangle, diagonal included, in row order, of a nonempty
+    square list of lists that equals its transpose and holds only str and
+    int entries; otherwise None. Other types are left to the per-entry
+    parse: a bool or a float can equal an int yet read otherwise (True not
+    at all, float(2 ** 60) by its repr as 1152921504606847000)."""
+    n = len(rows)
+    if not n or set(map(type, rows)) != {list} or set(map(len, rows)) != {n}:
+        return None
+    upper = _triangle(rows)
+    lower = _triangle(zip(*rows))   # column by column, diagonal included
+    if lower != upper or not {*map(type, upper),
+                              *map(type, lower)} <= {str, int}:
+        return None
+    return upper
+
+
+def _triangle(rows) -> list:
+    """Entry i onwards of each row i, row by row."""
+    return list(chain.from_iterable(map(islice, rows, count(), repeat(None))))
+
+
+def _upper_form(upper: list) -> tuple:
+    """The integer form of a table's upper entries (see from_rows). The
+    distinct values have the form's common denominator and reduction, so
+    each is read once and looked up per entry. Where most entries are
+    distinct, a lookup costs more than the repeats save."""
+    distinct = list(dict.fromkeys(upper))
+    if 2 * len(distinct) > len(upper):
+        return _read_form(upper)
+    nums, den = _read_form(distinct)
+    over = dict(zip(distinct, nums))
+    return tuple(map(over.__getitem__, upper)), den
+
+
+def _per_value(f, values: Sequence, *args):
+    """A function that maps f(v, *args) over a sequence of entries of
+    `values`. Where at most half of `values` are distinct, it looks each
+    up in a table that ran f once per distinct value; otherwise it runs f
+    on every entry (the rule of _upper_form)."""
+    distinct = set(values)
+    if 2 * len(distinct) > len(values):
+        return lambda seq: map(f, seq, *map(repeat, args))
+    table = dict(zip(distinct, map(f, distinct, *map(repeat, args))))
+    return partial(map, table.__getitem__)
+
+
+def _read_form(entries: list) -> tuple:
+    """ratios_to_ints of the entries, each read with _ratio. No (p, q)
+    pair outlives its loop step, so a large table does not set off the
+    cyclic garbage collector."""
+    nums, dens = [], []
+    for p, q in map(_ratio, entries):
+        nums.append(p)
+        dens.append(q)
+    return ratios_to_ints(nums, dens)
+
+
 def _upper(flat: list, n: int) -> list:
     """Cut an n-point upper triangle into rows (i, i), (i, i + 1), ..."""
     it = iter(flat)
@@ -175,9 +245,15 @@ def _upper(flat: list, n: int) -> list:
 
 
 def _mirror(upper: list) -> list:
-    """The full rows of a symmetric table from its upper rows (see _upper)."""
-    return [[upper[j][i - j] for j in range(i)] + upper[i]
-            for i in range(len(upper))]
+    """The full rows of a symmetric table from its upper rows (see _upper):
+    upper row i is row i from the diagonal on and column i from the
+    diagonal down, both written by slice assignment into one flat table."""
+    n = len(upper)
+    full = [None] * (n * n)
+    for i, row in enumerate(upper):
+        full[i * n + i:(i + 1) * n] = row
+        full[i * n + i::n] = row
+    return [full[i * n:(i + 1) * n] for i in range(n)]
 
 
 def _from_upper(labels, upper: list) -> MetricMatrix:
@@ -252,7 +328,7 @@ def _violation(m: MetricMatrix) -> Optional[dict]:
     s = max(nums).bit_length() + 1
     size = (s + 8) // 8
     if 8 * size <= PACKED_FIELD_BITS:
-        triple = _packed_triangle(rows, s, size)
+        triple = _packed_triangle(rows, s, size, nums)
     else:
         triple = _scanned_triangle(rows)
     if triple is None:
@@ -274,7 +350,8 @@ def _violation(m: MetricMatrix) -> Optional[dict]:
 PACKED_FIELD_BITS = 192
 
 
-def _packed_triangle(rows: list, s: int, size: int) -> Optional[tuple]:
+def _packed_triangle(rows: list, s: int, size: int,
+                     values: Sequence[int]) -> Optional[tuple]:
     """The first (i, j, k) in row order, i != j, with d(i,k) > d(i,j) +
     d(j,k) on rows of nonnegative integers below 2^(s-1), or None.
 
@@ -286,15 +363,16 @@ def _packed_triangle(rows: list, s: int, size: int) -> Optional[tuple]:
     (i, j, k) violates. The lowest set bit of the masked value gives the
     least such k. Row 0 meets every other row first, and each row is
     packed when it does, so a table that fails there packs no row past
-    the failing one."""
+    the failing one. The fields are encoded with _per_value over `values`,
+    the table's upper entries."""
     n = len(rows)
     ones = int.from_bytes((1).to_bytes(size, "little") * n, "little")
     top = ones << s
     lift = (1 << s) - 1
+    fields = _per_value(int.to_bytes, values, size, "little")
 
     def pack(row):
-        return int.from_bytes(b"".join([v.to_bytes(size, "little")
-                                        for v in row]), "little")
+        return int.from_bytes(b"".join(fields(row)), "little")
 
     def triple(i, j, hit):
         return i, j, ((hit & -hit).bit_length() - 1) // (8 * size)

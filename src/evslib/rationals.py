@@ -8,7 +8,9 @@ Every input rational goes through one reader, _ratio, which gives an
 integer pair (p, q) with q > 0: plain ASCII "p/q", "-p/q" and "p" strings
 and ints by int() alone, anything else by Fraction's parser, with the value
 Fraction(str) gives and the same errors. parse_rational is Fraction(*_ratio)
-and MetricMatrix.from_rows reads table entries with it straight to integers.
+and MetricMatrix.from_rows reads table entries with it straight to integers:
+each distinct entry once where a table mirrors exactly and repeats its
+entries, since a reading depends only on the raw entry, its type included.
 
 A tuple of rationals is held in integer form (numerators, den): entries
 numerators[k] / den over one common positive denominator, with

@@ -144,8 +144,9 @@ def test_recorded_report_replays(capsys, name):
 @pytest.mark.parametrize("suffix", (".json", ".csv"))
 def test_validate_parses_each_entry_once(capsys, monkeypatch, tmp_path, suffix):
     """Whatever the diagonal's spelling ("0", "0/1" or a JSON 0, which CSV
-    writes as "0"), the reader runs once per unordered pair, the diagonal
-    included, on the upper triangle in row order."""
+    writes as "0"), the reader runs once per distinct entry of the upper
+    triangle, the diagonal included, in order of first occurrence in row
+    order: the table repeats its entries, so no entry is read twice."""
     n = 6
     labels = [f"x{k}" for k in range(n)]
     calls, read = [], rationals._ratio
@@ -171,8 +172,10 @@ def test_validate_parses_each_entry_once(capsys, monkeypatch, tmp_path, suffix):
         calls.clear()
         assert main(["validate", str(path)]) == 0
         capsys.readouterr()
-        assert len(calls) == n * (n + 1) // 2
-        assert calls == [v for i, row in enumerate(rows) for v in row[i:]]
+        upper = [v for i, row in enumerate(rows) for v in row[i:]]
+        assert calls == [v for k, v in enumerate(upper)
+                         if v not in upper[:k]]
+        assert len(calls) == 5 < len(upper) == n * (n + 1) // 2
 
 
 # -- the reader of parse_rational -------------------------------------------

@@ -25,7 +25,7 @@ from evslib.metrics import (MAX_BUILTIN_DEPTH, Carrier, LazyMetric,
                             cauchy_incompleteness_demo, transform_bounded)
 from evslib.norms import (MAX_PARTITION_DEPTH, FSVector, PartitionSpec,
                           WeightMap)
-from evslib.rationals import MAX_DIGITS
+from evslib.rationals import MAX_DIGITS, fmt, ratios_to_ints
 
 FLOAT_PATTERN = re.compile(r"\d+\.\d")
 
@@ -228,6 +228,55 @@ def test_combine_agrees_with_the_reference_model(data):
                 st.integers(1, 12))
             code, out, err = cli("combine", f"--scale={num}/{den}", first)
             expected = reference.scaled(Fraction(num, den), a)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["report"] == {
+            "matrix": reference.matrix(labels, expected),
+            "isZero": not any(map(any, expected))}
+        assert_replays(tmp, out)
+
+
+BIG = 2 ** 64
+
+
+@st.composite
+def forms(draw):
+    """An n-point table's integer form: a few values repeated all over the
+    upper triangle, or all distinct values; signed, with zeros, now and
+    then past 2^64, over one common denominator."""
+    n = draw(st.integers(1, 7))
+    size = n * (n + 1) // 2
+    value = st.one_of(st.integers(-9, 9), st.integers(-4 * BIG, 4 * BIG))
+    if draw(st.booleans()):
+        pool = draw(st.lists(value, min_size=1, max_size=3))
+        nums = [draw(st.sampled_from(pool)) for _ in range(size)]
+    else:
+        nums = draw(st.lists(value, min_size=size, max_size=size,
+                             unique=True))
+    den = draw(st.one_of(st.integers(1, 12), st.integers(1, 4 * BIG)))
+    return n, ratios_to_ints(nums, [den] * size)
+
+
+@settings(max_examples=300, deadline=None)
+@given(forms(), st.integers(-30, 30), st.integers(1, 12))
+def test_to_json_prints_every_entry_as_fmt_does(form, num, den):
+    """MetricMatrix.to_json prints entry (i, j) of a form as
+    fmt(Fraction(v, den)) of its upper entry v, however often the form
+    repeats its values; `evs combine --scale` of the printed table prints
+    the model's |alpha| multiple, and its report replays."""
+    n, (nums, common) = form
+    labels = tuple(f"p{k}" for k in range(n))
+    upper = {}
+    for k, (i, j) in enumerate((i, j) for i in range(n)
+                               for j in range(i, n)):
+        upper[i, j] = upper[j, i] = Fraction(nums[k], common)
+    full = tuple(tuple(upper[i, j] for j in range(n)) for i in range(n))
+    doc = MetricMatrix(labels, (nums, common)).to_json()
+    assert doc == {"labels": list(labels),
+                   "rows": [[fmt(v) for v in row] for row in full]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_json(Path(tmp) / "m.json", doc)
+        code, out, err = cli("combine", f"--scale={num}/{den}", path)
+        expected = reference.scaled(Fraction(num, den), full)
         assert (code, err) == (0, "")
         assert json.loads(out)["report"] == {
             "matrix": reference.matrix(labels, expected),
@@ -832,6 +881,46 @@ def test_order_basis_and_feasible(capsys, tmp_path):
     code, doc, _ = run(capsys, "order", "feasible", "--universe", manifest,
                        "--x", str(tmp_path / "u0.json"))
     assert code == 0 and doc["report"]["status"] == "pass"
+
+
+def test_order_reads_each_element_file_once_per_invocation(tmp_path,
+                                                          monkeypatch):
+    """`evs order` loads a file once however often the manifest, --x, --y
+    and --generator name it, loads it again in the next invocation, and
+    prints the report that a copy of the file under another name gives."""
+    from evslib import cli as cli_module
+
+    manifest, _ = make_metric_universe(tmp_path)
+    elements = [str(tmp_path / f"u{k}.json") for k in range(4)]
+    u0, u1 = elements[:2]
+    copy = write_json(tmp_path / "copy.json",
+                      json.loads(Path(u0).read_text(encoding="utf-8")))
+    calls, load = [], cli_module._load_element
+
+    def counting(kind, path):
+        calls.append(path)
+        return load(kind, path)
+
+    monkeypatch.setattr(cli_module, "_load_element", counting)
+    for action, *argv in (["in-l", "--x", u0, "--y", u1],
+                          ["in-l", "--x", u0, "--y", u0],
+                          ["feasible", "--x", u1],
+                          ["generates", "--generator", u0,
+                           "--generator", u0],
+                          ["basis", "--generator", u0, "--generator", u1]):
+        outs = []
+        for _ in range(2):
+            calls.clear()
+            code, out, err = cli("order", action, "--universe", manifest,
+                                 *argv)
+            assert (code in (0, 1), err) == (True, "")
+            assert calls == elements
+            outs.append(out)
+        argv = [copy if a == u0 else a for a in argv]
+        calls.clear()
+        code, out, _ = cli("order", action, "--universe", manifest, *argv)
+        assert calls == elements + [copy] * (copy in argv)
+        assert outs == [out, out]
 
 
 def other_carrier_table(tmp_path):

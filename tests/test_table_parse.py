@@ -1,9 +1,10 @@
-"""Tables parse each unordered pair once: a mirrored entry spelled
-otherwise still gives the canonical report, and malformed tables fail with
-the errors, in the order, that a full parse of every entry gave. Entries
-are read straight to integers by the one reader, rationals._ratio; every
-table gives the form, or the error, of a parse_rational call on every
-entry."""
+"""Tables parse each unordered pair at most once, and a table that mirrors
+exactly and repeats its entries reads each distinct entry once: a mirrored
+entry spelled otherwise still gives the canonical report, and malformed
+tables fail with the errors, in the order, that a full parse of every
+entry gave. Entries are read straight to integers by the one reader,
+rationals._ratio; every table gives the form, or the error, of a
+parse_rational call on every entry."""
 
 import json
 
@@ -174,6 +175,21 @@ def csv_text(labels, rows):
 @example((["a", "b"], [["0", "007"], ["007", "-0"]]))
 @example((["a", "b"], [[0, "1/2"], ["1/2", 0]]))
 @example((["a", "b"], [["0", "1" * 4301], ["1" * 4301, "0"]]))
+# hash-equal entries of different types, which must not share a read
+@example((["a", "b"], [[0, True], [True, 0]]))
+@example((["a", "b"], [["0", 1], [1.0, "0"]]))
+@example((["a", "b"], [[1, True], [True, 1]]))
+@example((["a", "b"], [[0, 1], [True, 0]]))
+@example((["a", "b"], [[0, 2 ** 60], [float(2 ** 60), 0]]))
+# two spellings of one value among repeated entries
+@example((["a", "b", "c"], [["0", "1/2", "2/4"], ["1/2", "0", "1/2"],
+                            ["2/4", "1/2", "0"]]))
+# mostly distinct entries
+@example((["a", "b", "c"], [["0", "1", "2"], ["1", "0", "3"],
+                            ["2", "3", "0"]]))
+# a row that is not a list, and a ragged row
+@example((["a", "b"], [["0", "1/2"], ("1/2", "0")]))
+@example((["a", "b"], [["0", "1/2"], ["1/2"]]))
 def test_bulk_parse_matches_a_parse_of_every_entry(table):
     labels, rows = table
     expected = outcome(lambda: reference(labels, rows))
@@ -183,6 +199,31 @@ def test_bulk_parse_matches_a_parse_of_every_entry(table):
     if text is not None:
         assert outcome(lambda: MetricMatrix.from_csv_text(text).form) == \
             expected
+
+
+@pytest.mark.parametrize("rows, reads", [
+    # four distinct entries among six: every upper entry, in row order
+    ([["0", "1", "2"], ["1", "0", "3"], ["2", "3", "0"]],
+     ["0", "1", "2", "0", "3", "0"]),
+    # three among six: each distinct entry once, the first unreadable last
+    ([["0", "x", "0"], ["x", "0", "y"], ["0", "y", "0"]], ["0", "x"]),
+])
+def test_a_mirrored_table_reads_its_upper_entries(monkeypatch, rows, reads):
+    """A table that mirrors exactly reads each distinct upper entry once,
+    in order of first occurrence, where at most half of them are
+    distinct, and every upper entry in row order otherwise; the first
+    unreadable one raises as a parse of every entry would."""
+    calls, read = [], metrics._ratio
+
+    def counting(value):
+        calls.append(value)
+        return read(value)
+
+    monkeypatch.setattr(metrics, "_ratio", counting)
+    doc = {"labels": list("abc"), "rows": rows}
+    assert outcome(lambda: MetricMatrix.from_json(doc).form) == \
+        outcome(lambda: reference(list("abc"), rows))
+    assert calls == reads
 
 
 @pytest.mark.parametrize("v", PLAIN + GENERAL)
