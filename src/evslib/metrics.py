@@ -162,8 +162,7 @@ class MetricMatrix:
         distinct value where the form repeats its values (_per_value)."""
         nums, den = self.form
         text = list(_per_value(fmt_ratio, nums, den)(nums))
-        return {"labels": list(self.labels),
-                "rows": _mirror(_upper(text, self.size))}
+        return {"labels": list(self.labels), "rows": _mirror(text, self.size)}
 
 
 def _carrier(labels: Sequence[str], rows: Sequence[Sequence]) -> tuple:
@@ -244,15 +243,17 @@ def _upper(flat: list, n: int) -> list:
     return [list(islice(it, n - i)) for i in range(n)]
 
 
-def _mirror(upper: list) -> list:
-    """The full rows of a symmetric table from its upper rows (see _upper):
-    upper row i is row i from the diagonal on and column i from the
-    diagonal down, both written by slice assignment into one flat table."""
-    n = len(upper)
+def _mirror(flat: Sequence, n: int) -> list:
+    """The full rows of a symmetric n-point table from its upper triangle,
+    row by row (see _upper). Upper row i is row i from the diagonal on and
+    column i from the diagonal down: both are written by slice assignment
+    into one flat table, which is then cut into rows."""
     full = [None] * (n * n)
-    for i, row in enumerate(upper):
-        full[i * n + i:(i + 1) * n] = row
-        full[i * n + i::n] = row
+    start = 0
+    for i in range(n):
+        end = start + n - i
+        full[i * n + i:(i + 1) * n] = full[i * n + i::n] = flat[start:end]
+        start = end
     return [full[i * n:(i + 1) * n] for i in range(n)]
 
 
@@ -322,7 +323,7 @@ def _violation(m: MetricMatrix) -> Optional[dict]:
                     "indices": [labels[i], labels[j]],
                     "value": "0/1",
                 }
-    rows = _mirror(upper)
+    rows = _mirror(nums, n)
     # every entry is now a nonnegative integer; 2^s >= 2 * max + 2, and a
     # field of s + 1 bits is rounded up to whole bytes
     s = max(nums).bit_length() + 1
