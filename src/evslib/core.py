@@ -21,27 +21,32 @@ carrier-wide claim. Every failure carries a counterexample that re-evaluates
 to a violation when replayed through the instance operations.
 
 Both suites and replay read one table of laws (AXIOMS, PROPERTIES). A law
-takes positions in a context's sample and scalars, and reads by index the
-sums and orders of ordered sampled pairs and the scalings of sampled
-elements by listed scalars, each table built whole on first use; `evs
-axioms --properties` runs both suites on one context. Replay runs the law
-on the given sample followed by the counterexample's elements. An entry
-is not-applicable when its laws found nothing to check: A2 with no comparable
+judges a whole list of tuples of sample and scalar positions at once: it
+gathers its operands by column from the context's tables of sums, orders
+and scalings, and maps the instance operations over them lazily. The
+runner reads each law's tuples CHUNK at a time and stops at the first
+violation, so no operation runs past it; replay judges the one tuple of
+the given sample followed by the counterexample's elements. An entry is
+not-applicable when its laws found nothing to check: A2 with no comparable
 sampled pair, additive-primitive with no pair whose primitive sets are
 witnessed in the sample. A report passes only when every entry passes, so
 not-applicable counts as not passed: `evs axioms --instance metrics --sample 1`
 exits 1 on A2 alone. In the property suite it makes `pass` false, but the
-exit code of `evs axioms --properties` follows the axiom suite only.
+exit code of `evs axioms --properties` (both suites on one context) follows
+the axiom suite only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import (combinations, combinations_with_replacement, groupby,
-                       product)
-from typing import Any, Callable, Iterable, Optional, Sequence
+from functools import cached_property, partial
+from itertools import combinations
+from itertools import combinations_with_replacement as pairs
+from itertools import (filterfalse, groupby, islice, product, repeat,
+                       starmap)
+from operator import add, getitem, itemgetter, not_, or_
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InputError
 from .rationals import fmt, parse_rational
@@ -97,29 +102,18 @@ class EvsInstance:
 class _Context:
     """The inputs of one run, by position, and the tables its laws read.
 
-    A law reaches elements and scalars through their positions: `sample[i]`
-    and `scalars[a]`. Three tables over the sample are built whole when a
-    law first needs them, and are read by index: the sums
-    `sums[i*n + j] = sample[i] + sample[j]` and the orders
-    `order[i*n + j] = leq(sample[i], sample[j])`, flat lists of n*n slots,
-    and `scaled[a][i] = scalars[a] * sample[i]`, one row per listed scalar.
-    The products and sums of each pair of listed scalars are tables too.
-    Every other operand, such as a sum, the product (a*b)x, the scaling
-    |a|x or (a+b)x, goes to the instance operation afresh.
+    Laws reach elements and scalars by position: `sample[i]`, `scalars[a]`.
+    The sums `sums[i][j] = sample[i] + sample[j]`, the orders `order[i][j]
+    = leq(sample[i], sample[j])` and the scalings `scaled[a][i] = scalars[a]
+    * sample[i]` are tables built whole when a law first needs them, as are
+    the products and sums of pairs of listed scalars. Other operands, such
+    as (a*b)x or (a+b)x, go to the instance operations afresh.
 
-    One context serves both suites of a run. Replay builds one for a single
-    counterexample: its sample is the given sample followed by the
-    counterexample's elements, and its scalars are the counterexample's.
-    The sample-relative predicates (`minimal`, `primitives`, `below`) range
-    over the first `m` positions only, the given sample; in a run, m = n.
-
-    When the instance has a `pack` hook, the context holds the instance and
-    the sample it returns, for runs and replay alike: the built-in
-    instances write every element over one common denominator for the
-    sample and scalars, as packed integers (packed.py), so
-    add is +, equal is ==, and leq and scale are a few integer operations.
-    The elements go back to their integer forms only when a counterexample
-    prints them."""
+    One context serves both suites of a run. Replay builds one whose sample
+    is the given sample followed by the counterexample's elements, with its
+    scalars; `minimal`, `primitives` and `below` range over the first `m`
+    positions only, the given sample (in a run, m = n). With a `pack` hook,
+    the context holds the instance and sample it returns (packed.py)."""
 
     def __init__(self, inst: EvsInstance, sample: list, scalars: list,
                  m: Optional[int] = None):
@@ -132,12 +126,12 @@ class _Context:
     @cached_property
     def sums(self) -> list:
         add, s = self.inst.add, self.sample
-        return [add(x, y) for x in s for y in s]
+        return [[add(x, y) for y in s] for x in s]
 
     @cached_property
     def order(self) -> list:
         leq, s = self.inst.leq, self.sample
-        return [leq(x, y) for x in s for y in s]
+        return [[leq(x, y) for y in s] for x in s]
 
     @cached_property
     def scaled(self) -> list:
@@ -146,12 +140,10 @@ class _Context:
 
     @cached_property
     def products(self) -> list:
-        """products[a][b] = scalars[a] * scalars[b]."""
         return [[a * b for b in self.scalars] for a in self.scalars]
 
     @cached_property
     def scalar_sums(self) -> list:
-        """scalar_sums[a][b] = scalars[a] + scalars[b]."""
         return [[a + b for b in self.scalars] for a in self.scalars]
 
     @cached_property
@@ -159,26 +151,29 @@ class _Context:
         """Positions (i, j) of sampled pairs with sample[i] < sample[j]."""
         order, s, equal, n = self.order, self.sample, self.inst.equal, self.n
         return [(i, j) for i in range(n) for j in range(n)
-                if order[i * n + j] and not equal(s[i], s[j])]
+                if order[i][j] and not equal(s[i], s[j])]
+
+    @cached_property
+    def minimal(self) -> list:
+        """minimal[i]: no given sampled element lies strictly below
+        sample[i]."""
+        order, s, equal, m = self.order, self.sample, self.inst.equal, self.m
+        return [not any(order[k][i] and not equal(s[k], z)
+                        for k in range(m)) for i, z in enumerate(s)]
 
     @cached_property
     def primitives(self) -> list:
-        """Positions of the sampled elements that are order-minimal and
-        additively characterized."""
+        """Positions of the given sampled elements that are order-minimal
+        and additively characterized."""
         return [p for p in range(self.m)
-                if self.minimal(p) and _characterized(self.inst,
+                if self.minimal[p] and _characterized(self.inst,
                                                       self.sample[p])]
 
-    def minimal(self, i: int) -> bool:
-        """No sampled element lies strictly below sample[i]."""
-        order, s, equal, n = self.order, self.sample, self.inst.equal, self.n
-        z = s[i]
-        return not any(order[k * n + i] and not equal(s[k], z)
-                       for k in range(self.m))
-
-    def below(self, i: int) -> list:
-        order, n = self.order, self.n
-        return [p for p in self.primitives if order[p * n + i]]
+    @cached_property
+    def below(self) -> list:
+        """below[i]: the primitives below sample[i]."""
+        order, P = self.order, self.primitives
+        return [[p for p in P if order[p][i]] for i in range(self.n)]
 
 
 def _characterized(inst: EvsInstance, x) -> bool:
@@ -186,206 +181,202 @@ def _characterized(inst: EvsInstance, x) -> bool:
     return inst.equal(inst.add(x, inst.scale(MINUS_ONE, x)), inst.zero)
 
 
-def _a1_identity(c, i):
-    x = c.sample[i]
-    return c.inst.equal(c.inst.add(x, c.inst.zero), x)
+def _at(seq: list, I) -> Iterable:
+    """seq[i] for each i of I: a column of operands, read lazily."""
+    return map(seq.__getitem__, I)
 
 
-def _a1_commutativity(c, i, j):
-    S, n = c.sums, c.n
-    return c.inst.equal(S[i * n + j], S[j * n + i])
+def _at2(table: list, I, J) -> Iterable:
+    """table[i][j] for each pair of I and J."""
+    return map(getitem, _at(table, I), J)
 
 
-def _a1_associativity(c, i, j, k):
-    inst, S, s, n = c.inst, c.sums, c.sample, c.n
-    return inst.equal(inst.add(S[i * n + j], s[k]),
-                      inst.add(s[i], S[j * n + k]))
+def _a1_identity(c, tuples):
+    xs, inst = list(_at(c.sample, *zip(*tuples))), c.inst
+    return map(inst.equal, map(inst.add, xs, repeat(inst.zero)), xs)
 
 
-def _a2_translation(c, i, j, k):
-    S, n = c.sums, c.n
-    return (not c.order[i * n + j]) or c.inst.leq(S[i * n + k], S[j * n + k])
+def _a1_commutativity(c, tuples):
+    I, J = zip(*tuples)
+    return map(c.inst.equal, _at2(c.sums, I, J), _at2(c.sums, J, I))
 
 
-def _a2_scaling(c, i, j, a):
-    row = c.scaled[a]
-    return (not c.order[i * c.n + j]) or c.inst.leq(row[i], row[j])
+def _a1_associativity(c, tuples):
+    inst, S, s = c.inst, c.sums, c.sample
+    I, J, K = zip(*tuples)
+    return map(inst.equal, map(inst.add, _at2(S, I, J), _at(s, K)),
+               map(inst.add, _at(s, I), _at2(S, J, K)))
 
 
-def _a3_i(c, i, j, a):
-    inst, row = c.inst, c.scaled[a]
-    return inst.equal(inst.scale(c.scalars[a], c.sums[i * c.n + j]),
-                      inst.add(row[i], row[j]))
+def _a2(c, I, J, lows, highs):
+    """leq(low, high) where sample[i] <= sample[j], True elsewhere: a run
+    checks comparable pairs only, a replay any pair."""
+    return map(or_, map(not_, _at2(c.order, I, J)),
+               map(c.inst.leq, lows, highs))
 
 
-def _a3_ii(c, i, a, b):
-    inst = c.inst
-    return inst.equal(inst.scale(c.scalars[a], c.scaled[b][i]),
-                      inst.scale(c.products[a][b], c.sample[i]))
+def _a2_translation(c, tuples):
+    S, (I, J, K) = c.sums, zip(*tuples)
+    return _a2(c, I, J, _at2(S, I, K), _at2(S, J, K))
 
 
-def _a3_iii(c, i, a, b):
+def _a2_scaling(c, tuples):
+    SC, (I, J, A) = c.scaled, zip(*tuples)
+    return _a2(c, I, J, _at2(SC, A, I), _at2(SC, A, J))
+
+
+def _a3_i(c, tuples):
     inst, SC = c.inst, c.scaled
-    return inst.leq(inst.scale(c.scalar_sums[a][b], c.sample[i]),
-                    inst.add(SC[a][i], SC[b][i]))
+    I, J, A = zip(*tuples)
+    return map(inst.equal,
+               map(inst.scale, _at(c.scalars, A), _at2(c.sums, I, J)),
+               map(inst.add, _at2(SC, A, I), _at2(SC, A, J)))
 
 
-def _a3_iv(c, i):
-    x = c.sample[i]
-    return c.inst.equal(c.inst.scale(ONE, x), x)
-
-
-def _a4(c, i, a):
+def _a3_ii(c, tuples):
     inst = c.inst
-    vanishes = inst.equal(c.scaled[a][i], inst.zero)
-    return vanishes == ((c.scalars[a] == 0)
-                        or inst.equal(c.sample[i], inst.zero))
+    I, A, B = zip(*tuples)
+    return map(inst.equal,
+               map(inst.scale, _at(c.scalars, A), _at2(c.scaled, B, I)),
+               map(inst.scale, _at2(c.products, A, B), _at(c.sample, I)))
 
 
-def _a5(c, i):
-    return _characterized(c.inst, c.sample[i]) == c.minimal(i)
-
-
-def _a6(c, i):
-    order, n = c.order, c.n
-    return any(order[p * n + i] for p in c.primitives)
-
-
-def _balanced(c, i, a):
-    return c.inst.leq(c.scaled[a][i], c.sample[i])
-
-
-def _homogeneous(c, i, a):
-    inst = c.inst
-    return inst.equal(c.scaled[a][i],
-                      inst.scale(abs(c.scalars[a]), c.sample[i]))
-
-
-def _convex(c, i, a, b):
+def _split(c, tuples, relation):
+    """relation((a+b)x, ax + bx) over the tuples (i, a, b)."""
     inst, SC = c.inst, c.scaled
-    return inst.equal(inst.scale(c.scalar_sums[a][b], c.sample[i]),
-                      inst.add(SC[a][i], SC[b][i]))
+    I, A, B = zip(*tuples)
+    return map(relation,
+               map(inst.scale, _at2(c.scalar_sums, A, B), _at(c.sample, I)),
+               map(inst.add, _at2(SC, A, I), _at2(SC, B, I)))
 
 
-def _zero_primitive(c, i):
-    return not c.minimal(i) or c.inst.equal(c.sample[i], c.inst.zero)
+def _a3_iv(c, tuples):
+    xs, inst = list(_at(c.sample, *zip(*tuples))), c.inst
+    return map(inst.equal, map(inst.scale, repeat(ONE), xs), xs)
 
 
-def _single_primitive(c, i):
-    return len(c.below(i)) == 1
+def _a4(c, tuples):
+    inst, SC, zero = c.inst, c.scaled, c.inst.zero
+    return (inst.equal(SC[a][i], zero) == (
+        c.scalars[a] == 0 or inst.equal(c.sample[i], zero))
+        for i, a in tuples)
+
+
+def _balanced(c, tuples):
+    I, A = zip(*tuples)
+    return map(c.inst.leq, _at2(c.scaled, A, I), _at(c.sample, I))
+
+
+def _homogeneous(c, tuples):
+    inst = c.inst
+    I, A = zip(*tuples)
+    return map(inst.equal, _at2(c.scaled, A, I), map(
+        inst.scale, map(abs, _at(c.scalars, A)), _at(c.sample, I)))
 
 
 def _additive_primitive(c, i, j):
     """Scored only when x, y and x + y have primitives below them and every
     sum of a primitive below x and one below y is witnessed in the sample;
     None otherwise."""
-    inst, S, s, n = c.inst, c.sums, c.sample, c.n
-    px, py = c.below(i), c.below(j)
+    inst, S, s = c.inst, c.sums, c.sample
+    px, py = c.below[i], c.below[j]
     if not px or not py:
         return None
-    total = S[i * n + j]
+    total = S[i][j]
     ptotal = [s[p] for p in c.primitives if inst.leq(s[p], total)]
-    sums = [S[p * n + q] for p in px for q in py]
-    witnessed = s[:c.m]
+    sums = [S[p][q] for p in px for q in py]
+    equal, witnessed = inst.equal, s[:c.m]
     if not ptotal or not all(
-        any(inst.equal(x, t) for t in witnessed) for x in sums
-    ):
+            any(map(equal, repeat(x), witnessed)) for x in sums):
         return None
-    return all(
-        any(inst.equal(x, t) for t in ptotal) for x in sums
-    ) and all(
-        any(inst.equal(t, x) for x in sums) for t in ptotal
-    )
+    return all(any(map(equal, repeat(x), ptotal)) for x in sums) and all(
+        any(map(equal, repeat(t), sums)) for t in ptotal)
 
 
 def _each(c):
-    return ((i,) for i in range(c.n))
+    return zip(range(c.n))
 
 
-def _listed(c):
-    return range(len(c.scalars))
+def _listed(c, keep=lambda a: True):
+    """Positions of the listed scalars that `keep` accepts."""
+    return [a for a, x in enumerate(c.scalars) if keep(x)]
 
 
-class Law:
+def _joined(heads, tails):
+    """Each tuple of `heads` followed by each tuple of `tails`, in order."""
+    return starmap(add, product(heads, tails))
+
+
+class Law(NamedTuple):
     """One checkable law.
 
-    `holds(c, *elements, *scalars)` is True when the tuple satisfies the law,
-    False on a violation, and None when the tuple is outside the law's scope;
-    its arguments are positions in `c.sample` and then in `c.scalars`.
-    `tuples(c)` yields the arguments after `c` as one flat tuple of
-    positions, elements then scalars, in checking order. Laws sharing an
-    `entry` (default: their own name) roll into one report entry, which
-    stops at the first violation. An entry none of whose tuples is scored is
-    not-applicable when its first law gives a `reason`, and passes
-    otherwise. `detail(c, *elements)` adds fields to a counterexample.
-    `scalars` is the number of trailing scalar arguments of `holds`.
+    `tuples(c)` yields flat tuples of positions, `arity` = (elements,
+    scalars) of them: positions in `c.sample`, then in `c.scalars`, in
+    checking order. `verdicts(c, tuples)` takes a nonempty list of them and
+    returns one verdict per tuple, in order and lazily: True when the tuple
+    satisfies the law, False on a violation, None when it is outside the
+    law's scope. Laws sharing an `entry` (None: their own name) roll into
+    one report entry, which stops at the first violation. An entry none of
+    whose tuples is scored is not-applicable when its first law gives a
+    `reason`, and passes otherwise. `detail(c, *elements)` adds fields to
+    a counterexample.
     """
 
-    __slots__ = ("name", "holds", "tuples", "entry", "sample_relative",
-                 "reason", "detail", "scalars")
-
-    def __init__(self, name: str, holds: Callable[..., Optional[bool]],
-                 tuples: Callable[[_Context], Iterable[tuple]],
-                 entry: Optional[str] = None, sample_relative: bool = False,
-                 reason: Optional[str] = None,
-                 detail: Optional[Callable[..., dict]] = None,
-                 scalars: int = 0):
-        self.name, self.holds, self.tuples = name, holds, tuples
-        self.entry = entry or name
-        self.sample_relative, self.reason = sample_relative, reason
-        self.detail, self.scalars = detail, scalars
-
-    @property
-    def arity(self) -> tuple[int, int]:
-        """(elements, scalars) that `holds` takes after the context."""
-        return self.holds.__code__.co_argcount - 1 - self.scalars, self.scalars
+    name: str
+    arity: tuple[int, int]
+    verdicts: Callable[[_Context, list], Iterable]
+    tuples: Callable[[_Context], Iterable[tuple]]
+    entry: Optional[str] = None
+    sample_relative: bool = False
+    reason: Optional[str] = None
+    detail: Optional[Callable[..., dict]] = None
 
 
 _NO_COMPARABLE = "no comparable pairs in sample"
 
 AXIOMS: tuple[Law, ...] = (
-    Law("A1.identity", _a1_identity, _each, entry="A1"),
-    Law("A1.commutativity", _a1_commutativity,
+    Law("A1.identity", (1, 0), _a1_identity, _each, entry="A1"),
+    Law("A1.commutativity", (2, 0), _a1_commutativity,
         lambda c: combinations(range(c.n), 2), entry="A1"),
-    Law("A1.associativity", _a1_associativity,
+    Law("A1.associativity", (3, 0), _a1_associativity,
         lambda c: combinations(range(c.n), 3), entry="A1"),
-    Law("A2.translation", _a2_translation, lambda c: (
-        (i, j, k) for i, j in c.comparable for k in range(c.n)),
+    Law("A2.translation", (3, 0), _a2_translation,
+        lambda c: _joined(c.comparable, _each(c)),
         entry="A2", reason=_NO_COMPARABLE),
-    Law("A2.scaling", _a2_scaling, lambda c: (
-        (i, j, a) for i, j in c.comparable for a in _listed(c)),
-        entry="A2", reason=_NO_COMPARABLE, scalars=1),
-    Law("A3.i", _a3_i, lambda c: (
-        (i, j, a) for i, j in combinations(range(c.n), 2)
-        for a in _listed(c)), scalars=1),
-    Law("A3.ii", _a3_ii, lambda c: (
-        (i, a, b) for i in range(c.n)
-        for a, b in product(_listed(c), repeat=2)), scalars=2),
-    Law("A3.iii", _a3_iii, lambda c: (
-        (i, a, b) for i in range(c.n)
-        for a, b in combinations_with_replacement(_listed(c), 2)), scalars=2),
-    Law("A3.iv", _a3_iv, _each),
-    Law("A4", _a4, lambda c: (
-        (i, a) for i in range(c.n) for a in _listed(c)), scalars=1),
-    Law("A5", _a5, _each, sample_relative=True),
-    Law("A6", _a6, _each, sample_relative=True),
+    Law("A2.scaling", (2, 1), _a2_scaling,
+        lambda c: _joined(c.comparable, zip(_listed(c))),
+        entry="A2", reason=_NO_COMPARABLE),
+    Law("A3.i", (2, 1), _a3_i, lambda c: _joined(
+        combinations(range(c.n), 2), zip(_listed(c)))),
+    Law("A3.ii", (1, 2), _a3_ii, lambda c: _joined(
+        _each(c), product(_listed(c), repeat=2))),
+    Law("A3.iii", (1, 2), lambda c, t: _split(c, t, c.inst.leq),
+        lambda c: _joined(_each(c), pairs(_listed(c), 2))),
+    Law("A3.iv", (1, 0), _a3_iv, _each),
+    Law("A4", (1, 1), _a4, lambda c: product(range(c.n), _listed(c))),
+    Law("A5", (1, 0), lambda c, t: (
+        _characterized(c.inst, c.sample[i]) == c.minimal[i] for i, in t),
+        _each, sample_relative=True),
+    Law("A6", (1, 0), lambda c, t: (bool(c.below[i]) for i, in t),
+        _each, sample_relative=True),
 )
 
 PROPERTIES: tuple[Law, ...] = (
-    Law("balanced", _balanced, lambda c: (
-        (i, a) for i in range(c.n) for a in _listed(c)
-        if abs(c.scalars[a]) <= 1), scalars=1),
-    Law("homogeneous", _homogeneous, lambda c: (
-        (i, a) for i in range(c.n) for a in _listed(c)), scalars=1),
-    Law("convex", _convex, lambda c: (
-        (i, a, b) for i in range(c.n) for a, b in combinations_with_replacement(
-            [a for a in _listed(c) if c.scalars[a] >= 0], 2)), scalars=2),
-    Law("zero-primitive", _zero_primitive, _each, sample_relative=True),
-    Law("single-primitive", _single_primitive, _each, sample_relative=True,
-        detail=lambda c, i: {"primitiveCount": len(c.below(i))}),
-    Law("additive-primitive", _additive_primitive,
-        lambda c: combinations_with_replacement(range(c.n), 2),
-        sample_relative=True,
+    Law("balanced", (1, 1), _balanced, lambda c: product(
+        range(c.n), _listed(c, lambda a: abs(a) <= 1))),
+    Law("homogeneous", (1, 1), _homogeneous,
+        lambda c: product(range(c.n), _listed(c))),
+    Law("convex", (1, 2), lambda c, t: _split(c, t, c.inst.equal),
+        lambda c: _joined(_each(c), pairs(_listed(c, lambda a: a >= 0), 2))),
+    Law("zero-primitive", (1, 0), lambda c, t: (
+        not c.minimal[i] or c.inst.equal(c.sample[i], c.inst.zero)
+        for i, in t), _each, sample_relative=True),
+    Law("single-primitive", (1, 0), lambda c, t: (
+        len(c.below[i]) == 1 for i, in t), _each, sample_relative=True,
+        detail=lambda c, i: {"primitiveCount": len(c.below[i])}),
+    Law("additive-primitive", (2, 0),
+        lambda c, t: starmap(partial(_additive_primitive, c), t),
+        lambda c: pairs(range(c.n), 2), sample_relative=True,
         reason="no pair with fully witnessed primitive sets"),
 )
 
@@ -395,6 +386,11 @@ LAWS: dict[str, Law] = {law.name: law for law in AXIOMS + PROPERTIES}
 # ---------------------------------------------------------------------------
 # The runner and replay
 # ---------------------------------------------------------------------------
+
+#: Tuples the runner asks a law's verdicts for at a time: enough to spread
+#: the cost of gathering operands by column, few enough that the operand
+#: lists stay small next to the sample's tables.
+CHUNK = 512
 
 
 def _context(inst: EvsInstance, sample, scalars) -> _Context:
@@ -410,8 +406,7 @@ def _context(inst: EvsInstance, sample, scalars) -> _Context:
 
 
 def _counterexample(c: _Context, law: Law, args: tuple) -> dict:
-    n = law.arity[0]
-    els, scs = args[:n], args[n:]
+    els, scs = args[:law.arity[0]], args[law.arity[0]:]
     ce = {
         "law": law.name,
         "elements": [c.inst.element_to_json(c.sample[i]) for i in els],
@@ -423,22 +418,26 @@ def _counterexample(c: _Context, law: Law, args: tuple) -> dict:
 
 
 def _check_entry(c: _Context, name: str, laws: list[Law]) -> dict:
-    """The report entry of the laws sharing the entry `name`."""
+    """The report entry of the laws sharing the entry `name`. Each law's
+    tuples are read CHUNK at a time, and the chunk's verdicts up to the
+    first False, skipping the None ones."""
     head = laws[0]
     entry = {"axiom": name, "status": "pass",
              "sampleRelative": head.sample_relative}
     scored = False
     for law in laws:
-        holds = law.holds
-        for args in law.tuples(c):
-            verdict = holds(c, *args)
-            if verdict is None:
-                continue
-            if not verdict:
-                entry.update(status="fail",
-                             counterexample=_counterexample(c, law, args))
+        tuples = law.tuples(c)
+        while chunk := list(islice(tuples, CHUNK)):
+            unscored = 0
+            for at, verdict in filterfalse(
+                    itemgetter(1), enumerate(law.verdicts(c, chunk))):
+                if verdict is None:
+                    unscored += 1
+                    continue
+                entry.update(status="fail", counterexample=_counterexample(
+                    c, law, chunk[at]))
                 return entry
-            scored = True
+            scored = scored or unscored < len(chunk)
     if not scored and head.reason is not None:
         entry.update(status="not-applicable", reason=head.reason)
     return entry
@@ -448,8 +447,8 @@ def _report(c: _Context, suite: str, laws: Sequence[Law], **header) -> dict:
     """The report of one suite: its entries, listed under the suite's name
     next to the run parameters in `header`, and `pass`, true when every
     entry passed."""
-    entries = [_check_entry(c, name, list(group))
-               for name, group in groupby(laws, key=lambda law: law.entry)]
+    entries = [_check_entry(c, name, list(group)) for name, group in groupby(
+        laws, key=lambda law: law.entry or law.name)]
     return {"instance": c.inst.name, **header, suite: entries,
             "pass": all(e["status"] == "pass" for e in entries)}
 
@@ -478,10 +477,10 @@ def check_axioms(inst: EvsInstance, sample: Sequence, scalars: Sequence,
 def replay_counterexample(inst: EvsInstance, ce: dict,
                           sample: Optional[Sequence] = None) -> bool:
     """Re-evaluate a recorded counterexample; True means the violation is
-    reproduced (the law predicate fails again). Sample-relative laws are
+    reproduced (the law's verdict is False again). Sample-relative laws are
     judged against the sample they were found in, so it must be given.
-    The law runs on a context of the sample followed by the
-    counterexample's elements, with the counterexample's scalars.
+    The law's verdicts run on the one tuple of a context of the sample
+    followed by the counterexample's elements, with its scalars.
     A malformed counterexample (unknown law, missing or non-list elements or
     scalars, the wrong number of either, an unreadable element) raises
     InputError."""
@@ -502,7 +501,8 @@ def replay_counterexample(inst: EvsInstance, ce: dict,
     given = list(sample or ())
     m, els = len(given), [inst.element_from_json(e) for e in elements]
     c = _Context(inst, given + els, [parse_rational(a) for a in scalars], m)
-    verdict = law.holds(c, *range(m, m + len(els)), *range(len(scalars)))
+    verdict, = law.verdicts(c, [(*range(m, m + len(els)),
+                                 *range(len(scalars)))])
     return verdict is not None and not verdict
 
 

@@ -326,12 +326,16 @@ def test_law_arity_matches_the_checked_tuples(name):
     positions, listed = range(len(sample)), range(len(scalars))
     for law in AXIOMS + PROPERTIES:
         n_elements, n_scalars = law.arity
-        for args in law.tuples(c):
+        checked = list(law.tuples(c))
+        for args in checked:
             assert len(args) == n_elements + n_scalars, law.name
             assert all(type(i) is int and i in positions
                        for i in args[:n_elements]), law.name
             assert all(type(a) is int and a in listed
                        for a in args[n_elements:]), law.name
+        if checked:
+            assert len(list(law.verdicts(c, checked))) == len(checked), \
+                law.name
 
 
 @pytest.mark.parametrize("name", INSTANCE_NAMES)
@@ -346,8 +350,10 @@ def test_run_and_replay_give_every_checked_tuple_one_verdict(name):
     c = _context(inst, sample, scalars)
     for law in AXIOMS + PROPERTIES:
         n_elements = law.arity[0]
-        for args in islice(law.tuples(c), 50):
-            verdict = law.holds(c, *args)
+        checked = list(islice(law.tuples(c), 50))
+        verdicts = list(law.verdicts(c, checked))
+        assert len(verdicts) == len(checked), law.name
+        for args, verdict in zip(checked, verdicts):
             ce = json.loads(json.dumps({
                 "law": law.name,
                 "elements": [inst.element_to_json(sample[i])
