@@ -29,9 +29,9 @@ from operator import sub
 from typing import Optional, Sequence
 
 from .errors import InputError, UndefinedRelativeElementError
-from .rationals import (_add, _leq, _ratio, _scale, fmt, fmt_ratio,
-                        parse_rational, parse_rationals, ratios_to_ints,
-                        to_ints)
+from .rationals import (MAX_DIGITS, _add, _leq, _ratio, _scale, fmt,
+                        fmt_ratio, parse_rational, parse_rationals,
+                        ratios_to_ints, to_ints)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -1024,7 +1024,9 @@ def cauchy_incompleteness_demo(ns: Sequence[int],
     about six times the bytes of a table entry, so at the limit it prints
     about what one depth-MAX_BUILTIN_DEPTH table does. Past either limit
     the demonstration is an input error before any distance is computed,
-    and past the check limit before any pair is read.
+    and past the check limit before any pair is read. So are indices and
+    pairs whose checks would print a numerator or denominator past
+    MAX_DIGITS digits, the most fmt can print.
     """
     ns = sorted(set(ns))
     if len(ns) < 2 or ns[0] < 1:
@@ -1054,6 +1056,12 @@ def cauchy_incompleteness_demo(ns: Sequence[int],
                          f"{MAX_BUILTIN_DEPTH}")
 
     spread = max(abs(x[1] - y[1]) for x, y in pairs)
+    # a check of n < m prints spread * (1/n - 1/m), whose numerator divides
+    # spread's times m and whose denominator divides spread's times n * m
+    n, m = ns[-2:]
+    if max(spread.numerator, spread.denominator) * n * m >= 10 ** MAX_DIGITS:
+        raise InputError(f"the indices and pairs would print ratios past "
+                         f"the {MAX_DIGITS}-digit limit")
 
     def dn(n: int, x, y) -> Fraction:
         return abs(x[0] - y[0]) + Fraction(1, n) * abs(x[1] - y[1])

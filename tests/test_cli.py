@@ -584,6 +584,37 @@ def test_cauchy_demo_limits_admit_the_limits(monkeypatch, indices, pairs):
         cauchy_incompleteness_demo(range(1, indices + 1), plane_pairs(pairs))
 
 
+# Two consecutive indices near 10^(MAX_DIGITS / 2) with a spread of 1: the
+# checks print 1/(n*m), whose denominator has MAX_DIGITS digits for the
+# first pair and one more for the second.
+HALF = 10 ** (MAX_DIGITS // 2)
+
+
+@pytest.mark.parametrize("ns, printed", [
+    ([HALF - 1, HALF], True), ([HALF, HALF + 1], False)])
+def test_cauchy_demo_indices_at_the_digit_limit(capsys, tmp_path,
+                                                monkeypatch, ns, printed):
+    path = write_json(tmp_path / "pairs.json", [WITNESS])
+    code, doc, err = run(capsys, "cauchy-demo", "--indices",
+                         ",".join(map(str, ns)), "--pairs", path)
+    if printed:
+        assert code == 0
+        gap = doc["report"]["cauchyChecks"][0]["maxGap"]
+        assert gap == f"1/{ns[0] * ns[1]}"
+        assert len(gap) == len("1/") + MAX_DIGITS
+        report = write_json(tmp_path / "r.json", doc)
+        assert run(capsys, "--replay", report)[1]["match"] is True
+        return
+    error = {"error": "the indices and pairs would print ratios past the "
+                      f"{MAX_DIGITS}-digit limit"}
+    assert (code, doc, json.loads(err)) == (2, None, error)
+    # the limit is read at the call: one digit more admits the pair
+    monkeypatch.setattr(metrics, "MAX_DIGITS", MAX_DIGITS + 1)
+    monkeypatch.setattr(metrics, "combinations", trip("the Cauchy checks"))
+    with pytest.raises(AssertionError, match="the Cauchy checks started"):
+        cauchy_incompleteness_demo(ns, [WITNESS])
+
+
 def test_norms_embed_past_the_limit_exits_two(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(norms, "eval_weighted_norm", trip("a norm"))
     w = write_json(tmp_path / "w.json", {"h0": "1"})
