@@ -1,0 +1,84 @@
+"""tools/bench_pairs.py: the gain rule it writes as `claim_met`, and its
+refusal to compare checkouts that run different benchmarks."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# quartiles 0.09875 and 0.102: an interquartile range of 0.00325
+BEFORE = [0.100, 0.102, 0.098, 0.101, 0.099, 0.103, 0.100, 0.097, 0.102,
+          0.101]
+
+
+@pytest.mark.parametrize("after, met", [
+    ([x - 0.010 for x in BEFORE], True),            # ten wins, gap 0.010
+    ([x - 0.010 for x in BEFORE[:9]] + [0.2], True),   # nine wins
+    ([x - 0.010 for x in BEFORE[:8]] + [0.2] * 2, False),  # eight wins
+    ([x - 0.010 for x in BEFORE[:9]] + [BEFORE[9]], True),  # a tie is no win
+    ([x - 0.010 for x in BEFORE[:8]] + BEFORE[8:], False),  # two ties
+    ([x - 0.003 for x in BEFORE], False),           # gap 0.003 < IQR 0.0033
+    ([x - 0.004 for x in BEFORE], True),            # gap 0.004 > IQR
+    ([x + 0.010 for x in BEFORE], False),           # worse on every pair
+])
+def test_claim_met_needs_nine_of_ten_wins_and_a_gap_past_the_iqr(
+        bench_pairs, after, met):
+    assert bench_pairs.claim_met(BEFORE, after, "lower") is met
+    # the same runs of a metric where higher is better
+    assert bench_pairs.claim_met([-x for x in BEFORE], [-x for x in after],
+                                 "higher") is met
+
+
+def test_claim_met_needs_ten_pairs(bench_pairs):
+    assert bench_pairs.claim_met(BEFORE[:9], [x - 0.01 for x in BEFORE[:9]],
+                                 "lower") is False
+
+
+def checkout(root: Path, tracer: str) -> Path:
+    (root / "perfbench" / "__pycache__").mkdir(parents=True)
+    (root / "perfbench" / "tracer.py").write_text(tracer)
+    (root / "perfbench" / "__pycache__" / "tracer.pyc").write_bytes(
+        tracer.encode())
+    (root / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 24, "end_to_end": []}))
+    return root
+
+
+def test_refuses_checkouts_whose_benchmarks_differ(bench_pairs, tmp_path,
+                                                   monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a benchmark run started")
+
+    monkeypatch.setattr(bench_pairs, "_run", no_run)
+    monkeypatch.setattr(bench_pairs, "_commit", lambda root: "0" * 40)
+    before = checkout(tmp_path / "before", "A = 1\n")
+    after = checkout(tmp_path / "after", "A = 2\n")
+    out = tmp_path / "BENCH.json"
+    argv = ["bench_pairs.py", "--before", str(before), "--after", str(after),
+            "--workloads", "axioms=1", "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert bench_pairs.main() == 2
+    assert "perfbench/tracer.py" in capsys.readouterr().err
+    assert not out.exists()
+
+    # bytecode caches differ, the sources do not: the runs start
+    (after / "perfbench" / "tracer.py").write_text("A = 1\n")
+    with pytest.raises(AssertionError, match="a benchmark run started"):
+        bench_pairs.main()
+
+    (before / "BENCHMARK.json").write_text("{}")
+    assert bench_pairs.main() == 2
+    assert "BENCHMARK.json" in capsys.readouterr().err

@@ -11,7 +11,10 @@ DIR is the root of an evslib checkout (each is measured on its own
 side first and odd pairs the after side, so a drift in machine speed does
 not favour either side. `--traced W` adds one `--trace 1` run per side.
 The file holds every result line, and per gated metric the median and
-quartiles of each side and the number of pairs the after side won.
+quartiles of each side, the number of pairs the after side won, and
+`claim_met`, the gain rule of `claim_met()`. Both sides must run the same
+benchmark: the tool refuses to start, with exit code 2, when the files
+under `perfbench/` or `BENCHMARK.json` differ between the checkouts.
 """
 
 from __future__ import annotations
@@ -45,6 +48,46 @@ def _commit(root: Path) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
+def _benchmark_files(root: Path) -> dict:
+    """The bytes of BENCHMARK.json and of every file under perfbench/,
+    by relative path, leaving out bytecode caches."""
+    files = [root / "BENCHMARK.json"] + sorted(
+        path for path in (root / "perfbench").rglob("*")
+        if path.is_file() and "__pycache__" not in path.parts)
+    return {str(path.relative_to(root)): path.read_bytes() for path in files}
+
+
+def _differing(roots: dict) -> list[str]:
+    before, after = (_benchmark_files(roots[side])
+                     for side in ("before", "after"))
+    return sorted(name for name in before.keys() | after.keys()
+                  if before.get(name) != after.get(name))
+
+
+def _sign(better: str) -> int:
+    """+1 when lower values are better, -1 when higher ones are."""
+    return 1 if better == "lower" else -1
+
+
+def _wins(before: list[float], after: list[float], better: str) -> int:
+    """Pairs where the after side is better; a tie counts for neither."""
+    return sum(_sign(better) * (b - a) > 0 for a, b in zip(after, before))
+
+
+def claim_met(before: list[float], after: list[float], better: str) -> bool:
+    """The gain rule: over at least ten pairs, the after side wins at least
+    nine of every ten, and its median is better than the before side's by
+    more than the before side's interquartile range. `better` is "lower"
+    or "higher"."""
+    if len(before) < 10:
+        return False
+    q1, _, q3 = statistics.quantiles(before, n=4)
+    gap = _sign(better) * (statistics.median(before)
+                           - statistics.median(after))
+    return (10 * _wins(before, after, better) >= 9 * len(before)
+            and gap > q3 - q1)
+
+
 def _summary(values: list[float]) -> dict:
     if len(values) < 2:
         return {"median": values[0]}
@@ -53,7 +96,7 @@ def _summary(values: list[float]) -> dict:
 
 
 def _pairs(roots: dict, workload: str, count: int, seconds: int,
-           gated: list[str]) -> dict:
+           gated: dict) -> dict:
     pairs = []
     for seed in range(count):
         order = ("before", "after") if seed % 2 == 0 else ("after", "before")
@@ -66,13 +109,15 @@ def _pairs(roots: dict, workload: str, count: int, seconds: int,
                 + f" correct={pair[side]['correct']}", flush=True)
         pairs.append(pair)
     summary = {}
-    for name in gated:
+    for name, better in gated.items():
         sides = {side: [p[side]["metrics"][name]["value"] for p in pairs]
                  for side in ("before", "after")}
         summary[name] = {side: _summary(v) for side, v in sides.items()}
-        summary[name]["after_wins"] = sum(
-            a < b for a, b in zip(sides["after"], sides["before"]))
+        summary[name]["after_wins"] = _wins(sides["before"], sides["after"],
+                                            better)
         summary[name]["pairs"] = count
+        summary[name]["claim_met"] = claim_met(sides["before"],
+                                               sides["after"], better)
     return {"pairs": pairs, "summary": summary}
 
 
@@ -89,9 +134,14 @@ def main() -> int:
 
     roots = {"before": Path(args.before).resolve(),
              "after": Path(args.after).resolve()}
+    differing = _differing(roots)
+    if differing:
+        print("error: the checkouts run different benchmarks; these differ: "
+              + ", ".join(differing), file=sys.stderr)
+        return 2
     bench = json.loads((roots["after"] / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
-    gated = [m["name"] for m in bench["end_to_end"]]
+    gated = {m["name"]: m["better"] for m in bench["end_to_end"]}
     doc = {
         # the checkouts are named by their commits and the output by its
         # file name, not by their paths
