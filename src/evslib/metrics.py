@@ -1024,9 +1024,9 @@ def cauchy_incompleteness_demo(ns: Sequence[int],
     about six times the bytes of a table entry, so at the limit it prints
     about what one depth-MAX_BUILTIN_DEPTH table does. Past either limit
     the demonstration is an input error before any distance is computed,
-    and past the check limit before any pair is read. So are indices and
-    pairs whose checks would print a numerator or denominator past
-    MAX_DIGITS digits, the most fmt can print.
+    and past the check limit before any pair is read. Indices and pairs
+    whose checks would print a numerator or denominator past MAX_DIGITS
+    digits, the most fmt can print, are an input error before any check.
     """
     ns = sorted(set(ns))
     if len(ns) < 2 or ns[0] < 1:
@@ -1056,7 +1056,7 @@ def cauchy_incompleteness_demo(ns: Sequence[int],
                          f"{MAX_BUILTIN_DEPTH}")
 
     spread = max(abs(x[1] - y[1]) for x, y in pairs)
-    # a check of n < m prints spread * (1/n - 1/m), whose numerator divides
+    # a check of n < m prints spread * (1/n - 1/m), whose numerator is below
     # spread's times m and whose denominator divides spread's times n * m
     n, m = ns[-2:]
     if max(spread.numerator, spread.denominator) * n * m >= 10 ** MAX_DIGITS:
