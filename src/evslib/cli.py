@@ -54,7 +54,8 @@ def _load_json(path: str, object_hook=None):
 def _load_matrix(path: str) -> metrics.MetricMatrix:
     """Parse a JSON or CSV table once. The parsed matrix is what `inputs`
     holds: the handler's MetricMatrix.from_json returns it as it is, and
-    _emit prints it through to_json, in the bytes of a replayed report."""
+    _emit prints it from its form (MetricMatrix.json_text), in the bytes of
+    a replayed report."""
     if path.endswith(".csv"):
         try:
             return metrics.MetricMatrix.from_csv_text(
@@ -345,108 +346,73 @@ _HANDLERS = {
 # ---------------------------------------------------------------------------
 
 
-_COMMANDS = ("validate", "combine", "compare", "transform", "builtin",
-             "partial-compare", "cauchy-demo", "norms", "axioms", "order")
-_NORMS_ACTIONS = ("partition", "weights", "eval", "witness", "embed")
-_ORDER_ACTIONS = ("in-l", "indep", "generates", "basis", "feasible")
+# command -> its help line; for norms and order, action -> its help line,
+# where None gives the action no line in `evs order -h`
+_COMMANDS = {
+    "validate": "check the metric axioms on a table",
+    "combine": "add or scale metric tables",
+    "compare": "classify a pair by comparing values",
+    "transform": "bounded or truncated companion metric",
+    "builtin": "materialize a named metric",
+    "partial-compare": "depth-indexed comparing bounds for lazy metrics",
+    "cauchy-demo": "Cauchy family whose pointwise limit is not a metric",
+    "norms": "norm-family tooling",
+    "axioms": "seeded structure-axiom suite",
+    "order": "testing-set tools over a universe",
+}
+_ACTIONS = {
+    "norms": {
+        "partition": "deterministic backbone/fiber split",
+        "weights": "family weights on the enumerated prefix",
+        "eval": "evaluate a weighted sup norm",
+        "witness": "independence decay witnesses",
+        "embed": "norm-induced metric on sample points",
+    },
+    "order": dict.fromkeys(("in-l", "indep", "generates", "basis",
+                            "feasible")),
+}
 
 
-def _subparsers(parser, dest: str, names: tuple, argv):
-    """Add the subparsers `names` to parser under `dest`, and return the
-    function that adds one of them: when argv[0] names one, it adds that one
-    alone and None for the others. Usage and error text are the same either
-    way, since the name list in the usage line is then the metavar."""
-    only = argv[0] if argv and argv[0] in names else None
-    sub = parser.add_subparsers(
-        dest=dest, required=True,
-        metavar=None if only is None else "{" + ",".join(names) + "}")
-
-    def add(name, **kwargs):
-        return sub.add_parser(name, **kwargs) if only in (None, name) else None
-    return add
-
-
-def _build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser of every command or, when argv[0] names one, of that
-    command alone; for norms and order, of the action argv[1] names alone.
-    Without a command in argv[0], parsing stops at the command, before any
-    action."""
-    parser = argparse.ArgumentParser(
-        prog="evs",
-        description="Exact comparability of metrics and norms over ordered "
-                    "semigroup structure.",
-    )
-    add = _subparsers(parser, "command", _COMMANDS, argv)
-
-    if p := add("validate", help="check the metric axioms on a table"):
+def _add_arguments(p: argparse.ArgumentParser, command: str,
+                   action=None) -> None:
+    """Add the arguments of the leaf `evs command [action]` to p: the one
+    definition of them, for the tree of _build_parser and the lone leaf
+    parser of _parse_args alike."""
+    if command == "validate":
         p.add_argument("matrix", help="matrix file (JSON or CSV)")
-
-    if p := add("combine", help="add or scale metric tables"):
+    elif command == "combine":
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--add", metavar="B", help="second matrix file")
         group.add_argument("--scale", metavar="ALPHA", help="scalar p/q")
         p.add_argument("matrix", help="first matrix file")
         p.add_argument("--out", help="write the resulting matrix JSON here")
-
-    if p := add("compare", help="classify a pair by comparing values"):
+    elif command == "compare":
         p.add_argument("first")
         p.add_argument("second")
-
-    if p := add("transform", help="bounded or truncated companion metric"):
+    elif command == "transform":
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--bounded", action="store_true")
         group.add_argument("--min", action="store_true")
         p.add_argument("matrix")
         p.add_argument("--out")
-
-    if p := add("builtin", help="materialize a named metric"):
+    elif command == "builtin":
         p.add_argument("name", choices=list(metrics.BUILTIN_NAMES))
         p.add_argument("--depth", type=int, required=True)
         p.add_argument("--step", help="grid step p/q (usual-grid, kappa)")
         p.add_argument("--n", help="cauchy-dn index")
         p.add_argument("--points", help="JSON file with plane points (cauchy-dn)")
         p.add_argument("--out")
-
-    if p := add("partial-compare",
-                help="depth-indexed comparing bounds for lazy metrics"):
+    elif command == "partial-compare":
         p.add_argument("--first", required=True, help='e.g. "discrete", '
                        '"usual-grid:step=1", "kappa", "usual"')
         p.add_argument("--second", required=True)
         p.add_argument("--depths", required=True, help="comma separated, increasing")
         p.add_argument("--points", help="plane points file for cauchy-dn specs")
-
-    if p := add("cauchy-demo",
-                help="Cauchy family whose pointwise limit is not a metric"):
+    elif command == "cauchy-demo":
         p.add_argument("--indices", required=True, help="comma separated n values")
         p.add_argument("--pairs", required=True,
                        help="JSON file: list of [[u,u'],[v,v']] point pairs")
-
-    if p := add("norms", help="norm-family tooling"):
-        action = _subparsers(p, "action", _NORMS_ACTIONS, argv[1:])
-
-        if q := action("partition", help="deterministic backbone/fiber split"):
-            q.add_argument("--depth", type=int, required=True)
-
-        if q := action("weights", help="family weights on the enumerated prefix"):
-            q.add_argument("--spec", required=True, help="family spec JSON file")
-
-        if q := action("eval", help="evaluate a weighted sup norm"):
-            q.add_argument("--spec", help="family spec JSON file")
-            q.add_argument("--weights", help="explicit weight map JSON file")
-            q.add_argument("--vector", required=True, help="vector JSON file")
-
-        if q := action("witness", help="independence decay witnesses"):
-            q.add_argument("--spec", action="append", required=True,
-                           help="family spec file; give exactly twice")
-            q.add_argument("--eps", required=True)
-
-        if q := action("embed", help="norm-induced metric on sample points"):
-            q.add_argument("--weights", required=True)
-            q.add_argument("--points", required=True,
-                           help="JSON list of vector maps")
-            q.add_argument("--out")
-
-    if p := add("axioms", help="seeded structure-axiom suite"):
+    elif command == "axioms":
         p.add_argument("--instance", required=True)
         p.add_argument("--seed", type=int, required=True)
         p.add_argument("--sample", type=int, default=50)
@@ -458,25 +424,81 @@ def _build_parser(argv=()) -> argparse.ArgumentParser:
                        help="dimension for cone/hyperspace")
         p.add_argument("--properties", action="store_true",
                        help="also run the named-property suite")
+    elif action == "partition":
+        p.add_argument("--depth", type=int, required=True)
+    elif action == "weights":
+        p.add_argument("--spec", required=True, help="family spec JSON file")
+    elif action == "eval":
+        p.add_argument("--spec", help="family spec JSON file")
+        p.add_argument("--weights", help="explicit weight map JSON file")
+        p.add_argument("--vector", required=True, help="vector JSON file")
+    elif action == "witness":
+        p.add_argument("--spec", action="append", required=True,
+                       help="family spec file; give exactly twice")
+        p.add_argument("--eps", required=True)
+    elif action == "embed":
+        p.add_argument("--weights", required=True)
+        p.add_argument("--points", required=True,
+                       help="JSON list of vector maps")
+        p.add_argument("--out")
+    else:   # an order action
+        p.add_argument("--universe", required=True, help="universe manifest file")
+        if action in ("in-l", "feasible"):
+            p.add_argument("--x", required=True)
+        if action == "in-l":
+            p.add_argument("--y", required=True)
+        if action in ("generates", "basis"):
+            p.add_argument("--generator", action="append", required=True,
+                           help="generator element file; repeatable")
+        if action in ("indep", "basis"):
+            p.add_argument("--eps")
 
-    if p := add("order", help="testing-set tools over a universe"):
-        action = _subparsers(p, "action", _ORDER_ACTIONS, argv[1:])
-        for name in _ORDER_ACTIONS:
-            if not (q := action(name)):
-                continue
-            q.add_argument("--universe", required=True, help="universe manifest file")
-            if name == "in-l":
-                q.add_argument("--x", required=True)
-                q.add_argument("--y", required=True)
-            if name == "feasible":
-                q.add_argument("--x", required=True)
-            if name in ("generates", "basis"):
-                q.add_argument("--generator", action="append", required=True,
-                               help="generator element file; repeatable")
-            if name in ("indep", "basis"):
-                q.add_argument("--eps")
 
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command: a subparser per command and, for norms
+    and order, one per action, each holding its leaf's arguments
+    (_add_arguments). main builds it only where argv names no leaf or the
+    leaf leaves arguments over (see _parse_args)."""
+    parser = argparse.ArgumentParser(
+        prog="evs",
+        description="Exact comparability of metrics and norms over ordered "
+                    "semigroup structure.",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, help_line in _COMMANDS.items():
+        p = commands.add_parser(command, help=help_line)
+        if command not in _ACTIONS:
+            _add_arguments(p, command)
+            continue
+        actions = p.add_subparsers(dest="action", required=True)
+        for action, help_line in _ACTIONS[command].items():
+            kwargs = {} if help_line is None else {"help": help_line}
+            _add_arguments(actions.add_parser(action, **kwargs), command,
+                           action)
     return parser
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    """parser.parse_args(argv) of _build_parser, building one parser where
+    argv names a leaf: a command and, for norms and order, an action. The
+    leaf parser is the subparser the tree would run, with the same prog
+    ("evs order in-l") and arguments, so it prints the same help and errors;
+    it fills the namespace the tree would. Only arguments it leaves over
+    need the tree, whose error names the top-level usage."""
+    path = argv[:1]
+    if path and path[0] in _ACTIONS:
+        path = argv[:2]
+        if len(path) < 2 or path[1] not in _ACTIONS[path[0]]:
+            path = []
+    if path and path[0] in _COMMANDS:
+        leaf = argparse.ArgumentParser(prog=" ".join(["evs", *path]))
+        _add_arguments(leaf, *path)
+        args, rest = leaf.parse_known_args(
+            argv[len(path):],
+            argparse.Namespace(**dict(zip(("command", "action"), path))))
+        if not rest:
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def _resolve_inputs(args) -> tuple[str, dict]:
@@ -577,12 +599,13 @@ def _resolve_inputs(args) -> tuple[str, dict]:
 
 
 def _dumps(obj, indent: str = "\n") -> str:
-    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, with an
-    object that has a to_json method written as its to_json(). `indent` is
-    the newline and indentation that precede obj's closing bracket. The
-    standard encoder runs in pure Python whenever it indents; this writer
-    escapes strings in C and joins a list of strings, such as a matrix
-    row, in one step."""
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, with a
+    MetricMatrix, such as every table an input echoes, written as its
+    to_json(). `indent` is the newline and indentation that precede obj's
+    closing bracket. The standard encoder runs in pure Python whenever it
+    indents; this writer escapes strings in C and joins a list of strings
+    in one step, and a MetricMatrix writes its own text from its integer
+    form (MetricMatrix.json_text), with no document of strings built."""
     if type(obj) is str:
         return encode_basestring_ascii(obj)
     inner = indent + "  "
@@ -600,8 +623,8 @@ def _dumps(obj, indent: str = "\n") -> str:
         except TypeError:
             items = [_dumps(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if hasattr(obj, "to_json"):
-        return _dumps(obj.to_json(), indent)
+    if type(obj) is metrics.MetricMatrix:
+        return obj.json_text(indent)
     return json.dumps(obj)   # None, bool, int and float, as the encoder does
 
 
@@ -651,8 +674,7 @@ def main(argv=None) -> int:
             if len(argv) != 2:
                 raise InputError("--replay takes exactly one report file")
             return _replay(argv[1])
-        parser = _build_parser(argv)
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
         command, inputs = _resolve_inputs(args)
         report, code = _HANDLERS[command](inputs)
         _emit({"command": command, "inputs": inputs, "report": report},

@@ -25,7 +25,9 @@ import io
 from fractions import Fraction
 from functools import partial
 from itertools import chain, combinations, count, islice, repeat
-from operator import sub
+from json.encoder import encode_basestring_ascii
+from math import gcd
+from operator import floordiv, sub
 from typing import Optional, Sequence
 
 from .errors import InputError, UndefinedRelativeElementError
@@ -158,11 +160,26 @@ class MetricMatrix:
         return not any(self.form[0])
 
     def to_json(self) -> dict:
-        """{"labels", "rows"}, every entry printed by fmt_ratio, once per
-        distinct value where the form repeats its values (_per_value)."""
-        nums, den = self.form
-        text = list(_per_value(fmt_ratio, nums, den)(nums))
-        return {"labels": list(self.labels), "rows": _mirror(text, self.size)}
+        """{"labels", "rows"}, every entry printed as "p/q" in lowest
+        terms (_entry_text)."""
+        return {"labels": list(self.labels),
+                "rows": _mirror(_entry_text(self.form, "{}/{}"), self.size)}
+
+    def json_text(self, indent: str) -> str:
+        """The text json.dumps(self.to_json(), indent=2, sort_keys=True)
+        gives, nested where `indent`, a newline and spaces, precedes the
+        closing brace. It is written from the form: each entry is quoted as
+        it is formatted, the quoted upper triangle is mirrored, and each
+        row is one join, with no document of strings built first."""
+        keys, items = indent + "  ", indent + "    "
+        cells = items + "  "
+        rows = _mirror(_entry_text(self.form, '"{}/{}"'), self.size)
+        return "".join((
+            "{", keys, '"labels": [', items,
+            ("," + items).join(map(encode_basestring_ascii, self.labels)),
+            keys, "],", keys, '"rows": [', items, "[", cells,
+            (f"{items}],{items}[{cells}").join(map(("," + cells).join, rows)),
+            items, "]", keys, "]", indent, "}"))
 
 
 def _carrier(labels: Sequence[str], rows: Sequence[Sequence]) -> tuple:
@@ -212,6 +229,27 @@ def _upper_form(upper: list) -> tuple:
     nums, den = _read_form(distinct)
     over = dict(zip(distinct, nums))
     return tuple(map(over.__getitem__, upper)), den
+
+
+def _entry_text(form: tuple, template: str) -> list:
+    """template.format(p, q) of every entry p/q of a form, in lowest terms,
+    in order: for each distinct value once, and looked up per entry, where
+    at most half of the entries are distinct (the rule of _per_value)."""
+    nums, den = form
+    distinct = set(nums)
+    if 2 * len(distinct) > len(nums):
+        return _formatted(nums, den, template)
+    distinct = list(distinct)
+    over = dict(zip(distinct, _formatted(distinct, den, template)))
+    return list(map(over.__getitem__, nums))
+
+
+def _formatted(nums: Sequence[int], den: int, template: str) -> list:
+    """template.format(p, q) of each num/den as p/q in lowest terms, by
+    maps of the builtins alone."""
+    gs = list(map(gcd, nums, repeat(den)))
+    return list(map(template.format, map(floordiv, nums, gs),
+                    map(floordiv, repeat(den), gs)))
 
 
 def _per_value(f, values: Sequence, *args):
@@ -705,7 +743,10 @@ class LazyMetric:
 
     def materialize(self, depth: int, carrier: Optional[Carrier] = None) -> MetricMatrix:
         """The table on the first `depth` points of the carrier (by default
-        the metric's own), each unordered pair evaluated once to its pair."""
+        the metric's own), each unordered pair evaluated once to its pair
+        and reduced at once. Over the lcm of reduced denominators the
+        numerators share no common factor, so ratios_to_ints never copies
+        the table to reduce it."""
         den, points = (carrier or self.carrier).at(depth)
         pair = _PAIR_FNS[self.family]
         size = depth * (depth + 1) // 2   # lists grown by append fragment the heap
@@ -713,7 +754,9 @@ class LazyMetric:
         for i, p in enumerate(points):
             for q in points[i + 1:]:
                 k += 1
-                nums[k], dens[k] = pair(self, den, p, q)
+                x, y = pair(self, den, p, q)
+                g = gcd(x, y)
+                nums[k], dens[k] = x // g, y // g
             k += 1   # the diagonal entry of the next row stays 0/1
         return MetricMatrix(carrier_labels(depth), ratios_to_ints(nums, dens))
 
@@ -1026,7 +1069,10 @@ def cauchy_incompleteness_demo(ns: Sequence[int],
     the demonstration is an input error before any distance is computed,
     and past the check limit before any pair is read. Indices and pairs
     whose checks would print a numerator or denominator past MAX_DIGITS
-    digits, the most fmt can print, are an input error before any check.
+    digits, the most fmt can print, are an input error before any check,
+    and so are pairs whose limit table would print one: two first
+    coordinates may each print within the limit while their distance does
+    not.
     """
     ns = sorted(set(ns))
     if len(ns) < 2 or ns[0] < 1:
@@ -1062,6 +1108,19 @@ def cauchy_incompleteness_demo(ns: Sequence[int],
     if max(spread.numerator, spread.denominator) * n * m >= 10 ** MAX_DIGITS:
         raise InputError(f"the indices and pairs would print ratios past "
                          f"the {MAX_DIGITS}-digit limit")
+
+    # the limit table prints each distance |a - b| of two first coordinates
+    # in lowest terms, below 2 * top^2 over at most top^2 for top the
+    # largest numerator or denominator of a and b; past that bound, each
+    # distance is checked
+    cap = 10 ** MAX_DIGITS
+    firsts = sorted({p[0] for p in points})
+    top = max(max(-a.numerator, a.numerator, a.denominator) for a in firsts)
+    gaps = (b - a for i, a in enumerate(firsts) for b in firsts[i + 1:])
+    if 2 * top * top >= cap and any(max(g.numerator, g.denominator) >= cap
+                                    for g in gaps):
+        raise InputError(f"the pairs' first coordinates differ by ratios "
+                         f"past the {MAX_DIGITS}-digit limit")
 
     def dn(n: int, x, y) -> Fraction:
         return abs(x[0] - y[0]) + Fraction(1, n) * abs(x[1] - y[1])

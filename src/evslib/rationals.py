@@ -105,7 +105,7 @@ def ratios_to_ints(nums: Sequence[int], dens: Sequence[int]
                    ) -> tuple[tuple[int, ...], int]:
     """to_ints of the ratios nums[k] / dens[k], for dens[k] > 0, in lowest
     terms or not: over the least common denominator, then reduced once."""
-    den = lcm(*dens)
+    den = lcm(*set(dens))
     return _reduced(tuple(map(mul, nums, map(floordiv, repeat(den), dens))),
                     den)
 

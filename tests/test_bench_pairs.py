@@ -1,5 +1,6 @@
-"""tools/bench_pairs.py: the gain rule it writes as `claim_met`, and its
-refusal to compare checkouts that run different benchmarks."""
+"""tools/bench_pairs.py: the gain rule it writes as `claim_met`, its
+refusal to compare checkouts that run different benchmarks, and its
+replay corpus."""
 
 import importlib.util
 import json
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from evslib.norms import PartitionSpec
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 
@@ -82,3 +85,84 @@ def test_refuses_checkouts_whose_benchmarks_differ(bench_pairs, tmp_path,
     (before / "BENCHMARK.json").write_text("{}")
     assert bench_pairs.main() == 2
     assert "BENCHMARK.json" in capsys.readouterr().err
+
+
+REPO = TOOL.parent.parent
+
+# A before side that prints a report the after side replays, the same
+# report with its verdict changed, a document that is no report, and
+# nothing at all (a crash): one job each.
+STUB_WORKLOADS = '''
+def generate(workload, seed):
+    jobs = [{"id": name, "argv": [name], "code": None, "inputs": []}
+            for name in ("good", "changed", "broken", "crash")]
+    return jobs, {}
+
+
+def write(root, files):
+    pass
+'''
+
+STUB_CLI = '''
+import json
+
+REPORT = {"command": "norms-partition", "inputs": {"depth": 4},
+          "report": REPORT_DOC}
+
+
+def main(argv):
+    name = argv[0]
+    if name == "crash":
+        return 3
+    if name == "broken":
+        print(json.dumps({"command": "norms-partition"}))
+        return 0
+    if name == "changed":
+        REPORT["inputs"]["depth"] = 5
+    print(json.dumps(REPORT))
+    return 0
+'''
+
+
+def stub_checkout(root: Path) -> Path:
+    """A checkout whose perfbench child is the real one, whose job list is
+    STUB_WORKLOADS and whose `evs` is STUB_CLI."""
+    (root / "perfbench").mkdir(parents=True)
+    for name in ("child.py", "refclock.py"):
+        (root / "perfbench" / name).write_bytes(
+            (REPO / "perfbench" / name).read_bytes())
+    (root / "perfbench" / "workloads.py").write_text(STUB_WORKLOADS)
+    (root / "src" / "evslib").mkdir(parents=True)
+    (root / "src" / "evslib" / "__init__.py").write_text("")
+    (root / "src" / "evslib" / "cli.py").write_text(STUB_CLI.replace(
+        "REPORT_DOC", json.dumps(PartitionSpec(4).to_json())))
+    return root
+
+
+def test_replay_corpus_records_mismatches_exits_and_missing_reports(
+        bench_pairs, tmp_path):
+    roots = {"before": stub_checkout(tmp_path / "before"), "after": REPO}
+    doc = bench_pairs.replay_corpus(roots, ("tiny", "again"))
+    expected = {"count": 3, "mismatches": ["broken", "changed"],
+                "nonzero_exits": {"broken": 2, "changed": 1},
+                "unreported": {"crash": 3}}
+    assert doc == {"tiny": expected, "again": expected}
+
+
+def test_replay_corpus_alone_writes_its_section(bench_pairs, tmp_path,
+                                                monkeypatch):
+    before = stub_checkout(tmp_path / "before")
+    monkeypatch.setattr(bench_pairs, "_differing", lambda roots: [])
+    monkeypatch.setattr(bench_pairs, "_commit", lambda root: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "CORPUS_WORKLOADS", ("tiny",))
+    out = tmp_path / "BENCH.json"
+    monkeypatch.setattr(sys, "argv", [
+        "bench_pairs.py", "--before", str(before), "--after", str(REPO),
+        "--replay-corpus", "--out", str(out)])
+    assert bench_pairs.main() == 0
+    doc = json.loads(out.read_text())
+    assert doc["command"].endswith("--replay-corpus --out BENCH.json")
+    assert doc["workloads"] == {} and doc["traced"] == {}
+    assert doc["replay_corpus"]["tiny"]["count"] == 3
+    assert doc["replay_corpus"]["tiny"]["mismatches"] == ["broken",
+                                                          "changed"]

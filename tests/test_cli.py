@@ -615,6 +615,39 @@ def test_cauchy_demo_indices_at_the_digit_limit(capsys, tmp_path,
         cauchy_incompleteness_demo(ns, [WITNESS])
 
 
+# Two first coordinates that print within the digit limit while their
+# distance in the limit table does not (a 6,001-digit denominator), and one
+# whose distance to 0 prints at the limit itself.
+NEAR = 10 ** 3000
+AT_LIMIT = f"1/{10 ** MAX_DIGITS - 1}"
+
+
+@pytest.mark.parametrize("pairs, printed", [
+    ([[[f"1/{NEAR + 1}", 0], [f"1/{NEAR + 1}", 1]],
+      [[f"1/{NEAR + 3}", 0], [f"1/{NEAR + 3}", 0]]], False),
+    ([WITNESS, [[AT_LIMIT, 0], [AT_LIMIT, 0]]], True),
+])
+def test_cauchy_demo_limit_table_at_the_digit_limit(capsys, tmp_path,
+                                                    pairs, printed):
+    path = write_json(tmp_path / "pairs.json", pairs)
+    code, doc, err = run(capsys, "cauchy-demo", "--indices", "1,2",
+                         "--pairs", path)
+    if printed:
+        assert (code, err) == (0, "")
+        assert AT_LIMIT in doc["report"]["limitMatrix"]["rows"][0]
+        report = write_json(tmp_path / "r.json", doc)
+        assert run(capsys, "--replay", report)[1]["match"] is True
+        return
+    error = {"error": "the pairs' first coordinates differ by ratios past "
+                      f"the {MAX_DIGITS}-digit limit"}
+    assert (code, doc, json.loads(err)) == (2, None, error)
+    report = {"command": "cauchy-demo",
+              "inputs": {"indices": [1, 2], "pairs": pairs}, "report": {}}
+    code, out, err = run(capsys, "--replay",
+                         write_json(tmp_path / "r.json", report))
+    assert (code, out, json.loads(err)) == (2, None, error)
+
+
 def test_norms_embed_past_the_limit_exits_two(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(norms, "eval_weighted_norm", trip("a norm"))
     w = write_json(tmp_path / "w.json", {"h0": "1"})

@@ -1,8 +1,9 @@
-"""Interleaved before/after runs of the benchmark, written to one JSON file.
+"""Interleaved before/after runs of the benchmark, and the replay of the
+before side's reports by the after side, written to one JSON file.
 
     python3 tools/bench_pairs.py --before DIR --after DIR \
         --workloads axioms=10,countable=1,tables=1 --traced axioms \
-        --out BENCH_N.json
+        --replay-corpus --out BENCH_N.json
 
 DIR is the root of an evslib checkout (each is measured on its own
 `src/evslib` by its own `perfbench/run.py`). Pair k of a workload runs
@@ -15,6 +16,14 @@ quartiles of each side, the number of pairs the after side won, and
 `claim_met`, the gain rule of `claim_met()`. Both sides must run the same
 benchmark: the tool refuses to start, with exit code 2, when the files
 under `perfbench/` or `BENCHMARK.json` differ between the checkouts.
+
+`--replay-corpus` runs the three job lists at seed 0 on the before side
+and keeps every report, then runs `evs --replay` on each with the after
+side. It uses the benchmark's own child process (`perfbench/child.py`:
+`setup`, `pass --save-reports` and `replay`), and records per workload the
+number of reports replayed, the jobs whose replay did not say `match:
+true`, the replays that exited with a code other than 0, and the jobs that
+printed no report, with their exit codes. Either mode may run alone.
 """
 
 from __future__ import annotations
@@ -25,8 +34,13 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
+
+#: the job lists whose reports --replay-corpus replays, and their seed
+CORPUS_WORKLOADS = ("axioms", "countable", "tables")
+CORPUS_SEED = 0
 
 
 def _run(root: Path, workload: str, seed: int, seconds: int,
@@ -121,16 +135,61 @@ def _pairs(roots: dict, workload: str, count: int, seconds: int,
     return {"pairs": pairs, "summary": summary}
 
 
+def _child(root: Path, *args) -> None:
+    """Run perfbench/child.py of a checkout, from its root."""
+    subprocess.run([sys.executable, "perfbench/child.py", *map(str, args)],
+                   cwd=root, check=True, capture_output=True,
+                   stdin=subprocess.DEVNULL)
+
+
+def replay_corpus(roots: dict, workloads) -> dict:
+    """Every report the before side prints for the job lists of the named
+    workloads at CORPUS_SEED, replayed by the after side (see the module
+    docstring)."""
+    doc = {}
+    for workload in workloads:
+        with tempfile.TemporaryDirectory() as tmp:
+            work = Path(tmp)
+            before = roots["before"]
+            _child(before, "setup", before, work, workload, CORPUS_SEED)
+            _child(before, "pass", before, work, "corpus", "--save-reports")
+            jobs = json.loads((work / "pass-corpus.json").read_text(
+                encoding="utf-8"))["jobs"]
+            reports = {job["report"]: job["id"] for job in jobs
+                       if job["report"]}
+            _child(roots["after"], "replay", roots["after"], work, *reports)
+            replays = json.loads((work / "replays.json").read_text(
+                encoding="utf-8"))
+        doc[workload] = {
+            "count": len(replays),
+            "mismatches": sorted(reports[path] for path, r in replays.items()
+                                 if not r["match"]),
+            "nonzero_exits": {reports[path]: r["code"]
+                              for path, r in sorted(replays.items())
+                              if r["code"] != 0},
+            "unreported": {job["id"]: job["code"] for job in jobs
+                           if not job["report"]},
+        }
+        print(f"replay corpus {workload}: " + json.dumps(doc[workload]),
+              flush=True)
+    return doc
+
+
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--before", required=True)
     parser.add_argument("--after", required=True)
-    parser.add_argument("--workloads", required=True,
+    parser.add_argument("--workloads", default="",
                         help="comma separated WORKLOAD=PAIRS")
     parser.add_argument("--traced", default="",
                         help="comma separated workloads to trace once per side")
+    parser.add_argument("--replay-corpus", action="store_true",
+                        help="replay the before side's reports with the "
+                             "after side")
     parser.add_argument("--out", required=True)
     args = parser.parse_args()
+    if not (args.workloads or args.replay_corpus):
+        parser.error("give --workloads, --replay-corpus or both")
 
     roots = {"before": Path(args.before).resolve(),
              "after": Path(args.after).resolve()}
@@ -147,7 +206,8 @@ def main() -> int:
         # file name, not by their paths
         "command": (f"python3 tools/bench_pairs.py --before BEFORE --after AFTER"
                     f" --workloads {args.workloads} --traced {args.traced}"
-                    f" --out {Path(args.out).name}"),
+                    + " --replay-corpus" * args.replay_corpus
+                    + f" --out {Path(args.out).name}"),
         "commits": {side: _commit(root) for side, root in roots.items()},
         "machine": {"platform": platform.platform(),
                     "python": platform.python_version()},
@@ -155,7 +215,7 @@ def main() -> int:
         "workloads": {},
         "traced": {},
     }
-    for spec in args.workloads.split(","):
+    for spec in filter(None, args.workloads.split(",")):
         workload, _, count = spec.partition("=")
         doc["workloads"][workload] = _pairs(roots, workload, int(count),
                                             seconds, gated)
@@ -163,6 +223,8 @@ def main() -> int:
         doc["traced"][workload] = {
             side: _run(root, workload, 0, seconds, 1)
             for side, root in roots.items()}
+    if args.replay_corpus:
+        doc["replay_corpus"] = replay_corpus(roots, CORPUS_WORKLOADS)
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n",
                               encoding="utf-8")
     return 0
