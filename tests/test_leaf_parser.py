@@ -151,11 +151,3 @@ def test_the_corpus_covers_every_leaf_and_both_outcomes(monkeypatch, capsys):
              for argv in LEAF_ARGV + NO_LEAF_ARGV + LEFT_OVER_ARGV}
     assert codes == {None, 0, 2}
 
-
-def test_a_leaf_namespace_names_its_command_and_action():
-    args = cli._parse_args(["order", "in-l", "--uni", "u", "--x", "x",
-                            "--y", "y"])
-    assert vars(args) == {"command": "order", "action": "in-l",
-                          "universe": "u", "x": "x", "y": "y"}
-    assert vars(cli._parse_args(["validate", "m"])) == {"command": "validate",
-                                                        "matrix": "m"}

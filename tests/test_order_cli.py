@@ -62,19 +62,16 @@ def universes(draw):
     return [f"p{k}" for k in range(n)], elements
 
 
-def write_universe(directory, labels, elements) -> list:
-    """The manifest path and the element file paths."""
-    paths = []
-    for k, (_, spelled) in enumerate(elements):
-        path = Path(directory) / f"e{k}.json"
-        path.write_text(json.dumps({"labels": labels, "rows": spelled}),
-                        encoding="utf-8")
-        paths.append(str(path))
+def write_universe(directory, labels, elements) -> str:
+    """The path of a manifest of element files e0.json, e1.json, ..."""
+    names = [f"e{k}.json" for k in range(len(elements))]
+    for name, (_, spelled) in zip(names, elements):
+        (Path(directory) / name).write_text(
+            json.dumps({"labels": labels, "rows": spelled}), encoding="utf-8")
     manifest = Path(directory) / "universe.json"
-    manifest.write_text(json.dumps({
-        "instance": "metrics",
-        "elements": [Path(p).name for p in paths]}), encoding="utf-8")
-    return [str(manifest), *paths]
+    manifest.write_text(json.dumps({"instance": "metrics", "elements": names}),
+                        encoding="utf-8")
+    return str(manifest)
 
 
 def pick(data, directory, labels, elements, name):
@@ -133,7 +130,7 @@ def check_document(directory, out, labels, elements, **tables_by_key):
 def test_in_l_agrees_with_the_reference_model(universe, data):
     labels, elements = universe
     with tempfile.TemporaryDirectory() as tmp:
-        manifest = write_universe(tmp, labels, elements)[0]
+        manifest = write_universe(tmp, labels, elements)
         x, x_path = pick(data, tmp, labels, elements, "x")
         y, y_path = pick(data, tmp, labels, elements, "y")
         code, out, err = cli("order", "in-l", "--universe", manifest,
@@ -154,7 +151,7 @@ def test_in_l_agrees_with_the_reference_model(universe, data):
 def test_feasible_agrees_with_the_reference_model(universe, data):
     labels, elements = universe
     with tempfile.TemporaryDirectory() as tmp:
-        manifest = write_universe(tmp, labels, elements)[0]
+        manifest = write_universe(tmp, labels, elements)
         x, x_path = pick(data, tmp, labels, elements, "x")
         code, out, err = cli("order", "feasible", "--universe", manifest,
                              "--x", x_path)
