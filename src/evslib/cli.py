@@ -12,16 +12,24 @@ Exit codes: 0 success, 1 domain failure (a failed validation, a refuted or
 failed check -- always with a structured counterexample or refutation in the
 report), 2 input error, 3 internal fault (any other exception; stderr gets
 {"error": ..., "internal": true, "traceback": ...} and stdout no report).
+
+Argv is read from one table of argument definitions (_LEAVES). A
+well-formed argv (a command, for norms and order an action, then each
+option by its whole flag, once unless it is repeatable, with no separate
+value that starts with "-", and every required argument) is read from the
+table alone, with no argparse parser built or imported. argparse reads
+every other argv, from parsers built from the same table: help,
+abbreviations, "--", and every error, with the same bytes as ever.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import json
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import core, instances, metrics, norms, order
 from .errors import InputError
@@ -372,93 +380,115 @@ _ACTIONS = {
                             "feasible")),
 }
 
+_REQUIRED = {"required": True}
+_UNIVERSE = ("--universe", {"required": True,
+                            "help": "universe manifest file"})
+_GENERATOR = ("--generator", {"action": "append", "required": True,
+                              "help": "generator element file; repeatable"})
 
-def _add_arguments(p: argparse.ArgumentParser, command: str,
-                   action=None) -> None:
-    """Add the arguments of the leaf `evs command [action]` to p: the one
-    definition of them, for the tree of _build_parser and the lone leaf
-    parser of _parse_args alike."""
-    if command == "validate":
-        p.add_argument("matrix", help="matrix file (JSON or CSV)")
-    elif command == "combine":
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--add", metavar="B", help="second matrix file")
-        group.add_argument("--scale", metavar="ALPHA", help="scalar p/q")
-        p.add_argument("matrix", help="first matrix file")
-        p.add_argument("--out", help="write the resulting matrix JSON here")
-    elif command == "compare":
-        p.add_argument("first")
-        p.add_argument("second")
-    elif command == "transform":
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--bounded", action="store_true")
-        group.add_argument("--min", action="store_true")
-        p.add_argument("matrix")
-        p.add_argument("--out")
-    elif command == "builtin":
-        p.add_argument("name", choices=list(metrics.BUILTIN_NAMES))
-        p.add_argument("--depth", type=int, required=True)
-        p.add_argument("--step", help="grid step p/q (usual-grid, kappa)")
-        p.add_argument("--n", help="cauchy-dn index")
-        p.add_argument("--points", help="JSON file with plane points (cauchy-dn)")
-        p.add_argument("--out")
-    elif command == "partial-compare":
-        p.add_argument("--first", required=True, help='e.g. "discrete", '
-                       '"usual-grid:step=1", "kappa", "usual"')
-        p.add_argument("--second", required=True)
-        p.add_argument("--depths", required=True, help="comma separated, increasing")
-        p.add_argument("--points", help="plane points file for cauchy-dn specs")
-    elif command == "cauchy-demo":
-        p.add_argument("--indices", required=True, help="comma separated n values")
-        p.add_argument("--pairs", required=True,
-                       help="JSON file: list of [[u,u'],[v,v']] point pairs")
-    elif command == "axioms":
-        p.add_argument("--instance", required=True)
-        p.add_argument("--seed", type=int, required=True)
-        p.add_argument("--sample", type=int, default=50)
-        p.add_argument("--carrier", type=int, default=6,
-                       help="carrier size for metric instances")
-        p.add_argument("--depth", type=int, default=12,
-                       help="enumeration depth for the norms instance")
-        p.add_argument("--dim", type=int, default=2,
-                       help="dimension for cone/hyperspace")
-        p.add_argument("--properties", action="store_true",
-                       help="also run the named-property suite")
-    elif action == "partition":
-        p.add_argument("--depth", type=int, required=True)
-    elif action == "weights":
-        p.add_argument("--spec", required=True, help="family spec JSON file")
-    elif action == "eval":
-        p.add_argument("--spec", help="family spec JSON file")
-        p.add_argument("--weights", help="explicit weight map JSON file")
-        p.add_argument("--vector", required=True, help="vector JSON file")
-    elif action == "witness":
-        p.add_argument("--spec", action="append", required=True,
-                       help="family spec file; give exactly twice")
-        p.add_argument("--eps", required=True)
-    elif action == "embed":
-        p.add_argument("--weights", required=True)
-        p.add_argument("--points", required=True,
-                       help="JSON list of vector maps")
-        p.add_argument("--out")
-    else:   # an order action
-        p.add_argument("--universe", required=True, help="universe manifest file")
-        if action in ("in-l", "feasible"):
-            p.add_argument("--x", required=True)
-        if action == "in-l":
-            p.add_argument("--y", required=True)
-        if action in ("generates", "basis"):
-            p.add_argument("--generator", action="append", required=True,
-                           help="generator element file; repeatable")
-        if action in ("indep", "basis"):
-            p.add_argument("--eps")
+# The one definition of every leaf's arguments: leaf path -> (entries,
+# groups). The entries are its add_argument calls, (flag, kwargs) in order,
+# and each group is the flags of one required mutually exclusive group.
+# _add_arguments builds a parser from them, and _read_args reads an argv
+# with them.
+_LEAVES = {
+    ("validate",): ([("matrix", {"help": "matrix file (JSON or CSV)"})], ()),
+    ("combine",): ([
+        ("--add", {"metavar": "B", "help": "second matrix file"}),
+        ("--scale", {"metavar": "ALPHA", "help": "scalar p/q"}),
+        ("matrix", {"help": "first matrix file"}),
+        ("--out", {"help": "write the resulting matrix JSON here"}),
+    ], [("--add", "--scale")]),
+    ("compare",): ([("first", {}), ("second", {})], ()),
+    ("transform",): ([
+        ("--bounded", {"action": "store_true"}),
+        ("--min", {"action": "store_true"}),
+        ("matrix", {}),
+        ("--out", {}),
+    ], [("--bounded", "--min")]),
+    ("builtin",): ([
+        ("name", {"choices": list(metrics.BUILTIN_NAMES)}),
+        ("--depth", {"type": int, "required": True}),
+        ("--step", {"help": "grid step p/q (usual-grid, kappa)"}),
+        ("--n", {"help": "cauchy-dn index"}),
+        ("--points", {"help": "JSON file with plane points (cauchy-dn)"}),
+        ("--out", {}),
+    ], ()),
+    ("partial-compare",): ([
+        ("--first", {"required": True, "help": 'e.g. "discrete", '
+                     '"usual-grid:step=1", "kappa", "usual"'}),
+        ("--second", _REQUIRED),
+        ("--depths", {"required": True,
+                      "help": "comma separated, increasing"}),
+        ("--points", {"help": "plane points file for cauchy-dn specs"}),
+    ], ()),
+    ("cauchy-demo",): ([
+        ("--indices", {"required": True, "help": "comma separated n values"}),
+        ("--pairs", {"required": True,
+                     "help": "JSON file: list of [[u,u'],[v,v']] point "
+                             "pairs"}),
+    ], ()),
+    ("axioms",): ([
+        ("--instance", _REQUIRED),
+        ("--seed", {"type": int, "required": True}),
+        ("--sample", {"type": int, "default": 50}),
+        ("--carrier", {"type": int, "default": 6,
+                       "help": "carrier size for metric instances"}),
+        ("--depth", {"type": int, "default": 12,
+                     "help": "enumeration depth for the norms instance"}),
+        ("--dim", {"type": int, "default": 2,
+                   "help": "dimension for cone/hyperspace"}),
+        ("--properties", {"action": "store_true",
+                          "help": "also run the named-property suite"}),
+    ], ()),
+    ("norms", "partition"): ([("--depth", {"type": int, "required": True})],
+                             ()),
+    ("norms", "weights"): ([("--spec", {"required": True,
+                                        "help": "family spec JSON file"})],
+                           ()),
+    ("norms", "eval"): ([
+        ("--spec", {"help": "family spec JSON file"}),
+        ("--weights", {"help": "explicit weight map JSON file"}),
+        ("--vector", {"required": True, "help": "vector JSON file"}),
+    ], ()),
+    ("norms", "witness"): ([
+        ("--spec", {"action": "append", "required": True,
+                    "help": "family spec file; give exactly twice"}),
+        ("--eps", _REQUIRED),
+    ], ()),
+    ("norms", "embed"): ([
+        ("--weights", _REQUIRED),
+        ("--points", {"required": True, "help": "JSON list of vector maps"}),
+        ("--out", {}),
+    ], ()),
+    ("order", "in-l"): ([_UNIVERSE, ("--x", _REQUIRED), ("--y", _REQUIRED)],
+                        ()),
+    ("order", "indep"): ([_UNIVERSE, ("--eps", {})], ()),
+    ("order", "generates"): ([_UNIVERSE, _GENERATOR], ()),
+    ("order", "basis"): ([_UNIVERSE, _GENERATOR, ("--eps", {})], ()),
+    ("order", "feasible"): ([_UNIVERSE, ("--x", _REQUIRED)], ()),
+}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _add_arguments(p, path: tuple) -> None:
+    """Add the arguments of the leaf `evs *path` (_LEAVES) to the parser
+    p: to the tree of _build_parser and to the lone leaf parser of
+    _parse_args alike."""
+    entries, groups = _LEAVES[path]
+    owner = {}
+    for group in groups:
+        owner.update(dict.fromkeys(
+            group, p.add_mutually_exclusive_group(required=True)))
+    for flag, kwargs in entries:
+        owner.get(flag, p).add_argument(flag, **kwargs)
+
+
+def _build_parser():
     """The parser of every command: a subparser per command and, for norms
     and order, one per action, each holding its leaf's arguments
     (_add_arguments). main builds it only where argv names no leaf or the
     leaf leaves arguments over (see _parse_args)."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="evs",
         description="Exact comparability of metrics and norms over ordered "
@@ -468,31 +498,107 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, help_line in _COMMANDS.items():
         p = commands.add_parser(command, help=help_line)
         if command not in _ACTIONS:
-            _add_arguments(p, command)
+            _add_arguments(p, (command,))
             continue
         actions = p.add_subparsers(dest="action", required=True)
         for action, help_line in _ACTIONS[command].items():
             kwargs = {} if help_line is None else {"help": help_line}
-            _add_arguments(actions.add_parser(action, **kwargs), command,
-                           action)
+            _add_arguments(actions.add_parser(action, **kwargs),
+                           (command, action))
     return parser
 
 
-def _parse_args(argv: list) -> argparse.Namespace:
-    """parser.parse_args(argv) of _build_parser, building one parser where
-    argv names a leaf: a command and, for norms and order, an action. The
-    leaf parser is the subparser the tree would run, with the same prog
-    ("evs order in-l") and arguments, so it prints the same help and errors;
-    it fills the namespace the tree would. Only arguments it leaves over
-    need the tree, whose error names the top-level usage."""
-    path = argv[:1]
-    if path and path[0] in _ACTIONS:
-        path = argv[:2]
-        if len(path) < 2 or path[1] not in _ACTIONS[path[0]]:
-            path = []
-    if path and path[0] in _COMMANDS:
+def _leaf(argv: list) -> tuple:
+    """The leaf path argv starts with: a command and, for norms and order,
+    an action; () where it names no leaf."""
+    path = tuple(argv[:2] if argv[:1] and argv[0] in _ACTIONS else argv[:1])
+    return path if path in _LEAVES else ()
+
+
+def _value(kwargs: dict, text: str):
+    """text as the argument of an add_argument(**kwargs) reads it; a
+    ValueError where its type or choices refuse it."""
+    value = kwargs.get("type", str)(text)
+    if value not in kwargs.get("choices", (value,)):
+        raise ValueError(text)
+    return value
+
+
+def _read_args(argv: list):
+    """The namespace _build_parser().parse_args(argv) gives, read from the
+    leaf's entries in _LEAVES, where argv is well formed: it names a leaf,
+    then gives each option by its whole flag, as "--flag value" or
+    "--flag=value" ("--flag" alone for a switch), at most once unless it
+    appends, with no separate value that starts with "-", and gives every
+    positional, every required option and one option of each group, and
+    nothing else. None for any other argv, which argparse reads, help, "--"
+    and abbreviations included."""
+    path = _leaf(argv)
+    if not path:
+        return None
+    entries, groups = _LEAVES[path]
+    options = {flag: kwargs for flag, kwargs in entries if flag[0] == "-"}
+    given, free = {}, []
+    tokens = iter(argv[len(path):])
+    try:
+        for token in tokens:
+            if token[:1] != "-":
+                free.append(token)
+                continue
+            flag, eq, text = token.partition("=")
+            kwargs = options[flag]
+            if kwargs.get("action") == "store_true":
+                if eq:
+                    return None
+                value = True
+            else:
+                if not eq:
+                    text = next(tokens)
+                    if text[:1] == "-":
+                        return None
+                value = _value(kwargs, text)
+            if kwargs.get("action") == "append":
+                given.setdefault(flag, []).append(value)
+            elif flag in given:
+                return None
+            else:
+                given[flag] = value
+        positionals = [(flag, kwargs) for flag, kwargs in entries
+                       if flag[0] != "-"]
+        if len(free) != len(positionals):
+            return None
+        for (flag, kwargs), text in zip(positionals, free):
+            given[flag] = _value(kwargs, text)
+    except (KeyError, StopIteration, ValueError):
+        return None
+    if any(sum(flag in given for flag in group) != 1 for group in groups):
+        return None
+    namespace = dict(zip(("command", "action"), path))
+    for flag, kwargs in entries:
+        if flag not in given and kwargs.get("required"):
+            return None
+        default = False if kwargs.get("action") == "store_true" else None
+        namespace[flag.lstrip("-")] = given.get(flag,
+                                                kwargs.get("default", default))
+    return SimpleNamespace(**namespace)
+
+
+def _parse_args(argv: list):
+    """_build_parser().parse_args(argv): read from the argument table
+    (_read_args) where argv is well formed, with no parser built and
+    argparse not imported. Any other argv goes to argparse: where it names
+    a leaf, to that leaf's parser alone, which has the prog ("evs order
+    in-l") and arguments of the subparser the tree would run, so it prints
+    the same help and errors and fills the same namespace. Only arguments
+    it leaves over need the tree, whose error names the top-level usage."""
+    args = _read_args(argv)
+    if args is not None:
+        return args
+    import argparse
+    path = _leaf(argv)
+    if path:
         leaf = argparse.ArgumentParser(prog=" ".join(["evs", *path]))
-        _add_arguments(leaf, *path)
+        _add_arguments(leaf, path)
         args, rest = leaf.parse_known_args(
             argv[len(path):],
             argparse.Namespace(**dict(zip(("command", "action"), path))))

@@ -373,11 +373,17 @@ def _violation(m: MetricMatrix) -> Optional[dict]:
     if triple is None:
         return None
     i, j, k = triple
+    # each entry prints, but the sum of two may not
+    rhs = rows[i][j] + rows[j][k]
+    g = gcd(rhs, den)
+    if max(rhs // g, den // g) >= 10 ** MAX_DIGITS:
+        raise InputError(f"the violated triangle's sum d(i,j) + d(j,k) "
+                         f"would print past the {MAX_DIGITS}-digit limit")
     return {
         "axiom": "triangle",
         "indices": [labels[i], labels[j], labels[k]],
         "lhs": fmt_ratio(rows[i][k], den),
-        "rhs": fmt_ratio(rows[i][j] + rows[j][k], den),
+        "rhs": f"{rhs // g}/{den // g}",
     }
 
 

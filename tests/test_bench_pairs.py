@@ -1,7 +1,8 @@
 """tools/bench_pairs.py: the gain rule it writes as `claim_met`, its
-refusal to compare checkouts that run different benchmarks, and its
-replay corpus."""
+refusal to compare checkouts that run different benchmarks, its replay
+corpus, and its process-wall mode."""
 
+import hashlib
 import importlib.util
 import json
 import sys
@@ -124,17 +125,18 @@ def main(argv):
 '''
 
 
-def stub_checkout(root: Path) -> Path:
+def stub_checkout(root: Path, workloads: str = STUB_WORKLOADS,
+                  cli: str = STUB_CLI) -> Path:
     """A checkout whose perfbench child is the real one, whose job list is
-    STUB_WORKLOADS and whose `evs` is STUB_CLI."""
+    `workloads` (STUB_WORKLOADS) and whose `evs` is `cli` (STUB_CLI)."""
     (root / "perfbench").mkdir(parents=True)
     for name in ("child.py", "refclock.py"):
         (root / "perfbench" / name).write_bytes(
             (REPO / "perfbench" / name).read_bytes())
-    (root / "perfbench" / "workloads.py").write_text(STUB_WORKLOADS)
+    (root / "perfbench" / "workloads.py").write_text(workloads)
     (root / "src" / "evslib").mkdir(parents=True)
     (root / "src" / "evslib" / "__init__.py").write_text("")
-    (root / "src" / "evslib" / "cli.py").write_text(STUB_CLI.replace(
+    (root / "src" / "evslib" / "cli.py").write_text(cli.replace(
         "REPORT_DOC", json.dumps(PartitionSpec(4).to_json())))
     return root
 
@@ -166,3 +168,111 @@ def test_replay_corpus_alone_writes_its_section(bench_pairs, tmp_path,
     assert doc["replay_corpus"]["tiny"]["count"] == 3
     assert doc["replay_corpus"]["tiny"]["mismatches"] == ["broken",
                                                           "changed"]
+
+
+# A tables job list whose first `compare` and `order in-l` argv follow
+# other jobs, and an `evs` that prints its argv, exits 1 on `compare`, and
+# writes no files.
+WALL_WORKLOADS = '''
+def generate(workload, seed):
+    argvs = [["validate", "v.json"], ["compare", "a.json", "b.json"],
+             ["order", "indep", "--universe", "u.json"],
+             ["order", "in-l", "--universe", "u.json", "--x", "x.json",
+              "--y", "y.json"], ["compare", "c.json", "d.json"]]
+    return [{"id": str(k), "argv": argv, "code": 0, "inputs": []}
+            for k, argv in enumerate(argvs)], {}
+
+
+def write(root, files):
+    pass
+'''
+
+WALL_CLI = '''
+import json
+import sys
+
+MARK = ""
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    print(json.dumps(argv) + MARK)
+    return 1 if argv[:1] == ["compare"] else 0
+'''
+
+EVS_COMMANDS = [
+    "evs axioms --instance metrics --seed 0 --sample 50",
+    "evs axioms --instance norms --seed 0 --sample 50",
+    "evs axioms --instance cone --seed 0 --sample 50",
+    "evs axioms --instance hyperspace --seed 0 --sample 50",
+    "evs validate kappa-41.json", "evs validate kappa-81.json",
+    "evs validate kappa-121.json",
+    "evs partial-compare --first discrete --second shrinking --depths "
+    "50,100,200",
+    "evs norms witness --spec p.json --spec q.json --eps 1e-30",
+    "evs compare a.json b.json",
+    "evs order in-l --universe u.json --x x.json --y y.json",
+]
+
+
+def wall_checkout(root: Path, mark: str = "") -> Path:
+    root = stub_checkout(root, WALL_WORKLOADS,
+                         WALL_CLI.replace('MARK = ""', f"MARK = {mark!r}"))
+    (root / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 24, "end_to_end": []}))
+    return root
+
+
+def test_process_wall_times_every_command_on_both_sides(bench_pairs,
+                                                        tmp_path):
+    roots = {side: wall_checkout(tmp_path / side)
+             for side in ("before", "after")}
+    doc = bench_pairs.process_wall(roots, 2)
+    assert doc["rounds"] == 2
+    commands = doc["commands"]
+    assert list(commands) == [*bench_pairs.STARTUP, *EVS_COMMANDS]
+    for name, entry in commands.items():
+        for side in ("before", "after"):
+            assert set(entry[side]) == {"median", "q1", "q3", "codes",
+                                        "digests"}
+            assert entry[side]["q1"] <= entry[side]["median"] \
+                <= entry[side]["q3"]
+            assert entry[side]["codes"] == [int(name.startswith(
+                "evs compare"))]
+            assert len(entry[side]["digests"]) == 1
+        assert entry["same_stdout"] is True
+        assert 0 <= entry["after_wins"] <= 2
+    # each command ran from the inputs the before side wrote, through the
+    # checkout's own evslib.cli.main
+    argv = EVS_COMMANDS[-1].split()[1:]
+    printed = (json.dumps(argv) + "\n").encode()
+    assert commands[EVS_COMMANDS[-1]]["after"]["digests"] == [
+        hashlib.sha256(printed).hexdigest()]
+
+
+def test_process_wall_exits_one_where_the_sides_print_differently(
+        bench_pairs, tmp_path, monkeypatch, capsys):
+    before = wall_checkout(tmp_path / "before")
+    after = wall_checkout(tmp_path / "after", mark=" ")
+    monkeypatch.setattr(bench_pairs, "_commit", lambda root: "0" * 40)
+    out = tmp_path / "BENCH.json"
+    monkeypatch.setattr(sys, "argv", [
+        "bench_pairs.py", "--before", str(before), "--after", str(after),
+        "--process-wall", "1", "--out", str(out)])
+    assert bench_pairs.main() == 1
+    assert "different stdout" in capsys.readouterr().err
+    doc = json.loads(out.read_text())
+    assert doc["command"].endswith("--process-wall 1 --out BENCH.json")
+    same = {name: entry["same_stdout"]
+            for name, entry in doc["process_wall"]["commands"].items()}
+    assert same == {**dict.fromkeys(bench_pairs.STARTUP, True),
+                    **dict.fromkeys(EVS_COMMANDS, False)}
+
+
+def test_process_wall_children_write_bytecode_to_their_own_cache(
+        bench_pairs, tmp_path, monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    env = bench_pairs._wall_env(tmp_path / "co", tmp_path / "cache")
+    assert "PYTHONDONTWRITEBYTECODE" not in env
+    assert env["PYTHONPATH"] == str(tmp_path / "co" / "src")
+    assert env["PYTHONPYCACHEPREFIX"] == str(tmp_path / "cache")

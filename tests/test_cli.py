@@ -648,6 +648,34 @@ def test_cauchy_demo_limit_table_at_the_digit_limit(capsys, tmp_path,
     assert (code, out, json.loads(err)) == (2, None, error)
 
 
+# A 3-point table whose triangle (a, b, c) fails: each entry prints, and
+# the sum d(a,b) + d(b,c) prints with a 4,299-digit denominator, or does
+# not with a 6,001-digit one or with 10^4300, the least past the limit.
+@pytest.mark.parametrize("p, q, printed", [
+    (10 ** 2149 + 1, 10 ** 2149 + 3, True),
+    (NEAR + 1, NEAR + 3, False),
+    (2 ** MAX_DIGITS, 5 ** MAX_DIGITS, False),
+], ids=["printed", "past the limit", "at the limit"])
+def test_validate_triangle_sum_at_the_digit_limit(capsys, tmp_path, p, q,
+                                                  printed):
+    rows = [["0", f"1/{p}", "1"], [f"1/{p}", "0", f"1/{q}"],
+            ["1", f"1/{q}", "0"]]
+    path = write_json(tmp_path / "t.json",
+                      {"labels": ["a", "b", "c"], "rows": rows})
+    code, doc, err = run(capsys, "validate", path)
+    if printed:
+        assert (code, err) == (1, "")
+        assert doc["report"]["violation"] == {
+            "axiom": "triangle", "indices": ["a", "b", "c"], "lhs": "1/1",
+            "rhs": reference.text(Fraction(1, p) + Fraction(1, q))}
+        report = write_json(tmp_path / "r.json", doc)
+        assert run(capsys, "--replay", report)[1]["match"] is True
+        return
+    error = {"error": "the violated triangle's sum d(i,j) + d(j,k) would "
+                      f"print past the {MAX_DIGITS}-digit limit"}
+    assert (code, doc, json.loads(err)) == (2, None, error)
+
+
 def test_norms_embed_past_the_limit_exits_two(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(norms, "eval_weighted_norm", trip("a norm"))
     w = write_json(tmp_path / "w.json", {"h0": "1"})
@@ -683,6 +711,27 @@ def test_family_subset_that_is_not_a_list_exits_two(capsys, tmp_path,
                          "--eps", "1/1000")
     assert (code, out, json.loads(err)) == (2, None, {
         "error": 'family spec "subsetC" must be a list of backbone members'})
+
+
+def test_feasible_on_a_norm_family_universe_exits_two(capsys, tmp_path):
+    """Family norms have no order: the down-set of `order feasible` asks
+    for one, and the instance's `unsupported` op refuses it."""
+    specs = [{"depth": 12, "subsetC": ["h0"], "gamma": "2"},
+             {"depth": 12, "subsetC": ["h2", "h4"], "gamma": "3/2"}]
+    names = [Path(write_json(tmp_path / f"f{k}.json", spec)).name
+             for k, spec in enumerate(specs)]
+    manifest = write_json(tmp_path / "universe.json", {
+        "instance": "norm-family", "depth": 12, "elements": names})
+    error = {"error": "family norms support only epsilon-witness comparisons"}
+    code, out, err = run(capsys, "order", "feasible", "--universe", manifest,
+                         "--x", str(tmp_path / "f0.json"))
+    assert (code, out, json.loads(err)) == (2, None, error)
+    report = {"command": "order", "report": {}, "inputs": {
+        "action": "feasible", "x": specs[0], "universe": {
+            "instance": "norm-family", "depth": 12, "elements": specs}}}
+    code, out, err = run(capsys, "--replay",
+                         write_json(tmp_path / "r.json", report))
+    assert (code, out, json.loads(err)) == (2, None, error)
 
 
 def test_norms_partition_and_weights(capsys, tmp_path):

@@ -1,4 +1,4 @@
-"""`evs order in-l` and `evs order feasible` on random metric universes,
+"""`evs order in-l`, `indep` and `feasible` on random metric universes,
 through cli.main, against the reference model's `spectrum` and `below`:
 the verdicts, certificates and exit codes, the echo of every input table,
 and the replay of each report."""
@@ -171,3 +171,35 @@ def test_feasible_agrees_with_the_reference_model(universe, data):
             expected["failureWitness"] = refuted[0]
         assert (code, err) == (1 if refuted else 0, "")
         assert check_document(tmp, out, labels, elements, x=x) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(universes(), st.sampled_from((None, "1/3", "2/6", "1e-6")))
+def test_indep_agrees_with_the_reference_model(universe, eps):
+    labels, elements = universe
+    tables = [e for e, _ in elements]
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = write_universe(tmp, labels, elements)
+        argv = ["order", "indep", "--universe", manifest]
+        if eps is not None:
+            argv += ["--eps", eps]
+        code, out, err = cli(*argv)
+        # the first pair that names an element with a zero off the
+        # diagonal asks for a comparing value relative to it
+        errors = map(vanishing, [labels] * len(tables), tables)
+        error = next(filter(None, errors), None) if len(tables) > 1 else None
+        if error is not None:
+            assert (code, out, json.loads(err)) == (2, "", error)
+            return
+        pairs = [{"x": reference.matrix(labels, x),
+                  "y": reference.matrix(labels, y),
+                  "yInLx": certificate(x, y), "xInLy": certificate(y, x)}
+                 for x, y in combinations(tables, 2)]
+        dependent = any(pair[key]["status"] == "positive" for pair in pairs
+                        for key in ("yInLx", "xInLy"))
+        expected = {"status": "fail" if dependent else "pass",
+                    "universeRelative": True, "pairs": pairs}
+        if eps is not None:
+            expected["epsilon"] = reference.text(Fraction(eps))
+        assert (code, err) == (1 if dependent else 0, "")
+        assert check_document(tmp, out, labels, elements) == expected

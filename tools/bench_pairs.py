@@ -3,7 +3,7 @@ before side's reports by the after side, written to one JSON file.
 
     python3 tools/bench_pairs.py --before DIR --after DIR \
         --workloads axioms=10,countable=1,tables=1 --traced axioms \
-        --replay-corpus --out BENCH_N.json
+        --replay-corpus --process-wall 10 --out BENCH_N.json
 
 DIR is the root of an evslib checkout (each is measured on its own
 `src/evslib` by its own `perfbench/run.py`). Pair k of a workload runs
@@ -23,13 +23,32 @@ side. It uses the benchmark's own child process (`perfbench/child.py`:
 `setup`, `pass --save-reports` and `replay`), and records per workload the
 number of reports replayed, the jobs whose replay did not say `match:
 true`, the replays that exited with a code other than 0, and the jobs that
-printed no report, with their exit codes. Either mode may run alone.
+printed no report, with their exit codes.
+
+`--process-wall N` times whole `evs` processes: ROADMAP aim 1's set
+(`axioms --seed 0 --sample 50` on four instances, `validate` on kappa
+tables of depth 41, 81 and 121, `partial-compare` of discrete and
+shrinking, `norms witness` at `--eps 1e-30`), `import evslib.cli`,
+`python -c pass`, and the first `compare` and `order in-l` argv of the
+`tables` job list at seed 0. The before side writes the inputs. Each
+command runs as a subprocess of each checkout, with the checkout's `src`
+as PYTHONPATH and its own fresh PYTHONPYCACHEPREFIX, warmed by one untimed
+run of every command. Then N rounds run every command once per side; even
+rounds run the before side first and odd rounds the after side. Per
+command the file holds each side's median and quartiles of wall seconds,
+its exit codes and its stdout digests, and whether both sides printed one
+and the same stdout; the tool exits 1, after writing the file, where they
+did not. No gain is judged from these times.
+
+Any of the three modes may run alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -175,6 +194,102 @@ def replay_corpus(roots: dict, workloads) -> dict:
     return doc
 
 
+#: `evs` as its console script runs it, from the checkout on PYTHONPATH
+EVS = "import sys; from evslib.cli import main; sys.exit(main())"
+
+#: the process-wall commands that are not `evs` calls, by name
+STARTUP = {"python -c pass": ["-c", "pass"],
+           "python -c 'import evslib.cli'": ["-c", "import evslib.cli"]}
+
+
+def _wall_env(root: Path, pycache: Path) -> dict:
+    """The environment of a process-wall child of a checkout: its own
+    source and bytecode cache, and bytecode written."""
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONDONTWRITEBYTECODE"}
+    env.update(PYTHONPATH=str(root / "src"), PYTHONPYCACHEPREFIX=str(pycache))
+    return env
+
+
+def _wall_commands(before: Path, inputs: Path, env: dict) -> dict:
+    """Write the inputs of the process-wall commands into `inputs` with
+    the before side; return name -> interpreter arguments per command."""
+    _child(before, "setup", before, inputs, "tables", CORPUS_SEED)
+    jobs = json.loads((inputs / "jobs.json").read_text(encoding="utf-8"))
+    argvs = [["axioms", "--instance", instance, "--seed", "0", "--sample",
+              "50"] for instance in ("metrics", "norms", "cone",
+                                     "hyperspace")]
+    for depth in (41, 81, 121):
+        subprocess.run([sys.executable, "-c", EVS, "builtin", "kappa",
+                        "--depth", str(depth), "--out", f"kappa-{depth}.json"],
+                       cwd=inputs, env=env, check=True, capture_output=True,
+                       stdin=subprocess.DEVNULL)
+        argvs.append(["validate", f"kappa-{depth}.json"])
+    argvs.append(["partial-compare", "--first", "discrete", "--second",
+                  "shrinking", "--depths", "50,100,200"])
+    for name, subset, gamma in (("p", "h0", "2"), ("q", "h2", "3")):
+        (inputs / f"{name}.json").write_text(json.dumps(
+            {"depth": 12, "subsetC": [subset], "gamma": gamma}))
+    argvs.append(["norms", "witness", "--spec", "p.json", "--spec", "q.json",
+                  "--eps", "1e-30"])
+    for start in (["compare"], ["order", "in-l"]):
+        argvs.append(next(job["argv"] for job in jobs
+                          if job["argv"][:len(start)] == start))
+    commands = dict(STARTUP)
+    commands.update((" ".join(["evs", *argv]), ["-c", EVS, *argv])
+                    for argv in argvs)
+    return commands
+
+
+def _timed(args: list, cwd: Path, env: dict) -> tuple:
+    """(wall seconds, exit code, stdout sha256) of one interpreter run."""
+    t0 = time.perf_counter()
+    done = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, stdin=subprocess.DEVNULL)
+    wall = time.perf_counter() - t0
+    return wall, done.returncode, hashlib.sha256(done.stdout).hexdigest()
+
+
+def process_wall(roots: dict, count: int) -> dict:
+    """Interleaved wall times of whole processes of both checkouts (see
+    the module docstring)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        envs = {side: _wall_env(root, work / f"pycache-{side}")
+                for side, root in roots.items()}
+        inputs = work / "inputs"
+        inputs.mkdir()
+        commands = _wall_commands(roots["before"], inputs, envs["before"])
+        for side in roots:
+            for args in commands.values():
+                _timed(args, inputs, envs[side])
+        runs = {name: {"before": [], "after": []} for name in commands}
+        for k in range(count):
+            order = ("before", "after") if k % 2 == 0 else ("after", "before")
+            for name, args in commands.items():
+                for side in order:
+                    runs[name][side].append(_timed(args, inputs, envs[side]))
+            print(f"process wall round {k}: " + " ".join(
+                f"{name!r}={sides['before'][-1][0]:.3f}/"
+                f"{sides['after'][-1][0]:.3f}"
+                for name, sides in runs.items()), flush=True)
+    doc = {}
+    for name, sides in runs.items():
+        entry = {}
+        for side, results in sides.items():
+            walls, codes, digests = zip(*results)
+            entry[side] = {**_summary(list(walls)),
+                           "codes": sorted(set(codes)),
+                           "digests": sorted(set(digests))}
+        entry["after_wins"] = _wins([r[0] for r in sides["before"]],
+                                    [r[0] for r in sides["after"]], "lower")
+        entry["same_stdout"] = (len(entry["before"]["digests"]) == 1
+                                and entry["before"]["digests"]
+                                == entry["after"]["digests"])
+        doc[name] = entry
+    return {"rounds": count, "commands": doc}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--before", required=True)
@@ -186,10 +301,13 @@ def main() -> int:
     parser.add_argument("--replay-corpus", action="store_true",
                         help="replay the before side's reports with the "
                              "after side")
+    parser.add_argument("--process-wall", type=int, default=0, metavar="N",
+                        help="time whole processes of both sides, N rounds")
     parser.add_argument("--out", required=True)
     args = parser.parse_args()
-    if not (args.workloads or args.replay_corpus):
-        parser.error("give --workloads, --replay-corpus or both")
+    if not (args.workloads or args.replay_corpus or args.process_wall):
+        parser.error("give --workloads, --replay-corpus, --process-wall "
+                     "or more than one")
 
     roots = {"before": Path(args.before).resolve(),
              "after": Path(args.after).resolve()}
@@ -207,6 +325,8 @@ def main() -> int:
         "command": (f"python3 tools/bench_pairs.py --before BEFORE --after AFTER"
                     f" --workloads {args.workloads} --traced {args.traced}"
                     + " --replay-corpus" * args.replay_corpus
+                    + f" --process-wall {args.process_wall}"
+                    * bool(args.process_wall)
                     + f" --out {Path(args.out).name}"),
         "commits": {side: _commit(root) for side, root in roots.items()},
         "machine": {"platform": platform.platform(),
@@ -225,8 +345,17 @@ def main() -> int:
             for side, root in roots.items()}
     if args.replay_corpus:
         doc["replay_corpus"] = replay_corpus(roots, CORPUS_WORKLOADS)
+    if args.process_wall:
+        doc["process_wall"] = process_wall(roots, args.process_wall)
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n",
                               encoding="utf-8")
+    walls = doc.get("process_wall", {}).get("commands", {})
+    differing = [name for name, entry in walls.items()
+                 if not entry["same_stdout"]]
+    if differing:
+        print("error: the sides printed different stdout for: "
+              + ", ".join(differing), file=sys.stderr)
+        return 1
     return 0
 
 
