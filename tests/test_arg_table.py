@@ -72,10 +72,10 @@ DASHED = ["-1", "-h", "--x", "-", "-a b"]
 
 
 @st.composite
-def values(draw, kwargs, rare, defects):
-    """A value for an argument, and its defect where argparse alone may
-    read it (a value that starts with "-" is one only as a separate
-    token: the caller judges it)."""
+def values(draw, kwargs, rare):
+    """A value for an argument, malformed where `rare` says so. A value
+    that starts with "-" is a defect only as a separate token, which the
+    caller judges."""
     if "choices" in kwargs:
         if rare("not a choice"):
             return "nope"
@@ -88,7 +88,7 @@ def values(draw, kwargs, rare, defects):
 
 
 @st.composite
-def option(draw, flag, kwargs, flags, rare, defects):
+def option(draw, flag, kwargs, flags, rare):
     """The tokens of one use of an option: its flag in full or
     abbreviated, and its value, separate or after "="."""
     prefixes = [flag[:k] for k in range(3, len(flag))
@@ -99,7 +99,7 @@ def option(draw, flag, kwargs, flags, rare, defects):
         if rare("a switch given a value"):
             return [flag + "=" + draw(st.sampled_from(TEXTS + DASHED))]
         return [flag]
-    value = draw(values(kwargs, rare, defects))
+    value = draw(values(kwargs, rare))
     if value.startswith("-"):
         if not rare("a separate value starts with -"):
             return [flag + "=" + value]
@@ -121,10 +121,11 @@ def leaf_argv(draw):
     def rare(defect=None) -> bool:
         """Whether to put a defect in, and record it where it is named:
         never in a well-formed argv."""
-        if faulty and draw(st.integers(0, 7)) == 0:
-            defects.extend(filter(None, [defect]))
-            return True
-        return False
+        if not (faulty and draw(st.integers(0, 7)) == 0):
+            return False
+        if defect:
+            defects.append(defect)
+        return True
 
     flags = {flag for flag, _ in entries}
     chosen = {draw(st.sampled_from(group)) for group in groups}
@@ -135,10 +136,10 @@ def leaf_argv(draw):
             uses = 0 if rare() else 2 if rare() else 1
             wanted, given = wanted + 1, given + uses
             for _ in range(uses):
-                value = draw(values(kwargs, rare, defects))
+                value = draw(values(kwargs, rare))
                 while value.startswith("-") and not rare(
                         "a positional starts with -"):
-                    value = draw(values(kwargs, rare, defects))
+                    value = draw(values(kwargs, rare))
                 pieces.append([value])
             continue
         if flag in grouped:   # judged once the group is drawn
@@ -153,7 +154,7 @@ def leaf_argv(draw):
             uses = 2
         used[flag] = uses
         for _ in range(uses):
-            pieces.append(draw(option(flag, kwargs, flags, rare, defects)))
+            pieces.append(draw(option(flag, kwargs, flags, rare)))
     for group in groups:
         if sum(used[flag] > 0 for flag in group) != 1:
             defects.append("a group of two or none")

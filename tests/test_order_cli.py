@@ -186,7 +186,7 @@ def test_indep_agrees_with_the_reference_model(universe, eps):
         code, out, err = cli(*argv)
         # the first pair that names an element with a zero off the
         # diagonal asks for a comparing value relative to it
-        errors = map(vanishing, [labels] * len(tables), tables)
+        errors = (vanishing(labels, x) for x in tables)
         error = next(filter(None, errors), None) if len(tables) > 1 else None
         if error is not None:
             assert (code, out, json.loads(err)) == (2, "", error)
