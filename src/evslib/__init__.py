@@ -31,7 +31,6 @@ from .metrics import (
     indexed_carrier,
     kappa_metric,
     leq_metrics,
-    scale_lazy,
     scale_metric,
     shrinking_metric,
     symmetric_grid_carrier,

@@ -11,21 +11,25 @@ floating point is printed anywhere.
 Exit codes: 0 success, 1 domain failure (a failed validation, a refuted or
 failed check -- always with a structured counterexample or refutation in the
 report), 2 input error, 3 internal fault (any other exception; stderr gets
-{"error": ..., "internal": true, "traceback": ...} and stdout no report).
+{"error": ..., "internal": true, "traceback": ...} and stdout no report),
+141 stdout closed before the whole report was written (128 + SIGPIPE, the
+code a shell gives a writer that a closed pipe kills; no --out file is
+written).
 
 Argv is read from one table of argument definitions (_LEAVES). A
 well-formed argv (a command, for norms and order an action, then each
 option by its whole flag, once unless it is repeatable, with no separate
 value that starts with "-", and every required argument) is read from the
-table alone, with no argparse parser built or imported. argparse reads
-every other argv, from parsers built from the same table: help,
-abbreviations, "--", and every error, with the same bytes as ever.
+table alone, with no argparse parser built or imported. Every other argv
+(help, abbreviations, "--", and every error) goes to the argparse parser
+tree built from the same table.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -471,9 +475,8 @@ _LEAVES = {
 
 
 def _add_arguments(p, path: tuple) -> None:
-    """Add the arguments of the leaf `evs *path` (_LEAVES) to the parser
-    p: to the tree of _build_parser and to the lone leaf parser of
-    _parse_args alike."""
+    """Add the arguments of the leaf `evs *path` (_LEAVES) to its subparser
+    p in the tree of _build_parser."""
     entries, groups = _LEAVES[path]
     owner = {}
     for group in groups:
@@ -486,8 +489,8 @@ def _add_arguments(p, path: tuple) -> None:
 def _build_parser():
     """The parser of every command: a subparser per command and, for norms
     and order, one per action, each holding its leaf's arguments
-    (_add_arguments). main builds it only where argv names no leaf or the
-    leaf leaves arguments over (see _parse_args)."""
+    (_add_arguments). main builds it only for an argv that the table
+    does not read (see _parse_args)."""
     import argparse
     parser = argparse.ArgumentParser(
         prog="evs",
@@ -508,13 +511,6 @@ def _build_parser():
     return parser
 
 
-def _leaf(argv: list) -> tuple:
-    """The leaf path argv starts with: a command and, for norms and order,
-    an action; () where it names no leaf."""
-    path = tuple(argv[:2] if argv[:1] and argv[0] in _ACTIONS else argv[:1])
-    return path if path in _LEAVES else ()
-
-
 def _value(kwargs: dict, text: str):
     """text as the argument of an add_argument(**kwargs) reads it; a
     ValueError where its type or choices refuse it."""
@@ -533,8 +529,8 @@ def _read_args(argv: list):
     positional, every required option and one option of each group, and
     nothing else. None for any other argv, which argparse reads, help, "--"
     and abbreviations included."""
-    path = _leaf(argv)
-    if not path:
+    path = tuple(argv[:2] if argv[:1] and argv[0] in _ACTIONS else argv[:1])
+    if path not in _LEAVES:
         return None
     entries, groups = _LEAVES[path]
     options = {flag: kwargs for flag, kwargs in entries if flag[0] == "-"}
@@ -586,25 +582,10 @@ def _read_args(argv: list):
 def _parse_args(argv: list):
     """_build_parser().parse_args(argv): read from the argument table
     (_read_args) where argv is well formed, with no parser built and
-    argparse not imported. Any other argv goes to argparse: where it names
-    a leaf, to that leaf's parser alone, which has the prog ("evs order
-    in-l") and arguments of the subparser the tree would run, so it prints
-    the same help and errors and fills the same namespace. Only arguments
-    it leaves over need the tree, whose error names the top-level usage."""
+    argparse not imported, and by the parser tree otherwise, which prints
+    help and every error."""
     args = _read_args(argv)
-    if args is not None:
-        return args
-    import argparse
-    path = _leaf(argv)
-    if path:
-        leaf = argparse.ArgumentParser(prog=" ".join(["evs", *path]))
-        _add_arguments(leaf, path)
-        args, rest = leaf.parse_known_args(
-            argv[len(path):],
-            argparse.Namespace(**dict(zip(("command", "action"), path))))
-        if not rest:
-            return args
-    return _build_parser().parse_args(argv)
+    return _build_parser().parse_args(argv) if args is None else args
 
 
 def _resolve_inputs(args) -> tuple[str, dict]:
@@ -739,7 +720,8 @@ def _emit(doc: dict, out_path=None) -> None:
     # {"labels", "rows"} document a replayed report holds. The whole report
     # is rendered before any of it prints.
     try:
-        print(_dumps(doc))
+        # flushed here, so that a closed stdout raises in main, not at exit
+        print(_dumps(doc), flush=True)
     except RecursionError as exc:
         raise InputError(
             "an input is nested too deep to echo in the report") from exc
@@ -769,7 +751,8 @@ def _replay(path: str) -> int:
         raise InputError('report "inputs" must be an object')
     fresh, code = handler(doc["inputs"])
     match = fresh == doc["report"]
-    print(_dumps({"replay": True, "command": doc["command"], "match": match}))
+    print(_dumps({"replay": True, "command": doc["command"], "match": match}),
+          flush=True)
     return 0 if match else 1
 
 
@@ -789,6 +772,11 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout; what is left to flush at exit goes to
+        # devnull, as the signal module docs advise. 141 is 128 + SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except Exception as exc:  # noqa: BLE001 - an internal fault, reported
         import traceback  # only a crash needs it; keeps it off every start-up
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}",

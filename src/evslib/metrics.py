@@ -8,14 +8,16 @@ to d is the minimum of rho(x,y)/d(x,y) over distinct pairs, a plain minimum of
 rationals. Every operation on tables runs on one stored integer form per
 table (MetricMatrix.form) with the integer kernel of rationals.py.
 
-Countable carriers are handled through LazyMetric: a named closed-form metric
-that can be materialized on the first N canonical carrier points at any depth.
+Countable carriers are handled through LazyMetric: one of the named
+closed-form families (discrete, shrinking, usual, kappa, cauchy), which can
+be materialized on the first N canonical carrier points at any depth.
 Its distances are integer pairs (x, y) standing for x/y with y > 0, from the
 carrier's integer coordinates to the table's integer form, with no Fraction
 per pair. Truncations only ever yield upper bounds for carrier-wide infima, so
 depth-indexed results are bound sequences with trend flags, never the limiting
 value. Carrier-wide certificates and refutations come only where exact family
 bounds license them (bounded-vs-unbounded, positive vs vanishing infimum).
+The transforms rho/(1+rho) and min(1, rho) act on tables only.
 """
 
 from __future__ import annotations
@@ -584,10 +586,9 @@ def transform_min(rho):
 
 
 def _transform(rho, entry_map, family: str):
-    """The entrywise image of a table, or the closed-form family `family`
-    over a LazyMetric, whose bounds are the images of its base's bounds.
-    entry_map takes v = x/y as an integer pair with y > 0 and returns such a
-    pair, or one with y = 0 where the map is undefined."""
+    """The entrywise image of a table; `family` names the transform in its
+    errors. entry_map takes v = x/y as an integer pair with y > 0 and
+    returns such a pair, or one with y = 0 where the map is undefined."""
     if isinstance(rho, MetricMatrix):
         if rho.is_zero():
             raise UndefinedRelativeElementError("transform of the zero element")
@@ -603,14 +604,6 @@ def _transform(rho, entry_map, family: str):
                 nums.append(x)
                 dens.append(y)
         return MetricMatrix(labels, ratios_to_ints(nums, dens))
-    if isinstance(rho, LazyMetric):
-        def image(v):
-            return None if v is None else Fraction(
-                *entry_map(v.numerator, v.denominator))
-        unbounded = rho.sup_bound is None or rho.unbounded
-        return LazyMetric(family, rho.carrier, base=rho,
-                          sup_bound=ONE if unbounded else image(rho.sup_bound),
-                          inf_value=image(rho.inf_value))
     raise InputError(f"cannot transform {type(rho).__name__}")
 
 
@@ -727,23 +720,18 @@ class LazyMetric:
     full carrier (None when depth-dependent or unknown), and unbounded marks
     families whose values provably exceed every bound. These three feed the
     carrier-wide comparison rules; truncations alone never decide a limit.
-    A cauchy metric's `weight` is its second-coordinate weight 1/n, a
-    transform's `base` is its source, and a scaled-of metric's `factor` is
-    its |alpha| multiplier.
+    A cauchy metric's `weight` is its second-coordinate weight 1/n.
     """
 
-    __slots__ = ("family", "carrier", "weight", "base", "factor",
-                 "sup_bound", "inf_value", "unbounded")
+    __slots__ = ("family", "carrier", "weight", "sup_bound", "inf_value",
+                 "unbounded")
 
     def __init__(self, family: str, carrier: Carrier,
                  weight: Optional[Fraction] = None,
-                 base: Optional[LazyMetric] = None,
-                 factor: Optional[Fraction] = None,
                  sup_bound: Optional[Fraction] = None,
                  inf_value: Optional[Fraction] = None,
                  unbounded: bool = False):
-        self.family, self.carrier = family, carrier
-        self.weight, self.base, self.factor = weight, base, factor
+        self.family, self.carrier, self.weight = family, carrier, weight
         self.sup_bound, self.inf_value = sup_bound, inf_value
         self.unbounded = unbounded
 
@@ -772,10 +760,6 @@ class LazyMetric:
             doc["step"] = fmt(self.carrier.step)
         if self.weight is not None:
             doc["weight"] = fmt(self.weight)
-        if self.factor is not None:
-            doc["factor"] = fmt(self.factor)
-        if self.base is not None:
-            doc["base"] = self.base.describe()
         return doc
 
 
@@ -797,39 +781,13 @@ def _cauchy(m: LazyMetric, den: int, p, q) -> tuple[int, int]:
     return n * abs(u - v) + abs(u2 - v2), n * den
 
 
-def _scaled(m: LazyMetric, den: int, p, q) -> tuple[int, int]:
-    x, y = _of_base(m, den, p, q)
-    return m.factor.numerator * x, m.factor.denominator * y
-
-
 _PAIR_FNS = {
     "discrete": lambda m, den, p, q: (1, 1),
     "shrinking": lambda m, den, p, q: (abs(p[0] - q[0]), p[0] * q[0]),
     "usual": lambda m, den, p, q: (abs(p[1] - q[1]), den),
     "kappa": _kappa,
     "cauchy": _cauchy,
-    "bounded-of": lambda m, den, p, q: _bounded(*_of_base(m, den, p, q)),
-    "min-of": lambda m, den, p, q: _capped(*_of_base(m, den, p, q)),
-    "scaled-of": _scaled,
 }
-
-
-def _of_base(m: LazyMetric, den: int, p, q) -> tuple[int, int]:
-    return _PAIR_FNS[m.base.family](m.base, den, p, q)
-
-
-def scale_lazy(alpha, m: LazyMetric) -> LazyMetric:
-    """|alpha|-multiple of a closed-form metric; alpha must be nonzero since
-    the zero table is not a LazyMetric."""
-    factor = abs(parse_rational(alpha))
-    if factor == 0:
-        raise InputError("scaling a closed-form metric by zero leaves the family")
-    return LazyMetric(
-        "scaled-of", m.carrier, base=m, factor=factor,
-        sup_bound=None if m.sup_bound is None else factor * m.sup_bound,
-        inf_value=None if m.inf_value is None else factor * m.inf_value,
-        unbounded=m.unbounded,
-    )
 
 
 def discrete_metric() -> LazyMetric:

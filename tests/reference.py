@@ -74,13 +74,6 @@ def distance(m, p, q) -> Fraction:
     if family == "cauchy":
         (u, u2), (v, v2) = p[1], q[1]
         return abs(u - v) + m.weight * abs(u2 - v2)   # weight = 1/n
-    v = distance(m.base, p, q)
-    if family == "bounded-of":
-        return bounded(v)
-    if family == "min-of":
-        return capped(v)
-    if family == "scaled-of":
-        return m.factor * v                           # factor = |alpha|
     raise ValueError(f"no reference for the family {family!r}")
 
 

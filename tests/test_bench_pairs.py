@@ -1,10 +1,11 @@
 """tools/bench_pairs.py: the gain rule it writes as `claim_met`, its
-refusal to compare checkouts that run different benchmarks, its replay
-corpus, and its process-wall mode."""
+refusal to compare checkouts that run different benchmarks or that are not
+git checkouts, its replay corpus, and its process-wall mode."""
 
 import hashlib
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -89,6 +90,63 @@ def test_refuses_checkouts_whose_benchmarks_differ(bench_pairs, tmp_path,
 
 
 REPO = TOOL.parent.parent
+
+
+def no_run(*args, **kwargs):
+    raise AssertionError("a benchmark run started")
+
+
+def git_checkout(root: Path) -> Path:
+    """checkout(root, "A = 1\\n") with its files committed to a new git
+    repository."""
+    checkout(root, "A = 1\n")
+    git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example",
+           "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "x"]):
+        subprocess.run(git + args, cwd=root, check=True, capture_output=True)
+    return root
+
+
+@pytest.mark.parametrize("sides", [("plain", "git"), ("git", "nested"),
+                                   ("plain", "plain")],
+                         ids=["before-plain", "after-nested", "both-plain"])
+def test_refuses_checkouts_that_are_not_git_repositories(
+        bench_pairs, tmp_path, monkeypatch, capsys, sides):
+    # a plain copy of the files, and a directory inside a git work tree
+    # that is not its root: neither has a commit of its own
+    monkeypatch.setattr(bench_pairs, "_run", no_run)
+    monkeypatch.setattr(bench_pairs, "replay_corpus", no_run)
+    make = {"plain": lambda root: checkout(root, "A = 1\n"),
+            "git": git_checkout,
+            "nested": lambda root: checkout(git_checkout(root) / "copy",
+                                            "A = 1\n")}
+    roots = [make[kind](tmp_path / side)
+             for side, kind in zip(("before", "after"), sides)]
+    out = tmp_path / "BENCH.json"
+    monkeypatch.setattr(sys, "argv", [
+        "bench_pairs.py", "--before", str(roots[0]), "--after", str(roots[1]),
+        "--workloads", "axioms=1", "--replay-corpus", "--out", str(out)])
+    assert bench_pairs.main() == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: not the root of a git checkout")
+    assert err.count("\n") == 1
+    for side, kind, root in zip(("before", "after"), sides, roots):
+        assert (f"--{side} {root}" in err) is (kind != "git")
+    assert not out.exists()
+
+
+def test_git_checkouts_are_named_by_their_commits(bench_pairs, tmp_path,
+                                                  monkeypatch):
+    roots = [git_checkout(tmp_path / side) for side in ("before", "after")]
+    commit = bench_pairs._commit(roots[0])
+    assert len(commit) == 40 and set(commit) <= set("0123456789abcdef")
+    monkeypatch.setattr(bench_pairs, "_run", no_run)
+    monkeypatch.setattr(sys, "argv", [
+        "bench_pairs.py", "--before", str(roots[0]), "--after", str(roots[1]),
+        "--workloads", "axioms=1", "--out", str(tmp_path / "BENCH.json")])
+    with pytest.raises(AssertionError, match="a benchmark run started"):
+        bench_pairs.main()
+
 
 # A before side that prints a report the after side replays, the same
 # report with its verdict changed, a document that is no report, and

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -1334,6 +1337,51 @@ def test_internal_fault_exits_three(capsys, tmp_path):
     doc = json.loads(err)
     assert doc["internal"] is True
     assert doc["error"].startswith("ValueError")
+
+
+def evs_process(*argv, stdout):
+    """`python -m evslib.cli *argv` on this tree, its stdout and stderr
+    piped, and its stdout block-buffered, as it is by default."""
+    env = dict(os.environ, PYTHONPATH=str(Path(metrics.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen([sys.executable, "-m", "evslib.cli", *argv],
+                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+def test_a_reader_that_stops_early_is_not_an_internal_fault():
+    """`evs builtin shrinking --depth 200 | head -c 10`: the reader closes
+    the pipe inside an 843 kB report. The run exits 141 (128 + SIGPIPE),
+    neither 1, a domain failure, nor 3, an internal fault, and prints
+    nothing on stderr."""
+    proc = evs_process("builtin", "shrinking", "--depth", "200",
+                       stdout=subprocess.PIPE)
+    assert proc.stdout.read(10) == b'{\n  "comma'
+    proc.stdout.close()
+    assert (proc.wait(), proc.stderr.read()) == (141, b"")
+    proc.stderr.close()
+
+
+@pytest.mark.parametrize("replayed", [False, True], ids=["run", "replay"])
+def test_a_stdout_closed_before_a_short_report_exits_141(tmp_path, replayed):
+    """A report far shorter than the pipe's buffer, written after its
+    reader has gone: the write is flushed where main catches it, not at
+    interpreter exit, where it would print "Exception ignored" and exit
+    120. A replay's verdict line behaves the same."""
+    argv = ["norms", "partition", "--depth", "4"]
+    if replayed:
+        out = StringIO()
+        with redirect_stdout(out):
+            assert main(argv) == 0
+        argv = ["--replay", str(tmp_path / "r.json")]
+        Path(argv[1]).write_text(out.getvalue(), encoding="utf-8")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = evs_process(*argv, stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.wait(), proc.stderr.read()) == (141, b"")
+    proc.stderr.close()
 
 
 @pytest.mark.parametrize("gamma, eps", [("11/10", "1e-4299"),

@@ -1,8 +1,7 @@
 """Byte pins on the closed-form metrics: the stdout of `evs builtin` and
 `evs partial-compare` for every shipped family and pairing, the messages of
-their input errors, digests of the transform, scaling and composite families
-that only the library reaches, and replay of partial-compare reports. All
-were recorded at commit 810612a, before the family table of
+their input errors, and replay of partial-compare reports. All were
+recorded at commit 810612a, before the family table of
 `metrics._PAIR_FNS`."""
 
 import hashlib
@@ -11,19 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from evslib import metrics
 from evslib.cli import main
-from evslib.metrics import (
-    builtin_lazy,
-    discrete_metric,
-    grid_carrier,
-    scale_lazy,
-    shrinking_metric,
-    symmetric_grid_carrier,
-    transform_bounded,
-    transform_min,
-    usual_metric,
-)
 
 DATA = Path(__file__).parent / "data" / "boundary"
 
@@ -237,57 +224,3 @@ def test_recorded_report_replays(capsys, name):
     doc = json.loads(capsys.readouterr().out)
     assert (code, doc["match"]) == (0, True)
 
-
-# -- families only the library reaches ---------------------------------------
-
-
-def composite_cases() -> dict:
-    """name -> (first, second, depths): transforms, scalings and their
-    compositions over every base family."""
-    usual_half = usual_metric(grid_carrier("1/2"))
-    usual_sym = usual_metric(symmetric_grid_carrier())
-    kappa = builtin_lazy("kappa")
-    cauchy = builtin_lazy("cauchy-dn", {"n": 4, "points": POINTS})
-    return {
-        "bounded-kappa": (transform_bounded(kappa), usual_sym, [5, 11]),
-        "min-usual-grid": (usual_half, transform_min(usual_half), [4, 9]),
-        "scaled-shrinking": (scale_lazy("-3/2", shrinking_metric()),
-                             discrete_metric(), [3, 8]),
-        "bounded-scaled-cauchy": (transform_bounded(scale_lazy(2, cauchy)),
-                                  cauchy, [2, 5]),
-        "min-bounded-discrete": (transform_min(transform_bounded(
-            discrete_metric())), shrinking_metric(), [2, 6]),
-        "scaled-min-kappa": (scale_lazy("7/3", transform_min(kappa)),
-                             transform_bounded(usual_sym), [3, 7]),
-    }
-
-
-def composite_digest(first, second, depths) -> str:
-    """sha256 over both descriptions, every materialized table and the
-    depth-indexed bounds of the pair."""
-    carrier = metrics.resolve_carrier(first, second)
-    doc = {
-        "first": first.describe(),
-        "second": second.describe(),
-        "tables": [[m.materialize(n, carrier).to_json()
-                    for m in (first, second)] for n in depths],
-        "bounds": metrics.classify_lazy_pair(first, second, depths)[
-            "directions"]["secondRelativeFirst"]["upperBounds"],
-    }
-    return hashlib.sha256(
-        json.dumps(doc, sort_keys=True).encode()).hexdigest()
-
-
-COMPOSITE_GOLDEN = {
-    "bounded-kappa": "dcc6289053d8f3d6e01bfa9943f4186ce0e0a66935b86077a3f2993adfbb28da",
-    "bounded-scaled-cauchy": "c61126b3c7448fbd1cf36ca79d1509b495b627bc07d9332605e33e58c5e31973",
-    "min-bounded-discrete": "d044add3e0d40a872092cb78d52a872a5f916fb0d57a15be9824047f63cca0ad",
-    "min-usual-grid": "e3a19d4624d29880da6aa0662aba57ea9f110ef0e2a264dcf61129303ede1b8a",
-    "scaled-min-kappa": "e63ede71e91de9e93ddafa5e991e2336df6386b4c85672d6bd3b4d9059cc30f9",
-    "scaled-shrinking": "ab3bf3a3b9474a77cb3e763cabe6e9e3395e740b04a73cbf495213e807c0ccfb",
-}
-
-
-@pytest.mark.parametrize("name", sorted(COMPOSITE_GOLDEN))
-def test_composite_families_match_golden(name):
-    assert composite_digest(*composite_cases()[name]) == COMPOSITE_GOLDEN[name]

@@ -1,5 +1,6 @@
 """The closed-form metrics against the reference model of tests/reference.py:
-their materialized tables entry by entry, and the depth-indexed comparing
+their materialized tables entry by entry, also after the table transforms
+and scalings, and the depth-indexed comparing
 bounds, streamed from the family table without building tables, per depth;
 then the order of their input errors."""
 
@@ -18,7 +19,7 @@ from evslib.metrics import (
     discrete_metric,
     grid_carrier,
     resolve_carrier,
-    scale_lazy,
+    scale_metric,
     shrinking_metric,
     symmetric_grid_carrier,
     transform_bounded,
@@ -26,18 +27,15 @@ from evslib.metrics import (
     usual_metric,
 )
 from reference import rows
-from test_closed_form import POINTS, composite_cases
+from test_closed_form import POINTS
 
 KAPPA = builtin_lazy("kappa")
 USUAL_SYM = usual_metric(symmetric_grid_carrier())
 CAUCHY = builtin_lazy("cauchy-dn", {"n": 4, "points": POINTS})
 
-BASES = [discrete_metric(), shrinking_metric(),
-         usual_metric(grid_carrier("1/2")), USUAL_SYM, KAPPA, CAUCHY,
-         *(m for first, second, _ in composite_cases().values()
-           for m in (first, second))]
-WRAPS = [transform_bounded, transform_min,
-         lambda m: scale_lazy("-3/2", m), lambda m: scale_lazy(7, m)]
+FAMILIES = [discrete_metric(), shrinking_metric(),
+            usual_metric(grid_carrier("1/2")), USUAL_SYM, KAPPA, CAUCHY]
+FAMILY = st.sampled_from(FAMILIES)
 
 
 def oracle(d, rho, depths) -> list:
@@ -61,14 +59,6 @@ def streamed(d, rho, depths) -> list:
 
 
 @st.composite
-def lazy_metrics(draw):
-    m = draw(st.sampled_from(BASES))
-    for wrap in draw(st.lists(st.sampled_from(WRAPS), max_size=2)):
-        m = wrap(m)
-    return m
-
-
-@st.composite
 def depth_lists(draw, kind):
     if kind == "symgrid":
         pool = st.integers(1, 12).map(lambda k: 2 * k + 1)
@@ -84,18 +74,51 @@ def depth_lists(draw, kind):
 DEEPEST = {"indexed": 9, "grid": 9, "symgrid": 13, "points2d": len(POINTS)}
 
 
-@pytest.mark.parametrize("m", [wrap(base) for base in BASES
-                               for wrap in [lambda m: m, *WRAPS]],
-                         ids=lambda m: str(m.describe()))
-def test_each_family_and_composite_materializes_the_reference(m):
+# the table transforms and scalings, each as the library applies it to a
+# materialized table and as the reference applies it to a full table
+BOUNDED = ("bounded", transform_bounded,
+           lambda full: reference.transformed(reference.bounded, full))
+CAPPED = ("min", transform_min,
+          lambda full: reference.transformed(reference.capped, full))
+
+
+def scaling(alpha: str) -> tuple:
+    return (f"scaled({alpha})", lambda t: scale_metric(alpha, t),
+            lambda full: reference.scaled(Fraction(alpha), full))
+
+
+USUAL_HALF = usual_metric(grid_carrier("1/2"))
+
+# a family and the wraps applied, in order, to its table: the named
+# families, and the compositions that `evs transform` and `evs combine
+# --scale` reach on a table that `evs builtin --out` wrote
+BASES = [(m, ()) for m in FAMILIES] + [
+    (KAPPA, (BOUNDED,)), (USUAL_SYM, ()),
+    (USUAL_HALF, ()), (USUAL_HALF, (CAPPED,)),
+    (shrinking_metric(), (scaling("-3/2"),)), (discrete_metric(), ()),
+    (CAUCHY, (scaling("2"), BOUNDED)), (CAUCHY, ()),
+    (discrete_metric(), (BOUNDED, CAPPED)), (shrinking_metric(), ()),
+    (KAPPA, (CAPPED, scaling("7/3"))), (USUAL_SYM, (BOUNDED,)),
+]
+WRAPS = [(), (BOUNDED,), (CAPPED,), (scaling("-3/2"),), (scaling("7"),)]
+
+
+@pytest.mark.parametrize(("m", "wraps"), [
+    pytest.param(m, chain + wrap, id="-".join(
+        [m.family, m.carrier.kind] + [name for name, _, _ in chain + wrap]))
+    for m, chain in BASES for wrap in WRAPS])
+def test_each_family_and_composite_materializes_the_reference(m, wraps):
     n = DEEPEST[m.carrier.kind]
-    assert rows(m.materialize(n)) == reference.table(m, n)
+    table, full = m.materialize(n), reference.table(m, n)
+    for _, library, model in wraps:
+        table, full = library(table), model(full)
+    assert rows(table) == full
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_materialize_equals_the_reference_entry_by_entry(data):
-    m, other = data.draw(lazy_metrics()), data.draw(lazy_metrics())
+    m, other = data.draw(FAMILY), data.draw(FAMILY)
     try:
         carrier = resolve_carrier(m, other)
     except InputError:
@@ -107,7 +130,7 @@ def test_materialize_equals_the_reference_entry_by_entry(data):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_streamed_bounds_equal_the_reference(data):
-    d, rho = data.draw(lazy_metrics()), data.draw(lazy_metrics())
+    d, rho = data.draw(FAMILY), data.draw(FAMILY)
     try:
         carrier = resolve_carrier(d, rho)
     except InputError:
@@ -122,9 +145,7 @@ def test_streamed_bounds_equal_the_reference(data):
     (KAPPA, USUAL_SYM),
     (discrete_metric(), KAPPA),
     (USUAL_SYM, shrinking_metric()),
-    (scale_lazy("1/3", transform_bounded(shrinking_metric())),
-     transform_min(KAPPA)),
-], ids=["kappa-usual", "discrete-kappa", "usual-shrinking", "composite"])
+], ids=["kappa-usual", "discrete-kappa", "usual-shrinking"])
 def test_symmetric_grid_depths_are_evaluated_afresh(d, rho, depths):
     assert streamed(d, rho, depths) == oracle(d, rho, depths)
 

@@ -23,7 +23,6 @@ from evslib import (
     discrete_metric,
     grid_carrier,
     leq_metrics,
-    scale_lazy,
     scale_metric,
     shrinking_metric,
     symmetric_grid_carrier,
@@ -420,9 +419,12 @@ def test_partial_self_is_constant_one():
     assert upper_bounds(d, d, [5, 10]) == [1, 1]
 
 
-def test_partial_constant_scaling():
-    u = usual_metric(grid_carrier(1))
-    assert upper_bounds(u, scale_lazy(3, u), [5, 10, 20]) == [3, 3, 3]
+@pytest.mark.parametrize("transform", [transform_bounded, transform_min])
+def test_transforms_refuse_closed_form_metrics(transform):
+    # `evs transform` reads tables only; the library takes nothing else
+    with pytest.raises(InputError) as err:
+        transform(builtin_lazy("kappa"))
+    assert str(err.value) == "cannot transform LazyMetric"
 
 
 def test_partial_discrete_vs_shrinking_trend():
@@ -518,7 +520,7 @@ def test_classify_lazy_evaluates_each_pair_once(monkeypatch, first, second):
 
 @pytest.mark.parametrize("metric", [
     shrinking_metric(),
-    transform_bounded(builtin_lazy("kappa")),
+    builtin_lazy("kappa"),
 ])
 def test_materialize_evaluates_each_pair_once(monkeypatch, metric):
     from evslib import metrics

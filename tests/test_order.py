@@ -17,7 +17,6 @@ from evslib import (
     PartitionSpec,
     Universe,
     builtin_metric,
-    classify_lazy_pair,
     feasible_in_universe,
     generates,
     in_l,
@@ -27,8 +26,6 @@ from evslib import (
     scale_metric,
     transform_bounded,
     transform_min,
-    usual_metric,
-    grid_carrier,
 )
 from evslib.cli import _universe_from_inline
 from evslib.instances import (
@@ -253,14 +250,6 @@ def test_feasible_on_bounded_metric_with_companions():
 def test_feasible_singleton_universe():
     universe = Universe(INST, [rho])
     assert feasible_in_universe(INST, rho, universe)["status"] == "pass"
-
-
-def test_unbounded_profile_feasibility_certificates_shrink_with_depth():
-    usual = usual_metric(grid_carrier(1))
-    report = classify_lazy_pair(usual, transform_bounded(usual), [5, 10, 20])
-    direction = report["directions"]["secondRelativeFirst"]
-    assert direction["upperBounds"] == ["1/5", "1/10", "1/20"]
-    assert direction["strictlyDecreasing"]
 
 
 # ---------------------------------------------------------------------------

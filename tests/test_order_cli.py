@@ -1,7 +1,8 @@
 """`evs order in-l`, `indep` and `feasible` on random metric universes,
 through cli.main, against the reference model's `spectrum` and `below`:
 the verdicts, certificates and exit codes, the echo of every input table,
-and the replay of each report."""
+and the replay of each report. Then `feasible` on random hyperspace
+universes, whose down-set is a subset check."""
 
 import json
 import tempfile
@@ -11,7 +12,7 @@ from io import StringIO
 from itertools import combinations
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import reference
 from evslib.cli import main
@@ -203,3 +204,66 @@ def test_indep_agrees_with_the_reference_model(universe, eps):
             expected["epsilon"] = reference.text(Fraction(eps))
         assert (code, err) == (1 if dependent else 0, "")
         assert check_document(tmp, out, labels, elements) == expected
+
+
+COORDINATES = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+
+
+@st.composite
+def point_sets(draw, dim, within=None):
+    """A set of 1-4 points of dimension dim with coordinates p/q, |p| <= 2
+    and q <= 3, drawn from the points `within` where given; returned as a
+    frozenset of Fraction tuples and as a point list, which spells an
+    integer coordinate as an int or as "p/1" and may repeat a point."""
+    point = (st.sampled_from(sorted(within)) if within
+             else st.tuples(*[COORDINATES] * dim))
+    points = draw(st.lists(point, min_size=1, max_size=4))
+    spelled = [[c.numerator if c.denominator == 1 and draw(st.booleans())
+                else reference.text(c) for c in p] for p in points]
+    return frozenset(points), spelled
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_feasible_on_a_hyperspace_universe_takes_the_subsets(dim, data):
+    x, x_spelled = data.draw(point_sets(dim))
+    # some elements are drawn from x's points, so that down-sets occur
+    elements = [data.draw(point_sets(dim, x if data.draw(st.booleans())
+                                     else None))
+                for _ in range(data.draw(st.integers(1, 4)))]
+    zero = frozenset({(Fraction(0),) * dim})
+    assume(x != zero and all(e != zero for e, _ in elements))
+    with tempfile.TemporaryDirectory() as tmp:
+        names = [f"e{k}.json" for k in range(len(elements))]
+        for name, (_, spelled) in zip(names, elements):
+            (Path(tmp) / name).write_text(json.dumps(spelled),
+                                          encoding="utf-8")
+        manifest, x_path = Path(tmp) / "universe.json", Path(tmp) / "x.json"
+        manifest.write_text(json.dumps(
+            {"instance": "hyperspace", "dim": dim, "elements": names}),
+            encoding="utf-8")
+        x_path.write_text(json.dumps(x_spelled), encoding="utf-8")
+        code, out, err = cli("order", "feasible", "--universe", str(manifest),
+                             "--x", str(x_path))
+        down = [e for e, _ in elements if e <= x]
+        assert (code, err) == (1 if down else 0, "")
+        doc = json.loads(out)
+        assert doc["inputs"] == {
+            "action": "feasible", "x": x_spelled,
+            "universe": {"instance": "hyperspace", "dim": dim,
+                         "elements": [spelled for _, spelled in elements]}}
+        # the instance has no comparing function, so no membership is
+        # decided
+        assert doc["report"] == {
+            "status": "inconclusive" if down else "pass",
+            "universeRelative": True, "downSetSize": len(down),
+            "memberships": [
+                {"element": sorted([reference.text(c) for c in p] for p in e),
+                 "certificate": {"status": "inconclusive", "reason":
+                                 "instance exposes no exact comparing "
+                                 "function"}}
+                for e in down]}
+        saved = Path(tmp) / "report.json"
+        saved.write_text(out, encoding="utf-8")
+        code, replayed, err = cli("--replay", str(saved))
+        assert (code, json.loads(replayed)["match"], err) == (0, True, "")

@@ -7,10 +7,19 @@ package, or a builtin type, has a method of that name too: a use of such a
 name may be the other one's, so the method counts as reached only through
 its own class, as `Class.name`, `Class(...).name`, or `self.name` and
 `cls.name` inside the class. Shared names reached otherwise are listed
-below with the use that reaches them."""
+below with the use that reaches them.
+
+Then, by what runs rather than by what is named: every function the
+package defines with `def`, public or not, is entered inside `cli.main` by
+the commands of the pin files and the CLI tests, unless it is listed below
+with the reason no command enters it."""
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -21,9 +30,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # public names that nothing in the package, the README or the acceptance
 # suite reaches, each kept for the reason given
-KEPT = {
-    "scale_lazy": "builds the composite families pinned in test_closed_form",
-}
+KEPT = {}
 
 # methods whose name another class or a builtin type shares, reached where
 # the receiver's class is not written out
@@ -125,3 +132,112 @@ def test_every_public_method_is_reached():
     assert {f"{cls}.{name}" for cls, name in methods
             if (cls, name) not in resolved
             and (name in shared or name not in reached)} == set(SHARED)
+
+
+# The tests whose `cli.main` calls are scanned: the byte pins of every
+# command, and the CLI's examples and error paths. Deselected: the
+# hypothesis tests of test_cli.py, which draw hundreds of argv of commands
+# its examples already run.
+SCANNED = ["tests/test_golden.py", "tests/test_table_pins.py",
+           "tests/test_order_pins.py", "tests/test_action_pins.py",
+           "tests/test_closed_form.py", "tests/test_cli.py",
+           "tests/test_order_cli.py::"
+           "test_feasible_on_a_hyperspace_universe_takes_the_subsets"]
+DESELECTED = "not reference_model and not to_json_prints"
+
+# functions that no scanned command enters, each kept for the reason given
+UNENTERED = {
+    "core.replay_counterexample": "a replay oracle of the verifier's "
+    "counterexamples; `evs --replay` re-runs the command instead",
+    "order.replay_certificate": "a replay oracle of positive in-l "
+    "certificates; `evs --replay` re-runs the command instead",
+    "norms.norm_table_instance.<locals>.from_json": "reads an element "
+    "back for replay_counterexample only",
+    "metrics.MetricMatrix.__eq__": "table equality, for tests",
+    "norms.NormFamilyParams.__eq__": "spec equality, for tests",
+    "norms.FSVector.zero": "FSVector.scale returns it for a zero factor, "
+    "which no command passes",
+    "instances._abs_scale": "the unpacked scale of the metric instances; "
+    "the verifier runs the packed ops of the `pack` hook, and no order "
+    "tool scales",
+    "instances._cone_scale": "the unpacked scale of the cone; as above",
+    "instances._minkowski_sum": "the unpacked add of the hyperspace; the "
+    "verifier runs the packed ops, and no order tool adds",
+    "instances._point_scale": "the unpacked scale of the hyperspace; as "
+    "above",
+}
+
+# Loaded into the scanning run by `-p`: it replaces cli.main before the
+# test modules import it, and records the (file, first line) of each code
+# object entered while it runs.
+SCAN_PLUGIN = '''
+import json
+import os
+import sys
+
+from evslib import cli
+
+_entered, _main = set(), cli.main
+
+
+def _record(frame, event, arg):
+    if event == "call":
+        _entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+
+def _traced(argv=None):
+    sys.setprofile(_record)
+    try:
+        return _main(argv)
+    finally:
+        sys.setprofile(None)
+
+
+def pytest_configure(config):
+    cli.main = _traced
+
+
+def pytest_unconfigure(config):
+    with open(os.environ["ENTERED_OUT"], "w", encoding="utf-8") as fh:
+        json.dump(sorted(_entered), fh)
+'''
+
+
+def defined_functions() -> dict:
+    """(file name, first line) -> "module.qualified name" for every `def`
+    of the package, methods and nested functions included. A function's
+    code object starts at its first decorator."""
+    found = {}
+
+    def visit(node, path: Path, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno
+                                              for d in child.decorator_list])
+                found[(path.name, first)] = f"{path.stem}.{prefix}{child.name}"
+                visit(child, path, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, path, f"{prefix}{child.name}.")
+            else:
+                visit(child, path, prefix)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text("utf-8")), path, "")
+    return found
+
+
+def test_every_function_is_entered_by_a_scanned_command(tmp_path):
+    (tmp_path / "entered_scan.py").write_text(SCAN_PLUGIN, encoding="utf-8")
+    out = tmp_path / "entered.json"
+    env = dict(os.environ, ENTERED_OUT=str(out), PYTHONPATH=os.pathsep.join(
+        [str(tmp_path), str(PACKAGE.parent)]))
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-p", "entered_scan", "-k", DESELECTED, *SCANNED],
+        cwd=ROOT, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout[-3000:]
+    package = PACKAGE.resolve()
+    entered = {(Path(name).name, line) for name, line in json.loads(
+        out.read_text("utf-8")) if Path(name).resolve().parent == package}
+    assert {name for key, name in defined_functions().items()
+            if key not in entered} == set(UNENTERED)

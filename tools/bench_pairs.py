@@ -15,7 +15,9 @@ The file holds every result line, and per gated metric the median and
 quartiles of each side, the number of pairs the after side won, and
 `claim_met`, the gain rule of `claim_met()`. Both sides must run the same
 benchmark: the tool refuses to start, with exit code 2, when the files
-under `perfbench/` or `BENCHMARK.json` differ between the checkouts.
+under `perfbench/` or `BENCHMARK.json` differ between the checkouts. It
+refuses the same way when a side is not the root of a git checkout, since
+the file names each side by its commit.
 
 `--replay-corpus` runs the three job lists at seed 0 on the before side
 and keeps every report, then runs `evs --replay` on each with the after
@@ -76,9 +78,18 @@ def _run(root: Path, workload: str, seed: int, seconds: int,
     return line
 
 
-def _commit(root: Path) -> str:
-    return subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, check=True,
-                          capture_output=True, text=True).stdout.strip()
+def _commit(root: Path):
+    """The commit checked out at root, or None where root is not the top
+    of a git work tree (a plain copy of the files, say)."""
+    try:
+        out = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"],
+                             cwd=root, capture_output=True, text=True)
+    except OSError:   # no such directory, or no git
+        return None
+    lines = out.stdout.splitlines()
+    if out.returncode or len(lines) != 2 or Path(lines[0]).resolve() != root:
+        return None
+    return lines[1]
 
 
 def _benchmark_files(root: Path) -> dict:
@@ -311,6 +322,13 @@ def main() -> int:
 
     roots = {"before": Path(args.before).resolve(),
              "after": Path(args.after).resolve()}
+    commits = {side: _commit(root) for side, root in roots.items()}
+    unnamed = [f"--{side} {root}" for side, root in roots.items()
+               if commits[side] is None]
+    if unnamed:
+        print("error: not the root of a git checkout, so no commit names it: "
+              + ", ".join(unnamed), file=sys.stderr)
+        return 2
     differing = _differing(roots)
     if differing:
         print("error: the checkouts run different benchmarks; these differ: "
@@ -328,7 +346,7 @@ def main() -> int:
                     + f" --process-wall {args.process_wall}"
                     * bool(args.process_wall)
                     + f" --out {Path(args.out).name}"),
-        "commits": {side: _commit(root) for side, root in roots.items()},
+        "commits": commits,
         "machine": {"platform": platform.platform(),
                     "python": platform.python_version()},
         "run_seconds": seconds,
