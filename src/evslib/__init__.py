@@ -8,12 +8,7 @@ a family of pairwise independent weighted sup norms with explicit decay
 witnesses.
 """
 
-from .core import (
-    EvsInstance,
-    check_axioms,
-    minimal_elements,
-    replay_counterexample,
-)
+from .core import EvsInstance, check_axioms, minimal_elements
 from .errors import InputError, UndefinedRelativeElementError
 from .metrics import (
     Carrier,
@@ -56,7 +51,6 @@ from .order import (
     in_l,
     is_basis,
     orderly_independent_set,
-    replay_certificate,
 )
 
 __version__ = "0.1.0"

@@ -20,13 +20,14 @@ characterization p + (-1)p = zero. The verifier refutes; it never certifies a
 carrier-wide claim. Every failure carries a counterexample that re-evaluates
 to a violation when replayed through the instance operations.
 
-Both suites and replay read one table of laws (AXIOMS, PROPERTIES). A law
+Both suites read one table of laws (AXIOMS, PROPERTIES), and so does the
+counterexample replay of the tests (tests/replay.py). A law
 judges a whole list of tuples of sample and scalar positions at once: it
 gathers its operands by column from the context's tables of sums, orders
 and scalings, and maps the instance operations over them lazily. The
 runner reads each law's tuples CHUNK at a time and stops at the first
-violation, so no operation runs past it; replay judges the one tuple of
-the given sample followed by the counterexample's elements. An entry is
+violation, so no operation runs past it; a replay judges the one tuple
+of the given sample followed by the counterexample's elements. An entry is
 not-applicable when its laws found nothing to check: A2 with no comparable
 sampled pair, additive-primitive with no pair whose primitive sets are
 witnessed in the sample. A report passes only when every entry passes, so
@@ -95,7 +96,7 @@ class EvsInstance:
 
 
 # ---------------------------------------------------------------------------
-# The law table: one record per checkable law, shared by both suites and replay
+# The law table: one record per checkable law, shared by both suites
 # ---------------------------------------------------------------------------
 
 
@@ -380,11 +381,9 @@ PROPERTIES: tuple[Law, ...] = (
         reason="no pair with fully witnessed primitive sets"),
 )
 
-LAWS: dict[str, Law] = {law.name: law for law in AXIOMS + PROPERTIES}
-
 
 # ---------------------------------------------------------------------------
-# The runner and replay
+# The runner
 # ---------------------------------------------------------------------------
 
 #: Tuples the runner asks a law's verdicts for at a time: enough to spread
@@ -472,38 +471,6 @@ def check_axioms(inst: EvsInstance, sample: Sequence, scalars: Sequence,
     if properties:
         doc["properties"] = _report(c, "properties", PROPERTIES)["properties"]
     return doc
-
-
-def replay_counterexample(inst: EvsInstance, ce: dict,
-                          sample: Optional[Sequence] = None) -> bool:
-    """Re-evaluate a recorded counterexample; True means the violation is
-    reproduced (the law's verdict is False again). Sample-relative laws are
-    judged against the sample they were found in, so it must be given.
-    The law's verdicts run on the one tuple of a context of the sample
-    followed by the counterexample's elements, with its scalars.
-    A malformed counterexample (unknown law, missing or non-list elements or
-    scalars, the wrong number of either, an unreadable element) raises
-    InputError."""
-    if not isinstance(ce, dict):
-        raise InputError("a counterexample is a JSON object")
-    name = ce.get("law")
-    law = LAWS.get(name) if isinstance(name, str) else None
-    if law is None:
-        raise InputError(f"unknown law {name!r}")
-    elements, scalars = ce.get("elements"), ce.get("scalars")
-    if not isinstance(elements, list) or not isinstance(scalars, list):
-        raise InputError('a counterexample needs "elements" and "scalars" lists')
-    if (len(elements), len(scalars)) != law.arity:
-        raise InputError("{} takes {} elements and {} scalars".format(
-            law.name, *law.arity))
-    if law.sample_relative and sample is None:
-        raise InputError(f"{law.name} is sample-relative: replay needs the sample")
-    given = list(sample or ())
-    m, els = len(given), [inst.element_from_json(e) for e in elements]
-    c = _Context(inst, given + els, [parse_rational(a) for a in scalars], m)
-    verdict, = law.verdicts(c, [(*range(m, m + len(els)),
-                                 *range(len(scalars)))])
-    return verdict is not None and not verdict
 
 
 # ---------------------------------------------------------------------------

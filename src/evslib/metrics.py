@@ -33,9 +33,9 @@ from operator import floordiv, sub
 from typing import Optional, Sequence
 
 from .errors import InputError, UndefinedRelativeElementError
-from .rationals import (MAX_DIGITS, _add, _leq, _ratio, _scale, fmt,
-                        fmt_ratio, parse_rational, parse_rationals,
-                        ratios_to_ints, to_ints)
+from .rationals import (MAX_DIGITS, _add, _leq, _past_digits, _ratio,
+                        _scale, fmt, fmt_ratio, parse_rational,
+                        parse_rationals, ratios_to_ints, to_ints)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -53,8 +53,7 @@ class MetricMatrix:
     upper triangle, diagonal included, row by row. Every operation on
     tables runs on it, and to_json prints from it. The form is also the
     element of the one metric instance, instances.metric_packed_instance,
-    that serves both the axiom verifier and the order tools. Two tables are
-    equal when their labels and forms are.
+    that serves both the axiom verifier and the order tools.
 
     MetricMatrix(labels, form) takes a tuple of labels and a form as they
     are: derived tables are symmetric by construction. A raw table, read
@@ -70,11 +69,6 @@ class MetricMatrix:
     def __init__(self, labels: tuple[str, ...],
                  form: tuple[tuple[int, ...], int]):
         self.labels, self.form = labels, form
-
-    def __eq__(self, other):
-        if not isinstance(other, MetricMatrix):
-            return NotImplemented
-        return self.labels == other.labels and self.form == other.form
 
     # -- construction -------------------------------------------------------
 
@@ -250,8 +244,11 @@ def _formatted(nums: Sequence[int], den: int, template: str) -> list:
     """template.format(p, q) of each num/den as p/q in lowest terms, by
     maps of the builtins alone."""
     gs = list(map(gcd, nums, repeat(den)))
-    return list(map(template.format, map(floordiv, nums, gs),
-                    map(floordiv, repeat(den), gs)))
+    try:
+        return list(map(template.format, map(floordiv, nums, gs),
+                        map(floordiv, repeat(den), gs)))
+    except ValueError as exc:   # past the int-to-str limit
+        raise _past_digits() from exc
 
 
 def _per_value(f, values: Sequence, *args):
@@ -375,17 +372,11 @@ def _violation(m: MetricMatrix) -> Optional[dict]:
     if triple is None:
         return None
     i, j, k = triple
-    # each entry prints, but the sum of two may not
-    rhs = rows[i][j] + rows[j][k]
-    g = gcd(rhs, den)
-    if max(rhs // g, den // g) >= 10 ** MAX_DIGITS:
-        raise InputError(f"the violated triangle's sum d(i,j) + d(j,k) "
-                         f"would print past the {MAX_DIGITS}-digit limit")
     return {
         "axiom": "triangle",
         "indices": [labels[i], labels[j], labels[k]],
         "lhs": fmt_ratio(rows[i][k], den),
-        "rhs": f"{rhs // g}/{den // g}",
+        "rhs": fmt_ratio(rows[i][j] + rows[j][k], den),
     }
 
 
@@ -577,18 +568,19 @@ def _capped(x: int, y: int) -> tuple[int, int]:
 def transform_bounded(rho):
     """rho -> rho/(1+rho), entrywise; a bounded metric below the input.
     The zero table is rejected (the companion of O is not a metric)."""
-    return _transform(rho, _bounded, "bounded-of")
+    return _transform(rho, _bounded, "bounded")
 
 
 def transform_min(rho):
     """rho -> min(1, rho), entrywise; truncation at height one."""
-    return _transform(rho, _capped, "min-of")
+    return _transform(rho, _capped, "min")
 
 
-def _transform(rho, entry_map, family: str):
-    """The entrywise image of a table; `family` names the transform in its
-    errors. entry_map takes v = x/y as an integer pair with y > 0 and
-    returns such a pair, or one with y = 0 where the map is undefined."""
+def _transform(rho, entry_map, name: str):
+    """The entrywise image of a table; `name`, the kind `evs transform`
+    takes, names the transform in its errors. entry_map takes v = x/y as an
+    integer pair with y > 0 and returns such a pair, or one with y = 0
+    where the map is undefined."""
     if isinstance(rho, MetricMatrix):
         if rho.is_zero():
             raise UndefinedRelativeElementError("transform of the zero element")
@@ -599,7 +591,7 @@ def _transform(rho, entry_map, family: str):
                 x, y = entry_map(v, den) if j > i else (0, 1)
                 if y == 0:
                     raise InputError(
-                        f"transform {family} is undefined on the entry "
+                        f"transform {name} is undefined on the entry "
                         f"{fmt_ratio(v, den)} at ({labels[i]}, {labels[j]})")
                 nums.append(x)
                 dens.append(y)
@@ -735,13 +727,12 @@ class LazyMetric:
         self.sup_bound, self.inf_value = sup_bound, inf_value
         self.unbounded = unbounded
 
-    def materialize(self, depth: int, carrier: Optional[Carrier] = None) -> MetricMatrix:
-        """The table on the first `depth` points of the carrier (by default
-        the metric's own), each unordered pair evaluated once to its pair
-        and reduced at once. Over the lcm of reduced denominators the
-        numerators share no common factor, so ratios_to_ints never copies
-        the table to reduce it."""
-        den, points = (carrier or self.carrier).at(depth)
+    def materialize(self, depth: int) -> MetricMatrix:
+        """The table on the first `depth` points of the carrier, each
+        unordered pair evaluated once to its pair and reduced at once. Over
+        the lcm of reduced denominators the numerators share no common
+        factor, so ratios_to_ints never copies the table to reduce it."""
+        den, points = self.carrier.at(depth)
         pair = _PAIR_FNS[self.family]
         size = depth * (depth + 1) // 2   # lists grown by append fragment the heap
         nums, dens, k = [0] * size, [1] * size, 0

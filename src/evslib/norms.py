@@ -25,7 +25,6 @@ still legitimate indices with well-defined weights.
 from __future__ import annotations
 
 import math
-import operator
 import re
 import sys
 from fractions import Fraction
@@ -35,8 +34,8 @@ from .core import EvsInstance
 from .errors import InputError
 from .instances import rational_tuple_instance
 from .metrics import MAX_BUILTIN_DEPTH, MetricMatrix, _from_upper
-from .rationals import (MAX_DIGITS, fmt, parse_rational, parse_rationals,
-                        require_int, to_fractions, to_ints)
+from .rationals import (MAX_DIGITS, fmt, parse_rational, require_int,
+                        to_fractions)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -219,8 +218,7 @@ class PartitionSpec:
 
 class NormFamilyParams:
     """The parameters of one family norm: a partition, a proper nonempty
-    subset C of its backbone, kept sorted, and gamma > 1. Two parameter
-    sets are equal when their depths, subsets and gammas are."""
+    subset C of its backbone, kept sorted, and gamma > 1."""
 
     __slots__ = ("partition", "subset_c", "gamma")
 
@@ -237,12 +235,6 @@ class NormFamilyParams:
             raise InputError("C must be a proper subset of the backbone")
         if gamma <= 1:
             raise InputError("gamma must exceed 1")
-
-    def __eq__(self, other):
-        if not isinstance(other, NormFamilyParams):
-            return NotImplemented
-        return (self.partition.depth, self.subset_c, self.gamma) == \
-            (other.partition.depth, other.subset_c, other.gamma)
 
     @classmethod
     def from_json(cls, doc) -> "NormFamilyParams":
@@ -419,13 +411,11 @@ def _decay_index_estimate(a: int, b: int, e: int, f: int) -> int:
     return max(1, math.ceil(math.exp(min(log_index, 700.0))))  # exp(710) overflows
 
 
-def _smallest_decay_index(base: Fraction, eps: Fraction,
-                          limit: Optional[int] = None,
-                          max_bits: Optional[int] = None
+def _smallest_decay_index(base: Fraction, eps: Fraction
                           ) -> tuple[int, Fraction]:
     """The least i >= 1 with base**i < eps, and base**i, for 0 < base < 1
-    and 0 < eps < 1; InputError when that i is past `limit`, or when the
-    denominator b**i of base**i could pass `max_bits` bits.
+    and 0 < eps < 1; InputError when that i is past MAX_PARTITION_DEPTH, or
+    when the denominator b**i of base**i could pass MAX_DECAY_BITS bits.
 
     base**i < eps is a**i * f < e * b**i for base = a/b and eps = e/f, which
     holds from some i on and then for every larger i. The search starts at
@@ -436,20 +426,19 @@ def _smallest_decay_index(base: Fraction, eps: Fraction,
     just below it divides them exactly, and when the estimate is the answer,
     as it is unless floats mislead it, they are the returned ratio.
 
-    With a limit, an estimate past twice the limit is refused at once, the
-    search starts no higher than the limit and never tests past it, so no
-    power past base**limit is built. With max_bits, the same holds for
-    the index max_bits // b.bit_length(), past which b**i could pass
-    max_bits bits; the search stops there with an error of its own.
+    An estimate past twice the index limit is refused at once, the search
+    starts no higher than the limit and never tests past it, so no power
+    past base**limit is built. The same holds for the index
+    MAX_DECAY_BITS // b.bit_length(), past which b**i could pass
+    MAX_DECAY_BITS bits; the search stops there with an error of its own.
     """
     a, b = base.numerator, base.denominator
     e, f = eps.numerator, eps.denominator
-    cap = math.inf if limit is None else limit
+    limit = MAX_PARTITION_DEPTH
     i = _decay_index_estimate(a, b, e, f)
-    if i > 2 * cap:
+    if i > 2 * limit:
         raise _past_limit(limit)
-    if max_bits is not None:
-        cap = min(cap, max_bits // b.bit_length())
+    cap = min(limit, MAX_DECAY_BITS // b.bit_length())
     i = min(i, cap)
     guess = base ** i
     ga, gb = guess.numerator, guess.denominator
@@ -475,7 +464,7 @@ def _smallest_decay_index(base: Fraction, eps: Fraction,
         while hi > cap or not below(hi):
             if lo >= cap:             # not below(cap)
                 raise (_past_limit(limit) if cap == limit
-                       else _past_budget(b.bit_length(), cap, max_bits))
+                       else _past_budget(b.bit_length(), cap))
             lo, hi, step = hi, min(hi + 2 * step, cap), 2 * step
     while hi - lo > 1:                # below(hi), and not below(lo)
         mid = (lo + hi) // 2
@@ -491,10 +480,10 @@ def _past_limit(limit: int) -> InputError:
                       f"{limit}")
 
 
-def _past_budget(bits: int, cap: int, max_bits: int) -> InputError:
+def _past_budget(bits: int, cap: int) -> InputError:
     return InputError(f"the decay index exceeds {cap}, past which a power of "
                       f"the {bits}-bit ratio denominator could pass the "
-                      f"budget of {max_bits} bits")
+                      f"budget of {MAX_DECAY_BITS} bits")
 
 
 def independence_witness(p: NormFamilyParams, q: NormFamilyParams,
@@ -538,8 +527,7 @@ def independence_witness(p: NormFamilyParams, q: NormFamilyParams,
         else:
             fam_first, fam_second = "d", "e"
 
-    i, ratio = _smallest_decay_index(base, eps, MAX_PARTITION_DEPTH,
-                                     MAX_DECAY_BITS)
+    i, ratio = _smallest_decay_index(base, eps)
     first = WitnessDirection(fam_first, t, base, i, ratio)
     second = WitnessDirection(fam_second, t, base, i, ratio)
     return WitnessReport(case, eps, first, second)
@@ -585,19 +573,14 @@ def norm_table_instance(probes: Sequence[FSVector]) -> EvsInstance:
     Sums and scalings of norms act pointwise on values, so exact value tables
     are closed under the operations and faithfully decide the pointwise
     axioms; the order is the pointwise one. The all-zero table is the zero
-    element O.
+    element O. Like the packed instances, it reads no JSON: no command
+    takes a norm value table as input.
     """
-    def from_json(doc) -> tuple:
-        table = parse_rationals(doc, "norm value table")
-        if len(table) != len(probes):
-            raise InputError("value table over a different probe set")
-        return to_ints(table)
-
     return rational_tuple_instance(
         f"norms[{len(probes)} probes]",
         len(probes),
         element_to_json=lambda a: [fmt(x) for x in to_fractions(a)],
-        element_from_json=from_json,
+        element_from_json=None,
     )
 
 
@@ -663,7 +646,7 @@ def norm_family_instance(partition: PartitionSpec) -> EvsInstance:
         add=unsupported,
         scale=unsupported,
         leq=unsupported,
-        equal=operator.eq,
+        equal=unsupported,
         element_to_json=NormFamilyParams.to_json,
         element_from_json=from_json,
         eps_independence=independence_witness,

@@ -15,7 +15,7 @@ bases, feasibility) return the JSON document they report, and fold their
 parts into one status in one order: fail, then inconclusive, then
 pass-with-eps or pass. A membership query returns its report document too;
 the set-level reports embed it as it is and print each element once per
-call, and replay_certificate replays it from any emitted report.
+call.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from .core import EvsInstance, minimal_elements
 from .errors import InputError
-from .rationals import fmt, parse_rational
+from .rationals import fmt
 
 POSITIVE = "positive"
 REFUTED = "refuted"
@@ -101,18 +101,6 @@ def in_l(instance: EvsInstance, x, y,
                 "universe lacks a primitive witness for this pair"}
     return {"status": INCONCLUSIVE,
             "reason": "instance exposes no exact comparing function"}
-
-
-def replay_certificate(instance: EvsInstance, x, y, cert: dict) -> bool:
-    """A positive membership document must replay as the order inequality
-    alpha*x (+ primitive) <= y, read back as a report's inputs are."""
-    if cert.get("status") != POSITIVE:
-        return False
-    scaled = instance.scale(parse_rational(cert["alpha"]), x)
-    if "primitive" in cert:
-        scaled = instance.add(scaled,
-                              instance.element_from_json(cert["primitive"]))
-    return instance.leq(scaled, y)
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,9 @@ from typing import Sequence
 from .errors import InputError
 
 #: Python's default int-to-str limit: the most digits a numerator or
-#: denominator parsed from a decimal may have, so that fmt can print it,
-#: and the most significant digits of a number in a norms index name.
+#: denominator parsed from a decimal may have, and the most significant
+#: digits of a number in a norms index name. A report that would print a
+#: longer one is an input error (fmt, fmt_ratio), not an internal fault.
 MAX_DIGITS = 4300
 
 
@@ -82,16 +83,26 @@ def parse_rationals(doc, what: str) -> list[Fraction]:
 
 
 def fmt(q: Fraction) -> str:
-    """Render as "p/q" in lowest terms; integers keep an explicit /1."""
-    if not isinstance(q, Fraction):
-        q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
+    """Render as "p/q" in lowest terms; integers keep an explicit /1. A
+    numerator or denominator past MAX_DIGITS digits is an InputError."""
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError as exc:   # past the int-to-str limit
+        raise _past_digits() from exc
 
 
 def fmt_ratio(num: int, den: int) -> str:
     """fmt(Fraction(num, den)) for den > 0, without building the Fraction."""
     g = gcd(num, den)
-    return f"{num // g}/{den // g}"
+    try:
+        return f"{num // g}/{den // g}"
+    except ValueError as exc:
+        raise _past_digits() from exc
+
+
+def _past_digits() -> InputError:
+    return InputError(f"a number of the report would print past the "
+                      f"{MAX_DIGITS}-digit limit")
 
 
 def to_ints(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:

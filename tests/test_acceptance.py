@@ -37,8 +37,6 @@ from evslib import (
     is_basis,
     leq_metrics,
     orderly_independent_set,
-    replay_certificate,
-    replay_counterexample,
     scale_metric,
     shrinking_metric,
     symmetric_grid_carrier,
@@ -60,6 +58,7 @@ from evslib.metrics import random_metric
 from evslib.norms import norm_family_instance
 import reference
 from reference import rows
+from replay import replay_certificate, replay_counterexample
 
 F = Fraction
 

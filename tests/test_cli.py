@@ -307,7 +307,7 @@ def test_transform_agrees_with_the_reference_model(data):
         if kind == "bounded" and undefined:
             i, j = undefined[0]
             assert (code, out, json.loads(err)) == (2, "", {
-                "error": f"transform bounded-of is undefined on the entry "
+                "error": f"transform bounded is undefined on the entry "
                          f"-1/1 at ({labels[i]}, {labels[j]})"})
             return
         image = reference.transformed(
@@ -389,7 +389,7 @@ def test_bounded_transform_of_minus_one_names_the_pair(capsys, tmp_path):
         "labels": ["a", "b"], "rows": [["0", "-1"], ["-1", "0"]]})
     code, out, err = run(capsys, "transform", "--bounded", path)
     assert (code, out) == (2, None)
-    assert json.loads(err) == {"error": "transform bounded-of is undefined "
+    assert json.loads(err) == {"error": "transform bounded is undefined "
                                         "on the entry -1/1 at (a, b)"}
 
 
@@ -407,7 +407,7 @@ def test_builtin_bad_params_exit_two(capsys):
 
 def test_builtin_depth_past_the_limit_exits_two(capsys, tmp_path,
                                                 monkeypatch):
-    def materialize(self, depth, carrier=None):
+    def materialize(self, depth):
         raise AssertionError(f"materialized at depth {depth}")
     monkeypatch.setattr(LazyMetric, "materialize", materialize)
     depth = MAX_BUILTIN_DEPTH + 1
@@ -674,8 +674,8 @@ def test_validate_triangle_sum_at_the_digit_limit(capsys, tmp_path, p, q,
         report = write_json(tmp_path / "r.json", doc)
         assert run(capsys, "--replay", report)[1]["match"] is True
         return
-    error = {"error": "the violated triangle's sum d(i,j) + d(j,k) would "
-                      f"print past the {MAX_DIGITS}-digit limit"}
+    error = {"error": "a number of the report would print past the "
+                      f"{MAX_DIGITS}-digit limit"}
     assert (code, doc, json.loads(err)) == (2, None, error)
 
 
@@ -1323,20 +1323,21 @@ def test_over_long_json_integer_is_input_error(capsys, tmp_path, name):
         f"malformed JSON in {path}: Exceeds the limit (4300 digits)")
 
 
-def test_internal_fault_exits_three(capsys, tmp_path):
-    """A report that cannot be printed (its ratio's numerator is longer than
-    Python's int-to-str digit limit) is an internal fault: exit 3 with a
-    JSON error on stderr and no report, not a traceback and exit 1."""
-    p = write_json(tmp_path / "p.json",
-                   {"depth": 12, "subsetC": ["h0"], "gamma": "1001/1000"})
-    q = write_json(tmp_path / "q.json",
-                   {"depth": 12, "subsetC": ["h2"], "gamma": "1001/1000"})
-    code, out, err = run(capsys, "norms", "witness", "--spec", p, "--spec", q,
-                         "--eps", "1e-10")
+def test_internal_fault_exits_three(capsys, monkeypatch):
+    """A fault of the program itself, here a handler that raises, is an
+    internal fault: exit 3 with a JSON error on stderr and no report, not a
+    traceback and exit 1."""
+    from evslib import cli
+
+    def fault(inputs):
+        raise RuntimeError("a handler fault")
+    monkeypatch.setitem(cli._HANDLERS, "norms-partition", fault)
+    code, out, err = run(capsys, "norms", "partition", "--depth", "4")
     assert (code, out) == (3, None)
     doc = json.loads(err)
     assert doc["internal"] is True
-    assert doc["error"].startswith("ValueError")
+    assert doc["error"] == "RuntimeError: a handler fault"
+    assert doc["traceback"].startswith("Traceback")
 
 
 def evs_process(*argv, stdout):
@@ -1422,37 +1423,129 @@ def test_decay_power_past_the_bit_budget_is_input_error(capsys, tmp_path):
         "ratio denominator could pass the budget of 1048576 bits")
 
 
-# file contents (by name) and the argv that reads them; each input is
-# malformed in its JSON shape or out of range
+# file contents (by name), the argv that reads them, and the error it exits
+# 2 with; each input is malformed in its JSON shape or out of range, or the
+# argv asks for what the command does not take
+SPEC_DOC = {"depth": 12, "subsetC": ["h0"], "gamma": "2"}
+GAMMA_NEAR_ONE = {**SPEC_DOC, "gamma": "1001/1000"}
+PRINT_LIMIT = ("a number of the report would print past the "
+               f"{MAX_DIGITS}-digit limit")
+CONE_UNIVERSE = {"instance": "cone", "dim": 2,
+                 "elements": [{"r": "1", "v": ["0", "1"]}]}
 MALFORMED_INPUTS = {
     "manifest-elements-int": (
         {"u.json": {"instance": "metrics", "elements": 5}},
-        ["order", "feasible", "--universe", "u.json", "--x", "u.json"]),
+        ["order", "feasible", "--universe", "u.json", "--x", "u.json"],
+        'universe manifest "elements" must list file names'),
     "manifest-elements-int-list": (
         {"u.json": {"instance": "metrics", "elements": [5]}},
-        ["order", "feasible", "--universe", "u.json", "--x", "u.json"]),
+        ["order", "feasible", "--universe", "u.json", "--x", "u.json"],
+        'universe manifest "elements" must list file names'),
+    "manifest-no-instance": (
+        {"u.json": {"elements": []}},
+        ["order", "indep", "--universe", "u.json"],
+        'universe manifest needs "instance" and "elements"'),
+    "manifest-no-elements": (
+        {"u.json": {"instance": "cone"}},
+        ["order", "indep", "--universe", "u.json"],
+        'universe manifest needs "instance" and "elements"'),
+    "manifest-unknown-instance": (
+        {"u.json": {"instance": "bogus", "elements": ["x.json"]},
+         "x.json": {}},
+        ["order", "indep", "--universe", "u.json"],
+        "unknown universe instance 'bogus'"),
     "eval-weights-list": (
         {"w.json": [1, 2], "v.json": {"h0": "1"}},
-        ["norms", "eval", "--weights", "w.json", "--vector", "v.json"]),
+        ["norms", "eval", "--weights", "w.json", "--vector", "v.json"],
+        "a weight map is an object of weights"),
     "embed-weights-list": (
         {"w.json": [1, 2], "p.json": [{"h0": "1"}, {"h1": "1"}]},
-        ["norms", "embed", "--weights", "w.json", "--points", "p.json"]),
+        ["norms", "embed", "--weights", "w.json", "--points", "p.json"],
+        "a weight map is an object of weights"),
+    "embed-points-object": (
+        {"w.json": {"h0": "1"}, "p.json": {"h0": "1"}},
+        ["norms", "embed", "--weights", "w.json", "--points", "p.json"],
+        "embed points must be a list of vectors"),
     "eval-vector-list": (
         {"w.json": {"h0": "1"}, "v.json": [1, 2]},
-        ["norms", "eval", "--weights", "w.json", "--vector", "v.json"]),
+        ["norms", "eval", "--weights", "w.json", "--vector", "v.json"],
+        "a vector is an object of coordinates"),
+    "eval-spec-and-weights": (
+        {"p.json": SPEC_DOC, "w.json": {"h0": "1"}, "v.json": {"h0": "1"}},
+        ["norms", "eval", "--spec", "p.json", "--weights", "w.json",
+         "--vector", "v.json"],
+        "give exactly one of --spec / --weights"),
+    "eval-neither-spec-nor-weights": (
+        {"v.json": {"h0": "1"}},
+        ["norms", "eval", "--vector", "v.json"],
+        "give exactly one of --spec / --weights"),
+    "witness-one-spec": (
+        {"p.json": SPEC_DOC},
+        ["norms", "witness", "--spec", "p.json", "--eps", "1/2"],
+        "witness needs exactly two --spec files"),
     "builtin-points-list": (
         {"p.json": [1, 2]},
         ["builtin", "cauchy-dn", "--n", "2", "--points", "p.json",
-         "--depth", "2"]),
+         "--depth", "2"],
+        "plane point must be a list of rationals"),
+    "partial-compare-depths": (
+        {},
+        ["partial-compare", "--first", "discrete", "--second", "shrinking",
+         "--depths", "1,x"],
+        "bad depth list '1,x'"),
+    "partial-compare-spec-parameter": (
+        {},
+        ["partial-compare", "--first", "usual-grid:step", "--second",
+         "discrete", "--depths", "3"],
+        "bad parameter 'step' in spec 'usual-grid:step'"),
     "cauchy-demo-pairs-list": (
         {"p.json": [1, 2]},
-        ["cauchy-demo", "--indices", "10,20", "--pairs", "p.json"]),
+        ["cauchy-demo", "--indices", "10,20", "--pairs", "p.json"],
+        "plane points must be a list of [u, v] points"),
     "axioms-cone-dim-0": (
         {}, ["axioms", "--instance", "cone", "--seed", "0", "--sample", "4",
-             "--dim", "0"]),
+             "--dim", "0"],
+        "dimension must be at least 1, not 0"),
     "axioms-hyperspace-dim-0": (
         {}, ["axioms", "--instance", "hyperspace", "--seed", "0",
-             "--sample", "4", "--dim", "0"]),
+             "--sample", "4", "--dim", "0"],
+        "dimension must be at least 1, not 0"),
+    # the report would print a number past MAX_DIGITS digits: a norm value
+    # gamma^90000, a sum of tables with a 6,001-digit denominator, and the
+    # ratio at the decay index 23,038
+    "print-limit-norms-eval": (
+        {"p.json": GAMMA_NEAR_ONE, "v.json": {"d(h0,90000)": "1"}},
+        ["norms", "eval", "--spec", "p.json", "--vector", "v.json"],
+        PRINT_LIMIT),
+    "print-limit-combine-add": (
+        {name: {"labels": ["a", "b"], "rows": [
+            ["0", f"1/{NEAR + k}"], [f"1/{NEAR + k}", "0"]]}
+         for name, k in (("a.json", 1), ("b.json", 3))},
+        ["combine", "a.json", "--add", "b.json"],
+        PRINT_LIMIT),
+    "print-limit-norms-witness": (
+        {"p.json": GAMMA_NEAR_ONE,
+         "q.json": {**GAMMA_NEAR_ONE, "subsetC": ["h2"]}},
+        ["norms", "witness", "--spec", "p.json", "--spec", "q.json",
+         "--eps", "1e-10"],
+        PRINT_LIMIT),
+    "replay-no-file": (
+        {}, ["--replay"], "--replay takes exactly one report file"),
+    "replay-two-files": (
+        {"r.json": {}}, ["--replay", "r.json", "r.json"],
+        "--replay takes exactly one report file"),
+    "replay-no-command": (
+        {"r.json": {"inputs": {}, "report": {}}}, ["--replay", "r.json"],
+        "not a replayable report (missing command/report)"),
+    "replay-no-report": (
+        {"r.json": {"command": "validate", "inputs": {}}},
+        ["--replay", "r.json"],
+        "not a replayable report (missing command/report)"),
+    "replay-order-action": (
+        {"r.json": {"command": "order", "report": {}, "inputs": {
+            "action": "bogus", "universe": CONE_UNIVERSE}}},
+        ["--replay", "r.json"],
+        "unknown order action 'bogus'"),
 }
 
 
@@ -1512,13 +1605,52 @@ def test_integer_universe_field_is_read(capsys, tmp_path, kind):
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
 def test_malformed_input_file_is_input_error(capsys, tmp_path, name):
-    files, argv = MALFORMED_INPUTS[name]
+    files, argv, error = MALFORMED_INPUTS[name]
     for file_name, doc in files.items():
         write_json(tmp_path / file_name, doc)
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, None)
-    assert "internal" not in json.loads(err)
+    assert (code, out, json.loads(err)) == (2, None, {"error": error})
+
+
+def argparse_run(argv):
+    """The exit code and stderr of the parser tree's parse of argv, or its
+    namespace where it does not exit."""
+    from evslib import cli
+
+    err = StringIO()
+    with redirect_stderr(err):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, err.getvalue()
+
+
+def test_a_switch_given_a_value_exits_two_as_argparse_does(capsys):
+    """The argument table reads no value of a switch, and leaves the argv
+    to the parser tree, which refuses it."""
+    from evslib import cli
+
+    argv = ["transform", "--bounded=1", "m.json"]
+    assert cli._read_args(argv) is None
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert (2, err) == argparse_run(argv)
+    assert err.endswith("error: argument --bounded: ignored explicit "
+                        "argument '1'\n")
+
+
+def test_a_repeated_option_is_read_as_argparse_reads_it(capsys):
+    """The argument table reads a single-valued option once; given twice,
+    the argv goes to the parser tree, where the last value holds."""
+    from evslib import cli
+
+    argv = ["builtin", "discrete", "--depth", "3", "--depth", "4"]
+    assert cli._read_args(argv) is None
+    assert argparse_run(argv) == argparse_run(argv[:2] + argv[4:])
+    assert run(capsys, *argv) == run(capsys, *argv[:2], *argv[4:])
 
 
 # ---------------------------------------------------------------------------

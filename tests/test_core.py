@@ -11,7 +11,6 @@ from evslib import (
     InputError,
     check_axioms,
     minimal_elements,
-    replay_counterexample,
 )
 from evslib.instances import (
     build_instance,
@@ -26,6 +25,7 @@ from evslib.instances import (
 )
 from evslib.metrics import builtin_metric, scale_metric
 from evslib.rationals import fmt
+from replay import replay_counterexample
 
 F = Fraction
 

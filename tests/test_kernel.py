@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evslib import (InputError, MetricMatrix, check_axioms, instances,
-                    metrics, replay_counterexample, validate_metric)
+                    metrics, validate_metric)
 from evslib.cli import main
 from evslib.instances import (
     build_instance,
@@ -27,6 +27,7 @@ from evslib.instances import (
 )
 from evslib.rationals import fmt, to_fractions, to_ints
 import reference
+from replay import replay_counterexample
 
 WIDTH = 5
 
@@ -113,7 +114,9 @@ WRONG_WIDTH = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(WRONG_WIDTH))
+# no command reads a norm value table, so that instance has no loader;
+# the replays of the tests read one with replay.read_norm_table
+@pytest.mark.parametrize("name", sorted(set(WRONG_WIDTH) - {"norms"}))
 def test_width_mismatch_is_input_error(name):
     # a 6-point carrier (21 wide), 18 norm probes, dimension 2
     inst, sample, _ = build_instance(name, carrier=6, depth=12, dim=2,

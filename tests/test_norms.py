@@ -372,9 +372,17 @@ def test_decay_index_search_matches_the_loop():
         assert _smallest_decay_index(base, eps) == _decay_index_by_loop(base, eps)
 
 
+def lift_decay_limits(monkeypatch, index: int = 10 ** 6) -> None:
+    """Let the decay-index search reach `index`, past its fiber-index
+    limit and its budget of denominator bits."""
+    monkeypatch.setattr(norms, "MAX_PARTITION_DEPTH", index)
+    monkeypatch.setattr(norms, "MAX_DECAY_BITS", 1 << 40)
+
+
 @pytest.mark.parametrize("exponent, index", [(10, 23038), (30, 69113),
                                              (60, 138225)])
-def test_decay_index_near_one_at_tiny_epsilon(exponent, index):
+def test_decay_index_near_one_at_tiny_epsilon(monkeypatch, exponent, index):
+    lift_decay_limits(monkeypatch)
     base, eps = F(1000, 1001), F(1, 10 ** exponent)
     i, ratio = _smallest_decay_index(base, eps)
     assert i == index
@@ -410,12 +418,14 @@ def test_decay_index_search_survives_a_bad_estimate(monkeypatch, estimate):
 
 
 @pytest.mark.parametrize("exponent, index", [(10, 23038), (60, 138225)])
-def test_decay_index_limit_admits_the_answer_and_nothing_past_it(exponent,
-                                                                 index):
+def test_decay_index_limit_admits_the_answer_and_nothing_past_it(
+        monkeypatch, exponent, index):
     base, eps = F(1000, 1001), F(1, 10 ** exponent)
-    assert _smallest_decay_index(base, eps, index) == (index, base ** index)
-    with pytest.raises(InputError, match="fiber-index limit of"):
-        _smallest_decay_index(base, eps, index - 1)
+    lift_decay_limits(monkeypatch, index)
+    assert _smallest_decay_index(base, eps) == (index, base ** index)
+    lift_decay_limits(monkeypatch, index - 1)
+    with pytest.raises(InputError, match=f"fiber-index limit of {index - 1}"):
+        _smallest_decay_index(base, eps)
 
 
 @pytest.mark.parametrize("base, eps", [
@@ -428,15 +438,15 @@ def test_decay_index_far_past_the_limit_builds_no_power(monkeypatch, base,
                                                         eps):
     monkeypatch.setattr(Fraction, "__pow__", None)
     with pytest.raises(InputError, match="fiber-index limit of 100000"):
-        _smallest_decay_index(base, eps, 100_000)
+        _smallest_decay_index(base, eps)
 
 
 def test_decay_index_limit_bounds_a_search_from_one(monkeypatch):
     monkeypatch.setattr(norms, "_decay_index_estimate", lambda a, b, e, f: 1)
     base = F(1000, 1001)
     with pytest.raises(InputError, match="fiber-index limit of 100000"):
-        _smallest_decay_index(base, F(1, 10 ** 60), 100_000)
-    assert _smallest_decay_index(base, F(1, 10 ** 30), 100_000) == (
+        _smallest_decay_index(base, F(1, 10 ** 60))
+    assert _smallest_decay_index(base, F(1, 10 ** 30)) == (
         69113, base ** 69113)
 
 

@@ -22,7 +22,6 @@ from evslib import (
     in_l,
     is_basis,
     orderly_independent_set,
-    replay_certificate,
     scale_metric,
     transform_bounded,
     transform_min,
@@ -38,6 +37,7 @@ from evslib.instances import (
 from evslib.metrics import random_metric
 from evslib.norms import norm_family_instance
 from reference import rows
+from replay import replay_certificate
 from test_order_pins import run_job, write_inputs
 
 F = Fraction

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evslib import check_axioms, replay_counterexample
-from evslib.core import LAWS
+from evslib import check_axioms
 from evslib.instances import (
     carrier_labels,
     cone_element,
@@ -24,6 +23,7 @@ from evslib.instances import (
 from evslib.norms import FSVector, norm_table_instance
 from evslib.packed import packed_layout
 from evslib.rationals import fmt, to_ints
+from replay import LAWS, replay_counterexample
 
 DIM = 2
 LABELS = carrier_labels(3)

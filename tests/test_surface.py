@@ -147,14 +147,6 @@ DESELECTED = "not reference_model and not to_json_prints"
 
 # functions that no scanned command enters, each kept for the reason given
 UNENTERED = {
-    "core.replay_counterexample": "a replay oracle of the verifier's "
-    "counterexamples; `evs --replay` re-runs the command instead",
-    "order.replay_certificate": "a replay oracle of positive in-l "
-    "certificates; `evs --replay` re-runs the command instead",
-    "norms.norm_table_instance.<locals>.from_json": "reads an element "
-    "back for replay_counterexample only",
-    "metrics.MetricMatrix.__eq__": "table equality, for tests",
-    "norms.NormFamilyParams.__eq__": "spec equality, for tests",
     "norms.FSVector.zero": "FSVector.scale returns it for a zero factor, "
     "which no command passes",
     "instances._abs_scale": "the unpacked scale of the metric instances; "
