@@ -274,8 +274,6 @@ def _cone_lsolve(x, z, primitives):
             if any(tc != 0 for tc in target):
                 continue
             alpha = s / r
-            if alpha == 0:
-                continue
         if alpha != 0 and abs(alpha) * r <= s:
             return alpha, p
     return None

@@ -25,7 +25,6 @@ from __future__ import annotations
 import csv
 import io
 from fractions import Fraction
-from functools import partial
 from itertools import chain, combinations, count, islice, repeat
 from json.encoder import encode_basestring_ascii
 from math import gcd
@@ -75,45 +74,34 @@ class MetricMatrix:
     @classmethod
     def from_rows(cls, labels: Sequence[str], rows: Sequence[Sequence]) -> "MetricMatrix":
         """Parse raw rows with rationals._ratio; the upper triangle goes
-        over one common denominator and is reduced once.
+        over one common denominator and is reduced once. Errors come as a
+        parse of every entry in row order, then the shape check, then the
+        symmetry check would raise them.
 
         A nonempty square list of lists that equals its transpose, with
         every entry a str or an int, reads only its upper triangle,
-        diagonal included (_upper_form): each distinct entry once, in
-        order of first occurrence in row order, when at most half of the
-        entries are distinct, and every entry in row order otherwise.
-        Any other table is parsed by the loop below, in row order: every
-        entry from the diagonal on, and each entry left of it unless it
-        repeats the raw entry above it in type and value; such a mirror
-        spelled otherwise is kept for the symmetry check, and only this
-        loop names non-list rows and asymmetry. Either way errors come as
-        a parse of every entry in row order, then the shape check, then
-        the symmetry check would raise them."""
+        diagonal included, by the rule of _per_value. Any other table
+        reads every entry in row order, stopping at the first row that is
+        neither a list nor a tuple, and compares each entry below the
+        diagonal with its mirror by value."""
         upper = _mirrored_upper(rows)
         if upper is not None:
-            form = _upper_form(upper)
-            return cls(_carrier(labels, rows), form)
-        nums, dens, lower = [], [], []
-        for i, row in enumerate(rows):
+            keys, expand = _per_value(upper)
+            nums, den = _read_form(keys)
+            return cls(_carrier(labels, rows), (expand(nums), den))
+        parsed = []
+        for row in rows:
             if not isinstance(row, (list, tuple)):
                 raise InputError("matrix row must be a list of rationals")
-            for j, v in enumerate(row[:i]):
-                up = rows[j]
-                if not (i < len(up) and type(up[i]) is type(v)
-                        and up[i] == v):
-                    lower.append((i, j, *_ratio(v)))
-            for v in row[i:]:
-                p, q = _ratio(v)
-                nums.append(p)
-                dens.append(q)
-        labels = _carrier(labels, rows)
-        n = len(labels)
-        for i, j, p, q in lower:
-            k = j * n - j * (j - 1) // 2 + i - j   # (j, i) in the triangle
-            if p * dens[k] != nums[k] * q:
-                raise InputError(
-                    f"matrix is not symmetric at ({labels[i]}, {labels[j]})")
-        return cls(labels, ratios_to_ints(nums, dens))
+            parsed.append(list(map(_ratio, row)))
+        labels = _carrier(labels, parsed)
+        for i, row in enumerate(parsed):
+            for j, (p, q) in enumerate(row[:i]):
+                r, s = parsed[j][i]
+                if p * s != r * q:
+                    raise InputError(
+                        f"matrix is not symmetric at ({labels[i]}, {labels[j]})")
+        return cls(labels, ratios_to_ints(*zip(*_triangle(parsed))))
 
     @classmethod
     def zero(cls, labels: Sequence[str]) -> "MetricMatrix":
@@ -214,30 +202,29 @@ def _triangle(rows) -> list:
     return list(chain.from_iterable(map(islice, rows, count(), repeat(None))))
 
 
-def _upper_form(upper: list) -> tuple:
-    """The integer form of a table's upper entries (see from_rows). The
-    distinct values have the form's common denominator and reduction, so
-    each is read once and looked up per entry. Where most entries are
-    distinct, a lookup costs more than the repeats save."""
-    distinct = list(dict.fromkeys(upper))
-    if 2 * len(distinct) > len(upper):
-        return _read_form(upper)
-    nums, den = _read_form(distinct)
-    over = dict(zip(distinct, nums))
-    return tuple(map(over.__getitem__, upper)), den
+def _per_value(values: Sequence) -> tuple:
+    """(keys, expand): a function of the entries of `values` is run on
+    `keys`, one result per key, and expand turns those results into one
+    per entry, in order, as a tuple. Where at most half of the entries
+    are distinct, keys are the distinct entries in order of first
+    occurrence, so a reader that raises names the first bad entry, and
+    expand looks each entry up; otherwise a lookup costs more than the
+    repeats save, and keys are the entries themselves. Equal entries share
+    a result, so the entries must be of types whose equal values read
+    alike: ints, or the str and int entries of from_rows."""
+    distinct = list(dict.fromkeys(values))
+    if 2 * len(distinct) > len(values):
+        return values, tuple
+    return distinct, lambda results: tuple(
+        map(dict(zip(distinct, results)).__getitem__, values))
 
 
-def _entry_text(form: tuple, template: str) -> list:
+def _entry_text(form: tuple, template: str) -> tuple:
     """template.format(p, q) of every entry p/q of a form, in lowest terms,
-    in order: for each distinct value once, and looked up per entry, where
-    at most half of the entries are distinct (the rule of _per_value)."""
+    in order, by the rule of _per_value."""
     nums, den = form
-    distinct = set(nums)
-    if 2 * len(distinct) > len(nums):
-        return _formatted(nums, den, template)
-    distinct = list(distinct)
-    over = dict(zip(distinct, _formatted(distinct, den, template)))
-    return list(map(over.__getitem__, nums))
+    keys, expand = _per_value(nums)
+    return expand(_formatted(keys, den, template))
 
 
 def _formatted(nums: Sequence[int], den: int, template: str) -> list:
@@ -249,18 +236,6 @@ def _formatted(nums: Sequence[int], den: int, template: str) -> list:
                         map(floordiv, repeat(den), gs)))
     except ValueError as exc:   # past the int-to-str limit
         raise _past_digits() from exc
-
-
-def _per_value(f, values: Sequence, *args):
-    """A function that maps f(v, *args) over a sequence of entries of
-    `values`. Where at most half of `values` are distinct, it looks each
-    up in a table that ran f once per distinct value; otherwise it runs f
-    on every entry (the rule of _upper_form)."""
-    distinct = set(values)
-    if 2 * len(distinct) > len(values):
-        return lambda seq: map(f, seq, *map(repeat, args))
-    table = dict(zip(distinct, map(f, distinct, *map(repeat, args))))
-    return partial(map, table.__getitem__)
 
 
 def _read_form(entries: list) -> tuple:
@@ -399,36 +374,24 @@ def _packed_triangle(rows: list, s: int, size: int,
     d(i,k) - d(j,k) - d(i,j) - 1 + 2^s, which lies in [0, 2^(s+1)), so no
     carry or borrow crosses a field, and its bit s is set exactly when
     (i, j, k) violates. The lowest set bit of the masked value gives the
-    least such k. Row 0 meets every other row first, and each row is
-    packed when it does, so a table that fails there packs no row past
-    the failing one. The fields are encoded with _per_value over `values`,
-    the table's upper entries."""
+    least such k. The fields are encoded from `values`, the table's upper
+    entries, by the rule of _per_value, and mirrored; every row is packed
+    once before the first pair is met."""
     n = len(rows)
     ones = int.from_bytes((1).to_bytes(size, "little") * n, "little")
     top = ones << s
     lift = (1 << s) - 1
-    fields = _per_value(int.to_bytes, values, size, "little")
-
-    def pack(row):
-        return int.from_bytes(b"".join(fields(row)), "little")
-
-    def triple(i, j, hit):
-        return i, j, ((hit & -hit).bit_length() - 1) // (8 * size)
-
-    r0 = rows[0]
-    packed = [p0 := pack(r0)]
-    for j in range(1, n):
-        packed.append(pj := pack(rows[j]))
-        hit = (p0 + (lift - r0[j]) * ones - pj) & top
-        if hit:
-            return triple(0, j, hit)
-    for i in range(1, n):
-        ri, pi = rows[i], packed[i]
+    keys, expand = _per_value(values)
+    fields = expand(list(map(int.to_bytes, keys, repeat(size),
+                             repeat("little"))))
+    packed = [int.from_bytes(b"".join(row), "little")
+              for row in _mirror(fields, n)]
+    for i, (ri, pi) in enumerate(zip(rows, packed)):
         for j, pj in enumerate(packed):
             if j != i:
                 hit = (pi + (lift - ri[j]) * ones - pj) & top
                 if hit:
-                    return triple(i, j, hit)
+                    return i, j, ((hit & -hit).bit_length() - 1) // (8 * size)
     return None
 
 
@@ -1092,11 +1055,9 @@ def cauchy_incompleteness_demo(ns: Sequence[int],
         })
     bound_ok = all(check["holds"] for check in checks)
 
-    labels = tuple(f"({fmt(p[0])},{fmt(p[1])})" for p in points)
-    limit_rows = tuple(
-        tuple(abs(p[0] - q[0]) for q in points) for p in points
-    )
-    limit = MetricMatrix.from_rows(labels, limit_rows)
+    labels = [f"({fmt(p[0])},{fmt(p[1])})" for p in points]
+    limit = _from_upper(labels, [[abs(p[0] - q[0]) for q in points[i:]]
+                                 for i, p in enumerate(points)])
     verdict = validate_metric(limit)
 
     return {

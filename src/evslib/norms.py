@@ -71,24 +71,11 @@ class FSVector:
     def unit(cls, name: str) -> "FSVector":
         return cls(((name, ONE),))
 
-    @classmethod
-    def zero(cls) -> "FSVector":
-        return cls(())
-
-    def add(self, other: "FSVector") -> "FSVector":
+    def sub(self, other: "FSVector") -> "FSVector":
         acc = dict(self.coords)
         for n, v in other.coords:
-            acc[n] = acc.get(n, ZERO) + v
+            acc[n] = acc.get(n, ZERO) - v
         return FSVector.from_dict(acc)
-
-    def sub(self, other: "FSVector") -> "FSVector":
-        return self.add(other.scale(Fraction(-1)))
-
-    def scale(self, factor: Fraction) -> "FSVector":
-        factor = parse_rational(factor)
-        if factor == 0:
-            return FSVector.zero()
-        return FSVector(tuple((n, factor * v) for n, v in self.coords))
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +100,9 @@ Tag = tuple  # ("B", t) | ("D", t, i) | ("E", t, i)
 MAX_PARTITION_DEPTH = 100_000
 
 #: The most bits in the denominator of a power of the ratio base that the
-#: decay-index search builds: its cost grows with their number, which is
-#: at most the index times the bits of the base's denominator.
+#: decay-index search builds, and in the wider part of a fiber weight:
+#: their cost grows with that number, which is at most the index times the
+#: bits of the base's denominator or of gamma's numerator.
 MAX_DECAY_BITS = 1 << 20
 
 
@@ -259,11 +247,20 @@ class NormFamilyParams:
         }
 
     def weight_of_tag(self, tag: Tag) -> Fraction:
+        """gamma^i on d(t,i) and gamma^-i on e(t,i) for t in C, else 1.
+        The power is an InputError before it is built where its wider part
+        could pass MAX_DECAY_BITS bits: its cost grows with i times the
+        bits of gamma's numerator, the wider part as gamma > 1."""
         if tag[0] == "B":
             return ONE
         _, t, i = tag
         if t not in self.subset_c:
             return ONE
+        bits = self.gamma.numerator.bit_length()
+        if i * bits > MAX_DECAY_BITS:
+            raise InputError(f"the weight of fiber index {i} is a power of "
+                             f"the {bits}-bit gamma that could pass the "
+                             f"budget of {MAX_DECAY_BITS} bits")
         return self.gamma ** i if tag[0] == "D" else self.gamma ** -i
 
 

@@ -7,6 +7,7 @@ weight, base and factor, a carrier's kind, step and points, and a table's
 labels and printed rows. It places the carrier points itself and never
 calls the library's carrier prefix, family table, table builder, order or
 triangle check, so a fault in any of those shows as a disagreement with it.
+Of the norm family it models the least decay index of a witness.
 """
 
 from fractions import Fraction
@@ -105,6 +106,15 @@ def spectrum(d: tuple, rho: tuple) -> Fraction:
     candidates = {Fraction(0)} | {rho[i][j] / d[i][j]
                                   for i, j in combinations(range(len(d)), 2)}
     return max(lam for lam in candidates if below(lam, d, rho))
+
+
+def least_decay_index(base: Fraction, eps: Fraction) -> tuple:
+    """The least i >= 1 with base^i < eps, for 0 < base < 1, and base^i,
+    trying each i in turn."""
+    i, ratio = 1, base
+    while ratio >= eps:
+        i, ratio = i + 1, ratio * base
+    return i, ratio
 
 
 def text(v: Fraction) -> str:

@@ -280,7 +280,7 @@ def test_criterion_10_embedding_is_order_morphism():
             )
 
         def rnd_points(count=5):
-            pts = [FSVector.zero()]
+            pts = [FSVector(())]
             while len(pts) < count:
                 cand = FSVector.from_dict({
                     n: F(rng.randint(-5, 5), rng.choice((1, 2)))

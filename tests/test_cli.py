@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
@@ -1421,6 +1422,81 @@ def test_decay_power_past_the_bit_budget_is_input_error(capsys, tmp_path):
     assert json.loads(err)["error"] == (
         "the decay index exceeds 788, past which a power of the 1329-bit "
         "ratio denominator could pass the budget of 1048576 bits")
+
+
+BIG_GAMMA = f"{10 ** 100 + 1}/{10 ** 100}"   # a 333-bit numerator
+
+
+@pytest.mark.parametrize("vector", [{"d(h0,100000)": "1"},
+                                    {"h0": "1", "e(h0,100000)": "1"}])
+def test_fiber_weight_past_the_bit_budget_is_input_error(capsys, tmp_path,
+                                                         vector):
+    """gamma^100000 and gamma^-100000 of a 333-bit gamma could have 33
+    million bits: `norms eval` exits 2 before it builds either, within a
+    second, also where the weighted coordinate is not the maximum."""
+    spec = write_json(tmp_path / "p.json",
+                      {"depth": 12, "subsetC": ["h0"], "gamma": BIG_GAMMA})
+    vec = write_json(tmp_path / "v.json", vector)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "norms", "eval", "--spec", spec,
+                         "--vector", vec)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, None)
+    assert json.loads(err)["error"] == (
+        "the weight of fiber index 100000 is a power of the 333-bit gamma "
+        "that could pass the budget of 1048576 bits")
+
+
+@pytest.mark.parametrize("gamma, index, code", [
+    ("1001/1000", 100000, 0),                  # 10 bits: within the budget
+    ("65535/65534", 1 << 16, 0),               # 16 bits: at the budget
+    ("65535/65534", (1 << 16) + 1, 2),         # one index past it
+])
+def test_fiber_weight_budget_admits_what_it_bounds(capsys, tmp_path, gamma,
+                                                   index, code):
+    spec = write_json(tmp_path / "p.json",
+                      {"depth": 12, "subsetC": ["h0"], "gamma": gamma})
+    vec = write_json(tmp_path / "v.json",
+                     {"h0": "1", f"e(h0,{index})": "1"})
+    got, out, err = run(capsys, "norms", "eval", "--spec", spec,
+                        "--vector", vec)
+    assert got == code
+    if code == 0:
+        assert (out["report"], err) == ({"value": "1/1"}, "")
+
+
+@pytest.mark.parametrize("move", [1, 2, 70, -1, -2, -70, "far-above",
+                                  "far-below"])
+@pytest.mark.parametrize("gamma, eps", [("3", "1/2"), ("2", "1e-6"),
+                                        ("11/10", "3/7"), ("101/100", "1e-3")])
+def test_witness_search_recovers_from_a_wrong_estimate(
+        capsys, tmp_path, monkeypatch, gamma, eps, move):
+    """With the float estimate of the decay index moved off the answer,
+    `norms witness` gallops, bisects and, more than 64 below its start,
+    recomputes the powers, and still reports the least index and its
+    ratio."""
+    estimate = norms._decay_index_estimate
+
+    def moved(a, b, e, f):
+        i = estimate(a, b, e, f)
+        if move == "far-above":
+            return 40 * i + 500
+        return 1 if move == "far-below" else max(1, i + move)
+
+    monkeypatch.setattr(norms, "_decay_index_estimate", moved)
+    p = write_json(tmp_path / "p.json",
+                   {"depth": 12, "subsetC": ["h0"], "gamma": gamma})
+    q = write_json(tmp_path / "q.json",
+                   {"depth": 12, "subsetC": ["h2"], "gamma": gamma})
+    code, out, err = run(capsys, "norms", "witness", "--spec", p, "--spec", q,
+                         "--eps", eps)
+    index, ratio = reference.least_decay_index(1 / Fraction(gamma),
+                                               Fraction(eps))
+    assert (code, err) == (0, "")
+    for key in ("firstRelativeToSecond", "secondRelativeToFirst"):
+        direction = out["report"][key]
+        assert (direction["index"], direction["ratioAtIndex"]) == \
+            (index, reference.text(ratio))
 
 
 # file contents (by name), the argv that reads them, and the error it exits

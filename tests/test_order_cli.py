@@ -267,3 +267,82 @@ def test_feasible_on_a_hyperspace_universe_takes_the_subsets(dim, data):
         saved.write_text(out, encoding="utf-8")
         code, replayed, err = cli("--replay", str(saved))
         assert (code, json.loads(replayed)["match"], err) == (0, True, "")
+
+
+@st.composite
+def cone_in_l_cases(draw):
+    """(dim, x, z, elements) of cone elements (r, v) as Fractions: x has r
+    = 0 or v = 0, the two cases a membership search refuses or solves
+    from the radii alone; z is nonzero, and now and then the universe
+    holds the primitive (0, w) of z = (s, w)."""
+    dim = draw(st.integers(1, 3))
+    vector = st.tuples(*[COORDINATES] * dim)
+    radius = st.builds(Fraction, st.integers(0, 3), st.integers(1, 3))
+    zero = (Fraction(0),) * dim
+    if draw(st.booleans()):
+        x = (Fraction(0), draw(vector.filter(any)))
+    else:
+        x = (draw(radius.filter(bool)), zero)
+    nonzero = st.tuples(radius, vector).filter(lambda e: e[0] or any(e[1]))
+    z = draw(nonzero)
+    elements = draw(st.lists(nonzero, min_size=1, max_size=3))
+    if any(z[1]) and draw(st.booleans()):
+        elements.append((Fraction(0), z[1]))
+    return dim, x, z, elements
+
+
+def cone_doc(element) -> dict:
+    r, v = element
+    return {"r": reference.text(r), "v": [reference.text(c) for c in v]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(cone_in_l_cases())
+def test_in_l_on_a_cone_universe_solves_from_the_radii(case):
+    """For x = (r, v) with r = 0 no alpha != 0 scales x under z, so the
+    search finds no witness. For v = 0, z = (s, w) >= alpha*x + p pins
+    the primitive p = (0, w), which the candidates hold when w = 0 (the
+    zero element) or the universe lists it, and alpha = s/r, which is a
+    certificate when s > 0."""
+    dim, x, z, elements = case
+    (r, v), (s, w) = x, z
+    with tempfile.TemporaryDirectory() as tmp:
+        names = [f"e{k}.json" for k in range(len(elements))]
+        for name, element in zip(names, elements):
+            (Path(tmp) / name).write_text(json.dumps(cone_doc(element)),
+                                          encoding="utf-8")
+        paths = {}
+        for key, element in (("x", x), ("y", z)):
+            paths[key] = Path(tmp) / f"{key}.json"
+            paths[key].write_text(json.dumps(cone_doc(element)),
+                                  encoding="utf-8")
+        manifest = Path(tmp) / "universe.json"
+        manifest.write_text(json.dumps(
+            {"instance": "cone", "dim": dim, "elements": names}),
+            encoding="utf-8")
+        code, out, err = cli("order", "in-l", "--universe", str(manifest),
+                             "--x", str(paths["x"]), "--y", str(paths["y"]))
+        primitive = (Fraction(0), w)
+        solved = (r != 0 and s > 0
+                  and (not any(w) or primitive in elements))
+        if solved:
+            alpha = s / r
+            # z >= alpha*x + p in the cone order: radii below, vectors equal
+            assert abs(alpha) * r + primitive[0] <= s
+            assert tuple(alpha * a + b for a, b in zip(v, primitive[1])) == w
+            expected = {"status": "positive", "alpha": reference.text(alpha),
+                        "primitive": cone_doc(primitive)}
+        else:
+            expected = {"status": "inconclusive", "reason":
+                        "universe lacks a primitive witness for this pair"}
+        assert (code, err) == (0 if solved else 1, "")
+        doc = json.loads(out)
+        assert doc["report"] == expected
+        assert doc["inputs"] == {
+            "action": "in-l", "x": cone_doc(x), "y": cone_doc(z),
+            "universe": {"instance": "cone", "dim": dim,
+                         "elements": [cone_doc(e) for e in elements]}}
+        saved = Path(tmp) / "report.json"
+        saved.write_text(out, encoding="utf-8")
+        code, replayed, err = cli("--replay", str(saved))
+        assert (code, json.loads(replayed)["match"], err) == (0, True, "")

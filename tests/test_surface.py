@@ -147,8 +147,6 @@ DESELECTED = "not reference_model and not to_json_prints"
 
 # functions that no scanned command enters, each kept for the reason given
 UNENTERED = {
-    "norms.FSVector.zero": "FSVector.scale returns it for a zero factor, "
-    "which no command passes",
     "instances._abs_scale": "the unpacked scale of the metric instances; "
     "the verifier runs the packed ops of the `pack` hook, and no order "
     "tool scales",

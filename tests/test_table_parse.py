@@ -1,8 +1,8 @@
-"""Tables parse each unordered pair at most once, and a table that mirrors
-exactly and repeats its entries reads each distinct entry once: a mirrored
-entry spelled otherwise still gives the canonical report, and malformed
-tables fail with the errors, in the order, that a full parse of every
-entry gave. Entries are read straight to integers by the one reader,
+"""A table that mirrors exactly reads its upper triangle alone, each
+distinct entry once where it repeats its entries, and any other table
+reads every entry once: a mirrored entry spelled otherwise still gives
+the canonical report, and malformed tables fail with the errors, in the
+order, that a full parse of every entry gave. Entries are read straight to integers by the one reader,
 rationals._ratio; every table gives the form, or the error, of a
 parse_rational call on every entry."""
 
@@ -227,12 +227,11 @@ def test_a_mirrored_table_reads_its_upper_entries(monkeypatch, rows, reads):
 
 
 @pytest.mark.parametrize("v", PLAIN + GENERAL)
-def test_the_reader_runs_once_per_upper_entry_and_mirror_spelled_otherwise(
+def test_a_table_that_is_not_mirrored_reads_every_entry_in_row_order(
         monkeypatch, v):
-    """In row order: every entry from the diagonal on, and the mirrors
-    spelled otherwise ("2/4" under "1/2", 1 under "1"), up to the first
-    entry the reader refuses; a mirror that repeats its raw entry above
-    (v under v) is not read."""
+    """A table that does not mirror exactly (a tuple row, "2/4" under
+    "1/2", 1 under "1") reads every entry once, in row order, up to the
+    first entry the reader refuses."""
     calls, read = [], metrics._ratio
 
     def counting(value):
@@ -241,7 +240,7 @@ def test_the_reader_runs_once_per_upper_entry_and_mirror_spelled_otherwise(
 
     monkeypatch.setattr(metrics, "_ratio", counting)
     rows = [["0/1", v, "1/2"], (v, "0", "1"), ["2/4", 1, 0]]
-    order = ["0/1", v, "1/2", "0", "1", "2/4", 1, 0]
+    order = ["0/1", v, "1/2", v, "0", "1", "2/4", 1, 0]
     got = outcome(lambda: MetricMatrix.from_json(
         {"labels": list("abc"), "rows": rows}).form)
     assert got == outcome(lambda: reference(list("abc"), rows))
