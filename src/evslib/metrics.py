@@ -89,19 +89,20 @@ class MetricMatrix:
             keys, expand = _per_value(upper)
             nums, den = _read_form(keys)
             return cls(_carrier(labels, rows), (expand(nums), den))
-        parsed = []
+        nums, dens = [], []   # no (p, q) pair outlives its row (_read_form)
         for row in rows:
             if not isinstance(row, (list, tuple)):
                 raise InputError("matrix row must be a list of rationals")
-            parsed.append(list(map(_ratio, row)))
-        labels = _carrier(labels, parsed)
-        for i, row in enumerate(parsed):
-            for j, (p, q) in enumerate(row[:i]):
-                r, s = parsed[j][i]
-                if p * s != r * q:
+            pairs = list(map(_ratio, row))
+            nums.append([p for p, _ in pairs])
+            dens.append([q for _, q in pairs])
+        labels = _carrier(labels, rows)
+        for i, (ps, qs) in enumerate(zip(nums, dens)):
+            for j in range(i):
+                if ps[j] * dens[j][i] != nums[j][i] * qs[j]:
                     raise InputError(
                         f"matrix is not symmetric at ({labels[i]}, {labels[j]})")
-        return cls(labels, ratios_to_ints(*zip(*_triangle(parsed))))
+        return cls(labels, ratios_to_ints(_triangle(nums), _triangle(dens)))
 
     @classmethod
     def zero(cls, labels: Sequence[str]) -> "MetricMatrix":
