@@ -212,11 +212,10 @@ def _per_value(values: Sequence) -> tuple:
     expand looks each entry up; otherwise a lookup costs more than the
     repeats save, and keys are the entries themselves. Equal entries share
     a result, so the entries must be of types whose equal values read
-    alike: ints, or the str and int entries of from_rows. The count takes
-    a set, which hashes faster than the ordered dict."""
-    if 2 * len(set(values)) > len(values):
-        return values, tuple
+    alike: ints, or the str and int entries of from_rows."""
     distinct = list(dict.fromkeys(values))
+    if 2 * len(distinct) > len(values):
+        return values, tuple
     return distinct, lambda results: tuple(
         map(dict(zip(distinct, results)).__getitem__, values))
 
