@@ -42,7 +42,6 @@ from .norms import (
     embed_norm_to_metric,
     eval_weighted_norm,
     independence_witness,
-    weight_function,
 )
 from .order import (
     Universe,

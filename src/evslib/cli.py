@@ -257,17 +257,20 @@ def _run_norms_partition(inputs: dict):
 
 def _run_norms_weights(inputs: dict):
     params = norms.NormFamilyParams.from_json(inputs["spec"])
+    # every weight is built before any is printed, so that a weight past
+    # the bit budget is the error rather than a print past the digit limit
+    weights = [params.weight_of_tag(norms.PartitionSpec.tag_of_position(k))
+               for k in range(params.partition.depth)]
     return {
         "spec": params.to_json(),
-        "weights": norms.weight_function(params).to_json(),
+        "weights": {f"h{k}": fmt(w) for k, w in enumerate(weights)},
     }, 0
 
 
 def _run_norms_eval(inputs: dict):
     vec = norms.FSVector.from_dict(inputs["vector"])
     if inputs.get("spec") is not None:
-        params = norms.NormFamilyParams.from_json(inputs["spec"])
-        w = norms.weight_function(params)
+        w = norms.NormFamilyParams.from_json(inputs["spec"])
     else:
         w = norms.WeightMap.from_json(inputs["weights"])
     return {"value": fmt(norms.eval_weighted_norm(w, vec))}, 0

@@ -28,7 +28,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 from .core import EvsInstance
 from .errors import InputError
@@ -206,18 +206,21 @@ class PartitionSpec:
 
 class NormFamilyParams:
     """The parameters of one family norm: a partition, a proper nonempty
-    subset C of its backbone, kept sorted, and gamma > 1."""
+    subset C of its backbone, and gamma > 1. C is a frozenset, whose order
+    follows the hash seed, so a read of C that reaches a report sorts it
+    or takes its min. weight(name) is the norm's weight of every name the
+    partition resolves, inside the enumerated prefix or beyond it."""
 
     __slots__ = ("partition", "subset_c", "gamma")
 
     def __init__(self, partition: PartitionSpec, subset_c, gamma):
-        members = partition.b_members()
-        c = sorted(set(subset_c))
-        self.partition, self.subset_c = partition, tuple(c)
+        members = frozenset(partition.b_members())
+        c = frozenset(subset_c)
+        self.partition, self.subset_c = partition, c
         self.gamma = gamma = parse_rational(gamma)
         if not c:
             raise InputError("the subset C must be nonempty")
-        if any(t not in members for t in c):
+        if not c <= members:
             raise InputError("C must consist of backbone members")
         if len(c) >= len(members):
             raise InputError("C must be a proper subset of the backbone")
@@ -237,25 +240,26 @@ class NormFamilyParams:
             raise InputError(
                 'family spec needs "depth", "subsetC" and "gamma"'
             ) from exc
-        return cls(PartitionSpec(depth), tuple(map(str, subset)), gamma)
+        return cls(PartitionSpec(depth), map(str, subset), gamma)
 
     def to_json(self) -> dict:
         return {
             "depth": self.partition.depth,
-            "subsetC": list(self.subset_c),
+            "subsetC": sorted(self.subset_c),
             "gamma": fmt(self.gamma),
         }
+
+    def weight(self, name: str) -> Fraction:
+        return self.weight_of_tag(self.partition.resolve(name))
 
     def weight_of_tag(self, tag: Tag) -> Fraction:
         """gamma^i on d(t,i) and gamma^-i on e(t,i) for t in C, else 1.
         The power is an InputError before it is built where its wider part
         could pass MAX_DECAY_BITS bits: its cost grows with i times the
         bits of gamma's numerator, the wider part as gamma > 1."""
-        if tag[0] == "B":
+        if tag[0] == "B" or tag[1] not in self.subset_c:
             return ONE
-        _, t, i = tag
-        if t not in self.subset_c:
-            return ONE
+        i = tag[2]
         bits = self.gamma.numerator.bit_length()
         if i * bits > MAX_DECAY_BITS:
             raise InputError(f"the weight of fiber index {i} is a power of "
@@ -265,14 +269,10 @@ class NormFamilyParams:
 
 
 class WeightMap:
-    """Positive rational weight per basis index.
+    """Explicit positive rational weights of finitely many basis indices;
+    the weight of an index outside the map is an InputError."""
 
-    Family-derived maps carry a closed-form rule so that fiber indices beyond
-    the enumerated prefix still have weights; plain maps are just finite
-    dictionaries and evaluating outside them is an input error.
-    """
-
-    def __init__(self, entries: dict, rule: Optional[Callable[[str], Fraction]] = None):
+    def __init__(self, entries: dict):
         parsed = {}
         for name, value in entries.items():
             w = parse_rational(value)
@@ -280,17 +280,11 @@ class WeightMap:
                 raise InputError(f"weight for {name} must be positive")
             parsed[str(name)] = w
         self.entries = parsed
-        self.rule = rule
 
     def weight(self, name: str) -> Fraction:
         if name in self.entries:
             return self.entries[name]
-        if self.rule is not None:
-            return self.rule(name)
         raise InputError(f"no weight assigned to index {name!r}")
-
-    def to_json(self) -> dict:
-        return {name: fmt(w) for name, w in sorted(self.entries.items())}
 
     @classmethod
     def from_json(cls, doc) -> "WeightMap":
@@ -299,22 +293,8 @@ class WeightMap:
         return cls(doc)
 
 
-def weight_function(params: NormFamilyParams) -> WeightMap:
-    """Materialize the family weights on the enumerated prefix, backed by the
-    closed-form rule for every other index (positional or fiber-named)."""
-    part = params.partition
-
-    def rule(name: str) -> Fraction:
-        return params.weight_of_tag(part.resolve(name))
-
-    entries = {
-        f"h{k}": params.weight_of_tag(part.tag_of_position(k))
-        for k in range(part.depth)
-    }
-    return WeightMap(entries, rule=rule)
-
-
-def eval_weighted_norm(w: WeightMap, x: FSVector) -> Fraction:
+def eval_weighted_norm(w: WeightMap | NormFamilyParams,
+                       x: FSVector) -> Fraction:
     """max over the support of w(h) |lambda_h|; zero exactly on the zero vector."""
     best = ZERO
     for name, value in x.coords:
@@ -504,7 +484,7 @@ def independence_witness(p: NormFamilyParams, q: NormFamilyParams,
     if p.subset_c == q.subset_c and p.gamma == q.gamma:
         raise InputError("parameter sets are equal; no independence witness")
 
-    cp, cq = set(p.subset_c), set(q.subset_c)
+    cp, cq = p.subset_c, q.subset_c
     if cp != cq:
         case = 1
         if cp - cq:
@@ -535,7 +515,8 @@ def independence_witness(p: NormFamilyParams, q: NormFamilyParams,
 # ---------------------------------------------------------------------------
 
 
-def embed_norm_to_metric(w: WeightMap, points: Sequence[FSVector]) -> MetricMatrix:
+def embed_norm_to_metric(w: WeightMap | NormFamilyParams,
+                         points: Sequence[FSVector]) -> MetricMatrix:
     """Distance table m[i][j] = |points[i] - points[j]|_w; the translation-
     invariant metric induced by the norm. The norm is symmetric, so each
     unordered pair is evaluated once and mirrored. More than
@@ -560,7 +541,8 @@ def embed_norm_to_metric(w: WeightMap, points: Sequence[FSVector]) -> MetricMatr
 # ---------------------------------------------------------------------------
 
 
-def norm_value_table(w: WeightMap, probes: Sequence[FSVector]) -> tuple:
+def norm_value_table(w: WeightMap | NormFamilyParams,
+                     probes: Sequence[FSVector]) -> tuple:
     return tuple(eval_weighted_norm(w, x) for x in probes)
 
 
@@ -613,7 +595,7 @@ def seeded_norm_sample(depth: int, seed: int,
     members = part.b_members()
     for c, gamma in ((members[:1], Fraction(2)), (members[:2], Fraction(3))):
         params = NormFamilyParams(part, tuple(c), gamma)
-        elements.append(norm_value_table(weight_function(params), probes))
+        elements.append(norm_value_table(params, probes))
     while len(elements) < count:
         table = norm_value_table(random_weights(), probes)
         elements.append(table)

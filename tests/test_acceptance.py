@@ -44,7 +44,6 @@ from evslib import (
     transform_min,
     usual_metric,
     validate_metric,
-    weight_function,
 )
 from evslib.instances import (
     DEFAULT_SCALARS,
@@ -250,10 +249,9 @@ def test_criterion_09_norm_family_independence():
             for b in range(a + 1, len(params)):
                 p, q = params[a], params[b]
                 report = independence_witness(p, q, eps)
-                wp, wq = weight_function(p), weight_function(q)
                 for direction, num, den in (
-                    (report.first_relative_to_second, wp, wq),
-                    (report.second_relative_to_first, wq, wp),
+                    (report.first_relative_to_second, p, q),
+                    (report.second_relative_to_first, q, p),
                 ):
                     assert direction.ratio < eps
                     assert direction.ratio == direction.ratio_base ** direction.index

@@ -1465,6 +1465,104 @@ def test_fiber_weight_budget_admits_what_it_bounds(capsys, tmp_path, gamma,
         assert (out["report"], err) == ({"value": "1/1"}, "")
 
 
+def test_norms_eval_weighs_only_the_coordinates_of_its_vector(
+        capsys, tmp_path, monkeypatch):
+    """`norms eval --spec` weighs each coordinate of its vector by the
+    closed form and no other index: three coordinates at depth 100,000
+    take three weights."""
+    tags = []
+    weight_of_tag = norms.NormFamilyParams.weight_of_tag
+
+    def counted(self, tag):
+        tags.append(tag)
+        return weight_of_tag(self, tag)
+
+    monkeypatch.setattr(norms.NormFamilyParams, "weight_of_tag", counted)
+    spec = write_json(tmp_path / "p.json", {
+        "depth": MAX_PARTITION_DEPTH, "subsetC": ["h0"], "gamma": "2"})
+    vec = write_json(tmp_path / "v.json",
+                     {"h0": "1", "h1": "3", "e(h0,3)": "5"})
+    code, doc, err = run(capsys, "norms", "eval", "--spec", spec,
+                         "--vector", vec)
+    assert (code, doc["report"], err) == (0, {"value": "6/1"}, "")
+    assert sorted(tags) == [("B", "h0"), ("D", "h0", 1), ("E", "h0", 3)]
+
+
+# a 6,977-bit numerator: gamma^151 could pass the bit budget, and at depth
+# 100,000 the prefix holds fibers of h0 up to index 158
+WIDE_GAMMA = f"{10 ** 2100 + 1}/{10 ** 2100}"
+
+
+def test_a_wide_gamma_weighs_a_vector_without_wide_fibers(capsys, tmp_path):
+    """`norms eval` prints the value of a vector that names no fiber whose
+    weight could pass the bit budget, and replays it; a bad coordinate
+    name is the error it reports. (`norms weights`, which builds every
+    prefix weight, exits 2 on this spec after some seconds of powers.)"""
+    spec = write_json(tmp_path / "p.json", {
+        "depth": MAX_PARTITION_DEPTH, "subsetC": ["h0"], "gamma": WIDE_GAMMA})
+    vec = write_json(tmp_path / "v.json", {"h0": "1"})
+    code, out, err = cli("norms", "eval", "--spec", spec, "--vector", vec)
+    assert (code, json.loads(out)["report"], err) == (0, {"value": "1/1"}, "")
+    assert_replays(tmp_path, out)
+    bad = write_json(tmp_path / "x.json", {"x": "1"})
+    code, out, err = run(capsys, "norms", "eval", "--spec", spec,
+                         "--vector", bad)
+    assert (code, out, json.loads(err)) == (
+        2, None, {"error": "unrecognized index name 'x'"})
+
+
+def every_backbone_member_but(left_out: str) -> list:
+    return [f"h{k}" for k in range(0, MAX_PARTITION_DEPTH, 2)
+            if f"h{k}" != left_out]
+
+
+def test_a_spec_of_every_backbone_member_but_one_is_read_fast(capsys,
+                                                              tmp_path):
+    """Two depth-100,000 specs whose C holds 49,999 of the 50,000 backbone
+    members: each is checked and weighed in time linear in its size, so
+    `norms eval` and `norms witness` each exit 0 within seconds."""
+    p = write_json(tmp_path / "p.json", {"depth": MAX_PARTITION_DEPTH,
+                   "subsetC": every_backbone_member_but("h0"), "gamma": "2"})
+    last = f"h{MAX_PARTITION_DEPTH - 2}"
+    q = write_json(tmp_path / "q.json", {"depth": MAX_PARTITION_DEPTH,
+                   "subsetC": every_backbone_member_but(last), "gamma": "3"})
+    vec = write_json(tmp_path / "v.json", {"h0": "1", "d(h2,4)": "1"})
+    start = time.perf_counter()
+    code, doc, err = run(capsys, "norms", "eval", "--spec", p,
+                         "--vector", vec)
+    assert time.perf_counter() - start < 3
+    assert (code, doc["report"], err) == (0, {"value": "16/1"}, "")
+    start = time.perf_counter()
+    code, doc, err = run(capsys, "norms", "witness", "--spec", p,
+                         "--spec", q, "--eps", "1/1000")
+    assert time.perf_counter() - start < 3
+    assert (code, err) == (0, "")
+    direction = doc["report"]["firstRelativeToSecond"]
+    assert (doc["report"]["case"], direction["t"], direction["index"],
+            direction["ratioAtIndex"]) == (1, last, 10, "1/1024")
+
+
+def test_witness_estimate_with_one_underflowing_log(tmp_path):
+    """At eps = 1 - 10^-400, log(1/eps) underflows to 0 while log(2) does
+    not: the index estimate is taken from the logs of the two logs, and
+    the least index is 1."""
+    eps = Fraction(10 ** 400 - 1, 10 ** 400)
+    assert norms._log_ratio(eps.denominator, eps.numerator) == 0.0
+    p = write_json(tmp_path / "p.json",
+                   {"depth": 12, "subsetC": ["h0"], "gamma": "2"})
+    q = write_json(tmp_path / "q.json",
+                   {"depth": 12, "subsetC": ["h2"], "gamma": "2"})
+    code, out, err = cli("norms", "witness", "--spec", p, "--spec", q,
+                         "--eps", f"{eps.numerator}/{eps.denominator}")
+    assert (code, err) == (0, "")
+    report = json.loads(out)["report"]
+    assert report["case"] == 1
+    for key in ("firstRelativeToSecond", "secondRelativeToFirst"):
+        assert (report[key]["index"], report[key]["ratioAtIndex"]) == \
+            (1, "1/2")
+    assert_replays(tmp_path, out)
+
+
 @pytest.mark.parametrize("move", [1, 2, 70, -1, -2, -70, "far-above",
                                   "far-below"])
 @pytest.mark.parametrize("gamma, eps", [("3", "1/2"), ("2", "1e-6"),
@@ -1500,9 +1598,12 @@ def test_witness_search_recovers_from_a_wrong_estimate(
 
 
 # file contents (by name), the argv that reads them, and the error it exits
-# 2 with; each input is malformed in its JSON shape or out of range, or the
-# argv asks for what the command does not take
+# 2 with; each input is malformed in its JSON shape, out of range or against
+# a precondition of the command, or the argv asks for what the command does
+# not take
 SPEC_DOC = {"depth": 12, "subsetC": ["h0"], "gamma": "2"}
+AB_TABLE = {"labels": ["a", "b"], "rows": [["0", "1"], ["1", "0"]]}
+ZERO_TABLE = {"labels": ["a", "b"], "rows": [["0", "0"], ["0", "0"]]}
 GAMMA_NEAR_ONE = {**SPEC_DOC, "gamma": "1001/1000"}
 PRINT_LIMIT = ("a number of the report would print past the "
                f"{MAX_DIGITS}-digit limit")
@@ -1586,6 +1687,118 @@ MALFORMED_INPUTS = {
         {}, ["axioms", "--instance", "hyperspace", "--seed", "0",
              "--sample", "4", "--dim", "0"],
         "dimension must be at least 1, not 0"),
+    "partial-compare-depth-1": (
+        {}, ["partial-compare", "--first", "discrete", "--second", "kappa",
+             "--depths", "1,5"],
+        "all depths must be at least 2"),
+    "partial-compare-decreasing": (
+        {}, ["partial-compare", "--first", "discrete", "--second", "kappa",
+             "--depths", "5,3"],
+        "depths must be strictly increasing"),
+    "partial-compare-usual-on-discrete": (
+        {}, ["partial-compare", "--first", "usual", "--second", "discrete",
+             "--depths", "2,3"],
+        "the usual metric needs a one-dimensional coordinate carrier"),
+    "partial-compare-unknown": (
+        {}, ["partial-compare", "--first", "foo", "--second", "discrete",
+             "--depths", "2,3"],
+        "unknown builtin metric 'foo'; choose from ('discrete', "
+        "'usual-grid', 'shrinking', 'kappa', 'cauchy-dn')"),
+    "cauchy-demo-one-index": (
+        {"p.json": [[[0, 0], [0, 1]]]},
+        ["cauchy-demo", "--indices", "10", "--pairs", "p.json"],
+        "need at least two indices n >= 1"),
+    "cauchy-demo-pairs-object": (
+        {"p.json": {"u": [0, 0]}},
+        ["cauchy-demo", "--indices", "10,20", "--pairs", "p.json"],
+        "point pairs must be a list of [[u,u'],[v,v']] pairs"),
+    "cauchy-demo-three-points": (
+        {"p.json": [[[0, 0], [0, 1], [0, 2]]]},
+        ["cauchy-demo", "--indices", "10,20", "--pairs", "p.json"],
+        "a point pair holds exactly two plane points"),
+    "cauchy-demo-no-witness": (
+        {"p.json": [[[0, 0], [1, 1]]]},
+        ["cauchy-demo", "--indices", "10,20", "--pairs", "p.json"],
+        "need a witness pair with equal first coordinates and distinct "
+        "second coordinates"),
+    "partition-depth-3": (
+        {}, ["norms", "partition", "--depth", "3"],
+        "partition depth must be at least 4 to make the backbone and both "
+        "fiber kinds available"),
+    "eval-fiber-of-h1": (
+        {"p.json": SPEC_DOC, "v.json": {"d(h1,2)": "1"}},
+        ["norms", "eval", "--spec", "p.json", "--vector", "v.json"],
+        "h1 is not a backbone member"),
+    "eval-name-x": (
+        {"p.json": SPEC_DOC, "v.json": {"x": "1"}},
+        ["norms", "eval", "--spec", "p.json", "--vector", "v.json"],
+        "unrecognized index name 'x'"),
+    "spec-empty-c": (
+        {"p.json": {**SPEC_DOC, "subsetC": []}},
+        ["norms", "weights", "--spec", "p.json"],
+        "the subset C must be nonempty"),
+    "spec-c-h1": (
+        {"p.json": {**SPEC_DOC, "subsetC": ["h1"]}},
+        ["norms", "weights", "--spec", "p.json"],
+        "C must consist of backbone members"),
+    "spec-c-backbone": (
+        {"p.json": {**SPEC_DOC,
+                    "subsetC": [f"h{k}" for k in range(0, 12, 2)]}},
+        ["norms", "weights", "--spec", "p.json"],
+        "C must be a proper subset of the backbone"),
+    "spec-gamma-1": (
+        {"p.json": {**SPEC_DOC, "gamma": "1"}},
+        ["norms", "weights", "--spec", "p.json"],
+        "gamma must exceed 1"),
+    "witness-mixed-depths": (
+        {"p.json": SPEC_DOC, "q.json": {**SPEC_DOC, "depth": 14}},
+        ["norms", "witness", "--spec", "p.json", "--spec", "q.json",
+         "--eps", "1/2"],
+        "the two parameter sets use different partitions"),
+    "witness-equal-specs": (
+        {"p.json": SPEC_DOC},
+        ["norms", "witness", "--spec", "p.json", "--spec", "p.json",
+         "--eps", "1/2"],
+        "parameter sets are equal; no independence witness"),
+    "witness-eps-0": (
+        {"p.json": SPEC_DOC, "q.json": {**SPEC_DOC, "subsetC": ["h2"]}},
+        ["norms", "witness", "--spec", "p.json", "--spec", "q.json",
+         "--eps", "0"],
+        "epsilon must lie strictly between 0 and 1"),
+    "embed-one-point": (
+        {"w.json": {"h0": "1"}, "p.json": [{"h0": "1"}]},
+        ["norms", "embed", "--weights", "w.json", "--points", "p.json"],
+        "need at least two points"),
+    "embed-twin-points": (
+        {"w.json": {"h0": "1"}, "p.json": [{"h0": "1"}, {"h0": "1"}]},
+        ["norms", "embed", "--weights", "w.json", "--points", "p.json"],
+        "points must be pairwise distinct"),
+    "indep-zero-element": (
+        {"a.json": AB_TABLE, "z.json": ZERO_TABLE,
+         "u.json": {"instance": "metrics", "elements": ["a.json", "z.json"]}},
+        ["order", "indep", "--universe", "u.json"],
+        "universe elements must be nonzero"),
+    "in-l-zero-x": (
+        {"a.json": AB_TABLE, "z.json": ZERO_TABLE,
+         "u.json": {"instance": "metrics", "elements": ["a.json"]}},
+        ["order", "in-l", "--universe", "u.json", "--x", "z.json",
+         "--y", "a.json"],
+        "testing sets are defined for nonzero elements only"),
+    "compare-other-labels": (
+        {"a.json": AB_TABLE, "c.json": {**AB_TABLE, "labels": ["c", "d"]}},
+        ["compare", "a.json", "c.json"],
+        "matrices are over different carriers (label mismatch)"),
+    "compare-zero": (
+        {"a.json": AB_TABLE, "z.json": ZERO_TABLE},
+        ["compare", "z.json", "a.json"],
+        "classification needs two nonzero elements"),
+    "transform-bounded-zero": (
+        {"z.json": ZERO_TABLE}, ["transform", "--bounded", "z.json"],
+        "transform of the zero element"),
+    "axioms-unknown-instance": (
+        {}, ["axioms", "--instance", "foo", "--seed", "0"],
+        "unknown instance 'foo'; choose from metrics, norms, cone, "
+        "hyperspace, metrics-reversed-order, metrics-no-abs-scale"),
     # the report would print a number past MAX_DIGITS digits: a norm value
     # gamma^90000, a sum of tables with a 6,001-digit denominator, and the
     # ratio at the decay index 23,038

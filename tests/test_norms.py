@@ -19,7 +19,6 @@ from evslib import (
     leq_metrics,
     scale_metric,
     validate_metric,
-    weight_function,
 )
 from evslib import norms
 from evslib.norms import _smallest_decay_index
@@ -107,8 +106,7 @@ def test_partition_rejects_shallow_depth():
 
 
 def test_weight_case_table():
-    p = params(12, ["h0"], 2)
-    w = weight_function(p)
+    w = params(12, ["h0"], 2)
     assert w.weight("d(h0,3)") == 8
     assert w.weight("e(h0,3)") == F(1, 8)
     assert w.weight("e(h0,10)") == F(1, 1024)
@@ -118,8 +116,7 @@ def test_weight_case_table():
 
 
 def test_weight_rule_reaches_beyond_enumerated_prefix():
-    p = params(4, ["h0"], 3)
-    w = weight_function(p)
+    w = params(4, ["h0"], 3)
     assert w.weight("e(h0,7)") == F(1, 2187)
 
 
@@ -148,19 +145,17 @@ def test_plain_weight_map_errors_outside_domain():
 
 
 def test_norm_of_fiber_unit_vector():
-    p = params(12, ["h0"], 2)
-    w = weight_function(p)
+    w = params(12, ["h0"], 2)
     assert eval_weighted_norm(w, FSVector.unit("e(h0,5)")) == F(1, 32)
 
 
 def test_norm_of_zero_vector():
-    w = weight_function(params(4, ["h0"], 2))
+    w = params(4, ["h0"], 2)
     assert eval_weighted_norm(w, FSVector(())) == 0
 
 
 def test_norm_of_mixed_vector():
-    p = params(12, ["h0"], 3)
-    w = weight_function(p)
+    w = params(12, ["h0"], 3)
     x = FSVector.from_dict({"h0": 2, "d(h0,2)": 1})
     assert eval_weighted_norm(w, x) == 9
     plain = WeightMap({"h0": "1/2", "h1": 4})
@@ -223,23 +218,21 @@ def test_witness_ratio_matches_norm_evaluation_exactly():
     # dual route: the closed-form ratio against actual norm values, i <= 30
     p = params(12, ["h0"], 2)
     q = params(12, ["h2"], 3)
-    wp, wq = weight_function(p), weight_function(q)
     report = independence_witness(p, q, F(1, 10))
     base = report.first_relative_to_second.ratio_base
     for i in range(1, 31):
         e_vec = FSVector.unit(f"e(h0,{i})")
         d_vec = FSVector.unit(f"d(h0,{i})")
-        assert eval_weighted_norm(wp, e_vec) / eval_weighted_norm(wq, e_vec) == base ** i
-        assert eval_weighted_norm(wq, d_vec) / eval_weighted_norm(wp, d_vec) == base ** i
+        assert eval_weighted_norm(p, e_vec) / eval_weighted_norm(q, e_vec) == base ** i
+        assert eval_weighted_norm(q, d_vec) / eval_weighted_norm(p, d_vec) == base ** i
 
 
 def test_witness_case_two_ratio_matches_norm_evaluation():
     p = params(12, ["h0"], 3)
     q = params(12, ["h0"], 2)
-    wp, wq = weight_function(p), weight_function(q)
     for i in range(1, 31):
         e_vec = FSVector.unit(f"e(h0,{i})")
-        assert eval_weighted_norm(wp, e_vec) / eval_weighted_norm(wq, e_vec) == F(2, 3) ** i
+        assert eval_weighted_norm(p, e_vec) / eval_weighted_norm(q, e_vec) == F(2, 3) ** i
 
 
 def test_witness_rejects_equal_parameters():

@@ -35,7 +35,10 @@ KEPT = {}
 # methods whose name another class or a builtin type shares, reached where
 # the receiver's class is not written out
 SHARED = {
-    "WeightMap.to_json": "`evs norms weights` prints weight_function's map",
+    "NormFamilyParams.weight": "eval_weighted_norm reads the weights of a "
+    "family norm through it",
+    "WeightMap.weight": "eval_weighted_norm reads the weights of an explicit "
+    "map through it",
     "WitnessDirection.to_json": "WitnessReport.to_json prints each direction",
     "WitnessReport.to_json": "`evs norms witness` prints its report by it",
 }
