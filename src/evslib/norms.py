@@ -594,7 +594,7 @@ def seeded_norm_sample(depth: int, seed: int,
     elements = [(ZERO,) * len(probes)]
     members = part.b_members()
     for c, gamma in ((members[:1], Fraction(2)), (members[:2], Fraction(3))):
-        params = NormFamilyParams(part, tuple(c), gamma)
+        params = NormFamilyParams(part, c, gamma)
         elements.append(norm_value_table(params, probes))
     while len(elements) < count:
         table = norm_value_table(random_weights(), probes)
