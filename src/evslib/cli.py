@@ -257,13 +257,17 @@ def _run_norms_partition(inputs: dict):
 
 def _run_norms_weights(inputs: dict):
     params = norms.NormFamilyParams.from_json(inputs["spec"])
-    # every weight is built before any is printed, so that a weight past
-    # the bit budget is the error rather than a print past the digit limit
-    weights = [params.weight_of_tag(norms.PartitionSpec.tag_of_position(k))
-               for k in range(params.partition.depth)]
+    tags = list(map(norms.PartitionSpec.tag_of_position,
+                    range(params.partition.depth)))
+    # every weight passes the bit budget before any is built, so that the
+    # first weight past it, in position order, is the error, at once, and
+    # no weight is printed past the digit limit before it
+    for tag in tags:
+        params.weight_exponent(tag)
     return {
         "spec": params.to_json(),
-        "weights": {f"h{k}": fmt(w) for k, w in enumerate(weights)},
+        "weights": {f"h{k}": fmt(params.weight_of_tag(tag))
+                    for k, tag in enumerate(tags)},
     }, 0
 
 
@@ -688,46 +692,89 @@ def _resolve_inputs(args) -> tuple[str, dict]:
     raise InputError(f"unknown command {cmd!r}")
 
 
-def _dumps(obj, indent: str = "\n") -> str:
+#: The deepest nesting of arrays and objects that a report prints, the
+#: report itself at depth 1 (an echoed table counts as one level). The
+#: writer recurses once per level, and a deeper input is an InputError
+#: before any byte prints.
+MAX_ECHO_DEPTH = 500
+_DEEPEST_INDENT = len("\n" + "  " * (MAX_ECHO_DEPTH - 1))
+
+
+def _dumps(obj) -> str:
     """json.dumps(obj, indent=2, sort_keys=True), byte for byte, with a
     MetricMatrix, such as every table an input echoes, written as its
-    to_json(). `indent` is the newline and indentation that precede obj's
-    closing bracket. The standard encoder runs in pure Python whenever it
-    indents; this writer escapes strings in C and joins a list of strings
-    in one step, and a MetricMatrix writes its own text from its integer
-    form (MetricMatrix.json_text), with no document of strings built."""
+    to_json(). The text is written as one list of pieces (_write) and
+    joined once. The standard encoder runs in pure Python whenever it
+    indents; this writer escapes strings in C, writes each repeated array,
+    object or table once and copies its pieces by reference, and a
+    MetricMatrix writes its own text from its integer form
+    (MetricMatrix.json_text), with no document of strings built."""
+    out = []
+    _write(obj, "\n", out, {})
+    return "".join(out)
+
+
+def _write(obj, indent: str, out: list, spans: dict) -> None:
+    """Append the text of obj to out, where `indent`, a newline and spaces,
+    precedes obj's closing bracket. Each array, object and MetricMatrix
+    written is recorded in spans as its slice of out, under (id(obj),
+    indent): a later visit to the same object at the same indentation
+    extends out by that slice, so its text is neither formatted nor copied
+    again. Every object stays alive in the document written, so no id is
+    reused within one _dumps."""
     if type(obj) is str:
-        return encode_basestring_ascii(obj)
+        out.append(encode_basestring_ascii(obj))
+        return
+    if not isinstance(obj, (dict, list, tuple, metrics.MetricMatrix)):
+        out.append(json.dumps(obj))   # None, bool, int and float
+        return
+    key = (id(obj), indent)
+    span = spans.get(key)
+    if span is not None:
+        out.extend(out[span[0]:span[1]])
+        return
+    if len(indent) > _DEEPEST_INDENT:
+        raise InputError("an input is nested too deep to echo in the report")
+    start = len(out)
     inner = indent + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        return "{" + inner + ("," + inner).join([
-            encode_basestring_ascii(k) + ": " + _dumps(v, inner)
-            for k, v in sorted(obj.items())]) + indent + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        try:
-            items = list(map(encode_basestring_ascii, obj))
+    comma = "," + inner
+    if isinstance(obj, metrics.MetricMatrix):
+        out.append(obj.json_text(indent))
+    elif not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+    elif isinstance(obj, dict):
+        sep = "{" + inner
+        for k, v in sorted(obj.items()):
+            head = sep + encode_basestring_ascii(k) + ": "
+            if type(v) is str:
+                out.append(head + encode_basestring_ascii(v))
+            else:
+                out.append(head)
+                _write(v, inner, out, spans)
+            sep = comma
+        out.append(indent + "}")
+    else:
+        try:   # an array of strings is one piece
+            out.append("[" + inner + comma.join(
+                map(encode_basestring_ascii, obj)) + indent + "]")
         except TypeError:
-            items = [_dumps(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if type(obj) is metrics.MetricMatrix:
-        return obj.json_text(indent)
-    return json.dumps(obj)   # None, bool, int and float, as the encoder does
+            sep = "[" + inner
+            for v in obj:
+                out.append(sep)
+                _write(v, inner, out, spans)
+                sep = comma
+            out.append(indent + "]")
+    spans[key] = start, len(out)
 
 
 def _emit(doc: dict, out_path=None) -> None:
-    # inputs hold parsed matrices; each is serialized here, once, to the same
-    # {"labels", "rows"} document a replayed report holds. The whole report
-    # is rendered before any of it prints.
-    try:
-        # flushed here, so that a closed stdout raises in main, not at exit
-        print(_dumps(doc), flush=True)
-    except RecursionError as exc:
-        raise InputError(
-            "an input is nested too deep to echo in the report") from exc
+    """Print the report doc, rendered whole (_dumps) before any of it
+    prints, so an input too deep to echo prints nothing. Inputs hold
+    parsed matrices; each is written here from its form, in the bytes of
+    the {"labels", "rows"} document a replayed report holds."""
+    text = _dumps(doc)
+    # flushed here, so that a closed stdout raises in main, not at exit
+    print(text, flush=True)
     if out_path:
         matrix = doc["report"].get("matrix")
         if matrix is not None:

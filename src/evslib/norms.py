@@ -252,20 +252,25 @@ class NormFamilyParams:
     def weight(self, name: str) -> Fraction:
         return self.weight_of_tag(self.partition.resolve(name))
 
-    def weight_of_tag(self, tag: Tag) -> Fraction:
-        """gamma^i on d(t,i) and gamma^-i on e(t,i) for t in C, else 1.
-        The power is an InputError before it is built where its wider part
+    def weight_exponent(self, tag: Tag) -> int:
+        """e of the weight gamma^e of a tag: i on d(t,i) and -i on e(t,i)
+        for t in C, else 0. An InputError where the power's wider part
         could pass MAX_DECAY_BITS bits: its cost grows with i times the
         bits of gamma's numerator, the wider part as gamma > 1."""
         if tag[0] == "B" or tag[1] not in self.subset_c:
-            return ONE
+            return 0
         i = tag[2]
         bits = self.gamma.numerator.bit_length()
         if i * bits > MAX_DECAY_BITS:
             raise InputError(f"the weight of fiber index {i} is a power of "
                              f"the {bits}-bit gamma that could pass the "
                              f"budget of {MAX_DECAY_BITS} bits")
-        return self.gamma ** i if tag[0] == "D" else self.gamma ** -i
+        return i if tag[0] == "D" else -i
+
+    def weight_of_tag(self, tag: Tag) -> Fraction:
+        """gamma^weight_exponent(tag), refused before it is built."""
+        e = self.weight_exponent(tag)
+        return self.gamma ** e if e else ONE
 
 
 class WeightMap:

@@ -1496,8 +1496,8 @@ WIDE_GAMMA = f"{10 ** 2100 + 1}/{10 ** 2100}"
 def test_a_wide_gamma_weighs_a_vector_without_wide_fibers(capsys, tmp_path):
     """`norms eval` prints the value of a vector that names no fiber whose
     weight could pass the bit budget, and replays it; a bad coordinate
-    name is the error it reports. (`norms weights`, which builds every
-    prefix weight, exits 2 on this spec after some seconds of powers.)"""
+    name is the error it reports. (`norms weights`, which prints every
+    prefix weight, exits 2 on this spec.)"""
     spec = write_json(tmp_path / "p.json", {
         "depth": MAX_PARTITION_DEPTH, "subsetC": ["h0"], "gamma": WIDE_GAMMA})
     vec = write_json(tmp_path / "v.json", {"h0": "1"})
@@ -1509,6 +1509,29 @@ def test_a_wide_gamma_weighs_a_vector_without_wide_fibers(capsys, tmp_path):
                          "--vector", bad)
     assert (code, out, json.loads(err)) == (
         2, None, {"error": "unrecognized index name 'x'"})
+
+
+def test_norms_weights_refuses_a_wide_gamma_before_it_builds_a_power(
+        capsys, tmp_path, monkeypatch):
+    """Every prefix weight passes the bit budget before any power of gamma
+    is built: the first weight past it, at index 151 of h0's fibers, is
+    the error, and no power is built before it, where building the 300
+    powers below it took about 10 s."""
+    powers = []
+    power = Fraction.__pow__
+
+    def counted(a, b, *modulo):
+        powers.append(b)
+        return power(a, b, *modulo)
+
+    monkeypatch.setattr(Fraction, "__pow__", counted)
+    spec = write_json(tmp_path / "p.json", {
+        "depth": MAX_PARTITION_DEPTH, "subsetC": ["h0"], "gamma": WIDE_GAMMA})
+    code, out, err = run(capsys, "norms", "weights", "--spec", spec)
+    assert (code, out, json.loads(err)) == (2, None, {"error": (
+        "the weight of fiber index 151 is a power of the 6977-bit gamma "
+        "that could pass the budget of 1048576 bits")})
+    assert powers == []
 
 
 def every_backbone_member_but(left_out: str) -> list:
@@ -2078,6 +2101,34 @@ DEEP_ECHO_INPUTS = {
 @pytest.mark.parametrize("name", sorted(DEEP_ECHO_INPUTS))
 def test_echoed_input_nested_too_deep_exits_two(capsys, tmp_path, name):
     code, out, err = run(capsys, *DEEP_ECHO_INPUTS[name](tmp_path))
+    assert (code, out, json.loads(err)) == (2, None, {
+        "error": "an input is nested too deep to echo in the report"})
+
+
+def weights_spec_with_extra(tmp_path, extra):
+    """A `norms weights` argv whose spec holds an unread field `extra`: the
+    report echoes it under "inputs", then "spec", so an array nested n
+    levels inside it (nested(n), n + 1 arrays) reaches depth n + 4."""
+    return ["norms", "weights", "--spec", write_json(tmp_path / "p.json", {
+        "depth": 12, "subsetC": ["h0"], "gamma": "2", "extra": extra})]
+
+
+def test_the_deepest_echo_prints_through_the_module(tmp_path):
+    """An array at depth 500, the report at depth 1, prints through
+    `python -m evslib.cli`, where the writer recurses once per level; the
+    parent of this bound printed 497 levels at most."""
+    from evslib.cli import MAX_ECHO_DEPTH
+    assert MAX_ECHO_DEPTH == 500
+    proc = evs_process(*weights_spec_with_extra(tmp_path, nested(496)),
+                       stdout=subprocess.PIPE)
+    out, err = proc.communicate()
+    assert (proc.returncode, err) == (0, b"")
+    assert json.loads(out)["inputs"]["spec"]["extra"] == nested(496)
+
+
+def test_one_level_past_the_deepest_echo_exits_two(capsys, tmp_path):
+    code, out, err = run(capsys, *weights_spec_with_extra(tmp_path,
+                                                          nested(497)))
     assert (code, out, json.loads(err)) == (2, None, {
         "error": "an input is nested too deep to echo in the report"})
 

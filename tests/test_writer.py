@@ -4,6 +4,8 @@ the file that --out writes."""
 
 import hashlib
 import json
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from evslib import metrics
 from evslib.cli import _dumps, main
+from evslib.rationals import ratios_to_ints
 
 DATA = Path(__file__).parent / "data"
 
@@ -43,6 +46,62 @@ def test_writer_writes_tuples_and_to_json_objects_as_json_dumps_does():
     doc = {"m": m, "t": ("a", 1, (None, [])), "f": 0.5}
     assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True,
                                      default=lambda o: o.to_json())
+
+
+@st.composite
+def small_tables(draw):
+    n = draw(st.integers(1, 3))
+    size = n * (n + 1) // 2
+    labels = draw(st.lists(json_text, min_size=n, max_size=n, unique=True))
+    nums = draw(st.lists(st.integers(-9, 9), min_size=size, max_size=size))
+    den = draw(st.integers(1, 6))
+    return metrics.MetricMatrix(tuple(labels),
+                                ratios_to_ints(nums, [den] * size))
+
+
+@st.composite
+def documents_with_shared_parts(draw):
+    """A document that holds the same table, array and object, each one
+    object, any number of times, at any depth, inside each other too."""
+    table = draw(small_tables())
+    array = [table, draw(json_documents), "a"]
+    obj = {"table": table, "array": array, "doc": draw(json_documents)}
+    shared = st.sampled_from((table, array, obj, array[1], obj["doc"]))
+    return draw(st.recursive(
+        shared | st.none() | st.integers() | json_text,
+        lambda children: (st.lists(children, max_size=4)
+                          | st.dictionaries(json_text, children, max_size=4)),
+        max_leaves=20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents_with_shared_parts())
+def test_writer_matches_json_dumps_on_shared_parts(doc):
+    """A part written again at the same indentation copies the pieces of
+    its first text, and at another one is written anew: either way the
+    text is json.dumps's."""
+    assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True,
+                                     default=metrics.MetricMatrix.to_json)
+
+
+def test_a_repeated_table_document_is_written_once():
+    """A document that holds one 16-point table document 200 times is
+    written with one list of pieces and one join: the writer's peak memory
+    stays under 1.5 times the text it returns (a writer that joins each
+    level's text, and every copy of the table anew, peaks near 3 times)."""
+    labels = [f"p{i}" for i in range(16)]
+    table = metrics.MetricMatrix.from_rows(labels, [
+        [Fraction(abs(i - j), 7) for j in range(16)]
+        for i in range(16)]).to_json()
+    doc = {"tables": [table] * 200}
+    tracemalloc.start()
+    try:
+        text = _dumps(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == reference_dumps(doc)
+    assert peak < 1.5 * len(text)
 
 
 STORED_REPORTS = (sorted(DATA.glob("*.json"))
