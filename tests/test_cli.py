@@ -2115,8 +2115,7 @@ def weights_spec_with_extra(tmp_path, extra):
 
 def test_the_deepest_echo_prints_through_the_module(tmp_path):
     """An array at depth 500, the report at depth 1, prints through
-    `python -m evslib.cli`, where the writer recurses once per level; the
-    parent of this bound printed 497 levels at most."""
+    `python -m evslib.cli`, where the writer recurses once per level."""
     from evslib.cli import MAX_ECHO_DEPTH
     assert MAX_ECHO_DEPTH == 500
     proc = evs_process(*weights_spec_with_extra(tmp_path, nested(496)),

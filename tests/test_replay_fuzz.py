@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from evslib.cli import main
 from evslib.metrics import builtin_metric
@@ -145,8 +145,7 @@ REPLACEMENTS = (
                        {"labels": [], "rows": []}, A, SPEC_P]))
 
 
-@settings(max_examples=1500, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=1500, deadline=None)
 @given(data=st.data())
 def test_a_damaged_report_replays_without_an_internal_fault(reports, data):
     docs, damaged = reports
