@@ -1,8 +1,9 @@
 """Generic ordered-semigroup-with-scalar-action contract and its verifier.
 
 An instance packages a carrier fragment behind five operations: add, scale,
-leq, equal, and a distinguished zero. The verifier runs the six structure
-axioms over a seeded finite sample with exact arithmetic:
+leq, equal, and a distinguished zero; add and scale come from its `pack`
+hook, which fits the instance to one sample (packed.py). The verifier runs
+the six structure axioms over a seeded finite sample with exact arithmetic:
 
   A1  addition is a commutative semigroup with identity zero
   A2  the order is translation- and scaling-compatible
@@ -72,6 +73,10 @@ class EvsInstance:
     compute from them. Its `element_to_json` prints a packed element as
     this instance prints the element it packs, and it reads no JSON.
 
+    `add` and `scale` come only from `pack`: the instances it returns
+    (packed.py) set them, and the instances that build_instance and the
+    order tools hold leave them None, since no order tool adds or scales.
+
     Elements are checked once, where they enter: `element_from_json`
     rejects any element not in the instance's shape, and the seeded samplers
     build elements in shape. The operations check nothing; given operands
@@ -83,12 +88,12 @@ class EvsInstance:
 
     name: str
     zero: Any
-    add: Callable[[Any, Any], Any]
-    scale: Callable[[Fraction, Any], Any]
     leq: Callable[[Any, Any], bool]
     equal: Callable[[Any, Any], bool]
     element_to_json: Callable[[Any], Any]
     element_from_json: Callable[[Any], Any]
+    add: Optional[Callable[[Any, Any], Any]] = None
+    scale: Optional[Callable[[Fraction, Any], Any]] = None
     comparing: Optional[Callable[[Any, Any], Fraction]] = None
     eps_independence: Optional[Callable] = None
     lsolve: Optional[Callable] = None
@@ -113,13 +118,13 @@ class _Context:
     One context serves both suites of a run. Replay builds one whose sample
     is the given sample followed by the counterexample's elements, with its
     scalars; `minimal`, `primitives` and `below` range over the first `m`
-    positions only, the given sample (in a run, m = n). With a `pack` hook,
-    the context holds the instance and sample it returns (packed.py)."""
+    positions only, the given sample (in a run, m = n). The context holds
+    the instance and sample that the `pack` hook returns (packed.py), the
+    only instance with an `add` and a `scale`."""
 
     def __init__(self, inst: EvsInstance, sample: list, scalars: list,
                  m: Optional[int] = None):
-        if inst.pack is not None:
-            inst, sample = inst.pack(sample, scalars)
+        inst, sample = inst.pack(sample, scalars)
         self.inst, self.sample, self.scalars = inst, sample, scalars
         self.n = len(sample)
         self.m = self.n if m is None else m

@@ -14,12 +14,15 @@ numerator tuples, den) for the hyperspace. Both forms are canonical, so
 the seeded samples and cone `lsolve`). The samplers, the loaders, the
 order tools and replay's input keep these forms; the metric instance adds
 the comparing function of metrics.py, which reads its two forms as
-MetricMatrix tables.
+MetricMatrix tables. On these forms an instance has `zero`, `leq`,
+`equal`, its JSON and its hooks, and no `add` or `scale`: no order tool
+adds or scales.
 
 The verifier packs them instead (the `pack` hook, see core._Context): over
 the common denominator of its sample and scalars, a rational tuple is one
 signed int with a w-bit field per entry, and a point set a frozenset of
-such ints, one per point (packed.py).
+such ints, one per point (packed.py). The packed instance alone has `add`
+and `scale`.
 
 Each element is checked once, where it enters: `element_from_json` rejects
 a table over another carrier, a vector or value table of another width and
@@ -55,8 +58,8 @@ from .metrics import (
     transform_bounded,
     transform_min,
 )
-from .rationals import (_add, _leq, _reduced, _scale, fmt, fmt_ratio,
-                        parse_rational, parse_rationals, to_fractions, to_ints)
+from .rationals import (_leq, _reduced, fmt, fmt_ratio, parse_rational,
+                        parse_rationals, to_fractions, to_ints)
 
 ZERO = Fraction(0)
 
@@ -73,41 +76,35 @@ DEFAULT_SCALARS = (
 # ---------------------------------------------------------------------------
 
 
-def _abs_scale(alpha, a):
-    return _scale(abs(alpha.numerator), alpha.denominator, a)
-
-
 def rational_tuple_instance(name: str, width: int, element_to_json,
-                            element_from_json, *,
-                            scale=(_abs_scale, "abs"),
+                            element_from_json, *, scale: str = "abs",
                             leq=(_leq, "pointwise"), **hooks) -> EvsInstance:
     """Tuples of `width` rationals under pointwise add, with the all-zero
     tuple as zero. By default the scalar action is |alpha|-scaling and the
-    order is the pointwise one; `scale` and `leq` replace them, each a pair
-    of the op on integer forms and the name of the op on packed ints in
-    packed.py. `hooks` are the instance's optional `comparing`,
-    `eps_independence` and `lsolve`.
+    order is the pointwise one. `scale` names another scalar action of
+    packed.py, and `leq` is a pair of another order on integer forms and
+    the name of that order in packed.py. `hooks` are the instance's
+    optional `comparing`, `eps_independence` and `lsolve`.
 
-    Elements are in the canonical integer form of rationals.to_ints and the
-    ops are the integer kernel of rationals.py; `equal` is tuple equality,
+    Elements are in the canonical integer form of rationals.to_ints and
+    `leq` is the integer kernel of rationals.py; `equal` is tuple equality,
     and the JSON converters are given that form too. `element_from_json`
     must reject a tuple of another width. The `pack` hook gives the
-    verifier the same instance on packed ints (packed.pack_tuples).
+    verifier the same instance on packed ints, with its add and scale
+    (packed.pack_tuples).
     """
-    (scale, packed_scale), (leq, packed_leq) = scale, leq
+    leq, packed_leq = leq
 
     def pack(sample: list, scalars: list) -> tuple:
         from .packed import pack_tuples
         return pack_tuples(
             name, width, lambda nums, den: element_to_json(
                 _reduced(tuple(nums), den)),
-            packed_scale, packed_leq, sample, scalars)
+            scale, packed_leq, sample, scalars)
 
     return EvsInstance(
         name=name,
         zero=((0,) * width, 1),
-        add=_add,
-        scale=scale,
         leq=leq,
         equal=operator.eq,
         element_to_json=element_to_json,
@@ -161,10 +158,8 @@ def metric_reversed_order_instance(labels: Sequence[str]) -> EvsInstance:
 def metric_no_abs_scale_instance(labels: Sequence[str]) -> EvsInstance:
     """Mutant: scalar action without the absolute value; homogeneity breaks
     at alpha = -1."""
-    return metric_packed_instance(
-        labels, "metrics-no-abs-scale",
-        scale=(lambda al, a: _scale(al.numerator, al.denominator, a),
-               "signed"))
+    return metric_packed_instance(labels, "metrics-no-abs-scale",
+                                  scale="signed")
 
 
 def seeded_metric_matrices(labels: Sequence[str], seed: int,
@@ -197,7 +192,7 @@ def seeded_metric_sample(labels: Sequence[str], seed: int, count: int) -> list:
 #
 # A cone element (r, v) is the rational tuple (r, *v) of width dim + 1 in the
 # integer form above: it shares add and equality with the pointwise
-# instances, and brings its own scale and leq.
+# instances, and brings its own scale (packed.py) and leq.
 
 
 def _check_dim(dim: int) -> None:
@@ -231,16 +226,6 @@ def _cone_from_json(doc, dim: int) -> tuple:
 def _cone_to_json(e) -> dict:
     r, *v = to_fractions(e)
     return {"r": fmt(r), "v": [fmt(x) for x in v]}
-
-
-def _cone_scale(alpha, a):
-    """(|alpha| r, alpha v)."""
-    xs, den = a
-    p = alpha.numerator
-    nums = [p * x for x in xs]
-    if p < 0:
-        nums[0] = -nums[0]
-    return _reduced(tuple(nums), den * alpha.denominator)
 
 
 def _cone_leq(a, b):
@@ -289,7 +274,7 @@ def cone_instance(dim: int) -> EvsInstance:
         f"cone[dim {dim}]", dim + 1,
         element_to_json=_cone_to_json,
         element_from_json=lambda doc: _cone_from_json(doc, dim),
-        scale=(_cone_scale, "cone"), leq=(_cone_leq, "cone"),
+        scale="cone", leq=(_cone_leq, "cone"),
         lsolve=_cone_lsolve)
 
 
@@ -339,27 +324,6 @@ def _set_reduced(pts: frozenset, den: int) -> tuple:
     return frozenset(tuple([x // g for x in p]) for p in pts), den // g
 
 
-def _minkowski_sum(a, b):
-    (ps, dp), (qs, dq) = a, b
-    if dp != dq:
-        g = gcd(dp, dq)
-        mp, mq = dq // g, dp // g
-        ps = [tuple([x * mp for x in p]) for p in ps]
-        qs = [tuple([y * mq for y in q]) for q in qs]
-        dp *= mp
-    return _set_reduced(
-        frozenset([tuple(map(operator.add, p, q)) for p in ps for q in qs]),
-        dp)
-
-
-def _point_scale(alpha, a):
-    """alpha * A, with the sign of alpha kept."""
-    ps, den = a
-    p = alpha.numerator
-    return _set_reduced(frozenset([tuple([p * x for x in pt]) for pt in ps]),
-                        den * alpha.denominator)
-
-
 def _subset(a, b):
     """A is a subset of B. The canonical denominator of a subset divides that
     of the whole set, so any other pair of denominators answers False."""
@@ -390,8 +354,8 @@ def hyperspace_instance(dim: int) -> EvsInstance:
     """A + B = {a+b}, alpha A = {alpha a} (no absolute value: scaling may
     reflect the set), A <= B iff A is a subset of B. The zero is the origin
     singleton; the minimal elements are exactly the singletons. The `pack`
-    hook gives the verifier a point set as a frozenset of packed points
-    (packed.pack_point_sets)."""
+    hook gives the verifier a point set as a frozenset of packed points,
+    with the sum and scaling above (packed.pack_point_sets)."""
     _check_dim(dim)
     name = f"hyperspace[dim {dim}]"
 
@@ -404,8 +368,6 @@ def hyperspace_instance(dim: int) -> EvsInstance:
     return EvsInstance(
         name=name,
         zero=(frozenset({(0,) * dim}), 1),
-        add=_minkowski_sum,
-        scale=_point_scale,
         leq=_subset,
         equal=operator.eq,
         element_to_json=_point_set_to_json,

@@ -627,8 +627,6 @@ def norm_family_instance(partition: PartitionSpec) -> EvsInstance:
     return EvsInstance(
         name=f"norm-family[depth {partition.depth}]",
         zero=None,
-        add=unsupported,
-        scale=unsupported,
         leq=unsupported,
         equal=unsupported,
         element_to_json=NormFamilyParams.to_json,

@@ -1,6 +1,7 @@
 """A reference model of the closed-form metrics, the table sum, scalar
-action and transforms, the comparing value and the metric axioms, written
-from the paper's definitions in plain Fraction arithmetic.
+action and transforms, the comparing value and the metric axioms, and the
+sums and scalar actions of the verifier's instances, written from the
+paper's definitions in plain Fraction arithmetic.
 
 It reads only the data fields of the library's objects: a metric's family,
 weight, base and factor, a carrier's kind, step and points, and a table's
@@ -27,14 +28,50 @@ def capped(v: Fraction) -> Fraction:
     return min(ONE, v)
 
 
+def pointwise_sum(a: tuple, b: tuple) -> tuple:
+    """The sum of two tuples of one width, entry by entry: the sum of
+    metrics, of norm value tables and of cone elements."""
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def abs_scale(alpha: Fraction, a: tuple) -> tuple:
+    """Every entry times |alpha|: the scalar action on metrics and norms."""
+    return tuple(abs(alpha) * x for x in a)
+
+
+def signed_scale(alpha: Fraction, a: tuple) -> tuple:
+    """Every entry times alpha, its sign kept: the scalar action of the
+    metric mutant without the absolute value, and of a vector."""
+    return tuple(alpha * x for x in a)
+
+
+def cone_scale(alpha: Fraction, e: tuple) -> tuple:
+    """alpha(r, v) = (|alpha| r, alpha v) on the cone [0, inf) x V, for the
+    element e = (r, *v)."""
+    r, *v = e
+    return (abs(alpha) * r, *signed_scale(alpha, v))
+
+
+def minkowski_sum(a: frozenset, b: frozenset) -> frozenset:
+    """A + B = {p + q : p in A, q in B}, for sets of points of one
+    dimension."""
+    return frozenset(pointwise_sum(p, q) for p in a for q in b)
+
+
+def point_scale(alpha: Fraction, a: frozenset) -> frozenset:
+    """alpha A = {alpha p : p in A}, without an absolute value: a negative
+    alpha reflects the set."""
+    return frozenset(signed_scale(alpha, p) for p in a)
+
+
 def scaled(alpha: Fraction, full: tuple) -> tuple:
     """The scalar action on a full table: every entry times |alpha|."""
-    return tuple(tuple(abs(alpha) * v for v in row) for row in full)
+    return tuple(abs_scale(alpha, row) for row in full)
 
 
 def added(a: tuple, b: tuple) -> tuple:
     """The sum of two full tables of one size, entry by entry."""
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(map(pointwise_sum, a, b))
 
 
 def transformed(image, full: tuple) -> tuple:

@@ -1,19 +1,85 @@
-"""Replay oracles for the certificates the library prints.
+"""Replay oracles for the certificates the library prints, and the
+reference instances they and the differential tests run.
 
 `evs --replay` re-runs a whole command and compares reports. These replay
-one printed claim on its own, through the instance operations: a verifier
-counterexample must still violate its law, and a positive membership
-certificate must still be an order inequality. Each reads the claim's
-elements and scalars back as a report's inputs are read, and a norm value
-table, which no command takes as input, by read_norm_table.
+one printed claim on its own: a verifier counterexample must still violate
+its law, and a positive membership certificate must still be an order
+inequality. Each reads the claim's elements and scalars back as a report's
+inputs are read, and a norm value table, which no command takes as input,
+by read_norm_table.
+
+A verifier context runs the `add` and `scale` of the packed instance that
+the `pack` hook returns (packed.py). reference_instance gives an instance
+the sum and scalar action of tests/reference.py instead, on its integer
+forms, behind a `pack` hook that changes nothing; packed_context gives the
+packed ops on a few elements and reads their values back.
 """
 
+from dataclasses import replace
+from fractions import Fraction
+
+import reference
 from evslib.core import AXIOMS, PROPERTIES, EvsInstance, _Context
 from evslib.errors import InputError
+from evslib.instances import point_set
 from evslib.order import POSITIVE
-from evslib.rationals import parse_rational, parse_rationals, to_ints
+from evslib.rationals import (parse_rational, parse_rationals, to_fractions,
+                              to_ints)
 
 LAWS = {law.name: law for law in AXIOMS + PROPERTIES}
+
+
+def _tuple_ops(scale) -> tuple:
+    """The pointwise sum and the scalar action `scale` of tests/reference.py,
+    on the integer forms of rational tuples."""
+    return (lambda a, b: to_ints(reference.pointwise_sum(to_fractions(a),
+                                                         to_fractions(b))),
+            lambda alpha, a: to_ints(scale(alpha, to_fractions(a))))
+
+
+def _points(a) -> frozenset:
+    """The Fraction points of a point set in integer form."""
+    pts, den = a
+    return frozenset(tuple(Fraction(x, den) for x in p) for p in pts)
+
+
+#: The sum and scalar action of each built-in instance, by the name its
+#: instance carries before the bracket.
+REFERENCE_OPS = {
+    "metrics": _tuple_ops(reference.abs_scale),
+    "metrics-reversed-order": _tuple_ops(reference.abs_scale),
+    "metrics-no-abs-scale": _tuple_ops(reference.signed_scale),
+    "norms": _tuple_ops(reference.abs_scale),
+    "cone": _tuple_ops(reference.cone_scale),
+    "hyperspace": (
+        lambda a, b: point_set(reference.minkowski_sum(_points(a),
+                                                       _points(b))),
+        lambda alpha, a: point_set(reference.point_scale(alpha,
+                                                         _points(a)))),
+}
+
+
+def reference_instance(inst: EvsInstance, **ops) -> EvsInstance:
+    """`inst` on its integer forms, with the sum and scalar action of
+    tests/reference.py and with `ops` in place of any of its operations.
+    Its `pack` hook returns it and the sample unchanged, so a verifier
+    context over it runs these operations."""
+    add, scale = REFERENCE_OPS[inst.name.partition("[")[0]]
+    ref = replace(inst, **{"add": add, "scale": scale, **ops},
+                  pack=lambda sample, scalars: (ref, sample))
+    return ref
+
+
+def packed_context(inst: EvsInstance, elements: list, scalars=()) -> tuple:
+    """(packed instance, packed elements, read) of a verifier context over
+    `elements` and the listed scalars 0, 1, -1 and `scalars`: the packed
+    ops hold on the values a law computes from these, and `read` takes
+    such a value back to the integer form of `inst`, through the JSON that
+    both instances print."""
+    packed, xs = inst.pack(list(elements), [Fraction(0), Fraction(1),
+                                            Fraction(-1), *scalars])
+    read = _reader(inst)
+    return packed, xs, lambda x: read(packed.element_to_json(x))
 
 
 def replay_counterexample(inst: EvsInstance, ce: dict, sample=None) -> bool:
@@ -40,12 +106,17 @@ def replay_counterexample(inst: EvsInstance, ce: dict, sample=None) -> bool:
     if law.sample_relative and sample is None:
         raise InputError(f"{law.name} is sample-relative: replay needs the sample")
     given = list(sample or ())
-    read = inst.element_from_json or (lambda doc: read_norm_table(inst, doc))
-    m, els = len(given), [read(e) for e in elements]
+    m, els = len(given), list(map(_reader(inst), elements))
     c = _Context(inst, given + els, [parse_rational(a) for a in scalars], m)
     verdict, = law.verdicts(c, [(*range(m, m + len(els)),
                                  *range(len(scalars)))])
     return verdict is not None and not verdict
+
+
+def _reader(inst: EvsInstance):
+    """The reader of inst's elements from JSON: its loader, or
+    read_norm_table for the norms instance, which has none."""
+    return inst.element_from_json or (lambda doc: read_norm_table(inst, doc))
 
 
 def read_norm_table(inst: EvsInstance, doc) -> tuple:
@@ -59,11 +130,12 @@ def read_norm_table(inst: EvsInstance, doc) -> tuple:
 
 def replay_certificate(instance: EvsInstance, x, y, cert: dict) -> bool:
     """A positive membership document must replay as the order inequality
-    alpha*x (+ primitive) <= y, read back as a report's inputs are."""
+    alpha*x (+ primitive) <= y, read back as a report's inputs are. The
+    scaling and the sum are those of tests/reference.py."""
     if cert.get("status") != POSITIVE:
         return False
-    scaled = instance.scale(parse_rational(cert["alpha"]), x)
+    ref = reference_instance(instance)
+    scaled = ref.scale(parse_rational(cert["alpha"]), x)
     if "primitive" in cert:
-        scaled = instance.add(scaled,
-                              instance.element_from_json(cert["primitive"]))
+        scaled = ref.add(scaled, instance.element_from_json(cert["primitive"]))
     return instance.leq(scaled, y)

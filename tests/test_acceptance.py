@@ -57,7 +57,8 @@ from evslib.metrics import random_metric
 from evslib.norms import norm_family_instance
 import reference
 from reference import rows
-from replay import replay_certificate, replay_counterexample
+from replay import (reference_instance, replay_certificate,
+                    replay_counterexample)
 
 F = Fraction
 
@@ -348,6 +349,7 @@ def test_criterion_12_certificate_algebra():
         rng = random.Random(12)
         labels = carrier_labels(5)
         inst = metric_packed_instance(labels)
+        ref = reference_instance(inst)
         for _ in range(200):
             a = random_metric(rng, labels).form
             b = random_metric(rng, labels).form
@@ -358,14 +360,14 @@ def test_criterion_12_certificate_algebra():
             assert cert_ab["status"] == "positive"
             assert replay_certificate(inst, a, b, cert_ab)
 
-            bigger = inst.add(a, c)
+            bigger = ref.add(a, c)
             assert inst.leq(a, bigger)
             cert_bigger = in_l(inst, bigger, b)
             if cert_bigger["status"] == "positive":
                 assert cert_ab["status"] == "positive"
                 assert F(cert_ab["alpha"]) >= F(cert_bigger["alpha"])
 
-            assert F(in_l(inst, inst.scale(alpha, a), b)["alpha"]) == \
+            assert F(in_l(inst, ref.scale(alpha, a), b)["alpha"]) == \
                 F(cert_ab["alpha"]) / alpha
 
             cert_bc = in_l(inst, b, c)

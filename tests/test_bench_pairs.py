@@ -1,10 +1,12 @@
 """tools/bench_pairs.py: the gain rule it writes as `claim_met`, its
 refusal to compare checkouts that run different benchmarks or that are not
-git checkouts, its replay corpus, and its process-wall mode."""
+git checkouts, the command it records, its replay corpus, and its
+process-wall mode."""
 
 import hashlib
 import importlib.util
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -146,6 +148,41 @@ def test_git_checkouts_are_named_by_their_commits(bench_pairs, tmp_path,
         "--workloads", "axioms=1", "--out", str(tmp_path / "BENCH.json")])
     with pytest.raises(AssertionError, match="a benchmark run started"):
         bench_pairs.main()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--replay-corpus"],
+    ["--workloads", "axioms=2,tables=1"],
+    ["--process-wall", "3"],
+    ["--workloads", "countable=1", "--traced", "axioms,tables",
+     "--replay-corpus", "--process-wall", "2"],
+], ids=["replay-corpus", "workloads", "process-wall", "every-flag"])
+def test_the_recorded_command_parses_back_to_its_arguments(
+        bench_pairs, tmp_path, monkeypatch, flags):
+    """The `command` of the file, split as a shell splits it and with the
+    checkouts put for BEFORE and AFTER, parses to the arguments of the run
+    that wrote it."""
+    for name in ("_pairs", "_run", "replay_corpus"):
+        monkeypatch.setattr(bench_pairs, name, lambda *args: {})
+    monkeypatch.setattr(bench_pairs, "process_wall", lambda *args: {})
+    monkeypatch.setattr(bench_pairs, "_differing", lambda roots: [])
+    monkeypatch.setattr(bench_pairs, "_commit", lambda root: "0" * 40)
+    sides = {"BEFORE": str(tmp_path / "before"),
+             "AFTER": str(tmp_path / "after")}
+    (tmp_path / "after").mkdir()
+    (tmp_path / "after" / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 24, "end_to_end": []}))
+    monkeypatch.chdir(tmp_path)
+    argv = ["--before", sides["BEFORE"], "--after", sides["AFTER"], *flags,
+            "--out", "BENCH.json"]
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", *argv])
+    assert bench_pairs.main() == 0
+    words = shlex.split(json.loads(
+        (tmp_path / "BENCH.json").read_text())["command"])
+    assert words[:2] == ["python3", "tools/bench_pairs.py"]
+    parser = bench_pairs.arguments()
+    assert parser.parse_args([sides.get(word, word) for word in words[2:]]) \
+        == parser.parse_args(argv)
 
 
 # A before side that prints a report the after side replays, the same

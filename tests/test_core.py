@@ -25,7 +25,7 @@ from evslib.instances import (
 )
 from evslib.metrics import builtin_metric, scale_metric
 from evslib.rationals import fmt
-from replay import replay_counterexample
+from replay import packed_context, replay_counterexample
 
 F = Fraction
 
@@ -120,12 +120,13 @@ def test_a3iii_holds_with_equality_for_convex_nonnegative_scalars():
     labels = carrier_labels(4)
     inst = metric_packed_instance(labels)
     sample = seeded_metric_sample(labels, seed=2, count=10)
-    for x in sample:
+    packed, xs, _ = packed_context(inst, sample, [F(1, 2), F(2), F(3, 2)])
+    for x in xs:
         for a in (F(0), F(1, 2), F(2)):
             for b in (F(0), F(1), F(3, 2)):
-                lhs = inst.scale(a + b, x)
-                rhs = inst.add(inst.scale(a, x), inst.scale(b, x))
-                assert inst.equal(lhs, rhs)
+                lhs = packed.scale(a + b, x)
+                rhs = packed.add(packed.scale(a, x), packed.scale(b, x))
+                assert packed.equal(lhs, rhs)
 
 
 def test_minimal_elements_examples():

@@ -1,5 +1,6 @@
 """Cone and hyperspace operations, their sample structure, and replay of
-their reports."""
+their reports. The sums and scalings are those a verifier context runs,
+on packed ints (replay.packed_context)."""
 
 import json
 from fractions import Fraction
@@ -18,6 +19,7 @@ from evslib.instances import (
     seeded_hyper_sample,
 )
 from evslib.rationals import to_fractions
+from replay import packed_context
 
 F = Fraction
 
@@ -44,13 +46,15 @@ def ce(r, v):
 def test_cone_addition():
     cone = cone_instance(2)
     v, w = pt(1, 2), pt(3, -1)
-    assert cone.add(ce(1, v), ce(2, w)) == ce(3, pt(4, 1))
+    packed, (a, b), read = packed_context(cone, [ce(1, v), ce(2, w)])
+    assert read(packed.add(a, b)) == ce(3, pt(4, 1))
 
 
 def test_cone_scaling_reflects_vector_but_not_radius():
     cone = cone_instance(2)
     v = pt(1, 2)
-    assert cone.scale(F(-2), ce(1, v)) == ce(2, pt(-2, -4))
+    packed, (a,), read = packed_context(cone, [ce(1, v)], [F(-2)])
+    assert read(packed.scale(F(-2), a)) == ce(2, pt(-2, -4))
 
 
 def test_cone_order_needs_equal_vector_part():
@@ -80,13 +84,14 @@ def test_cone_sample_minimal_elements_sit_on_zero_slice():
 def test_minkowski_sum_dimension_one():
     hyper = hyperspace_instance(1)
     a, b = fs(pt(0), pt(1)), fs(pt(0), pt(2))
-    assert hyper.add(a, b) == fs(pt(0), pt(1), pt(2), pt(3))
+    packed, (a, b), read = packed_context(hyper, [a, b])
+    assert read(packed.add(a, b)) == fs(pt(0), pt(1), pt(2), pt(3))
 
 
 def test_scale_by_zero_collapses_to_origin_singleton():
     hyper = hyperspace_instance(2)
-    a = fs(pt(1, 1), pt(2, -3))
-    assert hyper.scale(F(0), a) == hyper.zero
+    packed, (a,), read = packed_context(hyper, [fs(pt(1, 1), pt(2, -3))])
+    assert read(packed.scale(F(0), a)) == hyper.zero
 
 
 def test_subset_order():
@@ -97,7 +102,8 @@ def test_subset_order():
 
 def test_negative_scaling_reflects():
     hyper = hyperspace_instance(1)
-    assert hyper.scale(F(-1), fs(pt(1), pt(2))) == fs(pt(-1), pt(-2))
+    packed, (a,), read = packed_context(hyper, [fs(pt(1), pt(2))])
+    assert read(packed.scale(F(-1), a)) == fs(pt(-1), pt(-2))
 
 
 def test_empty_set_rejected():
@@ -110,9 +116,11 @@ def test_a3iii_strict_inclusion_witness_found_and_recorded():
     """(a+b)A is a subset of aA + bA with strict inclusion for a non-singleton
     A at a = b = 1/2; the witness midpoint is recorded here."""
     hyper = hyperspace_instance(1)
-    a = fs(pt(0), pt(1))
-    lhs = hyper.scale(F(1), a)
-    rhs = hyper.add(hyper.scale(F(1, 2), a), hyper.scale(F(1, 2), a))
+    packed, (a,), read = packed_context(hyper, [fs(pt(0), pt(1))], [F(1, 2)])
+    lhs = packed.scale(F(1), a)
+    rhs = packed.add(packed.scale(F(1, 2), a), packed.scale(F(1, 2), a))
+    assert packed.leq(lhs, rhs)
+    lhs, rhs = read(lhs), read(rhs)
     assert hyper.leq(lhs, rhs)
     (lhs_points, lhs_den), (rhs_points, rhs_den) = lhs, rhs
     assert lhs_den == 1

@@ -1,7 +1,9 @@
 """The exact integer kernel of the pointwise, cone and hyperspace instances
 and the integer triangle check, against plain Fraction references on random
 inputs, and the verifier's tables of sums, orders and scalings of sampled
-elements."""
+elements. The orders run on the integer forms, and the sums and scalings
+on the packed ints of a verifier context (replay.packed_context), against
+the ops of tests/reference.py."""
 
 from collections import Counter
 from dataclasses import replace
@@ -27,7 +29,7 @@ from evslib.instances import (
 )
 from evslib.rationals import fmt, to_fractions, to_ints
 import reference
-from replay import replay_counterexample
+from replay import packed_context, replay_counterexample
 
 WIDTH = 5
 
@@ -38,8 +40,8 @@ entries = st.one_of(rationals, small_rationals)
 vectors = st.lists(entries, min_size=WIDTH, max_size=WIDTH).map(tuple)
 scalars = st.one_of(rationals, small_rationals, st.just(Fraction(0)))
 
-INST = rational_tuple_instance("tuples", WIDTH, element_to_json=None,
-                               element_from_json=None)
+INST = rational_tuple_instance("tuples", WIDTH, element_to_json=to_fractions,
+                               element_from_json=to_ints)
 # the no-abs-scale mutant on a 4-point carrier works on tuples of width 10,
 # the upper triangle of a table with its diagonal
 MUTANT = metric_no_abs_scale_instance(carrier_labels(4))
@@ -63,11 +65,12 @@ def test_round_trip_and_canonical_form(v):
 @given(vectors, vectors)
 def test_add_leq_equal_match_fraction_reference(u, v):
     a, b = to_ints(u), to_ints(v)
-    total = INST.add(a, b)
-    assert canonical(total)
-    assert to_fractions(total) == tuple(x + y for x, y in zip(u, v))
+    packed, (pa, pb), read = packed_context(INST, [a, b])
+    assert to_fractions(read(packed.add(pa, pb))) == \
+        reference.pointwise_sum(u, v)
     assert INST.leq(a, b) == all(x <= y for x, y in zip(u, v))
-    assert INST.equal(a, b) == (u == v)
+    assert packed.leq(pa, pb) == INST.leq(a, b)
+    assert INST.equal(a, b) == packed.equal(pa, pb) == (u == v)
     assert INST.equal(a, to_ints(u))
 
 
@@ -81,23 +84,26 @@ def test_leq_on_shared_denominator(u, v):
 
 @given(scalars, vectors)
 def test_scale_matches_fraction_reference(alpha, v):
-    scaled = INST.scale(alpha, to_ints(v))
-    assert canonical(scaled)
-    assert to_fractions(scaled) == tuple(abs(alpha) * x for x in v)
+    packed, (x,), read = packed_context(INST, [to_ints(v)], [alpha])
+    assert to_fractions(read(packed.scale(alpha, x))) == \
+        reference.abs_scale(alpha, v)
 
 
 @given(scalars, mutant_vectors)
 def test_no_abs_scale_mutant_keeps_the_sign(alpha, v):
-    scaled = MUTANT.scale(-abs(alpha), to_ints(v))
-    assert canonical(scaled)
-    assert to_fractions(scaled) == tuple(-abs(alpha) * x for x in v)
+    alpha = -abs(alpha)
+    packed, (x,), read = packed_context(MUTANT, [to_ints(v)], [alpha])
+    assert to_fractions(read(packed.scale(alpha, x))) == \
+        reference.signed_scale(alpha, v)
 
 
 @given(vectors)
 def test_zero_is_the_identity(v):
     a = to_ints(v)
-    assert INST.add(a, INST.zero) == a
-    assert INST.scale(Fraction(0), a) == INST.zero
+    packed, (x,), read = packed_context(INST, [a])
+    assert read(packed.add(x, packed.zero)) == a
+    assert packed.scale(Fraction(0), x) == packed.zero
+    assert read(packed.zero) == INST.zero
 
 
 # Elements are checked where they enter, by the loader; the ops check
@@ -156,14 +162,16 @@ def test_norms_replay_of_another_width_is_input_error(width):
 
 
 def test_no_op_is_a_wrapper():
-    """The ops are the kernel functions themselves; only the two mutants
-    bring a lambda, which is their mutation."""
+    """The orders are the kernel functions themselves; only the reversed
+    order mutant brings a lambda, which is its mutation. No instance but a
+    packed one adds or scales."""
     for name in ("metrics", "norms", "cone", "hyperspace"):
         inst, _, _ = build_instance(name, sample=2)
-        for op in ("add", "scale", "leq", "equal"):
+        for op in ("leq", "equal"):
             qualname = getattr(inst, op).__qualname__
             assert "<lambda>" not in qualname, (name, op)
             assert "<locals>" not in qualname, (name, op)
+        assert inst.add is None and inst.scale is None, name
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +186,6 @@ radii = st.one_of(small_rationals, rationals).map(abs)
 dim_vectors = st.lists(entries, min_size=DIM, max_size=DIM).map(tuple)
 points = st.lists(small_rationals, min_size=DIM, max_size=DIM).map(tuple)
 point_lists = st.lists(points, min_size=1, max_size=4)
-
-
-def reference_cone_scale(alpha, e):
-    r, v = e
-    return abs(alpha) * r, tuple(alpha * x for x in v)
 
 
 @st.composite
@@ -223,20 +226,21 @@ def point_set_pairs(draw):
 def test_cone_add_leq_equal_match_fraction_reference(pair):
     (r, v), (s, w) = pair
     a, b = cone_element(r, v), cone_element(s, w)
-    total = CONE.add(a, b)
-    assert canonical(total)
-    assert total == cone_element(r + s, tuple(x + y for x, y in zip(v, w)))
-    assert CONE.leq(a, b) == (r <= s and v == w)
+    packed, (pa, pb), read = packed_context(CONE, [a, b])
+    assert read(packed.add(pa, pb)) == to_ints(
+        reference.pointwise_sum((r, *v), (s, *w)))
+    assert CONE.leq(a, b) == packed.leq(pa, pb) == (r <= s and v == w)
     assert CONE.equal(a, b) == ((r, v) == (s, w))
     assert CONE.equal(a, cone_element(r, v))
 
 
 @given(scalars, radii, dim_vectors)
 def test_cone_scale_matches_fraction_reference(alpha, r, v):
+    packed, (x,), read = packed_context(CONE, [cone_element(r, v)],
+                                        [alpha, -alpha])
     for al in (alpha, -alpha, Fraction(0)):
-        scaled = CONE.scale(al, cone_element(r, v))
-        assert canonical(scaled)
-        assert scaled == cone_element(*reference_cone_scale(al, (r, v)))
+        assert read(packed.scale(al, x)) == to_ints(
+            reference.cone_scale(al, (r, *v)))
 
 
 @given(radii, dim_vectors)
@@ -252,23 +256,23 @@ def test_hyperspace_add_leq_equal_match_fraction_reference(pair):
     u, v = pair
     a, b = point_set(u), point_set(v)
     assert canonical_set(a) and as_points(a) == frozenset(u)
-    total = HYPER.add(a, b)
-    assert canonical_set(total)
-    assert as_points(total) == frozenset(
-        tuple(x + y for x, y in zip(p, q)) for p in u for q in v)
-    assert HYPER.leq(a, b) == (frozenset(u) <= frozenset(v))
+    packed, (pa, pb), read = packed_context(HYPER, [a, b])
+    assert as_points(read(packed.add(pa, pb))) == reference.minkowski_sum(
+        frozenset(u), frozenset(v))
+    assert HYPER.leq(a, b) == packed.leq(pa, pb) == (
+        frozenset(u) <= frozenset(v))
     assert HYPER.leq(b, a) == (frozenset(v) <= frozenset(u))
     assert HYPER.equal(a, b) == (frozenset(u) == frozenset(v))
 
 
 @given(scalars, point_lists)
 def test_hyperspace_scale_matches_fraction_reference(alpha, u):
+    packed, (x,), read = packed_context(HYPER, [point_set(u)],
+                                        [alpha, -alpha])
     for al in (alpha, -alpha, Fraction(0)):
-        scaled = HYPER.scale(al, point_set(u))
-        assert canonical_set(scaled)
-        assert as_points(scaled) == frozenset(
-            tuple(al * x for x in p) for p in u)
-    assert HYPER.scale(Fraction(0), point_set(u)) == HYPER.zero
+        assert as_points(read(packed.scale(al, x))) == \
+            reference.point_scale(al, frozenset(u))
+    assert read(packed.scale(Fraction(0), x)) == HYPER.zero
 
 
 @given(point_lists)

@@ -10,7 +10,6 @@ reference does, so no operation runs past the first failing tuple.
 
 import json
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from itertools import (combinations, combinations_with_replacement, groupby,
                        product)
@@ -25,6 +24,7 @@ from evslib import core
 from evslib.core import AXIOMS, PROPERTIES, check_axioms
 from evslib.instances import DEFAULT_SCALARS, build_instance
 from evslib.rationals import fmt
+from replay import reference_instance
 
 NAMES = ("metrics", "norms", "cone", "hyperspace",
          "metrics-reversed-order", "metrics-no-abs-scale")
@@ -223,12 +223,12 @@ def test_runner_reports_as_the_per_tuple_loop(run, chunk, properties):
 
 
 def counted(inst):
-    """The integer-form instance, with every call of its four operations
-    counted by name."""
-    calls = Counter()
+    """The reference instance of `inst` (replay.reference_instance), with
+    every call of its four operations counted by name."""
+    calls, ref = Counter(), reference_instance(inst)
 
     def wrap(op_name):
-        op = getattr(inst, op_name)
+        op = getattr(ref, op_name)
 
         def op_counted(*args):
             calls[op_name] += 1
@@ -237,7 +237,7 @@ def counted(inst):
 
     ops = {op_name: wrap(op_name)
            for op_name in ("add", "scale", "leq", "equal")}
-    return replace(inst, pack=None, **ops), calls
+    return reference_instance(inst, **ops), calls
 
 
 @settings(max_examples=30, deadline=None)

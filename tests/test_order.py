@@ -37,7 +37,7 @@ from evslib.instances import (
 from evslib.metrics import random_metric
 from evslib.norms import norm_family_instance
 from reference import rows
-from replay import replay_certificate
+from replay import reference_instance, replay_certificate
 from test_order_pins import run_job, write_inputs
 
 F = Fraction
@@ -307,6 +307,7 @@ def test_certificate_algebra_invariants():
     rng = random.Random(59)
     labels = carrier_labels(5)
     inst = metric_packed_instance(labels)
+    ref = reference_instance(inst)
     for _ in range(40):
         a = random_metric(rng, labels).form
         b = random_metric(rng, labels).form
@@ -318,7 +319,7 @@ def test_certificate_algebra_invariants():
         assert replay_certificate(inst, a, b, cert_ab)
 
         # monotonicity: x <= y means a membership relative to y transfers to x
-        x, y = a, inst.add(a, b)
+        x, y = a, ref.add(a, b)
         assert inst.leq(x, y)
         cert_yc = in_l(inst, y, c)
         cert_xc = in_l(inst, x, c)
@@ -326,7 +327,7 @@ def test_certificate_algebra_invariants():
             assert cert_xc["status"] == "positive"
 
         # scaling: certificates divide out the factor exactly
-        assert F(in_l(inst, inst.scale(alpha, a), c)["alpha"]) == \
+        assert F(in_l(inst, ref.scale(alpha, a), c)["alpha"]) == \
             F(cert_xc["alpha"]) / alpha
 
         # transitivity: chained certificates compose multiplicatively

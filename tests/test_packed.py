@@ -1,8 +1,9 @@
 """The verifier's packed context against the integer forms it packs: a run
 of both suites, and the replay of its counterexamples and of drawn ones,
-report the same with each instance's `pack` hook and without it."""
+report the same with each instance's `pack` hook and with its reference
+instance (replay.reference_instance), which adds and scales the integer
+forms by the Fraction ops of tests/reference.py."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from evslib.instances import (
 from evslib.norms import FSVector, norm_table_instance
 from evslib.packed import packed_layout
 from evslib.rationals import fmt, to_ints
-from replay import LAWS, replay_counterexample
+from replay import LAWS, reference_instance, replay_counterexample
 
 DIM = 2
 LABELS = carrier_labels(3)
@@ -91,18 +92,15 @@ def runs(draw, name):
     """A sample holding the zero, with some elements repeated, doubled or
     negated, and a scalar list holding 0, 1 and -1."""
     inst = instance(name)
+    scale = reference_instance(inst).scale
     sample = [inst.zero] + draw(st.lists(element(name), min_size=1,
                                          max_size=5))
     two, minus = Fraction(2), Fraction(-1)
     sample += [op(x) for x, op in zip(sample[1:], draw(st.lists(
-        st.sampled_from((lambda x: x, lambda x: inst.scale(two, x),
-                         lambda x: inst.scale(minus, x))), max_size=3)))]
+        st.sampled_from((lambda x: x, lambda x: scale(two, x),
+                         lambda x: scale(minus, x))), max_size=3)))]
     scalars = [Fraction(0), Fraction(1), Fraction(-1)] + draw(extra_scalars)
     return inst, sample, scalars
-
-
-def plain(inst):
-    return replace(inst, pack=None)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -110,14 +108,15 @@ def plain(inst):
 @given(data=st.data())
 def test_packed_run_reports_as_the_integer_forms(name, data):
     inst, sample, scalars = data.draw(runs(name))
+    ref = reference_instance(inst)
     report = check_axioms(inst, sample, scalars, seed=0, properties=True)
-    assert report == check_axioms(plain(inst), sample, scalars, seed=0,
+    assert report == check_axioms(ref, sample, scalars, seed=0,
                                   properties=True)
     for entry in report["axioms"] + report["properties"]:
         ce = entry.get("counterexample")
         if ce is not None:
             assert replay_counterexample(inst, ce, sample) is True
-            assert replay_counterexample(plain(inst), ce, sample) is True
+            assert replay_counterexample(ref, ce, sample) is True
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -136,7 +135,7 @@ def test_packed_replay_of_new_elements_answers_as_the_integer_forms(name,
           "scalars": [fmt(a) for a in data.draw(st.lists(
               rationals(24), min_size=listed, max_size=listed))]}
     assert replay_counterexample(inst, ce, sample) == \
-        replay_counterexample(plain(inst), ce, sample)
+        replay_counterexample(reference_instance(inst), ce, sample)
 
 
 def test_layout_width_leaves_a_sign_above_the_bound():

@@ -148,17 +148,11 @@ SCANNED = ["tests/test_golden.py", "tests/test_table_pins.py",
            "test_feasible_on_a_hyperspace_universe_takes_the_subsets"]
 DESELECTED = "not reference_model and not to_json_prints"
 
-# functions that no scanned command enters, each kept for the reason given
-UNENTERED = {
-    "instances._abs_scale": "the unpacked scale of the metric instances; "
-    "the verifier runs the packed ops of the `pack` hook, and no order "
-    "tool scales",
-    "instances._cone_scale": "the unpacked scale of the cone; as above",
-    "instances._minkowski_sum": "the unpacked add of the hyperspace; the "
-    "verifier runs the packed ops, and no order tool adds",
-    "instances._point_scale": "the unpacked scale of the hyperspace; as "
-    "above",
-}
+# functions that no scanned command enters, each kept for the reason given.
+# None is left: an instance has no add or scale of its own, since only the
+# packed instance of a verifier context adds and scales (the `pack` hook,
+# packed.py), and the reference ops of the tests live in tests/reference.py.
+UNENTERED = {}
 
 # Loaded into the scanning run by `-p`: it replaces cli.main before the
 # test modules import it, and records the (file, first line) of each code

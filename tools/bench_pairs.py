@@ -42,7 +42,9 @@ its exit codes and its stdout digests, and whether both sides printed one
 and the same stdout; the tool exits 1, after writing the file, where they
 did not. No gain is judged from these times.
 
-Any of the three modes may run alone.
+Any of the three modes may run alone. The file records the command that
+made it, with each flag that was given and no other, so that it reruns as
+written once BEFORE and AFTER name the checkouts.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ import hashlib
 import json
 import os
 import platform
+import shlex
 import statistics
 import subprocess
 import sys
@@ -301,7 +304,8 @@ def process_wall(roots: dict, count: int) -> dict:
     return {"rounds": count, "commands": doc}
 
 
-def main() -> int:
+def arguments() -> argparse.ArgumentParser:
+    """The tool's command-line parser."""
     parser = argparse.ArgumentParser()
     parser.add_argument("--before", required=True)
     parser.add_argument("--after", required=True)
@@ -315,6 +319,29 @@ def main() -> int:
     parser.add_argument("--process-wall", type=int, default=0, metavar="N",
                         help="time whole processes of both sides, N rounds")
     parser.add_argument("--out", required=True)
+    return parser
+
+
+def recorded_command(args: argparse.Namespace) -> str:
+    """The command of a run, as its file records it: the checkouts named
+    BEFORE and AFTER, the output by its file name, and each valued flag
+    only when it was given."""
+    words = ["python3", "tools/bench_pairs.py", "--before", "BEFORE",
+             "--after", "AFTER"]
+    if args.workloads:
+        words += ["--workloads", args.workloads]
+    if args.traced:
+        words += ["--traced", args.traced]
+    if args.replay_corpus:
+        words.append("--replay-corpus")
+    if args.process_wall:
+        words += ["--process-wall", str(args.process_wall)]
+    words += ["--out", Path(args.out).name]
+    return shlex.join(words)
+
+
+def main() -> int:
+    parser = arguments()
     args = parser.parse_args()
     if not (args.workloads or args.replay_corpus or args.process_wall):
         parser.error("give --workloads, --replay-corpus, --process-wall "
@@ -340,12 +367,7 @@ def main() -> int:
     doc = {
         # the checkouts are named by their commits and the output by its
         # file name, not by their paths
-        "command": (f"python3 tools/bench_pairs.py --before BEFORE --after AFTER"
-                    f" --workloads {args.workloads} --traced {args.traced}"
-                    + " --replay-corpus" * args.replay_corpus
-                    + f" --process-wall {args.process_wall}"
-                    * bool(args.process_wall)
-                    + f" --out {Path(args.out).name}"),
+        "command": recorded_command(args),
         "commits": commits,
         "machine": {"platform": platform.platform(),
                     "python": platform.python_version()},
