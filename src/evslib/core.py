@@ -58,7 +58,7 @@ ONE = Fraction(1)
 MINUS_ONE = Fraction(-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class EvsInstance:
     """Operations of one carrier fragment, plus serialization for replay.
 
@@ -76,6 +76,8 @@ class EvsInstance:
     `add` and `scale` come only from `pack`: the instances it returns
     (packed.py) set them, and the instances that build_instance and the
     order tools hold leave them None, since no order tool adds or scales.
+    So check_axioms needs an instance with a `pack` hook, and is an
+    InputError without one. Fields are given by keyword only.
 
     Elements are checked once, where they enter: `element_from_json`
     rejects any element not in the instance's shape, and the seeded samplers
@@ -398,6 +400,9 @@ CHUNK = 512
 
 
 def _context(inst: EvsInstance, sample, scalars) -> _Context:
+    if inst.pack is None:
+        raise InputError(f"instance {inst.name!r} has no pack hook to add "
+                         "and scale with")
     if not sample:
         raise InputError("sample must be nonempty")
     if not any(inst.equal(x, inst.zero) for x in sample):

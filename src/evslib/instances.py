@@ -16,7 +16,8 @@ order tools and replay's input keep these forms; the metric instance adds
 the comparing function of metrics.py, which reads its two forms as
 MetricMatrix tables. On these forms an instance has `zero`, `leq`,
 `equal`, its JSON and its hooks, and no `add` or `scale`: no order tool
-adds or scales.
+adds or scales. (Metric sums and scalings, metrics.add_metrics and
+scale_metric, run the integer kernel of rationals.py on table forms.)
 
 The verifier packs them instead (the `pack` hook, see core._Context): over
 the common denominator of its sample and scalars, a rational tuple is one

@@ -2,6 +2,7 @@
 deliberately broken variants."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, islice
 
@@ -216,6 +217,23 @@ def test_scalars_must_contain_unit_elements():
     sample = seeded_metric_sample(labels, seed=0, count=5)
     with pytest.raises(InputError):
         check_axioms(inst, sample, (F(0), F(1), F(2)), seed=0)
+
+
+def test_instance_without_pack_rejected():
+    """The verifier adds and scales only through the instance `pack`
+    returns; an instance without the hook is named in an InputError."""
+    labels = carrier_labels(3)
+    inst = replace(metric_packed_instance(labels), pack=None)
+    sample = seeded_metric_sample(labels, seed=0, count=5)
+    with pytest.raises(InputError, match="has no pack hook"):
+        check_axioms(inst, sample, SMALL_SCALARS, seed=0)
+
+
+def test_instance_fields_are_keyword_only():
+    inst = metric_packed_instance(carrier_labels(3))
+    with pytest.raises(TypeError):
+        type(inst)(inst.name, inst.zero, inst.leq, inst.equal,
+                   inst.element_to_json, inst.element_from_json)
 
 
 INSTANCE_NAMES = ("metrics", "norms", "cone", "hyperspace",

@@ -1,9 +1,10 @@
 """The exact integer kernel of the pointwise, cone and hyperspace instances
 and the integer triangle check, against plain Fraction references on random
 inputs, and the verifier's tables of sums, orders and scalings of sampled
-elements. The orders run on the integer forms, and the sums and scalings
-on the packed ints of a verifier context (replay.packed_context), against
-the ops of tests/reference.py."""
+elements. The integer kernel (_add, _scale, _leq) runs on the integer
+forms, as the metric sums, scalings and orders use it, and the verifier's
+sums and scalings on the packed ints of a verifier context
+(replay.packed_context); both against the ops of tests/reference.py."""
 
 from collections import Counter
 from dataclasses import replace
@@ -27,7 +28,7 @@ from evslib.instances import (
     point_set,
     rational_tuple_instance,
 )
-from evslib.rationals import fmt, to_fractions, to_ints
+from evslib.rationals import _add, _scale, fmt, to_fractions, to_ints
 import reference
 from replay import packed_context, replay_counterexample
 
@@ -65,6 +66,9 @@ def test_round_trip_and_canonical_form(v):
 @given(vectors, vectors)
 def test_add_leq_equal_match_fraction_reference(u, v):
     a, b = to_ints(u), to_ints(v)
+    total = _add(a, b)
+    assert canonical(total)
+    assert to_fractions(total) == reference.pointwise_sum(u, v)
     packed, (pa, pb), read = packed_context(INST, [a, b])
     assert to_fractions(read(packed.add(pa, pb))) == \
         reference.pointwise_sum(u, v)
@@ -84,6 +88,11 @@ def test_leq_on_shared_denominator(u, v):
 
 @given(scalars, vectors)
 def test_scale_matches_fraction_reference(alpha, v):
+    for p, reference_scale in ((abs(alpha.numerator), reference.abs_scale),
+                               (alpha.numerator, reference.signed_scale)):
+        scaled = _scale(p, alpha.denominator, to_ints(v))
+        assert canonical(scaled)
+        assert to_fractions(scaled) == reference_scale(alpha, v)
     packed, (x,), read = packed_context(INST, [to_ints(v)], [alpha])
     assert to_fractions(read(packed.scale(alpha, x))) == \
         reference.abs_scale(alpha, v)
@@ -92,6 +101,9 @@ def test_scale_matches_fraction_reference(alpha, v):
 @given(scalars, mutant_vectors)
 def test_no_abs_scale_mutant_keeps_the_sign(alpha, v):
     alpha = -abs(alpha)
+    scaled = _scale(alpha.numerator, alpha.denominator, to_ints(v))
+    assert canonical(scaled)
+    assert to_fractions(scaled) == reference.signed_scale(alpha, v)
     packed, (x,), read = packed_context(MUTANT, [to_ints(v)], [alpha])
     assert to_fractions(read(packed.scale(alpha, x))) == \
         reference.signed_scale(alpha, v)
@@ -100,6 +112,8 @@ def test_no_abs_scale_mutant_keeps_the_sign(alpha, v):
 @given(vectors)
 def test_zero_is_the_identity(v):
     a = to_ints(v)
+    assert _add(a, INST.zero) == a
+    assert _scale(0, 1, a) == INST.zero
     packed, (x,), read = packed_context(INST, [a])
     assert read(packed.add(x, packed.zero)) == a
     assert packed.scale(Fraction(0), x) == packed.zero
@@ -226,6 +240,9 @@ def point_set_pairs(draw):
 def test_cone_add_leq_equal_match_fraction_reference(pair):
     (r, v), (s, w) = pair
     a, b = cone_element(r, v), cone_element(s, w)
+    total = _add(a, b)
+    assert canonical(total)
+    assert total == to_ints(reference.pointwise_sum((r, *v), (s, *w)))
     packed, (pa, pb), read = packed_context(CONE, [a, b])
     assert read(packed.add(pa, pb)) == to_ints(
         reference.pointwise_sum((r, *v), (s, *w)))
