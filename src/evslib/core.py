@@ -21,15 +21,10 @@ characterization p + (-1)p = zero. The verifier refutes; it never certifies a
 carrier-wide claim. Every failure carries a counterexample that re-evaluates
 to a violation when replayed through the instance operations.
 
-Both suites read one table of laws (AXIOMS, PROPERTIES), and so does the
-counterexample replay of the tests (tests/replay.py). A law
-judges a whole list of tuples of sample and scalar positions at once: it
-gathers its operands by column from the context's tables of sums, orders
-and scalings, and maps the instance operations over them lazily. The
-runner reads each law's tuples CHUNK at a time and stops at the first
-violation, so no operation runs past it; a replay judges the one tuple
-of the given sample followed by the counterexample's elements. An entry is
-not-applicable when its laws found nothing to check: A2 with no comparable
+Both suites, and the counterexample replay of the tests (tests/replay.py),
+read one table of laws (AXIOMS, PROPERTIES; see Law and _check_entry):
+a law judges a list of tuples of positions at once, CHUNK at a time, and
+stops at the first violation. An entry is not-applicable when its laws found nothing to check: A2 with no comparable
 sampled pair, additive-primitive with no pair whose primitive sets are
 witnessed in the sample. A report passes only when every entry passes, so
 not-applicable counts as not passed: `evs axioms --instance metrics --sample 1`
@@ -53,11 +48,6 @@ from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 from .errors import InputError
 from .rationals import fmt, parse_rational
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-MINUS_ONE = Fraction(-1)
-
-
 @dataclass(frozen=True, kw_only=True)
 class EvsInstance:
     """Operations of one carrier fragment, plus serialization for replay.
@@ -73,7 +63,8 @@ class EvsInstance:
     compute from them. Its `element_to_json` prints a packed element as
     this instance prints the element it packs, and it reads no JSON.
 
-    `add` and `scale` come only from `pack`: the instances it returns
+    `add` and `scale(p, q, x)`, x times p/q for ints p and q > 0, come
+    only from `pack`: the instances it returns
     (packed.py) set them, and the instances that build_instance and the
     order tools hold leave them None, since no order tool adds or scales.
     So check_axioms needs an instance with a `pack` hook, and is an
@@ -95,7 +86,7 @@ class EvsInstance:
     element_to_json: Callable[[Any], Any]
     element_from_json: Callable[[Any], Any]
     add: Optional[Callable[[Any, Any], Any]] = None
-    scale: Optional[Callable[[Fraction, Any], Any]] = None
+    scale: Optional[Callable[[int, int, Any], Any]] = None
     comparing: Optional[Callable[[Any, Any], Fraction]] = None
     eps_independence: Optional[Callable] = None
     lsolve: Optional[Callable] = None
@@ -110,12 +101,13 @@ class EvsInstance:
 class _Context:
     """The inputs of one run, by position, and the tables its laws read.
 
-    Laws reach elements and scalars by position: `sample[i]`, `scalars[a]`.
-    The sums `sums[i][j] = sample[i] + sample[j]`, the orders `order[i][j]
-    = leq(sample[i], sample[j])` and the scalings `scaled[a][i] = scalars[a]
-    * sample[i]` are tables built whole when a law first needs them, as are
-    the products and sums of pairs of listed scalars. Other operands, such
-    as (a*b)x or (a+b)x, go to the instance operations afresh.
+    Laws reach elements and scalars by position: `sample[i]`, `scalars[a]`
+    = ps[a]/qs[a]. The sums `sums[i][j] = sample[i] + sample[j]`, the orders
+    `order[i][j] = leq(sample[i], sample[j])` and the scalings `scaled[a][i]
+    = scalars[a] * sample[i]` are tables built whole when a law first needs
+    them, as are the products and sums of pairs of listed scalars, as
+    tables (P, Q) of ints p/q not in lowest terms. Other operands, such as
+    (a*b)x or (a+b)x, go to the instance operations afresh.
 
     One context serves both suites of a run. Replay builds one whose sample
     is the given sample followed by the counterexample's elements, with its
@@ -128,6 +120,8 @@ class _Context:
                  m: Optional[int] = None):
         inst, sample = inst.pack(sample, scalars)
         self.inst, self.sample, self.scalars = inst, sample, scalars
+        self.ps = [a.numerator for a in scalars]
+        self.qs = [a.denominator for a in scalars]
         self.n = len(sample)
         self.m = self.n if m is None else m
 
@@ -144,15 +138,19 @@ class _Context:
     @cached_property
     def scaled(self) -> list:
         scale, s = self.inst.scale, self.sample
-        return [[scale(a, x) for x in s] for a in self.scalars]
+        return [[scale(p, q, x) for x in s] for p, q in zip(self.ps, self.qs)]
 
     @cached_property
-    def products(self) -> list:
-        return [[a * b for b in self.scalars] for a in self.scalars]
+    def products(self) -> tuple:
+        ps, qs = self.ps, self.qs
+        return ([[p * r for r in ps] for p in ps],
+                [[q * s for s in qs] for q in qs])
 
     @cached_property
-    def scalar_sums(self) -> list:
-        return [[a + b for b in self.scalars] for a in self.scalars]
+    def scalar_sums(self) -> tuple:
+        ps, qs = self.ps, self.qs
+        return [[p * s + r * q for r, s in zip(ps, qs)]
+                for p, q in zip(ps, qs)], self.products[1]
 
     @cached_property
     def comparable(self) -> list:
@@ -186,7 +184,7 @@ class _Context:
 
 def _characterized(inst: EvsInstance, x) -> bool:
     """x + (-1)x = zero."""
-    return inst.equal(inst.add(x, inst.scale(MINUS_ONE, x)), inst.zero)
+    return inst.equal(inst.add(x, inst.scale(-1, 1, x)), inst.zero)
 
 
 def _at(seq: list, I) -> Iterable:
@@ -236,37 +234,38 @@ def _a2_scaling(c, tuples):
 def _a3_i(c, tuples):
     inst, SC = c.inst, c.scaled
     I, J, A = zip(*tuples)
-    return map(inst.equal,
-               map(inst.scale, _at(c.scalars, A), _at2(c.sums, I, J)),
+    return map(inst.equal, map(inst.scale, _at(c.ps, A), _at(c.qs, A),
+                               _at2(c.sums, I, J)),
                map(inst.add, _at2(SC, A, I), _at2(SC, A, J)))
 
 
 def _a3_ii(c, tuples):
-    inst = c.inst
+    inst, (P, Q) = c.inst, c.products
     I, A, B = zip(*tuples)
-    return map(inst.equal,
-               map(inst.scale, _at(c.scalars, A), _at2(c.scaled, B, I)),
-               map(inst.scale, _at2(c.products, A, B), _at(c.sample, I)))
+    return map(inst.equal, map(inst.scale, _at(c.ps, A), _at(c.qs, A),
+                               _at2(c.scaled, B, I)),
+               map(inst.scale, _at2(P, A, B), _at2(Q, A, B),
+                   _at(c.sample, I)))
 
 
 def _split(c, tuples, relation):
     """relation((a+b)x, ax + bx) over the tuples (i, a, b)."""
-    inst, SC = c.inst, c.scaled
+    inst, SC, (P, Q) = c.inst, c.scaled, c.scalar_sums
     I, A, B = zip(*tuples)
-    return map(relation,
-               map(inst.scale, _at2(c.scalar_sums, A, B), _at(c.sample, I)),
+    return map(relation, map(inst.scale, _at2(P, A, B), _at2(Q, A, B),
+                             _at(c.sample, I)),
                map(inst.add, _at2(SC, A, I), _at2(SC, B, I)))
 
 
 def _a3_iv(c, tuples):
     xs, inst = list(_at(c.sample, *zip(*tuples))), c.inst
-    return map(inst.equal, map(inst.scale, repeat(ONE), xs), xs)
+    return map(inst.equal, map(inst.scale, repeat(1), repeat(1), xs), xs)
 
 
 def _a4(c, tuples):
     inst, SC, zero = c.inst, c.scaled, c.inst.zero
     return (inst.equal(SC[a][i], zero) == (
-        c.scalars[a] == 0 or inst.equal(c.sample[i], zero))
+        c.ps[a] == 0 or inst.equal(c.sample[i], zero))
         for i, a in tuples)
 
 
@@ -279,7 +278,7 @@ def _homogeneous(c, tuples):
     inst = c.inst
     I, A = zip(*tuples)
     return map(inst.equal, _at2(c.scaled, A, I), map(
-        inst.scale, map(abs, _at(c.scalars, A)), _at(c.sample, I)))
+        inst.scale, map(abs, _at(c.ps, A)), _at(c.qs, A), _at(c.sample, I)))
 
 
 def _additive_primitive(c, i, j):
@@ -408,7 +407,7 @@ def _context(inst: EvsInstance, sample, scalars) -> _Context:
     if not any(inst.equal(x, inst.zero) for x in sample):
         raise InputError("sample must contain the instance zero")
     scalars = [parse_rational(a) for a in scalars]
-    for needed in (ZERO, ONE, MINUS_ONE):
+    for needed in (0, 1, -1):
         if needed not in scalars:
             raise InputError("scalar list must contain 0, 1 and -1")
     return _Context(inst, list(sample), scalars)

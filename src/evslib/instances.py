@@ -6,24 +6,16 @@ sup norms probed on a finite vector sample (see norms.py), the half-line cone
 Two deliberately broken metric variants (reversed order, scaling without the
 absolute value) exist to exercise the failure paths.
 
-The instances that build_instance returns hold their elements in an exact
-integer form: a rational tuple as (numerators, den) for metrics (a table's
-MetricMatrix.form), norms and the cone, and a point set as (frozenset of
-numerator tuples, den) for the hyperspace. Both forms are canonical, so
-`equal` is tuple equality. Fractions appear only at the boundaries (JSON,
-the seeded samples and cone `lsolve`). The samplers, the loaders, the
-order tools and replay's input keep these forms; the metric instance adds
-the comparing function of metrics.py, which reads its two forms as
-MetricMatrix tables. On these forms an instance has `zero`, `leq`,
-`equal`, its JSON and its hooks, and no `add` or `scale`: no order tool
-adds or scales. (Metric sums and scalings, metrics.add_metrics and
-scale_metric, run the integer kernel of rationals.py on table forms.)
-
-The verifier packs them instead (the `pack` hook, see core._Context): over
-the common denominator of its sample and scalars, a rational tuple is one
-signed int with a w-bit field per entry, and a point set a frozenset of
-such ints, one per point (packed.py). The packed instance alone has `add`
-and `scale`.
+The instances that build_instance returns, and their samplers, hold
+elements in an exact integer form: a rational tuple as (numerators, den)
+for metrics (a table's MetricMatrix.form), norms and the cone, and a point
+set as (frozenset of numerator tuples, den) for the hyperspace. Both forms
+are canonical, so `equal` is tuple equality; Fractions appear only at the
+boundaries (JSON, family norm weights, cone `lsolve`). These instances have
+`zero`, `leq`, `equal`, JSON and hooks, and no `add` or `scale`: only the
+instance that the verifier's `pack` hook returns adds and scales
+(packed.py). Metric sums and scalings, metrics.add_metrics and
+scale_metric, run the integer kernel of rationals.py.
 
 Each element is checked once, where it enters: `element_from_json` rejects
 a table over another carrier, a vector or value table of another width and
@@ -61,8 +53,6 @@ from .metrics import (
 )
 from .rationals import (_leq, _reduced, fmt, fmt_ratio, parse_rational,
                         parse_rationals, to_fractions, to_ints)
-
-ZERO = Fraction(0)
 
 #: Default scalar set: contains 0, 1, -1, values inside and outside the unit
 #: ball, and a negative non-unit for the homogeneity checks.
@@ -280,23 +270,19 @@ def cone_instance(dim: int) -> EvsInstance:
 
 
 def seeded_cone_sample(dim: int, seed: int, count: int) -> list:
+    """Entries x/d, d in {1, 2}, as numerators x * (2 // d) over 2."""
     rng = random.Random(seed)
-    out = [(ZERO, (ZERO,) * dim)]
-
-    def rnd_vec():
-        return tuple(
-            Fraction(rng.randint(-6, 6), rng.choice((1, 2))) for _ in range(dim)
-        )
-
+    out = [(0,) * (dim + 1)]
     while len(out) < count:
-        v = rnd_vec()
-        r = Fraction(rng.randint(1, 8), rng.choice((1, 2)))
-        out.append((ZERO, v))
+        v = tuple([rng.randint(-6, 6) * (2 // rng.choice((1, 2)))
+                   for _ in range(dim)])
+        r = rng.randint(1, 8) * (2 // rng.choice((1, 2)))
+        out.append((0, *v))
         if len(out) < count:
-            out.append((r, v))
+            out.append((r, *v))
         if len(out) < count and rng.random() < 0.4:
-            out.append((2 * r, v))
-    return [cone_element(r, v) for r, v in out[:count]]
+            out.append((2 * r, *v))
+    return [_reduced(xs, 2) for xs in out[:count]]
 
 
 # ---------------------------------------------------------------------------
@@ -379,26 +365,22 @@ def hyperspace_instance(dim: int) -> EvsInstance:
 
 
 def seeded_hyper_sample(dim: int, seed: int, count: int) -> list:
+    """Points as numerators over 2, as in seeded_cone_sample."""
     rng = random.Random(seed)
-    out = [frozenset({(ZERO,) * dim})]
-
-    def rnd_point():
-        return tuple(
-            Fraction(rng.randint(-5, 5), rng.choice((1, 2))) for _ in range(dim)
-        )
-
+    out = [frozenset({(0,) * dim})]
     while len(out) < count:
         size = rng.randint(1, 3)
         pts = set()
         while len(pts) < size:
-            pts.add(rnd_point())
+            pts.add(tuple([rng.randint(-5, 5) * (2 // rng.choice((1, 2)))
+                           for _ in range(dim)]))
         a = frozenset(pts)
         if len(a) > 1 and len(out) + 2 > count:
             a = frozenset({min(a)})  # no room left for the singleton companion
         out.append(a)
         if len(a) > 1:
             out.append(frozenset({min(a)}))
-    return [point_set(a) for a in out[:count]]
+    return [_set_reduced(a, 2) for a in out[:count]]
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +425,8 @@ def build_instance(name: str, *, carrier: int = 6, depth: int = 12,
         if depth > MAX_DEPTH:
             raise InputError(f"depth {depth} exceeds the limit of {MAX_DEPTH}")
         from .norms import norm_table_instance, seeded_norm_sample
-        probes, tables = seeded_norm_sample(depth, seed, sample)
-        return (norm_table_instance(probes), [to_ints(t) for t in tables],
-                DEFAULT_SCALARS)
+        width, tables = seeded_norm_sample(depth, seed, sample)
+        return norm_table_instance(width), tables, DEFAULT_SCALARS
     if name == "cone":
         return (cone_instance(dim), seeded_cone_sample(dim, seed, sample),
                 DEFAULT_SCALARS)

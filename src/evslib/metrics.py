@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 from .errors import InputError, UndefinedRelativeElementError
 from .rationals import (MAX_DIGITS, _add, _leq, _past_digits, _ratio,
-                        _scale, fmt, fmt_ratio, parse_rational,
+                        _reduced, _scale, fmt, fmt_ratio, parse_rational,
                         parse_rationals, ratios_to_ints, to_ints)
 
 ZERO = Fraction(0)
@@ -1079,25 +1079,19 @@ def cauchy_incompleteness_demo(ns: Sequence[int],
 
 
 def random_metric(rng, labels: Sequence[str]) -> MetricMatrix:
-    """Random rational metric: a scaled mix of a box table (all entries within
-    a factor two of each other, so triangle holds) and a star table
-    d(i,j) = a_i + a_j."""
+    """Random rational metric, in twelfths of 1/t: s/t times a box table
+    (entries 1 + k/12, within a factor two of each other, so triangle
+    holds), a star table d(i,j) = a_i + a_j for halves a_i, or their sum."""
     n = len(labels)
     style = rng.choice(("box", "star", "mix"))
-    scale = Fraction(rng.randint(1, 8), rng.randint(1, 4))
-
-    def box_entry():
-        return 1 + Fraction(rng.randint(0, 12), 12)
-
-    weights = [Fraction(rng.randint(1, 6), 2) for _ in range(n)]
-    upper = [[ZERO] for _ in range(n)]
+    s, t = rng.randint(1, 8), rng.randint(1, 4)
+    weights = [6 * rng.randint(1, 6) for _ in range(n)]   # in twelfths
+    nums = []
     for i in range(n):
+        nums.append(0)
         for j in range(i + 1, n):
-            if style == "box":
-                v = box_entry()
-            elif style == "star":
-                v = weights[i] + weights[j]
-            else:
-                v = box_entry() + weights[i] + weights[j]
-            upper[i].append(scale * v)
-    return _from_upper(labels, upper)
+            v = 0 if style == "star" else 12 + rng.randint(0, 12)
+            if style != "box":
+                v += weights[i] + weights[j]
+            nums.append(s * v)
+    return MetricMatrix(tuple(labels), _reduced(tuple(nums), 12 * t))

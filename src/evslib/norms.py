@@ -25,6 +25,7 @@ still legitimate indices with well-defined weights.
 from __future__ import annotations
 
 import math
+import random
 import re
 import sys
 from fractions import Fraction
@@ -34,8 +35,8 @@ from .core import EvsInstance
 from .errors import InputError
 from .instances import rational_tuple_instance
 from .metrics import MAX_BUILTIN_DEPTH, MetricMatrix, _from_upper
-from .rationals import (MAX_DIGITS, fmt, parse_rational, require_int,
-                        to_fractions)
+from .rationals import (MAX_DIGITS, _scale, fmt, parse_rational,
+                        ratios_to_ints, require_int, to_fractions)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -66,10 +67,6 @@ class FSVector:
                 items.append((str(name), v))
         items.sort()
         return cls(tuple(items))
-
-    @classmethod
-    def unit(cls, name: str) -> "FSVector":
-        return cls(((name, ONE),))
 
     def sub(self, other: "FSVector") -> "FSVector":
         acc = dict(self.coords)
@@ -546,13 +543,8 @@ def embed_norm_to_metric(w: WeightMap | NormFamilyParams,
 # ---------------------------------------------------------------------------
 
 
-def norm_value_table(w: WeightMap | NormFamilyParams,
-                     probes: Sequence[FSVector]) -> tuple:
-    return tuple(eval_weighted_norm(w, x) for x in probes)
-
-
-def norm_table_instance(probes: Sequence[FSVector]) -> EvsInstance:
-    """Norms probed on a fixed finite vector sample.
+def norm_table_instance(width: int) -> EvsInstance:
+    """Norms probed on a fixed finite vector sample of `width` probes.
 
     Sums and scalings of norms act pointwise on values, so exact value tables
     are closed under the operations and faithfully decide the pointwise
@@ -561,52 +553,51 @@ def norm_table_instance(probes: Sequence[FSVector]) -> EvsInstance:
     takes a norm value table as input.
     """
     return rational_tuple_instance(
-        f"norms[{len(probes)} probes]",
-        len(probes),
+        f"norms[{width} probes]", width,
         element_to_json=lambda a: [fmt(x) for x in to_fractions(a)],
         element_from_json=None,
     )
 
 
-def seeded_norm_sample(depth: int, seed: int,
-                       count: int) -> tuple[tuple[FSVector, ...], list]:
-    """Probe vectors and a deterministic sample of norm value tables.
-
-    Probes are the unit coordinate vectors of the enumerated prefix plus a few
-    mixed-support vectors; elements mix random positive weight maps, scaled
-    companions, and two family norms.
-    """
-    import random as _random
-
-    rng = _random.Random(seed)
+def seeded_norm_sample(depth: int, seed: int, count: int) -> tuple[int, list]:
+    """The number of probes and a seeded sample of norm value tables on
+    them, in integer form: the units of the enumerated prefix and six
+    mixed-support vectors probe two family norms, random weight maps and
+    their doubles. An entry is the largest w(h)|c/d| over the probe's
+    coordinates c/d, compared crosswise on w(h) = a/b."""
+    rng = random.Random(seed)
     part = PartitionSpec(depth)
     names = [f"h{k}" for k in range(depth)]
-
-    probes = [FSVector.unit(n) for n in names]
+    probes = [[(n, 1, 1)] for n in names]   # (h, |c|, d) per coordinate
     for _ in range(6):
         support = rng.sample(names, rng.randint(2, 3))
-        coords = {
-            n: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2)))
-            for n in support
-        }
-        probes.append(FSVector.from_dict(coords))
+        probes.append([(n, abs(rng.choice((-3, -2, -1, 1, 2, 3))),
+                        rng.choice((1, 2))) for n in support])
 
-    def random_weights() -> WeightMap:
-        return WeightMap({
-            n: Fraction(rng.randint(1, 8), rng.randint(1, 4)) for n in names
-        })
+    def table(weight) -> tuple:
+        nums, dens = [], []
+        for probe in probes:
+            p, q = 0, 1
+            for n, c, d in probe:
+                a, b = weight(n)
+                if a * c * q > p * b * d:
+                    p, q = a * c, b * d
+            nums.append(p)
+            dens.append(q)
+        return ratios_to_ints(nums, dens)
 
-    elements = [(ZERO,) * len(probes)]
+    elements = [((0,) * len(probes), 1)]
     members = part.b_members()
-    for c, gamma in ((members[:1], Fraction(2)), (members[:2], Fraction(3))):
-        params = NormFamilyParams(part, c, gamma)
-        elements.append(norm_value_table(params, probes))
+    # C leaves a backbone member out: at depth 4, C is {h0}
+    for k, gamma in ((1, 2), (min(2, len(members) - 1), 3)):
+        params = NormFamilyParams(part, members[:k], gamma)
+        elements.append(table(lambda n: params.weight(n).as_integer_ratio()))
     while len(elements) < count:
-        table = norm_value_table(random_weights(), probes)
-        elements.append(table)
+        weights = {n: (rng.randint(1, 8), rng.randint(1, 4)) for n in names}
+        elements.append(table(weights.__getitem__))
         if len(elements) < count and len(elements) % 5 == 2:
-            elements.append(tuple(2 * v for v in table))
-    return tuple(probes), elements[:count]
+            elements.append(_scale(2, 1, elements[-1]))
+    return len(probes), elements[:count]
 
 
 def norm_family_instance(partition: PartitionSpec) -> EvsInstance:

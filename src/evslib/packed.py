@@ -8,9 +8,11 @@ one per point. packed_layout picks L and w for a sample and its listed
 scalars so that every scaling a law makes divides exactly and no field of
 any value a law computes leaves (-2^(w-1), 2^(w-1)). Two such ints are then
 equal exactly when their tuples are, a sum of tuples is the sum of their
-ints, and a scaling by p/q is (p * x) // q. The orders take one masked
-subtraction (pointwise), one range test (the cone) or frozenset <= (the
-hyperspace).
+ints, and a scaling by p/q, given as the ints p and q, is (p * x) // q.
+The orders take one masked subtraction (pointwise), one range test (the
+cone) or frozenset <= (the hyperspace). A pointwise tuple packs only the
+positions where some element is nonzero: sums and scalings keep the
+others zero.
 
 The `pack` hooks of instances.py import this module when a verifier
 context first needs it, so commands that run no verifier never load it.
@@ -78,11 +80,11 @@ def unpack_fields(packed: int, width: int, w: int) -> list[int]:
 
 
 def _abs_scale(w, top):
-    return lambda alpha, x: abs(alpha.numerator) * x // alpha.denominator
+    return lambda p, q, x: abs(p) * x // q
 
 
 def _signed_scale(w, top):
-    return lambda alpha, x: alpha.numerator * x // alpha.denominator
+    return lambda p, q, x: p * x // q
 
 
 def _cone_scale(w, top):
@@ -90,11 +92,10 @@ def _cone_scale(w, top):
     never negative, is x mod 2^w."""
     mask = (1 << w) - 1
 
-    def scale(alpha, x):
-        p = alpha.numerator
+    def scale(p, q, x):
         if p < 0:
             x -= 2 * (x & mask)
-        return p * x // alpha.denominator
+        return p * x // q
     return scale
 
 
@@ -125,16 +126,28 @@ def pack_tuples(name: str, width: int, to_json: Callable, scale: str,
                 order: str, sample: list, scalars: list) -> tuple:
     """(instance, packed sample) for a sample of rational tuples of
     `width` in integer form, under the scalar action and order named
-    `scale` and `order`; `to_json(nums, den)` prints the tuple nums / den."""
+    `scale` and `order`; `to_json(nums, den)` prints the tuple nums / den.
+    Only the cone, whose scale and order read field 0, packs the positions
+    where every element is zero."""
+    keep = range(width) if scale == "cone" else [
+        k for k in range(width) if any(xs[k] for xs, _ in sample)]
     den, w = packed_layout([d for _, d in sample],
                            [max(map(abs, xs)) for xs, _ in sample], scalars)
-    top = pack_fields([1 << (w - 1)] * width, w)
+    top = pack_fields([1 << (w - 1)] * len(keep), w)
+
+    def element_to_json(x):
+        nums = [0] * width
+        for k, v in zip(keep, unpack_fields(x, len(keep), w)):
+            nums[k] = v
+        return to_json(nums, den)
+
     return EvsInstance(
         name=name, zero=0, add=operator.add,
         scale=SCALES[scale](w, top), leq=ORDERS[order](w, top),
         equal=operator.eq, element_from_json=None,
-        element_to_json=lambda x: to_json(unpack_fields(x, width, w), den),
-    ), [pack_fields(xs, w) * (den // d) for xs, d in sample]
+        element_to_json=element_to_json,
+    ), [pack_fields([xs[k] for k in keep], w) * (den // d)
+        for xs, d in sample]
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +159,7 @@ def _minkowski_sum(a, b):
     return frozenset([p + q for p in a for q in b])
 
 
-def _point_scale(alpha, a):
-    p, q = alpha.numerator, alpha.denominator
+def _point_scale(p, q, a):
     return frozenset([p * x // q for x in a])
 
 

@@ -8,11 +8,15 @@ weight, base and factor, a carrier's kind, step and points, and a table's
 labels and printed rows. It places the carrier points itself and never
 calls the library's carrier prefix, family table, table builder, order or
 triangle check, so a fault in any of those shows as a disagreement with it.
-Of the norm family it models the least decay index of a witness.
+Of the norm family it models the weights and the least decay index of a
+witness. It draws the verifier's seeded samples as the library draws them
+and builds them in Fractions.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -210,3 +214,130 @@ def rows(m) -> tuple:
     """The full rows of a MetricMatrix as Fractions, read from the document
     it prints."""
     return tuple(tuple(map(Fraction, row)) for row in m.to_json()["rows"])
+
+
+# ---------------------------------------------------------------------------
+# The seeded samples of the verifier, drawn as the library draws them (the
+# same calls of one random.Random(seed), in the same order) and built in
+# Fraction arithmetic
+# ---------------------------------------------------------------------------
+
+
+def random_metric(rng, n: int) -> tuple:
+    """The full table of a random metric on n points: s/t times a box
+    table (entries 1 + k/12), a star table (w_i + w_j, for halves w_i) or
+    their sum."""
+    style = rng.choice(("box", "star", "mix"))
+    scale = Fraction(rng.randint(1, 8), rng.randint(1, 4))
+    weights = [Fraction(rng.randint(1, 6), 2) for _ in range(n)]
+    full = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        v = 0 if style == "star" else 1 + Fraction(rng.randint(0, 12), 12)
+        if style != "box":
+            v += weights[i] + weights[j]
+        full[i][j] = full[j][i] = scale * v
+    return tuple(map(tuple, full))
+
+
+def metric_sample(n: int, seed: int, count: int) -> list:
+    """The zero table, then random metrics, each followed by its double
+    when the sample's length is then 1 mod 4, by its bounded companion at
+    3 mod 8 and by its truncation at 7 mod 8, while there is room."""
+    rng = random.Random(seed)
+    out = [tuple((Fraction(0),) * n for _ in range(n))]
+    while len(out) < count:
+        full = random_metric(rng, n)
+        out.append(full)
+        for image, mod, at in ((lambda t: scaled(2, t), 4, 1),
+                               (lambda t: transformed(bounded, t), 8, 3),
+                               (lambda t: transformed(capped, t), 8, 7)):
+            if len(out) < count and len(out) % mod == at:
+                out.append(image(full))
+    return out[:count]
+
+
+def cone_sample(dim: int, seed: int, count: int) -> list:
+    """Cone elements (r, *v): the zero, then for each random vector v and
+    radius r the elements (0, *v) and (r, *v), and (2r, *v) at random."""
+    rng = random.Random(seed)
+    out = [(Fraction(0),) * (dim + 1)]
+    while len(out) < count:
+        v = tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2)))
+                  for _ in range(dim))
+        r = Fraction(rng.randint(1, 8), rng.choice((1, 2)))
+        out.append((Fraction(0), *v))
+        if len(out) < count:
+            out.append((r, *v))
+        if len(out) < count and rng.random() < 0.4:
+            out.append((2 * r, *v))
+    return out[:count]
+
+
+def hyper_sample(dim: int, seed: int, count: int) -> list:
+    """Point sets: the origin, then random sets of one to three points,
+    each set of more than one followed by the singleton of its least
+    point (and replaced by it where no room is left for both)."""
+    rng = random.Random(seed)
+    out = [frozenset({(Fraction(0),) * dim})]
+    while len(out) < count:
+        size, pts = rng.randint(1, 3), set()
+        while len(pts) < size:
+            pts.add(tuple(Fraction(rng.randint(-5, 5), rng.choice((1, 2)))
+                          for _ in range(dim)))
+        a = frozenset(pts)
+        if len(a) > 1 and len(out) + 2 > count:
+            a = frozenset({min(a)})
+        out.append(a)
+        if len(a) > 1:
+            out.append(frozenset({min(a)}))
+    return out[:count]
+
+
+def family_weight(k: int, subset: set, gamma: Fraction) -> Fraction:
+    """The weight of position h_k in the family norm (C, gamma). Even
+    positions are the backbone, of weight 1. The j-th odd position, with
+    j = w(w+1)/2 + r for 0 <= r <= w, is index i of a fiber of backbone
+    member h_2(w-r): of the d-fiber at i = r/2 + 1 for even r, of the
+    e-fiber at i = (r+1)/2 for odd r. Its weight is gamma^i on a d-fiber
+    and gamma^-i on an e-fiber of a member in C, and 1 elsewhere."""
+    if k % 2 == 0:
+        return ONE
+    j = (k - 1) // 2
+    w = (isqrt(8 * j + 1) - 1) // 2
+    r = j - w * (w + 1) // 2
+    if f"h{2 * (w - r)}" not in subset:
+        return ONE
+    return gamma ** (r // 2 + 1) if r % 2 == 0 else gamma ** -((r + 1) // 2)
+
+
+def norm_sample(depth: int, seed: int, count: int) -> list:
+    """Value tables of norms on probe vectors: the units of h0 ..
+    h(depth-1) and six vectors of two or three random coordinates. The
+    zero table; the family norms ({h0}, 2) and (C, 3), C the first two
+    backbone members or, at depth 4, h0 alone; then random weight maps,
+    each followed by its double when the sample's length is then 2 mod 5.
+    A norm's value is the largest w(h)|x_h| over the support of x."""
+    rng = random.Random(seed)
+    names = [f"h{k}" for k in range(depth)]
+    probes = [{n: ONE} for n in names]
+    for _ in range(6):
+        support = rng.sample(names, rng.randint(2, 3))
+        probes.append({n: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                                   rng.choice((1, 2))) for n in support})
+
+    def table(weight) -> tuple:
+        return tuple(max(weight(n) * abs(x) for n, x in p.items())
+                     for p in probes)
+
+    out = [(Fraction(0),) * len(probes)]
+    for subset, gamma in (({"h0"}, 2), ({"h0", "h2"} if depth > 4
+                                        else {"h0"}, 3)):
+        out.append(table(lambda n: family_weight(int(n[1:]), subset,
+                                                 Fraction(gamma))))
+    while len(out) < count:
+        weights = {n: Fraction(rng.randint(1, 8), rng.randint(1, 4))
+                   for n in names}
+        out.append(table(weights.__getitem__))
+        if len(out) < count and len(out) % 5 == 2:
+            out.append(tuple(2 * v for v in out[-1]))
+    return out[:count]

@@ -12,7 +12,8 @@ A verifier context runs the `add` and `scale` of the packed instance that
 the `pack` hook returns (packed.py). reference_instance gives an instance
 the sum and scalar action of tests/reference.py instead, on its integer
 forms, behind a `pack` hook that changes nothing; packed_context gives the
-packed ops on a few elements and reads their values back.
+packed ops on a few elements and reads their values back. Either `scale`
+takes a scalar p/q as the ints p and q (`scaled` passes a Fraction).
 """
 
 from dataclasses import replace
@@ -34,7 +35,7 @@ def _tuple_ops(scale) -> tuple:
     on the integer forms of rational tuples."""
     return (lambda a, b: to_ints(reference.pointwise_sum(to_fractions(a),
                                                          to_fractions(b))),
-            lambda alpha, a: to_ints(scale(alpha, to_fractions(a))))
+            lambda p, q, a: to_ints(scale(Fraction(p, q), to_fractions(a))))
 
 
 def _points(a) -> frozenset:
@@ -54,9 +55,14 @@ REFERENCE_OPS = {
     "hyperspace": (
         lambda a, b: point_set(reference.minkowski_sum(_points(a),
                                                        _points(b))),
-        lambda alpha, a: point_set(reference.point_scale(alpha,
-                                                         _points(a)))),
+        lambda p, q, a: point_set(reference.point_scale(Fraction(p, q),
+                                                        _points(a)))),
 }
+
+
+def scaled(inst: EvsInstance, alpha: Fraction, x):
+    """inst.scale of x by alpha, passed as its numerator and denominator."""
+    return inst.scale(alpha.numerator, alpha.denominator, x)
 
 
 def reference_instance(inst: EvsInstance, **ops) -> EvsInstance:
@@ -135,7 +141,7 @@ def replay_certificate(instance: EvsInstance, x, y, cert: dict) -> bool:
     if cert.get("status") != POSITIVE:
         return False
     ref = reference_instance(instance)
-    scaled = ref.scale(parse_rational(cert["alpha"]), x)
+    lhs = scaled(ref, parse_rational(cert["alpha"]), x)
     if "primitive" in cert:
-        scaled = ref.add(scaled, instance.element_from_json(cert["primitive"]))
-    return instance.leq(scaled, y)
+        lhs = ref.add(lhs, instance.element_from_json(cert["primitive"]))
+    return instance.leq(lhs, y)

@@ -58,7 +58,7 @@ from evslib.norms import norm_family_instance
 import reference
 from reference import rows
 from replay import (reference_instance, replay_certificate,
-                    replay_counterexample)
+                    replay_counterexample, scaled)
 
 F = Fraction
 
@@ -257,7 +257,8 @@ def test_criterion_09_norm_family_independence():
                     assert direction.ratio < eps
                     assert direction.ratio == direction.ratio_base ** direction.index
                     for i in range(1, 31):
-                        vec = FSVector.unit(f"{direction.family}({direction.t},{i})")
+                        vec = FSVector.from_dict(
+                            {f"{direction.family}({direction.t},{i})": 1})
                         measured = (eval_weighted_norm(num, vec)
                                     / eval_weighted_norm(den, vec))
                         assert measured == direction.ratio_base ** i
@@ -367,7 +368,7 @@ def test_criterion_12_certificate_algebra():
                 assert cert_ab["status"] == "positive"
                 assert F(cert_ab["alpha"]) >= F(cert_bigger["alpha"])
 
-            assert F(in_l(inst, ref.scale(alpha, a), b)["alpha"]) == \
+            assert F(in_l(inst, scaled(ref, alpha, a), b)["alpha"]) == \
                 F(cert_ab["alpha"]) / alpha
 
             cert_bc = in_l(inst, b, c)

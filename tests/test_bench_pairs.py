@@ -1,7 +1,7 @@
 """tools/bench_pairs.py: the gain rule it writes as `claim_met`, its
-refusal to compare checkouts that run different benchmarks or that are not
-git checkouts, the command it records, its replay corpus, and its
-process-wall mode."""
+refusal to compare checkouts that run different benchmarks, that are not
+git checkouts or that hold bytecode under src/, the command it records,
+its replay corpus, and its process-wall mode."""
 
 import hashlib
 import importlib.util
@@ -137,6 +137,42 @@ def test_refuses_checkouts_that_are_not_git_repositories(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cached", [("before",), ("after",),
+                                    ("before", "after")])
+def test_refuses_checkouts_with_bytecode_under_src(bench_pairs, tmp_path,
+                                                   monkeypatch, capsys,
+                                                   cached):
+    """A bytecode cache under src/ would spare its side the compile that
+    the benchmark's fresh checkouts pay; the tool names each cache."""
+    roots = {side: git_checkout(tmp_path / side)
+             for side in ("before", "after")}
+    caches = [roots[side] / "src" / "evslib" / "__pycache__"
+              for side in cached]
+    for cache in caches:
+        cache.mkdir(parents=True)
+        (cache / "errors.cpython-311.pyc").write_bytes(b"")
+    monkeypatch.setattr(bench_pairs, "_run", no_run)
+    monkeypatch.setattr(bench_pairs, "replay_corpus", no_run)
+    out = tmp_path / "BENCH.json"
+    monkeypatch.setattr(sys, "argv", [
+        "bench_pairs.py", "--before", str(roots["before"]), "--after",
+        str(roots["after"]), "--workloads", "axioms=1", "--replay-corpus",
+        "--out", str(out)])
+    assert bench_pairs.main() == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bytecode caches under src/")
+    for side, root in roots.items():
+        assert (str(root / "src" / "evslib" / "__pycache__") in err) is (
+            side in cached)
+    assert not out.exists()
+
+    # a cache outside src/ is no refusal
+    for cache in caches:
+        cache.rename(cache.parent.parent.parent / "__pycache__")
+    with pytest.raises(AssertionError, match="a benchmark run started"):
+        bench_pairs.main()
+
+
 def test_git_checkouts_are_named_by_their_commits(bench_pairs, tmp_path,
                                                   monkeypatch):
     roots = [git_checkout(tmp_path / side) for side in ("before", "after")]
@@ -251,6 +287,8 @@ def test_replay_corpus_alone_writes_its_section(bench_pairs, tmp_path,
     before = stub_checkout(tmp_path / "before")
     monkeypatch.setattr(bench_pairs, "_differing", lambda roots: [])
     monkeypatch.setattr(bench_pairs, "_commit", lambda root: "0" * 40)
+    # the tests' own imports may leave bytecode under this checkout's src/
+    monkeypatch.setattr(bench_pairs, "_src_caches", lambda root: [])
     monkeypatch.setattr(bench_pairs, "CORPUS_WORKLOADS", ("tiny",))
     out = tmp_path / "BENCH.json"
     monkeypatch.setattr(sys, "argv", [

@@ -26,7 +26,7 @@ from evslib.instances import (
 )
 from evslib.metrics import builtin_metric, scale_metric
 from evslib.rationals import fmt
-from replay import packed_context, replay_counterexample
+from replay import packed_context, replay_counterexample, scaled
 
 F = Fraction
 
@@ -125,8 +125,9 @@ def test_a3iii_holds_with_equality_for_convex_nonnegative_scalars():
     for x in xs:
         for a in (F(0), F(1, 2), F(2)):
             for b in (F(0), F(1), F(3, 2)):
-                lhs = packed.scale(a + b, x)
-                rhs = packed.add(packed.scale(a, x), packed.scale(b, x))
+                lhs = scaled(packed, a + b, x)
+                rhs = packed.add(scaled(packed, a, x),
+                                 scaled(packed, b, x))
                 assert packed.equal(lhs, rhs)
 
 

@@ -19,7 +19,7 @@ from evslib.instances import (
     seeded_hyper_sample,
 )
 from evslib.rationals import to_fractions
-from replay import packed_context
+from replay import packed_context, scaled
 
 F = Fraction
 
@@ -54,7 +54,7 @@ def test_cone_scaling_reflects_vector_but_not_radius():
     cone = cone_instance(2)
     v = pt(1, 2)
     packed, (a,), read = packed_context(cone, [ce(1, v)], [F(-2)])
-    assert read(packed.scale(F(-2), a)) == ce(2, pt(-2, -4))
+    assert read(scaled(packed, F(-2), a)) == ce(2, pt(-2, -4))
 
 
 def test_cone_order_needs_equal_vector_part():
@@ -91,7 +91,7 @@ def test_minkowski_sum_dimension_one():
 def test_scale_by_zero_collapses_to_origin_singleton():
     hyper = hyperspace_instance(2)
     packed, (a,), read = packed_context(hyper, [fs(pt(1, 1), pt(2, -3))])
-    assert read(packed.scale(F(0), a)) == hyper.zero
+    assert read(scaled(packed, F(0), a)) == hyper.zero
 
 
 def test_subset_order():
@@ -103,7 +103,7 @@ def test_subset_order():
 def test_negative_scaling_reflects():
     hyper = hyperspace_instance(1)
     packed, (a,), read = packed_context(hyper, [fs(pt(1), pt(2))])
-    assert read(packed.scale(F(-1), a)) == fs(pt(-1), pt(-2))
+    assert read(scaled(packed, F(-1), a)) == fs(pt(-1), pt(-2))
 
 
 def test_empty_set_rejected():
@@ -117,8 +117,9 @@ def test_a3iii_strict_inclusion_witness_found_and_recorded():
     A at a = b = 1/2; the witness midpoint is recorded here."""
     hyper = hyperspace_instance(1)
     packed, (a,), read = packed_context(hyper, [fs(pt(0), pt(1))], [F(1, 2)])
-    lhs = packed.scale(F(1), a)
-    rhs = packed.add(packed.scale(F(1, 2), a), packed.scale(F(1, 2), a))
+    lhs = scaled(packed, F(1), a)
+    half = scaled(packed, F(1, 2), a)
+    rhs = packed.add(half, half)
     assert packed.leq(lhs, rhs)
     lhs, rhs = read(lhs), read(rhs)
     assert hyper.leq(lhs, rhs)

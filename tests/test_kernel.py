@@ -30,7 +30,7 @@ from evslib.instances import (
 )
 from evslib.rationals import _add, _scale, fmt, to_fractions, to_ints
 import reference
-from replay import packed_context, replay_counterexample
+from replay import packed_context, replay_counterexample, scaled
 
 WIDTH = 5
 
@@ -90,22 +90,22 @@ def test_leq_on_shared_denominator(u, v):
 def test_scale_matches_fraction_reference(alpha, v):
     for p, reference_scale in ((abs(alpha.numerator), reference.abs_scale),
                                (alpha.numerator, reference.signed_scale)):
-        scaled = _scale(p, alpha.denominator, to_ints(v))
-        assert canonical(scaled)
-        assert to_fractions(scaled) == reference_scale(alpha, v)
+        form = _scale(p, alpha.denominator, to_ints(v))
+        assert canonical(form)
+        assert to_fractions(form) == reference_scale(alpha, v)
     packed, (x,), read = packed_context(INST, [to_ints(v)], [alpha])
-    assert to_fractions(read(packed.scale(alpha, x))) == \
+    assert to_fractions(read(scaled(packed, alpha, x))) == \
         reference.abs_scale(alpha, v)
 
 
 @given(scalars, mutant_vectors)
 def test_no_abs_scale_mutant_keeps_the_sign(alpha, v):
     alpha = -abs(alpha)
-    scaled = _scale(alpha.numerator, alpha.denominator, to_ints(v))
-    assert canonical(scaled)
-    assert to_fractions(scaled) == reference.signed_scale(alpha, v)
+    form = _scale(alpha.numerator, alpha.denominator, to_ints(v))
+    assert canonical(form)
+    assert to_fractions(form) == reference.signed_scale(alpha, v)
     packed, (x,), read = packed_context(MUTANT, [to_ints(v)], [alpha])
-    assert to_fractions(read(packed.scale(alpha, x))) == \
+    assert to_fractions(read(scaled(packed, alpha, x))) == \
         reference.signed_scale(alpha, v)
 
 
@@ -116,7 +116,7 @@ def test_zero_is_the_identity(v):
     assert _scale(0, 1, a) == INST.zero
     packed, (x,), read = packed_context(INST, [a])
     assert read(packed.add(x, packed.zero)) == a
-    assert packed.scale(Fraction(0), x) == packed.zero
+    assert scaled(packed, Fraction(0), x) == packed.zero
     assert read(packed.zero) == INST.zero
 
 
@@ -256,7 +256,7 @@ def test_cone_scale_matches_fraction_reference(alpha, r, v):
     packed, (x,), read = packed_context(CONE, [cone_element(r, v)],
                                         [alpha, -alpha])
     for al in (alpha, -alpha, Fraction(0)):
-        assert read(packed.scale(al, x)) == to_ints(
+        assert read(scaled(packed, al, x)) == to_ints(
             reference.cone_scale(al, (r, *v)))
 
 
@@ -287,9 +287,9 @@ def test_hyperspace_scale_matches_fraction_reference(alpha, u):
     packed, (x,), read = packed_context(HYPER, [point_set(u)],
                                         [alpha, -alpha])
     for al in (alpha, -alpha, Fraction(0)):
-        assert as_points(read(packed.scale(al, x))) == \
+        assert as_points(read(scaled(packed, al, x))) == \
             reference.point_scale(al, frozenset(u))
-    assert read(packed.scale(Fraction(0), x)) == HYPER.zero
+    assert read(scaled(packed, Fraction(0), x)) == HYPER.zero
 
 
 @given(point_lists)
@@ -306,30 +306,44 @@ class Tagged(int):
     would otherwise be the same object."""
 
 
-def sampled_pair(sampled, listed, x, y):
+class Listed(Fraction):
+    """A listed scalar whose numerator is a Tagged int, a new object at
+    each read: the verifier context reads it once, so its packed `scale`
+    can tell the p of a listed scalar from that of a product or sum."""
+
+    @property
+    def numerator(self):
+        return Tagged(self._numerator)
+
+
+def listed(scalars) -> list:
+    return [Listed(a) for a in scalars]
+
+
+def sampled_pair(sampled, x, y):
     return (id(x), id(y)) if id(x) in sampled and id(y) in sampled else None
 
 
-def listed_scaling(sampled, listed, a, x):
-    return (id(a), id(x)) if id(a) in listed and id(x) in sampled else None
+def listed_scaling(sampled, p, q, x):
+    return (id(p), id(x)) if type(p) is Tagged and id(x) in sampled else None
 
 
 def counted(inst, calls, tabled):
     """`inst` whose verifier context counts the calls its packed ops make
     on tabled operands: for each op in `tabled`, calls[op, key] for every
-    key = tabled[op](sampled, listed, *operands) that is not None, where
-    `sampled` and `listed` hold the ids of the packed sample's elements
-    and of the listed scalars."""
+    key = tabled[op](sampled, *operands) that is not None, where `sampled`
+    holds the ids of the packed sample's elements. The scalars of a run
+    must be `listed` for listed_scaling to see them."""
     def pack(sample, scalars):
         packed_inst, packed = inst.pack(sample, scalars)
         packed = [Tagged(x) if isinstance(x, int) else x for x in packed]
-        sampled, listed = {id(x) for x in packed}, {id(a) for a in scalars}
+        sampled = {id(x) for x in packed}
 
         def wrap(op):
             run, key_of = getattr(packed_inst, op), tabled[op]
 
             def run_counted(*operands):
-                key = key_of(sampled, listed, *operands)
+                key = key_of(sampled, *operands)
                 if key is not None:
                     calls[op, key] += 1
                 return run(*operands)
@@ -348,7 +362,7 @@ def test_no_sampled_pair_is_added_twice(name):
     inst, sample, scalars = build_instance(name, seed=0, sample=12)
     calls = Counter()
     check_axioms(counted(inst, calls, {"add": sampled_pair}), sample,
-                 scalars, seed=0)
+                 listed(scalars), seed=0)
     assert calls and max(calls.values()) == 1
     pairs = {key for _, key in calls}
     assert any((b, a) in pairs for a, b in pairs if a != b)
@@ -366,8 +380,8 @@ def test_no_tabled_operation_is_computed_twice(name, op, tabled):
     inst, sample, scalars = build_instance(name, seed=0, sample=12)
     for properties in (False, True):
         calls = Counter()
-        check_axioms(counted(inst, calls, {op: tabled}), sample, scalars,
-                     seed=0, properties=properties)
+        check_axioms(counted(inst, calls, {op: tabled}), sample,
+                     listed(scalars), seed=0, properties=properties)
         assert calls and max(calls.values()) == 1
 
 
@@ -386,7 +400,7 @@ def test_one_context_serves_both_suites_of_a_run(monkeypatch, capsys, name):
         inst, sample, scalars = build(*args, **kwargs)
         return counted(inst, calls, {
             "add": sampled_pair, "leq": sampled_pair,
-            "scale": listed_scaling}), sample, scalars
+            "scale": listed_scaling}), sample, listed(scalars)
 
     monkeypatch.setattr(instances, "build_instance", counted_build)
     code = main(["axioms", "--instance", name, "--seed", "0", "--sample",

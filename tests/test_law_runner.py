@@ -24,7 +24,7 @@ from evslib import core
 from evslib.core import AXIOMS, PROPERTIES, check_axioms
 from evslib.instances import DEFAULT_SCALARS, build_instance
 from evslib.rationals import fmt
-from replay import reference_instance
+from replay import reference_instance, scaled
 
 NAMES = ("metrics", "norms", "cone", "hyperspace",
          "metrics-reversed-order", "metrics-no-abs-scale")
@@ -47,21 +47,22 @@ def _scaling(c, i, j, a):
 
 def _distributes(c, i, j, a):
     inst, row = c.inst, c.scaled[a]
-    return inst.equal(inst.scale(c.scalars[a], c.sums[i][j]),
+    return inst.equal(scaled(inst, c.scalars[a], c.sums[i][j]),
                       inst.add(row[i], row[j]))
 
 
 def _composes(c, i, a, b):
     inst = c.inst
-    return inst.equal(inst.scale(c.scalars[a], c.scaled[b][i]),
-                      inst.scale(c.scalars[a] * c.scalars[b], c.sample[i]))
+    return inst.equal(
+        scaled(inst, c.scalars[a], c.scaled[b][i]),
+        scaled(inst, c.scalars[a] * c.scalars[b], c.sample[i]))
 
 
 def _split(relation):
     def holds(c, i, a, b):
         inst, SC = c.inst, c.scaled
         return getattr(inst, relation)(
-            inst.scale(c.scalars[a] + c.scalars[b], c.sample[i]),
+            scaled(inst, c.scalars[a] + c.scalars[b], c.sample[i]),
             inst.add(SC[a][i], SC[b][i]))
     return holds
 
@@ -76,7 +77,7 @@ def _a4(c, i, a):
 def _a5(c, i):
     inst, x = c.inst, c.sample[i]
     characterized = inst.equal(
-        inst.add(x, inst.scale(Fraction(-1), x)), inst.zero)
+        inst.add(x, scaled(inst, Fraction(-1), x)), inst.zero)
     return characterized == c.minimal[i]
 
 
@@ -108,7 +109,7 @@ HOLDS = {
     "A3.i": _distributes,
     "A3.ii": _composes,
     "A3.iii": _split("leq"),
-    "A3.iv": lambda c, i: c.inst.equal(c.inst.scale(Fraction(1),
+    "A3.iv": lambda c, i: c.inst.equal(scaled(c.inst, Fraction(1),
                                                     c.sample[i]),
                                        c.sample[i]),
     "A4": _a4,
@@ -116,7 +117,7 @@ HOLDS = {
     "A6": lambda c, i: any(c.order[p][i] for p in c.primitives),
     "balanced": lambda c, i, a: c.inst.leq(c.scaled[a][i], c.sample[i]),
     "homogeneous": lambda c, i, a: c.inst.equal(
-        c.scaled[a][i], c.inst.scale(abs(c.scalars[a]), c.sample[i])),
+        c.scaled[a][i], scaled(c.inst, abs(c.scalars[a]), c.sample[i])),
     "convex": _split("equal"),
     "zero-primitive": lambda c, i: (not c.minimal[i] or c.inst.equal(
         c.sample[i], c.inst.zero)),

@@ -31,6 +31,11 @@ def params(depth, c, gamma):
     return NormFamilyParams(PartitionSpec(depth), tuple(c), F(gamma))
 
 
+def unit(name):
+    """The unit vector of an index."""
+    return FSVector.from_dict({name: 1})
+
+
 # ---------------------------------------------------------------------------
 # Vectors
 # ---------------------------------------------------------------------------
@@ -146,7 +151,7 @@ def test_plain_weight_map_errors_outside_domain():
 
 def test_norm_of_fiber_unit_vector():
     w = params(12, ["h0"], 2)
-    assert eval_weighted_norm(w, FSVector.unit("e(h0,5)")) == F(1, 32)
+    assert eval_weighted_norm(w, unit("e(h0,5)")) == F(1, 32)
 
 
 def test_norm_of_zero_vector():
@@ -221,8 +226,8 @@ def test_witness_ratio_matches_norm_evaluation_exactly():
     report = independence_witness(p, q, F(1, 10))
     base = report.first_relative_to_second.ratio_base
     for i in range(1, 31):
-        e_vec = FSVector.unit(f"e(h0,{i})")
-        d_vec = FSVector.unit(f"d(h0,{i})")
+        e_vec = unit(f"e(h0,{i})")
+        d_vec = unit(f"d(h0,{i})")
         assert eval_weighted_norm(p, e_vec) / eval_weighted_norm(q, e_vec) == base ** i
         assert eval_weighted_norm(q, d_vec) / eval_weighted_norm(p, d_vec) == base ** i
 
@@ -231,7 +236,7 @@ def test_witness_case_two_ratio_matches_norm_evaluation():
     p = params(12, ["h0"], 3)
     q = params(12, ["h0"], 2)
     for i in range(1, 31):
-        e_vec = FSVector.unit(f"e(h0,{i})")
+        e_vec = unit(f"e(h0,{i})")
         assert eval_weighted_norm(p, e_vec) / eval_weighted_norm(q, e_vec) == F(2, 3) ** i
 
 
@@ -268,7 +273,7 @@ def test_embed_distance_table():
 
 def test_embed_evaluates_each_unordered_pair_once(monkeypatch):
     w = WeightMap({"h0": 1, "h1": 3, "h2": "1/2"})
-    pts = [FSVector(()), FSVector.unit("h0"), FSVector.unit("h1"),
+    pts = [FSVector(()), unit("h0"), unit("h1"),
            FSVector.from_dict({"h0": 2, "h2": -1}),
            FSVector.from_dict({"h1": "1/3"}), FSVector.from_dict({"h2": 5})]
     calls = []
@@ -287,7 +292,7 @@ def test_embed_evaluates_each_unordered_pair_once(monkeypatch):
 def test_embed_rejects_duplicate_points():
     w = WeightMap({"h0": 1})
     with pytest.raises(InputError):
-        embed_norm_to_metric(w, [FSVector.unit("h0"), FSVector.unit("h0")])
+        embed_norm_to_metric(w, [unit("h0"), unit("h0")])
 
 
 def test_embed_is_additive_and_homogeneous():
@@ -332,7 +337,7 @@ def test_embed_preserves_order_both_ways():
     names = ["h0", "h1"]
     w1 = WeightMap({"h0": 1, "h1": 2})
     w2 = WeightMap({"h0": 2, "h1": 3})
-    pts = [FSVector(()), FSVector.unit("h0"), FSVector.unit("h1"),
+    pts = [FSVector(()), unit("h0"), unit("h1"),
            FSVector.from_dict({"h0": 1, "h1": -1})]
     m1, m2 = embed_norm_to_metric(w1, pts), embed_norm_to_metric(w2, pts)
     assert leq_metrics(m1, m2)
@@ -344,7 +349,7 @@ def test_embed_preserves_order_both_ways():
 
 def test_embed_translation_invariance():
     w = WeightMap({"h0": 1, "h1": 3})
-    pts = [FSVector(()), FSVector.unit("h0"), FSVector.from_dict({"h1": 2})]
+    pts = [FSVector(()), unit("h0"), FSVector.from_dict({"h1": 2})]
     shift = FSVector.from_dict({"h0": 5, "h1": -7})
     shifted = [p.sub(shift) for p in pts]
     assert rows(embed_norm_to_metric(w, shifted)) == rows(embed_norm_to_metric(w, pts))

@@ -37,7 +37,7 @@ from evslib.instances import (
 from evslib.metrics import random_metric
 from evslib.norms import norm_family_instance
 from reference import rows
-from replay import reference_instance, replay_certificate
+from replay import reference_instance, replay_certificate, scaled
 from test_order_pins import run_job, write_inputs
 
 F = Fraction
@@ -327,7 +327,7 @@ def test_certificate_algebra_invariants():
             assert cert_xc["status"] == "positive"
 
         # scaling: certificates divide out the factor exactly
-        assert F(in_l(inst, ref.scale(alpha, a), c)["alpha"]) == \
+        assert F(in_l(inst, scaled(ref, alpha, a), c)["alpha"]) == \
             F(cert_xc["alpha"]) / alpha
 
         # transitivity: chained certificates compose multiplicatively

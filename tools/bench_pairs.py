@@ -17,7 +17,11 @@ quartiles of each side, the number of pairs the after side won, and
 benchmark: the tool refuses to start, with exit code 2, when the files
 under `perfbench/` or `BENCHMARK.json` differ between the checkouts. It
 refuses the same way when a side is not the root of a git checkout, since
-the file names each side by its commit.
+the file names each side by its commit, and when a side holds a
+`__pycache__` directory under `src/`, which it names: the benchmark's
+children write no bytecode (they run with PYTHONDONTWRITEBYTECODE=1) and
+a fresh checkout has none, so every child compiles each module it
+imports, and a cache would spare one side that cost.
 
 `--replay-corpus` runs the three job lists at seed 0 on the before side
 and keeps every report, then runs `evs --replay` on each with the after
@@ -109,6 +113,11 @@ def _differing(roots: dict) -> list[str]:
                      for side in ("before", "after"))
     return sorted(name for name in before.keys() | after.keys()
                   if before.get(name) != after.get(name))
+
+
+def _src_caches(root: Path) -> list[str]:
+    """The __pycache__ directories under the checkout's src/."""
+    return [str(path) for path in sorted((root / "src").rglob("__pycache__"))]
 
 
 def _sign(better: str) -> int:
@@ -360,6 +369,12 @@ def main() -> int:
     if differing:
         print("error: the checkouts run different benchmarks; these differ: "
               + ", ".join(differing), file=sys.stderr)
+        return 2
+    caches = [path for root in roots.values() for path in _src_caches(root)]
+    if caches:
+        print("error: bytecode caches under src/ would spare a side the "
+              "compile a fresh checkout pays; remove them: "
+              + ", ".join(caches), file=sys.stderr)
         return 2
     bench = json.loads((roots["after"] / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
