@@ -24,11 +24,12 @@ to a violation when replayed through the instance operations.
 Both suites, and the counterexample replay of the tests (tests/replay.py),
 read one table of laws (AXIOMS, PROPERTIES; see Law and _check_entry):
 a law judges a list of tuples of positions at once, CHUNK at a time, and
-stops at the first violation. An entry is not-applicable when its laws found nothing to check: A2 with no comparable
-sampled pair, additive-primitive with no pair whose primitive sets are
-witnessed in the sample. A report passes only when every entry passes, so
-not-applicable counts as not passed: `evs axioms --instance metrics --sample 1`
-exits 1 on A2 alone. In the property suite it makes `pass` false, but the
+stops at the first violation. An entry is not-applicable when its laws
+found nothing to check: A2 with no comparable sampled pair,
+additive-primitive with no pair whose primitive sets are witnessed in the
+sample. A report passes only when every entry passes, so not-applicable
+counts as not passed: `evs axioms --instance metrics --sample 1` exits 1
+on A2 alone. In the property suite it makes `pass` false, but the
 exit code of `evs axioms --properties` (both suites on one context) follows
 the axiom suite only.
 """
@@ -64,9 +65,9 @@ class EvsInstance:
     this instance prints the element it packs, and it reads no JSON.
 
     `add` and `scale(p, q, x)`, x times p/q for ints p and q > 0, come
-    only from `pack`: the instances it returns
-    (packed.py) set them, and the instances that build_instance and the
-    order tools hold leave them None, since no order tool adds or scales.
+    only from `pack`: the instances it returns (packed.py) set them, and
+    the instances that build_instance and the order tools hold leave them
+    None, since no order tool adds or scales.
     So check_axioms needs an instance with a `pack` hook, and is an
     InputError without one. Fields are given by keyword only.
 

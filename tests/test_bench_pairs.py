@@ -282,6 +282,18 @@ def test_replay_corpus_records_mismatches_exits_and_missing_reports(
     assert doc == {"tiny": expected, "again": expected}
 
 
+def test_children_write_no_bytecode_under_src(bench_pairs, tmp_path,
+                                              monkeypatch):
+    """Run from an environment that writes bytecode, a benchmark child
+    still leaves no cache under the checkout's src/ for the refusal above
+    to find on the next run."""
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    root = stub_checkout(tmp_path / "checkout")
+    bench_pairs._child(root, "setup", root, tmp_path, "tiny", 0)
+    assert (tmp_path / "jobs.json").exists()
+    assert bench_pairs._src_caches(root) == []
+
+
 def test_replay_corpus_alone_writes_its_section(bench_pairs, tmp_path,
                                                 monkeypatch):
     before = stub_checkout(tmp_path / "before")

@@ -18,10 +18,12 @@ benchmark: the tool refuses to start, with exit code 2, when the files
 under `perfbench/` or `BENCHMARK.json` differ between the checkouts. It
 refuses the same way when a side is not the root of a git checkout, since
 the file names each side by its commit, and when a side holds a
-`__pycache__` directory under `src/`, which it names: the benchmark's
-children write no bytecode (they run with PYTHONDONTWRITEBYTECODE=1) and
-a fresh checkout has none, so every child compiles each module it
-imports, and a cache would spare one side that cost.
+`__pycache__` directory under `src/`, which it names: a fresh checkout
+has no bytecode, so every child of the benchmark compiles each module it
+imports, and a cache would spare one side that cost. The tool runs the
+benchmark's children with PYTHONDONTWRITEBYTECODE=1, whatever the
+caller's environment, so that no run leaves such a cache (the
+process-wall commands write theirs to a cache of their own).
 
 `--replay-corpus` runs the three job lists at seed 0 on the before side
 and keeps every report, then runs `evs --replay` on each with the after
@@ -71,14 +73,21 @@ CORPUS_WORKLOADS = ("axioms", "countable", "tables")
 CORPUS_SEED = 0
 
 
+def _child_env() -> dict:
+    """The environment of a benchmark child: the caller's, writing no
+    bytecode, so that no run leaves a cache under a checkout's src/."""
+    return {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+
+
 def _run(root: Path, workload: str, seed: int, seconds: int,
          trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds),
            "--trace", str(trace)]
     t0 = time.perf_counter()
-    out = subprocess.run(cmd, cwd=root, check=True, capture_output=True,
-                         text=True, stdin=subprocess.DEVNULL).stdout
+    out = subprocess.run(cmd, cwd=root, env=_child_env(), check=True,
+                         capture_output=True, text=True,
+                         stdin=subprocess.DEVNULL).stdout
     line = json.loads(out.strip().splitlines()[-1])
     line["seed"] = seed
     line["run_wall_s"] = round(time.perf_counter() - t0, 3)
@@ -180,7 +189,7 @@ def _pairs(roots: dict, workload: str, count: int, seconds: int,
 def _child(root: Path, *args) -> None:
     """Run perfbench/child.py of a checkout, from its root."""
     subprocess.run([sys.executable, "perfbench/child.py", *map(str, args)],
-                   cwd=root, check=True, capture_output=True,
+                   cwd=root, env=_child_env(), check=True, capture_output=True,
                    stdin=subprocess.DEVNULL)
 
 
