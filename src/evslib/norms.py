@@ -35,8 +35,9 @@ from .core import EvsInstance
 from .errors import InputError
 from .instances import rational_tuple_instance
 from .metrics import MAX_BUILTIN_DEPTH, MetricMatrix, _from_upper
-from .rationals import (MAX_DIGITS, _scale, fmt, parse_rational,
-                        ratios_to_ints, require_int, to_fractions)
+from .rationals import (MAX_DIGITS, _past_digits, _scale, fmt,
+                        parse_rational, ratios_to_ints, require_int,
+                        to_fractions)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -101,6 +102,9 @@ MAX_PARTITION_DEPTH = 100_000
 #: their cost grows with that number, which is at most the index times the
 #: bits of the base's denominator or of gamma's numerator.
 MAX_DECAY_BITS = 1 << 20
+
+#: 10**MAX_DIGITS, the least positive integer that fmt cannot print
+_PRINT_BOUND = 10 ** MAX_DIGITS
 
 
 def _read_number(digits: str) -> int:
@@ -410,6 +414,9 @@ def _smallest_decay_index(base: Fraction, eps: Fraction
     past base**limit is built. The same holds for the index
     MAX_DECAY_BITS // b.bit_length(), past which b**i could pass
     MAX_DECAY_BITS bits; the search stops there with an error of its own.
+    The ratio it returns may be past fmt's print limit:
+    independence_witness refuses most of those before it searches (see
+    _refuse_unprintable_ratio).
     """
     a, b = base.numerator, base.denominator
     e, f = eps.numerator, eps.denominator
@@ -465,6 +472,40 @@ def _past_budget(bits: int, cap: int) -> InputError:
                       f"budget of {MAX_DECAY_BITS} bits")
 
 
+def _refuse_unprintable_ratio(base: Fraction, eps: Fraction) -> None:
+    """The print-limit InputError of fmt where the least decay index i of
+    base and eps gives a ratio base**i that fmt cannot print, raised before
+    the search builds that power.
+
+    With base = a/b in lowest terms and a < b, base**j is a**j / b**j in
+    lowest terms, so it prints exactly when j < P, the least j with
+    b**j >= 10**MAX_DIGITS. The least index is at least P exactly when
+    base**(P-1) < eps fails, and no power past b**(P-1) is built to test
+    that. The test is made only where the float estimate i of the index
+    says it can pay and keeps the search's errors first:
+    - i * b.bit_length() at least the bit length of 10**MAX_DIGITS, as
+      below it b**i < 2**(i * b.bit_length()) surely prints;
+    - 2 * i at most the search's cap, so that an index past the cap still
+      meets the fiber-index or bit-budget error of _smallest_decay_index.
+      That search trusts the estimate to the same factor of two.
+    """
+    a, b = base.numerator, base.denominator
+    e, f = eps.numerator, eps.denominator
+    i = _decay_index_estimate(a, b, e, f)
+    bits = b.bit_length()
+    if (i * bits < _PRINT_BOUND.bit_length()
+            or 2 * i > min(MAX_PARTITION_DEPTH, MAX_DECAY_BITS // bits)):
+        return
+    # j starts at or below P - 1 (a float error below one), and climbs
+    # while b**(j+1) < 10**MAX_DIGITS, without building b**(j+1)
+    j = max(0, int(MAX_DIGITS / math.log10(b)) - 1)
+    power, top = b ** j, (_PRINT_BOUND - 1) // b
+    while power <= top:
+        j, power = j + 1, power * b
+    if not a ** j * f < e * power:
+        raise _past_digits()
+
+
 def independence_witness(p: NormFamilyParams, q: NormFamilyParams,
                          eps) -> WitnessReport:
     """Certify, in both directions, that the comparing values of two distinct
@@ -477,6 +518,13 @@ def independence_witness(p: NormFamilyParams, q: NormFamilyParams,
     gives ratio gamma^-i along one fiber of t in each direction, where gamma
     belongs to the parameter set containing t. With C_p = C_q (case 2) the
     gammas differ and both directions decay like (gamma_min/gamma_max)^i.
+
+    A witness past what the report can hold is an InputError, in this
+    order: an index past the fiber-index limit, a power past the bit
+    budget (both from _smallest_decay_index), and a ratio past fmt's
+    print limit. The last is raised here, before the search builds the
+    powers, wherever _refuse_unprintable_ratio decides it; otherwise the
+    returned report's to_json raises it.
     """
     eps = parse_rational(eps)
     if not 0 < eps < 1:
@@ -506,6 +554,7 @@ def independence_witness(p: NormFamilyParams, q: NormFamilyParams,
         else:
             fam_first, fam_second = "d", "e"
 
+    _refuse_unprintable_ratio(base, eps)
     i, ratio = _smallest_decay_index(base, eps)
     first = WitnessDirection(fam_first, t, base, i, ratio)
     second = WitnessDirection(fam_second, t, base, i, ratio)

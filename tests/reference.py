@@ -10,10 +10,15 @@ calls the library's carrier prefix, family table, table builder, order or
 triangle check, so a fault in any of those shows as a disagreement with it.
 Of the norm family it models the weights and the least decay index of a
 witness. It draws the verifier's seeded samples as the library draws them
-and builds them in Fractions.
+and builds them in Fractions. At the JSON boundary it gives what reading
+an input rational and writing a report meant before the library's own
+reader and writer: Fraction's parser and json.dumps.
 """
 
+import json
 import random
+import re
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt
@@ -156,6 +161,35 @@ def least_decay_index(base: Fraction, eps: Fraction) -> tuple:
     while ratio >= eps:
         i, ratio = i + 1, ratio * base
     return i, ratio
+
+
+# a decimal with an exponent, in the grammar Fraction(str) accepts
+EXPONENT_DECIMAL = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)(\d*(?:_\d+)*)(?:\.(\d*(?:_\d+)*))?"
+    r"e([-+]?\d+(?:_\d+)*)\s*", re.IGNORECASE)
+
+
+def reference_parse(text: str):
+    """What parse_rational gave for a string before its reader: the
+    value of Fraction(text.strip()), or None where that raises. A decimal
+    whose mantissa digits plus exponent magnitude pass Python's default
+    4300-digit int-to-str limit gives None without being built."""
+    match = EXPONENT_DECIMAL.fullmatch(text)
+    if match:
+        whole, part, exponent = match.groups()
+        mantissa = whole + (part or "")
+        if (sum(c.isdigit() for c in mantissa) + abs(int(exponent))
+                > sys.int_info.default_max_str_digits):
+            return None
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+def reference_dumps(doc) -> str:
+    """The bytes of a report: json.dumps with indent 2 and sorted keys."""
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def text(v: Fraction) -> str:

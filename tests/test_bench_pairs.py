@@ -54,6 +54,19 @@ def test_claim_met_needs_ten_pairs(bench_pairs):
                                  "lower") is False
 
 
+@pytest.mark.parametrize("after, within", [
+    (0.100, True), (0.080, True),       # no change, and a gain
+    (0.125, True),                      # worse by exactly the bound
+    (0.1251, False),                    # worse by more than the bound
+])
+def test_within_bound_allows_a_loss_of_at_most_the_bound(bench_pairs, after,
+                                                         within):
+    assert bench_pairs.within_bound(0.100, after, "lower", 0.25) is within
+    # the same medians of a metric where higher is better
+    assert bench_pairs.within_bound(-0.100, -after, "higher", 0.25) is \
+        within
+
+
 def checkout(root: Path, tracer: str) -> Path:
     (root / "perfbench" / "__pycache__").mkdir(parents=True)
     (root / "perfbench" / "tracer.py").write_text(tracer)

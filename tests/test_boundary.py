@@ -5,7 +5,6 @@ entry."""
 
 import hashlib
 import json
-import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +15,7 @@ from evslib import metrics, rationals
 from evslib.cli import main
 from evslib.errors import InputError
 from evslib.rationals import fmt, parse_rational
+from reference import reference_parse
 
 DATA = Path(__file__).parent / "data" / "boundary"
 
@@ -179,30 +179,6 @@ def test_validate_parses_each_entry_once(capsys, monkeypatch, tmp_path, suffix):
 
 
 # -- the reader of parse_rational -------------------------------------------
-
-
-# a decimal with an exponent, in the grammar Fraction(str) accepts
-EXPONENT_DECIMAL = re.compile(
-    r"\s*[-+]?(?=\d|\.\d)(\d*(?:_\d+)*)(?:\.(\d*(?:_\d+)*))?"
-    r"e([-+]?\d+(?:_\d+)*)\s*", re.IGNORECASE)
-
-
-def reference_parse(text: str):
-    """What parse_rational gave for a string before its reader: the
-    value of Fraction(text.strip()), or None where that raises. A decimal
-    whose mantissa digits plus exponent magnitude pass the 4300-digit
-    limit gives None without being built."""
-    match = EXPONENT_DECIMAL.fullmatch(text)
-    if match:
-        whole, part, exponent = match.groups()
-        mantissa = whole + (part or "")
-        if (sum(c.isdigit() for c in mantissa) + abs(int(exponent))
-                > rationals.MAX_DIGITS):
-            return None
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        return None
 
 
 def check_parse(text: str) -> None:

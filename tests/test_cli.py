@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, JSON reports, determinism, replay."""
 
+import functools
 import hashlib
 import json
 import os
@@ -1422,6 +1423,119 @@ def test_decay_power_past_the_bit_budget_is_input_error(capsys, tmp_path):
     assert json.loads(err)["error"] == (
         "the decay index exceeds 788, past which a power of the 1329-bit "
         "ratio denominator could pass the budget of 1048576 bits")
+
+
+def family_specs(tmp_path, gamma):
+    """Two family specs of one gamma, with C {h0} and {h2}."""
+    return [write_json(tmp_path / f"{name}.json",
+                       {"depth": 12, "subsetC": [t], "gamma": gamma})
+            for name, t in (("p", "h0"), ("q", "h2"))]
+
+
+def refuse_to_search(monkeypatch):
+    """Make any entry into the decay-index search fail."""
+    def search(base, eps):
+        raise AssertionError("the decay-index search ran")
+
+    monkeypatch.setattr(norms, "_smallest_decay_index", search)
+
+
+def test_unprintable_witness_is_refused_before_its_search(capsys, tmp_path,
+                                                          monkeypatch):
+    """At gamma 1001/1000 and epsilon 1e-10 the least index is 23,038,
+    whose ratio has a denominator of about 69,000 digits: `norms witness`
+    exits 2 with the print-limit error, and `order indep` on a universe of
+    the two specs does too, without searching for the index."""
+    refuse_to_search(monkeypatch)
+    p, q = family_specs(tmp_path, "1001/1000")
+    code, out, err = run(capsys, "norms", "witness", "--spec", p, "--spec", q,
+                         "--eps", "1e-10")
+    assert (code, out, json.loads(err)) == (2, None, {"error": PRINT_LIMIT})
+    manifest = write_json(tmp_path / "u.json", {
+        "instance": "norm-family", "depth": 12,
+        "elements": ["p.json", "q.json"]})
+    code, out, err = run(capsys, "order", "indep", "--universe", manifest,
+                         "--eps", "1e-10")
+    assert (code, out, json.loads(err)) == (2, None, {"error": PRINT_LIMIT})
+
+
+# base 10/11: 11**4129 has 4,300 digits and 11**4130 has 4,301, so a
+# ratio base**i prints exactly for i < 4130
+TENTH = Fraction(10, 11)
+
+
+@functools.cache
+def least_tenth_index(k: int) -> tuple:
+    """The model's least decay index of 10/11 at epsilon (10/11)**k."""
+    return reference.least_decay_index(TENTH, TENTH ** k)
+
+
+def move_estimate(monkeypatch, move: int) -> None:
+    estimate = norms._decay_index_estimate
+    monkeypatch.setattr(norms, "_decay_index_estimate",
+                        lambda a, b, e, f: estimate(a, b, e, f) + move)
+
+
+@pytest.mark.parametrize("move", [0, 1, 1000])
+def test_witness_at_the_last_printable_index_prints_and_replays(
+        tmp_path, monkeypatch, move):
+    """At gamma 11/10 and epsilon (10/11)**4128 the least index is 4,129,
+    whose ratio prints: `norms witness` reports it and replays, with the
+    float estimate of the index where it is or moved above it."""
+    index, ratio = least_tenth_index(4128)
+    assert index == 4129 and len(str(ratio.denominator)) == MAX_DIGITS
+    move_estimate(monkeypatch, move)
+    p, q = family_specs(tmp_path, "11/10")
+    code, out, err = cli("norms", "witness", "--spec", p, "--spec", q,
+                         "--eps", reference.text(TENTH ** 4128))
+    assert (code, err) == (0, "")
+    for key in ("firstRelativeToSecond", "secondRelativeToFirst"):
+        direction = json.loads(out)["report"][key]
+        assert (direction["index"], direction["ratioAtIndex"]) == \
+            (index, reference.text(ratio))
+    assert_replays(tmp_path, out)
+
+
+@pytest.mark.parametrize("move", [0, -1])
+def test_witness_at_the_first_unprintable_index_is_refused(
+        capsys, tmp_path, monkeypatch, move):
+    """At epsilon (10/11)**4129, whose 4,300-digit denominator still
+    parses, the least index is 4,130, whose ratio does not print: the
+    witness exits 2 with the print-limit error before any search, with
+    the estimate where it is or one below."""
+    index, ratio = least_tenth_index(4129)
+    assert index == 4130
+    with pytest.raises(ValueError):
+        str(ratio.denominator)
+    move_estimate(monkeypatch, move)
+    refuse_to_search(monkeypatch)
+    p, q = family_specs(tmp_path, "11/10")
+    code, out, err = run(capsys, "norms", "witness", "--spec", p, "--spec", q,
+                         "--eps", reference.text(TENTH ** 4129))
+    assert (code, out, json.loads(err)) == (2, None, {"error": PRINT_LIMIT})
+
+
+def test_unprintable_witness_past_half_the_cap_still_searches(
+        capsys, tmp_path, monkeypatch):
+    """At gamma 1001/1000 and epsilon 1e-30 the estimate 69,113 is past
+    half the fiber-index cap, where the search alone may tell the index
+    from one past the cap: the search runs, and its ratio then meets the
+    print-limit error."""
+    assert 2 * norms._decay_index_estimate(1000, 1001, 1, 10 ** 30) > \
+        MAX_PARTITION_DEPTH
+    bases = []
+    search = norms._smallest_decay_index
+
+    def spy(base, eps):
+        bases.append(base)
+        return search(base, eps)
+
+    monkeypatch.setattr(norms, "_smallest_decay_index", spy)
+    p, q = family_specs(tmp_path, "1001/1000")
+    code, out, err = run(capsys, "norms", "witness", "--spec", p, "--spec", q,
+                         "--eps", "1e-30")
+    assert (code, out, json.loads(err)) == (2, None, {"error": PRINT_LIMIT})
+    assert bases == [Fraction(1000, 1001)]
 
 
 BIG_GAMMA = f"{10 ** 100 + 1}/{10 ** 100}"   # a 333-bit numerator

@@ -14,12 +14,9 @@ from hypothesis import given, settings, strategies as st
 from evslib import metrics
 from evslib.cli import _dumps, main
 from evslib.rationals import ratios_to_ints
+from reference import reference_dumps
 
 DATA = Path(__file__).parent / "data"
-
-
-def reference_dumps(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 json_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)

@@ -12,17 +12,19 @@ DIR is the root of an evslib checkout (each is measured on its own
 side first and odd pairs the after side, so a drift in machine speed does
 not favour either side. `--traced W` adds one `--trace 1` run per side.
 The file holds every result line, and per gated metric the median and
-quartiles of each side, the number of pairs the after side won, and
-`claim_met`, the gain rule of `claim_met()`. Both sides must run the same
-benchmark: the tool refuses to start, with exit code 2, when the files
-under `perfbench/` or `BENCHMARK.json` differ between the checkouts. It
-refuses the same way when a side is not the root of a git checkout, since
-the file names each side by its commit, and when a side holds a
-`__pycache__` directory under `src/`, which it names: a fresh checkout
-has no bytecode, so every child of the benchmark compiles each module it
-imports, and a cache would spare one side that cost. The tool runs the
-benchmark's children with PYTHONDONTWRITEBYTECODE=1, whatever the
-caller's environment, so that no run leaves such a cache (the
+quartiles of each side, the number of pairs the after side won,
+`claim_met`, the gain rule of `claim_met()`, the ratio of the after
+median to the before median, and `within_bound`, the rule of
+`within_bound()` for a metric on which no gain is claimed. Both sides
+must run the same benchmark: the tool refuses to start, with exit code 2,
+when the files under `perfbench/` or `BENCHMARK.json` differ between the
+checkouts. It refuses the same way when a side is not the root of a git
+checkout, since the file names each side by its commit, and when a side
+holds a `__pycache__` directory under `src/`, which it names: a fresh
+checkout has no bytecode, so every child of the benchmark compiles each
+module it imports, and a cache would spare one side that cost. The tool
+runs the benchmark's children with PYTHONDONTWRITEBYTECODE=1, whatever
+the caller's environment, so that no run leaves such a cache (the
 process-wall commands write theirs to a cache of their own).
 
 `--replay-corpus` runs the three job lists at seed 0 on the before side
@@ -153,6 +155,14 @@ def claim_met(before: list[float], after: list[float], better: str) -> bool:
             and gap > q3 - q1)
 
 
+def within_bound(before: float, after: float, better: str,
+                 bound: float) -> bool:
+    """The rule for a gated metric on which no gain is claimed: the after
+    median is worse than the before median by at most the share `bound`
+    of it, the metric's bound in BENCHMARK.json."""
+    return _sign(better) * (after - before) <= bound * abs(before)
+
+
 def _summary(values: list[float]) -> dict:
     if len(values) < 2:
         return {"median": values[0]}
@@ -174,15 +184,20 @@ def _pairs(roots: dict, workload: str, count: int, seconds: int,
                 + f" correct={pair[side]['correct']}", flush=True)
         pairs.append(pair)
     summary = {}
-    for name, better in gated.items():
+    for name, metric in gated.items():
+        better = metric["better"]
         sides = {side: [p[side]["metrics"][name]["value"] for p in pairs]
                  for side in ("before", "after")}
-        summary[name] = {side: _summary(v) for side, v in sides.items()}
-        summary[name]["after_wins"] = _wins(sides["before"], sides["after"],
-                                            better)
-        summary[name]["pairs"] = count
-        summary[name]["claim_met"] = claim_met(sides["before"],
-                                               sides["after"], better)
+        entry = summary[name] = {side: _summary(v)
+                                 for side, v in sides.items()}
+        entry["after_wins"] = _wins(sides["before"], sides["after"], better)
+        entry["pairs"] = count
+        entry["claim_met"] = claim_met(sides["before"], sides["after"],
+                                       better)
+        before, after = (entry[side]["median"] for side in sides)
+        entry["ratio"] = after / before
+        entry["within_bound"] = within_bound(before, after, better,
+                                             metric["bound"])
     return {"pairs": pairs, "summary": summary}
 
 
@@ -387,7 +402,7 @@ def main() -> int:
         return 2
     bench = json.loads((roots["after"] / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
-    gated = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    gated = {m["name"]: m for m in bench["end_to_end"]}
     doc = {
         # the checkouts are named by their commits and the output by its
         # file name, not by their paths
