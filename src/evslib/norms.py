@@ -103,8 +103,9 @@ MAX_PARTITION_DEPTH = 100_000
 #: bits of the base's denominator or of gamma's numerator.
 MAX_DECAY_BITS = 1 << 20
 
-#: 10**MAX_DIGITS, the least positive integer that fmt cannot print
-_PRINT_BOUND = 10 ** MAX_DIGITS
+#: The bit length of 10**MAX_DIGITS, the least positive integer that fmt
+#: cannot print: b**i prints where i times the bit length of b is less.
+_PRINT_BITS = (10 ** MAX_DIGITS).bit_length()
 
 
 def _read_number(digits: str) -> int:
@@ -493,13 +494,13 @@ def _refuse_unprintable_ratio(base: Fraction, eps: Fraction) -> None:
     e, f = eps.numerator, eps.denominator
     i = _decay_index_estimate(a, b, e, f)
     bits = b.bit_length()
-    if (i * bits < _PRINT_BOUND.bit_length()
+    if (i * bits < _PRINT_BITS
             or 2 * i > min(MAX_PARTITION_DEPTH, MAX_DECAY_BITS // bits)):
         return
     # j starts at or below P - 1 (a float error below one), and climbs
     # while b**(j+1) < 10**MAX_DIGITS, without building b**(j+1)
     j = max(0, int(MAX_DIGITS / math.log10(b)) - 1)
-    power, top = b ** j, (_PRINT_BOUND - 1) // b
+    power, top = b ** j, (10 ** MAX_DIGITS - 1) // b
     while power <= top:
         j, power = j + 1, power * b
     if not a ** j * f < e * power:
