@@ -8,7 +8,7 @@ a family of pairwise independent weighted sup norms with explicit decay
 witnesses.
 """
 
-from .core import EvsInstance, check_axioms, minimal_elements
+from .core import EvsInstance, check_axioms
 from .errors import InputError, UndefinedRelativeElementError
 from .metrics import (
     Carrier,
@@ -49,6 +49,7 @@ from .order import (
     generates,
     in_l,
     is_basis,
+    minimal_elements,
     orderly_independent_set,
 )
 

@@ -157,30 +157,6 @@ def _universe_inline(manifest_path: str, load_element) -> dict:
     return inline
 
 
-def _universe_from_inline(doc) -> order.Universe:
-    if not isinstance(doc, dict):
-        raise InputError("a universe is an object")
-    if not isinstance(doc["elements"], list) or not doc["elements"]:
-        raise InputError('universe "elements" must be a nonempty list')
-    kind, elements = doc["instance"], doc["elements"]
-    if kind == "norm-family":
-        inst = norms.norm_family_instance(norms.PartitionSpec(
-            require_int(doc.get("depth", 0), 'universe "depth"')))
-    elif kind == "metrics":
-        # the first table fixes the carrier; it is parsed once
-        elements = [metrics.MetricMatrix.from_json(elements[0]), *elements[1:]]
-        inst = instances.metric_packed_instance(elements[0].labels)
-    elif kind == "cone":
-        inst = instances.cone_instance(
-            require_int(doc.get("dim", 2), 'universe "dim"'))
-    elif kind == "hyperspace":
-        inst = instances.hyperspace_instance(
-            require_int(doc.get("dim", 2), 'universe "dim"'))
-    else:
-        raise InputError(f"unknown universe instance {kind!r}")
-    return order.Universe(inst, [inst.element_from_json(e) for e in elements])
-
-
 # ---------------------------------------------------------------------------
 # Handlers: inputs dict -> (report dict, exit code)
 # ---------------------------------------------------------------------------
@@ -311,7 +287,7 @@ def _run_axioms(inputs: dict):
 
 
 def _run_order(inputs: dict):
-    universe = _universe_from_inline(inputs["universe"])
+    universe = instances.universe_from_json(inputs["universe"])
     inst = universe.instance
     action = inputs["action"]
     element = inst.element_from_json

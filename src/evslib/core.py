@@ -2,8 +2,10 @@
 
 An instance packages a carrier fragment behind five operations: add, scale,
 leq, equal, and a distinguished zero; add and scale come from its `pack`
-hook, which fits the instance to one sample (packed.py). The verifier runs
-the six structure axioms over a seeded finite sample with exact arithmetic:
+hook, which fits the instance to one sample (packed.py). The instances are
+built in instances.py; this module holds only the contract and the
+verifier, which runs the six structure axioms over a seeded finite sample
+with exact arithmetic:
 
   A1  addition is a commutative semigroup with identity zero
   A2  the order is translation- and scaling-compatible
@@ -481,20 +483,3 @@ def check_axioms(inst: EvsInstance, sample: Sequence, scalars: Sequence,
     if properties:
         doc["properties"] = _report(c, "properties", PROPERTIES)["properties"]
     return doc
-
-
-# ---------------------------------------------------------------------------
-# Minimal elements
-# ---------------------------------------------------------------------------
-
-
-def minimal_elements(universe: Sequence, inst: EvsInstance) -> list:
-    """All universe elements with no distinct universe element below them;
-    this is the sample-relative minimal set, not a carrier-wide claim. Each
-    scan stops at the first element found below."""
-    universe = list(universe)
-    if not universe:
-        raise InputError("universe must be nonempty")
-    leq, equal = inst.leq, inst.equal
-    return [z for z in universe
-            if not any(leq(y, z) and not equal(y, z) for y in universe)]

@@ -1,9 +1,12 @@
 """Concrete instances for the axiom verifier and the order tools.
 
-Four carriers are wired up: exact metrics on a finite labeled set, weighted
-sup norms probed on a finite vector sample (see norms.py), the half-line cone
-[0,inf) x V, and finite point sets of a fixed dimension under Minkowski sum.
-Two deliberately broken metric variants (reversed order, scaling without the
+This is the one module that turns a name into an instance: build_instance
+maps the verifier's names, and universe_from_json the order tools' universe
+kinds. Four carriers are wired up: exact metrics on a finite labeled set,
+weighted sup norms (norms.py), probed on a finite vector sample or, for the
+order tools, keyed by their family parameters, the half-line cone [0,inf)
+x V, and finite point sets of a fixed dimension under Minkowski sum. Two
+deliberately broken metric variants (reversed order, scaling without the
 absolute value) exist to exercise the failure paths.
 
 The instances that build_instance returns, and their samplers, hold
@@ -51,8 +54,11 @@ from .metrics import (
     transform_bounded,
     transform_min,
 )
-from .rationals import (_leq, _reduced, fmt, fmt_ratio, parse_rational,
-                        parse_rationals, to_fractions, to_ints)
+from .norms import NormFamilyParams, PartitionSpec, independence_witness
+from .order import Universe
+from .rationals import (_leq, _reduced, _scale, fmt, fmt_ratio,
+                        parse_rational, parse_rationals, ratios_to_ints,
+                        require_int, to_fractions, to_ints)
 
 #: Default scalar set: contains 0, 1, -1, values inside and outside the unit
 #: ball, and a negative non-unit for the homogeneity checks.
@@ -175,6 +181,93 @@ def seeded_metric_matrices(labels: Sequence[str], seed: int,
 
 def seeded_metric_sample(labels: Sequence[str], seed: int, count: int) -> list:
     return [m.form for m in seeded_metric_matrices(labels, seed, count)]
+
+
+# ---------------------------------------------------------------------------
+# Weighted sup norms (norms.py): probe value tables and family norms
+# ---------------------------------------------------------------------------
+
+
+def norm_table_instance(width: int) -> EvsInstance:
+    """Norms probed on a fixed finite vector sample of `width` probes.
+
+    Sums and scalings of norms act pointwise on values, so exact value tables
+    are closed under the operations and faithfully decide the pointwise
+    axioms; the order is the pointwise one. The all-zero table is the zero
+    element O. Like the packed instances, it reads no JSON: no command
+    takes a norm value table as input.
+    """
+    return rational_tuple_instance(
+        f"norms[{width} probes]", width,
+        element_to_json=lambda a: [fmt(x) for x in to_fractions(a)],
+        element_from_json=None,
+    )
+
+
+def seeded_norm_sample(depth: int, seed: int, count: int) -> tuple[int, list]:
+    """The number of probes and a seeded sample of norm value tables on
+    them, in integer form: the units of the enumerated prefix and six
+    mixed-support vectors probe two family norms, random weight maps and
+    their doubles. An entry is the largest w(h)|c/d| over the probe's
+    coordinates c/d, compared crosswise on w(h) = a/b."""
+    rng = random.Random(seed)
+    part = PartitionSpec(depth)
+    names = [f"h{k}" for k in range(depth)]
+    probes = [[(n, 1, 1)] for n in names]   # (h, |c|, d) per coordinate
+    for _ in range(6):
+        support = rng.sample(names, rng.randint(2, 3))
+        probes.append([(n, abs(rng.choice((-3, -2, -1, 1, 2, 3))),
+                        rng.choice((1, 2))) for n in support])
+
+    def table(weight) -> tuple:
+        nums, dens = [], []
+        for probe in probes:
+            p, q = 0, 1
+            for n, c, d in probe:
+                a, b = weight(n)
+                if a * c * q > p * b * d:
+                    p, q = a * c, b * d
+            nums.append(p)
+            dens.append(q)
+        return ratios_to_ints(nums, dens)
+
+    elements = [((0,) * len(probes), 1)]
+    members = part.b_members()
+    # C leaves a backbone member out: at depth 4, C is {h0}
+    for k, gamma in ((1, 2), (min(2, len(members) - 1), 3)):
+        params = NormFamilyParams(part, members[:k], gamma)
+        elements.append(table(lambda n: params.weight(n).as_integer_ratio()))
+    while len(elements) < count:
+        weights = {n: (rng.randint(1, 8), rng.randint(1, 4)) for n in names}
+        elements.append(table(weights.__getitem__))
+        if len(elements) < count and len(elements) % 5 == 2:
+            elements.append(_scale(2, 1, elements[-1]))
+    return len(probes), elements[:count]
+
+
+def norm_family_instance(partition: PartitionSpec) -> EvsInstance:
+    """Family norms as order-tool elements keyed by their parameters; the only
+    supported comparisons are epsilon-qualified independence witnesses."""
+
+    def unsupported(*_args):
+        raise InputError("family norms support only epsilon-witness "
+                         "comparisons")
+
+    def from_json(doc) -> NormFamilyParams:
+        params = NormFamilyParams.from_json(doc)
+        if params.partition.depth != partition.depth:
+            raise InputError("family element uses a different depth")
+        return params
+
+    return EvsInstance(
+        name=f"norm-family[depth {partition.depth}]",
+        zero=None,
+        leq=unsupported,
+        equal=unsupported,
+        element_to_json=NormFamilyParams.to_json,
+        element_from_json=from_json,
+        eps_independence=independence_witness,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +517,6 @@ def build_instance(name: str, *, carrier: int = 6, depth: int = 12,
     if name == "norms":
         if depth > MAX_DEPTH:
             raise InputError(f"depth {depth} exceeds the limit of {MAX_DEPTH}")
-        from .norms import norm_table_instance, seeded_norm_sample
         width, tables = seeded_norm_sample(depth, seed, sample)
         return norm_table_instance(width), tables, DEFAULT_SCALARS
     if name == "cone":
@@ -437,3 +529,26 @@ def build_instance(name: str, *, carrier: int = 6, depth: int = 12,
         f"unknown instance {name!r}; choose from metrics, norms, cone, "
         f"hyperspace, metrics-reversed-order, metrics-no-abs-scale"
     )
+
+
+def universe_from_json(doc) -> Universe:
+    """The order tools' universe of an inline manifest: its "instance" kind
+    picks the instance, which reads each of its "elements"."""
+    if not isinstance(doc, dict):
+        raise InputError("a universe is an object")
+    if not isinstance(doc["elements"], list) or not doc["elements"]:
+        raise InputError('universe "elements" must be a nonempty list')
+    kind, elements = doc["instance"], doc["elements"]
+    if kind == "norm-family":
+        inst = norm_family_instance(PartitionSpec(
+            require_int(doc.get("depth", 0), 'universe "depth"')))
+    elif kind == "metrics":
+        # the first table fixes the carrier; it is parsed once
+        elements = [MetricMatrix.from_json(elements[0]), *elements[1:]]
+        inst = metric_packed_instance(elements[0].labels)
+    elif kind in ("cone", "hyperspace"):
+        dim = require_int(doc.get("dim", 2), 'universe "dim"')
+        inst = (cone_instance if kind == "cone" else hyperspace_instance)(dim)
+    else:
+        raise InputError(f"unknown universe instance {kind!r}")
+    return Universe(inst, [inst.element_from_json(e) for e in elements])

@@ -270,11 +270,6 @@ def _mirror(flat: Sequence, n: int) -> list:
     return [full[i * n:(i + 1) * n] for i in range(n)]
 
 
-def _from_upper(labels, upper: list) -> MetricMatrix:
-    """The symmetric table with the given upper rows of rationals."""
-    return MetricMatrix(tuple(labels), to_ints(list(chain(*upper))))
-
-
 def _require_same_labels(a: MetricMatrix, b: MetricMatrix) -> None:
     if a.labels != b.labels:
         raise InputError("matrices are over different carriers (label mismatch)")
@@ -1056,9 +1051,10 @@ def cauchy_incompleteness_demo(ns: Sequence[int],
         })
     bound_ok = all(check["holds"] for check in checks)
 
-    labels = [f"({fmt(p[0])},{fmt(p[1])})" for p in points]
-    limit = _from_upper(labels, [[abs(p[0] - q[0]) for q in points[i:]]
-                                 for i, p in enumerate(points)])
+    labels = tuple([f"({fmt(p[0])},{fmt(p[1])})" for p in points])
+    xs, den = to_ints([p[0] for p in points])
+    limit = MetricMatrix(labels, _reduced(tuple(
+        [abs(x - y) for i, x in enumerate(xs) for y in xs[i:]]), den))
     verdict = validate_metric(limit)
 
     return {

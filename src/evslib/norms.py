@@ -20,24 +20,23 @@ independence up to any epsilon is certified by explicit basis vectors rather
 than asserted. The scheme is depth-stable: the tag of a position never changes
 as the enumeration deepens, and fiber vectors beyond the enumerated prefix are
 still legitimate indices with well-defined weights.
+
+Within the package this module imports only errors, rationals and metrics;
+instances.py builds the instances of these norms.
 """
 
 from __future__ import annotations
 
 import math
-import random
 import re
 import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .core import EvsInstance
 from .errors import InputError
-from .instances import rational_tuple_instance
-from .metrics import MAX_BUILTIN_DEPTH, MetricMatrix, _from_upper
-from .rationals import (MAX_DIGITS, _past_digits, _scale, fmt,
-                        parse_rational, ratios_to_ints, require_int,
-                        to_fractions)
+from .metrics import MAX_BUILTIN_DEPTH, MetricMatrix
+from .rationals import (MAX_DIGITS, _past_digits, fmt, parse_rational,
+                        require_int, to_ints)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -583,94 +582,8 @@ def embed_norm_to_metric(w: WeightMap | NormFamilyParams,
     if len({p.coords for p in points}) != len(points):
         raise InputError("points must be pairwise distinct")
     labels = tuple(f"p{k}" for k in range(1, len(points) + 1))
-    return _from_upper(labels, [
-        [ZERO] + [eval_weighted_norm(w, p.sub(q)) for q in points[i + 1:]]
-        for i, p in enumerate(points)])
-
-
-# ---------------------------------------------------------------------------
-# Verifier support: norms as exact value tables over probe vectors
-# ---------------------------------------------------------------------------
-
-
-def norm_table_instance(width: int) -> EvsInstance:
-    """Norms probed on a fixed finite vector sample of `width` probes.
-
-    Sums and scalings of norms act pointwise on values, so exact value tables
-    are closed under the operations and faithfully decide the pointwise
-    axioms; the order is the pointwise one. The all-zero table is the zero
-    element O. Like the packed instances, it reads no JSON: no command
-    takes a norm value table as input.
-    """
-    return rational_tuple_instance(
-        f"norms[{width} probes]", width,
-        element_to_json=lambda a: [fmt(x) for x in to_fractions(a)],
-        element_from_json=None,
-    )
-
-
-def seeded_norm_sample(depth: int, seed: int, count: int) -> tuple[int, list]:
-    """The number of probes and a seeded sample of norm value tables on
-    them, in integer form: the units of the enumerated prefix and six
-    mixed-support vectors probe two family norms, random weight maps and
-    their doubles. An entry is the largest w(h)|c/d| over the probe's
-    coordinates c/d, compared crosswise on w(h) = a/b."""
-    rng = random.Random(seed)
-    part = PartitionSpec(depth)
-    names = [f"h{k}" for k in range(depth)]
-    probes = [[(n, 1, 1)] for n in names]   # (h, |c|, d) per coordinate
-    for _ in range(6):
-        support = rng.sample(names, rng.randint(2, 3))
-        probes.append([(n, abs(rng.choice((-3, -2, -1, 1, 2, 3))),
-                        rng.choice((1, 2))) for n in support])
-
-    def table(weight) -> tuple:
-        nums, dens = [], []
-        for probe in probes:
-            p, q = 0, 1
-            for n, c, d in probe:
-                a, b = weight(n)
-                if a * c * q > p * b * d:
-                    p, q = a * c, b * d
-            nums.append(p)
-            dens.append(q)
-        return ratios_to_ints(nums, dens)
-
-    elements = [((0,) * len(probes), 1)]
-    members = part.b_members()
-    # C leaves a backbone member out: at depth 4, C is {h0}
-    for k, gamma in ((1, 2), (min(2, len(members) - 1), 3)):
-        params = NormFamilyParams(part, members[:k], gamma)
-        elements.append(table(lambda n: params.weight(n).as_integer_ratio()))
-    while len(elements) < count:
-        weights = {n: (rng.randint(1, 8), rng.randint(1, 4)) for n in names}
-        elements.append(table(weights.__getitem__))
-        if len(elements) < count and len(elements) % 5 == 2:
-            elements.append(_scale(2, 1, elements[-1]))
-    return len(probes), elements[:count]
-
-
-def norm_family_instance(partition: PartitionSpec) -> EvsInstance:
-    """Family norms as order-tool elements keyed by their parameters; the only
-    supported comparisons are epsilon-qualified independence witnesses."""
-
-    def unsupported(*_args):
-        raise InputError(
-            "family norms support only epsilon-witness comparisons"
-        )
-
-    def from_json(doc) -> NormFamilyParams:
-        params = NormFamilyParams.from_json(doc)
-        if params.partition.depth != partition.depth:
-            raise InputError("family element uses a different depth")
-        return params
-
-    return EvsInstance(
-        name=f"norm-family[depth {partition.depth}]",
-        zero=None,
-        leq=unsupported,
-        equal=unsupported,
-        element_to_json=NormFamilyParams.to_json,
-        element_from_json=from_json,
-        eps_independence=independence_witness,
-    )
+    upper = []   # row by row, diagonal included
+    for i, p in enumerate(points):
+        upper.append(ZERO)
+        upper.extend(eval_weighted_norm(w, p.sub(q)) for q in points[i + 1:])
+    return MetricMatrix(labels, to_ints(upper))

@@ -24,13 +24,25 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .core import EvsInstance, minimal_elements
+from .core import EvsInstance
 from .errors import InputError
 from .rationals import fmt
 
 POSITIVE = "positive"
 REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
+
+
+def minimal_elements(universe: Sequence, inst: EvsInstance) -> list:
+    """All universe elements with no distinct universe element below them;
+    this is the sample-relative minimal set, not a carrier-wide claim. Each
+    scan stops at the first element found below."""
+    universe = list(universe)
+    if not universe:
+        raise InputError("universe must be nonempty")
+    leq, equal = inst.leq, inst.equal
+    return [z for z in universe
+            if not any(leq(y, z) and not equal(y, z) for y in universe)]
 
 
 class Universe:

@@ -8,8 +8,8 @@ weight, base and factor, a carrier's kind, step and points, and a table's
 labels and printed rows. It places the carrier points itself and never
 calls the library's carrier prefix, family table, table builder, order or
 triangle check, so a fault in any of those shows as a disagreement with it.
-Of the norm family it models the weights and the least decay index of a
-witness. It draws the verifier's seeded samples as the library draws them
+Of the norms it models the weighted sup norm, the family weights and the
+least decay index of a witness. It draws the verifier's seeded samples as the library draws them
 and builds them in Fractions. At the JSON boundary it gives what reading
 an input rational and writing a report meant before the library's own
 reader and writer: Fraction's parser and json.dumps.
@@ -152,6 +152,14 @@ def spectrum(d: tuple, rho: tuple) -> Fraction:
     candidates = {Fraction(0)} | {rho[i][j] / d[i][j]
                                   for i, j in combinations(range(len(d)), 2)}
     return max(lam for lam in candidates if below(lam, d, rho))
+
+
+def sup_norm(weights: dict, vector: dict) -> Fraction:
+    """The weighted sup norm of a vector, a map from index names to
+    Fractions: the largest w(h)|x_h| over its coordinates, 0 on the zero
+    vector."""
+    return max((weights[h] * abs(x) for h, x in vector.items()),
+               default=Fraction(0))
 
 
 def least_decay_index(base: Fraction, eps: Fraction) -> tuple:

@@ -51,10 +51,10 @@ from evslib.instances import (
     carrier_labels,
     metric_packed_instance,
     metric_reversed_order_instance,
+    norm_family_instance,
     seeded_metric_sample,
 )
 from evslib.metrics import random_metric
-from evslib.norms import norm_family_instance
 import reference
 from reference import rows
 from replay import (reference_instance, replay_certificate,

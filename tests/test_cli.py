@@ -206,6 +206,61 @@ def test_compare_agrees_with_the_reference_model(data):
         assert_replays(tmp, out)
 
 
+POSITIVE_RATIONALS = st.builds(Fraction, st.integers(1, 12), st.integers(1, 6))
+NONZERO_RATIONALS = st.builds(Fraction, st.integers(-3, 3).filter(bool),
+                              st.integers(1, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_embedded_norms_compare_by_their_least_weight_ratio(data):
+    """`evs norms embed` of two weight maps over one support prints the
+    model's table of |x - y|_w. Over points that include 0 and every unit
+    vector of the support, `evs compare` of the two tables gives the exact
+    comparing values: the least w2(h)/w1(h) relative to the first table,
+    and the least w1(h)/w2(h) relative to the second. Every report
+    replays."""
+    names = [f"h{k}" for k in range(data.draw(st.integers(1, 6)))]
+    maps = st.fixed_dictionaries({h: POSITIVE_RATIONALS for h in names})
+    w1, w2 = data.draw(maps), data.draw(maps)
+    extra = data.draw(st.lists(st.dictionaries(
+        st.sampled_from(names), NONZERO_RATIONALS, min_size=1), max_size=3))
+    points = []
+    for p in [{}, *({h: Fraction(1)} for h in names), *extra]:
+        if p not in points:
+            points.append(p)
+    points = data.draw(st.permutations(points))
+    labels = [f"p{k}" for k in range(1, len(points) + 1)]
+    with tempfile.TemporaryDirectory() as tmp:
+        pts = write_json(Path(tmp) / "points.json", [
+            {h: reference.text(x) for h, x in p.items()} for p in points])
+        tables = []
+        for name, w in (("first", w1), ("second", w2)):
+            weights = write_json(Path(tmp) / f"{name}-weights.json",
+                                 {h: reference.text(v) for h, v in w.items()})
+            code, out, err = cli("norms", "embed", "--weights", weights,
+                                 "--points", pts)
+            full = tuple(tuple(reference.sup_norm(w, {
+                h: p.get(h, 0) - q.get(h, 0) for h in names})
+                for q in points) for p in points)
+            assert (code, err) == (0, "")
+            report = json.loads(out)["report"]
+            assert report == {"matrix": reference.matrix(labels, full),
+                              "validation": reference.metric_axioms(labels,
+                                                                    full)}
+            assert_replays(tmp, out)
+            tables.append(write_json(Path(tmp) / f"{name}.json",
+                                     report["matrix"]))
+        code, out, err = cli("compare", *tables)
+        assert (code, err) == (0, "")
+        report = json.loads(out)["report"]
+        assert report["comparingSecondRelativeFirst"] == reference.text(
+            min(w2[h] / w1[h] for h in names))
+        assert report["comparingFirstRelativeSecond"] == reference.text(
+            min(w1[h] / w2[h] for h in names))
+        assert_replays(tmp, out)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_combine_agrees_with_the_reference_model(data):

@@ -26,16 +26,16 @@ from evslib import (
     transform_bounded,
     transform_min,
 )
-from evslib.cli import _universe_from_inline
 from evslib.instances import (
     build_instance,
     carrier_labels,
     cone_element,
     cone_instance,
     metric_packed_instance,
+    norm_family_instance,
+    universe_from_json,
 )
 from evslib.metrics import random_metric
-from evslib.norms import norm_family_instance
 from reference import rows
 from replay import reference_instance, replay_certificate, scaled
 from test_order_pins import run_job, write_inputs
@@ -113,7 +113,7 @@ def test_certificate_replays_from_the_printed_report(capsys, tmp_path, job):
     assert run_job(tmp_path, job) == 0
     doc = json.loads(capsys.readouterr().out)
     inputs, cert = doc["inputs"], doc["report"]
-    inst = _universe_from_inline(inputs["universe"]).instance
+    inst = universe_from_json(inputs["universe"]).instance
     x, y = inst.element_from_json(inputs["x"]), inst.element_from_json(
         inputs["y"])
     assert cert["status"] == "positive"

@@ -21,9 +21,9 @@ from evslib.instances import (
     metric_no_abs_scale_instance,
     metric_packed_instance,
     metric_reversed_order_instance,
+    norm_table_instance,
     point_set,
 )
-from evslib.norms import norm_table_instance
 from evslib.packed import packed_layout
 from evslib.rationals import fmt, to_ints
 from replay import (LAWS, packed_context, reference_instance,

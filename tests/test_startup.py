@@ -2,10 +2,21 @@
 of what `import evslib.cli` costs, so the package has one dataclass,
 core.EvsInstance, and only core.py imports `dataclasses`. EvsInstance stays
 a dataclass because perfbench/tracer.py and tests/test_kernel.py swap its
-operations with `dataclasses.replace`."""
+operations with `dataclasses.replace`.
+
+The package is layered, so that a command can import only the modules it
+runs: errors, rationals and metrics import none of the verifier (core), the
+order tools (order), the instances (instances) or the norms (norms); norms
+imports none of core, instances, order, packed or cli; core imports none of
+metrics, norms, instances or order. Only the verifier's `pack` hooks import
+a module of the package inside a function (packed.py, which the other
+commands never load), and the import graph has no cycle."""
 
 import ast
+from graphlib import TopologicalSorter
 from pathlib import Path
+
+import pytest
 
 import evslib
 
@@ -45,3 +56,68 @@ def test_only_core_imports_dataclasses():
     importers = {name for name, tree in package_trees().items()
                  if any(map(imports_dataclasses, ast.walk(tree)))}
     assert importers == {"core.py"}
+
+
+def package_imports() -> list:
+    """(importer, enclosing function or None, imported module) for every
+    import of a package module, by module name without ".py"."""
+    out = []
+
+    def visit(node, module, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = (child.name if function is None
+                         else f"{function}.{child.name}")
+                visit(child, module, inner)
+                continue
+            if isinstance(child, ast.ImportFrom) and child.level == 1:
+                names = ([child.module] if child.module
+                         else [alias.name for alias in child.names])
+                out.extend((module, function, name) for name in names)
+            elif isinstance(child, ast.ImportFrom) and (
+                    child.module or "").startswith("evslib."):
+                out.append((module, function, child.module.split(".")[1]))
+            elif isinstance(child, ast.Import):
+                out.extend((module, function, alias.name.split(".")[1])
+                           for alias in child.names
+                           if alias.name.startswith("evslib."))
+            visit(child, module, function)
+
+    for name, tree in package_trees().items():
+        visit(tree, name.removesuffix(".py"), None)
+    return out
+
+
+def imported_by(module: str) -> set:
+    return {target for importer, _, target in package_imports()
+            if importer == module}
+
+
+@pytest.mark.parametrize("module, forbidden", [
+    ("norms", {"core", "instances", "order", "packed", "cli"}),
+    ("core", {"metrics", "norms", "instances", "order"}),
+    ("rationals", {"core", "instances", "norms", "order"}),
+    ("errors", {"core", "instances", "norms", "order"}),
+    ("metrics", {"core", "instances", "norms", "order"}),
+])
+def test_module_imports_no_higher_layer(module, forbidden):
+    assert imported_by(module) & forbidden == set()
+
+
+def test_only_the_pack_hooks_import_inside_a_function():
+    deferred = sorted((importer, function, target)
+                      for importer, function, target in package_imports()
+                      if function is not None)
+    assert deferred == [
+        ("instances", "hyperspace_instance.pack", "packed"),
+        ("instances", "rational_tuple_instance.pack", "packed"),
+    ]
+
+
+def test_package_import_graph_is_acyclic():
+    graph = {}
+    for importer, _, target in package_imports():
+        graph.setdefault(importer, set()).add(target)
+    assert {"cli", "core", "instances", "metrics", "norms",
+            "order"} <= graph.keys()
+    tuple(TopologicalSorter(graph).static_order())   # CycleError on a cycle
