@@ -58,6 +58,22 @@ def test_only_core_imports_dataclasses():
     assert importers == {"core.py"}
 
 
+def imported_modules(node: ast.AST) -> list:
+    """The package modules an import statement names, without "evslib.";
+    relative imports are from within the package."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        base = "evslib" if node.level == 1 else ""
+        base = ".".join(filter(None, (base, node.module)))
+        names = ([f"{base}.{alias.name}" for alias in node.names]
+                 if base == "evslib" else [base])
+    else:
+        return []
+    return [name.split(".")[1] for name in names
+            if name.startswith("evslib.")]
+
+
 def package_imports() -> list:
     """(importer, enclosing function or None, imported module) for every
     import of a package module, by module name without ".py"."""
@@ -70,17 +86,8 @@ def package_imports() -> list:
                          else f"{function}.{child.name}")
                 visit(child, module, inner)
                 continue
-            if isinstance(child, ast.ImportFrom) and child.level == 1:
-                names = ([child.module] if child.module
-                         else [alias.name for alias in child.names])
-                out.extend((module, function, name) for name in names)
-            elif isinstance(child, ast.ImportFrom) and (
-                    child.module or "").startswith("evslib."):
-                out.append((module, function, child.module.split(".")[1]))
-            elif isinstance(child, ast.Import):
-                out.extend((module, function, alias.name.split(".")[1])
-                           for alias in child.names
-                           if alias.name.startswith("evslib."))
+            out.extend((module, function, target)
+                       for target in imported_modules(child))
             visit(child, module, function)
 
     for name, tree in package_trees().items():
