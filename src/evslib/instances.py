@@ -126,17 +126,25 @@ def metric_packed_instance(labels: Sequence[str], kind: str = "metrics",
     the `scale` or `leq` that replaces the metric one (see
     rational_tuple_instance)."""
     labels = tuple(labels)
+    parsed = {}   # form -> the table read, which keeps its printed text
 
     def from_json(doc) -> tuple:
         m = MetricMatrix.from_json(doc)
         if m.labels != labels:
             raise InputError("element is over a different carrier")
+        parsed[m.form] = m
         return m.form
+
+    def to_json(a) -> dict:
+        m = parsed.get(a)
+        if m is None:
+            return MetricMatrix(labels, a).to_json()
+        return m.to_json()
 
     return rational_tuple_instance(
         f"{kind}[{len(labels)}-point carrier]",
         len(MetricMatrix.zero(labels).form[0]),
-        element_to_json=lambda a: MetricMatrix(labels, a).to_json(),
+        element_to_json=to_json,
         element_from_json=from_json,
         comparing=lambda x, y: comparing_function_metric(
             MetricMatrix(labels, x), MetricMatrix(labels, y)),

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import csv
 import io
+import json
+import re
 from fractions import Fraction
 from itertools import chain, combinations, count, islice, repeat
 from json.encoder import encode_basestring_ascii
@@ -50,9 +52,9 @@ class MetricMatrix:
     """Symmetric rational distance table over a finite labeled carrier,
     stored as `form`: the canonical integer form (rationals.to_ints) of its
     upper triangle, diagonal included, row by row. Every operation on
-    tables runs on it, and to_json prints from it. The form is also the
-    element of the one metric instance, instances.metric_packed_instance,
-    that serves both the axiom verifier and the order tools.
+    tables runs on it. The form is also the element of the one metric
+    instance, instances.metric_packed_instance, that serves both the axiom
+    verifier and the order tools.
 
     MetricMatrix(labels, form) takes a tuple of labels and a form as they
     are: derived tables are symmetric by construction. A raw table, read
@@ -61,34 +63,41 @@ class MetricMatrix:
     not the metric axioms. Those are validate_metric's job, so that
     candidate tables (e.g. pointwise limits) can be rejected with a
     structured violation.
+
+    A table's printed text, the mirrored "p/q" rows in lowest terms that
+    to_json returns and json_text writes, is kept in one slot, so a table
+    that a report prints twice is formatted once. to_json fills it from
+    the form; from_rows fills it from the input where the input's entries
+    are already that text (see _read_mirrored). The rows are shared by
+    every reader and are not to be changed.
     """
 
-    __slots__ = ("labels", "form")
+    __slots__ = ("labels", "form", "_rows")
 
     def __init__(self, labels: tuple[str, ...],
                  form: tuple[tuple[int, ...], int]):
-        self.labels, self.form = labels, form
+        self.labels, self.form, self._rows = labels, form, None
 
     # -- construction -------------------------------------------------------
 
     @classmethod
     def from_rows(cls, labels: Sequence[str], rows: Sequence[Sequence]) -> "MetricMatrix":
-        """Parse raw rows with rationals._ratio; the upper triangle goes
-        over one common denominator and is reduced once. Errors come as a
-        parse of every entry in row order, then the shape check, then the
-        symmetry check would raise them.
+        """Parse raw rows; the upper triangle goes over one common
+        denominator and is reduced once. Errors come as a parse of every
+        entry in row order with rationals._ratio, then the shape check,
+        then the symmetry check would raise them.
 
         A nonempty square list of lists that equals its transpose, with
         every entry a str or an int, reads only its upper triangle,
-        diagonal included, by the rule of _per_value. Any other table
-        reads every entry in row order, stopping at the first row that is
+        diagonal included (_read_mirrored). Any other table reads every
+        entry in row order with _ratio, stopping at the first row that is
         neither a list nor a tuple, and compares each entry below the
         diagonal with its mirror by value."""
-        upper = _mirrored_upper(rows)
-        if upper is not None:
-            keys, expand = _per_value(upper)
-            nums, den = _read_form(keys)
-            return cls(_carrier(labels, rows), (expand(nums), den))
+        read = _read_mirrored(rows)
+        if read is not None:
+            m = cls(_carrier(labels, rows), read[0])
+            m._rows = read[1]
+            return m
         nums, dens = [], []   # no (p, q) pair outlives its row (_read_form)
         for row in rows:
             if not isinstance(row, (list, tuple)):
@@ -120,7 +129,7 @@ class MetricMatrix:
             raise InputError('matrix document needs "labels" and "rows"')
         labels, rows = doc["labels"], doc["rows"]
         if not isinstance(labels, list) or not all(
-                isinstance(label, str) for label in labels):
+                map(isinstance, labels, repeat(str))):
             raise InputError("matrix labels must be a list of strings")
         if not isinstance(rows, list):
             raise InputError("matrix rows must be a list of rows")
@@ -146,25 +155,31 @@ class MetricMatrix:
 
     def to_json(self) -> dict:
         """{"labels", "rows"}, every entry printed as "p/q" in lowest
-        terms (_entry_text)."""
-        return {"labels": list(self.labels),
-                "rows": _mirror(_entry_text(self.form, "{}/{}"), self.size)}
+        terms. The rows are the text slot, filled here from the form where
+        it is empty: a report holds them anyway."""
+        if self._rows is None:
+            self._rows = _text_rows(self.form, self.size)
+        return {"labels": list(self.labels), "rows": self._rows}
 
     def json_text(self, indent: str) -> str:
         """The text json.dumps(self.to_json(), indent=2, sort_keys=True)
         gives, nested where `indent`, a newline and spaces, precedes the
-        closing brace. It is written from the form: each entry is quoted as
-        it is formatted, the quoted upper triangle is mirrored, and each
-        row is one join, with no document of strings built first."""
+        closing brace: each row of the text slot is quoted and joined at
+        once, with no document of strings built first. An empty slot is
+        not filled here, so that the rows of a large table are not held
+        while its report is joined and printed."""
+        rows = self._rows
+        if rows is None:
+            rows = _text_rows(self.form, self.size)
         keys, items = indent + "  ", indent + "    "
         cells = items + "  "
-        rows = _mirror(_entry_text(self.form, '"{}/{}"'), self.size)
+        entry = '",' + cells + '"'
         return "".join((
             "{", keys, '"labels": [', items,
             ("," + items).join(map(encode_basestring_ascii, self.labels)),
-            keys, "],", keys, '"rows": [', items, "[", cells,
-            (f"{items}],{items}[{cells}").join(map(("," + cells).join, rows)),
-            items, "]", keys, "]", indent, "}"))
+            keys, "],", keys, '"rows": [', items, "[", cells, '"',
+            f'"{items}],{items}[{cells}"'.join(map(entry.join, rows)),
+            '"', items, "]", keys, "]", indent, "}"))
 
 
 def _carrier(labels: Sequence[str], rows: Sequence[Sequence]) -> tuple:
@@ -176,26 +191,9 @@ def _carrier(labels: Sequence[str], rows: Sequence[Sequence]) -> tuple:
         raise InputError("empty carrier")
     if len(set(labels)) != n:
         raise InputError("carrier labels must be distinct")
-    if len(rows) != n or any(len(r) != n for r in rows):
+    if len(rows) != n or set(map(len, rows)) != {n}:
         raise InputError("matrix is not square with one row per label")
     return labels
-
-
-def _mirrored_upper(rows: Sequence) -> Optional[list]:
-    """The upper triangle, diagonal included, in row order, of a nonempty
-    square list of lists that equals its transpose and holds only str and
-    int entries; otherwise None. Other types are left to the per-entry
-    parse: a bool or a float can equal an int yet read otherwise (True not
-    at all, float(2 ** 60) by its repr as 1152921504606847000)."""
-    n = len(rows)
-    if not n or set(map(type, rows)) != {list} or set(map(len, rows)) != {n}:
-        return None
-    upper = _triangle(rows)
-    lower = _triangle(zip(*rows))   # column by column, diagonal included
-    if lower != upper or not {*map(type, upper),
-                              *map(type, lower)} <= {str, int}:
-        return None
-    return upper
 
 
 def _triangle(rows) -> list:
@@ -220,23 +218,89 @@ def _per_value(values: Sequence) -> tuple:
         map(dict(zip(distinct, results)).__getitem__, values))
 
 
-def _entry_text(form: tuple, template: str) -> tuple:
-    """template.format(p, q) of every entry p/q of a form, in lowest terms,
-    in order, by the rule of _per_value."""
+def _text_rows(form: tuple, n: int) -> list:
+    """The mirrored rows of an n-point form, each entry as "p/q" in lowest
+    terms, formatted by the rule of _per_value."""
     nums, den = form
     keys, expand = _per_value(nums)
-    return expand(_formatted(keys, den, template))
-
-
-def _formatted(nums: Sequence[int], den: int, template: str) -> list:
-    """template.format(p, q) of each num/den as p/q in lowest terms, by
-    maps of the builtins alone."""
-    gs = list(map(gcd, nums, repeat(den)))
+    gs = list(map(gcd, keys, repeat(den)))
     try:
-        return list(map(template.format, map(floordiv, nums, gs),
-                        map(floordiv, repeat(den), gs)))
+        return _mirror(expand(list(map("{}/{}".format,
+                                       map(floordiv, keys, gs),
+                                       map(floordiv, repeat(den), gs)))), n)
     except ValueError as exc:   # past the int-to-str limit
         raise _past_digits() from exc
+
+
+#: A list of "-?digits/digits" entries, one after each comma, each with a
+#: nonzero denominator and at most MAX_DIGITS digits a side, as int()
+#: reads them.
+_PLAIN = rf"-?[0-9]{{1,{MAX_DIGITS}}}/(?!0+(?:,|\Z))[0-9]{{1,{MAX_DIGITS}}}"
+_PLAIN_LIST = re.compile(rf"{_PLAIN}(?:,{_PLAIN})*")
+#: The most keys one step of _scan holds as text and numbers at once, so
+#: that a large table peaks no higher than when _ratio reads it.
+SCAN_KEYS = 512
+
+
+def _read_mirrored(rows: Sequence) -> Optional[tuple]:
+    """(form, text) of a nonempty square list of lists that equals its
+    transpose and holds only str and int entries; otherwise None. Other
+    types are left to the per-entry parse: a bool or a float can equal an
+    int yet read otherwise (True not at all, float(2 ** 60) by its repr as
+    1152921504606847000). The upper triangle is read by the rule of
+    _per_value: in one scan where every key is a plain string (_scan), and
+    by _ratio one by one, in order, otherwise, so the first unreadable key
+    raises. text is the rows rebuilt over the distinct keys, for the text
+    slot, where there are at most half as many as upper entries and each
+    is written as formatting prints it (lowest terms, no leading or signed
+    zero); otherwise None."""
+    n = len(rows)
+    if (not n or set(map(type, rows)) != {list} or set(map(len, rows)) != {n}
+            or rows != list(map(list, zip(*rows)))):
+        return None
+    upper = _triangle(rows)
+    types = set(map(type, upper))   # all str: so are their mirrors
+    if types != {str} and not {*types, *map(
+            type, chain.from_iterable(rows))} <= {str, int}:
+        return None
+    keys, expand = _per_value(upper)
+    scanned = _scan(keys)
+    if scanned is None:
+        nums, den = _read_form(keys)
+        return (expand(nums), den), None
+    nums, dens = scanned
+    scaled, den = ratios_to_ints(nums, dens)
+    text = None
+    if (keys is not upper and max(map(gcd, nums, dens)) == 1
+            and "-0" not in ",".join(keys)):
+        lookup = dict(zip(keys, keys)).__getitem__
+        text = [list(map(lookup, row)) for row in rows]
+    return (expand(scaled), den), text
+
+
+def _scan(keys: list) -> Optional[tuple]:
+    """(nums, dens) of keys that are all plain strings, as _ratio reads
+    them; otherwise None. SCAN_KEYS keys at a time are joined with commas,
+    checked by one regex match, which finds one "/" a key only where no
+    key holds a comma, and parsed as one JSON list, which refuses a
+    leading zero."""
+    nums, dens = [], []
+    for start in range(0, len(keys), SCAN_KEYS):
+        part = keys[start:start + SCAN_KEYS]
+        try:
+            joined = ",".join(part)
+        except TypeError:   # an int key
+            return None
+        if not (_PLAIN_LIST.fullmatch(joined)
+                and joined.count("/") == len(part)):
+            return None
+        try:
+            ints = json.loads(f"[{joined.replace('/', ',')}]")
+        except ValueError:   # a leading zero
+            return None
+        nums += ints[::2]
+        dens += ints[1::2]
+    return nums, dens
 
 
 def _read_form(entries: list) -> tuple:

@@ -8,9 +8,12 @@ Every input rational goes through one reader, _ratio, which gives an
 integer pair (p, q) with q > 0: plain ASCII "p/q", "-p/q" and "p" strings
 and ints by int() alone, anything else by Fraction's parser, with the value
 Fraction(str) gives and the same errors. parse_rational is Fraction(*_ratio)
-and MetricMatrix.from_rows reads table entries with it straight to integers:
-each distinct entry once where a table mirrors exactly and repeats its
-entries, since a reading depends only on the raw entry, its type included.
+and MetricMatrix.from_rows reads table entries straight to integers, each
+distinct entry once where a table mirrors exactly and repeats its entries,
+since a reading depends only on the raw entry, its type included. There,
+keys that are all plain "p/q" strings are read in one scan of their joined
+text (metrics._scan), which gives the pairs _ratio would; a table with any
+other key reads each with _ratio, so every value and error stays as it is.
 
 A tuple of rationals is held in integer form (numerators, den): entries
 numerators[k] / den over one common positive denominator, with
@@ -157,7 +160,7 @@ def _leq(a, b) -> bool:
     (xs, dx), (ys, dy) = a, b
     if dx == dy:
         return all(map(le, xs, ys))
-    return all(x * dy <= y * dx for x, y in zip(xs, ys))
+    return all(map(le, map(mul, xs, repeat(dy)), map(mul, ys, repeat(dx))))
 
 
 def _ratio(value) -> tuple[int, int]:

@@ -434,3 +434,34 @@ def test_process_wall_children_write_bytecode_to_their_own_cache(
     assert "PYTHONDONTWRITEBYTECODE" not in env
     assert env["PYTHONPATH"] == str(tmp_path / "co" / "src")
     assert env["PYTHONPYCACHEPREFIX"] == str(tmp_path / "cache")
+
+
+def test_job_kind_ms_reads_the_numbered_pass_files(bench_pairs, tmp_path):
+    """Per job kind, the id without its trailing number, the median
+    reference milliseconds over the jobs of every numbered pass; the
+    traced pass and other files are left out."""
+    def write(name, jobs):
+        (tmp_path / name).write_text(json.dumps({"jobs": [
+            {"id": job_id, "ref_seconds": seconds}
+            for job_id, seconds in jobs]}))
+
+    write("pass-0.json", [("in-l-000", 0.001), ("in-l-001", 0.003),
+                          ("axioms-metrics", 0.010), ("builtin-kappa-41",
+                                                      0.020)])
+    write("pass-1.json", [("in-l-000", 0.002), ("in-l-001", 0.004),
+                          ("axioms-metrics", 0.030), ("builtin-kappa-41",
+                                                      0.020)])
+    write("pass-traced.json", [("in-l-000", 1.0), ("in-l-001", 1.0)])
+    write("replays.json", [("in-l-000", 1.0)])
+    assert bench_pairs.job_kind_ms(tmp_path) == pytest.approx(
+        {"axioms-metrics": 20.0, "builtin-kappa": 20.0, "in-l": 2.5})
+    assert bench_pairs.job_kind_ms(tmp_path / "missing") == {}
+
+
+def test_job_kind_medians_take_the_median_run_of_each_side(bench_pairs):
+    pairs = [{side: {"job_kind_ms": {"in-l": ms, "feasible": 2 * ms}}
+              for side, ms in (("before", b), ("after", a))}
+             for b, a in ((3.0, 1.0), (5.0, 2.0), (4.0, 9.0))]
+    assert bench_pairs.job_kind_medians(pairs) == {
+        "before": {"in-l": 4.0, "feasible": 8.0},
+        "after": {"in-l": 2.0, "feasible": 4.0}}

@@ -141,41 +141,75 @@ def test_recorded_report_replays(capsys, name):
 # -- one parse per input entry --------------------------------------------
 
 
+def recording_reads(monkeypatch) -> list:
+    """A list that records, in order, each entry read: every key that the
+    one scan of plain entries (metrics._scan) reads, and every entry the
+    reader, rationals._ratio, reads one by one."""
+    reads, scan, read = [], metrics._scan, rationals._ratio
+
+    def scanning(keys):
+        scanned = scan(keys)
+        if scanned is not None:
+            reads.extend(("scan", key) for key in keys)
+        return scanned
+
+    def counting(value):
+        reads.append(("ratio", value))
+        return read(value)
+
+    monkeypatch.setattr(metrics, "_scan", scanning)
+    for module in (rationals, metrics):
+        monkeypatch.setattr(module, "_ratio", counting)
+    return reads
+
+
+def write_table(path, labels, rows) -> None:
+    if path.suffix == ".json":
+        path.write_text(json.dumps({"labels": labels, "rows": rows}),
+                        encoding="utf-8")
+    else:
+        path.write_text("\n".join(",".join(map(str, r))
+                                  for r in [labels] + rows),
+                        encoding="utf-8")
+
+
 @pytest.mark.parametrize("suffix", (".json", ".csv"))
 def test_validate_parses_each_entry_once(capsys, monkeypatch, tmp_path, suffix):
     """Whatever the diagonal's spelling ("0", "0/1" or a JSON 0, which CSV
-    writes as "0"), the reader runs once per distinct entry of the upper
-    triangle, the diagonal included, in order of first occurrence in row
-    order: the table repeats its entries, so no entry is read twice."""
+    writes as "0"), each distinct entry of the upper triangle, the
+    diagonal included, is read once, in order of first occurrence in row
+    order: the table repeats its entries, so no entry is read twice. A
+    table of plain "p/q" entries is read by the scan alone, and any other
+    by the reader alone; the first entry the reader refuses raises with
+    its text."""
     n = 6
     labels = [f"x{k}" for k in range(n)]
-    calls, read = [], rationals._ratio
-
-    def counting(value):
-        calls.append(value)
-        return read(value)
-
-    for module in (rationals, metrics):
-        monkeypatch.setattr(module, "_ratio", counting)
-    for diagonal in ("0", "0/1", 0):
+    reads = recording_reads(monkeypatch)
+    path = tmp_path / f"m{suffix}"
+    for diagonal, bad in (("0", None), ("0/1", None), (0, None),
+                          ("0/1", "x"), ("0", "x")):
         # entries between 1 and 7/4, so the triangle inequality holds
         rows = [[f"{4 + (3 * min(i, j) + 5 * max(i, j)) % 4}/4" if i != j
                  else diagonal for j in range(n)] for i in range(n)]
-        path = tmp_path / f"m{suffix}"
-        if suffix == ".json":
-            path.write_text(json.dumps({"labels": labels, "rows": rows}),
-                            encoding="utf-8")
-        else:
+        if bad is not None:
+            rows[2][4] = rows[4][2] = bad
+        if suffix == ".csv":
             rows = [[str(v) for v in row] for row in rows]
-            path.write_text("\n".join(",".join(r) for r in [labels] + rows),
-                            encoding="utf-8")
-        calls.clear()
-        assert main(["validate", str(path)]) == 0
-        capsys.readouterr()
+        write_table(path, labels, rows)
+        reads.clear()
         upper = [v for i, row in enumerate(rows) for v in row[i:]]
-        assert calls == [v for k, v in enumerate(upper)
-                         if v not in upper[:k]]
-        assert len(calls) == 5 < len(upper) == n * (n + 1) // 2
+        distinct = [v for k, v in enumerate(upper) if v not in upper[:k]]
+        reader = "scan" if diagonal == "0/1" and bad is None else "ratio"
+        if bad is None:
+            assert main(["validate", str(path)]) == 0
+            assert capsys.readouterr().err == ""
+            assert len(distinct) == 5 < len(upper) == n * (n + 1) // 2
+        else:
+            assert main(["validate", str(path)]) == 2
+            assert json.loads(capsys.readouterr().err) == {
+                "error": f"not a rational: {bad!r}"}
+            distinct = distinct[:distinct.index(bad) + 1]
+        assert reads == [(reader, v) for v in distinct]
 
 
 # -- the reader of parse_rational -------------------------------------------

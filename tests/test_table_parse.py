@@ -16,6 +16,7 @@ from evslib.cli import main
 from evslib.errors import InputError
 from evslib.metrics import MetricMatrix
 from evslib.rationals import parse_rational, to_ints
+from test_boundary import recording_reads
 
 
 def validate_doc(capsys, tmp_path, rows) -> tuple:
@@ -92,15 +93,18 @@ def test_decimal_exponent_within_the_limit_is_printed(capsys, tmp_path):
 LONG = "1" * 4301 + "/1"   # one digit past int()'s limit
 # "-?digits/digits" spellings, unreduced and signed zeros included
 PLAIN = ["1/2", "-1/2", "4/6", "-4/6", "0/1", "-0/3", "7/1", "007/010",
-         "12/8", "3/4", "2/4"]
+         "12/8", "3/4", "2/4", "01/2"]
 # other spellings: integers, values, errors and padded strings
 GENERAL = ["0", "1", " 1/2", "1/2 ", "+1/2", "1 / 2", "0.25", "1e-3", 2, 0.5,
-           True, "1/0", "\u0661/\u0662", LONG, "1,2/3", "1_0/3", None, [1]]
+           True, "1/0", "\u0661/\u0662", "\u0661/2", LONG, "1,2/3", "1_0/3",
+           "1/-2", "1/2/3", "1/2,3/4", None, [1]]
 
 plain = st.one_of(
     st.sampled_from(PLAIN),
+    # a leading zero now and then, and a zero denominator
     st.builds(lambda sign, p, q: f"{sign}{p}/{q}", st.sampled_from(("", "-")),
-              st.integers(0, 60), st.integers(1, 24)))
+              st.integers(0, 60).map(str) | st.sampled_from(("00", "01")),
+              st.integers(0, 24).map(str) | st.sampled_from(("00", "07"))))
 entries = st.one_of(plain, st.sampled_from(GENERAL))
 
 
@@ -166,6 +170,13 @@ def csv_text(labels, rows):
     return "\n".join(",".join(r) for r in [labels, *rows])
 
 
+def among_plain(entry) -> tuple:
+    """A 3-point table that mirrors exactly, with entry at (a, b) among
+    plain "p/q" entries, three distinct ones among six."""
+    return (["a", "b", "c"], [["0/1", entry, "1/2"], [entry, "0/1", "1/2"],
+                              ["1/2", "1/2", "0/1"]])
+
+
 @settings(max_examples=500, deadline=None)
 @given(raw_tables())
 @example((["a", "b"], [["0/2", "4/6"], ["4/6", "-0/3"]]))
@@ -190,6 +201,19 @@ def csv_text(labels, rows):
 # a row that is not a list, and a ragged row
 @example((["a", "b"], [["0", "1/2"], ("1/2", "0")]))
 @example((["a", "b"], [["0", "1/2"], ["1/2"]]))
+# spellings the scan of plain "p/q" entries must refuse, among such entries
+@example(among_plain("01/2"))
+@example(among_plain("-0/3"))
+@example(among_plain("1/0"))
+@example(among_plain("1/-2"))
+@example(among_plain("+1/2"))
+@example(among_plain(" 1/2"))
+@example(among_plain("1_0/3"))
+@example(among_plain("\u0661/2"))
+@example(among_plain("1/2/3"))
+@example(among_plain("1,2/3"))
+@example(among_plain("1/2,3/4"))
+@example(among_plain(LONG))
 def test_bulk_parse_matches_a_parse_of_every_entry(table):
     labels, rows = table
     expected = outcome(lambda: reference(labels, rows))
@@ -201,29 +225,142 @@ def test_bulk_parse_matches_a_parse_of_every_entry(table):
             expected
 
 
+# -- the printed text of a parsed table --------------------------------------
+
+# "p/q" spellings, canonical ("1/2", "0/1") or not: unreduced, signed zeros
+# and leading zeros
+spellings = st.one_of(
+    st.sampled_from(["2/4", "-0/1", "007/1", "4/2", "0/5", "1/2", "0/1",
+                     "-1/3"]),
+    st.builds(lambda sign, zero, p, q: f"{sign}{zero}{p}/{q}",
+              st.sampled_from(("", "-")), st.sampled_from(("", "0")),
+              st.integers(0, 12), st.integers(1, 6)))
+
+
+@st.composite
+def repeated_tables(draw):
+    """Labels and rows that mirror exactly over one to three spellings,
+    so that most tables repeat their entries."""
+    n = draw(st.integers(1, 5))
+    pool = draw(st.lists(spellings, min_size=1, max_size=3))
+    upper = {(i, j): draw(st.sampled_from(pool))
+             for i in range(n) for j in range(i, n)}
+    rows = [[upper[min(i, j), max(i, j)] for j in range(n)]
+            for i in range(n)]
+    return ["a", "b", "c", "d", "e"][:n], rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeated_tables(), st.sampled_from(("\n", "\n  ", "\n      ")))
+@example(among_plain("2/4"), "\n")
+@example(among_plain("-0/1"), "\n")
+@example(among_plain("007/1"), "\n  ")
+@example(among_plain("4/2"), "\n")
+@example(among_plain("1/1"), "\n")
+def test_a_parsed_table_prints_as_its_form(table, indent):
+    """to_json and json_text of a table read from JSON or CSV, whose
+    printed text may come from its input, equal those of a table built
+    from its form alone, which formats every entry."""
+    labels, rows = table
+    for m in (MetricMatrix.from_json({"labels": labels, "rows": rows}),
+              MetricMatrix.from_csv_text(csv_text(labels, rows))):
+        fresh = MetricMatrix(m.labels, m.form)
+        assert m.json_text(indent) == fresh.json_text(indent)
+        assert m.to_json() == fresh.to_json()
+
+
+def four_points(key: str) -> list:
+    """A 4-point table that mirrors exactly over four distinct keys, in
+    order "0/1", `key`, "2/3" and "3/4", among its ten upper entries."""
+    upper = {(0, 1): key, (0, 2): "2/3", (0, 3): "3/4", (1, 2): "2/3",
+             (1, 3): key, (2, 3): "3/4"}
+    return [[upper.get((min(i, j), max(i, j)), "0/1") for j in range(4)]
+            for i in range(4)]
+
+
+@pytest.mark.parametrize("key", ["1/2", "01/2", "-0/1", "2/4", "x"])
+@pytest.mark.parametrize("part", [1, 2, 3])
+def test_the_scan_reads_a_table_in_parts_as_in_one(monkeypatch, key, part):
+    """Read SCAN_KEYS keys at a time, a table gives the form, the error
+    and the printed text it gives in one part, where a part before the
+    last holds a key that the scan refuses or that is not printed as
+    written."""
+    doc = {"labels": list("abcd"), "rows": four_points(key)}
+
+    def read():
+        try:
+            m = MetricMatrix.from_json(doc)
+        except InputError as exc:
+            return str(exc)
+        assert m.json_text("\n") == MetricMatrix(m.labels,
+                                                 m.form).json_text("\n")
+        return m.form, m.to_json()
+
+    whole = read()
+    monkeypatch.setattr(metrics, "SCAN_KEYS", part)
+    assert read() == whole
+
+
+@pytest.mark.parametrize("rows, seeded", [
+    (four_points("1/2"), True),
+    # four distinct entries among six
+    ([["0/1", "1/2", "2/1"], ["1/2", "0/1", "3/1"], ["2/1", "3/1", "0/1"]],
+     False),
+    # written otherwise than printed, or not plain
+    (four_points("2/4"), False),
+    (four_points("-0/1"), False),
+    (four_points("01/2"), False),
+    ([["0", "1/2"], ["1/2", "0"]], False),
+])
+def test_an_input_table_is_its_own_text_where_it_repeats_printed_entries(
+        rows, seeded):
+    """The text slot of a table read from its rows holds those rows where
+    at most half of its upper entries are distinct and each is written as
+    it prints, rebuilt over the distinct entries so that no string of the
+    input per entry is kept; otherwise it is filled from the form when
+    the table first prints."""
+    copied = json.loads(json.dumps(rows))   # one string object per entry
+    m = MetricMatrix.from_rows(list("abcd")[:len(rows)], copied)
+    assert (m._rows is not None) is seeded
+    if seeded:
+        assert m._rows == rows
+        entries = [e for row in m._rows for e in row]
+        assert len(set(map(id, entries))) == len(set(entries))
+    assert m.to_json()["rows"] == MetricMatrix(m.labels,
+                                               m.form).to_json()["rows"]
+
+
 @pytest.mark.parametrize("rows, reads", [
     # four distinct entries among six: every upper entry, in row order
     ([["0", "1", "2"], ["1", "0", "3"], ["2", "3", "0"]],
-     ["0", "1", "2", "0", "3", "0"]),
-    # three among six: each distinct entry once, the first unreadable last
-    ([["0", "x", "0"], ["x", "0", "y"], ["0", "y", "0"]], ["0", "x"]),
+     [("ratio", v) for v in ["0", "1", "2", "0", "3", "0"]]),
+    ([["0/1", "1/2", "2/1"], ["1/2", "0/1", "3/1"], ["2/1", "3/1", "0/1"]],
+     [("scan", v) for v in ["0/1", "1/2", "2/1", "0/1", "3/1", "0/1"]]),
+    # three among six: each distinct entry once
+    ([["0/1", "1/2", "0/1"], ["1/2", "0/1", "2/4"], ["0/1", "2/4", "0/1"]],
+     [("scan", v) for v in ["0/1", "1/2", "2/4"]]),
+    ([["0", "1/2", "0"], ["1/2", "0", "2/4"], ["0", "2/4", "0"]],
+     [("ratio", v) for v in ["0", "1/2", "2/4"]]),
+    # the first unreadable one last, whichever entry the scan refuses
+    ([["0", "x", "0"], ["x", "0", "y"], ["0", "y", "0"]],
+     [("ratio", v) for v in ["0", "x"]]),
+    ([["0/1", "x", "0/1"], ["x", "0/1", "y"], ["0/1", "y", "0/1"]],
+     [("ratio", v) for v in ["0/1", "x"]]),
+    ([["0/1", "1/0", "0/1"], ["1/0", "0/1", "y"], ["0/1", "y", "0/1"]],
+     [("ratio", v) for v in ["0/1", "1/0"]]),
 ])
 def test_a_mirrored_table_reads_its_upper_entries(monkeypatch, rows, reads):
     """A table that mirrors exactly reads each distinct upper entry once,
     in order of first occurrence, where at most half of them are
-    distinct, and every upper entry in row order otherwise; the first
-    unreadable one raises as a parse of every entry would."""
-    calls, read = [], metrics._ratio
-
-    def counting(value):
-        calls.append(value)
-        return read(value)
-
-    monkeypatch.setattr(metrics, "_ratio", counting)
+    distinct, and every upper entry in row order otherwise: all of them
+    in one scan where each is a plain "p/q", and each by the reader
+    otherwise. The first unreadable one raises as a parse of every entry
+    would."""
+    expected = outcome(lambda: reference(list("abc"), rows))
+    recorded = recording_reads(monkeypatch)
     doc = {"labels": list("abc"), "rows": rows}
-    assert outcome(lambda: MetricMatrix.from_json(doc).form) == \
-        outcome(lambda: reference(list("abc"), rows))
-    assert calls == reads
+    assert outcome(lambda: MetricMatrix.from_json(doc).form) == expected
+    assert recorded == reads
 
 
 @pytest.mark.parametrize("v", PLAIN + GENERAL)

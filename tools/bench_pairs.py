@@ -15,7 +15,13 @@ The file holds every result line, and per gated metric the median and
 quartiles of each side, the number of pairs the after side won,
 `claim_met`, the gain rule of `claim_met()`, the ratio of the after
 median to the before median, and `within_bound`, the rule of
-`within_bound()` for a metric on which no gain is claimed. Both sides
+`within_bound()` for a metric on which no gain is claimed. Per side it
+also holds the median reference milliseconds of each job kind, a job's id
+without its trailing number (`in-l` for `in-l-003`): the median over the
+pairs of each run's median job of that kind, read from the `pass-<k>.json`
+files that `perfbench/run.py` leaves in `.perfbench/<workload>-seed<k>/`
+of the checkout, so the file shows which jobs a change made faster or
+slower. Both sides
 must run the same benchmark: the tool refuses to start, with exit code 2,
 when the files under `perfbench/` or `BENCHMARK.json` differ between the
 checkouts. It refuses the same way when a side is not the root of a git
@@ -62,6 +68,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import shlex
 import statistics
 import subprocess
@@ -93,7 +100,25 @@ def _run(root: Path, workload: str, seed: int, seconds: int,
     line = json.loads(out.strip().splitlines()[-1])
     line["seed"] = seed
     line["run_wall_s"] = round(time.perf_counter() - t0, 3)
+    line["job_kind_ms"] = job_kind_ms(
+        root / ".perfbench" / f"{workload}-seed{seed}")
     return line
+
+
+def job_kind_ms(workdir: Path) -> dict:
+    """Job kind -> the median reference milliseconds of its jobs over the
+    numbered passes (`pass-<k>.json`, not `pass-traced.json`) in a
+    workdir of perfbench/run.py. A job's kind is its id without a
+    trailing "-<number>"."""
+    times = {}
+    for path in sorted(workdir.glob("pass-*.json")):
+        if not path.stem.removeprefix("pass-").isdigit():
+            continue
+        jobs = json.loads(path.read_text(encoding="utf-8"))["jobs"]
+        for job in jobs:
+            kind = re.sub(r"-[0-9]+\Z", "", job["id"])
+            times.setdefault(kind, []).append(job["ref_seconds"] * 1000)
+    return {kind: statistics.median(ms) for kind, ms in sorted(times.items())}
 
 
 def _commit(root: Path):
@@ -198,7 +223,17 @@ def _pairs(roots: dict, workload: str, count: int, seconds: int,
         entry["ratio"] = after / before
         entry["within_bound"] = within_bound(before, after, better,
                                              metric["bound"])
-    return {"pairs": pairs, "summary": summary}
+    return {"pairs": pairs, "summary": summary,
+            "job_kind_ms": job_kind_medians(pairs)}
+
+
+def job_kind_medians(pairs: list) -> dict:
+    """Side -> job kind -> the median over the pairs of each run's
+    job_kind_ms."""
+    return {side: {kind: statistics.median(p[side]["job_kind_ms"][kind]
+                                           for p in pairs)
+                   for kind in pairs[0][side]["job_kind_ms"]}
+            for side in ("before", "after")}
 
 
 def _child(root: Path, *args) -> None:
