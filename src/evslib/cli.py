@@ -66,8 +66,8 @@ def _load_json(path: str, object_hook=None):
 def _load_matrix(path: str) -> metrics.MetricMatrix:
     """Parse a JSON or CSV table once. The parsed matrix is what `inputs`
     holds: the handler's MetricMatrix.from_json returns it as it is, and
-    _emit prints it from its form (MetricMatrix.json_text), in the bytes of
-    a replayed report."""
+    _emit prints it from its text slot (MetricMatrix.json_text), in the
+    bytes of a replayed report."""
     if path.endswith(".csv"):
         try:
             return metrics.MetricMatrix.from_csv_text(
@@ -175,7 +175,7 @@ def _run_combine(inputs: dict):
         result = metrics.add_metrics(a, b)
     else:
         result = metrics.scale_metric(parse_rational(inputs["alpha"]), a)
-    return {"matrix": result.to_json(), "isZero": result.is_zero()}, 0
+    return {"matrix": result, "isZero": result.is_zero()}, 0
 
 
 def _run_compare(inputs: dict):
@@ -190,7 +190,7 @@ def _run_transform(inputs: dict):
            else metrics.transform_min)(m)
     verdict = metrics.validate_metric(out)
     return {
-        "matrix": out.to_json(),
+        "matrix": out,
         "validation": verdict,
         "belowInput": metrics.leq_metrics(out, m),
     }, 0 if verdict["pass"] else 1
@@ -202,7 +202,7 @@ def _run_builtin(inputs: dict):
     if not isinstance(params, dict):
         raise InputError(f'"params" must be an object, not {params!r}')
     return {"matrix": metrics.builtin_metric(inputs["name"], params,
-                                             depth).to_json()}, 0
+                                             depth)}, 0
 
 
 def _run_partial_compare(inputs: dict):
@@ -271,7 +271,7 @@ def _run_norms_embed(inputs: dict):
     m = norms.embed_norm_to_metric(w, points)
     verdict = metrics.validate_metric(m)
     return {
-        "matrix": m.to_json(),
+        "matrix": m,
         "validation": verdict,
     }, 0 if verdict["pass"] else 1
 
@@ -677,14 +677,13 @@ _DEEPEST_INDENT = len("\n" + "  " * (MAX_ECHO_DEPTH - 1))
 
 
 def _dumps(obj) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, with a
-    MetricMatrix, such as every table an input echoes, written as its
-    to_json(). The text is written as one list of pieces (_write) and
-    joined once. The standard encoder runs in pure Python whenever it
-    indents; this writer escapes strings in C, writes each repeated array,
-    object or table once and copies its pieces by reference, and a
-    MetricMatrix writes its own text from its integer form
-    (MetricMatrix.json_text), with no document of strings built."""
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, with each
+    MetricMatrix, every table an input echoes or a report holds, written
+    as its to_json(): the bytes that the behaviour contract and --replay
+    compare. The text is one list of pieces (_write), joined once. This
+    writer escapes strings in C, writes each repeated array, object or
+    table once and copies its pieces by reference, and a MetricMatrix adds
+    one piece per row of its text slot (MetricMatrix.json_text)."""
     out = []
     _write(obj, "\n", out, {})
     return "".join(out)
@@ -715,7 +714,7 @@ def _write(obj, indent: str, out: list, spans: dict) -> None:
     inner = indent + "  "
     comma = "," + inner
     if isinstance(obj, metrics.MetricMatrix):
-        out.append(obj.json_text(indent))
+        out += obj.json_text(indent)
     elif not obj:
         out.append("{}" if isinstance(obj, dict) else "[]")
     elif isinstance(obj, dict):
@@ -745,9 +744,9 @@ def _write(obj, indent: str, out: list, spans: dict) -> None:
 
 def _emit(doc: dict, out_path=None) -> None:
     """Print the report doc, rendered whole (_dumps) before any of it
-    prints, so an input too deep to echo prints nothing. Inputs hold
-    parsed matrices; each is written here from its form, in the bytes of
-    the {"labels", "rows"} document a replayed report holds."""
+    prints, so an input too deep to echo prints nothing. Inputs and
+    reports hold tables as MetricMatrix objects; each is written here in
+    the bytes of the {"labels", "rows"} document a replayed report holds."""
     text = _dumps(doc)
     # flushed here, so that a closed stdout raises in main, not at exit
     print(text, flush=True)
@@ -776,7 +775,7 @@ def _replay(path: str) -> int:
     if not isinstance(doc.get("inputs"), dict):
         raise InputError('report "inputs" must be an object')
     fresh, code = handler(doc["inputs"])
-    match = fresh == doc["report"]
+    match = _dumps(fresh) == _dumps(doc["report"])
     print(_dumps({"replay": True, "command": doc["command"], "match": match}),
           flush=True)
     return 0 if match else 1

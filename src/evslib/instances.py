@@ -135,16 +135,10 @@ def metric_packed_instance(labels: Sequence[str], kind: str = "metrics",
         parsed[m.form] = m
         return m.form
 
-    def to_json(a) -> dict:
-        m = parsed.get(a)
-        if m is None:
-            return MetricMatrix(labels, a).to_json()
-        return m.to_json()
-
     return rational_tuple_instance(
         f"{kind}[{len(labels)}-point carrier]",
         len(MetricMatrix.zero(labels).form[0]),
-        element_to_json=to_json,
+        element_to_json=lambda a: parsed.get(a) or MetricMatrix(labels, a),
         element_from_json=from_json,
         comparing=lambda x, y: comparing_function_metric(
             MetricMatrix(labels, x), MetricMatrix(labels, y)),

@@ -64,12 +64,12 @@ class MetricMatrix:
     candidate tables (e.g. pointwise limits) can be rejected with a
     structured violation.
 
-    A table's printed text, the mirrored "p/q" rows in lowest terms that
-    to_json returns and json_text writes, is kept in one slot, so a table
-    that a report prints twice is formatted once. to_json fills it from
-    the form; from_rows fills it from the input where the input's entries
-    are already that text (see _read_mirrored). The rows are shared by
-    every reader and are not to be changed.
+    A table's printed text, its mirrored rows with every entry "p/q" in
+    lowest terms, is kept in one slot as one "p/q,p/q,..." string per row,
+    so a table that a report prints twice is formatted once. to_json fills
+    it from the form; from_rows fills it from the input where the input's
+    entries are already that text (see _read_mirrored). The slot is read
+    only: to_json splits it afresh and json_text quotes it into new pieces.
     """
 
     __slots__ = ("labels", "form", "_rows")
@@ -155,31 +155,35 @@ class MetricMatrix:
 
     def to_json(self) -> dict:
         """{"labels", "rows"}, every entry printed as "p/q" in lowest
-        terms. The rows are the text slot, filled here from the form where
-        it is empty: a report holds them anyway."""
+        terms, in lists split afresh from the text slot, which is filled
+        here from the form where it is empty."""
         if self._rows is None:
             self._rows = _text_rows(self.form, self.size)
-        return {"labels": list(self.labels), "rows": self._rows}
+        return {"labels": list(self.labels),
+                "rows": [row.split(",") for row in self._rows]}
 
-    def json_text(self, indent: str) -> str:
+    def json_text(self, indent: str) -> list:
         """The text json.dumps(self.to_json(), indent=2, sort_keys=True)
         gives, nested where `indent`, a newline and spaces, precedes the
-        closing brace: each row of the text slot is quoted and joined at
-        once, with no document of strings built first. An empty slot is
-        not filled here, so that the rows of a large table are not held
-        while its report is joined and printed."""
+        closing brace, as a list of pieces: each row of the text slot
+        quoted by one replace, with one shared piece between rows, so
+        that no string of the whole table is built. An empty slot is not
+        filled here, so that the rows of a large table are not held while
+        its report is joined and printed."""
         rows = self._rows
         if rows is None:
             rows = _text_rows(self.form, self.size)
         keys, items = indent + "  ", indent + "    "
         cells = items + "  "
-        entry = '",' + cells + '"'
-        return "".join((
+        entry, between = '",' + cells + '"', f'"{items}],{items}[{cells}"'
+        pieces = ["".join((
             "{", keys, '"labels": [', items,
             ("," + items).join(map(encode_basestring_ascii, self.labels)),
-            keys, "],", keys, '"rows": [', items, "[", cells, '"',
-            f'"{items}],{items}[{cells}"'.join(map(entry.join, rows)),
-            '"', items, "]", keys, "]", indent, "}"))
+            keys, "],", keys, '"rows": [', items, "[", cells, '"'))]
+        for row in rows:
+            pieces += row.replace(",", entry), between
+        pieces[-1] = "".join(('"', items, "]", keys, "]", indent, "}"))
+        return pieces
 
 
 def _carrier(labels: Sequence[str], rows: Sequence[Sequence]) -> tuple:
@@ -219,15 +223,15 @@ def _per_value(values: Sequence) -> tuple:
 
 
 def _text_rows(form: tuple, n: int) -> list:
-    """The mirrored rows of an n-point form, each entry as "p/q" in lowest
-    terms, formatted by the rule of _per_value."""
+    """The text slot of an n-point form: one "p/q,p/q,..." string per
+    mirrored row, in lowest terms, formatted by the rule of _per_value."""
     nums, den = form
     keys, expand = _per_value(nums)
     gs = list(map(gcd, keys, repeat(den)))
     try:
-        return _mirror(expand(list(map("{}/{}".format,
-                                       map(floordiv, keys, gs),
-                                       map(floordiv, repeat(den), gs)))), n)
+        return list(map(",".join, _mirror(expand(list(map(
+            "{}/{}".format, map(floordiv, keys, gs),
+            map(floordiv, repeat(den), gs)))), n)))
     except ValueError as exc:   # past the int-to-str limit
         raise _past_digits() from exc
 
@@ -250,10 +254,10 @@ def _read_mirrored(rows: Sequence) -> Optional[tuple]:
     1152921504606847000). The upper triangle is read by the rule of
     _per_value: in one scan where every key is a plain string (_scan), and
     by _ratio one by one, in order, otherwise, so the first unreadable key
-    raises. text is the rows rebuilt over the distinct keys, for the text
-    slot, where there are at most half as many as upper entries and each
-    is written as formatting prints it (lowest terms, no leading or signed
-    zero); otherwise None."""
+    raises. text is the text slot, each row joined with commas, where every
+    key is written as formatting prints it (lowest terms, no leading or
+    signed zero), so that no string of the input per entry is kept;
+    otherwise None."""
     n = len(rows)
     if (not n or set(map(type, rows)) != {list} or set(map(len, rows)) != {n}
             or rows != list(map(list, zip(*rows)))):
@@ -271,10 +275,8 @@ def _read_mirrored(rows: Sequence) -> Optional[tuple]:
     nums, dens = scanned
     scaled, den = ratios_to_ints(nums, dens)
     text = None
-    if (keys is not upper and max(map(gcd, nums, dens)) == 1
-            and "-0" not in ",".join(keys)):
-        lookup = dict(zip(keys, keys)).__getitem__
-        text = [list(map(lookup, row)) for row in rows]
+    if max(map(gcd, nums, dens)) == 1 and "-0" not in ",".join(keys):
+        text = list(map(",".join, rows))
     return (expand(scaled), den), text
 
 
@@ -1126,7 +1128,7 @@ def cauchy_incompleteness_demo(ns: Sequence[int],
         "oscillationConstant": fmt(spread),
         "cauchyChecks": checks,
         "cauchyBoundHolds": bound_ok,
-        "limitMatrix": limit.to_json(),
+        "limitMatrix": limit,
         "limitValidation": verdict,
         "limitIsMetric": verdict["pass"],
         "demonstratesIncompleteness": bound_ok and not verdict["pass"],

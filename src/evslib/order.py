@@ -141,6 +141,8 @@ def orderly_independent_set(instance: EvsInstance, S: Sequence,
     S = list(S)
     _require_nonzero(instance, *S)
     epsilon = None if eps is None else Fraction(eps)
+    if epsilon is not None and not 0 < epsilon < 1:
+        raise InputError("epsilon must lie strictly between 0 and 1")
     pairs = []
     any_fail = any_eps = any_inconclusive = False
     named = zip(S, map(instance.element_to_json, S))
@@ -203,9 +205,11 @@ def generates(instance: EvsInstance, B: Sequence, universe: Universe) -> dict:
 
 def is_basis(instance: EvsInstance, B: Sequence, universe: Universe,
              eps=None) -> dict:
-    """Generator and orderly independent at once, both universe-relative."""
-    gen = generates(instance, B, universe)
+    """Generator and orderly independent at once, both universe-relative;
+    independence runs first, so that a bad epsilon is refused first."""
+    B = list(B)
     indep = orderly_independent_set(instance, B, eps=eps, universe=universe)
+    gen = generates(instance, B, universe)
     statuses = {gen["status"], indep["status"]}
     return {
         "status": _fold("fail" in statuses, INCONCLUSIVE in statuses,

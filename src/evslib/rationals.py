@@ -12,8 +12,9 @@ and MetricMatrix.from_rows reads table entries straight to integers, each
 distinct entry once where a table mirrors exactly and repeats its entries,
 since a reading depends only on the raw entry, its type included. There,
 keys that are all plain "p/q" strings are read in one scan of their joined
-text (metrics._scan), which gives the pairs _ratio would; a table with any
-other key reads each with _ratio, so every value and error stays as it is.
+text (metrics._scan), which gives the pairs _ratio would, and the rows of a
+table whose keys are in lowest terms, as fmt prints them, are kept as its
+printed text; any other key sends every key to _ratio, one by one.
 
 A tuple of rationals is held in integer form (numerators, den): entries
 numerators[k] / den over one common positive denominator, with

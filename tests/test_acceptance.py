@@ -333,7 +333,7 @@ def test_criterion_11_discrete_basis_over_finite_carrier():
         report = generates(inst, [disc.form], universe)
         assert report["status"] == "pass"
         for m, entry in zip(tables, report["coverage"]):
-            assert entry["element"] == m.to_json()
+            assert entry["element"].to_json() == m.to_json()
             lo = reference.comparing(rows(disc), rows(m))
             assert entry["certificate"]["alpha"] == f"{lo.numerator}/{lo.denominator}"
 

@@ -35,6 +35,7 @@ from evslib.instances import (
     norm_family_instance,
     universe_from_json,
 )
+from evslib.cli import _dumps, main
 from evslib.metrics import random_metric
 from reference import rows
 from replay import reference_instance, replay_certificate, scaled
@@ -156,7 +157,7 @@ def test_generation_prints_each_generator_and_element_once():
     universe = Universe(inst, [rho, big, touching.form])
     report = generates(inst, [big, rho], universe)
     assert report["status"] == "fail"
-    assert report["failureWitness"] == touching.to_json()
+    assert report["failureWitness"].to_json() == touching.to_json()
     assert printed == [big, rho, rho, big, touching.form]
 
 
@@ -213,7 +214,7 @@ def test_discrete_generates_random_universe_with_min_offdiag_certificates():
     report = generates(inst, [disc.form], universe)
     assert report["status"] == "pass"
     for m, entry in zip(tables, report["coverage"]):
-        assert entry["element"] == m.to_json()
+        assert entry["element"].to_json() == m.to_json()
         assert entry["certificate"]["alpha"] == \
             f"{off_diag_min(m).numerator}/{off_diag_min(m).denominator}"
 
@@ -221,6 +222,42 @@ def test_discrete_generates_random_universe_with_min_offdiag_certificates():
 def test_empty_generator_set_fails():
     universe = Universe(INST, [rho])
     assert generates(INST, [], universe)["status"] == "fail"
+
+
+@pytest.mark.parametrize("eps", ["0", "-1", "1", "2"])
+@pytest.mark.parametrize("universe, generators", [
+    ("metrics", ["line", "half"]),
+    ("cone", ["cone-unit", "cone-far"]),
+    ("family", ["fam-p", "fam-q"]),
+    ("family-one", ["fam-p"]),
+])
+@pytest.mark.parametrize("action", ["indep", "basis"])
+def test_an_epsilon_outside_zero_one_is_refused_on_every_universe(
+        capsys, tmp_path, action, universe, generators, eps):
+    """On universes whose pairs need no decay witness (metrics, cone, a
+    one-element norm family) as on those whose pairs do, before any pair
+    is decided."""
+    write_inputs(tmp_path)
+    (tmp_path / "u-family-one.json").write_text(json.dumps({
+        "instance": "norm-family", "depth": 12, "elements": ["fam-p.json"]}))
+    argv = ["order", action, "--eps", eps,
+            "--universe", str(tmp_path / f"u-{universe}.json")]
+    if action == "basis":
+        for name in generators:
+            argv += ["--generator", str(tmp_path / f"{name}.json")]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, json.loads(err)) == (
+        "", {"error": "epsilon must lie strictly between 0 and 1"})
+
+
+def test_a_basis_reads_its_generators_once():
+    """Both parts of a basis check see every generator, also where they
+    come as an iterator."""
+    universe = Universe(INST, [rho, big])
+    B = [rho, big]
+    assert _dumps(is_basis(INST, iter(B), universe)) == _dumps(
+        is_basis(INST, B, universe))
 
 
 def test_dependent_pair_generates_but_is_no_basis():

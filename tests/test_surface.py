@@ -35,6 +35,9 @@ KEPT = {}
 # methods whose name another class or a builtin type shares, reached where
 # the receiver's class is not written out
 SHARED = {
+    "MetricMatrix.to_json": "the table document of the library, and of "
+    "the tests that compare tables by value; reports hold the MetricMatrix "
+    "itself, which prints by json_text",
     "NormFamilyParams.weight": "eval_weighted_norm reads the weights of a "
     "family norm through it",
     "WeightMap.weight": "eval_weighted_norm reads the weights of an explicit "
@@ -149,10 +152,13 @@ SCANNED = ["tests/test_golden.py", "tests/test_table_pins.py",
 DESELECTED = "not reference_model and not to_json_prints"
 
 # functions that no scanned command enters, each kept for the reason given.
-# None is left: an instance has no add or scale of its own, since only the
-# packed instance of a verifier context adds and scales (the `pack` hook,
+# An instance has no add or scale of its own, since only the packed
+# instance of a verifier context adds and scales (the `pack` hook,
 # packed.py), and the reference ops of the tests live in tests/reference.py.
-UNENTERED = {}
+UNENTERED = {
+    "metrics.MetricMatrix.to_json": "the library's table document; a "
+    "command prints a table from its text slot by json_text",
+}
 
 # Loaded into the scanning run by `-p`: it replaces cli.main before the
 # test modules import it, and records the (file, first line) of each code

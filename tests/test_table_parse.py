@@ -305,27 +305,27 @@ def test_the_scan_reads_a_table_in_parts_as_in_one(monkeypatch, key, part):
     (four_points("1/2"), True),
     # four distinct entries among six
     ([["0/1", "1/2", "2/1"], ["1/2", "0/1", "3/1"], ["2/1", "3/1", "0/1"]],
-     False),
+     True),
     # written otherwise than printed, or not plain
     (four_points("2/4"), False),
     (four_points("-0/1"), False),
     (four_points("01/2"), False),
     ([["0", "1/2"], ["1/2", "0"]], False),
 ])
-def test_an_input_table_is_its_own_text_where_it_repeats_printed_entries(
+def test_an_input_table_is_its_own_text_where_it_prints_as_written(
         rows, seeded):
-    """The text slot of a table read from its rows holds those rows where
-    at most half of its upper entries are distinct and each is written as
-    it prints, rebuilt over the distinct entries so that no string of the
-    input per entry is kept; otherwise it is filled from the form when
+    """The text slot of a table read from its rows holds those rows, each
+    joined with commas, where every entry is written as it prints, whether
+    or not the entries repeat: n strings, one per row, so that no string of
+    the input per entry is kept. Otherwise it is filled from the form when
     the table first prints."""
     copied = json.loads(json.dumps(rows))   # one string object per entry
     m = MetricMatrix.from_rows(list("abcd")[:len(rows)], copied)
     assert (m._rows is not None) is seeded
     if seeded:
-        assert m._rows == rows
-        entries = [e for row in m._rows for e in row]
-        assert len(set(map(id, entries))) == len(set(entries))
+        assert type(m._rows) is list and len(m._rows) == len(rows)
+        assert all(type(row) is str for row in m._rows)
+        assert m._rows == [",".join(row) for row in rows]
     assert m.to_json()["rows"] == MetricMatrix(m.labels,
                                                m.form).to_json()["rows"]
 
