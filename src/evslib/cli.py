@@ -10,19 +10,21 @@ floating point is printed anywhere.
 
 Exit codes: 0 success, 1 domain failure (a failed validation, a refuted or
 failed check -- always with a structured counterexample or refutation in the
-report), 2 input error, 3 internal fault (any other exception; stderr gets
+report), 2 input error (an --out path that cannot be written among them, the
+report already printed), 3 internal fault (any other exception; stderr gets
 {"error": ..., "internal": true, "traceback": ...} and stdout no report),
 141 stdout closed before the whole report was written (128 + SIGPIPE, the
 code a shell gives a writer that a closed pipe kills; no --out file is
 written).
 
-Argv is read from one table of argument definitions (_LEAVES). A
-well-formed argv (a command, for norms and order an action, then each
-option by its whole flag, once unless it is repeatable, with no separate
-value that starts with "-", and every required argument) is read from the
-table alone, with no argparse parser built or imported. Every other argv
-(help, abbreviations, "--", and every error) goes to the argparse parser
-tree built from the same table.
+Each leaf (a command, for norms and order an action) is one record of
+_LEAVES: the command its reports carry, its help line, its argument
+definitions, its inputs reader and its handler. A well-formed argv (a
+leaf, then each option by its whole flag, once unless it is repeatable,
+with no separate value that starts with "-", and every required argument)
+is read from the table alone, with no argparse parser built or imported.
+Every other argv (help, abbreviations, "--", and every error) goes to the
+argparse parser tree built from the same table.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import csv
 import json
 import os
 import sys
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
@@ -318,22 +321,80 @@ def _run_order(inputs: dict):
     return doc, 0 if passed else 1
 
 
-_HANDLERS = {
-    "validate": _run_validate,
-    "combine": _run_combine,
-    "compare": _run_compare,
-    "transform": _run_transform,
-    "builtin": _run_builtin,
-    "partial-compare": _run_partial_compare,
-    "cauchy-demo": _run_cauchy_demo,
-    "norms-partition": _run_norms_partition,
-    "norms-weights": _run_norms_weights,
-    "norms-eval": _run_norms_eval,
-    "norms-witness": _run_norms_witness,
-    "norms-embed": _run_norms_embed,
-    "axioms": _run_axioms,
-    "order": _run_order,
-}
+# ---------------------------------------------------------------------------
+# Inputs readers: argv namespace -> inputs dict, the files loaded inline
+# ---------------------------------------------------------------------------
+
+
+def _combine_inputs(args) -> dict:
+    inputs = {"a": _load_matrix(args.matrix)}
+    if args.add:
+        inputs.update(op="add", b=_load_matrix(args.add), alpha=None)
+    else:
+        inputs.update(op="scale", b=None,
+                      alpha=fmt(parse_rational(args.scale)))
+    return inputs
+
+
+def _builtin_inputs(args) -> dict:
+    params = {key: getattr(args, key) for key in ("step", "n")
+              if getattr(args, key) is not None}
+    if args.points is not None:
+        params["points"] = _load_json(args.points)
+    return {"name": args.name, "params": params, "depth": args.depth}
+
+
+def _partial_compare_inputs(args) -> dict:
+    points_doc = _load_json(args.points) if args.points else None
+    return {
+        "first": _parse_lazy_spec(args.first, points_doc),
+        "second": _parse_lazy_spec(args.second, points_doc),
+        "depths": _parse_depths(args.depths),
+    }
+
+
+def _norms_eval_inputs(args) -> dict:
+    if (args.spec is None) == (args.weights is None):
+        raise InputError("give exactly one of --spec / --weights")
+    return {
+        "spec": _load_json(args.spec) if args.spec else None,
+        "weights": _load_json(args.weights) if args.weights else None,
+        "vector": _load_json(args.vector),
+    }
+
+
+def _norms_witness_inputs(args) -> dict:
+    if len(args.spec) != 2:
+        raise InputError("witness needs exactly two --spec files")
+    return {
+        "first": _load_json(args.spec[0]),
+        "second": _load_json(args.spec[1]),
+        "eps": fmt(parse_rational(args.eps)),
+    }
+
+
+def _order_inputs(args) -> dict:
+    """The inputs of every order action: the universe inline, and the
+    elements and epsilon that the action takes."""
+    loaded = {}   # path -> element, for this invocation only
+
+    def load(kind, path):
+        if path not in loaded:
+            loaded[path] = _load_element(kind, path)
+        return loaded[path]
+
+    inline = _universe_inline(args.universe, load)
+    kind = inline["instance"]
+    inputs = {"action": args.action, "universe": inline}
+    if args.action in ("in-l", "feasible"):
+        inputs["x"] = load(kind, args.x)
+    if args.action == "in-l":
+        inputs["y"] = load(kind, args.y)
+    if args.action in ("generates", "basis"):
+        inputs["generators"] = [load(kind, path) for path in args.generator]
+    if args.action in ("indep", "basis") and args.eps is not None:
+        inputs["eps"] = fmt(parse_rational(args.eps))
+    return inputs
 
 
 # ---------------------------------------------------------------------------
@@ -341,31 +402,16 @@ _HANDLERS = {
 # ---------------------------------------------------------------------------
 
 
-# command -> its help line; for norms and order, action -> its help line,
-# where None gives the action no line in `evs order -h`
-_COMMANDS = {
-    "validate": "check the metric axioms on a table",
-    "combine": "add or scale metric tables",
-    "compare": "classify a pair by comparing values",
-    "transform": "bounded or truncated companion metric",
-    "builtin": "materialize a named metric",
-    "partial-compare": "depth-indexed comparing bounds for lazy metrics",
-    "cauchy-demo": "Cauchy family whose pointwise limit is not a metric",
-    "norms": "norm-family tooling",
-    "axioms": "seeded structure-axiom suite",
-    "order": "testing-set tools over a universe",
-}
-_ACTIONS = {
-    "norms": {
-        "partition": "deterministic backbone/fiber split",
-        "weights": "family weights on the enumerated prefix",
-        "eval": "evaluate a weighted sup norm",
-        "witness": "independence decay witnesses",
-        "embed": "norm-induced metric on sample points",
-    },
-    "order": dict.fromkeys(("in-l", "indep", "generates", "basis",
-                            "feasible")),
-}
+#: One leaf `evs *path`: the `command` its reports carry, its help line
+#: (None gives an order action no line in `evs order -h`), its add_argument
+#: calls, (flag, kwargs) in order, the flags of each of its required
+#: mutually exclusive groups, its inputs reader (args -> inputs) and its
+#: handler (inputs -> (report, exit code)).
+_Leaf = namedtuple("_Leaf", "command help entries groups inputs handler")
+
+# the help lines of the two commands whose leaves are actions
+_GROUPS = {"norms": "norm-family tooling",
+           "order": "testing-set tools over a universe"}
 
 _REQUIRED = {"required": True}
 _UNIVERSE = ("--universe", {"required": True,
@@ -373,49 +419,90 @@ _UNIVERSE = ("--universe", {"required": True,
 _GENERATOR = ("--generator", {"action": "append", "required": True,
                               "help": "generator element file; repeatable"})
 
-# The one definition of every leaf's arguments: leaf path -> (entries,
-# groups). The entries are its add_argument calls, (flag, kwargs) in order,
-# and each group is the flags of one required mutually exclusive group.
-# _add_arguments builds a parser from them, and _read_args reads an argv
-# with them.
+# The one definition of every leaf, in the order of `evs -h`: leaf path ->
+# _Leaf. _build_parser builds the parser tree from it, _read_args reads an
+# argv with it, main runs its inputs reader and _HANDLERS its handler.
 _LEAVES = {
-    ("validate",): ([("matrix", {"help": "matrix file (JSON or CSV)"})], ()),
-    ("combine",): ([
+    ("validate",): _Leaf(
+        "validate", "check the metric axioms on a table",
+        [("matrix", {"help": "matrix file (JSON or CSV)"})], (),
+        lambda args: {"matrix": _load_matrix(args.matrix)}, _run_validate),
+    ("combine",): _Leaf("combine", "add or scale metric tables", [
         ("--add", {"metavar": "B", "help": "second matrix file"}),
         ("--scale", {"metavar": "ALPHA", "help": "scalar p/q"}),
         ("matrix", {"help": "first matrix file"}),
         ("--out", {"help": "write the resulting matrix JSON here"}),
-    ], [("--add", "--scale")]),
-    ("compare",): ([("first", {}), ("second", {})], ()),
-    ("transform",): ([
-        ("--bounded", {"action": "store_true"}),
-        ("--min", {"action": "store_true"}),
-        ("matrix", {}),
-        ("--out", {}),
-    ], [("--bounded", "--min")]),
-    ("builtin",): ([
+    ], [("--add", "--scale")], _combine_inputs, _run_combine),
+    ("compare",): _Leaf(
+        "compare", "classify a pair by comparing values",
+        [("first", {}), ("second", {})], (),
+        lambda args: {"first": _load_matrix(args.first),
+                      "second": _load_matrix(args.second)}, _run_compare),
+    ("transform",): _Leaf(
+        "transform", "bounded or truncated companion metric", [
+            ("--bounded", {"action": "store_true"}),
+            ("--min", {"action": "store_true"}),
+            ("matrix", {}),
+            ("--out", {}),
+        ], [("--bounded", "--min")],
+        lambda args: {"kind": "bounded" if args.bounded else "min",
+                      "matrix": _load_matrix(args.matrix)}, _run_transform),
+    ("builtin",): _Leaf("builtin", "materialize a named metric", [
         ("name", {"choices": list(metrics.BUILTIN_NAMES)}),
         ("--depth", {"type": int, "required": True}),
         ("--step", {"help": "grid step p/q (usual-grid, kappa)"}),
         ("--n", {"help": "cauchy-dn index"}),
         ("--points", {"help": "JSON file with plane points (cauchy-dn)"}),
         ("--out", {}),
-    ], ()),
-    ("partial-compare",): ([
-        ("--first", {"required": True, "help": 'e.g. "discrete", '
-                     '"usual-grid:step=1", "kappa", "usual"'}),
-        ("--second", _REQUIRED),
-        ("--depths", {"required": True,
-                      "help": "comma separated, increasing"}),
-        ("--points", {"help": "plane points file for cauchy-dn specs"}),
-    ], ()),
-    ("cauchy-demo",): ([
-        ("--indices", {"required": True, "help": "comma separated n values"}),
-        ("--pairs", {"required": True,
-                     "help": "JSON file: list of [[u,u'],[v,v']] point "
-                             "pairs"}),
-    ], ()),
-    ("axioms",): ([
+    ], (), _builtin_inputs, _run_builtin),
+    ("partial-compare",): _Leaf(
+        "partial-compare", "depth-indexed comparing bounds for lazy metrics", [
+            ("--first", {"required": True, "help": 'e.g. "discrete", '
+                         '"usual-grid:step=1", "kappa", "usual"'}),
+            ("--second", _REQUIRED),
+            ("--depths", {"required": True,
+                          "help": "comma separated, increasing"}),
+            ("--points", {"help": "plane points file for cauchy-dn specs"}),
+        ], (), _partial_compare_inputs, _run_partial_compare),
+    ("cauchy-demo",): _Leaf(
+        "cauchy-demo", "Cauchy family whose pointwise limit is not a metric", [
+            ("--indices", {"required": True,
+                           "help": "comma separated n values"}),
+            ("--pairs", {"required": True,
+                         "help": "JSON file: list of [[u,u'],[v,v']] point "
+                                 "pairs"}),
+        ], (),
+        lambda args: {"indices": _parse_depths(args.indices),
+                      "pairs": _load_json(args.pairs)}, _run_cauchy_demo),
+    ("norms", "partition"): _Leaf(
+        "norms-partition", "deterministic backbone/fiber split",
+        [("--depth", {"type": int, "required": True})], (),
+        lambda args: {"depth": args.depth}, _run_norms_partition),
+    ("norms", "weights"): _Leaf(
+        "norms-weights", "family weights on the enumerated prefix",
+        [("--spec", {"required": True, "help": "family spec JSON file"})], (),
+        lambda args: {"spec": _load_json(args.spec)}, _run_norms_weights),
+    ("norms", "eval"): _Leaf("norms-eval", "evaluate a weighted sup norm", [
+        ("--spec", {"help": "family spec JSON file"}),
+        ("--weights", {"help": "explicit weight map JSON file"}),
+        ("--vector", {"required": True, "help": "vector JSON file"}),
+    ], (), _norms_eval_inputs, _run_norms_eval),
+    ("norms", "witness"): _Leaf(
+        "norms-witness", "independence decay witnesses", [
+            ("--spec", {"action": "append", "required": True,
+                        "help": "family spec file; give exactly twice"}),
+            ("--eps", _REQUIRED),
+        ], (), _norms_witness_inputs, _run_norms_witness),
+    ("norms", "embed"): _Leaf(
+        "norms-embed", "norm-induced metric on sample points", [
+            ("--weights", _REQUIRED),
+            ("--points", {"required": True,
+                          "help": "JSON list of vector maps"}),
+            ("--out", {}),
+        ], (),
+        lambda args: {"weights": _load_json(args.weights),
+                      "points": _load_json(args.points)}, _run_norms_embed),
+    ("axioms",): _Leaf("axioms", "seeded structure-axiom suite", [
         ("--instance", _REQUIRED),
         ("--seed", {"type": int, "required": True}),
         ("--sample", {"type": int, "default": 50}),
@@ -427,70 +514,52 @@ _LEAVES = {
                    "help": "dimension for cone/hyperspace"}),
         ("--properties", {"action": "store_true",
                           "help": "also run the named-property suite"}),
-    ], ()),
-    ("norms", "partition"): ([("--depth", {"type": int, "required": True})],
-                             ()),
-    ("norms", "weights"): ([("--spec", {"required": True,
-                                        "help": "family spec JSON file"})],
-                           ()),
-    ("norms", "eval"): ([
-        ("--spec", {"help": "family spec JSON file"}),
-        ("--weights", {"help": "explicit weight map JSON file"}),
-        ("--vector", {"required": True, "help": "vector JSON file"}),
-    ], ()),
-    ("norms", "witness"): ([
-        ("--spec", {"action": "append", "required": True,
-                    "help": "family spec file; give exactly twice"}),
-        ("--eps", _REQUIRED),
-    ], ()),
-    ("norms", "embed"): ([
-        ("--weights", _REQUIRED),
-        ("--points", {"required": True, "help": "JSON list of vector maps"}),
-        ("--out", {}),
-    ], ()),
-    ("order", "in-l"): ([_UNIVERSE, ("--x", _REQUIRED), ("--y", _REQUIRED)],
-                        ()),
-    ("order", "indep"): ([_UNIVERSE, ("--eps", {})], ()),
-    ("order", "generates"): ([_UNIVERSE, _GENERATOR], ()),
-    ("order", "basis"): ([_UNIVERSE, _GENERATOR, ("--eps", {})], ()),
-    ("order", "feasible"): ([_UNIVERSE, ("--x", _REQUIRED)], ()),
+    ], (), lambda args: {key: getattr(args, key) for key in (
+        "instance", "seed", "sample", "carrier", "depth", "dim",
+        "properties")}, _run_axioms),
+    ("order", "in-l"): _Leaf("order", None, [
+        _UNIVERSE, ("--x", _REQUIRED), ("--y", _REQUIRED)], (), _order_inputs,
+        _run_order),
+    ("order", "indep"): _Leaf("order", None, [_UNIVERSE, ("--eps", {})], (),
+                              _order_inputs, _run_order),
+    ("order", "generates"): _Leaf("order", None, [_UNIVERSE, _GENERATOR], (),
+                                  _order_inputs, _run_order),
+    ("order", "basis"): _Leaf("order", None, [
+        _UNIVERSE, _GENERATOR, ("--eps", {})], (), _order_inputs, _run_order),
+    ("order", "feasible"): _Leaf("order", None, [
+        _UNIVERSE, ("--x", _REQUIRED)], (), _order_inputs, _run_order),
 }
 
-
-def _add_arguments(p, path: tuple) -> None:
-    """Add the arguments of the leaf `evs *path` (_LEAVES) to its subparser
-    p in the tree of _build_parser."""
-    entries, groups = _LEAVES[path]
-    owner = {}
-    for group in groups:
-        owner.update(dict.fromkeys(
-            group, p.add_mutually_exclusive_group(required=True)))
-    for flag, kwargs in entries:
-        owner.get(flag, p).add_argument(flag, **kwargs)
+# report command -> handler, for main and for --replay
+_HANDLERS = {leaf.command: leaf.handler for leaf in _LEAVES.values()}
 
 
 def _build_parser():
     """The parser of every command: a subparser per command and, for norms
-    and order, one per action, each holding its leaf's arguments
-    (_add_arguments). main builds it only for an argv that the table
-    does not read (see _parse_args)."""
+    and order, one per action, each holding the arguments of its leaf in
+    _LEAVES. main builds it only for an argv that the table does not read
+    (see _parse_args)."""
     import argparse
     parser = argparse.ArgumentParser(
         prog="evs",
         description="Exact comparability of metrics and norms over ordered "
                     "semigroup structure.",
     )
-    commands = parser.add_subparsers(dest="command", required=True)
-    for command, help_line in _COMMANDS.items():
-        p = commands.add_parser(command, help=help_line)
-        if command not in _ACTIONS:
-            _add_arguments(p, (command,))
-            continue
-        actions = p.add_subparsers(dest="action", required=True)
-        for action, help_line in _ACTIONS[command].items():
-            kwargs = {} if help_line is None else {"help": help_line}
-            _add_arguments(actions.add_parser(action, **kwargs),
-                           (command, action))
+    # () -> the subparsers of the commands; ("norms",) -> of its actions
+    subparsers = {(): parser.add_subparsers(dest="command", required=True)}
+    for path, leaf in _LEAVES.items():
+        if path[:-1] not in subparsers:
+            subparsers[path[:-1]] = subparsers[()].add_parser(
+                path[0], help=_GROUPS[path[0]]).add_subparsers(
+                    dest="action", required=True)
+        named = {} if leaf.help is None else {"help": leaf.help}
+        p = subparsers[path[:-1]].add_parser(path[-1], **named)
+        owner = {}   # flag -> the required group that holds it
+        for group in leaf.groups:
+            owner.update(dict.fromkeys(
+                group, p.add_mutually_exclusive_group(required=True)))
+        for flag, kwargs in leaf.entries:
+            owner.get(flag, p).add_argument(flag, **kwargs)
     return parser
 
 
@@ -512,10 +581,10 @@ def _read_args(argv: list):
     positional, every required option and one option of each group, and
     nothing else. None for any other argv, which argparse reads, help, "--"
     and abbreviations included."""
-    path = tuple(argv[:2] if argv[:1] and argv[0] in _ACTIONS else argv[:1])
+    path = tuple(argv[:2] if argv[:1] and argv[0] in _GROUPS else argv[:1])
     if path not in _LEAVES:
         return None
-    entries, groups = _LEAVES[path]
+    entries, groups = _LEAVES[path].entries, _LEAVES[path].groups
     options = {flag: kwargs for flag, kwargs in entries if flag[0] == "-"}
     given, free = {}, []
     tokens = iter(argv[len(path):])
@@ -569,103 +638,6 @@ def _parse_args(argv: list):
     help and every error."""
     args = _read_args(argv)
     return _build_parser().parse_args(argv) if args is None else args
-
-
-def _resolve_inputs(args) -> tuple[str, dict]:
-    cmd = args.command
-    if cmd == "validate":
-        return cmd, {"matrix": _load_matrix(args.matrix)}
-    if cmd == "combine":
-        inputs = {"a": _load_matrix(args.matrix)}
-        if args.add:
-            inputs.update(op="add", b=_load_matrix(args.add), alpha=None)
-        else:
-            inputs.update(op="scale", b=None,
-                          alpha=fmt(parse_rational(args.scale)))
-        return cmd, inputs
-    if cmd == "compare":
-        return cmd, {"first": _load_matrix(args.first),
-                     "second": _load_matrix(args.second)}
-    if cmd == "transform":
-        return cmd, {"kind": "bounded" if args.bounded else "min",
-                     "matrix": _load_matrix(args.matrix)}
-    if cmd == "builtin":
-        params = {}
-        if args.step is not None:
-            params["step"] = args.step
-        if args.n is not None:
-            params["n"] = args.n
-        if args.points is not None:
-            params["points"] = _load_json(args.points)
-        return cmd, {"name": args.name, "params": params, "depth": args.depth}
-    if cmd == "partial-compare":
-        points_doc = _load_json(args.points) if args.points else None
-        return cmd, {
-            "first": _parse_lazy_spec(args.first, points_doc),
-            "second": _parse_lazy_spec(args.second, points_doc),
-            "depths": _parse_depths(args.depths),
-        }
-    if cmd == "cauchy-demo":
-        return cmd, {"indices": _parse_depths(args.indices),
-                     "pairs": _load_json(args.pairs)}
-    if cmd == "norms":
-        action = args.action
-        if action == "partition":
-            return "norms-partition", {"depth": args.depth}
-        if action == "weights":
-            return "norms-weights", {"spec": _load_json(args.spec)}
-        if action == "eval":
-            if (args.spec is None) == (args.weights is None):
-                raise InputError("give exactly one of --spec / --weights")
-            return "norms-eval", {
-                "spec": _load_json(args.spec) if args.spec else None,
-                "weights": _load_json(args.weights) if args.weights else None,
-                "vector": _load_json(args.vector),
-            }
-        if action == "witness":
-            if len(args.spec) != 2:
-                raise InputError("witness needs exactly two --spec files")
-            return "norms-witness", {
-                "first": _load_json(args.spec[0]),
-                "second": _load_json(args.spec[1]),
-                "eps": fmt(parse_rational(args.eps)),
-            }
-        if action == "embed":
-            return "norms-embed", {"weights": _load_json(args.weights),
-                                   "points": _load_json(args.points)}
-    if cmd == "axioms":
-        return cmd, {
-            "instance": args.instance,
-            "seed": args.seed,
-            "sample": args.sample,
-            "carrier": args.carrier,
-            "depth": args.depth,
-            "dim": args.dim,
-            "properties": bool(args.properties),
-        }
-    if cmd == "order":
-        loaded = {}   # path -> element, for this invocation only
-
-        def load(kind, path):
-            if path not in loaded:
-                loaded[path] = _load_element(kind, path)
-            return loaded[path]
-
-        inline = _universe_inline(args.universe, load)
-        kind = inline["instance"]
-        inputs = {"action": args.action, "universe": inline}
-        if args.action == "in-l":
-            inputs["x"] = load(kind, args.x)
-            inputs["y"] = load(kind, args.y)
-        if args.action == "feasible":
-            inputs["x"] = load(kind, args.x)
-        if args.action in ("generates", "basis"):
-            inputs["generators"] = [load(kind, path)
-                                    for path in args.generator]
-        if args.action in ("indep", "basis") and args.eps is not None:
-            inputs["eps"] = fmt(parse_rational(args.eps))
-        return cmd, inputs
-    raise InputError(f"unknown command {cmd!r}")
 
 
 #: The deepest nesting of arrays and objects that a report prints, the
@@ -753,7 +725,12 @@ def _emit(doc: dict, out_path=None) -> None:
     if out_path:
         matrix = doc["report"].get("matrix")
         if matrix is not None:
-            Path(out_path).write_text(_dumps(matrix) + "\n", encoding="utf-8")
+            try:
+                Path(out_path).write_text(_dumps(matrix) + "\n",
+                                          encoding="utf-8")
+            except OSError as exc:   # the report has printed by now
+                raise InputError(f"cannot write {out_path}: "
+                                 f"{exc.strerror or exc}") from exc
 
 
 class _ReportObject(dict):
@@ -789,9 +766,11 @@ def main(argv=None) -> int:
                 raise InputError("--replay takes exactly one report file")
             return _replay(argv[1])
         args = _parse_args(argv)
-        command, inputs = _resolve_inputs(args)
-        report, code = _HANDLERS[command](inputs)
-        _emit({"command": command, "inputs": inputs, "report": report},
+        leaf = _LEAVES[(args.command, args.action) if args.command in _GROUPS
+                       else (args.command,)]
+        inputs = leaf.inputs(args)
+        report, code = _HANDLERS[leaf.command](inputs)
+        _emit({"command": leaf.command, "inputs": inputs, "report": report},
               getattr(args, "out", None))
         return code
     except InputError as exc:

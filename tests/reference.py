@@ -8,9 +8,10 @@ weight, base and factor, a carrier's kind, step and points, and a table's
 labels and printed rows. It places the carrier points itself and never
 calls the library's carrier prefix, family table, table builder, order or
 triangle check, so a fault in any of those shows as a disagreement with it.
-Of the norms it models the weighted sup norm, the family weights and the
-least decay index of a witness. It draws the verifier's seeded samples as the library draws them
-and builds them in Fractions. At the JSON boundary it gives what reading
+Of the norms it models the weighted sup norm, the partition tags, the
+family weights and the least decay index of a witness. It draws the
+verifier's seeded samples as the library draws them and builds them in
+Fractions. At the JSON boundary it gives what reading
 an input rational and writing a report meant before the library's own
 reader and writer: Fraction's parser and json.dumps.
 """
@@ -335,21 +336,32 @@ def hyper_sample(dim: int, seed: int, count: int) -> list:
     return out[:count]
 
 
-def family_weight(k: int, subset: set, gamma: Fraction) -> Fraction:
-    """The weight of position h_k in the family norm (C, gamma). Even
-    positions are the backbone, of weight 1. The j-th odd position, with
-    j = w(w+1)/2 + r for 0 <= r <= w, is index i of a fiber of backbone
-    member h_2(w-r): of the d-fiber at i = r/2 + 1 for even r, of the
-    e-fiber at i = (r+1)/2 for odd r. Its weight is gamma^i on a d-fiber
-    and gamma^-i on an e-fiber of a member in C, and 1 elsewhere."""
+def partition_tag(k: int) -> tuple:
+    """The place of position h_k in the partition of the family. An even
+    position is the backbone member h_k: ("B", "h<k>"). The odd position
+    k is the j-th, j = (k-1)/2, and the Cantor unpairing j = w(w+1)/2 + r,
+    0 <= r <= w, gives the member h_2(w-r) and its rank r: an even r is
+    index r/2 + 1 of its d-fiber, ("d", "h<2(w-r)>", r/2 + 1), and an odd
+    r index (r+1)/2 of its e-fiber, ("e", "h<2(w-r)>", (r+1)/2)."""
     if k % 2 == 0:
-        return ONE
+        return "B", f"h{k}"
     j = (k - 1) // 2
     w = (isqrt(8 * j + 1) - 1) // 2
     r = j - w * (w + 1) // 2
-    if f"h{2 * (w - r)}" not in subset:
+    member = f"h{2 * (w - r)}"
+    return ("d", member, r // 2 + 1) if r % 2 == 0 else ("e", member,
+                                                         (r + 1) // 2)
+
+
+def family_weight(k: int, subset: set, gamma: Fraction) -> Fraction:
+    """The weight of position h_k in the family norm (C, gamma): gamma^i
+    at index i of a d-fiber and gamma^-i at index i of an e-fiber of a
+    member in C (partition_tag), and 1 on the backbone and on every other
+    fiber."""
+    tag = partition_tag(k)
+    if tag[0] == "B" or tag[1] not in subset:
         return ONE
-    return gamma ** (r // 2 + 1) if r % 2 == 0 else gamma ** -((r + 1) // 2)
+    return gamma ** tag[2] if tag[0] == "d" else gamma ** -tag[2]
 
 
 def norm_sample(depth: int, seed: int, count: int) -> list:

@@ -47,22 +47,53 @@ def tree(argv):
             return None
 
 
+def tree_leaves(node, path=()) -> dict:
+    """leaf path -> subparser, for every parser of the tree under node
+    that has no subparsers of its own, found by walking the subparsers."""
+    subparsers = [action for action in node._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    if not subparsers:
+        return {path: node}
+    (action,) = subparsers
+    return {leaf: p for name, child in action.choices.items()
+            for leaf, p in tree_leaves(child, (*path, name)).items()}
+
+
 def test_the_table_defines_every_leaf_with_what_the_reader_reads():
-    leaves = {(command,) for command in cli._COMMANDS
-              if command not in cli._ACTIONS}
-    leaves |= {(command, action) for command, actions in cli._ACTIONS.items()
-               for action in actions}
-    assert set(cli._LEAVES) == leaves
-    for entries, groups in cli._LEAVES.values():
-        flags = [flag for flag, _ in entries]
+    assert set(cli._LEAVES) == set(tree_leaves(parser()))
+    assert all(1 <= len(path) <= 2 for path in cli._LEAVES)
+    for leaf in cli._LEAVES.values():
+        flags = [flag for flag, _ in leaf.entries]
         assert len(set(flags)) == len(flags)
-        for flag, kwargs in entries:
+        for flag, kwargs in leaf.entries:
             assert set(kwargs) <= READ_KWARGS
             assert kwargs.get("action") in (None, "store_true", "append")
             assert flag.startswith("--") or flag.isidentifier()
-        for group in groups:
+        for group in leaf.groups:
             assert set(group) <= set(flags)
             assert all(flag.startswith("--") for flag in group)
+
+
+def test_each_report_command_has_one_handler_and_one_inputs_reader():
+    """main and --replay dispatch through one map, report command ->
+    handler, and the leaves of one command (the five order actions) share
+    its handler and its inputs reader."""
+    by_command = {}
+    for leaf in cli._LEAVES.values():
+        assert callable(leaf.inputs) and callable(leaf.handler)
+        by_command.setdefault(leaf.command, set()).add(
+            (leaf.inputs, leaf.handler))
+    assert all(len(pairs) == 1 for pairs in by_command.values())
+    assert cli._HANDLERS == {command: handler for command, ((_, handler),)
+                             in by_command.items()}
+    # the names replayed reports carry
+    assert set(by_command) == {
+        "validate", "combine", "compare", "transform", "builtin",
+        "partial-compare", "cauchy-demo", "norms-partition", "norms-weights",
+        "norms-eval", "norms-witness", "norms-embed", "axioms", "order"}
+    assert {path for path, leaf in cli._LEAVES.items()
+            if leaf.command == "order"} == {
+        path for path in tree_leaves(parser()) if path[0] == "order"}
 
 
 TEXTS = ["a.json", "1/2", "", "x=y", "a b", "3", "kappa"]
@@ -114,7 +145,7 @@ def leaf_argv(draw):
     argparse reads; it is well formed where defects is empty. Half of the
     argv are drawn with no defect."""
     path = draw(st.sampled_from(sorted(cli._LEAVES)))
-    entries, groups = cli._LEAVES[path]
+    entries, groups = cli._LEAVES[path].entries, cli._LEAVES[path].groups
     defects, pieces, used = [], [], {}
     faulty = draw(st.booleans())
 

@@ -95,6 +95,26 @@ def test_combine_add_writes_output_file(capsys, tmp_path, disc_file):
     assert saved["rows"][0][1] == "2/1"
 
 
+@pytest.mark.parametrize("where, strerror", [
+    ("no-such-dir/x.json", "No such file or directory"),
+    (".", "Is a directory"),
+])
+def test_an_out_path_that_cannot_be_written_is_an_input_error(
+        capsys, tmp_path, where, strerror):
+    """`evs builtin discrete --depth 2 --out PATH` where PATH lies in a
+    directory that does not exist, or is a directory: the report prints
+    in full, then the run exits 2 with the path and the reason, not 3 with
+    a traceback, and writes no file."""
+    out = tmp_path / where
+    before = sorted(tmp_path.rglob("*"))
+    code, doc, err = run(capsys, "builtin", "discrete", "--depth", "2",
+                         "--out", str(out))
+    assert code == 2
+    assert doc["report"]["matrix"]["labels"] == ["x1", "x2"]
+    assert json.loads(err) == {"error": f"cannot write {out}: {strerror}"}
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_compare_bounded_companion(capsys, tmp_path):
     rho = MetricMatrix.from_rows(("a", "b", "c"),
                                  [[0, 1, 2], [1, 0, 2], [2, 2, 0]])
@@ -258,6 +278,41 @@ def test_embedded_norms_compare_by_their_least_weight_ratio(data):
             min(w2[h] / w1[h] for h in names))
         assert report["comparingFirstRelativeSecond"] == reference.text(
             min(w1[h] / w2[h] for h in names))
+        assert_replays(tmp, out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_norms_partition_and_weights_agree_with_the_reference_model(data):
+    """`evs norms partition` prints the model's backbone and the name of
+    every position's tag (reference.partition_tag), and `evs norms weights`
+    of a family (C, gamma) the model's weight of every position
+    (reference.family_weight), over depths 4 to 60, every proper nonempty
+    C of the backbone and four gammas. Both reports replay."""
+    depth = data.draw(st.integers(4, 60))
+    backbone = [f"h{k}" for k in range(0, depth, 2)]
+    subset = data.draw(st.lists(st.sampled_from(backbone), min_size=1,
+                                max_size=len(backbone) - 1, unique=True))
+    gamma = data.draw(st.sampled_from(["2", "3/2", "5/4", "7/3"]))
+    tags = {f"h{k}": reference.partition_tag(k) for k in range(depth)}
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, err = cli("norms", "partition", "--depth", str(depth))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["report"] == {
+            "depth": depth, "B": backbone,
+            "assignment": {h: "B" if tag[0] == "B" else
+                           f"{tag[0]}({tag[1]},{tag[2]})"
+                           for h, tag in tags.items()}}
+        assert_replays(tmp, out)
+        spec = {"depth": depth, "subsetC": subset, "gamma": gamma}
+        code, out, err = cli("norms", "weights", "--spec", write_json(
+            Path(tmp) / "family.json", spec))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["report"] == {
+            "spec": {**spec, "subsetC": sorted(subset),
+                     "gamma": reference.text(Fraction(gamma))},
+            "weights": {f"h{k}": reference.text(reference.family_weight(
+                k, set(subset), Fraction(gamma))) for k in range(depth)}}
         assert_replays(tmp, out)
 
 

@@ -13,10 +13,8 @@ from evslib import cli
 
 WIDTHS = ("80", "200")
 
-LEAVES = [[command] for command in cli._COMMANDS if command not in
-          cli._ACTIONS] + [[command, action]
-                           for command, actions in cli._ACTIONS.items()
-                           for action in actions]
+# every leaf path; tests/test_arg_table.py checks them against the tree
+LEAVES = [list(path) for path in cli._LEAVES]
 
 # argv that name a leaf: valid, abbreviated, after a "--", missing or
 # clashing arguments, and help at the leaf
