@@ -142,25 +142,6 @@ def _lazy_pair(first: dict, second: dict) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Universe loading for the order tools
-# ---------------------------------------------------------------------------
-
-
-def _universe_inline(manifest_path: str, load_element) -> dict:
-    doc = _load_json(manifest_path)
-    if not isinstance(doc, dict) or "instance" not in doc or "elements" not in doc:
-        raise InputError('universe manifest needs "instance" and "elements"')
-    refs = doc["elements"]
-    if not isinstance(refs, list) or not all(isinstance(r, str) for r in refs):
-        raise InputError('universe manifest "elements" must list file names')
-    base = Path(manifest_path).parent
-    inline = {k: v for k, v in doc.items() if k != "elements"}
-    inline["elements"] = [load_element(doc["instance"], str(base / ref))
-                          for ref in refs]
-    return inline
-
-
-# ---------------------------------------------------------------------------
 # Handlers: inputs dict -> (report dict, exit code)
 # ---------------------------------------------------------------------------
 
@@ -374,24 +355,32 @@ def _norms_witness_inputs(args) -> dict:
 
 
 def _order_inputs(args) -> dict:
-    """The inputs of every order action: the universe inline, and the
-    elements and epsilon that the action takes."""
+    """The inputs of every order action: the universe manifest with its
+    element files inline, and the elements and epsilon that the action
+    takes, each file loaded once."""
+    doc = _load_json(args.universe)
+    if not isinstance(doc, dict) or "instance" not in doc or "elements" not in doc:
+        raise InputError('universe manifest needs "instance" and "elements"')
+    refs = doc["elements"]
+    if not isinstance(refs, list) or not all(isinstance(r, str) for r in refs):
+        raise InputError('universe manifest "elements" must list file names')
     loaded = {}   # path -> element, for this invocation only
 
-    def load(kind, path):
+    def load(path):
         if path not in loaded:
-            loaded[path] = _load_element(kind, path)
+            loaded[path] = _load_element(doc["instance"], path)
         return loaded[path]
 
-    inline = _universe_inline(args.universe, load)
-    kind = inline["instance"]
+    base = Path(args.universe).parent
+    inline = {k: v for k, v in doc.items() if k != "elements"}
+    inline["elements"] = [load(str(base / ref)) for ref in refs]
     inputs = {"action": args.action, "universe": inline}
     if args.action in ("in-l", "feasible"):
-        inputs["x"] = load(kind, args.x)
+        inputs["x"] = load(args.x)
     if args.action == "in-l":
-        inputs["y"] = load(kind, args.y)
+        inputs["y"] = load(args.y)
     if args.action in ("generates", "basis"):
-        inputs["generators"] = [load(kind, path) for path in args.generator]
+        inputs["generators"] = [load(path) for path in args.generator]
     if args.action in ("indep", "basis") and args.eps is not None:
         inputs["eps"] = fmt(parse_rational(args.eps))
     return inputs
