@@ -54,11 +54,12 @@ from .metrics import (
     transform_bounded,
     transform_min,
 )
-from .norms import NormFamilyParams, PartitionSpec, independence_witness
+from .norms import (FSVector, NormFamilyParams, PartitionSpec, WeightMap,
+                    eval_weighted_norm, independence_witness)
 from .order import Universe
 from .rationals import (_leq, _reduced, _scale, fmt, fmt_ratio,
-                        parse_rational, parse_rationals, ratios_to_ints,
-                        require_int, to_fractions, to_ints)
+                        parse_rational, parse_rationals, require_int,
+                        to_fractions, to_ints)
 
 #: Default scalar set: contains 0, 1, -1, values inside and outside the unit
 #: ball, and a negative non-unit for the homogeneity checks.
@@ -210,38 +211,30 @@ def seeded_norm_sample(depth: int, seed: int, count: int) -> tuple[int, list]:
     """The number of probes and a seeded sample of norm value tables on
     them, in integer form: the units of the enumerated prefix and six
     mixed-support vectors probe two family norms, random weight maps and
-    their doubles. An entry is the largest w(h)|c/d| over the probe's
-    coordinates c/d, compared crosswise on w(h) = a/b."""
+    their doubles. An entry is eval_weighted_norm of the norm at the
+    probe."""
     rng = random.Random(seed)
     part = PartitionSpec(depth)
     names = [f"h{k}" for k in range(depth)]
-    probes = [[(n, 1, 1)] for n in names]   # (h, |c|, d) per coordinate
+    probes = [FSVector(((n, Fraction(1)),)) for n in names]
     for _ in range(6):
         support = rng.sample(names, rng.randint(2, 3))
-        probes.append([(n, abs(rng.choice((-3, -2, -1, 1, 2, 3))),
-                        rng.choice((1, 2))) for n in support])
+        probes.append(FSVector.from_dict({
+            n: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2)))
+            for n in support}))
 
-    def table(weight) -> tuple:
-        nums, dens = [], []
-        for probe in probes:
-            p, q = 0, 1
-            for n, c, d in probe:
-                a, b = weight(n)
-                if a * c * q > p * b * d:
-                    p, q = a * c, b * d
-            nums.append(p)
-            dens.append(q)
-        return ratios_to_ints(nums, dens)
+    def values(w) -> tuple:
+        return to_ints([eval_weighted_norm(w, x) for x in probes])
 
     elements = [((0,) * len(probes), 1)]
     members = part.b_members()
     # C leaves a backbone member out: at depth 4, C is {h0}
     for k, gamma in ((1, 2), (min(2, len(members) - 1), 3)):
-        params = NormFamilyParams(part, members[:k], gamma)
-        elements.append(table(lambda n: params.weight(n).as_integer_ratio()))
+        elements.append(values(NormFamilyParams(part, members[:k], gamma)))
     while len(elements) < count:
-        weights = {n: (rng.randint(1, 8), rng.randint(1, 4)) for n in names}
-        elements.append(table(weights.__getitem__))
+        elements.append(values(WeightMap({
+            n: Fraction(rng.randint(1, 8), rng.randint(1, 4))
+            for n in names})))
         if len(elements) < count and len(elements) % 5 == 2:
             elements.append(_scale(2, 1, elements[-1]))
     return len(probes), elements[:count]

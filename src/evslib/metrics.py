@@ -34,8 +34,8 @@ from operator import floordiv, sub
 from typing import Optional, Sequence
 
 from .errors import InputError, UndefinedRelativeElementError
-from .rationals import (MAX_DIGITS, _add, _leq, _past_digits, _ratio,
-                        _reduced, _scale, fmt, fmt_ratio, parse_rational,
+from .rationals import (MAX_DIGITS, _add, _leq, _past_digits, _reduced,
+                        _scale, fmt, fmt_ratio, parse_rational,
                         parse_rationals, ratios_to_ints, to_ints)
 
 ZERO = Fraction(0)
@@ -84,27 +84,28 @@ class MetricMatrix:
     def from_rows(cls, labels: Sequence[str], rows: Sequence[Sequence]) -> "MetricMatrix":
         """Parse raw rows; the upper triangle goes over one common
         denominator and is reduced once. Errors come as a parse of every
-        entry in row order with rationals._ratio, then the shape check,
+        entry in row order with parse_rational, then the shape check,
         then the symmetry check would raise them.
 
         A nonempty square list of lists that equals its transpose, with
         every entry a str or an int, reads only its upper triangle,
-        diagonal included (_read_mirrored). Any other table reads every
-        entry in row order with _ratio, stopping at the first row that is
-        neither a list nor a tuple, and compares each entry below the
-        diagonal with its mirror by value."""
+        diagonal included (_read_mirrored): in one scan where its entries
+        are plain numerals, and with parse_rational otherwise. Any other
+        table reads every entry in row order with parse_rational, stopping
+        at the first row that is neither a list nor a tuple, and compares
+        each entry below the diagonal with its mirror by value."""
         read = _read_mirrored(rows)
         if read is not None:
             m = cls(_carrier(labels, rows), read[0])
             m._rows = read[1]
             return m
-        nums, dens = [], []   # no (p, q) pair outlives its row (_read_form)
+        nums, dens = [], []   # no Fraction outlives its row (_read_form)
         for row in rows:
             if not isinstance(row, (list, tuple)):
                 raise InputError("matrix row must be a list of rationals")
-            pairs = list(map(_ratio, row))
-            nums.append([p for p, _ in pairs])
-            dens.append([q for _, q in pairs])
+            values = list(map(parse_rational, row))
+            nums.append([v.numerator for v in values])
+            dens.append([v.denominator for v in values])
         labels = _carrier(labels, rows)
         for i, (ps, qs) in enumerate(zip(nums, dens)):
             for j in range(i):
@@ -242,7 +243,7 @@ def _text_rows(form: tuple, n: int) -> list:
 _PLAIN = rf"-?[0-9]{{1,{MAX_DIGITS}}}/(?!0+(?:,|\Z))[0-9]{{1,{MAX_DIGITS}}}"
 _PLAIN_LIST = re.compile(rf"{_PLAIN}(?:,{_PLAIN})*")
 #: The most keys one step of _scan holds as text and numbers at once, so
-#: that a large table peaks no higher than when _ratio reads it.
+#: that a large table peaks no higher than when parse_rational reads it.
 SCAN_KEYS = 512
 
 
@@ -252,12 +253,13 @@ def _read_mirrored(rows: Sequence) -> Optional[tuple]:
     types are left to the per-entry parse: a bool or a float can equal an
     int yet read otherwise (True not at all, float(2 ** 60) by its repr as
     1152921504606847000). The upper triangle is read by the rule of
-    _per_value: in one scan where every key is a plain string (_scan), and
-    by _ratio one by one, in order, otherwise, so the first unreadable key
-    raises. text is the text slot, each row joined with commas, where every
-    key is written as formatting prints it (lowest terms, no leading or
-    signed zero), so that no string of the input per entry is kept;
-    otherwise None."""
+    _per_value, by one of two routes: in one scan where every key is a
+    plain numeral (_scan), and by parse_rational one by one, in order,
+    otherwise, so the first unreadable key raises. text is the text slot,
+    each row joined with commas, where every key is a string written as
+    formatting prints it ("p/q" in lowest terms, no leading or signed
+    zero), so that no string of the input per entry is kept; otherwise
+    None."""
     n = len(rows)
     if (not n or set(map(type, rows)) != {list} or set(map(len, rows)) != {n}
             or rows != list(map(list, zip(*rows)))):
@@ -275,24 +277,35 @@ def _read_mirrored(rows: Sequence) -> Optional[tuple]:
     nums, dens = scanned
     scaled, den = ratios_to_ints(nums, dens)
     text = None
-    if max(map(gcd, nums, dens)) == 1 and "-0" not in ",".join(keys):
-        text = list(map(",".join, rows))
+    if types == {str} and max(map(gcd, nums, dens)) == 1:
+        joined = ",".join(keys)
+        if joined.count("/") == len(keys) and "-0" not in joined:
+            text = list(map(",".join, rows))
     return (expand(scaled), den), text
 
 
 def _scan(keys: list) -> Optional[tuple]:
-    """(nums, dens) of keys that are all plain strings, as _ratio reads
-    them; otherwise None. SCAN_KEYS keys at a time are joined with commas,
-    checked by one regex match, which finds one "/" a key only where no
-    key holds a comma, and parsed as one JSON list, which refuses a
-    leading zero."""
+    """(nums, dens) of keys that are all plain numerals, as parse_rational
+    reads them; otherwise None. A plain numeral is a "-?digits/digits"
+    string with a nonzero denominator, or a "-?digits" string or an int,
+    read as n/1. SCAN_KEYS keys at a time are joined with commas; only
+    where the text has fewer "/" than keys is it rebuilt, with "/1" after
+    each comma-separated piece without one. The text is checked by one
+    regex match, which finds one "/" a key only where no key holds a
+    comma, and parsed as one JSON list, which refuses a leading zero."""
     nums, dens = [], []
     for start in range(0, len(keys), SCAN_KEYS):
         part = keys[start:start + SCAN_KEYS]
         try:
             joined = ",".join(part)
         except TypeError:   # an int key
-            return None
+            try:
+                joined = ",".join(map(str, part))
+            except ValueError:   # an int past the int-to-str limit
+                return None
+        if joined.count("/") < len(part):
+            joined = ",".join([key if "/" in key else f"{key}/1"
+                               for key in joined.split(",")])
         if not (_PLAIN_LIST.fullmatch(joined)
                 and joined.count("/") == len(part)):
             return None
@@ -306,13 +319,13 @@ def _scan(keys: list) -> Optional[tuple]:
 
 
 def _read_form(entries: list) -> tuple:
-    """ratios_to_ints of the entries, each read with _ratio. No (p, q)
-    pair outlives its loop step, so a large table does not set off the
+    """ratios_to_ints of the entries, each read with parse_rational. No
+    Fraction outlives its loop step, so a large table does not set off the
     cyclic garbage collector."""
     nums, dens = [], []
-    for p, q in map(_ratio, entries):
-        nums.append(p)
-        dens.append(q)
+    for value in map(parse_rational, entries):
+        nums.append(value.numerator)
+        dens.append(value.denominator)
     return ratios_to_ints(nums, dens)
 
 

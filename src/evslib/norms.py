@@ -164,15 +164,16 @@ class PartitionSpec:
     def resolve(self, name: str) -> Tag:
         """Accept a positional name "h7" or a fiber name "d(h0,2)" / "e(h0,5)"
         and return its tag; fiber names may point beyond the enumerated depth,
-        but no name of either form to a fiber index past MAX_PARTITION_DEPTH."""
+        but no name of either form to a fiber index past MAX_PARTITION_DEPTH.
+        A tag names its member by position, so "d(h00,1)" is "d(h0,1)"."""
         m = _POS_RE.match(name)
         if m:
             tag = self.tag_of_position(_read_number(m.group(1)))
         elif m := _TAG_RE.match(name):
-            kind, t, i = m.group(1), m.group(2), _read_number(m.group(4))
-            if _read_number(m.group(3)) % 2 != 0:
-                raise InputError(f"{t} is not a backbone member")
-            tag = ("D" if kind == "d" else "E", t, i)
+            i, position = _read_number(m.group(4)), _read_number(m.group(3))
+            if position % 2 != 0:
+                raise InputError(f"{m.group(2)} is not a backbone member")
+            tag = ("D" if m.group(1) == "d" else "E", f"h{position}", i)
         else:
             raise InputError(f"unrecognized index name {name!r}")
         if tag[0] != "B" and tag[2] > MAX_PARTITION_DEPTH:
@@ -301,13 +302,17 @@ class WeightMap:
 
 def eval_weighted_norm(w: WeightMap | NormFamilyParams,
                        x: FSVector) -> Fraction:
-    """max over the support of w(h) |lambda_h|; zero exactly on the zero vector."""
-    best = ZERO
+    """max over the support of w(h) |lambda_h|; zero exactly on the zero
+    vector. Each w(h)|lambda_h| = a/b is compared crosswise with the
+    largest p/q so far, and one Fraction is built at the end."""
+    p, q = 0, 1
     for name, value in x.coords:
-        candidate = w.weight(name) * abs(value)
-        if candidate > best:
-            best = candidate
-    return best
+        a, b = w.weight(name).as_integer_ratio()
+        a *= abs(value.numerator)
+        b *= value.denominator
+        if a * q > p * b:
+            p, q = a, b
+    return Fraction(p, q)
 
 
 # ---------------------------------------------------------------------------

@@ -4,17 +4,15 @@ Every number that crosses a file or report boundary is a rational written as
 "p/q" in lowest terms. Inputs may also be integers or decimal strings such as
 "0.1" (parsed exactly, never through binary floating point).
 
-Every input rational goes through one reader, _ratio, which gives an
-integer pair (p, q) with q > 0: plain ASCII "p/q", "-p/q" and "p" strings
-and ints by int() alone, anything else by Fraction's parser, with the value
-Fraction(str) gives and the same errors. parse_rational is Fraction(*_ratio)
-and MetricMatrix.from_rows reads table entries straight to integers, each
-distinct entry once where a table mirrors exactly and repeats its entries,
-since a reading depends only on the raw entry, its type included. There,
-keys that are all plain "p/q" strings are read in one scan of their joined
-text (metrics._scan), which gives the pairs _ratio would, and the rows of a
-table whose keys are in lowest terms, as fmt prints them, are kept as its
-printed text; any other key sends every key to _ratio, one by one.
+Every input rational goes through one reader, parse_rational, whose
+Fraction gives its integer pair (numerator, denominator). A table has two
+routes (MetricMatrix.from_rows): one that mirrors exactly, with str and
+int entries only, whose distinct upper entries are all plain numerals
+("-?digits/digits", "-?digits" or a JSON int), is read in one scan of
+their joined text (metrics._scan), which gives the values parse_rational
+would; every other table has each entry read by parse_rational. The rows
+of a scanned table whose entries are all "p/q" in lowest terms, as fmt
+prints them, are kept as its printed text.
 
 A tuple of rationals is held in integer form (numerators, den): entries
 numerators[k] / den over one common positive denominator, with
@@ -46,11 +44,26 @@ MAX_DIGITS = 4300
 
 
 def parse_rational(value) -> Fraction:
-    """Parse an exact rational from "p/q", a decimal string, or an int: a
-    Fraction as it is, anything else as Fraction(*_ratio(value))."""
+    """The one reader of input rationals: a Fraction as it is, an int, and
+    a string or a float (by its shortest repr, which is exact for values
+    like 0.5 that users write literally) through Fraction's parser, so
+    "p/q", "-p/q", "p", signs "+", spaces, decimals, exponents and "_"
+    separators read as Fraction(str) reads them. A bool, a zero
+    denominator, a numeral past int()'s digit limit and anything else is
+    an InputError."""
     if isinstance(value, Fraction):
         return value
-    return Fraction(*_ratio(value))
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, float):
+        value = repr(value)
+    if isinstance(value, str):
+        _check_digits(value)
+        try:
+            return Fraction(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"not a rational: {value!r}") from exc
+    raise InputError(f"not a rational: {value!r}")
 
 
 def _check_digits(text: str) -> None:
@@ -162,42 +175,3 @@ def _leq(a, b) -> bool:
     if dx == dy:
         return all(map(le, xs, ys))
     return all(map(le, map(mul, xs, repeat(dy)), map(mul, ys, repeat(dx))))
-
-
-def _ratio(value) -> tuple[int, int]:
-    """(p, q) with q > 0 and p/q the rational value stands for, not
-    necessarily in lowest terms: the one reader of input rationals. A plain
-    ASCII "-?digits/digits" string with a nonzero denominator, a plain
-    "-?digits" string and an int are read with int() alone. Anything else
-    goes through Fraction's parser: signs "+", spaces, decimals, exponents,
-    "_" separators, non-ASCII digits, a zero denominator, a numeral past
-    int()'s digit limit, a float (by its shortest repr), a Fraction."""
-    if type(value) is str and value.isascii():
-        num, slash, den = value.partition("/")
-        if ((num.isdigit() or num[:1] == "-" and num[1:].isdigit())
-                and (den.isdigit() or not slash)):
-            try:
-                p, q = int(num), (int(den) if slash else 1)
-            except ValueError:
-                pass   # past int()'s digit limit; Fraction says so
-            else:
-                if q:
-                    return p, q
-    elif type(value) is int:
-        return value, 1
-    if isinstance(value, bool):
-        raise InputError(f"not a rational: {value!r}")
-    if isinstance(value, (int, Fraction)):
-        return value.numerator, value.denominator
-    if isinstance(value, float):
-        # JSON floats are tolerated via their shortest decimal repr, which is
-        # exact for values like 0.5 that users write literally.
-        value = repr(value)
-    if isinstance(value, str):
-        _check_digits(value)
-        try:
-            q = Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"not a rational: {value!r}") from exc
-        return q.numerator, q.denominator
-    raise InputError(f"not a rational: {value!r}")

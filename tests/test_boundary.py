@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evslib import metrics, rationals
+from evslib import metrics
 from evslib.cli import main
 from evslib.errors import InputError
 from evslib.rationals import fmt, parse_rational
@@ -144,8 +144,8 @@ def test_recorded_report_replays(capsys, name):
 def recording_reads(monkeypatch) -> list:
     """A list that records, in order, each entry read: every key that the
     one scan of plain entries (metrics._scan) reads, and every entry the
-    reader, rationals._ratio, reads one by one."""
-    reads, scan, read = [], metrics._scan, rationals._ratio
+    reader, parse_rational, reads one by one."""
+    reads, scan, read = [], metrics._scan, metrics.parse_rational
 
     def scanning(keys):
         scanned = scan(keys)
@@ -158,8 +158,7 @@ def recording_reads(monkeypatch) -> list:
         return read(value)
 
     monkeypatch.setattr(metrics, "_scan", scanning)
-    for module in (rationals, metrics):
-        monkeypatch.setattr(module, "_ratio", counting)
+    monkeypatch.setattr(metrics, "parse_rational", counting)
     return reads
 
 
@@ -179,9 +178,9 @@ def test_validate_parses_each_entry_once(capsys, monkeypatch, tmp_path, suffix):
     writes as "0"), each distinct entry of the upper triangle, the
     diagonal included, is read once, in order of first occurrence in row
     order: the table repeats its entries, so no entry is read twice. A
-    table of plain "p/q" entries is read by the scan alone, and any other
-    by the reader alone; the first entry the reader refuses raises with
-    its text."""
+    table of plain numerals ("p/q", "0" or 0) is read by the scan alone,
+    and any other by the reader alone; the first entry the reader refuses
+    raises with its text."""
     n = 6
     labels = [f"x{k}" for k in range(n)]
     reads = recording_reads(monkeypatch)
@@ -199,7 +198,7 @@ def test_validate_parses_each_entry_once(capsys, monkeypatch, tmp_path, suffix):
         reads.clear()
         upper = [v for i, row in enumerate(rows) for v in row[i:]]
         distinct = [v for k, v in enumerate(upper) if v not in upper[:k]]
-        reader = "scan" if diagonal == "0/1" and bad is None else "ratio"
+        reader = "scan" if bad is None else "ratio"
         if bad is None:
             assert main(["validate", str(path)]) == 0
             assert capsys.readouterr().err == ""
@@ -260,23 +259,24 @@ def test_parse_rational_examples(text):
 
 
 @settings(max_examples=600, deadline=None)
-@given(st.one_of(rational_strings, st.integers(), st.booleans(), st.floats(),
-                 st.none(), st.lists(st.integers(), max_size=2)))
-def test_the_reader_gives_the_value_of_parse_rational(value):
-    """The reader gives (p, q) with q > 0 and p/q the value parse_rational
-    gives, or raises the InputError parse_rational raises."""
-    try:
-        expected = parse_rational(value)
-    except InputError as exc:
+@given(st.one_of(st.integers(), st.booleans(), st.floats(), st.none(),
+                 st.lists(st.integers(), max_size=2)))
+def test_parse_rational_of_a_non_string_is_its_fraction(value):
+    """An int reads as Fraction(int) and a float as Fraction of its
+    shortest repr; a bool, a float that is not finite, None and a list
+    are refused with their repr."""
+    if type(value) is int:
+        expected = Fraction(value)
+    elif type(value) is float and value - value == 0:
+        expected = Fraction(repr(value))
+    else:
+        shown = repr(value) if type(value) is float else value
         with pytest.raises(InputError) as raised:
-            rationals._ratio(value)
-        assert str(raised.value) == str(exc)
+            parse_rational(value)
+        assert str(raised.value) == f"not a rational: {shown!r}"
         return
-    p, q = rationals._ratio(value)
-    assert type(p) is int and type(q) is int and q > 0
-    assert Fraction(p, q) == expected
-    if type(value) is str:
-        assert expected == reference_parse(value)
+    got = parse_rational(value)
+    assert type(got) is Fraction and got == expected
 
 
 @pytest.mark.parametrize("text", ["1e5000", "1e-5000", "1e100000",

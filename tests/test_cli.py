@@ -80,6 +80,18 @@ def test_validate_csv(capsys, tmp_path):
     assert code == 0
 
 
+def test_validate_reads_a_mirrored_table_with_a_decimal_entry(capsys,
+                                                              tmp_path):
+    """A table that mirrors exactly but holds a decimal, which the scan
+    of plain numerals refuses, has each entry read by parse_rational."""
+    path = write_json(tmp_path / "m.json", {"labels": ["a", "b", "c"], "rows": [
+        ["0", "0.5", "1"], ["0.5", "0", "1"], ["1", "1", "0"]]})
+    code, doc, err = run(capsys, "validate", path)
+    assert (code, err, doc["report"]["pass"]) == (0, "", True)
+    assert doc["inputs"]["matrix"]["rows"] == [
+        ["0/1", "1/2", "1/1"], ["1/2", "0/1", "1/1"], ["1/1", "1/1", "0/1"]]
+
+
 def test_combine_scale_halves_entries(capsys, tmp_path, disc_file):
     code, doc, _ = run(capsys, "combine", "--scale=-1/2", disc_file)
     assert code == 0
@@ -1976,6 +1988,10 @@ MALFORMED_INPUTS = {
         {"p.json": SPEC_DOC, "v.json": {"d(h1,2)": "1"}},
         ["norms", "eval", "--spec", "p.json", "--vector", "v.json"],
         "h1 is not a backbone member"),
+    "eval-fiber-of-h01": (
+        {"p.json": SPEC_DOC, "v.json": {"e(h01,2)": "1"}},
+        ["norms", "eval", "--spec", "p.json", "--vector", "v.json"],
+        "h01 is not a backbone member"),
     "eval-name-x": (
         {"p.json": SPEC_DOC, "v.json": {"x": "1"}},
         ["norms", "eval", "--spec", "p.json", "--vector", "v.json"],
@@ -2077,6 +2093,27 @@ MALFORMED_INPUTS = {
         {"r.json": {"command": "validate", "inputs": {}}},
         ["--replay", "r.json"],
         "not a replayable report (missing command/report)"),
+    # statements no other test reaches
+    "validate-blank-csv": (
+        {"m.csv": "\n  \n\n"}, ["validate", "m.csv"], "empty CSV"),
+    "compare-one-point": (
+        {"a.json": {"labels": ["a"], "rows": [["1"]]}},
+        ["compare", "a.json", "a.json"],
+        "comparing values need at least two carrier points"),
+    "builtin-one-point": (
+        {"p.json": [[0, 0]]},
+        ["builtin", "cauchy-dn", "--n", "2", "--depth", "2", "--points",
+         "p.json"],
+        "need at least 2 carrier points"),
+    "partial-compare-one-point": (
+        {"p.json": [[0, 0]]},
+        ["partial-compare", "--first", "cauchy-dn:n=2", "--second",
+         "discrete", "--depths", "2,3", "--points", "p.json"],
+        "need at least 2 carrier points"),
+    "cauchy-demo-no-pairs": (
+        {"p.json": []},
+        ["cauchy-demo", "--indices", "1,2", "--pairs", "p.json"],
+        "need at least one sample point pair"),
     "replay-order-action": (
         {"r.json": {"command": "order", "report": {}, "inputs": {
             "action": "bogus", "universe": CONE_UNIVERSE}}},
@@ -2143,8 +2180,12 @@ def test_integer_universe_field_is_read(capsys, tmp_path, kind):
 def test_malformed_input_file_is_input_error(capsys, tmp_path, name):
     files, argv, error = MALFORMED_INPUTS[name]
     for file_name, doc in files.items():
-        write_json(tmp_path / file_name, doc)
-    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        if file_name.endswith(".csv"):
+            (tmp_path / file_name).write_text(doc, encoding="utf-8")
+        else:
+            write_json(tmp_path / file_name, doc)
+    argv = [str(tmp_path / a) if a.endswith((".json", ".csv")) else a
+            for a in argv]
     code, out, err = run(capsys, *argv)
     assert (code, out, json.loads(err)) == (2, None, {"error": error})
 
@@ -2257,6 +2298,24 @@ def test_index_name_past_the_digit_limit_exits_two(capsys, tmp_path, name):
     assert (code, out, json.loads(err)) == (2, None, {
         "error": f"a number of 5000 digits in an index name exceeds the "
                  f"limit of {MAX_DIGITS} digits"})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("d(h0,1)", "2/1"), ("d(h00,1)", "2/1"), ("d(h\u0660,1)", "2/1"),
+    ("e(h0,2)", "1/4"), ("e(h\u0660,2)", "1/4"), ("e(h000,2)", "1/4"),
+    ("d(h02,1)", "1/1"),
+])
+def test_a_fiber_names_its_backbone_member_by_position(capsys, tmp_path,
+                                                       name, value):
+    """A backbone member written with leading zeros or other decimal
+    digits is the member at that position, so its fiber weighs as the
+    one of the member written plainly: with C = {h0} and gamma 2,
+    d(h00,1) weighs 2 and e(h\u0660,2) weighs 1/4."""
+    spec = write_json(tmp_path / "p.json", SPEC_DOC)
+    vec = write_json(tmp_path / "v.json", {name: "1"})
+    code, doc, err = run(capsys, "norms", "eval", "--spec", spec,
+                         "--vector", vec)
+    assert (code, err, doc["report"]) == (0, "", {"value": value})
 
 
 def test_index_digit_limit_admits_the_limit_and_leading_zeros():

@@ -2,8 +2,9 @@
 distinct entry once where it repeats its entries, and any other table
 reads every entry once: a mirrored entry spelled otherwise still gives
 the canonical report, and malformed tables fail with the errors, in the
-order, that a full parse of every entry gave. Entries are read straight to integers by the one reader,
-rationals._ratio; every table gives the form, or the error, of a
+order, that a full parse of every entry gave. Entries are read by one of
+two routes: one scan of a mirrored table of plain numerals, or the one
+reader, parse_rational; every table gives the form, or the error, of a
 parse_rational call on every entry."""
 
 import json
@@ -214,6 +215,15 @@ def among_plain(entry) -> tuple:
 @example(among_plain("1,2/3"))
 @example(among_plain("1/2,3/4"))
 @example(among_plain(LONG))
+# integer spellings the scan reads as n/1, and ones it must refuse
+@example(among_plain("0"))
+@example(among_plain("-3"))
+@example(among_plain(3))
+@example(among_plain("-0"))
+@example(among_plain("00"))
+@example(among_plain(""))
+@example(among_plain("-"))
+@example(among_plain(10 ** 5000))
 def test_bulk_parse_matches_a_parse_of_every_entry(table):
     labels, rows = table
     expected = outcome(lambda: reference(labels, rows))
@@ -278,7 +288,7 @@ def four_points(key: str) -> list:
             for i in range(4)]
 
 
-@pytest.mark.parametrize("key", ["1/2", "01/2", "-0/1", "2/4", "x"])
+@pytest.mark.parametrize("key", ["1/2", "01/2", "-0/1", "2/4", "x", "1"])
 @pytest.mark.parametrize("part", [1, 2, 3])
 def test_the_scan_reads_a_table_in_parts_as_in_one(monkeypatch, key, part):
     """Read SCAN_KEYS keys at a time, a table gives the form, the error
@@ -311,6 +321,7 @@ def test_the_scan_reads_a_table_in_parts_as_in_one(monkeypatch, key, part):
     (four_points("-0/1"), False),
     (four_points("01/2"), False),
     ([["0", "1/2"], ["1/2", "0"]], False),
+    ([[0, "1/2"], ["1/2", 0]], False),
 ])
 def test_an_input_table_is_its_own_text_where_it_prints_as_written(
         rows, seeded):
@@ -333,14 +344,14 @@ def test_an_input_table_is_its_own_text_where_it_prints_as_written(
 @pytest.mark.parametrize("rows, reads", [
     # four distinct entries among six: every upper entry, in row order
     ([["0", "1", "2"], ["1", "0", "3"], ["2", "3", "0"]],
-     [("ratio", v) for v in ["0", "1", "2", "0", "3", "0"]]),
+     [("scan", v) for v in ["0", "1", "2", "0", "3", "0"]]),
     ([["0/1", "1/2", "2/1"], ["1/2", "0/1", "3/1"], ["2/1", "3/1", "0/1"]],
      [("scan", v) for v in ["0/1", "1/2", "2/1", "0/1", "3/1", "0/1"]]),
     # three among six: each distinct entry once
     ([["0/1", "1/2", "0/1"], ["1/2", "0/1", "2/4"], ["0/1", "2/4", "0/1"]],
      [("scan", v) for v in ["0/1", "1/2", "2/4"]]),
     ([["0", "1/2", "0"], ["1/2", "0", "2/4"], ["0", "2/4", "0"]],
-     [("ratio", v) for v in ["0", "1/2", "2/4"]]),
+     [("scan", v) for v in ["0", "1/2", "2/4"]]),
     # the first unreadable one last, whichever entry the scan refuses
     ([["0", "x", "0"], ["x", "0", "y"], ["0", "y", "0"]],
      [("ratio", v) for v in ["0", "x"]]),
@@ -353,8 +364,8 @@ def test_a_mirrored_table_reads_its_upper_entries(monkeypatch, rows, reads):
     """A table that mirrors exactly reads each distinct upper entry once,
     in order of first occurrence, where at most half of them are
     distinct, and every upper entry in row order otherwise: all of them
-    in one scan where each is a plain "p/q", and each by the reader
-    otherwise. The first unreadable one raises as a parse of every entry
+    in one scan where each is a plain numeral ("p/q" or "p"), and each by
+    the reader otherwise. The first unreadable one raises as a parse of every entry
     would."""
     expected = outcome(lambda: reference(list("abc"), rows))
     recorded = recording_reads(monkeypatch)
@@ -369,13 +380,13 @@ def test_a_table_that_is_not_mirrored_reads_every_entry_in_row_order(
     """A table that does not mirror exactly (a tuple row, "2/4" under
     "1/2", 1 under "1") reads every entry once, in row order, up to the
     first entry the reader refuses."""
-    calls, read = [], metrics._ratio
+    calls, read = [], metrics.parse_rational
 
     def counting(value):
         calls.append(value)
         return read(value)
 
-    monkeypatch.setattr(metrics, "_ratio", counting)
+    monkeypatch.setattr(metrics, "parse_rational", counting)
     rows = [["0/1", v, "1/2"], (v, "0", "1"), ["2/4", 1, 0]]
     order = ["0/1", v, "1/2", v, "0", "1", "2/4", 1, 0]
     got = outcome(lambda: MetricMatrix.from_json(
