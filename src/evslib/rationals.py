@@ -7,7 +7,7 @@ Every number that crosses a file or report boundary is a rational written as
 Every input rational goes through one reader, parse_rational, whose
 Fraction gives its integer pair (numerator, denominator). A table has two
 routes (MetricMatrix.from_rows): one that mirrors exactly, with str and
-int entries only, whose distinct upper entries are all plain numerals
+int entries only, whose upper entries are all plain numerals
 ("-?digits/digits", "-?digits" or a JSON int), is read in one scan of
 their joined text (metrics._scan), which gives the values parse_rational
 would; every other table has each entry read by parse_rational. The rows
