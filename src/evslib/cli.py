@@ -55,13 +55,19 @@ def _unreadable(path: str, exc: OSError) -> InputError:
 
 
 def _load_json(path: str, object_hook=None):
+    """The JSON document of a file, read as text mode reads it: its bytes
+    decoded as strict UTF-8, a BOM kept, and "\\r\\n", then "\\r", read as
+    "\\n"."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_hook=object_hook)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text, object_hook=object_hook)
     except OSError as exc:
         raise _unreadable(path, exc) from exc
-    # a JSONDecodeError, an over-long integer, or nesting past the
-    # recursion limit
+    # bytes that are not UTF-8, a JSONDecodeError, an over-long integer,
+    # or nesting past the recursion limit
     except (ValueError, RecursionError) as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
@@ -707,19 +713,21 @@ def _emit(doc: dict, out_path=None) -> None:
     """Print the report doc, rendered whole (_dumps) before any of it
     prints, so an input too deep to echo prints nothing. Inputs and
     reports hold tables as MetricMatrix objects; each is written here in
-    the bytes of the {"labels", "rows"} document a replayed report holds."""
-    text = _dumps(doc)
+    the bytes of the {"labels", "rows"} document a replayed report holds.
+    A table that is also written to out_path is formatted once, into its
+    text slot (MetricMatrix.text_rows), for both."""
+    matrix = doc["report"].get("matrix") if out_path else None
+    if matrix is not None:
+        matrix.text_rows()
     # flushed here, so that a closed stdout raises in main, not at exit
-    print(text, flush=True)
-    if out_path:
-        matrix = doc["report"].get("matrix")
-        if matrix is not None:
-            try:
-                Path(out_path).write_text(_dumps(matrix) + "\n",
-                                          encoding="utf-8")
-            except OSError as exc:   # the report has printed by now
-                raise InputError(f"cannot write {out_path}: "
-                                 f"{exc.strerror or exc}") from exc
+    print(_dumps(doc), flush=True)
+    if matrix is not None:
+        try:
+            Path(out_path).write_text(_dumps(matrix) + "\n",
+                                      encoding="utf-8")
+        except OSError as exc:   # the report has printed by now
+            raise InputError(f"cannot write {out_path}: "
+                             f"{exc.strerror or exc}") from exc
 
 
 class _ReportObject(dict):

@@ -27,7 +27,9 @@ import io
 import json
 import re
 from fractions import Fraction
-from itertools import chain, combinations, count, islice, repeat
+from functools import lru_cache
+from itertools import (accumulate, chain, combinations, compress, count,
+                       islice, repeat)
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from operator import floordiv, sub
@@ -66,10 +68,11 @@ class MetricMatrix:
 
     A table's printed text, its mirrored rows with every entry "p/q" in
     lowest terms, is kept in one slot as one "p/q,p/q,..." string per row,
-    so a table that a report prints twice is formatted once. to_json fills
-    it from the form; from_rows fills it from the input where the input's
-    entries are already that text (see _read_mirrored). The slot is read
-    only: to_json splits it afresh and json_text quotes it into new pieces.
+    so a table that a report prints twice is formatted once. text_rows
+    fills it from the form; from_rows fills it from the input where the
+    input's entries are already that text (see _read_mirrored). The slot
+    is read only: to_json splits it afresh and json_text quotes it into
+    new pieces.
     """
 
     __slots__ = ("labels", "form", "_rows")
@@ -154,14 +157,17 @@ class MetricMatrix:
     def is_zero(self) -> bool:
         return not any(self.form[0])
 
-    def to_json(self) -> dict:
-        """{"labels", "rows"}, every entry printed as "p/q" in lowest
-        terms, in lists split afresh from the text slot, which is filled
-        here from the form where it is empty."""
+    def text_rows(self) -> list:
+        """The text slot, filled here from the form where it is empty."""
         if self._rows is None:
             self._rows = _text_rows(self.form, self.size)
+        return self._rows
+
+    def to_json(self) -> dict:
+        """{"labels", "rows"}, every entry printed as "p/q" in lowest
+        terms, in lists split afresh from the text slot (text_rows)."""
         return {"labels": list(self.labels),
-                "rows": [row.split(",") for row in self._rows]}
+                "rows": [row.split(",") for row in self.text_rows()]}
 
     def json_text(self, indent: str) -> list:
         """The text json.dumps(self.to_json(), indent=2, sort_keys=True)
@@ -259,28 +265,30 @@ def _read_mirrored(rows: Sequence) -> Optional[tuple]:
     each row joined with commas, where every key is a string written as
     formatting prints it ("p/q" in lowest terms, no leading or signed
     zero), so that no string of the input per entry is kept; otherwise
-    None."""
+    None. The rows are joined first: a join that fails on a non-string
+    entry is also what sends the table to the check of its entry types."""
     n = len(rows)
     if (not n or set(map(type, rows)) != {list} or set(map(len, rows)) != {n}
             or rows != list(map(list, zip(*rows)))):
         return None
-    upper = _triangle(rows)
-    types = set(map(type, upper))   # all str: so are their mirrors
-    if types != {str} and not {*types, *map(
-            type, chain.from_iterable(rows))} <= {str, int}:
-        return None
-    keys, expand = _per_value(upper)
+    try:   # the text slot's rows, where every entry is a string
+        text = list(map(",".join, rows))
+    except TypeError:
+        text = None
+        if not set(map(type, chain.from_iterable(rows))) <= {str, int}:
+            return None
+    keys, expand = _per_value(_triangle(rows))
     scanned = _scan(keys)
     if scanned is None:
         nums, den = _read_form(keys)
         return (expand(nums), den), None
     nums, dens = scanned
     scaled, den = ratios_to_ints(nums, dens)
-    text = None
-    if types == {str} and max(map(gcd, nums, dens)) == 1:
+    if text is not None:
         joined = ",".join(keys)
-        if joined.count("/") == len(keys) and "-0" not in joined:
-            text = list(map(",".join, rows))
+        if (max(map(gcd, nums, dens)) != 1 or "-0" in joined
+                or joined.count("/") != len(keys)):
+            text = None
     return (expand(scaled), den), text
 
 
@@ -329,15 +337,35 @@ def _read_form(entries: list) -> tuple:
     return ratios_to_ints(nums, dens)
 
 
-def _upper(flat: list, n: int) -> list:
-    """Cut an n-point upper triangle into rows (i, i), (i, i + 1), ..."""
-    it = iter(flat)
-    return [list(islice(it, n - i)) for i in range(n)]
+@lru_cache(maxsize=16)
+def _off_diagonal(n: int) -> bytes:
+    """The off-diagonal mask of an n-point form, for itertools.compress:
+    one byte per entry of the upper triangle, row by row, 0 on the
+    diagonal and 1 on each distinct pair. It depends on n alone."""
+    return b"".join(b"\0" + b"\1" * (n - 1 - i) for i in range(n))
+
+
+def _pair_at(position: int, n: int) -> tuple:
+    """(i, j) of entry `position` of an n-point form, whose row i holds
+    the entries (i, i), (i, i + 1), ..., (i, n - 1)."""
+    i = 0
+    while position >= n - i:
+        position -= n - i
+        i += 1
+    return i, i + position
+
+
+def _first_pair(nums: Sequence[int], n: int, test) -> tuple:
+    """(i, j, v) of the first distinct pair of an n-point form, in row
+    order, whose entry v passes `test`; the walk of an error path."""
+    position = next(t for t, v, off in zip(count(), nums, _off_diagonal(n))
+                    if off and test(v))
+    return (*_pair_at(position, n), nums[position])
 
 
 def _mirror(flat: Sequence, n: int) -> list:
     """The full rows of a symmetric n-point table from its upper triangle,
-    row by row (see _upper). Upper row i is row i from the diagonal on and
+    row by row (see _pair_at). Upper row i is row i from the diagonal on and
     column i from the diagonal down: both are written by slice assignment
     into one flat table, which is then cut into rows."""
     full = [None] * (n * n)
@@ -370,15 +398,19 @@ def validate_metric(m: MetricMatrix) -> dict:
     the surrounding space.
 
     Every check runs on the table's integer form, whose common positive
-    denominator keeps every sign and comparison. The triangle check reports
-    the first violating triple (i, j, k) in the order of a plain triple loop
-    but visits only i != j: once the diagonal and sign checks pass, no
-    triple with i == j, k == i or k == j violates. For each ordered pair it
-    decides every k at once: on rows packed into one int each, one
-    subtraction sets a guard bit in field k exactly where d(i,k) > d(i,j) +
-    d(j,k) (_packed_triangle). Tables whose fields would be wider than
-    PACKED_FIELD_BITS are scanned pair by pair instead, where max_k
-    d(i,k) - d(j,k) > d(i,j) finds the violating pairs (_scanned_triangle).
+    denominator keeps every sign and comparison. The sign checks walk the
+    form's distinct pairs in row order, by one off-diagonal mask. The
+    triangle check reports the first violating triple (i, j, k) in the
+    order of a plain triple loop but visits only i != j: once the diagonal
+    and sign checks pass, no triple with i == j, k == i or k == j violates.
+    It meets each unordered pair i < j once and decides every k of both
+    (i, j) and (j, i) there, keeping the first hit in row order: on rows
+    packed into one int each, one difference of two rows sets a guard bit
+    in field k exactly where d(i,k) > d(i,j) + d(j,k), once added to a
+    lifted row and once subtracted from it (_packed_triangle). Tables whose
+    fields would be wider than PACKED_FIELD_BITS are scanned pair by pair
+    instead, where the max and the min of one difference list d(i,k) -
+    d(j,k) find the violating pairs (_scanned_triangle).
     """
     violation = _violation(m)
     return {"pass": violation is None, "violation": violation, "size": m.size}
@@ -388,28 +420,27 @@ def _violation(m: MetricMatrix) -> Optional[dict]:
     """The first violated metric axiom of a table (see validate_metric)."""
     n, labels = m.size, m.labels
     nums, den = m.form
-    upper = _upper(nums, n)
-    for i, row in enumerate(upper):
-        if row[0] != 0:
+    # the form's row i starts at its diagonal entry (i, i)
+    for i, start in enumerate(accumulate(range(n, 1, -1), initial=0)):
+        if nums[start] != 0:
             return {
                 "axiom": "zero-diagonal",
                 "indices": [labels[i]],
-                "value": fmt_ratio(row[0], den),
+                "value": fmt_ratio(nums[start], den),
             }
-    for i, row in enumerate(upper):
-        for j, v in enumerate(row[1:], i + 1):
-            if v < 0:
-                return {
-                    "axiom": "nonnegativity",
-                    "indices": [labels[i], labels[j]],
-                    "value": fmt_ratio(v, den),
-                }
-            if v == 0:
-                return {
-                    "axiom": "identity-of-indiscernibles",
-                    "indices": [labels[i], labels[j]],
-                    "value": "0/1",
-                }
+    if n > 1 and min(compress(nums, _off_diagonal(n))) <= 0:
+        i, j, v = _first_pair(nums, n, lambda v: v <= 0)
+        if v < 0:
+            return {
+                "axiom": "nonnegativity",
+                "indices": [labels[i], labels[j]],
+                "value": fmt_ratio(v, den),
+            }
+        return {
+            "axiom": "identity-of-indiscernibles",
+            "indices": [labels[i], labels[j]],
+            "value": "0/1",
+        }
     rows = _mirror(nums, n)
     # every entry is now a nonnegative integer; 2^s >= 2 * max + 2, and a
     # field of s + 1 bits is rounded up to whole bytes
@@ -433,9 +464,10 @@ def _violation(m: MetricMatrix) -> Optional[dict]:
 # The widest field, in bits, that the packed triangle check takes; tables
 # with wider fields take the scan. On valid tables of 16, 40, 121 and 300
 # points with the widest entries each field holds (CPython 3.11, one core
-# of a Xeon KVM guest), the packed check ran 1.05-1.22x faster than the
-# scan at 192-bit fields and 0.71-0.97x as fast at 224-bit fields.
-PACKED_FIELD_BITS = 192
+# of a 2-vCPU KVM guest), with both checks meeting each unordered pair
+# once, the packed check ran 1.04-1.18x faster than the scan at 224-bit
+# fields and 0.91-1.04x as fast at 256-bit fields.
+PACKED_FIELD_BITS = 224
 
 
 def _packed_triangle(rows: list, s: int, size: int,
@@ -445,13 +477,22 @@ def _packed_triangle(rows: list, s: int, size: int,
 
     Row i is packed into one int P_i whose field k, `size` bytes at byte
     k * size, holds d(i,k). R has a one in every field and `top` the bit s
-    of every field. Field k of P_i + (2^s - 1 - d(i,j)) * R - P_j holds
+    of every field. Field k of (2^s - 1 - d(i,j)) * R + P_i - P_j holds
     d(i,k) - d(j,k) - d(i,j) - 1 + 2^s, which lies in [0, 2^(s+1)), so no
     carry or borrow crosses a field, and its bit s is set exactly when
     (i, j, k) violates. The lowest set bit of the masked value gives the
-    least such k. The fields are encoded from `values`, the table's upper
-    entries, by the rule of _per_value, and mirrored; every row is packed
-    once before the first pair is met."""
+    least such k. Each unordered pair i < j is met once: one difference
+    D = P_i - P_j and one lifted row L = (2^s - 1 - d(i,j)) * R decide
+    (i, j) by L + D and (j, i) by L - D. The pairs are met row by row, so
+    (j, i) is met out of row order: the least ordered pair hit so far is
+    kept, and a row ends at its first (i, j) hit. Once row i is done,
+    every ordered pair not yet met has both indices past i, so a kept
+    pair in row i + 1 or above (a (j, i') with j <= i + 1 and i' <= i) is
+    the least of all, and it is returned. So an (i, j) hit is met only
+    while every kept pair lies past row i, and it is the least. The
+    fields are encoded from `values`, the table's upper entries, by the
+    rule of _per_value, and mirrored; every row is packed once before the
+    first pair is met."""
     n = len(rows)
     ones = int.from_bytes((1).to_bytes(size, "little") * n, "little")
     top = ones << s
@@ -461,24 +502,43 @@ def _packed_triangle(rows: list, s: int, size: int,
                              repeat("little"))))
     packed = [int.from_bytes(b"".join(row), "little")
               for row in _mirror(fields, n)]
+    best = None   # the least ordered pair met so far, with its hit
     for i, (ri, pi) in enumerate(zip(rows, packed)):
-        for j, pj in enumerate(packed):
-            if j != i:
-                hit = (pi + (lift - ri[j]) * ones - pj) & top
-                if hit:
-                    return i, j, ((hit & -hit).bit_length() - 1) // (8 * size)
+        for j in range(i + 1, n):
+            diff = pi - packed[j]
+            lo = (lift - ri[j]) * ones
+            hit = (lo + diff) & top
+            if hit:
+                best = i, j, hit
+                break
+            hit = (lo - diff) & top
+            if hit and (best is None or (j, i) < best[:2]):
+                best = j, i, hit
+        if best is not None and best[0] <= i + 1:
+            i, j, hit = best
+            return i, j, ((hit & -hit).bit_length() - 1) // (8 * size)
     return None
 
 
 def _scanned_triangle(rows: list) -> Optional[tuple]:
     """The triple of _packed_triangle on any rows, pair by pair: d(i,k) >
-    d(i,j) + d(j,k) for some k iff max_k d(i,k) - d(j,k) > d(i,j)."""
+    d(i,j) + d(j,k) for some k iff max_k d(i,k) - d(j,k) > d(i,j), and
+    d(j,k) > d(j,i) + d(i,k) iff min_k d(i,k) - d(j,k) < -d(i,j). Each
+    unordered pair i < j builds one difference list, which both read, and
+    the first hit in row order is kept as in _packed_triangle."""
+    n = len(rows)
+    best = None
     for i, ri in enumerate(rows):
-        for j, rj in enumerate(rows):
+        for j in range(i + 1, n):
             dij = ri[j]
-            if j != i and max(map(sub, ri, rj)) > dij:
-                return i, j, next(k for k, (a, b) in enumerate(zip(ri, rj))
-                                  if a - b > dij)
+            diff = list(map(sub, ri, rows[j]))
+            if max(diff) > dij:
+                best = i, j, next(k for k, v in enumerate(diff) if v > dij)
+                break
+            if min(diff) < -dij and (best is None or (j, i) < best[:2]):
+                best = j, i, next(k for k, v in enumerate(diff) if v < -dij)
+        if best is not None and best[0] <= i + 1:
+            return best
     return None
 
 
@@ -517,7 +577,10 @@ def comparing_function_metric(d: MetricMatrix, rho: MetricMatrix) -> Fraction:
     """Exact comparing value of rho relative to d: min over distinct pairs of
     rho(x,y)/d(x,y). The returned value c satisfies c*d <= rho with at least
     one tight pair. The ratios are compared by cross-multiplying the two
-    tables' integer forms, and one Fraction is built at the end."""
+    tables' integer forms, walked over their distinct pairs in row order
+    by one off-diagonal mask (_off_diagonal), and one Fraction is built at
+    the end. A pair is located only for the error on the first pair where
+    d vanishes."""
     _require_same_labels(d, rho)
     if d.size < 2:
         raise InputError("comparing values need at least two carrier points")
@@ -528,18 +591,19 @@ def comparing_function_metric(d: MetricMatrix, rho: MetricMatrix) -> Fraction:
     # min over i < j of (r/rd) / (v/dd) = (r/v) * (dd/rd) on the integer
     # forms: keep the least r/v as p/q with q > 0, starting from 1/0
     (dn, dd), (rn, rd), n = d.form, rho.form, d.size
+    mask = _off_diagonal(n)
     p, q = 1, 0
-    for i, (drow, rrow) in enumerate(zip(_upper(dn, n), _upper(rn, n))):
-        for j, v, r in zip(range(i + 1, n), drow[1:], rrow[1:]):
-            if v <= 0:
-                if v == 0:
-                    raise InputError(
-                        f"relative element vanishes on the distinct pair "
-                        f"({d.labels[i]}, {d.labels[j]}); not a metric"
-                    )
-                v, r = -v, -r
-            if r * q < p * v:
-                p, q = r, v
+    for v, r in zip(compress(dn, mask), compress(rn, mask)):
+        if v <= 0:
+            if v == 0:
+                i, j, _ = _first_pair(dn, n, lambda v: v == 0)
+                raise InputError(
+                    f"relative element vanishes on the distinct pair "
+                    f"({d.labels[i]}, {d.labels[j]}); not a metric"
+                )
+            v, r = -v, -r
+        if r * q < p * v:
+            p, q = r, v
     return Fraction(p * dd, q * rd)
 
 
@@ -622,17 +686,17 @@ def _transform(rho, entry_map, name: str):
     if isinstance(rho, MetricMatrix):
         if rho.is_zero():
             raise UndefinedRelativeElementError("transform of the zero element")
-        labels, (form, den) = rho.labels, rho.form
-        nums, dens = [], []
-        for i, row in enumerate(_upper(form, rho.size)):
-            for j, v in enumerate(row, i):
-                x, y = entry_map(v, den) if j > i else (0, 1)
-                if y == 0:
-                    raise InputError(
-                        f"transform {name} is undefined on the entry "
-                        f"{fmt_ratio(v, den)} at ({labels[i]}, {labels[j]})")
-                nums.append(x)
-                dens.append(y)
+        labels, (form, den), n = rho.labels, rho.form, rho.size
+        mask = _off_diagonal(n)
+        nums, dens = [0] * len(form), [1] * len(form)
+        for t, (x, y) in zip(compress(count(), mask), map(
+                entry_map, compress(form, mask), repeat(den))):
+            if y == 0:
+                i, j = _pair_at(t, n)
+                raise InputError(
+                    f"transform {name} is undefined on the entry "
+                    f"{fmt_ratio(form[t], den)} at ({labels[i]}, {labels[j]})")
+            nums[t], dens[t] = x, y
         return MetricMatrix(labels, ratios_to_ints(nums, dens))
     raise InputError(f"cannot transform {type(rho).__name__}")
 

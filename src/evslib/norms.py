@@ -210,8 +210,8 @@ class NormFamilyParams:
     """The parameters of one family norm: a partition, a proper nonempty
     subset C of its backbone, and gamma > 1. C is a frozenset, whose order
     follows the hash seed, so a read of C that reaches a report sorts it
-    or takes its min. weight(name) is the norm's weight of every name the
-    partition resolves, inside the enumerated prefix or beyond it."""
+    or takes its min. weight_of_tag(tag) is the norm's weight of every tag
+    the partition resolves, inside the enumerated prefix or beyond it."""
 
     __slots__ = ("partition", "subset_c", "gamma")
 
@@ -250,9 +250,6 @@ class NormFamilyParams:
             "subsetC": sorted(self.subset_c),
             "gamma": fmt(self.gamma),
         }
-
-    def weight(self, name: str) -> Fraction:
-        return self.weight_of_tag(self.partition.resolve(name))
 
     def weight_exponent(self, tag: Tag) -> int:
         """e of the weight gamma^e of a tag: i on d(t,i) and -i on e(t,i)
@@ -304,10 +301,26 @@ def eval_weighted_norm(w: WeightMap | NormFamilyParams,
                        x: FSVector) -> Fraction:
     """max over the support of w(h) |lambda_h|; zero exactly on the zero
     vector. Each w(h)|lambda_h| = a/b is compared crosswise with the
-    largest p/q so far, and one Fraction is built at the end."""
+    largest p/q so far, and one Fraction is built at the end.
+
+    A family norm reads a coordinate by its partition tag, so names that
+    resolve to one tag ("h3" and "h03") are one coordinate: the names are
+    resolved and their weights checked in sorted order, so the first bad
+    name raises first, and the coordinates of each tag are summed before
+    the sup; a tag whose coordinates cancel adds 0, which is never the
+    sup's new maximum. A WeightMap reads each name as written."""
+    if isinstance(w, NormFamilyParams):
+        terms = {}
+        for name, value in x.coords:
+            tag = w.partition.resolve(name)
+            w.weight_exponent(tag)   # a weight past the budget raises here
+            terms[tag] = terms[tag] + value if tag in terms else value
+        coords, weight = terms.items(), w.weight_of_tag
+    else:
+        coords, weight = x.coords, w.weight
     p, q = 0, 1
-    for name, value in x.coords:
-        a, b = w.weight(name).as_integer_ratio()
+    for key, value in coords:
+        a, b = weight(key).as_integer_ratio()
         a *= abs(value.numerator)
         b *= value.denominator
         if a * q > p * b:

@@ -107,6 +107,26 @@ def test_combine_add_writes_output_file(capsys, tmp_path, disc_file):
     assert saved["rows"][0][1] == "2/1"
 
 
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out-file"])
+def test_a_result_table_is_formatted_once(capsys, monkeypatch, tmp_path,
+                                          out):
+    """`evs builtin kappa --depth 9` formats its table's rows once, also
+    when --out writes the table too, and the file holds the bytes of
+    json.dumps of the printed table."""
+    calls = []
+    text_rows = metrics._text_rows
+    monkeypatch.setattr(metrics, "_text_rows", lambda *args: calls.append(
+        args) or text_rows(*args))
+    path = tmp_path / "k.json"
+    argv = ["builtin", "kappa", "--depth", "9"]
+    assert main(argv + ["--out", str(path)] if out else argv) == 0
+    printed = json.loads(capsys.readouterr().out)["report"]["matrix"]
+    assert len(calls) == 1
+    if out:
+        assert path.read_text(encoding="utf-8") == json.dumps(
+            printed, indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("where, strerror", [
     ("no-such-dir/x.json", "No such file or directory"),
     (".", "Is a directory"),
@@ -448,9 +468,10 @@ def test_transform_agrees_with_the_reference_model(data):
 
 # A field of the packed triangle check holds bit_length(max) + 2 bits,
 # rounded up to whole bytes: 2^k - 1 and 2^k fall in fields of different
-# widths at k = 6, 14, ..., 62 (a 64-bit field), ..., and 2^190 - 1 and
-# 2^190 on the two sides of PACKED_FIELD_BITS = 192.
-EDGE_BITS = (1, 6, 7, 14, 30, 62, 63, 64, 126, 190, 191, 254)
+# widths at k = 6, 14, ..., 62 (a 64-bit field), ..., and 2^(B-2) - 1 and
+# 2^(B-2) on the two sides of B = PACKED_FIELD_BITS.
+EDGE_BITS = (1, 6, 7, 14, 30, 62, 63, 64, 126, 190, 191,
+             metrics.PACKED_FIELD_BITS - 2, metrics.PACKED_FIELD_BITS - 1, 254)
 
 
 @st.composite
@@ -2284,6 +2305,60 @@ def test_json_nested_past_the_recursion_limit_is_input_error(capsys, tmp_path,
         f"malformed JSON in {path}: maximum recursion depth exceeded")
 
 
+# files whose bytes text mode reads otherwise than they are: the JSON text
+# of the file, its bytes written as the file, and what a read of it says
+# after "malformed JSON in <path>: "
+TWO_POINTS = json.dumps({"labels": ["a", "b"],
+                         "rows": [["0/1", "1/2"], ["1/2", "0/1"]]}, indent=2)
+MISREAD_JSON = {
+    "cr-only": (b'{"labels": ["a", "b"],\r"rows": [\r["0/1"]\r',
+                "Expecting ',' delimiter: line 4 column 1 (char 41)"),
+    "bom": (b"\xef\xbb\xbf" + TWO_POINTS.encode(),
+            "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 "
+            "(char 0)"),
+    "xff": (TWO_POINTS.encode()[:10] + b"\xff" + TWO_POINTS.encode()[10:],
+            "'utf-8' codec can't decode byte 0xff in position 10: invalid "
+            "start byte"),
+    "surrogate": (TWO_POINTS.encode()[:12] + b"\xed\xa0\x80"
+                  + TWO_POINTS.encode()[12:],
+                  "'utf-8' codec can't decode byte 0xed in position 12: "
+                  "invalid continuation byte"),
+}
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["--replay"]])
+@pytest.mark.parametrize("name", sorted(MISREAD_JSON))
+def test_json_that_text_mode_misreads_is_input_error(capsys, tmp_path, argv,
+                                                     name):
+    """A CR-only line break counts as a line, a BOM is kept, and bytes
+    that are not UTF-8 are refused."""
+    data, error = MISREAD_JSON[name]
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out, err) == (2, None, json.dumps(
+        {"error": f"malformed JSON in {path}: {error}"}) + "\n")
+
+
+def test_json_with_crlf_line_breaks_reads_as_with_lf(capsys, tmp_path):
+    """A table and a report written with CRLF line breaks read as with LF:
+    the same report, and a replay that matches."""
+    lf, crlf = tmp_path / "lf.json", tmp_path / "crlf.json"
+    lf.write_bytes(TWO_POINTS.encode())
+    crlf.write_bytes(TWO_POINTS.replace("\n", "\r\n").encode())
+    reports = []
+    for path in (lf, crlf):
+        assert main(["validate", str(path)]) == 0
+        reports.append(capsys.readouterr())
+    assert reports[0] == reports[1]
+    assert reports[0].err == ""
+    report = tmp_path / "report.json"
+    report.write_bytes(reports[0].out.replace("\n", "\r\n").encode())
+    code, doc, err = run(capsys, "--replay", str(report))
+    assert (code, doc, err) == (0, {"replay": True, "command": "validate",
+                                    "match": True}, "")
+
+
 @pytest.mark.parametrize("name", [
     "h" + "2" * 5000,
     "d(h0," + "1" * 5000 + ")",
@@ -2316,6 +2391,41 @@ def test_a_fiber_names_its_backbone_member_by_position(capsys, tmp_path,
     code, doc, err = run(capsys, "norms", "eval", "--spec", spec,
                          "--vector", vec)
     assert (code, err, doc["report"]) == (0, "", {"value": value})
+
+
+@pytest.mark.parametrize("vector, value", [
+    ({"h3": "1", "h03": "-1"}, "0/1"),
+    ({"d(h0,1)": "1", "d(h00,1)": "-1"}, "0/1"),
+    ({"h1": "1", "d(h0,1)": "1/2"}, "3/1"),
+    ({"d(h0,1)": "1", "d(h00,1)": "1", "h2": "3"}, "4/1"),
+])
+def test_names_of_one_index_are_one_coordinate(capsys, tmp_path, vector,
+                                               value):
+    """Under a family spec, the names that resolve to one partition tag
+    are summed into one coordinate before the sup: with C = {h0} and
+    gamma 2, h1 is d(h0,1), which weighs 2."""
+    spec = write_json(tmp_path / "p.json", SPEC_DOC)
+    vec = write_json(tmp_path / "v.json", vector)
+    code, doc, err = run(capsys, "norms", "eval", "--spec", spec,
+                         "--vector", vec)
+    assert (code, err, doc["report"]) == (0, "", {"value": value})
+
+
+def test_names_of_one_index_resolve_in_sorted_order(capsys, tmp_path):
+    """The first bad name in sorted order raises, though an earlier name
+    of the file is bad too; a weight map reads each name as written."""
+    spec = write_json(tmp_path / "p.json", SPEC_DOC)
+    vec = write_json(tmp_path / "v.json",
+                     {"zz": "1", "h3": "1", "h03": "-1", "q1": "1"})
+    code, out, err = run(capsys, "norms", "eval", "--spec", spec,
+                         "--vector", vec)
+    assert (code, out, json.loads(err)) == (
+        2, None, {"error": "unrecognized index name 'q1'"})
+    weights = write_json(tmp_path / "w.json", {"h3": "1", "h03": "2"})
+    vec = write_json(tmp_path / "v.json", {"h3": "1", "h03": "-1"})
+    code, doc, err = run(capsys, "norms", "eval", "--weights", weights,
+                         "--vector", vec)
+    assert (code, err, doc["report"]) == (0, "", {"value": "2/1"})
 
 
 def test_index_digit_limit_admits_the_limit_and_leading_zeros():

@@ -488,6 +488,47 @@ def test_triangle_check_reports_the_least_k():
             "x1", "x2", "x3"]
 
 
+# Both triangle kernels meet each unordered pair i < j once and decide the
+# ordered pairs (i, j) and (j, i) there, so they meet pairs out of row
+# order. Each table: its size, its entries above the diagonal row by row,
+# and the ordered pair of its first violation in row order. A kernel that
+# named the first pair it hits, in the order it meets them, would name
+# another pair on each.
+PAIR_ORDER_TABLES = {
+    # (x3, x2) is the first in row order; (x4, x1) is hit first, through
+    # the pair (x1, x4)
+    "backward-first": (5, [2, 2, 4, 1, 1, 3, 1, 5, 1, 8], ("x3", "x2")),
+    # (x3, x1) is hit in row x1; (x2, x3), hit in row x2, is less
+    "beaten-in-the-next-row": (5, [3, 3, 2, 3, 2, 1, 5, 6, 1, 1],
+                               ("x2", "x3")),
+    # (x4, x2) is hit in row x2, and kept through row x3, which names
+    # (x3, x4): stopping after row x2 would name the kept pair
+    "beaten-two-rows-on": (6, [6, 8, 7, 2, 6, 2, 2, 6, 2, 1, 8, 3, 5, 5, 4],
+                           ("x3", "x4")),
+    # (x3, x1) is kept over (x4, x1) and (x5, x1), met later in row x1
+    "kept-over-later-backward-hits": (5, [2, 1, 1, 4, 1, 3, 2, 3, 3, 9],
+                                      ("x3", "x1")),
+    # row x1 hits (x1, x2) and (x1, x3); the first is named
+    "two-hits-in-one-row": (4, [1, 1, 3, 1, 1, 1], ("x1", "x2")),
+}
+
+
+@pytest.mark.parametrize("unit", [1, 2**metrics.PACKED_FIELD_BITS],
+                         ids=["packed", "scanned"])
+@pytest.mark.parametrize("name", sorted(PAIR_ORDER_TABLES))
+def test_triangle_check_names_the_first_pair_in_row_order(name, unit):
+    n, upper, pair = PAIR_ORDER_TABLES[name]
+    rows = [[0] * n for _ in range(n)]
+    entries = iter(upper)
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = next(entries) * unit
+    m = MetricMatrix.from_rows(carrier_labels(n), rows)
+    verdict = validate_metric(m)
+    assert verdict == reference.validation(m)
+    assert tuple(verdict["violation"]["indices"][:2]) == pair
+
+
 def test_the_widest_entry_picks_the_route(monkeypatch):
     """A field holds bit_length(max) + 2 bits rounded up to whole bytes, so
     with B = PACKED_FIELD_BITS, a multiple of 8, a largest entry of

@@ -110,19 +110,25 @@ def test_partition_rejects_shallow_depth():
 # ---------------------------------------------------------------------------
 
 
+def weight(w: NormFamilyParams, name: str) -> F:
+    """The family weight of an index name, read as eval_weighted_norm
+    reads it: by the name's partition tag."""
+    return w.weight_of_tag(w.partition.resolve(name))
+
+
 def test_weight_case_table():
     w = params(12, ["h0"], 2)
-    assert w.weight("d(h0,3)") == 8
-    assert w.weight("e(h0,3)") == F(1, 8)
-    assert w.weight("e(h0,10)") == F(1, 1024)
-    assert w.weight("d(h2,5)") == 1
-    assert w.weight("e(h2,5)") == 1
-    assert w.weight("h0") == 1 and w.weight("h2") == 1
+    assert weight(w, "d(h0,3)") == 8
+    assert weight(w, "e(h0,3)") == F(1, 8)
+    assert weight(w, "e(h0,10)") == F(1, 1024)
+    assert weight(w, "d(h2,5)") == 1
+    assert weight(w, "e(h2,5)") == 1
+    assert weight(w, "h0") == 1 and weight(w, "h2") == 1
 
 
 def test_weight_rule_reaches_beyond_enumerated_prefix():
     w = params(4, ["h0"], 3)
-    assert w.weight("e(h0,7)") == F(1, 2187)
+    assert weight(w, "e(h0,7)") == F(1, 2187)
 
 
 def test_params_validation():

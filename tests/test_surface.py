@@ -38,10 +38,6 @@ SHARED = {
     "MetricMatrix.to_json": "the table document of the library, and of "
     "the tests that compare tables by value; reports hold the MetricMatrix "
     "itself, which prints by json_text",
-    "NormFamilyParams.weight": "eval_weighted_norm reads the weights of a "
-    "family norm through it",
-    "WeightMap.weight": "eval_weighted_norm reads the weights of an explicit "
-    "map through it",
     "WitnessDirection.to_json": "WitnessReport.to_json prints each direction",
     "WitnessReport.to_json": "`evs norms witness` prints its report by it",
 }
